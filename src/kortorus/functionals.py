@@ -37,33 +37,29 @@ from .errors import (
 from .model import (
     FieldState,
     ModelParams,
-    effective_velocity,
-    pressure_potential,
-    recover_u,
+    SpectralState,
     require_positive_density,
+    spectral_state,
 )
 from .spectral import (
     ScalarField,
     VectorField,
-    gradient,
-    hessian,
+    grad_hat,
     integrate,
     laplacian,
     lp_norm,
+    to_physical,
+    to_spectral,
     vector_gradient,
 )
 
 SCHEMA_VERSION = 1
 
+State = FieldState | SpectralState
 
-def velocities(state: FieldState, params: ModelParams) -> tuple[VectorField, VectorField]:
-    """(u, v) for the state under its variant: w is u for ``original`` and the
-    effective velocity v otherwise; the counterpart is reconstructed."""
-    if params.variant == "original":
-        u = state.w
-        return u, effective_velocity(state.rho, u, params)
-    v = state.w
-    return recover_u(state.rho, v, params), v
+
+def _integral(d: SpectralState, data: np.ndarray) -> float:
+    return integrate(ScalarField(d.grid, data))
 
 
 # ---------------------------------------------------------------------------
@@ -78,48 +74,33 @@ class EnergyParts:
     capillary: float
 
 
-def energy(state: FieldState, params: ModelParams) -> EnergyParts:
+def energy(state: State, params: ModelParams) -> EnergyParts:
     """int (rho |u|^2 + a rho^gamma/(gamma-1) + kappa |grad sqrt(rho)|^2) dx,
     each addend reported separately (gamma = 1 uses the Pi convention)."""
-    require_positive_density(state.rho)
-    u, _ = velocities(state, params)
-    rho = state.rho
-    kinetic = integrate(ScalarField(rho.grid, rho.data * np.sum(u.data ** 2, axis=0)))
-    if params.gamma > 1.0:
-        press = integrate(ScalarField(rho.grid,
-                                      params.a * rho.data ** params.gamma / (params.gamma - 1.0)))
-    else:
-        press = integrate(pressure_potential(rho, params))
-    grad_sqrt = gradient(ScalarField(rho.grid, np.sqrt(rho.data)))
-    capillary = params.kappa * integrate(
-        ScalarField(rho.grid, np.sum(grad_sqrt.data ** 2, axis=0)))
+    d = spectral_state(state, params)
+    rho = d.rho.data
+    kinetic = _integral(d, rho * np.sum(d.u ** 2, axis=0))
+    press = _integral(d, d.pressure_potential)
+    capillary = params.kappa * _integral(d, np.sum(d.grad_sqrt_rho ** 2, axis=0))
     return EnergyParts(kinetic + press + capillary, kinetic, press, capillary)
 
 
-def effective_energy(state: FieldState, params: ModelParams) -> float:
+def effective_energy(state: State, params: ModelParams) -> float:
     """Decaying functional of the simplified system, int (rho |v|^2 / 2 + Pi(rho)) dx."""
-    require_positive_density(state.rho)
-    _, v = velocities(state, params)
-    rho = state.rho
-    kinetic = 0.5 * integrate(ScalarField(rho.grid, rho.data * np.sum(v.data ** 2, axis=0)))
-    return kinetic + integrate(pressure_potential(rho, params))
+    d = spectral_state(state, params)
+    kinetic = 0.5 * _integral(d, d.rho.data * np.sum(d.v ** 2, axis=0))
+    return kinetic + _integral(d, d.pressure_potential)
 
 
-def effective_energy_dissipation(state: FieldState, params: ModelParams) -> tuple[float, float]:
+def effective_energy_dissipation(state: State, params: ModelParams) -> tuple[float, float]:
     """Instantaneous decay rates of the effective energy: the viscous part
     mu int rho |grad v|^2 and the density-gradient part
     (kappa/mu) int P''(rho) |grad rho|^2 (both nonnegative)."""
-    require_positive_density(state.rho)
-    rho = state.rho
-    grid = rho.grid
-    _, v = velocities(state, params)
-    grad_v = vector_gradient(v)
-    viscous = params.mu * integrate(
-        ScalarField(grid, rho.data * np.sum(grad_v.data ** 2, axis=(0, 1))))
-    grad_rho = gradient(rho)
-    p_second = params.a * params.gamma * (params.gamma - 1.0) * rho.data ** (params.gamma - 2.0)
-    pressure_part = params.eps * integrate(
-        ScalarField(grid, p_second * np.sum(grad_rho.data ** 2, axis=0)))
+    d = spectral_state(state, params)
+    rho = d.rho.data
+    viscous = params.mu * _integral(d, rho * np.sum(d.grad_v ** 2, axis=(0, 1)))
+    p_second = params.a * params.gamma * (params.gamma - 1.0) * rho ** (params.gamma - 2.0)
+    pressure_part = params.eps * _integral(d, p_second * np.sum(d.grad_rho ** 2, axis=0))
     return viscous, pressure_part
 
 
@@ -135,7 +116,7 @@ class BDEntropy:
     capillary_rate: float
 
 
-def bd_entropy(state: FieldState, params: ModelParams) -> BDEntropy:
+def bd_entropy(state: State, params: ModelParams) -> BDEntropy:
     """int (rho |u|^2 + kappa |grad sqrt(rho)|^2 + Pi(rho)) dx plus the three
     instantaneous dissipation rates controlled by the two-velocity entropy:
 
@@ -145,31 +126,24 @@ def bd_entropy(state: FieldState, params: ModelParams) -> BDEntropy:
       = a gamma int rho^{gamma-2} |grad rho|^2 >= 0,
     * capillary: kappa int rho sum_ij (d_i d_j ln rho)^2.
     """
-    require_positive_density(state.rho)
-    rho = state.rho
-    grid = rho.grid
-    u, _ = velocities(state, params)
+    d = spectral_state(state, params)
+    rho = d.rho.data
 
-    grad_sqrt = gradient(ScalarField(grid, np.sqrt(rho.data)))
-    value = (integrate(ScalarField(grid, rho.data * np.sum(u.data ** 2, axis=0)))
-             + params.kappa * integrate(ScalarField(grid, np.sum(grad_sqrt.data ** 2, axis=0)))
-             + integrate(pressure_potential(rho, params)))
+    value = (_integral(d, rho * np.sum(d.u ** 2, axis=0))
+             + params.kappa * _integral(d, np.sum(d.grad_sqrt_rho ** 2, axis=0))
+             + _integral(d, d.pressure_potential))
 
-    grad_u = vector_gradient(u)
-    grad_sq = np.sum(grad_u.data ** 2, axis=(0, 1))
-    sym = grad_u.data + np.swapaxes(grad_u.data, 0, 1)
+    grad_u = d.grad_u
+    grad_sq = np.sum(grad_u ** 2, axis=(0, 1))
+    sym = grad_u + np.swapaxes(grad_u, 0, 1)
     sym_sq = np.sum(sym ** 2, axis=(0, 1))
-    viscous = ((params.mu - params.alpha) * integrate(ScalarField(grid, rho.data * grad_sq))
-               + params.alpha * integrate(ScalarField(grid, rho.data * sym_sq)))
+    viscous = ((params.mu - params.alpha) * _integral(d, rho * grad_sq)
+               + params.alpha * _integral(d, rho * sym_sq))
 
-    grad_rho = gradient(rho)
-    cross = params.a * params.gamma * integrate(
-        ScalarField(grid, rho.data ** (params.gamma - 2.0)
-                    * np.sum(grad_rho.data ** 2, axis=0)))
+    cross = params.a * params.gamma * _integral(
+        d, rho ** (params.gamma - 2.0) * np.sum(d.grad_rho ** 2, axis=0))
 
-    hess_ln = hessian(ScalarField(grid, np.log(rho.data)))
-    capillary = params.kappa * integrate(
-        ScalarField(grid, rho.data * np.sum(hess_ln.data ** 2, axis=(0, 1))))
+    capillary = params.kappa * _integral(d, rho * np.sum(d.hess_ln_rho ** 2, axis=(0, 1)))
     return BDEntropy(value, viscous, cross, capillary)
 
 
@@ -184,30 +158,26 @@ class MVEntropy:
     rhs_bound: float
 
 
-def mv_entropy(state: FieldState, params: ModelParams, delta: float) -> MVEntropy:
+def mv_entropy(state: State, params: ModelParams, delta: float) -> MVEntropy:
     """Weighted kinetic functional int rho |v|^{2+delta}/(2+delta) dx with its
     dissipation (mu/4) int rho |v|^delta |grad v|^2 dx and the verbatim
     right-hand bound of the corresponding differential inequality."""
     if not (0.0 < delta < 2.0):
         raise DeltaOutOfRange(f"delta must lie in (0, 2), got {delta}")
-    require_positive_density(state.rho)
-    rho = state.rho
-    grid = rho.grid
-    _, v = velocities(state, params)
-    speed_sq = np.sum(v.data ** 2, axis=0)
+    d = spectral_state(state, params)
+    rho = d.rho.data
+    speed_sq = np.sum(d.v ** 2, axis=0)
     speed = np.sqrt(speed_sq)
 
-    value = integrate(ScalarField(grid, rho.data * speed ** (2.0 + delta))) / (2.0 + delta)
+    value = _integral(d, rho * speed ** (2.0 + delta)) / (2.0 + delta)
 
-    grad_v = vector_gradient(v)
-    grad_sq = np.sum(grad_v.data ** 2, axis=(0, 1))
-    dissipation = 0.25 * params.mu * integrate(
-        ScalarField(grid, rho.data * speed ** delta * grad_sq))
+    grad_sq = np.sum(d.grad_v ** 2, axis=(0, 1))
+    dissipation = 0.25 * params.mu * _integral(d, rho * speed ** delta * grad_sq)
 
     inner_exp = 2.0 / (2.0 - delta)
-    rho_pow = rho.data ** ((2.0 * params.gamma - 1.0 - delta / 2.0) * inner_exp)
-    rhs = (integrate(ScalarField(grid, rho_pow)) ** inner_exp
-           * integrate(ScalarField(grid, rho.data * speed_sq)) ** (delta / 2.0))
+    rho_pow = rho ** ((2.0 * params.gamma - 1.0 - delta / 2.0) * inner_exp)
+    rhs = (_integral(d, rho_pow) ** inner_exp
+           * _integral(d, rho * speed_sq) ** (delta / 2.0))
     return MVEntropy(value, dissipation, rhs)
 
 
@@ -226,43 +196,41 @@ class Integrability:
 def quartic_forms(v: VectorField) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise quadruple sum sum_{ijk} v_j v_k d_i v_j d_i v_k and the
     identity form sum_i (d_i |v|^2 / 2)^2 (spectral derivative of |v|^2)."""
-    grad_v = vector_gradient(v)
-    direct = np.einsum("j...,k...,ij...,ik...->...", v.data, v.data,
-                       grad_v.data, grad_v.data)
-    speed_sq = ScalarField(v.grid, np.sum(v.data ** 2, axis=0))
-    grad_w = gradient(speed_sq)
-    identity = np.sum((0.5 * grad_w.data) ** 2, axis=0)
+    return _quartic_forms(v.grid, v.data, vector_gradient(v).data)
+
+
+def _quartic_forms(grid, v: np.ndarray, grad_v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    direct = np.einsum("j...,k...,ij...,ik...->...", v, v, grad_v, grad_v)
+    grad_w = to_physical(grad_hat(to_spectral(np.sum(v ** 2, axis=0), grid), grid), grid)
+    identity = np.sum((0.5 * grad_w) ** 2, axis=0)
     return direct, identity
 
 
-def integrability_functional(state: FieldState, params: ModelParams, p: float) -> Integrability:
+def integrability_functional(state: State, params: ModelParams, p: float) -> Integrability:
     """A = (1/p) int rho |v|^p dx with the two instantaneous dissipation rates
     int rho |v|^{p-2} |grad v|^2 and (p-2) int rho (quartic form) |v|^{p-4};
     the quadruple-sum assembly of the quartic form is the authoritative one,
     the identity form is reported for cross-checking."""
     if not (p > 2.0):
         raise PExponentOutOfRange(f"integrability exponent requires p > 2, got {p}")
-    require_positive_density(state.rho)
-    rho = state.rho
-    grid = rho.grid
-    _, v = velocities(state, params)
-    speed_sq = np.sum(v.data ** 2, axis=0)
+    d = spectral_state(state, params)
+    rho = d.rho.data
+    speed_sq = np.sum(d.v ** 2, axis=0)
     speed = np.sqrt(speed_sq)
 
-    value = integrate(ScalarField(grid, rho.data * speed ** p)) / p
-    grad_v = vector_gradient(v)
-    grad_sq = np.sum(grad_v.data ** 2, axis=(0, 1))
-    grad_rate = integrate(ScalarField(grid, rho.data * speed ** (p - 2.0) * grad_sq))
+    value = _integral(d, rho * speed ** p) / p
+    grad_sq = np.sum(d.grad_v ** 2, axis=(0, 1))
+    grad_rate = _integral(d, rho * speed ** (p - 2.0) * grad_sq)
 
-    direct, identity = quartic_forms(v)
+    direct, identity = _quartic_forms(d.grid, d.v, d.grad_v)
     # both quartic forms are O(|v|^2) near zeros of v, so the |v|^{p-4} weight
     # stays integrable for every p > 2; mask the removable 0 * inf
     safe_speed = np.where(speed_sq > 0.0, speed, 1.0)
     weight = np.where(speed_sq > 0.0, safe_speed ** (p - 4.0), 0.0)
-    rate_direct = (p - 2.0) * integrate(
-        ScalarField(grid, rho.data * np.where(speed_sq > 0.0, direct * weight, 0.0)))
-    rate_identity = (p - 2.0) * integrate(
-        ScalarField(grid, rho.data * np.where(speed_sq > 0.0, identity * weight, 0.0)))
+    rate_direct = (p - 2.0) * _integral(
+        d, rho * np.where(speed_sq > 0.0, direct * weight, 0.0))
+    rate_identity = (p - 2.0) * _integral(
+        d, rho * np.where(speed_sq > 0.0, identity * weight, 0.0))
     return Integrability(value, grad_rate, rate_direct, rate_identity)
 
 
@@ -290,7 +258,7 @@ class VacuumFunctional:
     identity_residual: float
 
 
-def vacuum_functional(state: FieldState, params: ModelParams, p: float) -> VacuumFunctional:
+def vacuum_functional(state: State, params: ModelParams, p: float) -> VacuumFunctional:
     """B = (1/(p-1)) int rho^{1-p} dx with its production rate
     (4 p kappa / (mu (p-1)^2)) int |grad(rho^{-(p-1)/2})|^2 dx, plus the
     max-norm residual of the pointwise multiplier identity
@@ -301,20 +269,20 @@ def vacuum_functional(state: FieldState, params: ModelParams, p: float) -> Vacuu
     """
     if not (p >= 2.0):
         raise PExponentOutOfRange(f"vacuum exponent requires p >= 2, got {p}")
-    require_positive_density(state.rho)
-    rho = state.rho
-    grid = rho.grid
+    d = spectral_state(state, params)
+    rho, grid = d.rho.data, d.grid
     coeff = params.kappa / params.mu
 
-    value = integrate(ScalarField(grid, rho.data ** (1.0 - p))) / (p - 1.0)
-    grad_half = gradient(ScalarField(grid, rho.data ** (-(p - 1.0) / 2.0)))
+    rho_pow = rho ** (1.0 - p)
+    value = _integral(d, rho_pow) / (p - 1.0)
+    grad_half = to_physical(grad_hat(to_spectral(rho ** (-(p - 1.0) / 2.0), grid), grid), grid)
+    grad_half_sq = np.sum(grad_half ** 2, axis=0)
     rate_coeff = 4.0 * p * coeff / (p - 1.0) ** 2
-    rate = rate_coeff * integrate(
-        ScalarField(grid, np.sum(grad_half.data ** 2, axis=0)))
+    rate = rate_coeff * _integral(d, grad_half_sq)
 
-    lhs = coeff * rho.data ** (-p) * laplacian(rho).data
-    rhs = (-(coeff / (p - 1.0)) * laplacian(ScalarField(grid, rho.data ** (1.0 - p))).data
-           + rate_coeff * np.sum(grad_half.data ** 2, axis=0))
+    lhs = coeff * rho ** (-p) * to_physical(grid.rfft_minus_beta_sq * d.rho_hat, grid)
+    rhs = (-(coeff / (p - 1.0)) * laplacian(ScalarField(grid, rho_pow)).data
+           + rate_coeff * grad_half_sq)
     residual = float(np.max(np.abs(lhs - rhs)))
     return VacuumFunctional(value, rate, residual)
 
@@ -351,7 +319,7 @@ def serrin_accumulator(trajectory, p: float, q: float,
     check_serrin_pair(p, q, states[0].grid.dim)
     norms = []
     for state in states:
-        _, v = velocities(state, params)
+        v = VectorField(state.grid, spectral_state(state, params).v)
         norms.append(lp_norm(v, q) ** p)
     if len(times) == 1:
         return 0.0
@@ -397,7 +365,7 @@ def vacuum_indicator(state_or_rho, eps: float, delta: float) -> float:
         raise ValueError(f"need eps > 0, got {eps}")
     if not (0.0 < delta < 1.0):
         raise ValueError(f"need 0 < delta < 1, got {delta}")
-    rho = state_or_rho.rho if isinstance(state_or_rho, FieldState) else state_or_rho
+    rho = getattr(state_or_rho, "rho", state_or_rho)
     require_positive_density(rho)
     mask = rho.data <= delta
     integrand = np.where(mask, rho.data ** (-eps), 0.0)
@@ -478,33 +446,33 @@ class FunctionalReport:
         return out
 
 
-def evaluate_report(state: FieldState, params: ModelParams,
+def evaluate_report(state: State, params: ModelParams,
                     spec: MonitorSpec | None = None) -> FunctionalReport:
     """Evaluate every monitored functional on one state."""
     spec = spec or MonitorSpec()
-    rho = state.rho
-    u, v = velocities(state, params)
-    en = energy(state, params)
-    eff_diss = effective_energy_dissipation(state, params)
-    bd = bd_entropy(state, params)
-    mv = mv_entropy(state, params, spec.delta)
-    integ = integrability_functional(state, params, spec.p_integrability)
-    vac = vacuum_functional(state, params, spec.p_vacuum)
-    indicator = vacuum_indicator(state, spec.epsilon, spec.delta_vacuum)
-    sp_, sq = spec.serrin_pair(state.grid.dim)
-    serrin_integrand = lp_norm(v, sq) ** sp_
+    d = spectral_state(state, params)
+    rho = d.rho
+    en = energy(d, params)
+    eff_diss = effective_energy_dissipation(d, params)
+    bd = bd_entropy(d, params)
+    mv = mv_entropy(d, params, spec.delta)
+    integ = integrability_functional(d, params, spec.p_integrability)
+    vac = vacuum_functional(d, params, spec.p_vacuum)
+    indicator = vacuum_indicator(rho, spec.epsilon, spec.delta_vacuum)
+    sp_, sq = spec.serrin_pair(d.grid.dim)
+    serrin_integrand = lp_norm(VectorField(d.grid, d.v), sq) ** sp_
     values = dict(
-        time=state.time,
+        time=d.time,
         mass=integrate(rho),
         rho_min=float(np.min(rho.data)),
         rho_max=float(np.max(rho.data)),
         rho_variance=float(np.var(rho.data)),
-        max_speed=float(np.max(np.sqrt(np.sum(u.data ** 2, axis=0)))),
+        max_speed=float(np.max(np.sqrt(np.sum(d.u ** 2, axis=0)))),
         energy_total=en.total,
         energy_kinetic=en.kinetic,
         energy_pressure=en.pressure,
         energy_capillary=en.capillary,
-        effective_energy=effective_energy(state, params),
+        effective_energy=effective_energy(d, params),
         eff_energy_rate_viscous=eff_diss[0],
         eff_energy_rate_pressure=eff_diss[1],
         bd_value=bd.value,

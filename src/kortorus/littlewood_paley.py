@@ -47,7 +47,16 @@ from .errors import (
     IndexConstraintViolated,
     ResolutionTooSmall,
 )
-from .spectral import ScalarField, SpectralGrid, VectorField, dealiased_product, lp_norm
+from .spectral import (
+    ScalarField,
+    SpectralGrid,
+    VectorField,
+    dealiased_product,
+    forward_transform,
+    lp_norm,
+    to_physical,
+    to_spectral,
+)
 
 _MIN_SHELLS = 3
 
@@ -170,7 +179,9 @@ def family_for(grid: SpectralGrid) -> DyadicFamily:
 
 
 def _apply_multiplier(u: ScalarField, table: np.ndarray) -> ScalarField:
-    return ScalarField(u.grid, np.fft.ifftn(np.fft.fftn(u.data) * table).real)
+    grid = u.grid
+    return ScalarField(grid, to_physical(grid.to_rfft_layout(table) * to_spectral(u.data, grid),
+                                         grid))
 
 
 def dyadic_block(u: ScalarField, q: int, family: DyadicFamily | None = None) -> ScalarField:
@@ -209,10 +220,6 @@ def dyadic_block_pair(u: ScalarField, q: int, q_prime: int,
     return _apply_multiplier(u, table)
 
 
-def _block_data(u_data: np.ndarray, table: np.ndarray) -> np.ndarray:
-    return np.fft.ifftn(np.fft.fftn(u_data) * table).real
-
-
 def _block_indices(family: DyadicFamily, flavor: str) -> list[int]:
     if flavor == "nonhomogeneous":
         return list(family.block_range)
@@ -227,16 +234,19 @@ def _block_multiplier(family: DyadicFamily, q: int, flavor: str) -> np.ndarray:
 
 def block_lp_norms(u: ScalarField | VectorField, idx: BesovIndex,
                    family: DyadicFamily | None = None) -> dict[int, float]:
-    """||Delta_q u||_{L^p} per block (vector fields via Euclidean magnitude)."""
-    family = family or family_for(u.grid)
+    """||Delta_q u||_{L^p} per block (vector fields via Euclidean magnitude).
+
+    The field is transformed once and every block is synthesized from those
+    coefficients in one batched inverse transform."""
+    grid = u.grid
+    family = family or family_for(grid)
+    qs = _block_indices(family, idx.flavor)
+    tables = np.stack([grid.to_rfft_layout(_block_multiplier(family, q, idx.flavor))
+                       for q in qs])
     comps = u.data[None] if u.rank == 0 else u.data
-    out: dict[int, float] = {}
-    for q in _block_indices(family, idx.flavor):
-        table = _block_multiplier(family, q, idx.flavor)
-        block = np.stack([_block_data(c, table) for c in comps])
-        mag = np.sqrt(np.sum(block ** 2, axis=0))
-        out[q] = lp_norm(ScalarField(u.grid, mag), idx.p)
-    return out
+    blocks = to_physical(tables[:, None] * to_spectral(comps, grid)[None], grid)
+    mags = np.sqrt(np.sum(blocks ** 2, axis=1))
+    return {q: lp_norm(ScalarField(grid, mag), idx.p) for q, mag in zip(qs, mags)}
 
 
 def _aggregate(weighted: Sequence[float], r: float) -> float:
@@ -260,7 +270,7 @@ def sobolev_weight_norm(u: ScalarField, s: float) -> float:
 
     Comparison target for the B^s_{2,2} norm equivalence.
     """
-    coeffs = np.fft.fftn(u.data) / u.data.size
+    coeffs = forward_transform(u)
     weight = (1.0 + u.grid.beta_magnitude ** 2) ** s
     return float(np.sqrt(np.sum(weight * np.abs(coeffs) ** 2) * u.grid.volume))
 
@@ -463,23 +473,23 @@ def heat_regularity_check(u0: ScalarField, forcing, mu: float, s: float, p: floa
     family = family_for(grid)
     times = np.linspace(0.0, T, n_time)
     dt = times[1] - times[0]
-    lam = -grid.minus_beta_sq  # |beta|^2 >= 0
+    lam = -grid.rfft_minus_beta_sq  # |beta|^2 >= 0
     decay = np.exp(-mu * lam * dt)
 
-    u_hat = np.fft.fftn(u0.data)
+    u_hat = to_spectral(u0.data, grid)
     snapshots = [ScalarField(grid, u0.data.copy())]
     f_prev = _forcing_at(forcing, grid, 0.0)
-    f_hat_prev = None if f_prev is None else np.fft.fftn(f_prev)
+    f_hat_prev = None if f_prev is None else to_spectral(f_prev, grid)
     forcing_fields = [] if forcing is None else [ScalarField(grid, f_prev)]
     for t_next in times[1:]:
         u_hat = decay * u_hat
         if f_hat_prev is not None:
             f_next = _forcing_at(forcing, grid, float(t_next))
-            f_hat_next = np.fft.fftn(f_next)
+            f_hat_next = to_spectral(f_next, grid)
             u_hat = u_hat + 0.5 * dt * (decay * f_hat_prev + f_hat_next)
             f_hat_prev = f_hat_next
             forcing_fields.append(ScalarField(grid, f_next))
-        snapshots.append(ScalarField(grid, np.fft.ifftn(u_hat).real))
+        snapshots.append(ScalarField(grid, to_physical(u_hat, grid)))
 
     idx_lhs = BesovIndex(s + (0.0 if math.isinf(rho1) else 2.0 / rho1), p, r)
     lhs = chemin_lerner_norm(snapshots, times, rho1, idx_lhs, family,

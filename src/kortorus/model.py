@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -39,12 +40,14 @@ from .spectral import (
     TensorField,
     VectorField,
     dealias,
-    divergence,
+    div_hat,
+    grad_hat,
     gradient,
     hessian,
     laplacian,
     tensor_divergence,
-    vector_gradient,
+    to_physical,
+    to_spectral,
 )
 
 #: Density positivity floor.  Samples at or below it raise NonpositiveDensity
@@ -290,31 +293,135 @@ def recover_u(rho: ScalarField, v: VectorField, params: ModelParams) -> VectorFi
 
 
 # ---------------------------------------------------------------------------
+# derived fields of one state
+
+
+class SpectralState:
+    """One state's spectral coefficients and derived fields, each computed at
+    most once: ln rho, grad ln rho, u and v with their gradients, grad rho,
+    grad sqrt(rho), the Hessian of ln rho and the pressure (arrays; vector
+    and tensor components lead).
+
+    ``rhs``, ``cfl_dt`` and ``evaluate_report`` accept it in place of the
+    FieldState it wraps, so they share this work.  Build it with
+    ``spectral_state``, which validates the state; the stepper builds it from
+    the coefficients it has just advanced and checked.
+    """
+
+    def __init__(self, state: FieldState, params: ModelParams,
+                 rho_hat: np.ndarray | None = None, w_hat: np.ndarray | None = None):
+        self.state, self.params, self.grid = state, params, state.grid
+        self.rho, self.w, self.time = state.rho, state.w, state.time
+        if rho_hat is not None:
+            self.rho_hat, self.w_hat = rho_hat, w_hat
+
+    @cached_property
+    def rho_hat(self) -> np.ndarray:
+        return to_spectral(self.rho.data, self.grid)
+
+    @cached_property
+    def w_hat(self) -> np.ndarray:
+        return to_spectral(self.w.data, self.grid)
+
+    @cached_property
+    def ln_rho_hat(self) -> np.ndarray:
+        return to_spectral(np.log(self.rho.data), self.grid)
+
+    @cached_property
+    def grad_ln_rho(self) -> np.ndarray:
+        return to_physical(grad_hat(self.ln_rho_hat, self.grid), self.grid)
+
+    @cached_property
+    def u(self) -> np.ndarray:
+        if self.params.variant == "original":
+            return self.w.data
+        return self.w.data - self.params.eps * self.grad_ln_rho
+
+    @cached_property
+    def v(self) -> np.ndarray:
+        if self.params.variant == "original":
+            return self.w.data + self.params.eps * self.grad_ln_rho
+        return self.w.data
+
+    @cached_property
+    def grad_w(self) -> np.ndarray:
+        return to_physical(grad_hat(self.w_hat, self.grid), self.grid)
+
+    @cached_property
+    def grad_u(self) -> np.ndarray:
+        if self.params.variant == "original":
+            return self.grad_w
+        return self.grad_w - self.params.eps * self.hess_ln_rho
+
+    @cached_property
+    def grad_v(self) -> np.ndarray:
+        if self.params.variant == "original":
+            return self.grad_w + self.params.eps * self.hess_ln_rho
+        return self.grad_w
+
+    @cached_property
+    def grad_rho(self) -> np.ndarray:
+        return to_physical(grad_hat(self.rho_hat, self.grid), self.grid)
+
+    @cached_property
+    def grad_sqrt_rho(self) -> np.ndarray:
+        return to_physical(grad_hat(to_spectral(np.sqrt(self.rho.data), self.grid),
+                                    self.grid), self.grid)
+
+    @cached_property
+    def hess_ln_rho(self) -> np.ndarray:
+        ik = self.grid.rfft_ik
+        return to_physical(ik[:, None] * ik[None] * self.ln_rho_hat, self.grid)
+
+    @cached_property
+    def pressure(self) -> np.ndarray:
+        return pressure(self.rho, self.params).data
+
+    @cached_property
+    def pressure_potential(self) -> np.ndarray:
+        return pressure_potential(self.rho, self.params).data
+
+
+def spectral_state(state: FieldState | SpectralState, params: ModelParams) -> SpectralState:
+    """The SpectralState of ``state`` under ``params`` (``state`` itself when
+    it already is one for these parameters)."""
+    if isinstance(state, SpectralState):
+        if state.params == params:
+            return state
+        return SpectralState(state.state, params, state.rho_hat, state.w_hat)
+    return SpectralState(state.validate(), params)
+
+
+# ---------------------------------------------------------------------------
 # right-hand sides
 
 
-def _advective_term(u: VectorField, w: VectorField) -> np.ndarray:
-    """(u . grad) w, dealiased per component."""
-    grad_w = vector_gradient(w)
-    grid = u.grid
-    d = grid.dim
-    out = np.empty((d,) + grid.shape)
-    for j in range(d):
-        acc = np.zeros(grid.shape)
-        for i in range(d):
-            acc = acc + u.data[i] * grad_w.data[i, j]
-        out[j] = acc
-    return dealias(VectorField(grid, out)).data
+def tendency_hats(d: SpectralState) -> tuple[np.ndarray, np.ndarray]:
+    """rfft coefficients of (d rho/dt without its (kappa/mu) Lap rho part,
+    d w/dt): every nonlinear product is dealiased by masking its coefficients,
+    and derivatives are taken from the masked coefficients directly.
+
+    Both variant families share the assembly: the mass flux is rho w, the
+    stress is div(rho T) with T = mu grad w, plus alpha (grad w)^T and the
+    Korteweg term kappa grad grad ln rho for ``original``, and the advecting
+    field is u."""
+    params, grid = d.params, d.grid
+    rho = d.rho.data
+    keep = grid.rfft_dealias_keep
+    drho_hat = -div_hat(keep * to_spectral(rho * d.w.data, grid), grid)
+
+    stress = params.mu * d.grad_w
+    if params.variant == "original":
+        stress = (stress + params.alpha * np.swapaxes(d.grad_w, 0, 1)
+                  + params.kappa * d.hess_ln_rho)
+    force = to_physical(div_hat(keep * to_spectral(rho * stress, grid), grid)
+                        - grad_hat(to_spectral(d.pressure, grid), grid), grid)
+    advect = np.einsum("i...,ij...->j...", d.u, d.grad_w)
+    return drho_hat, keep * to_spectral(force / rho - advect, grid)
 
 
-def _weighted_tensor_divergence(weight: np.ndarray, tensor_data: np.ndarray,
-                                grid: SpectralGrid) -> np.ndarray:
-    """div(weight * T) with the product dealiased, component j = sum_i d_i(w T_ij)."""
-    prod = dealias(TensorField(grid, weight * tensor_data))
-    return tensor_divergence(prod).data
-
-
-def rhs(state: FieldState, params: ModelParams) -> tuple[ScalarField, VectorField]:
+def rhs(state: FieldState | SpectralState,
+        params: ModelParams) -> tuple[ScalarField, VectorField]:
     """Time derivative (d rho/dt, d w/dt) for the configured variant.
 
     For the effective variants the advecting field is the reconstructed
@@ -323,40 +430,9 @@ def rhs(state: FieldState, params: ModelParams) -> tuple[ScalarField, VectorFiel
     """
     if params.variant not in VARIANTS:
         raise VariantMismatch(f"unknown variant {params.variant!r}")
-    state.validate()
-    grid = state.grid
-    rho, w = state.rho, state.w
-
-    if params.variant == "original":
-        u = w
-        mass_flux = dealias(VectorField(grid, rho.data * u.data))
-        drho = ScalarField(grid, -divergence(mass_flux).data)
-
-        grad_u = vector_gradient(u)
-        diffusion = params.mu * _weighted_tensor_divergence(rho.data, grad_u.data, grid)
-        if params.alpha != 0.0:
-            grad_u_t = np.swapaxes(grad_u.data, 0, 1)
-            diffusion = diffusion + params.alpha * _weighted_tensor_divergence(
-                rho.data, grad_u_t, grid)
-        cap = korteweg_div_special(rho, params.kappa)
-        grad_p = gradient(pressure(rho, params))
-        advect = _advective_term(u, u)
-        momentum = (-advect
-                    + dealias(VectorField(grid, (diffusion + cap.data - grad_p.data)
-                                          / rho.data)).data)
-        return drho, VectorField(grid, momentum)
-
-    # effective variants share one evolution operator
-    v = w
-    u = recover_u(rho, v, params)
-    mass_flux = dealias(VectorField(grid, rho.data * v.data))
-    drho = ScalarField(grid,
-                       -divergence(mass_flux).data + params.eps * laplacian(rho).data)
-
-    grad_v = vector_gradient(v)
-    diffusion = params.mu * _weighted_tensor_divergence(rho.data, grad_v.data, grid)
-    grad_p = gradient(pressure(rho, params))
-    advect = _advective_term(u, v)
-    momentum = (-advect
-                + dealias(VectorField(grid, (diffusion - grad_p.data) / rho.data)).data)
-    return drho, VectorField(grid, momentum)
+    d = spectral_state(state, params)
+    drho_hat, dw_hat = tendency_hats(d)
+    if params.variant != "original":
+        drho_hat = drho_hat + params.eps * d.grid.rfft_minus_beta_sq * d.rho_hat
+    return (ScalarField(d.grid, to_physical(drho_hat, d.grid)),
+            VectorField(d.grid, to_physical(dw_hat, d.grid)))

@@ -330,7 +330,6 @@ def _compiled_forcing(sid: str, mu: float, kappa: float, a: float, gamma: float)
     f_rho, f_v = ms.forcing_exprs(mu, kappa, a, gamma)
     t = sp.Symbol("t")
     coords = ms._coords
-    f_rho_fn = sp.lambdify((t, *coords), sp.simplify(f_rho), modules="numpy")
-    f_v_fns = tuple(sp.lambdify((t, *coords), sp.simplify(e), modules="numpy")
-                    for e in f_v)
+    f_rho_fn = sp.lambdify((t, *coords), f_rho, modules="numpy", cse=True)
+    f_v_fns = tuple(sp.lambdify((t, *coords), e, modules="numpy", cse=True) for e in f_v)
     return f_rho_fn, f_v_fns

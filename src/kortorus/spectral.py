@@ -12,7 +12,12 @@ to roundoff.  Conventions:
 * quadrature is the rectangle rule, i.e. spectral mean times volume, exact
   for trigonometric polynomials under the Nyquist limit,
 * dealiasing is the 2/3 rule: after a nonlinear product, every coefficient
-  with any |k_j| above floor(n_j/3) is zeroed.
+  with any |k_j| above floor(n_j/3) is zeroed,
+* operators work on rfft coefficients (real samples have Hermitian spectra,
+  so the last axis keeps only k = 0..n/2), through the one transform pair
+  ``to_spectral``/``to_physical``, batched over component axes; the
+  ``rfft_*`` tables of SpectralGrid are in that layout.  Only
+  ``forward_transform``/``inverse_transform`` use the full FFT layout.
 
 Resolutions are powers of two so dyadic frequency shells align with
 representable wavenumbers.
@@ -25,6 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.fft
 
 from .errors import InvalidField
 
@@ -132,14 +138,6 @@ class SpectralGrid:
         return out
 
     @cached_property
-    def minus_beta_sq(self) -> np.ndarray:
-        """Laplacian multiplier -|beta|^2 (Nyquist-zeroed, so it equals div o grad)."""
-        total = np.zeros(self.shape)
-        for b in self.derivative_axes:
-            total = total + b * b
-        return -total
-
-    @cached_property
     def beta_magnitude(self) -> np.ndarray:
         """|beta| over the full lattice (Nyquist included), used by dyadic shells."""
         total = np.zeros(self.shape)
@@ -147,15 +145,51 @@ class SpectralGrid:
             total = total + b * b
         return np.sqrt(total)
 
+    # -- rfft layout: the last axis keeps k = 0..n/2, the others are full --
+
     @cached_property
-    def dealias_keep(self) -> np.ndarray:
-        """Boolean mask of modes kept by the 2/3 rule (|k_j| <= floor(n_j/3))."""
-        keep = np.ones(self.shape, dtype=bool)
+    def rfft_axes(self) -> tuple[int, ...]:
+        return tuple(range(-self.dim, 0))
+
+    @cached_property
+    def rfft_shape(self) -> tuple[int, ...]:
+        return self.shape[:-1] + (self.shape[-1] // 2 + 1,)
+
+    def _rfft_index(self, axis: int) -> np.ndarray:
+        """Integer wavenumbers of one axis in rfft layout, broadcast-ready."""
+        n = self.resolution[axis]
+        k = np.fft.rfftfreq(n, d=1.0 / n) if axis == self.dim - 1 else np.fft.fftfreq(n, d=1.0 / n)
+        shape = [1] * self.dim
+        shape[axis] = k.size
+        return k.reshape(shape)
+
+    @cached_property
+    def rfft_ik(self) -> np.ndarray:
+        """Derivative multipliers i beta_j, Nyquist zeroed; shape (dim,) + rfft_shape."""
+        out = np.zeros((self.dim,) + self.rfft_shape, dtype=complex)
+        for axis, (n, L) in enumerate(zip(self.resolution, self.length)):
+            k = self._rfft_index(axis).copy()
+            k.flat[n // 2] = 0.0
+            out[axis] = 1j * k * (TAU / L)
+        return out
+
+    @cached_property
+    def rfft_minus_beta_sq(self) -> np.ndarray:
+        """Laplacian multiplier -|beta|^2 (Nyquist-zeroed, so it equals div o grad)."""
+        return -np.sum(self.rfft_ik.imag ** 2, axis=0)
+
+    @cached_property
+    def rfft_dealias_keep(self) -> np.ndarray:
+        """Mask of modes kept by the 2/3 rule (|k_j| <= floor(n_j/3))."""
+        keep = np.ones(self.rfft_shape, dtype=bool)
         for axis, n in enumerate(self.resolution):
-            k = np.abs(np.fft.fftfreq(n, d=1.0 / n))
-            cutoff = n // 3
-            keep &= self._broadcast_axis(k <= cutoff, axis)
+            keep = keep & (np.abs(self._rfft_index(axis)) <= n // 3)
         return keep
+
+    def to_rfft_layout(self, table: np.ndarray) -> np.ndarray:
+        """Restrict a full-layout table that is even in beta to the rfft layout
+        (the full layout's last-axis entry -n/2 stands in for +n/2)."""
+        return table[..., : self.rfft_shape[-1]]
 
     def scalar(self, data) -> "ScalarField":
         return ScalarField(self, data)
@@ -258,95 +292,84 @@ def _require_finite(data: np.ndarray):
 # transforms
 
 
+def to_spectral(data: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """Unnormalized rfft coefficients of real samples over the grid axes; any
+    leading axes are components, transformed together in one call.
+
+    This and ``to_physical`` are the transforms behind every operator."""
+    return scipy.fft.rfftn(data, axes=grid.rfft_axes)
+
+
+def to_physical(hat: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """Inverse of ``to_spectral``, batched the same way."""
+    return scipy.fft.irfftn(hat, s=grid.shape, axes=grid.rfft_axes)
+
+
+def grad_hat(hat: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """Coefficients of the derivatives d_i, with the axis i prepended."""
+    ik = grid.rfft_ik.reshape((grid.dim,) + (1,) * (hat.ndim - grid.dim) + grid.rfft_shape)
+    return ik * hat
+
+
+def div_hat(hat: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """Coefficients of sum_i d_i over the first component axis i."""
+    ik = grid.rfft_ik.reshape((grid.dim,) + (1,) * (hat.ndim - 1 - grid.dim) + grid.rfft_shape)
+    return np.sum(ik * hat, axis=0)
+
+
 def forward_transform(f: ScalarField) -> np.ndarray:
-    """Fourier coefficients u_hat(beta) (FFT layout, normalized by 1/|T^N| measure).
+    """Fourier coefficients u_hat(beta) (full FFT layout, normalized by 1/|T^N| measure).
 
     A constant field c maps to u_hat(0) = c with every other coefficient zero.
     """
     _require_finite(f.data)
-    return np.fft.fftn(f.data) / f.data.size
+    return scipy.fft.fftn(f.data) / f.data.size
 
 
 def inverse_transform(grid: SpectralGrid, coeffs: np.ndarray) -> ScalarField:
-    """Evaluate sum_beta u_hat(beta) e^{i beta.x} on the grid (real part)."""
+    """Evaluate sum_beta u_hat(beta) e^{i beta.x} on the grid (real part; full layout)."""
     if coeffs.shape != grid.shape:
         raise InvalidField(
             f"coefficient array has shape {coeffs.shape}, expected {grid.shape}")
-    return ScalarField(grid, np.fft.ifftn(coeffs * coeffs.size).real)
-
-
-def spectral_mean(f: ScalarField) -> float:
-    return float(np.mean(f.data))
+    return ScalarField(grid, scipy.fft.ifftn(coeffs * coeffs.size).real)
 
 
 # ---------------------------------------------------------------------------
 # derivative operators (pure spectral multipliers, Nyquist zeroed)
 
 
+def _hat(f: Field) -> np.ndarray:
+    _require_finite(f.data)
+    return to_spectral(f.data, f.grid)
+
+
 def gradient(f: ScalarField) -> VectorField:
     """Gradient via multiplication by i*beta_j per axis."""
-    _require_finite(f.data)
-    grid = f.grid
-    fhat = np.fft.fftn(f.data)
-    comps = [np.fft.ifftn(1j * b * fhat).real for b in grid.derivative_axes]
-    return VectorField(grid, np.stack(comps))
+    return VectorField(f.grid, to_physical(grad_hat(_hat(f), f.grid), f.grid))
 
 
 def divergence(F: VectorField) -> ScalarField:
-    _require_finite(F.data)
-    grid = F.grid
-    out = np.zeros(grid.shape)
-    for j, b in enumerate(grid.derivative_axes):
-        out = out + np.fft.ifftn(1j * b * np.fft.fftn(F.data[j])).real
-    return ScalarField(grid, out)
+    return ScalarField(F.grid, to_physical(div_hat(_hat(F), F.grid), F.grid))
 
 
 def laplacian(f: ScalarField) -> ScalarField:
-    _require_finite(f.data)
-    grid = f.grid
-    return ScalarField(grid, np.fft.ifftn(grid.minus_beta_sq * np.fft.fftn(f.data)).real)
+    return ScalarField(f.grid, to_physical(f.grid.rfft_minus_beta_sq * _hat(f), f.grid))
 
 
 def hessian(f: ScalarField) -> TensorField:
     """Second derivatives, component (i, j) = d_i d_j f (multiplier -beta_i beta_j)."""
-    _require_finite(f.data)
-    grid = f.grid
-    fhat = np.fft.fftn(f.data)
-    d = grid.dim
-    out = np.empty((d, d) + grid.shape)
-    for i in range(d):
-        for j in range(i, d):
-            comp = np.fft.ifftn(-(grid.derivative_axes[i] * grid.derivative_axes[j]) * fhat).real
-            out[i, j] = comp
-            out[j, i] = comp
-    return TensorField(grid, out)
+    ik = f.grid.rfft_ik
+    return TensorField(f.grid, to_physical(ik[:, None] * ik[None] * _hat(f), f.grid))
 
 
 def vector_gradient(F: VectorField) -> TensorField:
     """Velocity-gradient tensor, component (i, j) = d_i F_j."""
-    _require_finite(F.data)
-    grid = F.grid
-    d = grid.dim
-    out = np.empty((d, d) + grid.shape)
-    for j in range(d):
-        fhat = np.fft.fftn(F.data[j])
-        for i in range(d):
-            out[i, j] = np.fft.ifftn(1j * grid.derivative_axes[i] * fhat).real
-    return TensorField(grid, out)
+    return TensorField(F.grid, to_physical(grad_hat(_hat(F), F.grid), F.grid))
 
 
 def tensor_divergence(T: TensorField) -> VectorField:
     """Row-contracted divergence, component j = sum_i d_i T_ij."""
-    _require_finite(T.data)
-    grid = T.grid
-    d = grid.dim
-    out = np.zeros((d,) + grid.shape)
-    for j in range(d):
-        acc = np.zeros(grid.shape)
-        for i in range(d):
-            acc = acc + np.fft.ifftn(1j * grid.derivative_axes[i] * np.fft.fftn(T.data[i, j])).real
-        out[j] = acc
-    return VectorField(grid, out)
+    return VectorField(T.grid, to_physical(div_hat(_hat(T), T.grid), T.grid))
 
 
 # ---------------------------------------------------------------------------
@@ -372,14 +395,6 @@ def lp_norm(f: Field, p: float) -> float:
     return float((np.sum(np.abs(data) ** p) * f.grid.cell_volume) ** (1.0 / p))
 
 
-def l2_inner(f: ScalarField, g: ScalarField) -> float:
-    return float(np.sum(f.data * g.data) * f.grid.cell_volume)
-
-
-def vector_l2_inner(F: VectorField, G: VectorField) -> float:
-    return float(np.sum(F.data * G.data) * F.grid.cell_volume)
-
-
 def relative_l2_gap(a: Field, b: Field) -> float:
     """|a - b|_L2 / max(|a|_L2, |b|_L2), 0 when both vanish."""
     diff = float(np.sqrt(np.sum((a.data - b.data) ** 2)))
@@ -400,13 +415,8 @@ def dealias(f: Field) -> Field:
     Applied after nonlinear products so aliased images (which land above the
     cutoff when the factors were below it) never pollute retained modes.
     """
-    grid = f.grid
-    keep = grid.dealias_keep
-    if f.rank == 0:
-        return f.with_data(np.fft.ifftn(np.fft.fftn(f.data) * keep).real)
-    flat = f.data.reshape((-1,) + grid.shape)
-    out = np.stack([np.fft.ifftn(np.fft.fftn(c) * keep).real for c in flat])
-    return f.with_data(out.reshape(f.data.shape))
+    keep = f.grid.rfft_dealias_keep
+    return f.with_data(to_physical(keep * to_spectral(f.data, f.grid), f.grid))
 
 
 def dealiased_product(a: ScalarField, b: ScalarField) -> ScalarField:

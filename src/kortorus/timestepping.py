@@ -33,8 +33,15 @@ import numpy as np
 
 from .errors import NonFinite, PositivityLoss, StepUnderflow
 from .functionals import FunctionalReport, MonitorSpec, evaluate_report
-from .model import RHO_FLOOR, FieldState, ModelParams, recover_u, rhs
-from .spectral import ScalarField, SpectralGrid, VectorField
+from .model import (
+    RHO_FLOOR,
+    FieldState,
+    ModelParams,
+    SpectralState,
+    spectral_state,
+    tendency_hats,
+)
+from .spectral import ScalarField, SpectralGrid, VectorField, to_physical, to_spectral
 
 SCHEMES = ("imex_euler", "imex_bdf2")
 
@@ -123,29 +130,25 @@ def _shift_value(state: FieldState, params: ModelParams, config: IntegratorConfi
     return params.mu * float(np.min(state.rho.data))
 
 
-def cfl_dt(state: FieldState, params: ModelParams, config: IntegratorConfig) -> float:
+def cfl_dt(state: FieldState | SpectralState, params: ModelParams,
+           config: IntegratorConfig) -> float:
     """cfl_safety * min(h / max|u|, h^2 / nu_expl) with h the smallest grid
     spacing, u the advecting velocity, and nu_expl = mu max(rho) - nu_shift
     the explicitly treated slice of the velocity diffusion.  An empty bound
     is +inf; a result below dt_min raises StepUnderflow.
     """
-    state.validate()
-    grid = state.grid
-    h = min(grid.spacing)
-    if params.variant == "original":
-        u = state.w
-    else:
-        u = recover_u(state.rho, state.w, params)
-    max_u = float(np.max(np.sqrt(np.sum(u.data ** 2, axis=0))))
+    d = spectral_state(state, params)
+    h = min(d.grid.spacing)
+    max_u = float(np.max(np.sqrt(np.sum(d.u ** 2, axis=0))))
     adv = math.inf if max_u == 0.0 else h / max_u
-    nu_expl = max(params.mu * float(np.max(state.rho.data))
-                  - _shift_value(state, params, config), 0.0)
+    nu_expl = max(params.mu * float(np.max(d.rho.data))
+                  - _shift_value(d.state, params, config), 0.0)
     diff = math.inf if nu_expl == 0.0 else h * h / nu_expl
     dt = config.cfl_safety * min(adv, diff)
     if dt < config.dt_min:
         raise StepUnderflow(
             f"CFL-limited dt {dt} fell below dt_min {config.dt_min}",
-            required_dt=dt, time=state.time)
+            required_dt=dt, time=d.time)
     return dt
 
 
@@ -155,51 +158,30 @@ def cfl_dt(state: FieldState, params: ModelParams, config: IntegratorConfig) -> 
 
 @dataclass(frozen=True)
 class _Level:
-    """Spectral history entry for the multistep scheme."""
+    """Spectral history entry for the multistep scheme (rfft layout)."""
 
     time: float
     rho_hat: np.ndarray
-    w_hat: np.ndarray          # (dim,) + shape, complex
-    n_rho_hat: np.ndarray      # explicit density tendency, spectral
-    f_w_hat: np.ndarray        # full velocity tendency, spectral
+    w_hat: np.ndarray          # (dim,) + rfft shape
+    n_rho_hat: np.ndarray      # explicit density tendency
+    f_w_hat: np.ndarray        # full velocity tendency
     dt_prev: float | None      # dt that produced this level from the one before
 
 
-def _fftn_vector(data: np.ndarray) -> np.ndarray:
-    return np.stack([np.fft.fftn(c) for c in data])
-
-
-def _ifftn_vector(hat: np.ndarray) -> np.ndarray:
-    return np.stack([np.fft.ifftn(c).real for c in hat])
-
-
-def _split_tendencies(state: FieldState, params: ModelParams,
-                      forcing: ForcingFn | None) -> tuple[np.ndarray, np.ndarray]:
-    """(explicit density tendency, full velocity tendency), physical space."""
-    drho, dw = rhs(state, params)
-    n_rho = drho.data
-    f_w = dw.data
-    if params.variant != "original":
-        # the (kappa/mu) Lap rho part is integrated exactly; remove it here
-        lam = -state.grid.minus_beta_sq
-        heat = np.fft.ifftn(-params.eps * lam * np.fft.fftn(state.rho.data)).real
-        n_rho = n_rho - heat
+def rhs(d: SpectralState, forcing: ForcingFn | None) -> tuple[np.ndarray, np.ndarray]:
+    """Right-hand side of the IMEX split, as rfft coefficients: the explicit
+    density tendency (the (kappa/mu) Lap rho part is integrated exactly and
+    left out) and the full velocity tendency, forcing included."""
+    n_rho_hat, f_w_hat = tendency_hats(d)
     if forcing is not None:
-        f_rho_data, f_w_data = forcing(state.time)
-        n_rho = n_rho + np.asarray(f_rho_data, dtype=float)
-        f_w = f_w + np.asarray(f_w_data, dtype=float)
-    return n_rho, f_w
+        f_rho, f_w = forcing(d.time)
+        n_rho_hat = n_rho_hat + to_spectral(np.asarray(f_rho, dtype=float), d.grid)
+        f_w_hat = f_w_hat + to_spectral(np.asarray(f_w, dtype=float), d.grid)
+    return n_rho_hat, f_w_hat
 
 
-def _make_level(state: FieldState, params: ModelParams,
-                forcing: ForcingFn | None, dt_prev: float | None) -> _Level:
-    n_rho, f_w = _split_tendencies(state, params, forcing)
-    return _Level(state.time,
-                  np.fft.fftn(state.rho.data),
-                  _fftn_vector(state.w.data),
-                  np.fft.fftn(n_rho),
-                  _fftn_vector(f_w),
-                  dt_prev)
+def _make_level(d: SpectralState, forcing: ForcingFn | None, dt_prev: float | None) -> _Level:
+    return _Level(d.time, d.rho_hat, d.w_hat, *rhs(d, forcing), dt_prev)
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -223,21 +205,20 @@ def _check_new_state(grid: SpectralGrid, rho_data: np.ndarray, w_data: np.ndarra
 
 
 def _advance_euler(level: _Level, grid: SpectralGrid, params: ModelParams,
-                   nu_shift: float, dt: float) -> FieldState:
-    lam_rho = (params.eps if params.variant != "original" else 0.0) * (-grid.minus_beta_sq)
+                   nu_shift: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    lam_rho = (params.eps if params.variant != "original" else 0.0) * (-grid.rfft_minus_beta_sq)
     z = -lam_rho * dt
     rho_hat = np.exp(z) * level.rho_hat + dt * _phi1(z) * level.n_rho_hat
 
-    ksq = -grid.minus_beta_sq
+    ksq = -grid.rfft_minus_beta_sq
     r_hat = level.f_w_hat + nu_shift * ksq * level.w_hat
     w_hat = (level.w_hat + dt * r_hat) / (1.0 + nu_shift * ksq * dt)
-
-    return _check_new_state(grid, np.fft.ifftn(rho_hat).real, _ifftn_vector(w_hat),
-                            level.time + dt)
+    return rho_hat, w_hat
 
 
 def _advance_bdf2(level_n: _Level, level_p: _Level, grid: SpectralGrid,
-                  params: ModelParams, nu_shift: float, dt: float) -> FieldState:
+                  params: ModelParams, nu_shift: float,
+                  dt: float) -> tuple[np.ndarray, np.ndarray]:
     w_ratio = dt / level_n.dt_prev
     a0 = (1.0 + 2.0 * w_ratio) / (1.0 + w_ratio)
     a1 = -(1.0 + w_ratio)
@@ -245,34 +226,37 @@ def _advance_bdf2(level_n: _Level, level_p: _Level, grid: SpectralGrid,
     c1 = 1.0 + w_ratio
     c2 = -w_ratio
 
-    lam_rho = (params.eps if params.variant != "original" else 0.0) * (-grid.minus_beta_sq)
+    lam_rho = (params.eps if params.variant != "original" else 0.0) * (-grid.rfft_minus_beta_sq)
     e1 = np.exp(-lam_rho * dt)
     e2 = np.exp(-lam_rho * (dt + level_n.dt_prev))
     rho_hat = (-a1 * e1 * level_n.rho_hat - a2 * e2 * level_p.rho_hat
                + dt * (c1 * e1 * level_n.n_rho_hat + c2 * e2 * level_p.n_rho_hat)) / a0
 
-    ksq = -grid.minus_beta_sq
+    ksq = -grid.rfft_minus_beta_sq
     r_n = level_n.f_w_hat + nu_shift * ksq * level_n.w_hat
     r_p = level_p.f_w_hat + nu_shift * ksq * level_p.w_hat
     w_hat = (-a1 * level_n.w_hat - a2 * level_p.w_hat
              + dt * (c1 * r_n + c2 * r_p)) / (a0 + nu_shift * ksq * dt)
-
-    return _check_new_state(grid, np.fft.ifftn(rho_hat).real, _ifftn_vector(w_hat),
-                            level_n.time + dt)
+    return rho_hat, w_hat
 
 
 class Stepper:
-    """Stateful driver holding the multistep history for one run."""
+    """Stateful driver holding the multistep history for one run.
+
+    ``derived`` is the SpectralState of the current ``state``; it carries the
+    coefficients the last step produced, so no step transforms rho and w
+    forward again.
+    """
 
     def __init__(self, state: FieldState, params: ModelParams, config: IntegratorConfig,
                  forcing: ForcingFn | None = None):
-        state.validate()
         self.params = params
         self.config = config
         self.forcing = forcing
-        self.state = state
+        self.derived = spectral_state(state, params)
+        self.state = self.derived.state
         self._levels: deque[_Level] = deque(maxlen=2)
-        self._levels.append(_make_level(state, params, forcing, None))
+        self._levels.append(_make_level(self.derived, forcing, None))
 
     def advance(self, dt: float) -> FieldState:
         """One accepted step of size dt; raises PositivityLoss/NonFinite on
@@ -283,12 +267,15 @@ class Stepper:
         nu_shift = _shift_value(self.state, self.params, self.config)
         level_n = self._levels[-1]
         if self.config.scheme == "imex_bdf2" and len(self._levels) == 2:
-            new_state = _advance_bdf2(level_n, self._levels[0], grid, self.params,
-                                      nu_shift, dt)
+            rho_hat, w_hat = _advance_bdf2(level_n, self._levels[0], grid, self.params,
+                                           nu_shift, dt)
         else:
-            new_state = _advance_euler(level_n, grid, self.params, nu_shift, dt)
+            rho_hat, w_hat = _advance_euler(level_n, grid, self.params, nu_shift, dt)
+        new_state = _check_new_state(grid, to_physical(rho_hat, grid),
+                                     to_physical(w_hat, grid), level_n.time + dt)
         self.state = new_state
-        self._levels.append(_make_level(new_state, self.params, self.forcing, dt))
+        self.derived = SpectralState(new_state, self.params, rho_hat, w_hat)
+        self._levels.append(_make_level(self.derived, self.forcing, dt))
         return new_state
 
 
@@ -317,10 +304,10 @@ def run(initial: FieldState, params: ModelParams, config: IntegratorConfig,
     trajectory = Trajectory(params=params)
     initial = FieldState(initial.rho, initial.w, time=0.0)
     trajectory._capture(initial)
-    trajectory.reports.append(evaluate_report(initial, params, monitors))
+    stepper = Stepper(initial, params, config, forcing)
+    trajectory.reports.append(evaluate_report(stepper.derived, params, monitors))
     trajectory.step_times.append(0.0)
 
-    stepper = Stepper(initial, params, config, forcing)
     interval = config.snapshot_interval
     next_snap = interval if interval is not None else None
     prev_state = initial
@@ -336,7 +323,7 @@ def run(initial: FieldState, params: ModelParams, config: IntegratorConfig,
         dt_cap = config.t_end - t
         try:
             dt_pref = min(config.dt_initial,
-                          cfl_dt(stepper.state, params, config) if config.adaptive
+                          cfl_dt(stepper.derived, params, config) if config.adaptive
                           else math.inf)
         except StepUnderflow as exc:
             fail(exc, "StepUnderflow")
@@ -352,7 +339,7 @@ def run(initial: FieldState, params: ModelParams, config: IntegratorConfig,
         prev_report = trajectory.reports[-1]
         t = new_state.time
         trajectory.step_times.append(t)
-        rep = evaluate_report(new_state, params, monitors)
+        rep = evaluate_report(stepper.derived, params, monitors)
         rep = replace(rep, serrin_accumulator=prev_report.serrin_accumulator
                       + 0.5 * dt * (prev_report.serrin_integrand + rep.serrin_integrand))
         trajectory.reports.append(rep)

@@ -68,3 +68,54 @@ def max_abs(a) -> float:
 def rel_linf(a, b) -> float:
     scale = max(max_abs(a), max_abs(b), 1e-300)
     return max_abs(np.asarray(a) - np.asarray(b)) / scale
+
+
+def reference_rhs(rho: np.ndarray, w: np.ndarray, grid, params) -> tuple[np.ndarray, np.ndarray]:
+    """Right-hand side assembled with a complex FFT pair per operator, the
+    way the model equations read: every product dealiased on its own by a
+    physical -> spectral -> physical round trip, then differentiated.
+
+    Uses numpy.fft and the grid's resolution and length only, none of the
+    package's spectral tables or operators."""
+    d = grid.dim
+    ks, keep = [], np.ones(grid.shape, dtype=bool)
+    for axis, (n, length) in enumerate(zip(grid.resolution, grid.length)):
+        shape = [1] * d
+        shape[axis] = n
+        k = np.fft.fftfreq(n, d=1.0 / n)
+        keep &= (np.abs(k) <= n // 3).reshape(shape)
+        k[n // 2] = 0.0
+        ks.append((k * (2.0 * np.pi / length)).reshape(shape))
+
+    def real_ifft(hat):
+        return np.fft.ifftn(hat).real
+
+    def deriv(f, i):
+        return real_ifft(1j * ks[i] * np.fft.fftn(f))
+
+    def dealias(f):
+        return real_ifft(keep * np.fft.fftn(f))
+
+    def div_rho(T):  # component j = sum_i d_i dealias(rho T_ij)
+        return np.stack([sum(deriv(dealias(rho * T[i][j]), i) for i in range(d))
+                         for j in range(d)])
+
+    ln_rho = np.log(rho)
+    eps = params.kappa / params.mu
+    original = params.variant == "original"
+    u = w if original else w - eps * np.stack([deriv(ln_rho, i) for i in range(d)])
+    drho = -sum(deriv(dealias(rho * w[i]), i) for i in range(d))
+    if not original:
+        drho = drho + eps * real_ifft(-sum(k * k for k in ks) * np.fft.fftn(rho))
+
+    G = [[deriv(w[j], i) for j in range(d)] for i in range(d)]  # G[i][j] = d_i w_j
+    force = params.mu * div_rho(G)
+    if original:
+        force = force + params.alpha * div_rho([list(row) for row in zip(*G)])
+        H = [[real_ifft(-ks[i] * ks[j] * np.fft.fftn(ln_rho)) for j in range(d)]
+             for i in range(d)]
+        force = force + params.kappa * div_rho(H)
+    p = params.a * rho ** params.gamma
+    force = force - np.stack([deriv(p, j) for j in range(d)])
+    advect = np.stack([dealias(sum(u[i] * G[i][j] for i in range(d))) for j in range(d)])
+    return drho, -advect + np.stack([dealias(f / rho) for f in force])
