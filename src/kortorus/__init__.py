@@ -54,7 +54,6 @@ from .timestepping import IntegratorConfig, Trajectory, cfl_dt, run, step
 from .functionals import (
     FunctionalReport,
     MonitorSpec,
-    VerdictThresholds,
     bd_entropy,
     blow_up_verdict,
     effective_energy,

@@ -20,6 +20,7 @@ from .dump import read_field_dump, write_field_dump
 from .errors import (
     ConstraintViolationError,
     DumpFormatError,
+    InvalidField,
     KortorusError,
     NonFinite,
     ParseError,
@@ -28,7 +29,6 @@ from .errors import (
 )
 from .functionals import (
     FunctionalReport,
-    VerdictThresholds,
     blow_up_verdict,
     evaluate_report,
     serrin_accumulator,
@@ -101,21 +101,35 @@ def _forcing_for(config: ScenarioConfig):
     return manufactured_solution(sid).forcing(config.grid, config.model)
 
 
-def _load_checkpoint(trajdir: Path, config: ScenarioConfig) -> FieldState:
-    """Last stored snapshot of a previous run, as a fresh initial state."""
-    index = json.loads((trajdir / "snapshots" / "index.json").read_text())
-    entries = index["snapshots"]
+#: What reading the snapshots of a trajectory directory raises when they are
+#: missing or corrupt (json.JSONDecodeError is a ValueError).
+_SNAPSHOT_ERRORS = (DumpFormatError, InvalidField, OSError, KeyError, TypeError, ValueError)
+
+
+def _read_snapshots(trajdir: Path, last_only: bool = False) -> list[FieldState]:
+    """The snapshots ``_write_snapshots`` stored under ``trajdir`` (only the
+    last one with ``last_only``); raises one of _SNAPSHOT_ERRORS."""
+    snapdir = trajdir / "snapshots"
+    entries = json.loads((snapdir / "index.json").read_text())["snapshots"]
     if not entries:
         raise DumpFormatError(f"no snapshots in {trajdir}")
-    entry = entries[-1]
-    rho = read_field_dump(trajdir / "snapshots" / entry["rho"])
-    if rho.grid != config.grid:
+    states = []
+    for entry in entries[-1:] if last_only else entries:
+        rho = read_field_dump(snapdir / entry["rho"])
+        comps = [read_field_dump(snapdir / name).data for name in entry["w"]]
+        states.append(FieldState(rho, VectorField(rho.grid, np.stack(comps)),
+                                 time=float(entry["time"])))
+    return states
+
+
+def _load_checkpoint(trajdir: Path, config: ScenarioConfig) -> FieldState:
+    """Last stored snapshot of a previous run, as a fresh initial state."""
+    (last,) = _read_snapshots(trajdir, last_only=True)
+    if last.grid != config.grid:
         raise DumpFormatError(
-            f"checkpoint grid {rho.grid.resolution} does not match the "
+            f"checkpoint grid {last.grid.resolution} does not match the "
             f"configured grid {config.grid.resolution}")
-    comps = [read_field_dump(trajdir / "snapshots" / name).data
-             for name in entry["w"]]
-    return FieldState(rho, VectorField(rho.grid, np.stack(comps)), time=0.0)
+    return FieldState(last.rho, last.w, time=0.0)
 
 
 def cmd_simulate(args) -> int:
@@ -138,20 +152,20 @@ def cmd_simulate(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "config.echo.json").write_text(config.serialize())
 
-    try:
-        if args.restart:
-            state0 = _load_checkpoint(Path(args.restart), config)
-            forcing = None
-        else:
+    if args.restart:
+        try:
+            state0, forcing = _load_checkpoint(Path(args.restart), config), None
+        except _SNAPSHOT_ERRORS as exc:
+            print(f"cannot restart from checkpoint: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+    else:
+        try:
             state0 = initial_state(config.grid, config.initial.family,
                                    config.initial.params, seed=config.initial.seed)
             forcing = _forcing_for(config)
-    except ValueError as exc:
-        print(f"invalid initial-condition parameters: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DumpFormatError, OSError, KeyError, json.JSONDecodeError) as exc:
-        print(f"cannot restart from checkpoint: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        except ValueError as exc:
+            print(f"invalid initial-condition parameters: {exc}", file=sys.stderr)
+            return EXIT_USAGE
 
     error_info = None
     exit_code = EXIT_OK
@@ -174,12 +188,7 @@ def cmd_simulate(args) -> int:
     if config.output.write_fields or config.integrator.snapshot_interval is not None:
         _write_snapshots(outdir, traj)
 
-    mon = config.monitors
-    sp_, sq = mon.serrin_pair(config.grid.dim)
-    thresholds = VerdictThresholds(serrin_p=sp_, serrin_q=sq,
-                                   vacuum_eps=mon.epsilon,
-                                   vacuum_delta=mon.delta_vacuum)
-    verdict = blow_up_verdict(traj, config.model, thresholds)
+    verdict = blow_up_verdict(traj, config.model, config.monitors)
     summary = {
         "status": "blow-up detected" if error_info else "completed",
         "label": config.output.label,
@@ -242,27 +251,11 @@ def cmd_besov(args) -> int:
 
 def cmd_monitor(args) -> int:
     trajdir = Path(args.trajectory)
-    index_path = trajdir / "snapshots" / "index.json"
-    config_path = trajdir / "config.echo.json"
     try:
-        index = json.loads(index_path.read_text())
-        config = parse_config(config_path.read_text())
-    except OSError as exc:
+        config = parse_config((trajdir / "config.echo.json").read_text())
+        states = _read_snapshots(trajdir)
+    except (ParseError, ConstraintViolationError, *_SNAPSHOT_ERRORS) as exc:
         print(f"cannot read trajectory directory: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ParseError, ConstraintViolationError, json.JSONDecodeError) as exc:
-        print(f"corrupt trajectory metadata: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    states = []
-    for entry in index["snapshots"]:
-        rho = read_field_dump(trajdir / "snapshots" / entry["rho"])
-        comps = [read_field_dump(trajdir / "snapshots" / name).data
-                 for name in entry["w"]]
-        states.append(FieldState(rho, VectorField(rho.grid, np.stack(comps)),
-                                 time=float(entry["time"])))
-    if not states:
-        print("trajectory directory holds no snapshots", file=sys.stderr)
         return EXIT_USAGE
 
     reports = [evaluate_report(s, config.model, config.monitors) for s in states]
@@ -272,12 +265,8 @@ def cmd_monitor(args) -> int:
     traj = Trajectory(params=config.model, states=states, reports=reports,
                       step_times=[s.time for s in states])
     mon = config.monitors
-    sp_, sq = mon.serrin_pair(config.grid.dim)
-    thresholds = VerdictThresholds(serrin_p=sp_, serrin_q=sq,
-                                   vacuum_eps=mon.epsilon,
-                                   vacuum_delta=mon.delta_vacuum)
-    verdict = blow_up_verdict(traj, config.model, thresholds)
-    serrin = serrin_accumulator(traj, sp_, sq, config.model)
+    verdict = blow_up_verdict(traj, config.model, mon)
+    serrin = serrin_accumulator(traj, *mon.serrin_pair(config.grid.dim), config.model)
     k_endpoint = 6.0 if config.grid.dim == 1 else 4.0
     summary = {
         "snapshots": len(states),

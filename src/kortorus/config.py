@@ -1,23 +1,14 @@
 """Scenario configuration: JSON parsing, validation, canonical serialization.
 
-A scenario document is a JSON object with the sections below; every field
-has a documented default, and validation reports *all* violated constraints
-at once rather than stopping at the first.
+A scenario document is a JSON object with six optional sections (grid,
+model, integrator, initial, monitors, output); every field has a default,
+listed in the README's "Scenario configuration" block, and validation
+reports *all* violated constraints at once rather than stopping at the first.
 
-    {
-      "grid":       {"resolution": [128], "length": [6.283185307179586]},
-      "model":      {"mu": 1.0, "alpha": 0.0, "kappa": 1.0, "a": 1.0,
-                     "gamma": 2.0, "variant": "effective_v2"},
-      "integrator": {"dt_initial": 1e-3, "dt_min": 1e-9, "t_end": 1.0,
-                     "cfl_safety": 0.9, "implicit_viscosity_shift": null,
-                     "scheme": "imex_euler", "snapshot_interval": null,
-                     "adaptive": true},
-      "initial":    {"family": "equilibrium", "seed": 0, "params": {}},
-      "monitors":   {"delta": 0.5, "p_integrability": 4.0, "p_vacuum": 2.0,
-                     "serrin_p": 4.0, "serrin_q": null,
-                     "epsilon": 0.01, "delta_vacuum": 0.1},
-      "output":     {"directory": null, "write_fields": false, "label": "run"}
-    }
+Each section is read into the dataclass that owns it, and that dataclass
+states and checks the section's constraints.  This module checks only JSON
+types, unknown fields and the one constraint that spans two sections, the
+Serrin scaling of an explicit ``serrin_q`` in the grid's dimension.
 
 Configs round-trip: parse -> serialize -> parse is the identity on the
 canonical form.
@@ -26,36 +17,25 @@ canonical form.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
-from .errors import ConstraintViolationError, ParseError
-from .functionals import MonitorSpec
-from .model import ModelParams, VARIANTS
+from .errors import ConstraintViolationError, ParseError, ScalingPairInvalid, require
+from .functionals import MonitorSpec, check_serrin_pair
+from .model import ModelParams
 from .scenarios import FAMILIES
-from .spectral import SpectralGrid, TAU
-from .timestepping import SCHEMES, IntegratorConfig
-
-_MODEL_DEFAULTS = dict(mu=1.0, alpha=0.0, kappa=1.0, a=1.0, gamma=2.0,
-                       variant="effective_v2")
-_INTEGRATOR_DEFAULTS = dict(dt_initial=1e-3, dt_min=1e-9, t_end=1.0,
-                            cfl_safety=0.9, implicit_viscosity_shift=None,
-                            scheme="imex_euler", snapshot_interval=None,
-                            adaptive=True)
-_MONITOR_DEFAULTS = dict(delta=0.5, p_integrability=4.0, p_vacuum=2.0,
-                         serrin_p=4.0, serrin_q=None, epsilon=0.01,
-                         delta_vacuum=0.1)
+from .spectral import SpectralGrid
+from .timestepping import IntegratorConfig
 
 
 @dataclass(frozen=True)
 class InitialSpec:
     family: str = "equilibrium"
     seed: int = 0
-    params: dict | None = None
+    params: dict = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return {"family": self.family, "seed": self.seed,
-                "params": dict(self.params or {})}
+    def __post_init__(self):
+        require((self.family in FAMILIES,
+                 f"initial.family must be one of {FAMILIES}, got {self.family!r}"))
 
 
 @dataclass(frozen=True)
@@ -63,10 +43,6 @@ class OutputSpec:
     directory: str | None = None
     write_fields: bool = False
     label: str = "run"
-
-    def as_dict(self) -> dict:
-        return {"directory": self.directory, "write_fields": self.write_fields,
-                "label": self.label}
 
 
 @dataclass(frozen=True)
@@ -79,71 +55,68 @@ class ScenarioConfig:
     output: OutputSpec
 
     def to_json_dict(self) -> dict:
-        return {
-            "grid": {"resolution": list(self.grid.resolution),
-                     "length": list(self.grid.length)},
-            "model": {"mu": self.model.mu, "alpha": self.model.alpha,
-                      "kappa": self.model.kappa, "a": self.model.a,
-                      "gamma": self.model.gamma, "variant": self.model.variant},
-            "integrator": {
-                "dt_initial": self.integrator.dt_initial,
-                "dt_min": self.integrator.dt_min,
-                "t_end": self.integrator.t_end,
-                "cfl_safety": self.integrator.cfl_safety,
-                "implicit_viscosity_shift": self.integrator.implicit_viscosity_shift,
-                "scheme": self.integrator.scheme,
-                "snapshot_interval": self.integrator.snapshot_interval,
-                "adaptive": self.integrator.adaptive,
-            },
-            "initial": self.initial.as_dict(),
-            "monitors": {"delta": self.monitors.delta,
-                         "p_integrability": self.monitors.p_integrability,
-                         "p_vacuum": self.monitors.p_vacuum,
-                         "serrin_p": self.monitors.serrin_p,
-                         "serrin_q": self.monitors.serrin_q,
-                         "epsilon": self.monitors.epsilon,
-                         "delta_vacuum": self.monitors.delta_vacuum},
-            "output": self.output.as_dict(),
-        }
+        """The canonical document, as JSON objects, arrays and scalars."""
+        return json.loads(json.dumps(asdict(self)))
 
     def serialize(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=False) + "\n"
 
 
-def _is_power_of_two(n) -> bool:
-    return isinstance(n, int) and n >= 1 and (n & (n - 1)) == 0
+#: Config defaults where the dataclass has none or a different one; an absent
+#: grid length is the grid's default period.
+_DEFAULTS = {
+    "grid": dict(resolution=128, length=None),
+    "model": dict(mu=1.0, alpha=0.0, kappa=1.0, a=1.0, gamma=2.0, variant="effective_v2"),
+    "integrator": dict(dt_initial=1e-3, dt_min=1e-9, t_end=1.0),
+}
+
+# the types json.loads gives for each annotation's base type (exact, so that a
+# boolean is no number), and the type's name in messages
+_JSON_TYPES = {"float": ((int, float), "a number"), "int": ((int,), "an integer"),
+               "str": ((str,), "a string"), "bool": ((bool,), "a boolean"),
+               "dict": ((dict,), "a JSON object")}
 
 
-class _Validator:
-    def __init__(self):
-        self.violations: list[str] = []
+def _read_value(where: str, annotation: str, raw, violations: list[str]):
+    """``raw`` checked against the field's annotation (numbers become
+    floats); MISSING after recording a violation."""
+    kind, _, optional = annotation.partition(" | ")
+    if raw is None and optional == "None":
+        return None
+    if kind.startswith("tuple["):  # one entry per grid axis, or one for all
+        kind = kind[len("tuple["):].split(",")[0]
+        items = raw if isinstance(raw, list) else [raw]
+        if items and all(type(x) in _JSON_TYPES[kind][0] for x in items):
+            return raw
+        expected = f"{_JSON_TYPES[kind][1]} or a non-empty list of them"
+    elif type(raw) in _JSON_TYPES[kind][0]:
+        return float(raw) if kind == "float" else raw
+    else:
+        expected = _JSON_TYPES[kind][1] + (" or null" if optional else "")
+    violations.append(f"{where} must be {expected}, got {raw!r}")
+    return MISSING
 
-    def add(self, message: str):
-        self.violations.append(message)
 
-    def require(self, cond: bool, message: str) -> bool:
-        if not cond:
-            self.add(message)
-        return cond
-
-
-def _section(doc: dict, name: str, val: _Validator) -> dict:
+def _read_section(doc: dict, name: str, cls: type, violations: list[str]) -> dict:
+    """Constructor arguments of ``cls`` from section ``name``: each field
+    given is type-checked, and an absent or ill-typed one takes its default."""
     sec = doc.get(name, {})
     if not isinstance(sec, dict):
-        val.add(f"section {name!r} must be a JSON object")
-        return {}
-    return dict(sec)
+        violations.append(f"section {name!r} must be a JSON object")
+        sec = {}
+    types = {f.name: f.type for f in fields(cls)}
+    kw = {f.name: f.default if f.default_factory is MISSING else f.default_factory()
+          for f in fields(cls)} | _DEFAULTS.get(name, {})
+    for key, raw in sec.items():
+        if key not in types:
+            violations.append(f"unknown {name} field {key!r}")
+        elif (value := _read_value(f"{name}.{key}", types[key], raw, violations)) is not MISSING:
+            kw[key] = value
+    return kw
 
 
-def _pop_number(sec: dict, key: str, default, val: _Validator, where: str,
-                allow_none: bool = False):
-    raw = sec.pop(key, default)
-    if raw is None and allow_none:
-        return None
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        val.add(f"{where}.{key} must be a number, got {raw!r}")
-        return default
-    return float(raw)
+_SECTIONS = {"grid": SpectralGrid, "model": ModelParams, "integrator": IntegratorConfig,
+             "initial": InitialSpec, "monitors": MonitorSpec, "output": OutputSpec}
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -159,171 +132,22 @@ def parse_config(text: str) -> ScenarioConfig:
                          f"column {exc.colno}", line=exc.lineno, column=exc.colno) from exc
     if not isinstance(doc, dict):
         raise ParseError("top-level config must be a JSON object")
-    known = {"grid", "model", "integrator", "initial", "monitors", "output"}
-    val = _Validator()
-    for key in doc:
-        if key not in known:
-            val.add(f"unknown top-level section {key!r}")
+    violations = [f"unknown top-level section {key!r}" for key in doc if key not in _SECTIONS]
+    kw, sections = {}, {}
+    for name, cls in _SECTIONS.items():
+        kw[name] = _read_section(doc, name, cls, violations)
+        try:
+            sections[name] = cls(**kw[name])
+        except ConstraintViolationError as exc:
+            violations += exc.violations
 
-    # grid
-    gsec = _section(doc, "grid", val)
-    resolution = gsec.pop("resolution", [128])
-    if isinstance(resolution, int):
-        resolution = [resolution]
-    if not (isinstance(resolution, list) and resolution
-            and all(isinstance(n, int) for n in resolution)):
-        val.add("grid.resolution must be a non-empty list of integers")
-        resolution = [128]
-    dim = len(resolution)
-    val.require(dim in (1, 2), f"grid dimension must be 1 or 2, got {dim}")
-    for n in resolution:
-        val.require(_is_power_of_two(n) and n >= 8,
-                    f"grid resolution entries must be powers of two >= 8, got {n}")
-    length = gsec.pop("length", [TAU] * dim)
-    if isinstance(length, (int, float)):
-        length = [float(length)] * dim
-    if not (isinstance(length, list) and len(length) == dim
-            and all(isinstance(x, (int, float)) for x in length)):
-        val.add("grid.length must be a list of numbers matching the resolution")
-        length = [TAU] * dim
-    for L in length:
-        val.require(L > 0, f"grid lengths must be positive, got {L}")
-    for key in gsec:
-        val.add(f"unknown grid field {key!r}")
-
-    # model
-    msec = _section(doc, "model", val)
-    model_kw = {}
-    for key, default in _MODEL_DEFAULTS.items():
-        if key == "variant":
-            variant = msec.pop("variant", default)
-            val.require(variant in VARIANTS,
-                        f"model.variant must be one of {VARIANTS}, got {variant!r}")
-            model_kw["variant"] = variant if variant in VARIANTS else default
-        else:
-            model_kw[key] = _pop_number(msec, key, default, val, "model")
-    for key in msec:
-        val.add(f"unknown model field {key!r}")
-    mu, alpha, kappa = model_kw["mu"], model_kw["alpha"], model_kw["kappa"]
-    val.require(mu > 0, f"model.mu must be positive, got {mu}")
-    val.require(mu > alpha >= 0,
-                f"viscosities must satisfy mu > alpha >= 0, got mu={mu}, alpha={alpha}")
-    val.require(kappa > 0, f"model.kappa must be positive, got {kappa}")
-    val.require(model_kw["a"] > 0, f"model.a must be positive, got {model_kw['a']}")
-    val.require(model_kw["gamma"] >= 1,
-                f"model.gamma must be >= 1, got {model_kw['gamma']}")
-    if model_kw["variant"] == "effective_v1" and mu > 0:
-        val.require(math.isclose(alpha, kappa / mu, rel_tol=1e-12, abs_tol=0.0),
-                    f"variant effective_v1 requires alpha = kappa/mu, got alpha={alpha}, "
-                    f"kappa/mu={kappa / mu}")
-    if model_kw["variant"] == "effective_v2":
-        val.require(alpha == 0.0,
-                    f"variant effective_v2 requires alpha = 0, got alpha={alpha}")
-        val.require(math.isclose(kappa, mu * mu, rel_tol=1e-12, abs_tol=0.0),
-                    f"variant effective_v2 requires kappa = mu^2, got kappa={kappa}, "
-                    f"mu^2={mu * mu}")
-
-    # integrator
-    isec = _section(doc, "integrator", val)
-    integ_kw = {}
-    for key, default in _INTEGRATOR_DEFAULTS.items():
-        if key == "scheme":
-            scheme = isec.pop("scheme", default)
-            val.require(scheme in SCHEMES,
-                        f"integrator.scheme must be one of {SCHEMES}, got {scheme!r}")
-            integ_kw["scheme"] = scheme if scheme in SCHEMES else default
-        elif key == "adaptive":
-            adaptive = isec.pop("adaptive", default)
-            val.require(isinstance(adaptive, bool), "integrator.adaptive must be a boolean")
-            integ_kw["adaptive"] = bool(adaptive)
-        elif key in ("implicit_viscosity_shift", "snapshot_interval"):
-            integ_kw[key] = _pop_number(isec, key, default, val, "integrator",
-                                        allow_none=True)
-        else:
-            integ_kw[key] = _pop_number(isec, key, default, val, "integrator")
-    for key in isec:
-        val.add(f"unknown integrator field {key!r}")
-    val.require(integ_kw["dt_initial"] > 0, "integrator.dt_initial must be positive")
-    val.require(0 < integ_kw["dt_min"] <= integ_kw["dt_initial"],
-                f"need 0 < dt_min <= dt_initial, got dt_min={integ_kw['dt_min']}, "
-                f"dt_initial={integ_kw['dt_initial']}")
-    val.require(integ_kw["t_end"] > 0, "integrator.t_end must be positive")
-    val.require(0 < integ_kw["cfl_safety"] <= 1,
-                f"integrator.cfl_safety must lie in (0, 1], got {integ_kw['cfl_safety']}")
-    if integ_kw["implicit_viscosity_shift"] is not None:
-        val.require(integ_kw["implicit_viscosity_shift"] >= 0,
-                    "integrator.implicit_viscosity_shift must be >= 0")
-    if integ_kw["snapshot_interval"] is not None:
-        val.require(integ_kw["snapshot_interval"] > 0,
-                    "integrator.snapshot_interval must be positive")
-
-    # initial
-    nsec = _section(doc, "initial", val)
-    family = nsec.pop("family", "equilibrium")
-    val.require(family in FAMILIES,
-                f"initial.family must be one of {FAMILIES}, got {family!r}")
-    seed = nsec.pop("seed", 0)
-    val.require(isinstance(seed, int), f"initial.seed must be an integer, got {seed!r}")
-    fam_params = nsec.pop("params", {})
-    if not isinstance(fam_params, dict):
-        val.add("initial.params must be a JSON object")
-        fam_params = {}
-    for key in nsec:
-        val.add(f"unknown initial field {key!r}")
-
-    # monitors
-    osec = _section(doc, "monitors", val)
-    mon_kw = {}
-    for key, default in _MONITOR_DEFAULTS.items():
-        mon_kw[key] = _pop_number(osec, key, default, val, "monitors",
-                                  allow_none=(key == "serrin_q"))
-    for key in osec:
-        val.add(f"unknown monitors field {key!r}")
-    val.require(0 < mon_kw["delta"] < 2,
-                f"monitors.delta must lie in (0, 2), got {mon_kw['delta']}")
-    val.require(mon_kw["p_integrability"] > 2,
-                f"monitors.p_integrability must exceed 2, got {mon_kw['p_integrability']}")
-    val.require(mon_kw["p_vacuum"] >= 2,
-                f"monitors.p_vacuum must be >= 2, got {mon_kw['p_vacuum']}")
-    val.require(mon_kw["epsilon"] > 0,
-                f"monitors.epsilon must be positive, got {mon_kw['epsilon']}")
-    val.require(0 < mon_kw["delta_vacuum"] < 1,
-                f"monitors.delta_vacuum must lie in (0, 1), got {mon_kw['delta_vacuum']}")
-    sp_, sq = mon_kw["serrin_p"], mon_kw["serrin_q"]
-    val.require(1 <= sp_ < math.inf,
-                f"monitors.serrin_p must satisfy 1 <= p < inf, got {sp_}")
-    if sq is not None:
-        if sp_ >= 1:
-            val.require(abs(1.0 / sp_ + dim / (2.0 * sq) - 0.5) <= 1e-12,
-                        f"(serrin_p, serrin_q) = ({sp_}, {sq}) violates the continuation "
-                        f"scaling 1/p + N/(2q) = 1/2 in dimension {dim}")
-    else:
-        val.require(sp_ > 2,
-                    f"monitors.serrin_p must exceed 2 for a scaling-admissible derived q, "
-                    f"got {sp_}")
-
-    # output
-    xsec = _section(doc, "output", val)
-    directory = xsec.pop("directory", None)
-    if directory is not None and not isinstance(directory, str):
-        val.add("output.directory must be a string or null")
-        directory = None
-    write_fields = xsec.pop("write_fields", False)
-    val.require(isinstance(write_fields, bool), "output.write_fields must be a boolean")
-    label = xsec.pop("label", "run")
-    val.require(isinstance(label, str), "output.label must be a string")
-    for key in xsec:
-        val.add(f"unknown output field {key!r}")
-
-    if val.violations:
-        raise ConstraintViolationError(val.violations)
-
-    return ScenarioConfig(
-        grid=SpectralGrid(tuple(resolution), tuple(length)),
-        model=ModelParams(**model_kw),
-        integrator=IntegratorConfig(**integ_kw),
-        initial=InitialSpec(family=family, seed=seed, params=fam_params),
-        monitors=MonitorSpec(**mon_kw),
-        output=OutputSpec(directory=directory, write_fields=bool(write_fields),
-                          label=str(label)),
-    )
+    resolution, serrin_q = kw["grid"]["resolution"], kw["monitors"]["serrin_q"]
+    if serrin_q is not None:
+        dim = len(resolution) if isinstance(resolution, list) else 1
+        try:
+            check_serrin_pair(kw["monitors"]["serrin_p"], serrin_q, dim)
+        except ScalingPairInvalid as exc:
+            violations.append(f"monitors.serrin_q: {exc}")
+    if violations:
+        raise ConstraintViolationError(violations)
+    return ScenarioConfig(**sections)

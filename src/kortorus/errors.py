@@ -29,10 +29,6 @@ class CoefficientDomainError(KortorusError):
     """A capillarity coefficient law is not evaluable on the density range."""
 
 
-class VariantMismatch(KortorusError):
-    """Model parameters violate the coefficient constraints of the selected variant."""
-
-
 class DeltaOutOfRange(KortorusError):
     """The weighted-kinetic exponent delta must lie in (0, 2)."""
 
@@ -100,8 +96,8 @@ class ParseError(KortorusError):
         self.column = column
 
 
-class ConstraintViolationError(KortorusError):
-    """Configuration violates one or more parameter constraints.
+class ConstraintViolationError(KortorusError, ValueError):
+    """Parameters violate one or more of their constraints.
 
     Carries every violation found, not just the first.
     """
@@ -109,6 +105,18 @@ class ConstraintViolationError(KortorusError):
     def __init__(self, violations: list[str]):
         super().__init__("; ".join(violations))
         self.violations = list(violations)
+
+
+class VariantMismatch(ConstraintViolationError):
+    """Model parameters violate the coefficient constraints of the selected variant."""
+
+
+def require(*checks: tuple[bool, str], error=ConstraintViolationError) -> None:
+    """Raise one ``error`` listing the message of every check that fails;
+    each check is a (holds, message) pair."""
+    violations = [message for holds, message in checks if not holds]
+    if violations:
+        raise error(violations)
 
 
 class DumpFormatError(KortorusError):

@@ -33,6 +33,7 @@ from .errors import (
     EmptyTrajectory,
     PExponentOutOfRange,
     ScalingPairInvalid,
+    require,
 )
 from .model import (
     FieldState,
@@ -46,7 +47,6 @@ from .spectral import (
     VectorField,
     grad_hat,
     integrate,
-    laplacian,
     lp_norm,
     to_physical,
     to_spectral,
@@ -58,8 +58,11 @@ SCHEMA_VERSION = 1
 State = FieldState | SpectralState
 
 
-def _integral(d: SpectralState, data: np.ndarray) -> float:
-    return integrate(ScalarField(d.grid, data))
+def _integral(d: SpectralState | ScalarField, data: np.ndarray) -> float:
+    """The rectangle rule of ``spectral.integrate`` over the grid of ``d``,
+    except that an integrand that overflowed gives inf or nan instead of
+    raising, so that ``evaluate_report`` can name it in ``diverged``."""
+    return float(np.mean(data) * d.grid.volume)
 
 
 # ---------------------------------------------------------------------------
@@ -79,16 +82,16 @@ def energy(state: State, params: ModelParams) -> EnergyParts:
     each addend reported separately (gamma = 1 uses the Pi convention)."""
     d = spectral_state(state, params)
     rho = d.rho.data
-    kinetic = _integral(d, rho * np.sum(d.u ** 2, axis=0))
+    kinetic = _integral(d, rho * d.u_sq)
     press = _integral(d, d.pressure_potential)
-    capillary = params.kappa * _integral(d, np.sum(d.grad_sqrt_rho ** 2, axis=0))
+    capillary = params.kappa * _integral(d, d.grad_sqrt_rho_sq)
     return EnergyParts(kinetic + press + capillary, kinetic, press, capillary)
 
 
 def effective_energy(state: State, params: ModelParams) -> float:
     """Decaying functional of the simplified system, int (rho |v|^2 / 2 + Pi(rho)) dx."""
     d = spectral_state(state, params)
-    kinetic = 0.5 * _integral(d, d.rho.data * np.sum(d.v ** 2, axis=0))
+    kinetic = 0.5 * _integral(d, d.rho.data * d.v_sq)
     return kinetic + _integral(d, d.pressure_potential)
 
 
@@ -98,9 +101,9 @@ def effective_energy_dissipation(state: State, params: ModelParams) -> tuple[flo
     (kappa/mu) int P''(rho) |grad rho|^2 (both nonnegative)."""
     d = spectral_state(state, params)
     rho = d.rho.data
-    viscous = params.mu * _integral(d, rho * np.sum(d.grad_v ** 2, axis=(0, 1)))
-    p_second = params.a * params.gamma * (params.gamma - 1.0) * rho ** (params.gamma - 2.0)
-    pressure_part = params.eps * _integral(d, p_second * np.sum(d.grad_rho ** 2, axis=0))
+    viscous = params.mu * _integral(d, rho * d.grad_v_sq)
+    p_second = params.a * params.gamma * (params.gamma - 1.0) * d.rho_pow_gamma_minus_2
+    pressure_part = params.eps * _integral(d, p_second * d.grad_rho_sq)
     return viscous, pressure_part
 
 
@@ -129,8 +132,8 @@ def bd_entropy(state: State, params: ModelParams) -> BDEntropy:
     d = spectral_state(state, params)
     rho = d.rho.data
 
-    value = (_integral(d, rho * np.sum(d.u ** 2, axis=0))
-             + params.kappa * _integral(d, np.sum(d.grad_sqrt_rho ** 2, axis=0))
+    value = (_integral(d, rho * d.u_sq)
+             + params.kappa * _integral(d, d.grad_sqrt_rho_sq)
              + _integral(d, d.pressure_potential))
 
     grad_u = d.grad_u
@@ -140,8 +143,7 @@ def bd_entropy(state: State, params: ModelParams) -> BDEntropy:
     viscous = ((params.mu - params.alpha) * _integral(d, rho * grad_sq)
                + params.alpha * _integral(d, rho * sym_sq))
 
-    cross = params.a * params.gamma * _integral(
-        d, rho ** (params.gamma - 2.0) * np.sum(d.grad_rho ** 2, axis=0))
+    cross = params.a * params.gamma * _integral(d, d.rho_pow_gamma_minus_2 * d.grad_rho_sq)
 
     capillary = params.kappa * _integral(d, rho * np.sum(d.hess_ln_rho ** 2, axis=(0, 1)))
     return BDEntropy(value, viscous, cross, capillary)
@@ -165,14 +167,10 @@ def mv_entropy(state: State, params: ModelParams, delta: float) -> MVEntropy:
     if not (0.0 < delta < 2.0):
         raise DeltaOutOfRange(f"delta must lie in (0, 2), got {delta}")
     d = spectral_state(state, params)
-    rho = d.rho.data
-    speed_sq = np.sum(d.v ** 2, axis=0)
-    speed = np.sqrt(speed_sq)
+    rho, speed_sq, speed = d.rho.data, d.v_sq, d.v_speed
 
     value = _integral(d, rho * speed ** (2.0 + delta)) / (2.0 + delta)
-
-    grad_sq = np.sum(d.grad_v ** 2, axis=(0, 1))
-    dissipation = 0.25 * params.mu * _integral(d, rho * speed ** delta * grad_sq)
+    dissipation = 0.25 * params.mu * _integral(d, rho * speed ** delta * d.grad_v_sq)
 
     inner_exp = 2.0 / (2.0 - delta)
     rho_pow = rho ** ((2.0 * params.gamma - 1.0 - delta / 2.0) * inner_exp)
@@ -196,12 +194,13 @@ class Integrability:
 def quartic_forms(v: VectorField) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise quadruple sum sum_{ijk} v_j v_k d_i v_j d_i v_k and the
     identity form sum_i (d_i |v|^2 / 2)^2 (spectral derivative of |v|^2)."""
-    return _quartic_forms(v.grid, v.data, vector_gradient(v).data)
+    return _quartic_forms(v.grid, v.data, vector_gradient(v).data, np.sum(v.data ** 2, axis=0))
 
 
-def _quartic_forms(grid, v: np.ndarray, grad_v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _quartic_forms(grid, v: np.ndarray, grad_v: np.ndarray,
+                   v_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     direct = np.einsum("j...,k...,ij...,ik...->...", v, v, grad_v, grad_v)
-    grad_w = to_physical(grad_hat(to_spectral(np.sum(v ** 2, axis=0), grid), grid), grid)
+    grad_w = to_physical(grad_hat(to_spectral(v_sq, grid), grid), grid)
     identity = np.sum((0.5 * grad_w) ** 2, axis=0)
     return direct, identity
 
@@ -214,15 +213,12 @@ def integrability_functional(state: State, params: ModelParams, p: float) -> Int
     if not (p > 2.0):
         raise PExponentOutOfRange(f"integrability exponent requires p > 2, got {p}")
     d = spectral_state(state, params)
-    rho = d.rho.data
-    speed_sq = np.sum(d.v ** 2, axis=0)
-    speed = np.sqrt(speed_sq)
+    rho, speed_sq, speed = d.rho.data, d.v_sq, d.v_speed
 
     value = _integral(d, rho * speed ** p) / p
-    grad_sq = np.sum(d.grad_v ** 2, axis=(0, 1))
-    grad_rate = _integral(d, rho * speed ** (p - 2.0) * grad_sq)
+    grad_rate = _integral(d, rho * speed ** (p - 2.0) * d.grad_v_sq)
 
-    direct, identity = _quartic_forms(d.grid, d.v, d.grad_v)
+    direct, identity = _quartic_forms(d.grid, d.v, d.grad_v, speed_sq)
     # both quartic forms are O(|v|^2) near zeros of v, so the |v|^{p-4} weight
     # stays integrable for every p > 2; mask the removable 0 * inf
     safe_speed = np.where(speed_sq > 0.0, speed, 1.0)
@@ -281,7 +277,8 @@ def vacuum_functional(state: State, params: ModelParams, p: float) -> VacuumFunc
     rate = rate_coeff * _integral(d, grad_half_sq)
 
     lhs = coeff * rho ** (-p) * to_physical(grid.rfft_minus_beta_sq * d.rho_hat, grid)
-    rhs = (-(coeff / (p - 1.0)) * laplacian(ScalarField(grid, rho_pow)).data
+    rhs = (-(coeff / (p - 1.0)) * to_physical(grid.rfft_minus_beta_sq
+                                              * to_spectral(rho_pow, grid), grid)
            + rate_coeff * grad_half_sq)
     residual = float(np.max(np.abs(lhs - rhs)))
     return VacuumFunctional(value, rate, residual)
@@ -369,7 +366,7 @@ def vacuum_indicator(state_or_rho, eps: float, delta: float) -> float:
     require_positive_density(rho)
     mask = rho.data <= delta
     integrand = np.where(mask, rho.data ** (-eps), 0.0)
-    return integrate(ScalarField(rho.grid, integrand))
+    return _integral(rho, integrand)
 
 
 # ---------------------------------------------------------------------------
@@ -378,15 +375,36 @@ def vacuum_indicator(state_or_rho, eps: float, delta: float) -> float:
 
 @dataclass(frozen=True)
 class MonitorSpec:
-    """Exponents and thresholds for the per-step functional report."""
+    """Exponents and levels of the per-step functional report and of the
+    blow-up verdict.
+
+    ``serrin_q`` None derives the scaling-admissible q from ``serrin_p`` and
+    the dimension; a given pair must satisfy 1/p + N/(2q) = 1/2, which needs
+    the dimension and is checked by ``check_serrin_pair``.  A spec that breaks
+    its constraints raises one ConstraintViolationError (a ValueError)
+    listing all of them.
+    """
 
     delta: float = 0.5
     p_integrability: float = 4.0
     p_vacuum: float = 2.0
     serrin_p: float = 4.0
-    serrin_q: float | None = None  # None: scaling-admissible default for the dim
+    serrin_q: float | None = None
     epsilon: float = 0.01
     delta_vacuum: float = 0.1
+
+    def __post_init__(self):
+        require(
+            (0.0 < self.delta < 2.0, f"monitors.delta must lie in (0, 2), got {self.delta}"),
+            (self.p_integrability > 2.0,
+             f"monitors.p_integrability must exceed 2, got {self.p_integrability}"),
+            (self.p_vacuum >= 2.0, f"monitors.p_vacuum must be >= 2, got {self.p_vacuum}"),
+            # every admissible pair has 1/p < 1/2, whatever the dimension
+            (2.0 < self.serrin_p < math.inf,
+             f"monitors.serrin_p must satisfy 2 < p < inf, got {self.serrin_p}"),
+            (self.epsilon > 0.0, f"monitors.epsilon must be positive, got {self.epsilon}"),
+            (0.0 < self.delta_vacuum < 1.0,
+             f"monitors.delta_vacuum must lie in (0, 1), got {self.delta_vacuum}"))
 
     def serrin_pair(self, dim: int) -> tuple[float, float]:
         if self.serrin_q is not None:
@@ -467,7 +485,7 @@ def evaluate_report(state: State, params: ModelParams,
         rho_min=float(np.min(rho.data)),
         rho_max=float(np.max(rho.data)),
         rho_variance=float(np.var(rho.data)),
-        max_speed=float(np.max(np.sqrt(np.sum(d.u ** 2, axis=0)))),
+        max_speed=float(np.max(np.sqrt(d.u_sq))),
         energy_total=en.total,
         energy_kinetic=en.kinetic,
         energy_pressure=en.pressure,
@@ -501,17 +519,9 @@ def evaluate_report(state: State, params: ModelParams,
 # blow-up verdict
 
 
-@dataclass(frozen=True)
-class VerdictThresholds:
-    """Continuation criteria levels for the blow-up report."""
-
-    serrin_p: float = 4.0
-    serrin_q: float | None = None
-    serrin_bound: float = math.inf
-    vacuum_eps: float = 0.01
-    vacuum_delta: float = 0.1
-    vacuum_bound: float = math.inf
-    vacuum_growth_factor: float = 10.0
+#: The vacuum criterion fails once the indicator exceeds this multiple of its
+#: initial value.
+VACUUM_GROWTH_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
@@ -533,21 +543,22 @@ class BlowUpReport:
             if isinstance(x, float) and not math.isfinite(x):
                 return repr(x)
             return x
-        return {k: clean(getattr(self, k)) for k in (
-            "insufficient_data", "final_time", "serrin_value", "serrin_pass",
-            "vacuum_initial", "vacuum_max", "vacuum_growth", "vacuum_pass",
-            "vacuum_exceeded_time", "terminated_by", "terminated_time")}
+        return {f.name: clean(getattr(self, f.name)) for f in dataclass_fields(self)}
 
 
 def blow_up_verdict(trajectory, params: ModelParams,
-                    thresholds: VerdictThresholds | None = None) -> BlowUpReport:
+                    monitors: MonitorSpec | None = None) -> BlowUpReport:
     """Correlate the two continuation criteria with how the run ended.
 
-    The vacuum-indicator series is read from the per-step report stream when
-    present (dense), otherwise recomputed on the stored snapshots.  A report
-    is produced even for degenerate trajectories, flagged insufficient_data.
+    The Serrin value (the trapezoid of ``serrin_integrand`` in time) and the
+    vacuum-indicator series are read from the per-step report stream when
+    present (dense), otherwise recomputed on the stored snapshots with the
+    exponents and levels of ``monitors``.  A criterion passes while its value
+    stays finite; the vacuum criterion also fails at the first indicator above
+    VACUUM_GROWTH_FACTOR times its initial value.  A report is produced even
+    for degenerate trajectories, flagged insufficient_data.
     """
-    thresholds = thresholds or VerdictThresholds()
+    monitors = monitors or MonitorSpec()
     terminated = getattr(trajectory, "terminated", None)
     terminated_by = terminated.kind if terminated is not None else None
     terminated_time = terminated.time if terminated is not None else None
@@ -559,32 +570,23 @@ def blow_up_verdict(trajectory, params: ModelParams,
                             None, None, None, None, None, None, None,
                             terminated_by, terminated_time)
 
-    p, q = thresholds.serrin_p, thresholds.serrin_q
-    if q is None:
-        dim = states[0].grid.dim if states else 1
-        q = dim / (2.0 * (0.5 - 1.0 / p))
-    serrin_value = serrin_accumulator(trajectory, p, q, params)
-    serrin_pass = math.isfinite(serrin_value) and serrin_value <= thresholds.serrin_bound
-
     if reports:
         times = [r.time for r in reports]
+        serrin_value = float(np.trapezoid([r.serrin_integrand for r in reports], x=times))
         series = [r.vacuum_indicator for r in reports]
     else:
         times = [s.time for s in states]
-        series = [vacuum_indicator(s, thresholds.vacuum_eps, thresholds.vacuum_delta)
+        p, q = monitors.serrin_pair(states[0].grid.dim)
+        serrin_value = serrin_accumulator(trajectory, p, q, params)
+        series = [vacuum_indicator(s, monitors.epsilon, monitors.delta_vacuum)
                   for s in states]
     initial = series[0]
     peak = max(series)
     growth = math.inf if initial == 0.0 and peak > 0.0 else (
         peak / initial if initial > 0.0 else 0.0)
-    exceeded_time = None
-    level = thresholds.vacuum_growth_factor * initial
-    for t, val in zip(times, series):
-        if val > level:
-            exceeded_time = t
-            break
-    vacuum_pass = (math.isfinite(peak) and peak <= thresholds.vacuum_bound
-                   and exceeded_time is None)
-    return BlowUpReport(False, times[-1], serrin_value, serrin_pass,
+    level = VACUUM_GROWTH_FACTOR * initial
+    exceeded_time = next((t for t, val in zip(times, series) if val > level), None)
+    vacuum_pass = math.isfinite(peak) and exceeded_time is None
+    return BlowUpReport(False, times[-1], serrin_value, math.isfinite(serrin_value),
                         initial, peak, growth, vacuum_pass, exceeded_time,
                         terminated_by, terminated_time)

@@ -33,7 +33,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CoefficientDomainError, InvalidField, NonpositiveDensity, VariantMismatch
+from .errors import (
+    CoefficientDomainError,
+    ConstraintViolationError,
+    InvalidField,
+    NonpositiveDensity,
+    VariantMismatch,
+    require,
+)
 from .spectral import (
     ScalarField,
     SpectralGrid,
@@ -65,7 +72,10 @@ class ModelParams:
 
     Constraints: mu > 0, mu > alpha >= 0, kappa > 0, a > 0, gamma >= 1.
     ``effective_v1`` additionally requires alpha = kappa/mu and
-    ``effective_v2`` requires alpha = 0 with kappa = mu^2.
+    ``effective_v2`` requires alpha = 0 with kappa = mu^2.  Construction
+    raises one error listing every violated constraint: VariantMismatch when
+    a variant constraint is among them, ConstraintViolationError otherwise
+    (both are ValueErrors).
     """
 
     mu: float
@@ -76,33 +86,28 @@ class ModelParams:
     variant: str = "original"
 
     def __post_init__(self):
-        if not (self.mu > 0.0):
-            raise ValueError(f"mu must be positive, got {self.mu}")
-        if not (self.mu > self.alpha >= 0.0):
-            raise ValueError(
-                f"viscosities must satisfy mu > alpha >= 0, got mu={self.mu}, alpha={self.alpha}")
-        if not (self.kappa > 0.0):
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
-        if not (self.a > 0.0):
-            raise ValueError(f"pressure constant a must be positive, got {self.a}")
-        if not (self.gamma >= 1.0):
-            raise ValueError(f"adiabatic exponent gamma must be >= 1, got {self.gamma}")
-        if self.variant not in VARIANTS:
-            raise VariantMismatch(
-                f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
-        if self.variant == "effective_v1":
-            if not math.isclose(self.alpha, self.kappa / self.mu, rel_tol=_REL_TOL, abs_tol=0.0):
-                raise VariantMismatch(
-                    f"effective_v1 requires alpha = kappa/mu, got alpha={self.alpha}, "
-                    f"kappa/mu={self.kappa / self.mu}")
-        if self.variant == "effective_v2":
-            if self.alpha != 0.0:
-                raise VariantMismatch(
-                    f"effective_v2 requires alpha = 0, got alpha={self.alpha}")
-            if not math.isclose(self.kappa, self.mu ** 2, rel_tol=_REL_TOL, abs_tol=0.0):
-                raise VariantMismatch(
-                    f"effective_v2 requires kappa = mu^2, got kappa={self.kappa}, "
-                    f"mu^2={self.mu ** 2}")
+        mu, alpha, kappa, variant = self.mu, self.alpha, self.kappa, self.variant
+        variant_checks = [
+            (variant in VARIANTS, f"model.variant must be one of {VARIANTS}, got {variant!r}"),
+            (variant != "effective_v1" or not mu > 0.0
+             or math.isclose(alpha, kappa / mu, rel_tol=_REL_TOL),
+             f"variant effective_v1 requires alpha = kappa/mu, got alpha={alpha}, "
+             f"kappa/mu={kappa / mu if mu else math.nan}"),
+            (variant != "effective_v2" or alpha == 0.0,
+             f"variant effective_v2 requires alpha = 0, got alpha={alpha}"),
+            (variant != "effective_v2" or math.isclose(kappa, mu * mu, rel_tol=_REL_TOL),
+             f"variant effective_v2 requires kappa = mu^2, got kappa={kappa}, mu^2={mu * mu}"),
+        ]
+        require(
+            (mu > 0.0, f"model.mu must be positive, got {mu}"),
+            (mu > alpha >= 0.0,
+             f"viscosities must satisfy mu > alpha >= 0, got mu={mu}, alpha={alpha}"),
+            (kappa > 0.0, f"model.kappa must be positive, got {kappa}"),
+            (self.a > 0.0, f"model.a must be positive, got {self.a}"),
+            (self.gamma >= 1.0, f"model.gamma must be >= 1, got {self.gamma}"),
+            *variant_checks,
+            error=(ConstraintViolationError if all(holds for holds, _ in variant_checks)
+                   else VariantMismatch))
 
     @property
     def eps(self) -> float:
@@ -299,8 +304,10 @@ def recover_u(rho: ScalarField, v: VectorField, params: ModelParams) -> VectorFi
 class SpectralState:
     """One state's spectral coefficients and derived fields, each computed at
     most once: ln rho, grad ln rho, u and v with their gradients, grad rho,
-    grad sqrt(rho), the Hessian of ln rho and the pressure (arrays; vector
-    and tensor components lead).
+    the Hessian of ln rho and the pressure (arrays; vector and tensor
+    components lead), and the pointwise quantities several functionals share:
+    |u|^2, |v|^2, |v|, |grad v|^2, |grad rho|^2, |grad sqrt(rho)|^2 and
+    rho^(gamma - 2).
 
     ``rhs``, ``cfl_dt`` and ``evaluate_report`` accept it in place of the
     FieldState it wraps, so they share this work.  Build it with
@@ -364,9 +371,34 @@ class SpectralState:
         return to_physical(grad_hat(self.rho_hat, self.grid), self.grid)
 
     @cached_property
-    def grad_sqrt_rho(self) -> np.ndarray:
-        return to_physical(grad_hat(to_spectral(np.sqrt(self.rho.data), self.grid),
+    def grad_rho_sq(self) -> np.ndarray:
+        return np.sum(self.grad_rho ** 2, axis=0)
+
+    @cached_property
+    def grad_sqrt_rho_sq(self) -> np.ndarray:
+        grad = to_physical(grad_hat(to_spectral(np.sqrt(self.rho.data), self.grid),
                                     self.grid), self.grid)
+        return np.sum(grad ** 2, axis=0)
+
+    @cached_property
+    def rho_pow_gamma_minus_2(self) -> np.ndarray:
+        return self.rho.data ** (self.params.gamma - 2.0)
+
+    @cached_property
+    def u_sq(self) -> np.ndarray:
+        return np.sum(self.u ** 2, axis=0)
+
+    @cached_property
+    def v_sq(self) -> np.ndarray:
+        return np.sum(self.v ** 2, axis=0)
+
+    @cached_property
+    def v_speed(self) -> np.ndarray:
+        return np.sqrt(self.v_sq)
+
+    @cached_property
+    def grad_v_sq(self) -> np.ndarray:
+        return np.sum(self.grad_v ** 2, axis=(0, 1))
 
     @cached_property
     def hess_ln_rho(self) -> np.ndarray:
@@ -428,8 +460,6 @@ def rhs(state: FieldState | SpectralState,
     u = v - (kappa/mu) grad ln rho, and the momentum tendency is stored per
     unit mass (after pointwise division by rho).
     """
-    if params.variant not in VARIANTS:
-        raise VariantMismatch(f"unknown variant {params.variant!r}")
     d = spectral_state(state, params)
     drho_hat, dw_hat = tendency_hats(d)
     if params.variant != "original":

@@ -28,9 +28,7 @@ import numpy as np
 import sympy as sp
 
 from .model import FieldState, ModelParams
-from .spectral import ScalarField, SpectralGrid, VectorField
-
-TAU = 2.0 * math.pi
+from .spectral import TAU, ScalarField, SpectralGrid, VectorField
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 import scipy.fft
 
-from .errors import InvalidField
+from .errors import InvalidField, require
 
 TAU = 2.0 * math.pi
 
@@ -61,7 +61,8 @@ class SpectralGrid:
     derivative multipliers zero.
 
     Instances are immutable; the cached multiplier tables are safe to share
-    between threads once constructed.
+    between threads once constructed.  A grid that breaks its constraints
+    raises one ConstraintViolationError (a ValueError) listing all of them.
     """
 
     resolution: tuple[int, ...]
@@ -72,17 +73,14 @@ class SpectralGrid:
         if length is None:
             length = TAU
         len_ = _as_tuple(length, n=len(res), kind=float)
-        if len(res) not in (1, 2):
-            raise ValueError(f"grid dimension must be 1 or 2, got {len(res)}")
-        if len(len_) != len(res):
-            raise ValueError("length and resolution dimensions differ")
-        for n in res:
-            if n < _MIN_RESOLUTION or not _is_power_of_two(n):
-                raise ValueError(
-                    f"resolution must be a power of two >= {_MIN_RESOLUTION}, got {n}")
-        for L in len_:
-            if not (L > 0.0):
-                raise ValueError(f"domain length must be positive, got {L}")
+        require(
+            (len(res) in (1, 2), f"grid dimension must be 1 or 2, got {len(res)}"),
+            (len(len_) == len(res), f"grid.length must have one entry per axis of "
+                                    f"grid.resolution ({len(res)}), got {len(len_)}"),
+            *((n >= _MIN_RESOLUTION and _is_power_of_two(n),
+               f"grid resolution entries must be powers of two >= {_MIN_RESOLUTION}, "
+               f"got {n}") for n in res),
+            *((L > 0.0, f"grid lengths must be positive, got {L}") for L in len_))
         object.__setattr__(self, "resolution", res)
         object.__setattr__(self, "length", len_)
 

@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonFinite, PositivityLoss, StepUnderflow
+from .errors import NonFinite, PositivityLoss, StepUnderflow, require
 from .functionals import FunctionalReport, MonitorSpec, evaluate_report
 from .model import (
     RHO_FLOOR,
@@ -56,7 +56,8 @@ class IntegratorConfig:
     the velocity equation; None selects mu * min(rho) at each step start.
     ``snapshot_interval`` decouples output cadence from dt (None stores every
     accepted step); ``adaptive`` disables the CFL controller for fixed-dt
-    convergence studies.
+    convergence studies.  A config that breaks its constraints raises one
+    ConstraintViolationError (a ValueError) listing all of them.
     """
 
     dt_initial: float
@@ -69,22 +70,22 @@ class IntegratorConfig:
     adaptive: bool = True
 
     def __post_init__(self):
-        if not (self.dt_initial > 0.0):
-            raise ValueError(f"dt_initial must be positive, got {self.dt_initial}")
-        if not (0.0 < self.dt_min <= self.dt_initial):
-            raise ValueError(
-                f"need 0 < dt_min <= dt_initial, got dt_min={self.dt_min}, "
-                f"dt_initial={self.dt_initial}")
-        if not (self.t_end > 0.0):
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
-        if not (0.0 < self.cfl_safety <= 1.0):
-            raise ValueError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety}")
-        if self.implicit_viscosity_shift is not None and self.implicit_viscosity_shift < 0.0:
-            raise ValueError("implicit_viscosity_shift must be >= 0")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
-        if self.snapshot_interval is not None and not (self.snapshot_interval > 0.0):
-            raise ValueError("snapshot_interval must be positive")
+        shift, interval = self.implicit_viscosity_shift, self.snapshot_interval
+        require(
+            (self.dt_initial > 0.0,
+             f"integrator.dt_initial must be positive, got {self.dt_initial}"),
+            (0.0 < self.dt_min <= self.dt_initial,
+             f"need 0 < dt_min <= dt_initial, got dt_min={self.dt_min}, "
+             f"dt_initial={self.dt_initial}"),
+            (self.t_end > 0.0, f"integrator.t_end must be positive, got {self.t_end}"),
+            (0.0 < self.cfl_safety <= 1.0,
+             f"integrator.cfl_safety must lie in (0, 1], got {self.cfl_safety}"),
+            (shift is None or shift >= 0.0,
+             f"integrator.implicit_viscosity_shift must be >= 0, got {shift}"),
+            (self.scheme in SCHEMES,
+             f"integrator.scheme must be one of {SCHEMES}, got {self.scheme!r}"),
+            (interval is None or interval > 0.0,
+             f"integrator.snapshot_interval must be positive, got {interval}"))
 
 
 @dataclass(frozen=True)
@@ -139,7 +140,7 @@ def cfl_dt(state: FieldState | SpectralState, params: ModelParams,
     """
     d = spectral_state(state, params)
     h = min(d.grid.spacing)
-    max_u = float(np.max(np.sqrt(np.sum(d.u ** 2, axis=0))))
+    max_u = float(np.max(np.sqrt(d.u_sq)))
     adv = math.inf if max_u == 0.0 else h / max_u
     nu_expl = max(params.mu * float(np.max(d.rho.data))
                   - _shift_value(d.state, params, config), 0.0)

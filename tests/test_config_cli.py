@@ -165,6 +165,27 @@ class TestSimulateCLI:
         assert summary["verdict"]["vacuum_pass"] is False
         assert summary["verdict"]["terminated_by"] == "PositivityLoss"
 
+    def test_verdict_serrin_value_matches_dense_accumulator(self, tmp_path, capsys):
+        # with a snapshot cadence the verdict used to integrate over the
+        # snapshots only (0.0025929218 here, against 0.0025926804)
+        path = tmp_path / "cadence.json"
+        path.write_text(json.dumps({
+            "grid": {"resolution": [32, 32]},
+            "model": {"variant": "effective_v2", "mu": 0.1, "kappa": 0.01, "a": 1.0},
+            "integrator": {"dt_initial": 1e-3, "t_end": 0.05, "scheme": "imex_bdf2",
+                           "snapshot_interval": 0.01},
+            "initial": {"family": "random_smooth", "seed": 7,
+                        "params": {"mean": 1.2, "amplitude": 0.25,
+                                   "velocity_amplitude": 0.3}}}))
+        out = tmp_path / "cadence"
+        assert main(["simulate", str(path), "--output", str(out)]) == 0
+        rows = (out / "functionals.csv").read_text().strip().splitlines()
+        col = rows[0].split(",").index("serrin_accumulator")
+        accumulated = float(rows[-1].split(",")[col])
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["snapshots"] == 6 and len(rows) - 1 == 51
+        assert summary["verdict"]["serrin_value"] == pytest.approx(accumulated, rel=1e-12)
+
     def test_config_violation_exit_two(self, tmp_path, capsys):
         path = write_config(tmp_path, model={"variant": "effective_v2", "kappa": 3.0})
         assert main(["simulate", str(path)]) == 2
@@ -267,3 +288,27 @@ class TestMonitorCLI:
 
     def test_missing_directory_exit_two(self, tmp_path, capsys):
         assert main(["monitor", str(tmp_path / "nope")]) == 2
+
+    def test_truncated_snapshot_exit_two(self, tmp_path, capsys):
+        path = write_config(tmp_path, integrator={
+            "dt_initial": 0.01, "t_end": 0.1, "snapshot_interval": 0.05})
+        out = tmp_path / "run"
+        assert main(["simulate", str(path), "--output", str(out)]) == 0
+        dump = out / "snapshots" / "snap_000001.w0.fld"
+        dump.write_bytes(dump.read_bytes()[:100])
+        capsys.readouterr()
+        assert main(["monitor", str(out)]) == 2
+        assert "truncated" in capsys.readouterr().err
+        assert main(["simulate", str(path), "--output", str(tmp_path / "again"),
+                     "--restart", str(out)]) == 0  # reads only the last snapshot
+
+    def test_verdict_serrin_value_is_the_snapshot_accumulator(self, tmp_path, capsys):
+        path = write_config(tmp_path, integrator={
+            "dt_initial": 0.01, "t_end": 0.2, "snapshot_interval": 0.05})
+        out = tmp_path / "run"
+        assert main(["simulate", str(path), "--output", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["monitor", str(out)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdict"]["serrin_value"] == pytest.approx(
+            payload["serrin_accumulator"], rel=1e-12)

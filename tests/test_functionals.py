@@ -10,7 +10,6 @@ from kortorus.errors import (
 )
 from kortorus.functionals import (
     MonitorSpec,
-    VerdictThresholds,
     bd_entropy,
     blow_up_verdict,
     effective_energy,
@@ -382,6 +381,18 @@ class TestReportAndVerdict:
         assert rep.mass == pytest.approx(integrate(st.rho))
         assert len(rep.csv_row()) == len(rep.csv_header())
 
+    def test_overflowed_columns_reported_as_diverged(self):
+        # min rho = 1e-7 is above the floor, but rho^(1-p) overflows at p = 50
+        grid = SpectralGrid(32)
+        rho = grid.from_function(lambda x: 1.0 + (1.0 - 1e-7) * np.sin(x))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = evaluate_report(FieldState(rho, grid.zero_vector()), P_V2,
+                                  MonitorSpec(p_vacuum=50.0))
+        assert "vac_value" in rep.diverged
+        assert set(rep.diverged) == {name for name in rep.csv_header()
+                                     if not math.isfinite(getattr(rep, name))}
+        assert math.isfinite(rep.energy_total) and "energy_total" not in rep.diverged
+
     def test_monitor_serrin_default_pair(self):
         spec = MonitorSpec(serrin_p=4.0)
         assert spec.serrin_pair(1) == (4.0, pytest.approx(2.0))
@@ -392,7 +403,7 @@ class TestReportAndVerdict:
         st = initial_state(grid, "single_mode", {"mean": 1.0, "amplitude": 0.05})
         cfg = IntegratorConfig(dt_initial=5e-3, dt_min=1e-9, t_end=0.3)
         traj = run(st, P_V2, cfg)
-        verdict = blow_up_verdict(traj, P_V2, VerdictThresholds())
+        verdict = blow_up_verdict(traj, P_V2, MonitorSpec())
         assert not verdict.insufficient_data
         assert verdict.serrin_pass and verdict.vacuum_pass
         assert verdict.terminated_by is None
