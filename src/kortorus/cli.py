@@ -31,7 +31,6 @@ from .functionals import (
     FunctionalReport,
     blow_up_verdict,
     evaluate_report,
-    serrin_accumulator,
     vacuum_endpoint_norm,
 )
 from .littlewood_paley import BesovIndex, besov_norm, block_lp_norms, family_for
@@ -266,7 +265,9 @@ def cmd_monitor(args) -> int:
                       step_times=[s.time for s in states])
     mon = config.monitors
     verdict = blow_up_verdict(traj, config.model, mon)
-    serrin = serrin_accumulator(traj, *mon.serrin_pair(config.grid.dim), config.model)
+    # the verdict integrates the reports' serrin_integrand over the snapshot
+    # times, which is serrin_accumulator without a second Serrin norm per state
+    serrin = 0.0 if verdict.serrin_value is None else verdict.serrin_value
     k_endpoint = 6.0 if config.grid.dim == 1 else 4.0
     summary = {
         "snapshots": len(states),

@@ -44,15 +44,10 @@ from .errors import (
 from .spectral import (
     ScalarField,
     SpectralGrid,
-    TensorField,
     VectorField,
-    dealias,
     div_hat,
     grad_hat,
     gradient,
-    hessian,
-    laplacian,
-    tensor_divergence,
     to_physical,
     to_spectral,
 )
@@ -240,43 +235,39 @@ def korteweg_div_general(rho: ScalarField, law: CoefficientLaw) -> VectorField:
     """div K = grad(rho k(rho) Lap rho + (k(rho) + rho k'(rho)) |grad rho|^2 / 2)
                - div(k(rho) grad rho x grad rho),
 
-    assembled with spectral derivatives and dealiased products.
+    assembled with spectral derivatives; both products are dealiased by
+    masking their coefficients, which are then differentiated directly.
     """
     require_positive_density(rho)
     grid = rho.grid
+    keep = grid.rfft_dealias_keep
     kval, kprime = _evaluate_law(law, rho.data)
-    grad_rho = gradient(rho)
-    lap_rho = laplacian(rho)
-    grad_sq = np.sum(grad_rho.data ** 2, axis=0)
+    rho_hat = to_spectral(rho.data, grid)
+    grad_rho = to_physical(grad_hat(rho_hat, grid), grid)
+    lap_rho = to_physical(grid.rfft_minus_beta_sq * rho_hat, grid)
+    grad_sq = np.sum(grad_rho ** 2, axis=0)
 
-    scalar_part = rho.data * kval * lap_rho.data + 0.5 * (kval + rho.data * kprime) * grad_sq
-    term1 = gradient(dealias(ScalarField(grid, scalar_part)))
-
-    d = grid.dim
-    tensor = np.empty((d, d) + grid.shape)
-    for i in range(d):
-        for j in range(d):
-            tensor[i, j] = kval * grad_rho.data[i] * grad_rho.data[j]
-    term2 = tensor_divergence(dealias(TensorField(grid, tensor)))
-    return VectorField(grid, term1.data - term2.data)
+    scalar_part = rho.data * kval * lap_rho + 0.5 * (kval + rho.data * kprime) * grad_sq
+    tensor = kval * grad_rho[:, None] * grad_rho[None]
+    return VectorField(grid, to_physical(
+        grad_hat(keep * to_spectral(scalar_part, grid), grid)
+        - div_hat(keep * to_spectral(tensor, grid), grid), grid))
 
 
 def korteweg_div_special(rho: ScalarField, kappa: float) -> VectorField:
     """Closed form for kappa(rho) = kappa/rho:
 
         (div K)_j = kappa * sum_i d_i(rho d_i d_j ln rho).
+
+    The product rho d_i d_j ln rho is dealiased by masking its coefficients,
+    which are then differentiated directly.
     """
     require_positive_density(rho)
     grid = rho.grid
-    ln_rho = ScalarField(grid, np.log(rho.data))
-    hess = hessian(ln_rho)
-    d = grid.dim
-    weighted = np.empty((d, d) + grid.shape)
-    for i in range(d):
-        for j in range(d):
-            weighted[i, j] = rho.data * hess.data[i, j]
-    div = tensor_divergence(dealias(TensorField(grid, weighted)))
-    return VectorField(grid, kappa * div.data)
+    ik = grid.rfft_ik
+    hess = to_physical(ik[:, None] * ik[None] * to_spectral(np.log(rho.data), grid), grid)
+    weighted_hat = grid.rfft_dealias_keep * to_spectral(rho.data * hess, grid)
+    return VectorField(grid, kappa * to_physical(div_hat(weighted_hat, grid), grid))
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +295,12 @@ def recover_u(rho: ScalarField, v: VectorField, params: ModelParams) -> VectorFi
 class SpectralState:
     """One state's spectral coefficients and derived fields, each computed at
     most once: ln rho, grad ln rho, u and v with their gradients, grad rho,
-    the Hessian of ln rho and the pressure (arrays; vector and tensor
-    components lead), and the pointwise quantities several functionals share:
-    |u|^2, |v|^2, |v|, |grad v|^2, |grad rho|^2, |grad sqrt(rho)|^2 and
-    rho^(gamma - 2).
+    grad |v|^2, the Hessian of ln rho and the pressure (arrays; vector and
+    tensor components lead), and the pointwise quantities several
+    functionals share: |u|^2, |v|^2, |v|, |grad v|^2, |grad rho|^2,
+    |grad sqrt(rho)|^2 and rho^(gamma - 2).  Fields that the functionals
+    need together share a transform: sqrt(rho) and |v|^2 go forward in one
+    call, grad sqrt(rho) and grad rho come back in one.
 
     ``rhs``, ``cfl_dt`` and ``evaluate_report`` accept it in place of the
     FieldState it wraps, so they share this work.  Build it with
@@ -367,8 +360,20 @@ class SpectralState:
         return self.grad_w
 
     @cached_property
+    def _sqrt_rho_and_v_sq_hat(self) -> np.ndarray:
+        """Coefficients of sqrt(rho) and |v|^2, in one transform."""
+        return to_spectral(np.stack([np.sqrt(self.rho.data), self.v_sq]), self.grid)
+
+    @cached_property
+    def _grad_sqrt_rho_and_rho(self) -> np.ndarray:
+        """grad sqrt(rho) and grad rho as components [:, 0] and [:, 1], in one
+        transform (2 x dim components)."""
+        hats = np.stack([self._sqrt_rho_and_v_sq_hat[0], self.rho_hat])
+        return to_physical(grad_hat(hats, self.grid), self.grid)
+
+    @cached_property
     def grad_rho(self) -> np.ndarray:
-        return to_physical(grad_hat(self.rho_hat, self.grid), self.grid)
+        return self._grad_sqrt_rho_and_rho[:, 1]
 
     @cached_property
     def grad_rho_sq(self) -> np.ndarray:
@@ -376,9 +381,12 @@ class SpectralState:
 
     @cached_property
     def grad_sqrt_rho_sq(self) -> np.ndarray:
-        grad = to_physical(grad_hat(to_spectral(np.sqrt(self.rho.data), self.grid),
-                                    self.grid), self.grid)
-        return np.sum(grad ** 2, axis=0)
+        return np.sum(self._grad_sqrt_rho_and_rho[:, 0] ** 2, axis=0)
+
+    @cached_property
+    def grad_of_v_sq(self) -> np.ndarray:
+        """grad |v|^2, the spectral derivative of the pointwise |v|^2."""
+        return to_physical(grad_hat(self._sqrt_rho_and_v_sq_hat[1], self.grid), self.grid)
 
     @cached_property
     def rho_pow_gamma_minus_2(self) -> np.ndarray:
@@ -411,6 +419,8 @@ class SpectralState:
 
     @cached_property
     def pressure_potential(self) -> np.ndarray:
+        if self.params.gamma > 1.0:  # pressure_potential's a rho^gamma / (gamma - 1)
+            return self.pressure / (self.params.gamma - 1.0)
         return pressure_potential(self.rho, self.params).data
 
 
@@ -418,7 +428,7 @@ def spectral_state(state: FieldState | SpectralState, params: ModelParams) -> Sp
     """The SpectralState of ``state`` under ``params`` (``state`` itself when
     it already is one for these parameters)."""
     if isinstance(state, SpectralState):
-        if state.params == params:
+        if state.params is params or state.params == params:
             return state
         return SpectralState(state.state, params, state.rho_hat, state.w_hat)
     return SpectralState(state.validate(), params)

@@ -294,12 +294,18 @@ def to_spectral(data: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     """Unnormalized rfft coefficients of real samples over the grid axes; any
     leading axes are components, transformed together in one call.
 
-    This and ``to_physical`` are the transforms behind every operator."""
+    This and ``to_physical`` are the transforms behind every operator.  A 1D
+    grid goes through ``rfft``, which gives the same coefficients as
+    ``rfftn`` over the last axis at a lower per-call cost."""
+    if grid.dim == 1:
+        return scipy.fft.rfft(data)
     return scipy.fft.rfftn(data, axes=grid.rfft_axes)
 
 
 def to_physical(hat: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     """Inverse of ``to_spectral``, batched the same way."""
+    if grid.dim == 1:
+        return scipy.fft.irfft(hat, n=grid.shape[0])
     return scipy.fft.irfftn(hat, s=grid.shape, axes=grid.rfft_axes)
 
 

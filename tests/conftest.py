@@ -1,0 +1,26 @@
+"""Fixtures shared by several test modules."""
+
+import numpy as np
+import pytest
+import scipy.fft
+
+FFT_ENTRY_POINTS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
+                    "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft")
+
+
+@pytest.fixture
+def fft_count(monkeypatch):
+    """Calls and transformed points of every numpy.fft/scipy.fft entry point."""
+    count = {"calls": 0, "points": 0}
+    for module in (np.fft, scipy.fft):
+        for name in FFT_ENTRY_POINTS:
+            fn = getattr(module, name, None)
+            if fn is None:
+                continue
+
+            def counted(x, *args, _fn=fn, **kwargs):
+                count["calls"] += 1
+                count["points"] += np.asarray(x).size
+                return _fn(x, *args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+    return count

@@ -9,7 +9,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from kortorus.spectral import ScalarField
+from kortorus.model import _evaluate_law
+from kortorus.spectral import (
+    ScalarField,
+    TensorField,
+    VectorField,
+    dealias,
+    gradient,
+    hessian,
+    laplacian,
+    tensor_divergence,
+)
 
 
 def fd4_derivative(data: np.ndarray, axis: int, h: float) -> np.ndarray:
@@ -59,6 +69,14 @@ def dense_quadrature_1d(fn, length: float, n: int = 2 ** 20) -> float:
     """Rectangle rule on a dense grid, for oracles on [0, length)."""
     x = np.arange(n) * (length / n)
     return float(np.mean(fn(x)) * length)
+
+
+def measure(count: dict, fn) -> dict:
+    """What ``fn()`` adds to each entry of ``count`` (the ``fft_count``
+    fixture's calls and points)."""
+    before = dict(count)
+    fn()
+    return {k: count[k] - before[k] for k in count}
 
 
 def max_abs(a) -> float:
@@ -119,3 +137,34 @@ def reference_rhs(rho: np.ndarray, w: np.ndarray, grid, params) -> tuple[np.ndar
     force = force - np.stack([deriv(p, j) for j in range(d)])
     advect = np.stack([dealias(sum(u[i] * G[i][j] for i in range(d))) for j in range(d)])
     return drho, -advect + np.stack([dealias(f / rho) for f in force])
+
+
+def quartic_direct_einsum(v: np.ndarray, grad_v: np.ndarray) -> np.ndarray:
+    """The literal quadruple sum sum_{ijk} v_j v_k d_i v_j d_i v_k, with
+    grad_v[i, j] = d_i v_j."""
+    return np.einsum("j...,k...,ij...,ik...->...", v, v, grad_v, grad_v)
+
+
+def korteweg_div_general_round_trip(rho: ScalarField, law) -> VectorField:
+    """div K for a coefficient law k(rho), each product dealiased by a
+    physical -> spectral -> physical round trip before it is differentiated
+    by the package's field operators."""
+    grid = rho.grid
+    kval, kprime = _evaluate_law(law, rho.data)
+    grad_rho = gradient(rho).data
+    lap_rho = laplacian(rho).data
+    grad_sq = np.sum(grad_rho ** 2, axis=0)
+    scalar_part = rho.data * kval * lap_rho + 0.5 * (kval + rho.data * kprime) * grad_sq
+    term1 = gradient(dealias(ScalarField(grid, scalar_part)))
+    tensor = kval * grad_rho[:, None] * grad_rho[None]
+    term2 = tensor_divergence(dealias(TensorField(grid, tensor)))
+    return VectorField(grid, term1.data - term2.data)
+
+
+def korteweg_div_special_round_trip(rho: ScalarField, kappa: float) -> VectorField:
+    """kappa * sum_i d_i(rho d_i d_j ln rho), the product dealiased by a round
+    trip before it is differentiated."""
+    grid = rho.grid
+    hess = hessian(ScalarField(grid, np.log(rho.data))).data
+    div = tensor_divergence(dealias(TensorField(grid, rho.data * hess)))
+    return VectorField(grid, kappa * div.data)

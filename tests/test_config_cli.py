@@ -4,12 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from kortorus.cli import main
+from kortorus.cli import _read_snapshots, main
 from kortorus.config import parse_config
 from kortorus.dump import write_field_dump
 from kortorus.errors import ConstraintViolationError, ParseError
+from kortorus.functionals import evaluate_report, serrin_accumulator
 from kortorus.littlewood_paley import BesovIndex, besov_norm
 from kortorus.spectral import SpectralGrid
+from kortorus.timestepping import Trajectory
+from helpers import measure
 
 
 MINIMAL = "{}"
@@ -312,3 +315,29 @@ class TestMonitorCLI:
         payload = json.loads(capsys.readouterr().out)
         assert payload["verdict"]["serrin_value"] == pytest.approx(
             payload["serrin_accumulator"], rel=1e-12)
+
+    # in the original variant the Serrin norm of v = u + (kappa/mu) grad ln rho
+    # takes transforms of its own, so a recomputation would show in the count
+    @pytest.mark.parametrize("variant", ["effective_v2", "original"])
+    def test_summary_serrin_comes_from_the_reports(self, tmp_path, capsys, fft_count,
+                                                   variant):
+        path = write_config(tmp_path, model={"variant": variant}, integrator={
+            "dt_initial": 0.01, "t_end": 0.2, "snapshot_interval": 0.05})
+        out = tmp_path / "run"
+        assert main(["simulate", str(path), "--output", str(out)]) == 0
+        capsys.readouterr()
+        codes = []
+        monitor = measure(fft_count, lambda: codes.append(main(["monitor", str(out)])))
+        assert codes == [0]
+        payload = json.loads(capsys.readouterr().out)
+
+        config = parse_config((out / "config.echo.json").read_text())
+        states = _read_snapshots(out)
+        reports = measure(fft_count, lambda: [
+            evaluate_report(s, config.model, config.monitors) for s in states])
+        assert monitor == reports  # no transform beyond the reports'
+        recomputed = serrin_accumulator(
+            Trajectory(params=config.model, states=states),
+            *config.monitors.serrin_pair(config.grid.dim), config.model)
+        assert recomputed > 0.0
+        assert payload["serrin_accumulator"] == pytest.approx(recomputed, rel=1e-12)

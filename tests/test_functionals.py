@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,9 +26,15 @@ from kortorus.functionals import (
 )
 from kortorus.model import FieldState, ModelParams, effective_velocity
 from kortorus.scenarios import density_corpus, initial_state, velocity_corpus
-from kortorus.spectral import ScalarField, SpectralGrid, VectorField, integrate
+from kortorus.spectral import (
+    ScalarField,
+    SpectralGrid,
+    VectorField,
+    integrate,
+    vector_gradient,
+)
 from kortorus.timestepping import IntegratorConfig, Trajectory, run
-from helpers import dense_quadrature_1d, max_abs
+from helpers import dense_quadrature_1d, max_abs, quartic_direct_einsum, rel_linf
 
 TAU = 2.0 * math.pi
 P_V2 = ModelParams(mu=1.0, alpha=0.0, kappa=1.0, a=1.0, gamma=2.0, variant="effective_v2")
@@ -200,6 +207,14 @@ class TestIntegrability:
         for v in velocity_corpus(grid, 3, seed=4, amplitude=1.0, kmax=4):
             direct, identity = quartic_forms(v)
             assert max_abs(direct - identity) < 1e-12
+
+    @pytest.mark.parametrize("resolution", [64, (32, 32)])
+    def test_quartic_direct_form_matches_quadruple_einsum(self, resolution):
+        grid = SpectralGrid(resolution)
+        for v in velocity_corpus(grid, 3, seed=9, amplitude=1.0, kmax=4):
+            direct, _ = quartic_forms(v)
+            reference = quartic_direct_einsum(v.data, vector_gradient(v).data)
+            assert rel_linf(direct, reference) < 1e-13
 
     def test_p_range(self):
         st = state_1d(lambda x: np.ones_like(x))
@@ -392,6 +407,49 @@ class TestReportAndVerdict:
         assert set(rep.diverged) == {name for name in rep.csv_header()
                                      if not math.isfinite(getattr(rep, name))}
         assert math.isfinite(rep.energy_total) and "energy_total" not in rep.diverged
+
+    def test_overflow_raises_no_warning(self):
+        grid = SpectralGrid(32)
+        rho = grid.from_function(lambda x: 1.0 + (1.0 - 1e-7) * np.sin(x))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = evaluate_report(FieldState(rho, grid.zero_vector()), P_V2,
+                                  MonitorSpec(p_vacuum=50.0))
+        assert {"vac_value", "vac_rate", "vac_identity_residual"} <= set(rep.diverged)
+
+    @pytest.mark.parametrize("params,resolution", [(P_V2, 64), (P_ORIG, 64),
+                                                   (P_ORIG, (32, 32))])
+    def test_columns_equal_standalone_functionals(self, params, resolution):
+        st = initial_state(SpectralGrid(resolution), "random_smooth",
+                           {"mean": 0.9, "amplitude": 0.2,
+                            "velocity_amplitude": 0.4}, seed=11)
+        spec = MonitorSpec(delta=0.7, p_integrability=5.0, p_vacuum=3.0,
+                           epsilon=0.5, delta_vacuum=0.9)
+        rep = evaluate_report(st, params, spec)
+        assert rep.vacuum_indicator > 0.0
+        en = energy(st, params)
+        bd = bd_entropy(st, params)
+        mv = mv_entropy(st, params, spec.delta)
+        integ = integrability_functional(st, params, spec.p_integrability)
+        vac = vacuum_functional(st, params, spec.p_vacuum)
+        expected = dict(
+            mass=integrate(st.rho),
+            energy_total=en.total, energy_kinetic=en.kinetic,
+            energy_pressure=en.pressure, energy_capillary=en.capillary,
+            effective_energy=effective_energy(st, params),
+            eff_energy_rate_viscous=effective_energy_dissipation(st, params)[0],
+            eff_energy_rate_pressure=effective_energy_dissipation(st, params)[1],
+            bd_value=bd.value, bd_rate_viscous=bd.viscous_rate,
+            bd_rate_cross=bd.cross_rate, bd_rate_capillary=bd.capillary_rate,
+            mv_value=mv.value, mv_rate_dissipation=mv.dissipation_rate,
+            mv_rhs_bound=mv.rhs_bound,
+            int_value=integ.value, int_rate_grad=integ.grad_rate,
+            int_rate_quartic=integ.quartic_rate,
+            int_rate_quartic_identity=integ.quartic_rate_identity,
+            vac_value=vac.value, vac_rate=vac.rate,
+            vac_identity_residual=vac.identity_residual,
+            vacuum_indicator=vacuum_indicator(st, spec.epsilon, spec.delta_vacuum))
+        assert {name: getattr(rep, name) for name in expected} == expected
 
     def test_monitor_serrin_default_pair(self):
         spec = MonitorSpec(serrin_p=4.0)
