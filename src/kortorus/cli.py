@@ -297,8 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(fn=cmd_simulate)
 
     p_ver = sub.add_parser("verify", help="run an identity/inequality suite")
-    p_ver.add_argument("suite", help="suite name (see --list in help text): "
-                       + ", ".join(sorted(SUITES) + ["all"]))
+    p_ver.add_argument("suite", help="suite name: " + ", ".join(sorted(SUITES) + ["all"]))
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.set_defaults(fn=cmd_verify)
 

@@ -24,6 +24,7 @@ as residuals that must vanish under refinement (see the acceptance suite).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields as dataclass_fields
 
 import numpy as np
@@ -56,6 +57,29 @@ from .spectral import (
 SCHEMA_VERSION = 1
 
 State = FieldState | SpectralState
+
+
+@dataclass(frozen=True)
+class _Range:
+    """A monitor parameter's admissible range: one predicate and how to say it."""
+
+    holds: Callable[[float], bool]
+    text: str
+
+    def check(self, name: str, value: float) -> tuple[bool, str]:
+        """A (holds, message) pair, as ``require`` takes it."""
+        return self.holds(value), f"{name} {self.text}, got {value}"
+
+    def enforce(self, name: str, value: float, error: type[Exception]) -> None:
+        if not self.holds(value):
+            raise error(self.check(name, value)[1])
+
+
+_DELTA = _Range(lambda delta: 0.0 < delta < 2.0, "must lie in (0, 2)")
+_P_INTEGRABILITY = _Range(lambda p: p > 2.0, "must exceed 2")
+_P_VACUUM = _Range(lambda p: p >= 2.0, "must be >= 2")
+_EPSILON = _Range(lambda eps: eps > 0.0, "must be positive")
+_DELTA_VACUUM = _Range(lambda delta: 0.0 < delta < 1.0, "must lie in (0, 1)")
 
 
 def _integral(d: SpectralState | ScalarField, data: np.ndarray) -> float:
@@ -165,8 +189,7 @@ def mv_entropy(state: State, params: ModelParams, delta: float) -> MVEntropy:
     """Weighted kinetic functional int rho |v|^{2+delta}/(2+delta) dx with its
     dissipation (mu/4) int rho |v|^delta |grad v|^2 dx and the verbatim
     right-hand bound of the corresponding differential inequality."""
-    if not (0.0 < delta < 2.0):
-        raise DeltaOutOfRange(f"delta must lie in (0, 2), got {delta}")
+    _DELTA.enforce("delta", delta, DeltaOutOfRange)
     d = spectral_state(state, params)
     rho, speed_sq, speed = d.rho.data, d.v_sq, d.v_speed
 
@@ -215,8 +238,7 @@ def integrability_functional(state: State, params: ModelParams, p: float) -> Int
     int rho |v|^{p-2} |grad v|^2 and (p-2) int rho (quartic form) |v|^{p-4};
     the quadruple-sum assembly of the quartic form is the authoritative one,
     the identity form is reported for cross-checking."""
-    if not (p > 2.0):
-        raise PExponentOutOfRange(f"integrability exponent requires p > 2, got {p}")
+    _P_INTEGRABILITY.enforce("integrability exponent p", p, PExponentOutOfRange)
     d = spectral_state(state, params)
     rho, speed_sq, speed = d.rho.data, d.v_sq, d.v_speed
 
@@ -268,8 +290,7 @@ def vacuum_functional(state: State, params: ModelParams, p: float) -> VacuumFunc
             = -(kappa/(mu (p-1))) Lap(rho^{1-p})
               + (4 p kappa/(mu (p-1)^2)) |grad(rho^{-(p-1)/2})|^2.
     """
-    if not (p >= 2.0):
-        raise PExponentOutOfRange(f"vacuum exponent requires p >= 2, got {p}")
+    _P_VACUUM.enforce("vacuum exponent p", p, PExponentOutOfRange)
     d = spectral_state(state, params)
     rho, grid = d.rho.data, d.grid
     coeff = params.kappa / params.mu
@@ -341,8 +362,7 @@ def vacuum_endpoint_norm(trajectory, p: float, time_exponent: float) -> float:
     absorbs the vacuum functional's transport term; the chain itself is proof
     scaffolding and is not re-derived numerically.
     """
-    if not (p >= 2.0):
-        raise PExponentOutOfRange(f"vacuum exponent requires p >= 2, got {p}")
+    _P_VACUUM.enforce("vacuum exponent p", p, PExponentOutOfRange)
     times, states = _report_times_and_states(trajectory)
     dim = states[0].grid.dim
     k = time_exponent
@@ -367,10 +387,8 @@ def vacuum_endpoint_norm(trajectory, p: float, time_exponent: float) -> float:
 
 def vacuum_indicator(state_or_rho, eps: float, delta: float) -> float:
     """Sharp low-density mass int rho^{-eps} 1_{rho <= delta} dx (no mollification)."""
-    if not (eps > 0.0):
-        raise ValueError(f"need eps > 0, got {eps}")
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"need 0 < delta < 1, got {delta}")
+    _EPSILON.enforce("eps", eps, ValueError)
+    _DELTA_VACUUM.enforce("delta", delta, ValueError)
     rho = getattr(state_or_rho, "rho", state_or_rho)
     require_positive_density(rho)
     mask = rho.data <= delta
@@ -405,16 +423,14 @@ class MonitorSpec:
 
     def __post_init__(self):
         require(
-            (0.0 < self.delta < 2.0, f"monitors.delta must lie in (0, 2), got {self.delta}"),
-            (self.p_integrability > 2.0,
-             f"monitors.p_integrability must exceed 2, got {self.p_integrability}"),
-            (self.p_vacuum >= 2.0, f"monitors.p_vacuum must be >= 2, got {self.p_vacuum}"),
+            _DELTA.check("monitors.delta", self.delta),
+            _P_INTEGRABILITY.check("monitors.p_integrability", self.p_integrability),
+            _P_VACUUM.check("monitors.p_vacuum", self.p_vacuum),
             # every admissible pair has 1/p < 1/2, whatever the dimension
             (2.0 < self.serrin_p < math.inf,
              f"monitors.serrin_p must satisfy 2 < p < inf, got {self.serrin_p}"),
-            (self.epsilon > 0.0, f"monitors.epsilon must be positive, got {self.epsilon}"),
-            (0.0 < self.delta_vacuum < 1.0,
-             f"monitors.delta_vacuum must lie in (0, 1), got {self.delta_vacuum}"))
+            _EPSILON.check("monitors.epsilon", self.epsilon),
+            _DELTA_VACUUM.check("monitors.delta_vacuum", self.delta_vacuum))
 
     def serrin_pair(self, dim: int) -> tuple[float, float]:
         if self.serrin_q is not None:

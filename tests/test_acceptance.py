@@ -3,7 +3,8 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.  Shared trajectories (the five seeded 1D scenarios)
 are computed once and reused by the energy, weighted-kinetic, and mass
-criteria.
+criteria.  Criteria 01-03 and 08-10 apply the checks of ``kortorus verify``
+(kortorus.verify) to corpora of their own.
 """
 
 import math
@@ -13,43 +14,19 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from kortorus import verify
 from kortorus.errors import PositivityLoss
-from kortorus.functionals import vacuum_functional
-from kortorus.littlewood_paley import (
-    BesovIndex,
-    besov_norm,
-    dyadic_block,
-    dyadic_block_pair,
-    family_for,
-    heat_regularity_check,
-    sobolev_weight_norm,
-    verify_derivative_equivalence,
-)
-from kortorus.model import (
-    FieldState,
-    ModelParams,
-    inverse_density_capillarity,
-    korteweg_div_general,
-    korteweg_div_special,
-    rhs,
-)
+from kortorus.functionals import MonitorSpec
+from kortorus.littlewood_paley import family_for
+from kortorus.model import ModelParams, rhs
 from kortorus.scenarios import (
     besov_corpus,
     density_corpus,
     initial_state,
     manufactured_solution,
 )
-from kortorus.spectral import (
-    ScalarField,
-    SpectralGrid,
-    gradient,
-    hessian,
-    integrate,
-    laplacian,
-    relative_l2_gap,
-)
+from kortorus.spectral import SpectralGrid
 from kortorus.timestepping import IntegratorConfig, run
-from kortorus.functionals import MonitorSpec
 
 P_V2 = ModelParams(mu=1.0, alpha=0.0, kappa=1.0, a=1.0, gamma=2.0, variant="effective_v2")
 KAPPA = 1.0
@@ -65,12 +42,19 @@ def report(num: int, name: str, passed: bool, detail: str = "") -> bool:
     return passed
 
 
+def report_checks(num: int, name: str, results) -> bool:
+    """The criterion line for verify checks: it passes when every check does."""
+    results = list(results)
+    return report(num, name, all(r.passed for r in results),
+                  ", ".join(f"{r.name} {r.value:.2e}" for r in results))
+
+
 @pytest.fixture(scope="module")
-def corpus_fine():
+def densities_fine():
     one_d = density_corpus(SpectralGrid(256), N_1D, seed=CORPUS_SEED, lo=1.0, hi=3.0)
     two_d = density_corpus(SpectralGrid((128, 128)), N_2D, seed=CORPUS_SEED + 1,
                            lo=1.0, hi=3.0)
-    return one_d, two_d
+    return [verify.DensityFields(rho, KAPPA) for rho in one_d + two_d]
 
 
 @pytest.fixture(scope="module")
@@ -91,39 +75,18 @@ def energy_runs():
     return runs
 
 
-def test_criterion_01_capillary_tensor_equivalence(corpus_fine):
-    one_d, two_d = corpus_fine
+def test_criterion_01_capillary_tensor_equivalence(densities_fine):
     start = time.monotonic()
-    worst = 0.0
-    for rho in one_d + two_d:
-        gen = korteweg_div_general(rho, inverse_density_capillarity(KAPPA))
-        spe = korteweg_div_special(rho, KAPPA)
-        worst = max(worst, relative_l2_gap(gen, spe))
+    (gap,) = verify.check_capillary_gap(densities_fine)
     elapsed = time.monotonic() - start
-    ok = worst < 1e-8 and elapsed < 10.0
+    ok = gap.passed and elapsed < 10.0
     assert report(1, "capillary-tensor general vs closed form on 20-density corpus",
-                  ok, f"worst rel L2 {worst:.2e}, {elapsed:.2f}s")
+                  ok, f"worst rel L2 {gap.value:.2e}, {elapsed:.2f}s")
 
 
-def _laplacian_log_residual(rho):
-    grid = rho.grid
-    ln = ScalarField(grid, np.log(rho.data))
-    resid = (laplacian(rho).data - rho.data * laplacian(ln).data
-             - np.sum(gradient(rho).data ** 2, axis=0) / rho.data)
-    return float(np.max(np.abs(resid)))
-
-
-def _vacuum_identity_residual(rho, p=3.0):
-    state = FieldState(rho, rho.grid.zero_vector())
-    return vacuum_functional(state, P_V2, p).identity_residual
-
-
-def test_criterion_02_pointwise_identities(corpus_fine):
-    one_d, two_d = corpus_fine
-    worst = 0.0
-    for rho in one_d + two_d:
-        worst = max(worst, _laplacian_log_residual(rho), _vacuum_identity_residual(rho))
-    held = worst < 1e-8
+def test_criterion_02_pointwise_identities(densities_fine):
+    results = [*verify.check_laplacian_log(densities_fine),
+               *verify.check_vacuum_identity([d.rho for d in densities_fine], P_V2, 3.0)]
 
     # spectral convergence: the same corpus functions sampled one doubling
     # below the truncation floor must lose at least 100x residual per doubling
@@ -134,30 +97,18 @@ def test_criterion_02_pointwise_identities(corpus_fine):
         for res in resolutions:
             grid = SpectralGrid(res if dim == 1 else (res, res))
             corp = density_corpus(grid, n, seed=seed, lo=1.0, hi=3.0)
-            residuals.append(max(max(_laplacian_log_residual(r),
-                                     _vacuum_identity_residual(r)) for r in corp))
+            residuals.append(max(
+                max(verify.laplacian_log_residual(verify.DensityFields(r, KAPPA)),
+                    verify.vacuum_identity_residual(r, P_V2, 3.0)) for r in corp))
         factors.append(residuals[0] / max(residuals[1], 1e-300))
-    converges = all(f >= 100.0 for f in factors)
-    ok = held and converges
-    assert report(2, "pointwise identities hold and converge spectrally", ok,
-                  f"worst {worst:.2e}, doubling factors "
-                  + ", ".join(f"{f:.0f}x" for f in factors))
+    results.append(verify.CheckResult("smallest residual factor per doubling", min(factors),
+                                      100.0, min(factors) >= 100.0))
+    assert report_checks(2, "pointwise identities hold and converge spectrally", results)
 
 
-def test_criterion_03_integration_by_parts(corpus_fine):
-    one_d, two_d = corpus_fine
-    worst = 0.0
-    for rho in one_d + two_d:
-        grid = rho.grid
-        ln = ScalarField(grid, np.log(rho.data))
-        spe = korteweg_div_special(rho, KAPPA)
-        lhs = integrate(ScalarField(grid, np.sum(spe.data * gradient(ln).data, axis=0)))
-        rhs_val = -KAPPA * integrate(ScalarField(
-            grid, rho.data * np.sum(hessian(ln).data ** 2, axis=(0, 1))))
-        worst = max(worst, abs(lhs - rhs_val) / abs(rhs_val))
-    ok = worst < 1e-7
-    assert report(3, "capillary stress against grad(ln rho) integrates by parts",
-                  ok, f"worst relative gap {worst:.2e}")
+def test_criterion_03_integration_by_parts(densities_fine):
+    assert report_checks(3, "capillary stress against grad(ln rho) integrates by parts",
+                         verify.check_integration_by_parts(densities_fine))
 
 
 def _monotonicity_residual(traj):
@@ -281,94 +232,41 @@ def test_criterion_07_manufactured_convergence():
 
 
 def test_criterion_08_dyadic_structure():
-    partition_worst = 0.0
-    recon_worst = 0.0
-    compose_exact = True
-    for grid in (SpectralGrid(64), SpectralGrid(256),
-                 SpectralGrid((64, 64)), SpectralGrid((128, 128))):
-        fam = family_for(grid)
-        partition_worst = max(partition_worst, fam.partition_deviation())
-        for u in besov_corpus(grid, 2, seed=CORPUS_SEED + 7):
-            shifted = ScalarField(grid, u.data + 0.5)
-            total = np.zeros(grid.shape)
-            for q in fam.block_range:
-                total += dyadic_block(shifted, q, fam).data
-            recon_worst = max(recon_worst, float(np.max(np.abs(total - shifted.data))))
-            for q, qp in ((0, 2), (1, 4), (-1, 1), (2, fam.q_max)):
-                if abs(q - qp) >= 2:
-                    if float(np.max(np.abs(dyadic_block_pair(u, q, qp, fam).data))) != 0.0:
-                        compose_exact = False
-    ok = partition_worst < 1e-12 and recon_worst < 1e-12 and compose_exact
-    assert report(8, "dyadic partition, block supports, reconstruction", ok,
-                  f"partition {partition_worst:.1e}, reconstruction {recon_worst:.1e}, "
-                  f"composition exact={compose_exact}")
+    grids = (SpectralGrid(64), SpectralGrid(256),
+             SpectralGrid((64, 64)), SpectralGrid((128, 128)))
+    results = list(verify.check_dyadic_structure(
+        [(grid, besov_corpus(grid, 2, seed=CORPUS_SEED + 7),
+          ((0, 2), (1, 4), (-1, 1), (2, family_for(grid).q_max))) for grid in grids],
+        shift=0.5))
+    assert report_checks(8, "dyadic partition, block supports, reconstruction", results)
 
 
 def test_criterion_09_norm_equivalences():
     grid = SpectralGrid(128)
     corpus = besov_corpus(grid, 100, seed=CORPUS_SEED + 8)
-    sob_worst = 0.0
-    for u in corpus[:50]:
-        b = besov_norm(u, BesovIndex(1.0, 2.0, 2.0))
-        h = sobolev_weight_norm(u, 1.0)
-        sob_worst = max(sob_worst, b / h, h / b)
-
-    rep = verify_derivative_equivalence(corpus, 1.0, 2.0, 2.0)
-    ratios_ok = rep.min_ratio >= 0.1 and rep.max_ratio <= 10.0
-
-    rep_double = verify_derivative_equivalence(
-        besov_corpus(grid, 200, seed=CORPUS_SEED + 8), 1.0, 2.0, 2.0)
-    rep_fine = verify_derivative_equivalence(
-        besov_corpus(SpectralGrid(256), 100, seed=CORPUS_SEED + 9), 1.0, 2.0, 2.0)
-    drift = max(rep_double.constant / rep.constant, rep.constant / rep_double.constant,
-                rep_fine.constant / rep.constant, rep.constant / rep_fine.constant)
-    ok = sob_worst < 4.0 and ratios_ok and drift < 2.0
-    assert report(9, "Besov/Sobolev equivalence and derivative-norm ratios", ok,
-                  f"sobolev factor {sob_worst:.2f}, ratios "
-                  f"[{rep.min_ratio:.2f}, {rep.max_ratio:.2f}], drift {drift:.2f}")
+    results = list(verify.check_norm_equivalences(
+        corpus[:50], corpus, besov_corpus(grid, 200, seed=CORPUS_SEED + 8),
+        besov_corpus(SpectralGrid(256), 100, seed=CORPUS_SEED + 9)))
+    assert report_checks(9, "Besov/Sobolev equivalence and derivative-norm ratios", results)
 
 
 def test_criterion_10_heat_maximal_regularity():
     mu, T = 0.7, 1.3
-    grid = SpectralGrid(128)
-    fam = family_for(grid)
-
-    u0 = grid.from_function(np.cos)
-    rep = heat_regularity_check(u0, None, mu, 0.0, 2.0, 2.0, 1.0, 1.0, T)
-    shell_time = (1.0 - math.exp(-mu * T)) / mu
-    oracle = math.sqrt(sum(
-        (2.0 ** (2.0 * q) * float(fam.multiplier(q)[1]) * math.sqrt(math.pi)
-         * shell_time) ** 2
-        for q in fam.block_range if float(fam.multiplier(q)[1])))
-    single_mode_ok = abs(rep.lhs - oracle) / oracle < 1e-10
+    results = list(verify.check_heat_oracle(SpectralGrid(128), mu, T))
 
     # refinement holds the problem fixed: the same analytic initial datum and
     # forcing sampled at doubled resolution (and doubled time quadrature)
-    def u0_of(g):
-        x = g.axes()[0]
-        f = np.exp(0.8 * np.sin(x)) * np.cos(2 * x)
-        return g.scalar(f - f.mean())
-
-    def f_of(g):
-        x = g.axes()[0]
+    def problem(res, n_time):
+        grid = SpectralGrid(res)
+        x = grid.axes()[0]
+        u0 = np.exp(0.8 * np.sin(x)) * np.cos(2 * x)
         f = np.exp(0.5 * np.cos(2 * x)) * np.sin(3 * x)
-        return g.scalar(f - f.mean())
+        return grid.scalar(u0 - u0.mean()), grid.scalar(f - f.mean()), n_time
 
-    finite_ok = True
-    drift_ok = True
-    details = [f"single-mode {abs(rep.lhs - oracle) / oracle:.1e}"]
     for rho1, rho2 in ((math.inf, math.inf), (1.0, 1.0), (2.0, 1.0)):
-        consts = []
-        for res, n_time in ((128, 129), (256, 257)):
-            g = SpectralGrid(res)
-            repr_ = heat_regularity_check(u0_of(g), f_of(g), mu, 1.0, 2.0, 2.0,
-                                          rho1, rho2, T, n_time=n_time)
-            consts.append(repr_.constant)
-        finite_ok &= all(math.isfinite(c) for c in consts)
-        drift_ok &= max(consts) / min(consts) < 2.0
-        details.append(f"({rho1},{rho2}): C={consts[0]:.3f}/{consts[1]:.3f}")
-    ok = single_mode_ok and finite_ok and drift_ok
-    assert report(10, "parabolic maximal-regularity constants", ok, "; ".join(details))
+        results += verify.check_heat_drift(problem(128, 129), problem(256, 257),
+                                           mu, T, rho1, rho2)
+    assert report_checks(10, "parabolic maximal-regularity constants", results)
 
 
 def test_criterion_11_vacuum_monitor_ordering():

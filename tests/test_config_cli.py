@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from kortorus import verify
 from kortorus.cli import _read_snapshots, main
 from kortorus.config import parse_config
 from kortorus.dump import write_field_dump
@@ -238,6 +239,7 @@ class TestVerifyCLI:
         assert main(["verify", "lp-partition"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+        assert all(" elapsed=" in line for line in out.splitlines())
 
     def test_appendix_suite_residuals_under_tolerance(self, capsys):
         assert main(["verify", "appendix"]) == 0
@@ -246,6 +248,14 @@ class TestVerifyCLI:
 
     def test_unknown_suite_exit_two(self, capsys):
         assert main(["verify", "nonsense"]) == 2
+
+    def test_failed_check_exit_one(self, monkeypatch, capsys):
+        failing = verify.CheckResult("planted failure", 1.0, 0.5, False)
+        monkeypatch.setitem(verify.SUITES, "planted", lambda seed=0: [failing])
+        assert main(["verify", "planted"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("FAIL  planted failure:")
+        assert "1 check(s) failed: planted failure" in captured.err
 
 
 class TestBesovCLI:
