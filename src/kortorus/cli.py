@@ -8,10 +8,13 @@ $KORTORUS_OUTPUT_ROOT when it is set.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
+import textwrap
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -63,34 +66,79 @@ def _resolve_output(directory: str | None, label: str) -> Path:
     return path
 
 
-def _write_csv(path: Path, reports: list[FunctionalReport]):
-    lines = [",".join(FunctionalReport.csv_header())]
-    for rep in reports:
-        lines.append(",".join(rep.csv_row()))
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(out: TextIO, reports: list[FunctionalReport], header: bool = True):
+    """Write the CSV rows of ``reports`` to ``out``, after the header line
+    unless ``header`` is False, and flush."""
+    lines = [",".join(FunctionalReport.csv_header())] if header else []
+    lines += [",".join(rep.csv_row()) for rep in reports]
+    out.write("".join(line + "\n" for line in lines))
+    out.flush()
 
 
-def _write_jsonl(path: Path, reports: list[FunctionalReport]):
-    lines = [json.dumps(rep.to_json_dict(), sort_keys=True, default=_float_repr)
-             for rep in reports]
-    path.write_text("\n".join(lines) + "\n")
+def _write_jsonl(out: TextIO, reports: list[FunctionalReport]):
+    """Write one JSON line per report to ``out`` and flush."""
+    out.write("".join(json.dumps(rep.to_json_dict(), sort_keys=True, default=_float_repr)
+                      + "\n" for rep in reports))
+    out.flush()
 
 
-def _write_snapshots(outdir: Path, traj: Trajectory) -> dict:
+def _write_snapshots(outdir: Path, states: list[FieldState], index: list[str]):
+    """Dump ``states`` into ``outdir/snapshots`` as the snapshots that follow
+    the ``index`` entries already there, append their entries to ``index``,
+    and replace ``index.json`` (a temporary file renamed over it), so that the
+    index only ever names dumps that are complete on disk.
+
+    ``index`` holds each entry as its indented text in ``index.json``, so
+    the file reads as ``_json_dumps({"snapshots": entries})`` without every
+    entry going through json's indenting encoder (pure Python) again at each
+    snapshot, which dominated runs that dump every step."""
     snapdir = outdir / "snapshots"
     snapdir.mkdir(parents=True, exist_ok=True)
-    index = []
-    for i, state in enumerate(traj.states):
+    for i, state in enumerate(states, start=len(index)):
         entry = {"time": state.time, "rho": f"snap_{i:06d}.rho.fld", "w": []}
         write_field_dump(snapdir / entry["rho"], state.rho)
         for j in range(state.grid.dim):
             name = f"snap_{i:06d}.w{j}.fld"
             write_field_dump(snapdir / name, state.w.component(j))
             entry["w"].append(name)
-        index.append(entry)
-    meta = {"snapshots": index}
-    (snapdir / "index.json").write_text(_json_dumps(meta))
-    return meta
+        index.append(textwrap.indent(_json_dumps(entry), "    ").rstrip("\n"))
+    tmp = snapdir / "index.json.tmp"
+    tmp.write_text('{\n  "snapshots": [\n' + ",\n".join(index) + "\n  ]\n}\n")
+    os.replace(tmp, snapdir / "index.json")
+
+
+class _StreamedTrajectory(Trajectory):
+    """The Trajectory ``simulate`` records into: it holds no states.  Each
+    report is appended to ``functionals.csv`` and ``functionals.jsonl`` and
+    flushed as ``run`` records it, and with ``dump_snapshots`` each snapshot
+    is dumped as ``run`` captures it; otherwise snapshots are only counted.
+    A run that stops early leaves valid files up to its last accepted step."""
+
+    def __init__(self, params, outdir: Path, dump_snapshots: bool):
+        super().__init__(params=params)
+        self._outdir, self._dump_snapshots = outdir, dump_snapshots
+        self._index: list[str] = []
+        self._files = contextlib.ExitStack()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._files.close()
+
+    def record(self, report: FunctionalReport):
+        super().record(report)
+        first = len(self.reports) == 1
+        if first:
+            self._csv = self._files.enter_context(open(self._outdir / "functionals.csv", "w"))
+            self._jsonl = self._files.enter_context(
+                open(self._outdir / "functionals.jsonl", "w"))
+        _write_csv(self._csv, [report], header=first)
+        _write_jsonl(self._jsonl, [report])
+
+    def keep(self, state: FieldState):
+        if self._dump_snapshots:
+            _write_snapshots(self._outdir, [state], self._index)
 
 
 def _forcing_for(config: ScenarioConfig):
@@ -131,6 +179,25 @@ def _load_checkpoint(trajdir: Path, config: ScenarioConfig) -> FieldState:
     return FieldState(last.rho, last.w, time=0.0)
 
 
+def _summary(config: ScenarioConfig, traj: Trajectory, error_info: dict | None,
+             restarted_from: str | None) -> dict:
+    """The ``summary.json`` document of a run that ended with ``traj``."""
+    verdict = blow_up_verdict(traj, config.model, config.monitors)
+    return {
+        "status": "blow-up detected" if error_info else "completed",
+        "label": config.output.label,
+        "config": config.to_json_dict(),
+        "restarted_from": restarted_from,
+        "final_time": traj.reports[-1].time if traj.reports else 0.0,
+        "steps": len(traj.step_times) - 1,
+        "snapshots": traj.snapshots,
+        "error": error_info,
+        "verdict": verdict.to_json_dict(),
+        "mass_drift": abs(traj.reports[-1].mass - traj.reports[0].mass)
+                      / abs(traj.reports[0].mass) if traj.reports else 0.0,
+    }
+
+
 def cmd_simulate(args) -> int:
     try:
         config = parse_config(Path(args.config).read_text())
@@ -168,39 +235,23 @@ def cmd_simulate(args) -> int:
 
     error_info = None
     exit_code = EXIT_OK
-    try:
-        traj = run(state0, config.model, config.integrator, config.monitors,
-                   forcing=forcing)
-    except (PositivityLoss, StepUnderflow, NonFinite) as exc:
-        traj = exc.trajectory
-        error_info = {"kind": type(exc).__name__, "message": str(exc)}
-        exit_code = EXIT_NUMERICAL
-    except KortorusError as exc:
-        (outdir / "summary.json").write_text(_json_dumps(
-            {"status": "error", "error": {"kind": type(exc).__name__,
-                                          "message": str(exc)}}))
-        print(f"simulation error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    dump_snapshots = (config.output.write_fields
+                      or config.integrator.snapshot_interval is not None)
+    with _StreamedTrajectory(config.model, outdir, dump_snapshots) as traj:
+        try:
+            run(state0, config.model, config.integrator, config.monitors,
+                forcing=forcing, trajectory=traj)
+        except (PositivityLoss, StepUnderflow, NonFinite) as exc:
+            error_info = {"kind": type(exc).__name__, "message": str(exc)}
+            exit_code = EXIT_NUMERICAL
+        except KortorusError as exc:
+            (outdir / "summary.json").write_text(_json_dumps(
+                {"status": "error", "error": {"kind": type(exc).__name__,
+                                              "message": str(exc)}}))
+            print(f"simulation error: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
 
-    _write_csv(outdir / "functionals.csv", traj.reports)
-    _write_jsonl(outdir / "functionals.jsonl", traj.reports)
-    if config.output.write_fields or config.integrator.snapshot_interval is not None:
-        _write_snapshots(outdir, traj)
-
-    verdict = blow_up_verdict(traj, config.model, config.monitors)
-    summary = {
-        "status": "blow-up detected" if error_info else "completed",
-        "label": config.output.label,
-        "config": config.to_json_dict(),
-        "restarted_from": args.restart,
-        "final_time": traj.reports[-1].time if traj.reports else 0.0,
-        "steps": len(traj.step_times) - 1,
-        "snapshots": len(traj.states),
-        "error": error_info,
-        "verdict": verdict.to_json_dict(),
-        "mass_drift": abs(traj.reports[-1].mass - traj.reports[0].mass)
-                      / abs(traj.reports[0].mass) if traj.reports else 0.0,
-    }
+    summary = _summary(config, traj, error_info, args.restart)
     (outdir / "summary.json").write_text(_json_dumps(summary))
     print(_json_dumps(summary), end="")
     return exit_code
@@ -258,8 +309,10 @@ def cmd_monitor(args) -> int:
         return EXIT_USAGE
 
     reports = [evaluate_report(s, config.model, config.monitors) for s in states]
-    _write_csv(trajdir / "monitor_functionals.csv", reports)
-    _write_jsonl(trajdir / "monitor_functionals.jsonl", reports)
+    with open(trajdir / "monitor_functionals.csv", "w") as out:
+        _write_csv(out, reports)
+    with open(trajdir / "monitor_functionals.jsonl", "w") as out:
+        _write_jsonl(out, reports)
 
     traj = Trajectory(params=config.model, states=states, reports=reports,
                       step_times=[s.time for s in states])

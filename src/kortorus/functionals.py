@@ -599,7 +599,8 @@ def blow_up_verdict(trajectory, params: ModelParams,
     states = list(getattr(trajectory, "states", []))
     reports = list(getattr(trajectory, "reports", []))
     if len(states) < 2 and len(reports) < 2:
-        return BlowUpReport(True, states[-1].time if states else None,
+        last = states or reports
+        return BlowUpReport(True, last[-1].time if last else None,
                             None, None, None, None, None, None, None,
                             terminated_by, terminated_time)
 

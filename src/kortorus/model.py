@@ -300,7 +300,8 @@ class SpectralState:
     functionals share: |u|^2, |v|^2, |v|, |grad v|^2, |grad rho|^2,
     |grad sqrt(rho)|^2 and rho^(gamma - 2).  Fields that the functionals
     need together share a transform: sqrt(rho) and |v|^2 go forward in one
-    call, grad sqrt(rho) and grad rho come back in one.
+    call, grad sqrt(rho) and grad rho come back in one.  On a bare state,
+    rho, the components of w and ln rho go forward in one call.
 
     ``rhs``, ``cfl_dt`` and ``evaluate_report`` accept it in place of the
     FieldState it wraps, so they share this work.  Build it with
@@ -312,19 +313,30 @@ class SpectralState:
                  rho_hat: np.ndarray | None = None, w_hat: np.ndarray | None = None):
         self.state, self.params, self.grid = state, params, state.grid
         self.rho, self.w, self.time = state.rho, state.w, state.time
-        if rho_hat is not None:
+        self._bare = rho_hat is None
+        if not self._bare:
             self.rho_hat, self.w_hat = rho_hat, w_hat
 
     @cached_property
+    def _state_hats(self) -> np.ndarray:
+        """Coefficients of rho, the components of w and ln rho, in one
+        transform (dim + 2 components)."""
+        rho = self.rho.data
+        return to_spectral(np.concatenate([rho[None], self.w.data, np.log(rho)[None]]),
+                           self.grid)
+
+    @cached_property
     def rho_hat(self) -> np.ndarray:
-        return to_spectral(self.rho.data, self.grid)
+        return self._state_hats[0]
 
     @cached_property
     def w_hat(self) -> np.ndarray:
-        return to_spectral(self.w.data, self.grid)
+        return self._state_hats[1:-1]
 
     @cached_property
     def ln_rho_hat(self) -> np.ndarray:
+        if self._bare:
+            return self._state_hats[-1]
         return to_spectral(np.log(self.rho.data), self.grid)
 
     @cached_property

@@ -102,7 +102,9 @@ class Trajectory:
     ``states`` holds the captured snapshots (first one at t = 0), ``reports``
     one FunctionalReport per accepted step including the initial state, and
     ``step_times`` every accepted time.  ``terminated`` is None for a clean
-    run to t_end.
+    run to t_end.  ``run`` fills a trajectory through ``record`` and
+    ``capture`` only; a subclass that overrides ``keep`` can stream the
+    snapshots elsewhere instead of holding them.
     """
 
     params: ModelParams
@@ -110,6 +112,12 @@ class Trajectory:
     reports: list[FunctionalReport] = field(default_factory=list)
     step_times: list[float] = field(default_factory=list)
     terminated: TerminationInfo | None = None
+    snapshots: int = field(init=False)
+    _last_capture: float | None = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.snapshots = len(self.states)
+        self._last_capture = self.states[-1].time if self.states else None
 
     @property
     def times(self) -> list[float]:
@@ -119,9 +127,23 @@ class Trajectory:
     def final_state(self) -> FieldState:
         return self.states[-1]
 
-    def _capture(self, state: FieldState):
-        if self.states and not (state.time > self.states[-1].time):
-            return  # snapshot times must strictly increase
+    def record(self, report: FunctionalReport):
+        """Append the report of one accepted step (the first is the initial
+        state's)."""
+        self.reports.append(report)
+        self.step_times.append(report.time)
+
+    def capture(self, state: FieldState):
+        """Take ``state`` as the next snapshot, unless its time does not pass
+        the last snapshot's: snapshot times strictly increase."""
+        if self._last_capture is not None and not (state.time > self._last_capture):
+            return
+        self._last_capture = state.time
+        self.snapshots += 1
+        self.keep(state)
+
+    def keep(self, state: FieldState):
+        """Store a captured snapshot."""
         self.states.append(state)
 
 
@@ -292,7 +314,8 @@ def step(state: FieldState, params: ModelParams, config: IntegratorConfig,
 
 
 def run(initial: FieldState, params: ModelParams, config: IntegratorConfig,
-        monitors: MonitorSpec | None = None, forcing: ForcingFn | None = None) -> Trajectory:
+        monitors: MonitorSpec | None = None, forcing: ForcingFn | None = None,
+        trajectory: Trajectory | None = None) -> Trajectory:
     """Integrate to t_end (or to a numerical-breakdown signal).
 
     Deterministic for identical inputs.  Every accepted step appends a
@@ -300,14 +323,17 @@ def run(initial: FieldState, params: ModelParams, config: IntegratorConfig,
     nearest each cadence target (every step when no cadence is set).  On
     PositivityLoss or NonFinite the step is retried with dt/2 down to dt_min;
     the terminal error is re-raised with the partial trajectory attached.
+    Results go into ``trajectory`` when one is given (a fresh Trajectory
+    otherwise), which is returned.
     """
     monitors = monitors or MonitorSpec()
-    trajectory = Trajectory(params=params)
+    if trajectory is None:
+        trajectory = Trajectory(params=params)
     initial = FieldState(initial.rho, initial.w, time=0.0)
-    trajectory._capture(initial)
+    trajectory.capture(initial)
     stepper = Stepper(initial, params, config, forcing)
-    trajectory.reports.append(evaluate_report(stepper.derived, params, monitors))
-    trajectory.step_times.append(0.0)
+    prev_report = evaluate_report(stepper.derived, params, monitors)
+    trajectory.record(prev_report)
 
     interval = config.snapshot_interval
     next_snap = interval if interval is not None else None
@@ -337,22 +363,21 @@ def run(initial: FieldState, params: ModelParams, config: IntegratorConfig,
                 dt *= 0.5
                 if dt < config.dt_min:
                     fail(exc, type(exc).__name__)
-        prev_report = trajectory.reports[-1]
         t = new_state.time
-        trajectory.step_times.append(t)
         rep = evaluate_report(stepper.derived, params, monitors)
         rep = replace(rep, serrin_accumulator=prev_report.serrin_accumulator
                       + 0.5 * dt * (prev_report.serrin_integrand + rep.serrin_integrand))
-        trajectory.reports.append(rep)
+        trajectory.record(rep)
+        prev_report = rep
         if interval is None:
-            trajectory._capture(new_state)
+            trajectory.capture(new_state)
         else:
             while next_snap is not None and t >= next_snap - eps_end:
                 closer = prev_state if (abs(prev_state.time - next_snap)
                                         < abs(t - next_snap)) else new_state
-                trajectory._capture(closer)
+                trajectory.capture(closer)
                 next_snap += interval
             if t >= config.t_end - eps_end:
-                trajectory._capture(new_state)
+                trajectory.capture(new_state)
         prev_state = new_state
     return trajectory

@@ -177,10 +177,10 @@ def suite_entropy(seed: int = 0):
         grid = rho.grid
         grad_u = vector_gradient(u)
         sym = TensorField(grid, grad_u.data + np.swapaxes(grad_u.data, 0, 1))
-        lhs = ((mu - al) * tensor_divergence(
-            TensorField(grid, rho.data * grad_u.data)).data
-            + al * tensor_divergence(TensorField(grid, rho.data * sym.data)).data)
-        rhs_d = (mu * tensor_divergence(TensorField(grid, rho.data * grad_u.data)).data
+        div_rho_grad_u = tensor_divergence(TensorField(grid, rho.data * grad_u.data)).data
+        lhs = ((mu - al) * div_rho_grad_u
+               + al * tensor_divergence(TensorField(grid, rho.data * sym.data)).data)
+        rhs_d = (mu * div_rho_grad_u
                  + al * tensor_divergence(
                      TensorField(grid, rho.data * np.swapaxes(grad_u.data, 0, 1))).data)
         diffs.append(float(np.max(np.abs(lhs - rhs_d))))

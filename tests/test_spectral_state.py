@@ -102,6 +102,18 @@ def test_fft_budget_report(fft_count, variant, resolution):
         assert report["points"] <= REPORT_POINTS_2D * state.rho.data.size
 
 
+@pytest.mark.parametrize("variant,resolution", [
+    ("effective_v2", 64), ("original", 128), ("effective_v2", (32, 32)),
+    ("original", (32, 32))])
+def test_fft_budget_report_on_bare_state(fft_count, variant, resolution):
+    # a bare state (as ``kortorus monitor`` reads it) sends rho, w and ln rho
+    # forward in one call of dim + 2 <= 4 components: 11 calls became 9
+    params = VARIANT_PARAMS[variant]
+    state = smooth_state(resolution, 8)
+    report = measure(fft_count, lambda: evaluate_report(state, params))
+    assert report["calls"] <= 9
+
+
 @pytest.mark.parametrize("lead", [(), (1,), (1, 1), (3,)])
 def test_1d_transforms_match_rfftn_bit_for_bit(lead):
     grid = SpectralGrid(64)
