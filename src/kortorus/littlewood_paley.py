@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 from typing import Sequence
 
 import numpy as np
@@ -46,6 +47,7 @@ from .errors import (
     ExponentOrderViolated,
     IndexConstraintViolated,
     ResolutionTooSmall,
+    require,
 )
 from .spectral import (
     ScalarField,
@@ -59,6 +61,7 @@ from .spectral import (
 )
 
 _MIN_SHELLS = 3
+_FLAVORS = ("nonhomogeneous", "homogeneous-style")
 
 
 def _smooth_step(t: np.ndarray) -> np.ndarray:
@@ -86,7 +89,10 @@ def phi_profile(r: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BesovIndex:
-    """Index triple (s, p, r) plus decomposition flavor."""
+    """Index triple (s, p, r) plus decomposition flavor.
+
+    An index that breaks its constraints raises one ConstraintViolationError
+    (a ValueError) listing all of them."""
 
     s: float
     p: float = 2.0
@@ -94,15 +100,22 @@ class BesovIndex:
     flavor: str = "nonhomogeneous"
 
     def __post_init__(self):
-        if self.p < 1.0 or self.r < 1.0:
-            raise ValueError(f"Besov indices require p, r >= 1, got p={self.p}, r={self.r}")
-        if self.flavor not in ("nonhomogeneous", "homogeneous-style"):
-            raise ValueError(f"unknown flavor {self.flavor!r}")
+        require(
+            (self.p >= 1.0, f"Besov index p must satisfy p >= 1, got {self.p}"),
+            (self.r >= 1.0, f"Besov index r must satisfy r >= 1, got {self.r}"),
+            (self.flavor in _FLAVORS, f"Besov flavor must be 'nonhomogeneous' or "
+                                      f"'homogeneous-style', got {self.flavor!r}"))
+
+
+def _half_lattice_magnitude(grid: SpectralGrid) -> np.ndarray:
+    """|beta| over the rfft half lattice (in 1D entry k is wavenumber index k)."""
+    return grid.beta_magnitude[..., : grid.rfft_shape[-1]]
 
 
 @dataclass(frozen=True, eq=False)
 class DyadicFamily:
-    """Multiplier tables chi(beta), phi(2^-q beta) over a grid's lattice."""
+    """Multiplier tables chi(beta), phi(2^-q beta) over a grid's rfft half
+    lattice, the layout of the coefficients they multiply."""
 
     grid: SpectralGrid
     q_max: int
@@ -116,7 +129,7 @@ class DyadicFamily:
 
     @property
     def block_range(self) -> range:
-        """Nonhomogeneous block indices, q = -1 carrying chi."""
+        """Block indices of both flavors; nonhomogeneous q = -1 carries chi."""
         return range(-1, self.q_max + 1)
 
     def multiplier(self, q: int) -> np.ndarray:
@@ -125,15 +138,24 @@ class DyadicFamily:
             return self.chi_table
         if 0 <= q <= self.q_max:
             return self.phi_tables[q]
-        return np.zeros(self.grid.shape)
+        return np.zeros(self.grid.rfft_shape)
 
     def shell_multiplier(self, q: int) -> np.ndarray:
         """Homogeneous-style multiplier phi(2^-q beta); q = -1 means phi(2 beta)."""
         if 0 <= q <= self.q_max:
             return self.phi_tables[q]
         if q == -1:
-            return phi_profile(2.0 * self.grid.beta_magnitude)
-        return np.zeros(self.grid.shape)
+            return phi_profile(2.0 * _half_lattice_magnitude(self.grid))
+        return np.zeros(self.grid.rfft_shape)
+
+    @cached_property
+    def _block_tables(self) -> dict[str, np.ndarray]:
+        """Per flavor, the multipliers of block_range stacked on a leading axis."""
+        return {
+            "nonhomogeneous": np.stack([self.multiplier(q) for q in self.block_range]),
+            "homogeneous-style": np.stack([self.shell_multiplier(q)
+                                           for q in self.block_range]),
+        }
 
     def partition_deviation(self) -> float:
         """max_beta |chi(beta) + sum_q phi(2^-q beta) - 1| over the lattice."""
@@ -144,13 +166,14 @@ class DyadicFamily:
 
 
 def build_dyadic_family(grid: SpectralGrid) -> DyadicFamily:
-    """Tabulate chi and the active shells phi(2^-q .) on the grid's lattice.
+    """Tabulate chi and the active shells phi(2^-q .) on the grid's rfft half
+    lattice.
 
     The active range covers every representable |beta| up to the corner of
     the lattice, so the partition of unity holds at each point.  Raises
     ResolutionTooSmall when fewer than three shells fit.
     """
-    beta_mag = grid.beta_magnitude
+    beta_mag = _half_lattice_magnitude(grid)
     beta_max = float(np.max(beta_mag))
     q_max = max(0, math.ceil(math.log2(beta_max)))
     if q_max + 1 < _MIN_SHELLS:
@@ -161,17 +184,10 @@ def build_dyadic_family(grid: SpectralGrid) -> DyadicFamily:
     return DyadicFamily(grid, q_max, chi_table, phi_tables)
 
 
-_FAMILIES: dict[tuple, DyadicFamily] = {}
-
-
+@cache
 def family_for(grid: SpectralGrid) -> DyadicFamily:
     """Per-grid family cache (tables are immutable, safe to share)."""
-    key = (grid.resolution, grid.length)
-    fam = _FAMILIES.get(key)
-    if fam is None:
-        fam = build_dyadic_family(grid)
-        _FAMILIES[key] = fam
-    return fam
+    return build_dyadic_family(grid)
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +196,7 @@ def family_for(grid: SpectralGrid) -> DyadicFamily:
 
 def _apply_multiplier(u: ScalarField, table: np.ndarray) -> ScalarField:
     grid = u.grid
-    return ScalarField(grid, to_physical(grid.to_rfft_layout(table) * to_spectral(u.data, grid),
-                                         grid))
+    return ScalarField(grid, to_physical(table * to_spectral(u.data, grid), grid))
 
 
 def dyadic_block(u: ScalarField, q: int, family: DyadicFamily | None = None) -> ScalarField:
@@ -196,10 +211,9 @@ def dyadic_block(u: ScalarField, q: int, family: DyadicFamily | None = None) -> 
 
 def low_freq_cutoff(u: ScalarField, q: int, family: DyadicFamily | None = None) -> ScalarField:
     """S_q u = chi(2^-q D) u = sum_{p <= q-1} Delta_p u (exactly, by telescoping)."""
-    family = family or family_for(u.grid)
     if q <= -1:
         return ScalarField(u.grid, np.zeros(u.grid.shape))
-    table = chi_profile(u.grid.beta_magnitude / 2.0 ** q)
+    table = chi_profile(_half_lattice_magnitude(u.grid) / 2.0 ** q)
     return _apply_multiplier(u, table)
 
 
@@ -220,33 +234,25 @@ def dyadic_block_pair(u: ScalarField, q: int, q_prime: int,
     return _apply_multiplier(u, table)
 
 
-def _block_indices(family: DyadicFamily, flavor: str) -> list[int]:
-    if flavor == "nonhomogeneous":
-        return list(family.block_range)
-    return list(range(-1, family.q_max + 1))
-
-
-def _block_multiplier(family: DyadicFamily, q: int, flavor: str) -> np.ndarray:
-    if flavor == "nonhomogeneous":
-        return family.multiplier(q)
-    return family.shell_multiplier(q)
+def _block_norms(hat: np.ndarray, idx: BesovIndex, family: DyadicFamily) -> list[float]:
+    """||Delta_q u||_{L^p} for q in family.block_range, from the rfft
+    coefficients of u with the component axis first (vector fields via
+    Euclidean magnitude).  Every block is synthesized in one batched
+    inverse transform."""
+    grid = family.grid
+    tables = family._block_tables[idx.flavor]
+    blocks = to_physical(tables[:, None] * hat[None], grid)
+    mags = np.sqrt(np.sum(blocks ** 2, axis=1))
+    return [lp_norm(ScalarField(grid, mag), idx.p) for mag in mags]
 
 
 def block_lp_norms(u: ScalarField | VectorField, idx: BesovIndex,
                    family: DyadicFamily | None = None) -> dict[int, float]:
-    """||Delta_q u||_{L^p} per block (vector fields via Euclidean magnitude).
-
-    The field is transformed once and every block is synthesized from those
-    coefficients in one batched inverse transform."""
-    grid = u.grid
-    family = family or family_for(grid)
-    qs = _block_indices(family, idx.flavor)
-    tables = np.stack([grid.to_rfft_layout(_block_multiplier(family, q, idx.flavor))
-                       for q in qs])
-    comps = u.data[None] if u.rank == 0 else u.data
-    blocks = to_physical(tables[:, None] * to_spectral(comps, grid)[None], grid)
-    mags = np.sqrt(np.sum(blocks ** 2, axis=1))
-    return {q: lp_norm(ScalarField(grid, mag), idx.p) for q, mag in zip(qs, mags)}
+    """||Delta_q u||_{L^p} per block (vector fields via Euclidean magnitude),
+    from one forward and one batched inverse transform."""
+    family = family or family_for(u.grid)
+    hat = to_spectral(u.data[None] if u.rank == 0 else u.data, u.grid)
+    return dict(zip(family.block_range, _block_norms(hat, idx, family)))
 
 
 def _aggregate(weighted: Sequence[float], r: float) -> float:
@@ -291,6 +297,18 @@ def _time_lp(values: np.ndarray, times: np.ndarray, rho_exp: float,
     return max(integral, 0.0) ** (1.0 / rho_exp)
 
 
+def _tilde_aggregate(block_series: Sequence[Sequence[float]], times: np.ndarray,
+                     rho_exp: float, idx: BesovIndex, family: DyadicFamily,
+                     quadrature: str) -> float:
+    """Tilde-norm aggregation of block_series[t][i], the norm of block
+    family.block_range[i] at times[t]: the L^{rho_exp} time norm of each
+    block first, then l^r over blocks of the 2^{qs}-weighted time norms."""
+    series = np.asarray(block_series, dtype=float)
+    weighted = [2.0 ** (q * idx.s) * _time_lp(series[:, i], times, rho_exp, quadrature)
+                for i, q in enumerate(family.block_range)]
+    return _aggregate(weighted, idx.r)
+
+
 def chemin_lerner_norm(fields: Sequence[ScalarField | VectorField],
                        times: Sequence[float], rho_exp: float, idx: BesovIndex,
                        family: DyadicFamily | None = None,
@@ -305,16 +323,9 @@ def chemin_lerner_norm(fields: Sequence[ScalarField | VectorField],
     if not (rho_exp >= 1.0):
         raise ValueError(f"time exponent must satisfy rho >= 1, got {rho_exp}")
     family = family or family_for(fields[0].grid)
-    times_arr = np.asarray(times, dtype=float)
-    per_block: dict[int, list[float]] = {}
-    for snapshot in fields:
-        for q, n in block_lp_norms(snapshot, idx, family).items():
-            per_block.setdefault(q, []).append(n)
-    weighted = []
-    for q, series in per_block.items():
-        tnorm = _time_lp(np.asarray(series), times_arr, rho_exp, quadrature)
-        weighted.append(2.0 ** (q * idx.s) * tnorm)
-    return _aggregate(weighted, idx.r)
+    series = [list(block_lp_norms(f, idx, family).values()) for f in fields]
+    return _tilde_aggregate(series, np.asarray(times, dtype=float), rho_exp, idx, family,
+                            quadrature)
 
 
 def iterated_time_besov_norm(fields: Sequence[ScalarField | VectorField],
@@ -440,12 +451,10 @@ class HeatReport:
     rho2: float
 
 
-def _forcing_at(forcing, grid: SpectralGrid, t: float) -> np.ndarray | None:
-    if forcing is None:
-        return None
-    if isinstance(forcing, ScalarField):
-        return forcing.data
-    return np.asarray(forcing(t), dtype=float)
+def _forcing_hat(forcing, grid: SpectralGrid, t: float) -> np.ndarray:
+    """rfft coefficients of the forcing at time t, component axis first."""
+    data = forcing.data if isinstance(forcing, ScalarField) else forcing(t)
+    return to_spectral(np.asarray(data, dtype=float)[None], grid)
 
 
 def heat_regularity_check(u0: ScalarField, forcing, mu: float, s: float, p: float,
@@ -459,7 +468,8 @@ def heat_regularity_check(u0: ScalarField, forcing, mu: float, s: float, p: floa
     for d_t u - mu Lap u = f.  The solution is advanced exactly per mode
     (integrating factor), with forcing accumulated by per-substep trapezoid;
     time norms use composite Simpson so closed-form single-mode cases are
-    reproduced to ~1e-12.
+    reproduced to ~1e-12.  The block norms of each time sample are taken
+    from the coefficients the solver holds, without a physical round trip.
 
     ``forcing`` may be None, a time-constant ScalarField, or a callable
     t -> samples.
@@ -475,31 +485,28 @@ def heat_regularity_check(u0: ScalarField, forcing, mu: float, s: float, p: floa
     dt = times[1] - times[0]
     lam = -grid.rfft_minus_beta_sq  # |beta|^2 >= 0
     decay = np.exp(-mu * lam * dt)
+    idx_u = BesovIndex(s + (0.0 if math.isinf(rho1) else 2.0 / rho1), p, r)
+    idx_f = BesovIndex(s - 2.0 + (0.0 if math.isinf(rho2) else 2.0 / rho2), p, r)
 
-    u_hat = to_spectral(u0.data, grid)
-    snapshots = [ScalarField(grid, u0.data.copy())]
-    f_prev = _forcing_at(forcing, grid, 0.0)
-    f_hat_prev = None if f_prev is None else to_spectral(f_prev, grid)
-    forcing_fields = [] if forcing is None else [ScalarField(grid, f_prev)]
+    u_hat = to_spectral(u0.data[None], grid)
+    u_norms = [_block_norms(u_hat, idx_u, family)]
+    f_norms = []
+    if forcing is not None:
+        f_hat = _forcing_hat(forcing, grid, 0.0)
+        f_norms.append(_block_norms(f_hat, idx_f, family))
     for t_next in times[1:]:
         u_hat = decay * u_hat
-        if f_hat_prev is not None:
-            f_next = _forcing_at(forcing, grid, float(t_next))
-            f_hat_next = to_spectral(f_next, grid)
-            u_hat = u_hat + 0.5 * dt * (decay * f_hat_prev + f_hat_next)
-            f_hat_prev = f_hat_next
-            forcing_fields.append(ScalarField(grid, f_next))
-        snapshots.append(ScalarField(grid, to_physical(u_hat, grid)))
+        if forcing is not None:
+            f_hat_next = _forcing_hat(forcing, grid, float(t_next))
+            u_hat = u_hat + 0.5 * dt * (decay * f_hat + f_hat_next)
+            f_hat = f_hat_next
+            f_norms.append(_block_norms(f_hat, idx_f, family))
+        u_norms.append(_block_norms(u_hat, idx_u, family))
 
-    idx_lhs = BesovIndex(s + (0.0 if math.isinf(rho1) else 2.0 / rho1), p, r)
-    lhs = chemin_lerner_norm(snapshots, times, rho1, idx_lhs, family,
-                             quadrature="simpson")
+    lhs = _tilde_aggregate(u_norms, times, rho1, idx_u, family, "simpson")
     rhs_val = besov_norm(u0, BesovIndex(s, p, r), family)
     if forcing is not None:
-        shift = 0.0 if math.isinf(rho2) else 2.0 / rho2
-        idx_f = BesovIndex(s - 2.0 + shift, p, r)
-        f_norm = chemin_lerner_norm(forcing_fields, times, rho2, idx_f, family,
-                                    quadrature="simpson")
+        f_norm = _tilde_aggregate(f_norms, times, rho2, idx_f, family, "simpson")
         rhs_val = rhs_val + mu ** (1.0 / rho2 - 1.0) * f_norm
     constant = math.inf if rhs_val == 0.0 else lhs / rhs_val
     return HeatReport(lhs, rhs_val, constant, s, rho1, rho2)

@@ -16,8 +16,12 @@ to roundoff.  Conventions:
 * operators work on rfft coefficients (real samples have Hermitian spectra,
   so the last axis keeps only k = 0..n/2), through the one transform pair
   ``to_spectral``/``to_physical``, batched over component axes; the
-  ``rfft_*`` tables of SpectralGrid are in that layout.  Only
-  ``forward_transform``/``inverse_transform`` use the full FFT layout.
+  ``rfft_*`` tables of SpectralGrid and the dyadic tables are in that
+  layout.  The full FFT layout stays in ``forward_transform``/
+  ``inverse_transform`` (public normalized coefficients), ``beta_axes``/
+  ``beta_magnitude`` (the lattice the dyadic tables take their half of),
+  and in two independent references: the Sobolev-weight norm and the
+  seeded random-spectrum corpora, whose samples must not move.
 
 Resolutions are powers of two so dyadic frequency shells align with
 representable wavenumbers.
@@ -126,18 +130,9 @@ class SpectralGrid:
         return out
 
     @cached_property
-    def derivative_axes(self) -> list[np.ndarray]:
-        """Wavenumbers per axis with the Nyquist entry zeroed."""
-        out = []
-        for axis, (n, L) in enumerate(zip(self.resolution, self.length)):
-            k = np.fft.fftfreq(n, d=1.0 / n)
-            k[n // 2] = 0.0
-            out.append(self._broadcast_axis(k * (TAU / L), axis))
-        return out
-
-    @cached_property
     def beta_magnitude(self) -> np.ndarray:
-        """|beta| over the full lattice (Nyquist included), used by dyadic shells."""
+        """|beta| over the full lattice (Nyquist included); the dyadic shells
+        tabulate on its rfft half, ``[..., :n_last // 2 + 1]``."""
         total = np.zeros(self.shape)
         for b in self.beta_axes:
             total = total + b * b
@@ -183,11 +178,6 @@ class SpectralGrid:
         for axis, n in enumerate(self.resolution):
             keep = keep & (np.abs(self._rfft_index(axis)) <= n // 3)
         return keep
-
-    def to_rfft_layout(self, table: np.ndarray) -> np.ndarray:
-        """Restrict a full-layout table that is even in beta to the rfft layout
-        (the full layout's last-axis entry -n/2 stands in for +n/2)."""
-        return table[..., : self.rfft_shape[-1]]
 
     def scalar(self, data) -> "ScalarField":
         return ScalarField(self, data)

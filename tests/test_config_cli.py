@@ -285,6 +285,13 @@ class TestBesovCLI:
         assert main(["besov", str(dump), "--s", "1.0"]) == 2
         assert "offset" in capsys.readouterr().err
 
+    def test_invalid_index_exit_two_lists_every_violation(self, tmp_path, capsys):
+        dump = tmp_path / "zero.fld"
+        write_field_dump(dump, SpectralGrid(64).zeros())
+        assert main(["besov", str(dump), "--s", "1.0", "--p", "0.5", "--r", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert "p >= 1, got 0.5" in err and "r >= 1, got 0.5" in err
+
 
 class TestMonitorCLI:
     def test_recomputes_functionals(self, tmp_path, capsys):

@@ -11,6 +11,7 @@ import kortorus
 from kortorus.config import InitialSpec, parse_config
 from kortorus.errors import ConstraintViolationError, VariantMismatch
 from kortorus.functionals import MonitorSpec
+from kortorus.littlewood_paley import BesovIndex
 from kortorus.model import ModelParams
 from kortorus.spectral import SpectralGrid
 from kortorus.timestepping import IntegratorConfig
@@ -31,7 +32,9 @@ def readme_blocks(language: str) -> list[str]:
      ("dt_min <= dt_initial", "integrator.t_end", "integrator.cfl_safety")),
     (lambda: MonitorSpec(delta=3.0, p_vacuum=1.0, epsilon=0.0),
      ("monitors.delta must lie", "monitors.p_vacuum", "monitors.epsilon")),
-], ids=["grid", "model", "integrator", "monitors"])
+    (lambda: BesovIndex(0.0, 0.5, 0.5, flavor="x"),
+     ("p >= 1, got 0.5", "r >= 1, got 0.5", "flavor must be")),
+], ids=["grid", "model", "integrator", "monitors", "besov"])
 def test_three_violations_reported_together(build, fragments):
     with pytest.raises(ConstraintViolationError) as err:
         build()

@@ -1,0 +1,67 @@
+"""The Littlewood-Paley layer on rfft coefficients: its tables against a
+construction on the full FFT lattice, which stays the reference, and its
+transform budget (counts, so machine-independent)."""
+
+import math
+
+import numpy as np
+import pytest
+
+from kortorus.littlewood_paley import (
+    BesovIndex,
+    besov_norm,
+    build_dyadic_family,
+    chi_profile,
+    heat_regularity_check,
+    phi_profile,
+)
+from kortorus.scenarios import besov_corpus
+from kortorus.spectral import SpectralGrid, gradient
+from helpers import measure
+
+
+@pytest.mark.parametrize("resolution", [64, 256, (32, 64), (64, 64)])
+def test_tables_are_the_full_lattice_tables_restricted(resolution):
+    grid = SpectralGrid(resolution)
+    fam = build_dyadic_family(grid)
+    full = grid.beta_magnitude
+    half = (Ellipsis, slice(None, grid.shape[-1] // 2 + 1))
+    q_max = max(0, math.ceil(math.log2(float(np.max(full)))))
+    chi = chi_profile(full)
+    phis = [phi_profile(full / 2.0 ** q) for q in range(q_max + 1)]
+    total = chi.copy()
+    for table in phis:
+        total = total + table
+
+    assert fam.q_max == q_max
+    assert np.array_equal(fam.chi_table, chi[half])
+    assert len(fam.phi_tables) == len(phis)
+    for table, reference in zip(fam.phi_tables, phis):
+        assert np.array_equal(table, reference[half])
+    assert np.array_equal(fam.shell_multiplier(-1), phi_profile(2.0 * full)[half])
+    assert fam.partition_deviation() == float(np.max(np.abs(total - 1.0)))
+
+
+@pytest.mark.parametrize("forcing_kind", ["none", "callable", "constant"])
+def test_heat_check_transform_budget(fft_count, forcing_kind):
+    # one forward transform of u0, one batched inverse per time sample, and
+    # the two of the initial Besov norm; forcing adds a forward transform and
+    # a batched inverse per time sample
+    grid = SpectralGrid(64)
+    n_time = 65
+    u0 = besov_corpus(grid, 1, seed=20)[0]
+    f = besov_corpus(grid, 1, seed=21)[0]
+    forcing = {"none": None, "callable": lambda t: f.data * math.cos(t),
+               "constant": f}[forcing_kind]
+    used = measure(fft_count, lambda: heat_regularity_check(
+        u0, forcing, 0.5, 1.0, 2.0, 2.0, 2.0, 1.0, 1.0, n_time=n_time))
+    assert used["calls"] <= (n_time + 3 if forcing is None else 3 * n_time + 3)
+
+
+@pytest.mark.parametrize("resolution, vector", [(64, False), ((32, 32), True)])
+def test_besov_norm_transform_budget(fft_count, resolution, vector):
+    grid = SpectralGrid(resolution)
+    u = besov_corpus(grid, 1, seed=3)[0]
+    field = gradient(u) if vector else u
+    used = measure(fft_count, lambda: besov_norm(field, BesovIndex(1.0, 2.0, 2.0)))
+    assert used["calls"] == 2

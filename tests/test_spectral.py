@@ -71,9 +71,9 @@ class TestGrid:
             for b in flat:
                 if abs(b) != nyquist:
                     assert -b in flat
-        # derivative multipliers zero the Nyquist entry
-        for axis, beta in enumerate(grid.derivative_axes):
-            assert np.all(np.abs(beta) < grid.resolution[axis] // 2 + 0.5)
+        # derivative multipliers zero the Nyquist entry (beta = k for L = 2 pi)
+        for axis, ik in enumerate(grid.rfft_ik):
+            assert np.max(np.abs(ik)) == grid.resolution[axis] // 2 - 1
 
     def test_volume_and_spacing(self):
         grid = SpectralGrid((16, 32), length=(TAU, 1.0))
