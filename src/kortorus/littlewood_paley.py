@@ -34,6 +34,7 @@ on the magnitude of a constant.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -55,6 +56,7 @@ from .spectral import (
     VectorField,
     dealiased_product,
     forward_transform,
+    gradient,
     lp_norm,
     to_physical,
     to_spectral,
@@ -255,20 +257,20 @@ def block_lp_norms(u: ScalarField | VectorField, idx: BesovIndex,
     return dict(zip(family.block_range, _block_norms(hat, idx, family)))
 
 
-def _aggregate(weighted: Sequence[float], r: float) -> float:
-    arr = np.asarray(weighted, dtype=float)
-    if arr.size == 0:
-        return 0.0
-    if math.isinf(r):
+def _besov_aggregate(norms: Sequence[float], idx: BesovIndex, family: DyadicFamily) -> float:
+    """l^r over blocks of 2^{qs} times ``norms``, one norm per block of
+    family.block_range."""
+    arr = np.asarray([2.0 ** (q * idx.s) * n for q, n in zip(family.block_range, norms)])
+    if math.isinf(idx.r):
         return float(np.max(arr))
-    return float(np.sum(arr ** r) ** (1.0 / r))
+    return float(np.sum(arr ** idx.r) ** (1.0 / idx.r))
 
 
 def besov_norm(u: ScalarField | VectorField, idx: BesovIndex,
                family: DyadicFamily | None = None) -> float:
     """l^r over blocks of 2^{qs} ||Delta_q u||_{L^p}."""
-    norms = block_lp_norms(u, idx, family)
-    return _aggregate([2.0 ** (q * idx.s) * n for q, n in norms.items()], idx.r)
+    family = family or family_for(u.grid)
+    return _besov_aggregate(block_lp_norms(u, idx, family).values(), idx, family)
 
 
 def sobolev_weight_norm(u: ScalarField, s: float) -> float:
@@ -283,6 +285,16 @@ def sobolev_weight_norm(u: ScalarField, s: float) -> float:
 
 # ---------------------------------------------------------------------------
 # Chemin-Lerner (tilde) norms
+
+
+def _time_norm_family(name: str, fields, rho_exp: float,
+                      family: DyadicFamily | None) -> DyadicFamily:
+    """The family of a time norm's snapshots, after checking that there is
+    one and that rho_exp >= 1."""
+    if len(fields) == 0:
+        raise EmptyTrajectory(f"{name} needs at least one snapshot")
+    require((rho_exp >= 1.0, f"time exponent must satisfy rho >= 1, got {rho_exp}"))
+    return family or family_for(fields[0].grid)
 
 
 def _time_lp(values: np.ndarray, times: np.ndarray, rho_exp: float,
@@ -304,9 +316,8 @@ def _tilde_aggregate(block_series: Sequence[Sequence[float]], times: np.ndarray,
     family.block_range[i] at times[t]: the L^{rho_exp} time norm of each
     block first, then l^r over blocks of the 2^{qs}-weighted time norms."""
     series = np.asarray(block_series, dtype=float)
-    weighted = [2.0 ** (q * idx.s) * _time_lp(series[:, i], times, rho_exp, quadrature)
-                for i, q in enumerate(family.block_range)]
-    return _aggregate(weighted, idx.r)
+    return _besov_aggregate([_time_lp(block, times, rho_exp, quadrature) for block in series.T],
+                            idx, family)
 
 
 def chemin_lerner_norm(fields: Sequence[ScalarField | VectorField],
@@ -318,11 +329,7 @@ def chemin_lerner_norm(fields: Sequence[ScalarField | VectorField],
     Satisfies the Minkowski ordering against the iterated norm
     L^{rho_exp}_T(B^s_{p,r}): <= when r >= rho_exp, >= when r <= rho_exp.
     """
-    if len(fields) == 0:
-        raise EmptyTrajectory("chemin_lerner_norm needs at least one snapshot")
-    if not (rho_exp >= 1.0):
-        raise ValueError(f"time exponent must satisfy rho >= 1, got {rho_exp}")
-    family = family or family_for(fields[0].grid)
+    family = _time_norm_family("chemin_lerner_norm", fields, rho_exp, family)
     series = [list(block_lp_norms(f, idx, family).values()) for f in fields]
     return _tilde_aggregate(series, np.asarray(times, dtype=float), rho_exp, idx, family,
                             quadrature)
@@ -333,9 +340,7 @@ def iterated_time_besov_norm(fields: Sequence[ScalarField | VectorField],
                              family: DyadicFamily | None = None,
                              quadrature: str = "trapezoid") -> float:
     """Plain L^{rho_exp}_T(B^s_{p,r}) norm, for Minkowski-ordering checks."""
-    if len(fields) == 0:
-        raise EmptyTrajectory("iterated norm needs at least one snapshot")
-    family = family or family_for(fields[0].grid)
+    family = _time_norm_family("iterated norm", fields, rho_exp, family)
     series = np.asarray([besov_norm(f, idx, family) for f in fields])
     return _time_lp(series, np.asarray(times, dtype=float), rho_exp, quadrature)
 
@@ -366,7 +371,6 @@ class ConstantReport:
 
     worst_constant: float
     n_cases: int
-    detail: dict = field(default_factory=dict)
 
 
 def verify_derivative_equivalence(corpus: Sequence[ScalarField], s: float = 1.0,
@@ -375,8 +379,6 @@ def verify_derivative_equivalence(corpus: Sequence[ScalarField], s: float = 1.0,
 
     Fields whose gradient vanishes (constants) are excluded and counted.
     """
-    from .spectral import gradient
-
     idx_hi = BesovIndex(s, p, r)
     idx_lo = BesovIndex(s - 1.0, p, r)
     ratios = []
@@ -451,10 +453,15 @@ class HeatReport:
     rho2: float
 
 
-def _forcing_hat(forcing, grid: SpectralGrid, t: float) -> np.ndarray:
-    """rfft coefficients of the forcing at time t, component axis first."""
-    data = forcing.data if isinstance(forcing, ScalarField) else forcing(t)
-    return to_spectral(np.asarray(data, dtype=float)[None], grid)
+def _forcing_samples(forcing, grid: SpectralGrid, times: np.ndarray, idx: BesovIndex,
+                     family: DyadicFamily):
+    """(rfft coefficients, component axis first; block norms) of the forcing
+    at each time; a time-constant ScalarField is measured once."""
+    if isinstance(forcing, ScalarField):
+        hat = to_spectral(forcing.data[None], grid)
+        return itertools.repeat((hat, _block_norms(hat, idx, family)))
+    hats = (to_spectral(np.asarray(forcing(float(t)), dtype=float)[None], grid) for t in times)
+    return ((hat, _block_norms(hat, idx, family)) for hat in hats)
 
 
 def heat_regularity_check(u0: ScalarField, forcing, mu: float, s: float, p: float,
@@ -469,14 +476,19 @@ def heat_regularity_check(u0: ScalarField, forcing, mu: float, s: float, p: floa
     (integrating factor), with forcing accumulated by per-substep trapezoid;
     time norms use composite Simpson so closed-form single-mode cases are
     reproduced to ~1e-12.  The block norms of each time sample are taken
-    from the coefficients the solver holds, without a physical round trip.
+    from the coefficients the solver holds, without a physical round trip,
+    and ||u0||_{B^s_{p,r}} from those of t = 0.
 
     ``forcing`` may be None, a time-constant ScalarField, or a callable
-    t -> samples.
+    t -> samples.  Needs 1 <= rho2 <= rho1 (ExponentOrderViolated), and mu,
+    T > 0 and n_time >= 2 (one ConstraintViolationError listing each miss).
     """
     if not (1.0 <= rho2 <= rho1):
         raise ExponentOrderViolated(
             f"need 1 <= rho2 <= rho1, got rho1={rho1}, rho2={rho2}")
+    require((mu > 0.0, f"heat check needs mu > 0, got {mu}"),
+            (T > 0.0, f"heat check needs T > 0, got {T}"),
+            (n_time >= 2, f"heat check needs n_time >= 2, got {n_time}"))
     if n_time % 2 == 0:
         n_time += 1  # Simpson wants an odd sample count
     grid = u0.grid
@@ -490,21 +502,22 @@ def heat_regularity_check(u0: ScalarField, forcing, mu: float, s: float, p: floa
 
     u_hat = to_spectral(u0.data[None], grid)
     u_norms = [_block_norms(u_hat, idx_u, family)]
-    f_norms = []
     if forcing is not None:
-        f_hat = _forcing_hat(forcing, grid, 0.0)
-        f_norms.append(_block_norms(f_hat, idx_f, family))
-    for t_next in times[1:]:
+        samples = _forcing_samples(forcing, grid, times, idx_f, family)
+        f_hat, norms = next(samples)
+        f_norms = [norms]
+    for _ in times[1:]:
         u_hat = decay * u_hat
         if forcing is not None:
-            f_hat_next = _forcing_hat(forcing, grid, float(t_next))
+            f_hat_next, norms = next(samples)
             u_hat = u_hat + 0.5 * dt * (decay * f_hat + f_hat_next)
             f_hat = f_hat_next
-            f_norms.append(_block_norms(f_hat, idx_f, family))
+            f_norms.append(norms)
         u_norms.append(_block_norms(u_hat, idx_u, family))
 
     lhs = _tilde_aggregate(u_norms, times, rho1, idx_u, family, "simpson")
-    rhs_val = besov_norm(u0, BesovIndex(s, p, r), family)
+    # u0's B^s_{p,r} norm from the t = 0 block norms, which depend on p, not on s
+    rhs_val = _besov_aggregate(u_norms[0], BesovIndex(s, p, r), family)
     if forcing is not None:
         f_norm = _tilde_aggregate(f_norms, times, rho2, idx_f, family, "simpson")
         rhs_val = rhs_val + mu ** (1.0 / rho2 - 1.0) * f_norm

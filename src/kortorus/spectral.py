@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 import scipy.fft
@@ -201,71 +202,52 @@ class SpectralGrid:
         return ScalarField(self, np.asarray(fn(*self.meshgrid()), dtype=float))
 
 
-def _check_samples(grid: SpectralGrid, data: np.ndarray, lead: tuple[int, ...]):
-    expected = lead + grid.shape
-    if data.shape != expected:
-        raise InvalidField(
-            f"sample array has shape {data.shape}, expected {expected}")
-
-
 @dataclass(frozen=True, eq=False)
-class ScalarField:
-    """Real rank-0 samples on a SpectralGrid (row-major axis order)."""
+class _Samples:
+    """Real samples on a SpectralGrid: ``rank`` component axes of length
+    grid.dim, then the grid axes (row-major axis order)."""
 
     grid: SpectralGrid
     data: np.ndarray
+    rank: ClassVar[int]
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=float)
-        _check_samples(self.grid, data, ())
+        expected = (self.grid.dim,) * self.rank + self.grid.shape
+        if data.shape != expected:
+            raise InvalidField(
+                f"sample array has shape {data.shape}, expected {expected}")
         object.__setattr__(self, "data", data)
+
+    def with_data(self, data):
+        return type(self)(self.grid, data)
+
+
+@dataclass(frozen=True, eq=False)
+class ScalarField(_Samples):
+    """Real rank-0 samples on a SpectralGrid (row-major axis order)."""
 
     rank = 0
 
-    def with_data(self, data) -> "ScalarField":
-        return ScalarField(self.grid, data)
-
 
 @dataclass(frozen=True, eq=False)
-class VectorField:
+class VectorField(_Samples):
     """Real rank-1 samples, component-major: data[j] is the j-th component."""
-
-    grid: SpectralGrid
-    data: np.ndarray
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=float)
-        _check_samples(self.grid, data, (self.grid.dim,))
-        object.__setattr__(self, "data", data)
 
     rank = 1
 
     def component(self, j: int) -> ScalarField:
         return ScalarField(self.grid, self.data[j])
 
-    def with_data(self, data) -> "VectorField":
-        return VectorField(self.grid, data)
-
     def magnitude(self) -> ScalarField:
         return ScalarField(self.grid, np.sqrt(np.sum(self.data ** 2, axis=0)))
 
 
 @dataclass(frozen=True, eq=False)
-class TensorField:
+class TensorField(_Samples):
     """Real rank-2 samples, data[i, j] holds component T_ij."""
 
-    grid: SpectralGrid
-    data: np.ndarray
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=float)
-        _check_samples(self.grid, data, (self.grid.dim, self.grid.dim))
-        object.__setattr__(self, "data", data)
-
     rank = 2
-
-    def with_data(self, data) -> "TensorField":
-        return TensorField(self.grid, data)
 
 
 Field = ScalarField | VectorField | TensorField

@@ -7,6 +7,9 @@ quadratures are dense classical rules.
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import numpy as np
 
 from kortorus.model import _evaluate_law
@@ -20,6 +23,13 @@ from kortorus.spectral import (
     laplacian,
     tensor_divergence,
 )
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def readme_blocks(language: str) -> list[str]:
+    """The README's fenced code blocks in ``language``."""
+    return re.findall(rf"```{language}\n(.*?)```", README, flags=re.DOTALL)
 
 
 def fd4_derivative(data: np.ndarray, axis: int, h: float) -> np.ndarray:

@@ -243,10 +243,9 @@ def test_criterion_08_dyadic_structure():
 
 def test_criterion_09_norm_equivalences():
     grid = SpectralGrid(128)
-    corpus = besov_corpus(grid, 100, seed=CORPUS_SEED + 8)
+    doubled = besov_corpus(grid, 200, seed=CORPUS_SEED + 8)
     results = list(verify.check_norm_equivalences(
-        corpus[:50], corpus, besov_corpus(grid, 200, seed=CORPUS_SEED + 8),
-        besov_corpus(SpectralGrid(256), 100, seed=CORPUS_SEED + 9)))
+        doubled[:50], doubled, besov_corpus(SpectralGrid(256), 100, seed=CORPUS_SEED + 9)))
     assert report_checks(9, "Besov/Sobolev equivalence and derivative-norm ratios", results)
 
 

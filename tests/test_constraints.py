@@ -3,7 +3,6 @@ one in a single error; the README's config and import examples hold."""
 
 import json
 import re
-from pathlib import Path
 
 import pytest
 
@@ -11,16 +10,11 @@ import kortorus
 from kortorus.config import InitialSpec, parse_config
 from kortorus.errors import ConstraintViolationError, VariantMismatch
 from kortorus.functionals import MonitorSpec
-from kortorus.littlewood_paley import BesovIndex
+from kortorus.littlewood_paley import BesovIndex, heat_regularity_check
 from kortorus.model import ModelParams
 from kortorus.spectral import SpectralGrid
 from kortorus.timestepping import IntegratorConfig
-
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-
-
-def readme_blocks(language: str) -> list[str]:
-    return re.findall(rf"```{language}\n(.*?)```", README, flags=re.DOTALL)
+from helpers import README, readme_blocks
 
 
 @pytest.mark.parametrize("build, fragments", [
@@ -34,7 +28,10 @@ def readme_blocks(language: str) -> list[str]:
      ("monitors.delta must lie", "monitors.p_vacuum", "monitors.epsilon")),
     (lambda: BesovIndex(0.0, 0.5, 0.5, flavor="x"),
      ("p >= 1, got 0.5", "r >= 1, got 0.5", "flavor must be")),
-], ids=["grid", "model", "integrator", "monitors", "besov"])
+    (lambda: heat_regularity_check(SpectralGrid(64).zeros(), None, -1.0, 0.0, 2.0, 2.0,
+                                   1.0, 1.0, 0.0, n_time=1),
+     ("mu > 0, got -1.0", "T > 0, got 0.0", "n_time >= 2, got 1")),
+], ids=["grid", "model", "integrator", "monitors", "besov", "heat"])
 def test_three_violations_reported_together(build, fragments):
     with pytest.raises(ConstraintViolationError) as err:
         build()

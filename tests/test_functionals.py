@@ -1,12 +1,15 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from kortorus.config import parse_config
 from kortorus.errors import (
     DeltaOutOfRange,
     PExponentOutOfRange,
+    PositivityLoss,
     ScalingPairInvalid,
 )
 from kortorus.functionals import (
@@ -34,7 +37,8 @@ from kortorus.spectral import (
     vector_gradient,
 )
 from kortorus.timestepping import IntegratorConfig, Trajectory, run
-from helpers import dense_quadrature_1d, max_abs, quartic_direct_einsum, rel_linf
+from helpers import (dense_quadrature_1d, max_abs, quartic_direct_einsum, readme_blocks,
+                     rel_linf)
 
 TAU = 2.0 * math.pi
 P_V2 = ModelParams(mu=1.0, alpha=0.0, kappa=1.0, a=1.0, gamma=2.0, variant="effective_v2")
@@ -470,6 +474,25 @@ class TestReportAndVerdict:
         traj = Trajectory(params=P_V2)
         verdict = blow_up_verdict(traj, P_V2)
         assert verdict.insufficient_data
+
+    def test_verdict_from_snapshots_equals_verdict_from_their_reports(self):
+        # the README vacuum squeeze with a snapshot cadence, which ends in
+        # PositivityLoss; the snapshots alone take the recomputing branch
+        (squeeze,) = [b for b in readme_blocks("json") if "gaussian_bump" in b]
+        cfg = parse_config(squeeze)
+        integrator = replace(cfg.integrator, snapshot_interval=0.03)
+        st = initial_state(cfg.grid, cfg.initial.family, cfg.initial.params)
+        with pytest.raises(PositivityLoss) as err:
+            run(st, cfg.model, integrator, cfg.monitors)
+        states, terminated = err.value.trajectory.states, err.value.trajectory.terminated
+        assert len(states) > 2
+        snapshots_only = Trajectory(params=cfg.model, states=states, terminated=terminated)
+        with_reports = Trajectory(
+            params=cfg.model, states=states, terminated=terminated,
+            reports=[evaluate_report(s, cfg.model, cfg.monitors) for s in states])
+        verdict = blow_up_verdict(snapshots_only, cfg.model, cfg.monitors)
+        assert not verdict.insufficient_data
+        assert verdict == blow_up_verdict(with_reports, cfg.model, cfg.monitors)
 
 
 class TestVacuumEndpointNorm:

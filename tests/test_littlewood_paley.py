@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kortorus.errors import (
+    ConstraintViolationError,
     EmptyTrajectory,
     ExponentOrderViolated,
     IndexConstraintViolated,
@@ -219,6 +220,12 @@ class TestCheminLerner:
         with pytest.raises(EmptyTrajectory):
             chemin_lerner_norm([], [], 2.0, BesovIndex(0.0))
 
+    @pytest.mark.parametrize("norm", [chemin_lerner_norm, iterated_time_besov_norm])
+    def test_time_exponent_below_one_rejected(self, norm):
+        fields = besov_corpus(SpectralGrid(64), 3, seed=14)
+        with pytest.raises(ConstraintViolationError, match=r"rho >= 1, got 0\.5"):
+            norm(fields, [0.0, 0.5, 1.0], 0.5, BesovIndex(0.0))
+
 
 class TestVerifiers:
     def test_derivative_equivalence_single_shell_mode(self):
@@ -330,6 +337,18 @@ class TestHeat:
         grid = SpectralGrid(64)
         with pytest.raises(ExponentOrderViolated):
             heat_regularity_check(grid.zeros(), None, 1.0, 0.0, 2.0, 2.0, 1.0, 2.0, 1.0)
+
+    # unchecked, T = -1 overflows to a constant of 0.0, n_time = 1 indexes
+    # past the time grid and mu = 0 returns a number
+    @pytest.mark.parametrize("mu, T, n_time, fragment", [
+        (1.0, -1.0, 65, r"T > 0, got -1\.0"),
+        (1.0, 1.0, 1, "n_time >= 2, got 1"),
+        (0.0, 1.0, 65, r"mu > 0, got 0\.0"),
+    ], ids=["T", "n_time", "mu"])
+    def test_arguments_checked(self, mu, T, n_time, fragment):
+        u0 = SpectralGrid(64).from_function(np.cos)
+        with pytest.raises(ConstraintViolationError, match=fragment):
+            heat_regularity_check(u0, None, mu, 0.0, 2.0, 2.0, 1.0, 1.0, T, n_time=n_time)
 
 
 class TestAlmostOrthogonality:
