@@ -36,7 +36,7 @@ from .functionals import (
     evaluate_report,
     vacuum_endpoint_norm,
 )
-from .littlewood_paley import BesovIndex, besov_norm, block_lp_norms, family_for
+from .littlewood_paley import BesovIndex, besov_norm, block_lp_norms
 from .model import FieldState
 from .scenarios import initial_state, manufactured_solution
 from .spectral import VectorField
@@ -287,13 +287,12 @@ def cmd_besov(args) -> int:
     except ValueError as exc:
         print(f"invalid index: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    family = family_for(field.grid)
-    shells = block_lp_norms(field, idx, family)
+    shells = block_lp_norms(field, idx)
     payload = {
         "resolution": list(field.grid.resolution),
         "index": {"s": args.s, "p": args.p, "r": args.r, "flavor": args.flavor},
         "shells": {str(q): shells[q] for q in sorted(shells)},
-        "norm": besov_norm(field, idx, family),
+        "norm": besov_norm(field, idx),
     }
     print(_json_dumps(payload), end="")
     return EXIT_OK

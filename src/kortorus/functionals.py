@@ -337,16 +337,15 @@ def _report_times_and_states(trajectory) -> tuple[list[float], list[FieldState]]
     return times, states
 
 
-def serrin_accumulator(trajectory, p: float, q: float,
-                       params: ModelParams | None = None) -> float:
+def serrin_accumulator(trajectory, p: float, q: float) -> float:
     """Time-quadrature of ||v(t)||_{L^q}^p over the stored snapshots
-    (trapezoidal), for a scaling-admissible pair 1/p + N/(2q) = 1/2."""
+    (trapezoidal), for a scaling-admissible pair 1/p + N/(2q) = 1/2; v is
+    formed with ``trajectory.params``."""
     times, states = _report_times_and_states(trajectory)
-    params = params or trajectory.params
     check_serrin_pair(p, q, states[0].grid.dim)
     norms = []
     for state in states:
-        v = VectorField(state.grid, spectral_state(state, params).v)
+        v = VectorField(state.grid, spectral_state(state, trajectory.params).v)
         norms.append(lp_norm(v, q) ** p)
     if len(times) == 1:
         return 0.0
@@ -584,10 +583,10 @@ def blow_up_verdict(trajectory, params: ModelParams,
     """Correlate the two continuation criteria with how the run ended.
 
     The Serrin value (the trapezoid of ``serrin_integrand`` in time) and the
-    vacuum-indicator series are read from the per-step report stream when
-    present (dense), otherwise recomputed on the stored snapshots with the
-    exponents and levels of ``monitors``.  A criterion passes while its value
-    stays finite; the vacuum criterion also fails at the first indicator above
+    vacuum-indicator series are read from the per-step report stream (dense);
+    a trajectory without reports is given those of its stored snapshots,
+    ``evaluate_report(state, params, monitors)``.  A criterion passes while
+    its value stays finite; the vacuum criterion also fails at the first indicator above
     VACUUM_GROWTH_FACTOR times its initial value.  A report is produced even
     for degenerate trajectories, flagged insufficient_data.
     """
@@ -604,16 +603,10 @@ def blow_up_verdict(trajectory, params: ModelParams,
                             None, None, None, None, None, None, None,
                             terminated_by, terminated_time)
 
-    if reports:
-        times = [r.time for r in reports]
-        serrin_value = float(np.trapezoid([r.serrin_integrand for r in reports], x=times))
-        series = [r.vacuum_indicator for r in reports]
-    else:
-        times = [s.time for s in states]
-        p, q = monitors.serrin_pair(states[0].grid.dim)
-        serrin_value = serrin_accumulator(trajectory, p, q, params)
-        series = [vacuum_indicator(s, monitors.epsilon, monitors.delta_vacuum)
-                  for s in states]
+    reports = reports or [evaluate_report(s, params, monitors) for s in states]
+    times = [r.time for r in reports]
+    serrin_value = float(np.trapezoid([r.serrin_integrand for r in reports], x=times))
+    series = [r.vacuum_indicator for r in reports]
     initial = series[0]
     peak = max(series)
     growth = math.inf if initial == 0.0 and peak > 0.0 else (

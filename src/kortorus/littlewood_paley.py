@@ -201,17 +201,16 @@ def _apply_multiplier(u: ScalarField, table: np.ndarray) -> ScalarField:
     return ScalarField(grid, to_physical(table * to_spectral(u.data, grid), grid))
 
 
-def dyadic_block(u: ScalarField, q: int, family: DyadicFamily | None = None) -> ScalarField:
+def dyadic_block(u: ScalarField, q: int) -> ScalarField:
     """Delta_q u = sum_beta phi(2^-q beta) u_hat(beta) e^{i beta.x}.
 
     q = -1 applies the chi multiplier (nonhomogeneous convention); indices
     outside the active range give the zero field.
     """
-    family = family or family_for(u.grid)
-    return _apply_multiplier(u, family.multiplier(q))
+    return _apply_multiplier(u, family_for(u.grid).multiplier(q))
 
 
-def low_freq_cutoff(u: ScalarField, q: int, family: DyadicFamily | None = None) -> ScalarField:
+def low_freq_cutoff(u: ScalarField, q: int) -> ScalarField:
     """S_q u = chi(2^-q D) u = sum_{p <= q-1} Delta_p u (exactly, by telescoping)."""
     if q <= -1:
         return ScalarField(u.grid, np.zeros(u.grid.shape))
@@ -219,8 +218,7 @@ def low_freq_cutoff(u: ScalarField, q: int, family: DyadicFamily | None = None) 
     return _apply_multiplier(u, table)
 
 
-def dyadic_block_pair(u: ScalarField, q: int, q_prime: int,
-                      family: DyadicFamily | None = None) -> ScalarField:
+def dyadic_block_pair(u: ScalarField, q: int, q_prime: int) -> ScalarField:
     """The composed operator Delta_q Delta_{q'} in one pass.
 
     Multiplier operators compose by multiplying their symbols, so the
@@ -229,7 +227,7 @@ def dyadic_block_pair(u: ScalarField, q: int, q_prime: int,
     is the exact zero field (applying the blocks one after the other instead
     leaves FFT round-trip noise of order 1e-16).
     """
-    family = family or family_for(u.grid)
+    family = family_for(u.grid)
     table = family.multiplier(q) * family.multiplier(q_prime)
     if not np.any(table):
         return ScalarField(u.grid, np.zeros(u.grid.shape))
@@ -248,11 +246,10 @@ def _block_norms(hat: np.ndarray, idx: BesovIndex, family: DyadicFamily) -> list
     return [lp_norm(ScalarField(grid, mag), idx.p) for mag in mags]
 
 
-def block_lp_norms(u: ScalarField | VectorField, idx: BesovIndex,
-                   family: DyadicFamily | None = None) -> dict[int, float]:
+def block_lp_norms(u: ScalarField | VectorField, idx: BesovIndex) -> dict[int, float]:
     """||Delta_q u||_{L^p} per block (vector fields via Euclidean magnitude),
     from one forward and one batched inverse transform."""
-    family = family or family_for(u.grid)
+    family = family_for(u.grid)
     hat = to_spectral(u.data[None] if u.rank == 0 else u.data, u.grid)
     return dict(zip(family.block_range, _block_norms(hat, idx, family)))
 
@@ -266,11 +263,9 @@ def _besov_aggregate(norms: Sequence[float], idx: BesovIndex, family: DyadicFami
     return float(np.sum(arr ** idx.r) ** (1.0 / idx.r))
 
 
-def besov_norm(u: ScalarField | VectorField, idx: BesovIndex,
-               family: DyadicFamily | None = None) -> float:
+def besov_norm(u: ScalarField | VectorField, idx: BesovIndex) -> float:
     """l^r over blocks of 2^{qs} ||Delta_q u||_{L^p}."""
-    family = family or family_for(u.grid)
-    return _besov_aggregate(block_lp_norms(u, idx, family).values(), idx, family)
+    return _besov_aggregate(block_lp_norms(u, idx).values(), idx, family_for(u.grid))
 
 
 def sobolev_weight_norm(u: ScalarField, s: float) -> float:
@@ -287,14 +282,11 @@ def sobolev_weight_norm(u: ScalarField, s: float) -> float:
 # Chemin-Lerner (tilde) norms
 
 
-def _time_norm_family(name: str, fields, rho_exp: float,
-                      family: DyadicFamily | None) -> DyadicFamily:
-    """The family of a time norm's snapshots, after checking that there is
-    one and that rho_exp >= 1."""
+def _check_time_norm(name: str, fields, rho_exp: float) -> None:
+    """A time norm needs at least one snapshot and rho_exp >= 1."""
     if len(fields) == 0:
         raise EmptyTrajectory(f"{name} needs at least one snapshot")
     require((rho_exp >= 1.0, f"time exponent must satisfy rho >= 1, got {rho_exp}"))
-    return family or family_for(fields[0].grid)
 
 
 def _time_lp(values: np.ndarray, times: np.ndarray, rho_exp: float,
@@ -321,28 +313,26 @@ def _tilde_aggregate(block_series: Sequence[Sequence[float]], times: np.ndarray,
 
 
 def chemin_lerner_norm(fields: Sequence[ScalarField | VectorField],
-                       times: Sequence[float], rho_exp: float, idx: BesovIndex,
-                       family: DyadicFamily | None = None,
-                       quadrature: str = "trapezoid") -> float:
-    """Tilde norm: per-shell L^{rho_exp} in time first, l^r over shells second.
+                       times: Sequence[float], rho_exp: float, idx: BesovIndex) -> float:
+    """Tilde norm: per-shell L^{rho_exp} in time first (trapezoid rule), l^r
+    over shells second.
 
     Satisfies the Minkowski ordering against the iterated norm
     L^{rho_exp}_T(B^s_{p,r}): <= when r >= rho_exp, >= when r <= rho_exp.
     """
-    family = _time_norm_family("chemin_lerner_norm", fields, rho_exp, family)
-    series = [list(block_lp_norms(f, idx, family).values()) for f in fields]
-    return _tilde_aggregate(series, np.asarray(times, dtype=float), rho_exp, idx, family,
-                            quadrature)
+    _check_time_norm("chemin_lerner_norm", fields, rho_exp)
+    series = [list(block_lp_norms(f, idx).values()) for f in fields]
+    return _tilde_aggregate(series, np.asarray(times, dtype=float), rho_exp, idx,
+                            family_for(fields[0].grid), "trapezoid")
 
 
 def iterated_time_besov_norm(fields: Sequence[ScalarField | VectorField],
-                             times: Sequence[float], rho_exp: float, idx: BesovIndex,
-                             family: DyadicFamily | None = None,
-                             quadrature: str = "trapezoid") -> float:
-    """Plain L^{rho_exp}_T(B^s_{p,r}) norm, for Minkowski-ordering checks."""
-    family = _time_norm_family("iterated norm", fields, rho_exp, family)
-    series = np.asarray([besov_norm(f, idx, family) for f in fields])
-    return _time_lp(series, np.asarray(times, dtype=float), rho_exp, quadrature)
+                             times: Sequence[float], rho_exp: float, idx: BesovIndex) -> float:
+    """Plain L^{rho_exp}_T(B^s_{p,r}) norm (trapezoid rule in time), for
+    Minkowski-ordering checks."""
+    _check_time_norm("iterated norm", fields, rho_exp)
+    series = np.asarray([besov_norm(f, idx) for f in fields])
+    return _time_lp(series, np.asarray(times, dtype=float), rho_exp, "trapezoid")
 
 
 # ---------------------------------------------------------------------------

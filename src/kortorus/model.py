@@ -139,16 +139,16 @@ class FieldState:
         return self
 
 
-def require_positive_density(rho: ScalarField, floor: float = RHO_FLOOR) -> None:
+def require_positive_density(rho: ScalarField) -> None:
     data = rho.data
     if not np.all(np.isfinite(data)):
         raise InvalidField("density contains non-finite samples")
     idx = np.unravel_index(np.argmin(data), data.shape)
     low = float(data[idx])
-    if low <= floor:
+    if low <= RHO_FLOOR:
         raise NonpositiveDensity(
             f"density sample {low} at index {tuple(int(i) for i in idx)} is at or below "
-            f"the positivity floor {floor}", location=tuple(int(i) for i in idx), value=low)
+            f"the positivity floor {RHO_FLOOR}", location=tuple(int(i) for i in idx), value=low)
 
 
 # ---------------------------------------------------------------------------

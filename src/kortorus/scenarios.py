@@ -74,13 +74,11 @@ def random_trig_field(grid: SpectralGrid, rng: np.random.Generator,
     return out / peak if peak > 0 else out
 
 
-def random_spectrum_field(grid: SpectralGrid, rng: np.random.Generator,
-                          kmax: int | None = None, slope: float = 2.0) -> np.ndarray:
-    """Mean-free random field with power-law modulus spectrum |k|^{-slope},
-    band-limited to |k|_inf <= kmax (default: the 2/3 cutoff).  Used by the
-    Besov-norm corpus sweeps, which want content in every shell."""
-    if kmax is None:
-        kmax = min(grid.resolution) // 3
+def random_spectrum_field(grid: SpectralGrid, rng: np.random.Generator) -> np.ndarray:
+    """Mean-free random field with power-law modulus spectrum |k|^{-3/2},
+    band-limited to |k|_inf <= min(resolution) // 3 (the 2/3 cutoff), scaled
+    to sup norm 1."""
+    kmax = min(grid.resolution) // 3
     coeffs = (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
     keep = np.ones(grid.shape, dtype=bool)
     for axis, n in enumerate(grid.resolution):
@@ -90,7 +88,7 @@ def random_spectrum_field(grid: SpectralGrid, rng: np.random.Generator,
         keep &= (k <= kmax).reshape(shape)
     mag = grid.beta_magnitude.copy()
     mag[mag == 0.0] = 1.0
-    coeffs *= keep * mag ** (-slope)
+    coeffs *= keep * mag ** (-1.5)
     data = np.fft.ifftn(coeffs).real
     data -= data.mean()
     peak = np.max(np.abs(data))
@@ -98,36 +96,33 @@ def random_spectrum_field(grid: SpectralGrid, rng: np.random.Generator,
 
 
 def density_corpus(grid: SpectralGrid, count: int, seed: int,
-                   lo: float = 1.0, hi: float = 3.0,
-                   kmax: int = 3, decay: float = 0.7) -> list[ScalarField]:
+                   lo: float = 1.0, hi: float = 3.0) -> list[ScalarField]:
     """Seeded smooth densities with range inside [lo, hi]."""
     rng = np.random.default_rng(seed)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     out = []
     for _ in range(count):
-        pert = random_trig_field(grid, rng, kmax=kmax, decay=decay, normalize="coeff")
+        pert = random_trig_field(grid, rng, normalize="coeff")
         out.append(ScalarField(grid, mid + 0.98 * half * pert))
     return out
 
 
 def velocity_corpus(grid: SpectralGrid, count: int, seed: int,
-                    amplitude: float = 0.5, kmax: int = 3,
-                    decay: float = 0.7) -> list[VectorField]:
+                    amplitude: float = 0.5, kmax: int = 3) -> list[VectorField]:
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
-        comps = [amplitude * random_trig_field(grid, rng, kmax=kmax, decay=decay)
+        comps = [amplitude * random_trig_field(grid, rng, kmax=kmax)
                  for _ in range(grid.dim)]
         out.append(VectorField(grid, np.stack(comps)))
     return out
 
 
-def besov_corpus(grid: SpectralGrid, count: int, seed: int,
-                 slope: float = 1.5, kmax: int | None = None) -> list[ScalarField]:
-    """Mean-free fields with full-shell spectral content for the norm sweeps."""
+def besov_corpus(grid: SpectralGrid, count: int, seed: int) -> list[ScalarField]:
+    """Seeded ``random_spectrum_field`` samples, which have content in every
+    dyadic shell, for the norm sweeps."""
     rng = np.random.default_rng(seed)
-    return [ScalarField(grid, random_spectrum_field(grid, rng, kmax=kmax, slope=slope))
-            for _ in range(count)]
+    return [ScalarField(grid, random_spectrum_field(grid, rng)) for _ in range(count)]
 
 
 # ---------------------------------------------------------------------------

@@ -183,11 +183,6 @@ class SpectralGrid:
     def scalar(self, data) -> "ScalarField":
         return ScalarField(self, data)
 
-    def vector(self, *components) -> "VectorField":
-        if len(components) == 1 and np.asarray(components[0]).ndim == self.dim + 1:
-            return VectorField(self, components[0])
-        return VectorField(self, np.stack([np.asarray(c, dtype=float) for c in components]))
-
     def zeros(self) -> "ScalarField":
         return ScalarField(self, np.zeros(self.shape))
 
@@ -238,9 +233,6 @@ class VectorField(_Samples):
 
     def component(self, j: int) -> ScalarField:
         return ScalarField(self.grid, self.data[j])
-
-    def magnitude(self) -> ScalarField:
-        return ScalarField(self.grid, np.sqrt(np.sum(self.data ** 2, axis=0)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -31,13 +31,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonFinite, PositivityLoss, StepUnderflow, require
+from .errors import NonFinite, NonpositiveDensity, PositivityLoss, StepUnderflow, require
 from .functionals import FunctionalReport, MonitorSpec, evaluate_report
 from .model import (
-    RHO_FLOOR,
     FieldState,
     ModelParams,
     SpectralState,
+    require_positive_density,
     spectral_state,
     tendency_hats,
 )
@@ -218,13 +218,13 @@ def _check_new_state(grid: SpectralGrid, rho_data: np.ndarray, w_data: np.ndarra
                      t_new: float) -> FieldState:
     if not (np.all(np.isfinite(rho_data)) and np.all(np.isfinite(w_data))):
         raise NonFinite(f"time step produced non-finite samples at t={t_new}", time=t_new)
-    idx = np.unravel_index(np.argmin(rho_data), rho_data.shape)
-    low = float(rho_data[idx])
-    if low <= RHO_FLOOR:
-        raise PositivityLoss(
-            f"density reached {low} at index {tuple(int(i) for i in idx)}, t={t_new}",
-            location=tuple(int(i) for i in idx), time=t_new)
-    return FieldState(ScalarField(grid, rho_data), VectorField(grid, w_data), time=t_new)
+    rho = ScalarField(grid, rho_data)
+    try:
+        require_positive_density(rho)
+    except NonpositiveDensity as exc:
+        raise PositivityLoss(f"density reached {exc.value} at index {exc.location}, t={t_new}",
+                             location=exc.location, time=t_new) from None
+    return FieldState(rho, VectorField(grid, w_data), time=t_new)
 
 
 def _advance_euler(level: _Level, grid: SpectralGrid, params: ModelParams,

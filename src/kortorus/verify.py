@@ -240,13 +240,12 @@ def check_dyadic_structure(cases, shift: float, tol: float = 1e-12):
             shifted = ScalarField(grid, u.data + shift)
             total = np.zeros(grid.shape)
             for q in fam.block_range:
-                total += lp.dyadic_block(shifted, q, fam).data
+                total += lp.dyadic_block(shifted, q).data
             recon.append(float(np.max(np.abs(total - shifted.data))))
     yield _max_check("reconstruction mean + sum of blocks", recon, tol)
     yield _max_check("block composition |q-q'| >= 2 is the exact zero field", [
-        float(np.any(lp.dyadic_block_pair(u, q, qp, fam).data))
-        for fam, (_, corpus, pairs) in zip(families, cases)
-        for u in corpus for q, qp in pairs], 0.5)
+        float(np.any(lp.dyadic_block_pair(u, q, qp).data))
+        for _, corpus, pairs in cases for u in corpus for q, qp in pairs], 0.5)
 
 
 @_timed
@@ -314,11 +313,10 @@ def suite_lp_norms(seed: int = 0):
                        list(zip(corpus[:50], corpus[50:])), 25)
 
     # almost orthogonality
-    fam = lp.family_for(grid)
     factors = []
     for u in corpus[:20]:
         l2 = lp_norm(u, 2.0) ** 2
-        blocks = sum(n ** 2 for n in lp.block_lp_norms(u, lp.BesovIndex(0.0), fam).values())
+        blocks = sum(n ** 2 for n in lp.block_lp_norms(u, lp.BesovIndex(0.0)).values())
         factors.append(max(l2 / blocks, blocks / l2))
     yield _max_check("almost-orthogonality factor", factors, 3.0)
 

@@ -355,6 +355,6 @@ class TestMonitorCLI:
         assert monitor == reports  # no transform beyond the reports'
         recomputed = serrin_accumulator(
             Trajectory(params=config.model, states=states),
-            *config.monitors.serrin_pair(config.grid.dim), config.model)
+            *config.monitors.serrin_pair(config.grid.dim))
         assert recomputed > 0.0
         assert payload["serrin_accumulator"] == pytest.approx(recomputed, rel=1e-12)

@@ -75,5 +75,5 @@ def test_dyadic_reconstruction_across_resolutions(seed, res_exp):
     u = besov_corpus(grid, 1, seed=seed)[0]
     total = np.zeros(grid.shape)
     for q in fam.block_range:
-        total += dyadic_block(u, q, fam).data
+        total += dyadic_block(u, q).data
     assert max_abs(total - u.data) < 1e-12
