@@ -189,7 +189,7 @@ def _summary(config: ScenarioConfig, traj: Trajectory, error_info: dict | None,
         "config": config.to_json_dict(),
         "restarted_from": restarted_from,
         "final_time": traj.reports[-1].time if traj.reports else 0.0,
-        "steps": len(traj.step_times) - 1,
+        "steps": len(traj.reports) - 1,
         "snapshots": traj.snapshots,
         "error": error_info,
         "verdict": verdict.to_json_dict(),
@@ -313,8 +313,7 @@ def cmd_monitor(args) -> int:
     with open(trajdir / "monitor_functionals.jsonl", "w") as out:
         _write_jsonl(out, reports)
 
-    traj = Trajectory(params=config.model, states=states, reports=reports,
-                      step_times=[s.time for s in states])
+    traj = Trajectory(params=config.model, states=states, reports=reports)
     mon = config.monitors
     verdict = blow_up_verdict(traj, config.model, mon)
     # the verdict integrates the reports' serrin_integrand over the snapshot

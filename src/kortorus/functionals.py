@@ -257,17 +257,19 @@ def integrability_functional(state: State, params: ModelParams, p: float) -> Int
     return Integrability(value, grad_rate, rate_direct, rate_identity)
 
 
-def integrability_accumulated(trajectory, params: ModelParams, p: float) -> np.ndarray:
-    """A(t) along a trajectory: instantaneous value plus time-accumulated
-    dissipation integrals (trapezoidal in time).  Returns one entry per report
-    time."""
-    times, series = _report_times_and_states(trajectory)
-    instant = [integrability_functional(s, params, p) for s in series]
-    values = np.asarray([i.value for i in instant])
-    rates = np.asarray([i.grad_rate + i.quartic_rate for i in instant])
+def integrability_accumulated(trajectory) -> np.ndarray:
+    """A(t) along a trajectory's report stream, at the run's p_integrability:
+    ``int_value`` plus the time-accumulated dissipation ``int_rate_grad +
+    int_rate_quartic`` (trapezoidal over the report times).  Returns one
+    entry per report."""
+    reports = list(getattr(trajectory, "reports", []))
+    if not reports:
+        raise EmptyTrajectory("trajectory has no reports")
+    times = np.asarray([r.time for r in reports])
+    rates = np.asarray([r.int_rate_grad + r.int_rate_quartic for r in reports])
     accumulated = np.concatenate([[0.0], np.cumsum(
-        0.5 * (rates[1:] + rates[:-1]) * np.diff(np.asarray(times)))])
-    return values + accumulated
+        0.5 * (rates[1:] + rates[:-1]) * np.diff(times))])
+    return np.asarray([r.int_value for r in reports]) + accumulated
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ raised (never clipped, so the vacuum monitors retain their meaning).
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -99,18 +98,17 @@ class TerminationInfo:
 class Trajectory:
     """Snapshots at the configured cadence plus the per-step report stream.
 
-    ``states`` holds the captured snapshots (first one at t = 0), ``reports``
-    one FunctionalReport per accepted step including the initial state, and
-    ``step_times`` every accepted time.  ``terminated`` is None for a clean
-    run to t_end.  ``run`` fills a trajectory through ``record`` and
-    ``capture`` only; a subclass that overrides ``keep`` can stream the
-    snapshots elsewhere instead of holding them.
+    ``states`` holds the captured snapshots (first one at t = 0) and
+    ``reports`` one FunctionalReport per accepted step including the initial
+    state.  ``terminated`` is None for a clean run to t_end.  ``run`` fills a
+    trajectory through ``record`` and ``capture`` only; a subclass that
+    overrides ``keep`` can stream the snapshots elsewhere instead of holding
+    them.
     """
 
     params: ModelParams
     states: list[FieldState] = field(default_factory=list)
     reports: list[FunctionalReport] = field(default_factory=list)
-    step_times: list[float] = field(default_factory=list)
     terminated: TerminationInfo | None = None
     snapshots: int = field(init=False)
     _last_capture: float | None = field(init=False, repr=False)
@@ -131,7 +129,6 @@ class Trajectory:
         """Append the report of one accepted step (the first is the initial
         state's)."""
         self.reports.append(report)
-        self.step_times.append(report.time)
 
     def capture(self, state: FieldState):
         """Take ``state`` as the next snapshot, unless its time does not pass
@@ -189,6 +186,19 @@ class _Level:
     n_rho_hat: np.ndarray      # explicit density tendency
     f_w_hat: np.ndarray        # full velocity tendency
     dt_prev: float | None      # dt that produced this level from the one before
+
+
+@dataclass(frozen=True)
+class RunState:
+    """What a run carries from one accepted step to the next: the multistep
+    history (newest level last), the newest report, whose
+    ``serrin_accumulator`` is the running Serrin integral (None until ``run``
+    evaluates the first), and the next snapshot time (None without a
+    cadence)."""
+
+    levels: tuple[_Level, ...]
+    report: FunctionalReport | None
+    next_snap: float | None
 
 
 def rhs(d: SpectralState, forcing: ForcingFn | None) -> tuple[np.ndarray, np.ndarray]:
@@ -264,11 +274,12 @@ def _advance_bdf2(level_n: _Level, level_p: _Level, grid: SpectralGrid,
 
 
 class Stepper:
-    """Stateful driver holding the multistep history for one run.
+    """Stateful driver of one run; everything it carries between steps is the
+    frozen ``run_state``.
 
-    ``derived`` is the SpectralState of the current ``state``; it carries the
-    coefficients the last step produced, so no step transforms rho and w
-    forward again.
+    ``derived`` is the SpectralState of the current ``state``, a cache of the
+    newest level: after a step it is built from that level's coefficients,
+    so no step transforms rho and w forward again.
     """
 
     def __init__(self, state: FieldState, params: ModelParams, config: IntegratorConfig,
@@ -277,9 +288,12 @@ class Stepper:
         self.config = config
         self.forcing = forcing
         self.derived = spectral_state(state, params)
-        self.state = self.derived.state
-        self._levels: deque[_Level] = deque(maxlen=2)
-        self._levels.append(_make_level(self.derived, forcing, None))
+        self.run_state = RunState((_make_level(self.derived, forcing, None),), None,
+                                  config.snapshot_interval)
+
+    @property
+    def state(self) -> FieldState:
+        return self.derived.state
 
     def advance(self, dt: float) -> FieldState:
         """One accepted step of size dt; raises PositivityLoss/NonFinite on
@@ -288,17 +302,17 @@ class Stepper:
             raise ValueError(f"dt must be positive, got {dt}")
         grid = self.state.grid
         nu_shift = _shift_value(self.state, self.params, self.config)
-        level_n = self._levels[-1]
-        if self.config.scheme == "imex_bdf2" and len(self._levels) == 2:
-            rho_hat, w_hat = _advance_bdf2(level_n, self._levels[0], grid, self.params,
+        levels = self.run_state.levels
+        if self.config.scheme == "imex_bdf2" and len(levels) == 2:
+            rho_hat, w_hat = _advance_bdf2(levels[-1], levels[0], grid, self.params,
                                            nu_shift, dt)
         else:
-            rho_hat, w_hat = _advance_euler(level_n, grid, self.params, nu_shift, dt)
+            rho_hat, w_hat = _advance_euler(levels[-1], grid, self.params, nu_shift, dt)
         new_state = _check_new_state(grid, to_physical(rho_hat, grid),
-                                     to_physical(w_hat, grid), level_n.time + dt)
-        self.state = new_state
+                                     to_physical(w_hat, grid), levels[-1].time + dt)
         self.derived = SpectralState(new_state, self.params, rho_hat, w_hat)
-        self._levels.append(_make_level(self.derived, self.forcing, dt))
+        self.run_state = RunState((levels[-1], _make_level(self.derived, self.forcing, dt)),
+                                  self.run_state.report, self.run_state.next_snap)
         return new_state
 
 
@@ -332,52 +346,37 @@ def run(initial: FieldState, params: ModelParams, config: IntegratorConfig,
     initial = FieldState(initial.rho, initial.w, time=0.0)
     trajectory.capture(initial)
     stepper = Stepper(initial, params, config, forcing)
-    prev_report = evaluate_report(stepper.derived, params, monitors)
-    trajectory.record(prev_report)
-
-    interval = config.snapshot_interval
-    next_snap = interval if interval is not None else None
-    prev_state = initial
-    t = 0.0
+    stepper.run_state = replace(stepper.run_state,
+                                report=evaluate_report(stepper.derived, params, monitors))
+    trajectory.record(stepper.run_state.report)
     eps_end = 1e-12 * config.t_end
 
-    def fail(exc, kind: str):
-        trajectory.terminated = TerminationInfo(kind, str(exc), t)
-        exc.trajectory = trajectory
-        raise exc
-
-    while t < config.t_end - eps_end:
-        dt_cap = config.t_end - t
+    while (last := stepper.state).time < config.t_end - eps_end:
         try:
-            dt_pref = min(config.dt_initial,
-                          cfl_dt(stepper.derived, params, config) if config.adaptive
-                          else math.inf)
-        except StepUnderflow as exc:
-            fail(exc, "StepUnderflow")
-        dt = min(dt_pref, dt_cap)
-        while True:
-            try:
-                new_state = stepper.advance(dt)
-                break
-            except (PositivityLoss, NonFinite) as exc:
-                dt *= 0.5
-                if dt < config.dt_min:
-                    fail(exc, type(exc).__name__)
-        t = new_state.time
+            dt = min(config.dt_initial, config.t_end - last.time,
+                     cfl_dt(stepper.derived, params, config) if config.adaptive else math.inf)
+            while True:
+                try:
+                    new_state = stepper.advance(dt)
+                    break
+                except (PositivityLoss, NonFinite):
+                    dt *= 0.5
+                    if dt < config.dt_min:
+                        raise
+        except (StepUnderflow, PositivityLoss, NonFinite) as exc:
+            trajectory.terminated = TerminationInfo(type(exc).__name__, str(exc), last.time)
+            exc.trajectory = trajectory
+            raise
+        prev, next_snap = stepper.run_state.report, stepper.run_state.next_snap
         rep = evaluate_report(stepper.derived, params, monitors)
-        rep = replace(rep, serrin_accumulator=prev_report.serrin_accumulator
-                      + 0.5 * dt * (prev_report.serrin_integrand + rep.serrin_integrand))
+        rep = replace(rep, serrin_accumulator=prev.serrin_accumulator
+                      + 0.5 * dt * (prev.serrin_integrand + rep.serrin_integrand))
         trajectory.record(rep)
-        prev_report = rep
-        if interval is None:
+        while next_snap is not None and new_state.time >= next_snap - eps_end:
+            # the accepted state nearest the target; a tie goes to the later one
+            trajectory.capture(min(new_state, last, key=lambda s: abs(s.time - next_snap)))
+            next_snap += config.snapshot_interval
+        if next_snap is None or new_state.time >= config.t_end - eps_end:
             trajectory.capture(new_state)
-        else:
-            while next_snap is not None and t >= next_snap - eps_end:
-                closer = prev_state if (abs(prev_state.time - next_snap)
-                                        < abs(t - next_snap)) else new_state
-                trajectory.capture(closer)
-                next_snap += interval
-            if t >= config.t_end - eps_end:
-                trajectory.capture(new_state)
-        prev_state = new_state
+        stepper.run_state = RunState(stepper.run_state.levels, rep, next_snap)
     return trajectory

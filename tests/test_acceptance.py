@@ -119,7 +119,7 @@ def _monotonicity_residual(traj):
 def _balance_defect(traj):
     E = [r.effective_energy for r in traj.reports]
     D = [r.eff_energy_rate_viscous + r.eff_energy_rate_pressure for r in traj.reports]
-    ts = traj.step_times
+    ts = [r.time for r in traj.reports]
     return max(abs(E[k + 1] - E[k] + (ts[k + 1] - ts[k]) * D[k])
                for k in range(len(E) - 1))
 
@@ -153,7 +153,7 @@ def test_criterion_05_weighted_kinetic_inequality(energy_runs):
             viol = []
             for k in range(len(traj.reports) - 1):
                 r0, r1 = traj.reports[k], traj.reports[k + 1]
-                h = traj.step_times[k + 1] - traj.step_times[k]
+                h = r1.time - r0.time
                 lhs = (r1.mv_value - r0.mv_value) / h + r0.mv_rate_dissipation
                 viol.append(lhs - r0.mv_rhs_bound)
             residuals.append(max(0.0, max(viol)))

@@ -182,7 +182,7 @@ class TestMVEntropy:
             viol = []
             for k in range(len(traj.reports) - 1):
                 r0, r1 = traj.reports[k], traj.reports[k + 1]
-                step = traj.step_times[k + 1] - traj.step_times[k]
+                step = r1.time - r0.time
                 lhs = (r1.mv_value - r0.mv_value) / step + r0.mv_rate_dissipation
                 viol.append(lhs - r0.mv_rhs_bound)
             residuals.append(max(0.0, max(viol)))
@@ -249,7 +249,7 @@ class TestIntegrability:
             cfg = IntegratorConfig(dt_initial=dt, dt_min=1e-12, t_end=T,
                                    adaptive=False)
             traj = run(st, P_V2, cfg)
-            a_series = integrability_accumulated(traj, P_V2, p)
+            a_series = integrability_accumulated(traj)
             sup_a = float(np.max(a_series))
             mass_sup = max(r.mass for r in traj.reports)
             bound = 1.0 + math.sqrt(T) * sup_a ** (1.0 - 1.0 / p) * mass_sup ** (1.0 / p)
@@ -298,8 +298,7 @@ class TestVacuumFunctional:
 class TestSerrin:
     def _trajectory(self, fields, times, params=P_V2):
         states = [FieldState(f.rho, f.w, time=t) for f, t in zip(fields, times)]
-        return Trajectory(params=params, states=states,
-                          step_times=list(times))
+        return Trajectory(params=params, states=states)
 
     def test_zero_velocity(self):
         st = state_1d(lambda x: np.ones_like(x))
@@ -328,7 +327,7 @@ class TestSerrin:
         for k, t in enumerate(times):
             w = velocity_corpus(grid, 1, seed=30 + k, amplitude=0.5)[0]
             fields.append(FieldState(grid.constant(1.0), w, time=t))
-        traj = Trajectory(params=params, states=fields, step_times=list(times))
+        traj = Trajectory(params=params, states=fields)
         from kortorus.spectral import lp_norm
         norms = [lp_norm(s.w, 4.0) ** 4.0 for s in fields]
         oracle = np.trapezoid(norms, x=times)
@@ -504,7 +503,7 @@ class TestVacuumEndpointNorm:
         st = FieldState(grid.constant(c), grid.zero_vector())
         times = [0.0, 0.5, 1.0, T]
         states = [FieldState(st.rho, st.w, t) for t in times]
-        traj = Trajectory(params=P_V2, states=states, step_times=list(times))
+        traj = Trajectory(params=P_V2, states=states)
         # 1D parabolic family: 2/k + 1/q = 1/2 gives q = 6 at k = 6
         q = 6.0
         expected = (c ** (-(p - 1.0) / 2.0) * TAU ** (1.0 / q)) * T ** (1.0 / k)
@@ -515,7 +514,7 @@ class TestVacuumEndpointNorm:
 
         grid = SpectralGrid(64)
         st = FieldState(grid.constant(1.0), grid.zero_vector())
-        traj = Trajectory(params=P_V2, states=[st], step_times=[0.0])
+        traj = Trajectory(params=P_V2, states=[st])
         with pytest.raises(ScalingPairInvalid):
             vacuum_endpoint_norm(traj, 2.0, 3.0)  # k = 3 < 4 in 1D
 
@@ -528,6 +527,6 @@ class TestVacuumEndpointNorm:
         for squeeze in (0.3, 0.8):
             rho = grid.from_function(lambda x: 1.0 + squeeze * np.sin(x))
             states = [FieldState(rho, grid.zero_vector(), t) for t in times]
-            traj = Trajectory(params=P_V2, states=states, step_times=list(times))
+            traj = Trajectory(params=P_V2, states=states)
             vals.append(vacuum_endpoint_norm(traj, 2.0, 6.0))
         assert vals[1] > vals[0]

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from kortorus import timestepping
+from kortorus.config import parse_config
 from kortorus.errors import NonFinite, PositivityLoss, StepUnderflow
 from kortorus.functionals import MonitorSpec
 from kortorus.littlewood_paley import BesovIndex, besov_norm
@@ -10,7 +12,7 @@ from kortorus.model import FieldState, ModelParams
 from kortorus.scenarios import initial_state, manufactured_solution
 from kortorus.spectral import ScalarField, SpectralGrid, VectorField, forward_transform
 from kortorus.timestepping import IntegratorConfig, cfl_dt, run, step
-from helpers import max_abs
+from helpers import max_abs, readme_blocks
 
 P_V2 = ModelParams(mu=1.0, alpha=0.0, kappa=1.0, a=1.0, gamma=2.0, variant="effective_v2")
 SMALL_A = ModelParams(mu=1.0, alpha=0.0, kappa=1.0, a=1e-12, gamma=2.0,
@@ -215,6 +217,23 @@ class TestRun:
         for want, got in zip([0.0, 0.1, 0.2, 0.3, 0.4, 0.5], traj.times):
             assert abs(want - got) <= 5e-3 + 1e-12  # nearest accepted step
 
+    @pytest.mark.parametrize("dt, interval, t_end", [
+        (0.01, 0.0037, 0.1), (0.01, 0.025, 0.1), (0.01, 0.05, 0.1), (0.003, 0.0101, 0.05)])
+    def test_snapshot_cadence_takes_nearest_accepted_time(self, dt, interval, t_end):
+        grid = SpectralGrid(32)
+        st = initial_state(grid, "single_mode", {"mean": 1.0, "amplitude": 0.02})
+        cfg = base_config(t_end=t_end, dt_initial=dt, snapshot_interval=interval,
+                          adaptive=False)
+        traj = run(st, P_V2, cfg)
+        accepted = [r.time for r in traj.reports]
+        expected = {0.0, accepted[-1]}
+        target = interval
+        while target <= accepted[-1] + 0.5 * dt:
+            # the accepted time nearest the target, the later one on a tie
+            expected.add(min(reversed(accepted), key=lambda a: abs(a - target)))
+            target += interval
+        assert traj.times == sorted(expected)
+
     def test_positivity_reject_and_halve_then_fail(self):
         grid = SpectralGrid(64)
         st = initial_state(grid, "gaussian_bump",
@@ -294,3 +313,42 @@ class TestCrossVariant:
                 max_abs(t_orig.final_state.w.data - u_eff.data)))
         assert gaps[0] < 1e-3
         assert gaps[1] < 0.65 * gaps[0]
+
+
+class TestRouting:
+    def test_run_routes_through_advance_report_and_rhs(self, monkeypatch):
+        # every attempt goes through Stepper.advance, every report through
+        # timestepping.evaluate_report and every tendency through
+        # timestepping.rhs, where the traced benchmark counts them
+        counts = dict(advanced=0, failed=0, report=0, rhs=0)
+        advance = timestepping.Stepper.advance
+
+        def counted_advance(self, dt):
+            try:
+                out = advance(self, dt)
+            except (PositivityLoss, NonFinite):
+                counts["failed"] += 1
+                raise
+            counts["advanced"] += 1
+            return out
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(timestepping.Stepper, "advance", counted_advance)
+        monkeypatch.setattr(timestepping, "evaluate_report",
+                            counted("report", timestepping.evaluate_report))
+        monkeypatch.setattr(timestepping, "rhs", counted("rhs", timestepping.rhs))
+        (squeeze,) = [b for b in readme_blocks("json") if "gaussian_bump" in b]
+        cfg = parse_config(squeeze)
+        st = initial_state(cfg.grid, cfg.initial.family, cfg.initial.params)
+        with pytest.raises(PositivityLoss) as err:
+            run(st, cfg.model, cfg.integrator, cfg.monitors)
+        reports = err.value.trajectory.reports
+        assert counts["advanced"] == len(reports) - 1
+        assert counts["failed"] > 0
+        assert counts["report"] == len(reports)
+        assert counts["rhs"] == len(reports)
