@@ -47,10 +47,11 @@ from .spectral import (
     ScalarField,
     VectorField,
     grad_hat,
-    integrate,
     lp_norm,
     to_physical,
+    to_physical_stage,
     to_spectral,
+    to_spectral_stage,
     vector_gradient,
 )
 
@@ -155,11 +156,13 @@ def bd_entropy(state: State, params: ModelParams) -> BDEntropy:
     * capillary: kappa int rho sum_ij (d_i d_j ln rho)^2.
     """
     d = spectral_state(state, params)
-    rho = d.rho.data
+    return _bd_entropy(d, params, energy(d, params))
 
-    value = (_integral(d, rho * d.u_sq)
-             + params.kappa * _integral(d, d.grad_sqrt_rho_sq)
-             + _integral(d, d.pressure_potential))
+
+def _bd_entropy(d: SpectralState, params: ModelParams, en: EnergyParts) -> BDEntropy:
+    """``bd_entropy`` with its value summed from ``energy``'s addends."""
+    rho = d.rho.data
+    value = en.kinetic + en.capillary + en.pressure
 
     grad_u = d.grad_u
     grad_sq = np.sum(grad_u ** 2, axis=(0, 1))
@@ -294,18 +297,16 @@ def vacuum_functional(state: State, params: ModelParams, p: float) -> VacuumFunc
     """
     _P_VACUUM.enforce("vacuum exponent p", p, PExponentOutOfRange)
     d = spectral_state(state, params)
-    rho, grid = d.rho.data, d.grid
+    return _vacuum_functional(d, params, p, *_vacuum_fields(d, p))
+
+
+def _vacuum_functional(d: SpectralState, params: ModelParams, p: float,
+                       rho_pow: np.ndarray, fields: np.ndarray) -> VacuumFunctional:
+    rho = d.rho.data
     coeff = params.kappa / params.mu
 
-    rho_pow = rho ** (1.0 - p)
     value = _integral(d, rho_pow) / (p - 1.0)
-    # one forward transform of rho^{-(p-1)/2} and rho^{1-p}, one inverse of
-    # grad rho^{-(p-1)/2}, Lap rho and Lap rho^{1-p}
-    half_hat, pow_hat = to_spectral(np.stack([rho ** (-(p - 1.0) / 2.0), rho_pow]), grid)
-    lap = grid.rfft_minus_beta_sq
-    fields = to_physical(np.concatenate([grad_hat(half_hat, grid),
-                                         np.stack([lap * d.rho_hat, lap * pow_hat])]), grid)
-    grad_half, lap_rho, lap_rho_pow = fields[:grid.dim], fields[-2], fields[-1]
+    grad_half, lap_rho, lap_rho_pow = fields[:d.grid.dim], fields[-2], fields[-1]
     grad_half_sq = np.sum(grad_half ** 2, axis=0)
     rate_coeff = 4.0 * p * coeff / (p - 1.0) ** 2
     rate = rate_coeff * _integral(d, grad_half_sq)
@@ -314,6 +315,21 @@ def vacuum_functional(state: State, params: ModelParams, p: float) -> VacuumFunc
     rhs = -(coeff / (p - 1.0)) * lap_rho_pow + rate_coeff * grad_half_sq
     residual = float(np.max(np.abs(lhs - rhs)))
     return VacuumFunctional(value, rate, residual)
+
+
+def _vacuum_fields(d: SpectralState, p: float, forward=(), inverse=()):
+    """rho^{1-p} and the stacked grad rho^{-(p-1)/2}, Lap rho and
+    Lap rho^{1-p}: one forward transform of rho^{-(p-1)/2} and rho^{1-p},
+    and one inverse.  The fields of ``d`` named in ``forward`` and
+    ``inverse`` join those two stages."""
+    rho, grid = d.rho.data, d.grid
+    rho_pow = rho ** (1.0 - p)
+    ((half_hat, pow_hat),) = d.fill(to_spectral_stage, *forward, extra=[
+        np.stack([rho ** (-(p - 1.0) / 2.0), rho_pow])])
+    lap = grid.rfft_minus_beta_sq
+    (fields,) = d.fill(to_physical_stage, *inverse, extra=[np.concatenate([
+        grad_hat(half_hat, grid), np.stack([lap * d.rho_hat, lap * pow_hat])])])
+    return rho_pow, fields
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +407,8 @@ def vacuum_indicator(state_or_rho, eps: float, delta: float) -> float:
     _EPSILON.enforce("eps", eps, ValueError)
     _DELTA_VACUUM.enforce("delta", delta, ValueError)
     rho = getattr(state_or_rho, "rho", state_or_rho)
-    require_positive_density(rho)
+    if not isinstance(state_or_rho, SpectralState):  # whose density is checked
+        require_positive_density(rho)
     mask = rho.data <= delta
     integrand = np.zeros_like(rho.data)
     integrand[mask] = rho.data[mask] ** (-eps)  # the power only where it counts
@@ -491,31 +508,40 @@ class FunctionalReport:
         return out
 
 
-def evaluate_report(state: State, params: ModelParams,
-                    spec: MonitorSpec | None = None) -> FunctionalReport:
+def evaluate_report(state: State, params: ModelParams, spec: MonitorSpec | None = None,
+                    previous: tuple[FunctionalReport, float] | None = None) -> FunctionalReport:
     """Evaluate every monitored functional on one state.  A functional that
-    overflows is named in ``diverged``, without a numpy warning."""
+    overflows is named in ``diverged``, without a numpy warning.
+    ``serrin_accumulator`` is 0.0, or, given ``previous`` = (the report of
+    the step before, the dt since), the trapezoid rule's running value.
+
+    Transform stages: sqrt(rho), |v|^2 and the vacuum functional's powers of
+    rho forward; everything the functionals differentiate back."""
     spec = spec or MonitorSpec()
     d = spectral_state(state, params)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _report(d, params, spec)
+        return _report(d, params, spec, previous)
 
 
-def _report(d: SpectralState, params: ModelParams, spec: MonitorSpec) -> FunctionalReport:
+def _report(d: SpectralState, params: ModelParams, spec: MonitorSpec,
+            previous: tuple[FunctionalReport, float] | None) -> FunctionalReport:
+    # the report's two transform stages, joined to the vacuum functional's;
+    # grad ln rho and grad w are held after a step and join on a bare state
+    vac = _vacuum_functional(d, params, spec.p_vacuum, *_vacuum_fields(
+        d, spec.p_vacuum, ["sqrt_rho_and_v_sq_hat"], ["grad_sqrt_rho_and_rho", "grad_of_v_sq",
+                                                       "hess_ln_rho", "grad_ln_rho", "grad_w"]))
     rho = d.rho
     en = energy(d, params)
     eff_diss = effective_energy_dissipation(d, params)
-    bd = bd_entropy(d, params)
+    bd = _bd_entropy(d, params, en)
     mv = mv_entropy(d, params, spec.delta)
     integ = integrability_functional(d, params, spec.p_integrability)
-    vac = vacuum_functional(d, params, spec.p_vacuum)
-    indicator = vacuum_indicator(rho, spec.epsilon, spec.delta_vacuum)
     sp_, sq = spec.serrin_pair(d.grid.dim)
-    serrin_integrand = lp_norm(VectorField(d.grid, d.v), sq) ** sp_
+    serrin_integrand = lp_norm(ScalarField(d.grid, d.v_speed), sq) ** sp_
     deviation = rho.data - rho.data.sum() / rho.data.size  # np.var's steps
     values = dict(
         time=d.time,
-        mass=integrate(rho),
+        mass=_integral(d, rho.data),
         rho_min=float(rho.data.min()),
         rho_max=float(rho.data.max()),
         rho_variance=float(np.square(deviation).sum() / deviation.size),
@@ -541,12 +567,16 @@ def _report(d: SpectralState, params: ModelParams, spec: MonitorSpec) -> Functio
         vac_value=vac.value,
         vac_rate=vac.rate,
         vac_identity_residual=vac.identity_residual,
-        vacuum_indicator=indicator,
+        vacuum_indicator=vacuum_indicator(d, spec.epsilon, spec.delta_vacuum),
         serrin_integrand=serrin_integrand,
-        serrin_accumulator=0.0,  # running value attached by the integrator
     )
     diverged = tuple(k for k, val in values.items() if not math.isfinite(val))
-    return FunctionalReport(**values, diverged=diverged)
+    accumulated = 0.0
+    if previous is not None:
+        prev, dt = previous
+        accumulated = (prev.serrin_accumulator
+                       + 0.5 * dt * (prev.serrin_integrand + serrin_integrand))
+    return FunctionalReport(**values, serrin_accumulator=accumulated, diverged=diverged)
 
 
 # ---------------------------------------------------------------------------

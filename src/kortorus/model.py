@@ -26,6 +26,7 @@ every nonlinear product is dealiased with the 2/3 rule.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -49,7 +50,9 @@ from .spectral import (
     grad_hat,
     gradient,
     to_physical,
+    to_physical_stage,
     to_spectral,
+    to_spectral_stage,
 )
 
 #: Density positivity floor.  Samples at or below it raise NonpositiveDensity
@@ -292,16 +295,34 @@ def recover_u(rho: ScalarField, v: VectorField, params: ModelParams) -> VectorFi
 # derived fields of one state
 
 
+class _Transformed:
+    """A SpectralState field that is ``stage`` of ``source(d)``, held once
+    read, like a cached property; ``SpectralState.fill`` computes several."""
+
+    def __init__(self, stage, source):
+        self.stage, self.source = stage, source
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, d, owner=None):
+        if d is None:
+            return self
+        d.fill(self.stage, self.name)
+        return d.__dict__[self.name]
+
+
 class SpectralState:
     """One state's spectral coefficients and derived fields, each computed at
     most once: ln rho, grad ln rho, u and v with their gradients, grad rho,
     grad |v|^2, the Hessian of ln rho and the pressure (arrays; vector and
     tensor components lead), and the pointwise quantities several
     functionals share: |u|^2, |v|^2, |v|, |grad v|^2, |grad rho|^2,
-    |grad sqrt(rho)|^2 and rho^(gamma - 2).  Fields that the functionals
-    need together share a transform: sqrt(rho) and |v|^2 go forward in one
-    call, grad sqrt(rho) and grad rho come back in one.  On a bare state,
-    rho, the components of w and ln rho go forward in one call.
+    |grad sqrt(rho)|^2 and rho^(gamma - 2).  The transforms go in the
+    dependency stages that the stepper, ``tendency_hats`` and
+    ``evaluate_report`` ask ``fill`` for; a field read on its own is a stage
+    of its own.  A bare state first sends rho, the components of w and ln rho
+    forward in one call.
 
     ``rhs``, ``cfl_dt`` and ``evaluate_report`` accept it in place of the
     FieldState it wraps, so they share this work.  Build it with
@@ -317,31 +338,37 @@ class SpectralState:
         if not self._bare:
             self.rho_hat, self.w_hat = rho_hat, w_hat
 
-    @cached_property
-    def _state_hats(self) -> np.ndarray:
-        """Coefficients of rho, the components of w and ln rho, in one
-        transform (dim + 2 components)."""
-        rho = self.rho.data
-        return to_spectral(np.concatenate([rho[None], self.w.data, np.log(rho)[None]]),
-                           self.grid)
-
-    @cached_property
-    def rho_hat(self) -> np.ndarray:
-        return self._state_hats[0]
-
-    @cached_property
-    def w_hat(self) -> np.ndarray:
-        return self._state_hats[1:-1]
-
-    @cached_property
-    def ln_rho_hat(self) -> np.ndarray:
+    def fill(self, stage, *names: str, extra=()) -> list[np.ndarray]:
+        """Compute the fields ``names`` that are not held yet, and ``stage``
+        of the arrays ``extra``, as one stage; return the latter."""
         if self._bare:
-            return self._state_hats[-1]
-        return to_spectral(np.log(self.rho.data), self.grid)
+            self._bare = False
+            rho = self.rho.data
+            hats = to_spectral(np.concatenate([rho[None], self.w.data, np.log(rho)[None]]),
+                               self.grid)
+            self.rho_hat, self.w_hat, self.ln_rho_hat = hats[0], hats[1:-1], hats[-1]
+        todo = [name for name in names if name not in self.__dict__]
+        sources = (getattr(type(self), name).source(self) for name in todo)
+        out = stage(itertools.chain(sources, extra), self.grid)
+        self.__dict__.update(zip(todo, out))
+        return out[len(todo):]
 
-    @cached_property
-    def grad_ln_rho(self) -> np.ndarray:
-        return to_physical(grad_hat(self.ln_rho_hat, self.grid), self.grid)
+    rho_hat = _Transformed(to_spectral_stage, lambda d: d.rho.data)
+    w_hat = _Transformed(to_spectral_stage, lambda d: d.w.data)
+    ln_rho_hat = _Transformed(to_spectral_stage, lambda d: np.log(d.rho.data))
+    grad_ln_rho = _Transformed(to_physical_stage, lambda d: grad_hat(d.ln_rho_hat, d.grid))
+    grad_w = _Transformed(to_physical_stage, lambda d: grad_hat(d.w_hat, d.grid))
+    hess_ln_rho = _Transformed(
+        to_physical_stage, lambda d: d.grid.rfft_ik[:, None] * d.grid.rfft_ik[None] * d.ln_rho_hat)
+    #: coefficients of sqrt(rho) and |v|^2
+    sqrt_rho_and_v_sq_hat = _Transformed(
+        to_spectral_stage, lambda d: np.stack([np.sqrt(d.rho.data), d.v_sq]))
+    #: grad sqrt(rho) and grad rho as components [:, 0] and [:, 1]
+    grad_sqrt_rho_and_rho = _Transformed(to_physical_stage, lambda d: grad_hat(
+        np.stack([d.sqrt_rho_and_v_sq_hat[0], d.rho_hat]), d.grid))
+    #: grad |v|^2, the spectral derivative of the pointwise |v|^2
+    grad_of_v_sq = _Transformed(
+        to_physical_stage, lambda d: grad_hat(d.sqrt_rho_and_v_sq_hat[1], d.grid))
 
     @cached_property
     def u(self) -> np.ndarray:
@@ -356,10 +383,6 @@ class SpectralState:
         return self.w.data
 
     @cached_property
-    def grad_w(self) -> np.ndarray:
-        return to_physical(grad_hat(self.w_hat, self.grid), self.grid)
-
-    @cached_property
     def grad_u(self) -> np.ndarray:
         if self.params.variant == "original":
             return self.grad_w
@@ -372,33 +395,12 @@ class SpectralState:
         return self.grad_w
 
     @cached_property
-    def _sqrt_rho_and_v_sq_hat(self) -> np.ndarray:
-        """Coefficients of sqrt(rho) and |v|^2, in one transform."""
-        return to_spectral(np.stack([np.sqrt(self.rho.data), self.v_sq]), self.grid)
-
-    @cached_property
-    def _grad_sqrt_rho_and_rho(self) -> np.ndarray:
-        """grad sqrt(rho) and grad rho as components [:, 0] and [:, 1], in one
-        transform (2 x dim components)."""
-        hats = np.stack([self._sqrt_rho_and_v_sq_hat[0], self.rho_hat])
-        return to_physical(grad_hat(hats, self.grid), self.grid)
-
-    @cached_property
-    def grad_rho(self) -> np.ndarray:
-        return self._grad_sqrt_rho_and_rho[:, 1]
-
-    @cached_property
     def grad_rho_sq(self) -> np.ndarray:
-        return np.sum(self.grad_rho ** 2, axis=0)
+        return np.sum(self.grad_sqrt_rho_and_rho[:, 1] ** 2, axis=0)
 
     @cached_property
     def grad_sqrt_rho_sq(self) -> np.ndarray:
-        return np.sum(self._grad_sqrt_rho_and_rho[:, 0] ** 2, axis=0)
-
-    @cached_property
-    def grad_of_v_sq(self) -> np.ndarray:
-        """grad |v|^2, the spectral derivative of the pointwise |v|^2."""
-        return to_physical(grad_hat(self._sqrt_rho_and_v_sq_hat[1], self.grid), self.grid)
+        return np.sum(self.grad_sqrt_rho_and_rho[:, 0] ** 2, axis=0)
 
     @cached_property
     def rho_pow_gamma_minus_2(self) -> np.ndarray:
@@ -421,13 +423,8 @@ class SpectralState:
         return np.sum(self.grad_v ** 2, axis=(0, 1))
 
     @cached_property
-    def hess_ln_rho(self) -> np.ndarray:
-        ik = self.grid.rfft_ik
-        return to_physical(ik[:, None] * ik[None] * self.ln_rho_hat, self.grid)
-
-    @cached_property
-    def pressure(self) -> np.ndarray:
-        return pressure(self.rho, self.params).data
+    def pressure(self) -> np.ndarray:  # model.pressure's, on a checked density
+        return self.params.a * self.rho.data ** self.params.gamma
 
     @cached_property
     def pressure_potential(self) -> np.ndarray:
@@ -450,28 +447,40 @@ def spectral_state(state: FieldState | SpectralState, params: ModelParams) -> Sp
 # right-hand sides
 
 
-def tendency_hats(d: SpectralState) -> tuple[np.ndarray, np.ndarray]:
+def tendency_hats(d: SpectralState, forcing=()) -> tuple[np.ndarray, np.ndarray]:
     """rfft coefficients of (d rho/dt without its (kappa/mu) Lap rho part,
-    d w/dt): every nonlinear product is dealiased by masking its coefficients,
+    d w/dt), each plus its source sampled in ``forcing`` = (f_rho, f_w) if
+    given: every nonlinear product is dealiased by masking its coefficients,
     and derivatives are taken from the masked coefficients directly.
 
     Both variant families share the assembly: the mass flux is rho w, the
     stress is div(rho T) with T = mu grad w, plus alpha (grad w)^T and the
     Korteweg term kappa grad grad ln rho for ``original``, and the advecting
-    field is u."""
+    field is u.  Transform stages: ln rho, rho w, P(rho), the forcing and
+    rho T forward; grad ln rho and the force back; the tendency forward.
+    ``original`` first brings back grad grad ln rho (with grad ln rho on a
+    1D grid, where it costs no call) and sends rho T forward alone."""
     params, grid = d.params, d.grid
     rho = d.rho.data
     keep = grid.rfft_dealias_keep
-    drho_hat = -div_hat(keep * to_spectral(rho * d.w.data, grid), grid)
-
+    effective = params.variant != "original"
     stress = params.mu * d.grad_w
-    if params.variant == "original":
+    flux_hat, p_hat, *hats = d.fill(to_spectral_stage, "ln_rho_hat", extra=[
+        rho * d.w.data, d.pressure, *forcing, *([rho * stress] if effective else [])])
+    if not effective:
+        d.fill(to_physical_stage, "hess_ln_rho", *(["grad_ln_rho"] if grid.dim == 1 else []))
         stress = (stress + params.alpha * np.swapaxes(d.grad_w, 0, 1)
                   + params.kappa * d.hess_ln_rho)
-    force = to_physical(div_hat(keep * to_spectral(rho * stress, grid), grid)
-                        - grad_hat(to_spectral(d.pressure, grid), grid), grid)
+        hats += d.fill(to_spectral_stage, extra=[rho * stress])
+    *forcing_hats, stress_hat = hats
+    (force,) = d.fill(to_physical_stage, *(["grad_ln_rho"] if effective else []), extra=[
+        div_hat(keep * stress_hat, grid) - grad_hat(p_hat, grid)])
     advect = np.einsum("i...,ij...->j...", d.u, d.grad_w)
-    return drho_hat, keep * to_spectral(force / rho - advect, grid)
+    (momentum_hat,) = d.fill(to_spectral_stage, extra=[force / rho - advect])
+    drho_hat, dw_hat = -div_hat(keep * flux_hat, grid), keep * momentum_hat
+    if forcing_hats:
+        drho_hat, dw_hat = drho_hat + forcing_hats[0], dw_hat + forcing_hats[1]
+    return drho_hat, dw_hat
 
 
 def rhs(state: FieldState | SpectralState,
@@ -486,5 +495,5 @@ def rhs(state: FieldState | SpectralState,
     drho_hat, dw_hat = tendency_hats(d)
     if params.variant != "original":
         drho_hat = drho_hat + params.eps * d.grid.rfft_minus_beta_sq * d.rho_hat
-    return (ScalarField(d.grid, to_physical(drho_hat, d.grid)),
-            VectorField(d.grid, to_physical(dw_hat, d.grid)))
+    drho, dw = to_physical_stage([drho_hat, dw_hat], d.grid)
+    return ScalarField(d.grid, drho), VectorField(d.grid, dw)

@@ -273,6 +273,31 @@ def to_physical(hat: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     return scipy.fft.irfftn(hat, s=grid.shape, axes=grid.rfft_axes)
 
 
+def _stage(transform, arrays, grid: SpectralGrid) -> list[np.ndarray]:
+    """``transform`` of each array of one dependency stage: stacked row by
+    row into one call on a 1D grid, where a call costs about the same for 1
+    row or 8; one call each on a 2D grid, where wider batches cost more per
+    component (see README), taking each array just before its call."""
+    arrays = list(arrays) if grid.dim == 1 else arrays
+    if grid.dim != 1 or len(arrays) < 2:
+        return [transform(a, grid) for a in arrays]
+    out = transform(np.concatenate([a.reshape(-1, a.shape[-1]) for a in arrays]), grid)
+    parts, start = [], 0
+    for a in arrays:
+        stop = start + a.size // a.shape[-1]
+        parts.append(out[start:stop].reshape(a.shape[:-1] + out.shape[-1:]))
+        start = stop
+    return parts
+
+
+def to_spectral_stage(arrays, grid: SpectralGrid) -> list[np.ndarray]:
+    return _stage(to_spectral, arrays, grid)
+
+
+def to_physical_stage(hats, grid: SpectralGrid) -> list[np.ndarray]:
+    return _stage(to_physical, hats, grid)
+
+
 def grad_hat(hat: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     """Coefficients of the derivatives d_i, with the axis i prepended."""
     ik = grid.rfft_ik.reshape((grid.dim,) + (1,) * (hat.ndim - grid.dim) + grid.rfft_shape)

@@ -40,7 +40,7 @@ from .model import (
     spectral_state,
     tendency_hats,
 )
-from .spectral import ScalarField, SpectralGrid, VectorField, to_physical, to_spectral
+from .spectral import ScalarField, SpectralGrid, VectorField, grad_hat, to_physical_stage
 
 SCHEMES = ("imex_euler", "imex_bdf2")
 
@@ -204,13 +204,11 @@ class RunState:
 def rhs(d: SpectralState, forcing: ForcingFn | None) -> tuple[np.ndarray, np.ndarray]:
     """Right-hand side of the IMEX split, as rfft coefficients: the explicit
     density tendency (the (kappa/mu) Lap rho part is integrated exactly and
-    left out) and the full velocity tendency, forcing included."""
-    n_rho_hat, f_w_hat = tendency_hats(d)
-    if forcing is not None:
-        f_rho, f_w = forcing(d.time)
-        n_rho_hat = n_rho_hat + to_spectral(np.asarray(f_rho, dtype=float), d.grid)
-        f_w_hat = f_w_hat + to_spectral(np.asarray(f_w, dtype=float), d.grid)
-    return n_rho_hat, f_w_hat
+    left out) and the full velocity tendency, forcing included.  The
+    forcing samples go forward in the tendencies' first forward stage."""
+    if forcing is None:
+        return tendency_hats(d)
+    return tendency_hats(d, [np.asarray(f, dtype=float) for f in forcing(d.time)])
 
 
 def _make_level(d: SpectralState, forcing: ForcingFn | None, dt_prev: float | None) -> _Level:
@@ -279,7 +277,9 @@ class Stepper:
 
     ``derived`` is the SpectralState of the current ``state``, a cache of the
     newest level: after a step it is built from that level's coefficients,
-    so no step transforms rho and w forward again.
+    so no step transforms rho and w forward again.  A step's first transform
+    stage brings rho and w back for the positivity check; ``rhs`` then makes
+    the tendencies' stages.
     """
 
     def __init__(self, state: FieldState, params: ModelParams, config: IntegratorConfig,
@@ -308,9 +308,15 @@ class Stepper:
                                            nu_shift, dt)
         else:
             rho_hat, w_hat = _advance_euler(levels[-1], grid, self.params, nu_shift, dt)
-        new_state = _check_new_state(grid, to_physical(rho_hat, grid),
-                                     to_physical(w_hat, grid), levels[-1].time + dt)
+        # grad w rides along only where it costs no call: a 2D grid inverts
+        # it when the tendencies first read it, after the check
+        rho, w, *grad_w = to_physical_stage(
+            [rho_hat, w_hat] + ([grad_hat(w_hat, grid)] if grid.dim == 1 else []), grid)
+        # copies, so that a kept state does not hold the stage's whole array
+        new_state = _check_new_state(grid, rho.copy(), w.copy(), levels[-1].time + dt)
         self.derived = SpectralState(new_state, self.params, rho_hat, w_hat)
+        if grad_w:
+            self.derived.grad_w = grad_w[0]
         self.run_state = RunState((levels[-1], _make_level(self.derived, self.forcing, dt)),
                                   self.run_state.report, self.run_state.next_snap)
         return new_state
@@ -367,10 +373,9 @@ def run(initial: FieldState, params: ModelParams, config: IntegratorConfig,
             trajectory.terminated = TerminationInfo(type(exc).__name__, str(exc), last.time)
             exc.trajectory = trajectory
             raise
-        prev, next_snap = stepper.run_state.report, stepper.run_state.next_snap
-        rep = evaluate_report(stepper.derived, params, monitors)
-        rep = replace(rep, serrin_accumulator=prev.serrin_accumulator
-                      + 0.5 * dt * (prev.serrin_integrand + rep.serrin_integrand))
+        next_snap = stepper.run_state.next_snap
+        rep = evaluate_report(stepper.derived, params, monitors,
+                              previous=(stepper.run_state.report, dt))
         trajectory.record(rep)
         while next_snap is not None and new_state.time >= next_snap - eps_end:
             # the accepted state nearest the target; a tie goes to the later one

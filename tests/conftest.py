@@ -10,8 +10,9 @@ FFT_ENTRY_POINTS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "ir
 
 @pytest.fixture
 def fft_count(monkeypatch):
-    """Calls and transformed points of every numpy.fft/scipy.fft entry point."""
-    count = {"calls": 0, "points": 0}
+    """Calls and transformed points of every numpy.fft/scipy.fft entry point,
+    and the widest leading batch (components) of any call over two axes."""
+    count = {"calls": 0, "points": 0, "widest_2d": 0}
     for module in (np.fft, scipy.fft):
         for name in FFT_ENTRY_POINTS:
             fn = getattr(module, name, None)
@@ -19,8 +20,11 @@ def fft_count(monkeypatch):
                 continue
 
             def counted(x, *args, _fn=fn, **kwargs):
+                shape = np.shape(x)
                 count["calls"] += 1
-                count["points"] += np.asarray(x).size
+                count["points"] += int(np.prod(shape))
+                if len(kwargs.get("axes") or ()) == 2:
+                    count["widest_2d"] = max(count["widest_2d"], int(np.prod(shape[:-2])))
                 return _fn(x, *args, **kwargs)
             monkeypatch.setattr(module, name, counted)
     return count

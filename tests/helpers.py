@@ -82,11 +82,13 @@ def dense_quadrature_1d(fn, length: float, n: int = 2 ** 20) -> float:
 
 
 def measure(count: dict, fn) -> dict:
-    """What ``fn()`` adds to each entry of ``count`` (the ``fft_count``
-    fixture's calls and points)."""
-    before = dict(count)
+    """What ``fn()`` adds to the ``fft_count`` fixture's calls and points, and
+    the widest leading batch of its calls over two axes (0 if none)."""
+    calls, points = count["calls"], count["points"]
+    count["widest_2d"] = 0
     fn()
-    return {k: count[k] - before[k] for k in count}
+    return {"calls": count["calls"] - calls, "points": count["points"] - points,
+            "widest_2d": count["widest_2d"]}
 
 
 def max_abs(a) -> float:

@@ -1,23 +1,47 @@
 """The spectral-state core: agreement with an independent complex-FFT
 assembly of the right-hand side and with round-trip dealiasing of the
-Korteweg term, the 1D transform entry points, and the transform budget of
-one step and one report (counts, so machine-independent)."""
+Korteweg term, the 1D transform entry points, the transform budget of one
+step and one report (counts, so machine-independent), and bit-identity of
+the staged transforms with one call per field."""
 
 import numpy as np
 import pytest
 import scipy.fft
 
-from kortorus.functionals import evaluate_report
+from kortorus import spectral
+from kortorus.functionals import (
+    MonitorSpec,
+    bd_entropy,
+    effective_energy,
+    effective_energy_dissipation,
+    energy,
+    evaluate_report,
+    integrability_functional,
+    mv_entropy,
+    vacuum_functional,
+    vacuum_indicator,
+)
 from kortorus.model import (
     ModelParams,
+    SpectralState,
     inverse_density_capillarity,
     korteweg_div_general,
     korteweg_div_special,
     power_law_capillarity,
     rhs,
+    tendency_hats,
 )
 from kortorus.scenarios import density_corpus, initial_state
-from kortorus.spectral import SpectralGrid, to_physical, to_spectral
+from kortorus.spectral import (
+    SpectralGrid,
+    VectorField,
+    integrate,
+    lp_norm,
+    to_physical,
+    to_physical_stage,
+    to_spectral,
+    to_spectral_stage,
+)
 from kortorus.timestepping import IntegratorConfig, Stepper, cfl_dt
 from helpers import (
     korteweg_div_general_round_trip,
@@ -53,30 +77,62 @@ def test_rhs_matches_complex_fft_reference(variant, resolution, seed):
     assert rel_linf(dw.data, ref_w) < 1e-12
 
 
+def stepped(variant, resolution, seed, forcing=None, dt=1e-4):
+    """A Stepper for VARIANT_PARAMS[variant] after two steps (the second one
+    BDF2), and its config."""
+    params = VARIANT_PARAMS[variant]
+    config = IntegratorConfig(dt_initial=dt, dt_min=1e-9, t_end=1.0, scheme="imex_bdf2")
+    stepper = Stepper(smooth_state(resolution, seed), params, config, forcing)
+    stepper.advance(dt)
+    stepper.advance(dt)
+    return stepper, config
+
+
+def sine_forcing(grid):
+    x = grid.meshgrid()[0]
+    return lambda t: (0.1 * np.sin(x + t), np.stack([0.2 * np.cos(x - t)] * grid.dim))
+
+
 def test_fft_budget_2d_effective_bdf2_step_and_report(fft_count):
-    params = VARIANT_PARAMS["effective_v2"]
-    config = IntegratorConfig(dt_initial=1e-3, dt_min=1e-9, t_end=1.0, scheme="imex_bdf2")
-    state = smooth_state((32, 32), 5)
-    stepper = Stepper(state, params, config)
-    stepper.advance(1e-3)  # bootstrap step; the next one is BDF2
+    # the 2D stages make the calls they made before the 1D batching: one per
+    # group, none wider than 4 components
+    stepper, config = stepped("effective_v2", (32, 32), 5, dt=1e-3)
+    params = stepper.params
 
     def one_step():  # as in timestepping.run: step-size bound, then the step
         stepper.advance(min(1e-3, cfl_dt(stepper.derived, params, config)))
     step = measure(fft_count, one_step)
     report = measure(fft_count, lambda: evaluate_report(stepper.derived, params))
-    size = state.rho.data.size
-    assert step["calls"] <= 24 and step["points"] <= 24 * size
-    assert report["calls"] <= 20 and report["points"] <= 20 * size
+    size = stepper.state.rho.data.size
+    assert step["calls"] == 10 and step["points"] <= 24 * size
+    assert report["calls"] == 6 and report["points"] <= 20 * size
+    assert step["widest_2d"] == report["widest_2d"] == 4
+
+
+def step_budget(fft_count, variant, forced):
+    """Calls and points of one 1D step after the first two, forced or not."""
+    grid = SpectralGrid(128)
+    stepper, config = stepped(variant, 128, 6, sine_forcing(grid) if forced else None)
+    return measure(fft_count, lambda: stepper.advance(
+        min(1e-4, cfl_dt(stepper.derived, stepper.params, config))))
 
 
 def test_fft_budget_1d_original_step(fft_count):
-    params = VARIANT_PARAMS["original"]
-    config = IntegratorConfig(dt_initial=1e-4, dt_min=1e-9, t_end=1.0)
-    state = smooth_state(128, 6)
-    stepper = Stepper(state, params, config)
-    step = measure(fft_count, lambda: stepper.advance(
-        min(1e-4, cfl_dt(stepper.derived, params, config))))
-    assert step["calls"] <= 24 and step["points"] <= 24 * state.rho.data.size
+    # rho, w and grad w back; ln rho, rho w, P and the forcing forward;
+    # grad grad ln rho and grad ln rho back; rho T forward; the force back;
+    # the tendency forward.  The forcing adds no call.
+    for forced in (False, True):
+        step = step_budget(fft_count, "original", forced)
+        assert step["calls"] == 6 and step["points"] <= 24 * 128
+
+
+@pytest.mark.parametrize("variant", ["effective_v1", "effective_v2"])
+def test_fft_budget_1d_effective_step(fft_count, variant):
+    # rho, w and grad w back; ln rho, rho w, P, rho T and the forcing
+    # forward; grad ln rho and the force back; the tendency forward
+    for forced in (False, True):
+        step = step_budget(fft_count, variant, forced)
+        assert step["calls"] == 4 and step["points"] <= 24 * 128
 
 
 # The points a 2D 32^2 report transforms, in grid sizes: 4 forward scalars
@@ -90,16 +146,13 @@ REPORT_POINTS_2D = 4 + 14 * 17 / 32
     ("effective_v2", 64), ("original", 128), ("effective_v2", (32, 32)),
     ("original", (32, 32))])
 def test_fft_budget_report(fft_count, variant, resolution):
-    params = VARIANT_PARAMS[variant]
-    config = IntegratorConfig(dt_initial=1e-4, dt_min=1e-9, t_end=1.0, scheme="imex_bdf2")
-    state = smooth_state(resolution, 7)
-    stepper = Stepper(state, params, config)
-    stepper.advance(1e-4)
-    stepper.advance(1e-4)
-    report = measure(fft_count, lambda: evaluate_report(stepper.derived, params))
-    assert report["calls"] <= 6
-    if stepper.derived.grid.dim == 2:
-        assert report["points"] <= REPORT_POINTS_2D * state.rho.data.size
+    stepper, _ = stepped(variant, resolution, 7)
+    report = measure(fft_count, lambda: evaluate_report(stepper.derived, stepper.params))
+    if stepper.derived.grid.dim == 1:
+        assert report["calls"] <= 2
+    else:
+        assert report["calls"] == 6 and report["widest_2d"] <= 4
+        assert report["points"] <= REPORT_POINTS_2D * stepper.state.rho.data.size
 
 
 @pytest.mark.parametrize("variant,resolution", [
@@ -111,7 +164,66 @@ def test_fft_budget_report_on_bare_state(fft_count, variant, resolution):
     params = VARIANT_PARAMS[variant]
     state = smooth_state(resolution, 8)
     report = measure(fft_count, lambda: evaluate_report(state, params))
-    assert report["calls"] <= 9
+    assert report["calls"] <= (4 if state.grid.dim == 1 else 9)
+    assert report["widest_2d"] <= 4
+
+
+def unbatched(monkeypatch):
+    """Make every transform stage call once per array, as before the 1D
+    batching."""
+    monkeypatch.setattr(spectral, "_stage",
+                        lambda transform, arrays, grid: [transform(a, grid) for a in arrays])
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANT_PARAMS))
+@pytest.mark.parametrize("resolution", [64, (32, 32)])
+def test_staged_report_equals_each_functional(variant, resolution):
+    stepper, _ = stepped(variant, resolution, 9)
+    d, params, spec = stepper.derived, stepper.params, MonitorSpec()
+    rep = evaluate_report(d, params, spec)
+
+    def fresh():
+        return SpectralState(d.state, params, d.rho_hat, d.w_hat)
+    en, bd = energy(fresh(), params), bd_entropy(fresh(), params)
+    mv = mv_entropy(fresh(), params, spec.delta)
+    integ = integrability_functional(fresh(), params, spec.p_integrability)
+    vac = vacuum_functional(fresh(), params, spec.p_vacuum)
+    serrin_p, serrin_q = spec.serrin_pair(d.grid.dim)
+    expected = dict(
+        energy_total=en.total, energy_kinetic=en.kinetic, energy_pressure=en.pressure,
+        energy_capillary=en.capillary, effective_energy=effective_energy(fresh(), params),
+        eff_energy_rate_viscous=effective_energy_dissipation(fresh(), params)[0],
+        eff_energy_rate_pressure=effective_energy_dissipation(fresh(), params)[1],
+        bd_value=bd.value, bd_rate_viscous=bd.viscous_rate, bd_rate_cross=bd.cross_rate,
+        bd_rate_capillary=bd.capillary_rate, mv_value=mv.value,
+        mv_rate_dissipation=mv.dissipation_rate, mv_rhs_bound=mv.rhs_bound,
+        int_value=integ.value, int_rate_grad=integ.grad_rate,
+        int_rate_quartic=integ.quartic_rate,
+        int_rate_quartic_identity=integ.quartic_rate_identity, vac_value=vac.value,
+        vac_rate=vac.rate, vac_identity_residual=vac.identity_residual,
+        vacuum_indicator=vacuum_indicator(fresh(), spec.epsilon, spec.delta_vacuum),
+        serrin_integrand=lp_norm(VectorField(d.grid, fresh().v), serrin_q) ** serrin_p,
+        mass=integrate(d.rho))
+    assert {k: getattr(rep, k) for k in expected} == expected
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+@pytest.mark.parametrize("variant", sorted(VARIANT_PARAMS))
+@pytest.mark.parametrize("resolution", [64, (32, 32)])
+def test_staged_tendencies_equal_unbatched(monkeypatch, variant, resolution, forced):
+    # the newest level's tendencies come from the step's own stages
+    forcing = sine_forcing(SpectralGrid(resolution)) if forced else None
+    stepper, _ = stepped(variant, resolution, 10, forcing)
+    d, level = stepper.derived, stepper.run_state.levels[-1]
+    unbatched(monkeypatch)
+    fresh = SpectralState(d.state, stepper.params, d.rho_hat, d.w_hat)
+    for name in ("ln_rho_hat", "grad_w", "grad_ln_rho", "hess_ln_rho"):
+        getattr(fresh, name)  # field by field
+    reference = tendency_hats(fresh)
+    if forced:
+        reference = tuple(r + to_spectral(f, d.grid) for r, f in zip(reference, forcing(d.time)))
+    assert np.array_equal(level.n_rho_hat, reference[0])
+    assert np.array_equal(level.f_w_hat, reference[1])
 
 
 @pytest.mark.parametrize("lead", [(), (1,), (1, 1), (3,)])
@@ -122,6 +234,16 @@ def test_1d_transforms_match_rfftn_bit_for_bit(lead):
     assert np.array_equal(hat, scipy.fft.rfftn(data, axes=(-1,)))
     assert np.array_equal(to_physical(hat, grid),
                           scipy.fft.irfftn(hat, s=grid.shape, axes=(-1,)))
+
+
+def test_stages_match_single_transforms_bit_for_bit():
+    grid = SpectralGrid(64)
+    rng = np.random.default_rng(11)
+    arrays = [rng.standard_normal(lead + grid.shape) for lead in [(), (1,), (2, 1), (3,)]]
+    hats = to_spectral_stage(arrays, grid)
+    assert all(np.array_equal(h, to_spectral(a, grid)) for h, a in zip(hats, arrays))
+    back = to_physical_stage(hats, grid)
+    assert all(np.array_equal(b, to_physical(h, grid)) for b, h in zip(back, hats))
 
 
 @pytest.fixture(scope="module")
