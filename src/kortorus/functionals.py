@@ -40,6 +40,7 @@ from .model import (
     FieldState,
     ModelParams,
     SpectralState,
+    pressure_potential,
     require_positive_density,
     spectral_state,
 )
@@ -92,7 +93,7 @@ def _integral(d: SpectralState | ScalarField, data: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# energy
+# energy and entropies: each is its slice of ``evaluate_report``
 
 
 @dataclass(frozen=True)
@@ -106,35 +107,22 @@ class EnergyParts:
 def energy(state: State, params: ModelParams) -> EnergyParts:
     """int (rho |u|^2 + a rho^gamma/(gamma-1) + kappa |grad sqrt(rho)|^2) dx,
     each addend reported separately (gamma = 1 uses the Pi convention)."""
-    d = spectral_state(state, params)
-    rho = d.rho.data
-    kinetic = _integral(d, rho * d.u_sq)
-    press = _integral(d, d.pressure_potential)
-    capillary = params.kappa * _integral(d, d.grad_sqrt_rho_sq)
-    return EnergyParts(kinetic + press + capillary, kinetic, press, capillary)
+    rep = evaluate_report(state, params)
+    return EnergyParts(rep.energy_total, rep.energy_kinetic, rep.energy_pressure,
+                       rep.energy_capillary)
 
 
 def effective_energy(state: State, params: ModelParams) -> float:
     """Decaying functional of the simplified system, int (rho |v|^2 / 2 + Pi(rho)) dx."""
-    d = spectral_state(state, params)
-    kinetic = 0.5 * _integral(d, d.rho.data * d.v_sq)
-    return kinetic + _integral(d, d.pressure_potential)
+    return evaluate_report(state, params).effective_energy
 
 
 def effective_energy_dissipation(state: State, params: ModelParams) -> tuple[float, float]:
     """Instantaneous decay rates of the effective energy: the viscous part
     mu int rho |grad v|^2 and the density-gradient part
     (kappa/mu) int P''(rho) |grad rho|^2 (both nonnegative)."""
-    d = spectral_state(state, params)
-    rho = d.rho.data
-    viscous = params.mu * _integral(d, rho * d.grad_v_sq)
-    p_second = params.a * params.gamma * (params.gamma - 1.0) * d.rho_pow_gamma_minus_2
-    pressure_part = params.eps * _integral(d, p_second * d.grad_rho_sq)
-    return viscous, pressure_part
-
-
-# ---------------------------------------------------------------------------
-# two-velocity entropy with dissipation decomposition
+    rep = evaluate_report(state, params)
+    return rep.eff_energy_rate_viscous, rep.eff_energy_rate_pressure
 
 
 @dataclass(frozen=True)
@@ -155,30 +143,9 @@ def bd_entropy(state: State, params: ModelParams) -> BDEntropy:
       = a gamma int rho^{gamma-2} |grad rho|^2 >= 0,
     * capillary: kappa int rho sum_ij (d_i d_j ln rho)^2.
     """
-    d = spectral_state(state, params)
-    return _bd_entropy(d, params, energy(d, params))
-
-
-def _bd_entropy(d: SpectralState, params: ModelParams, en: EnergyParts) -> BDEntropy:
-    """``bd_entropy`` with its value summed from ``energy``'s addends."""
-    rho = d.rho.data
-    value = en.kinetic + en.capillary + en.pressure
-
-    grad_u = d.grad_u
-    grad_sq = np.sum(grad_u ** 2, axis=(0, 1))
-    sym = grad_u + np.swapaxes(grad_u, 0, 1)
-    sym_sq = np.sum(sym ** 2, axis=(0, 1))
-    viscous = ((params.mu - params.alpha) * _integral(d, rho * grad_sq)
-               + params.alpha * _integral(d, rho * sym_sq))
-
-    cross = params.a * params.gamma * _integral(d, d.rho_pow_gamma_minus_2 * d.grad_rho_sq)
-
-    capillary = params.kappa * _integral(d, rho * np.sum(d.hess_ln_rho ** 2, axis=(0, 1)))
-    return BDEntropy(value, viscous, cross, capillary)
-
-
-# ---------------------------------------------------------------------------
-# weighted-kinetic (extra integrability) entropy
+    rep = evaluate_report(state, params)
+    return BDEntropy(rep.bd_value, rep.bd_rate_viscous, rep.bd_rate_cross,
+                     rep.bd_rate_capillary)
 
 
 @dataclass(frozen=True)
@@ -193,21 +160,8 @@ def mv_entropy(state: State, params: ModelParams, delta: float) -> MVEntropy:
     dissipation (mu/4) int rho |v|^delta |grad v|^2 dx and the verbatim
     right-hand bound of the corresponding differential inequality."""
     _DELTA.enforce("delta", delta, DeltaOutOfRange)
-    d = spectral_state(state, params)
-    rho, speed_sq, speed = d.rho.data, d.v_sq, d.v_speed
-
-    value = _integral(d, rho * speed ** (2.0 + delta)) / (2.0 + delta)
-    dissipation = 0.25 * params.mu * _integral(d, rho * speed ** delta * d.grad_v_sq)
-
-    inner_exp = 2.0 / (2.0 - delta)
-    rho_pow = rho ** ((2.0 * params.gamma - 1.0 - delta / 2.0) * inner_exp)
-    rhs = (_integral(d, rho_pow) ** inner_exp
-           * _integral(d, rho * speed_sq) ** (delta / 2.0))
-    return MVEntropy(value, dissipation, rhs)
-
-
-# ---------------------------------------------------------------------------
-# gain-of-integrability functional
+    rep = evaluate_report(state, params, MonitorSpec(delta=delta))
+    return MVEntropy(rep.mv_value, rep.mv_rate_dissipation, rep.mv_rhs_bound)
 
 
 @dataclass(frozen=True)
@@ -230,9 +184,9 @@ def quartic_forms(v: VectorField) -> tuple[np.ndarray, np.ndarray]:
 def _quartic_forms(v: np.ndarray, grad_v: np.ndarray,
                    grad_v_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # sum_{jk} v_j v_k d_i v_j d_i v_k = (sum_j v_j d_i v_j)^2 for each i
-    s = np.sum(v * grad_v, axis=1)
-    direct = np.sum(s ** 2, axis=0)
-    identity = np.sum((0.5 * grad_v_sq) ** 2, axis=0)
+    s = (v * grad_v).sum(axis=1)
+    direct = (s ** 2).sum(axis=0)
+    identity = ((0.5 * grad_v_sq) ** 2).sum(axis=0)
     return direct, identity
 
 
@@ -242,22 +196,9 @@ def integrability_functional(state: State, params: ModelParams, p: float) -> Int
     the quadruple-sum assembly of the quartic form is the authoritative one,
     the identity form is reported for cross-checking."""
     _P_INTEGRABILITY.enforce("integrability exponent p", p, PExponentOutOfRange)
-    d = spectral_state(state, params)
-    rho, speed_sq, speed = d.rho.data, d.v_sq, d.v_speed
-
-    value = _integral(d, rho * speed ** p) / p
-    grad_rate = _integral(d, rho * speed ** (p - 2.0) * d.grad_v_sq)
-
-    direct, identity = _quartic_forms(d.v, d.grad_v, d.grad_of_v_sq)
-    # both quartic forms are O(|v|^2) near zeros of v, so the |v|^{p-4} weight
-    # stays integrable for every p > 2; mask the removable 0 * inf
-    safe_speed = np.where(speed_sq > 0.0, speed, 1.0)
-    weight = np.where(speed_sq > 0.0, safe_speed ** (p - 4.0), 0.0)
-    rate_direct = (p - 2.0) * _integral(
-        d, rho * np.where(speed_sq > 0.0, direct * weight, 0.0))
-    rate_identity = (p - 2.0) * _integral(
-        d, rho * np.where(speed_sq > 0.0, identity * weight, 0.0))
-    return Integrability(value, grad_rate, rate_direct, rate_identity)
+    rep = evaluate_report(state, params, MonitorSpec(p_integrability=p))
+    return Integrability(rep.int_value, rep.int_rate_grad, rep.int_rate_quartic,
+                         rep.int_rate_quartic_identity)
 
 
 def integrability_accumulated(trajectory) -> np.ndarray:
@@ -297,7 +238,10 @@ def vacuum_functional(state: State, params: ModelParams, p: float) -> VacuumFunc
     """
     _P_VACUUM.enforce("vacuum exponent p", p, PExponentOutOfRange)
     d = spectral_state(state, params)
-    return _vacuum_functional(d, params, p, *_vacuum_fields(d, p))
+    rho_pow, powers = _vacuum_powers(d.rho.data, p)
+    (powers_hat,) = d.fill(to_spectral_stage, extra=[powers])
+    (fields,) = d.fill(to_physical_stage, extra=[_vacuum_derivatives(d, powers_hat)])
+    return _vacuum_functional(d, params, p, rho_pow, fields)
 
 
 def _vacuum_functional(d: SpectralState, params: ModelParams, p: float,
@@ -307,29 +251,30 @@ def _vacuum_functional(d: SpectralState, params: ModelParams, p: float,
 
     value = _integral(d, rho_pow) / (p - 1.0)
     grad_half, lap_rho, lap_rho_pow = fields[:d.grid.dim], fields[-2], fields[-1]
-    grad_half_sq = np.sum(grad_half ** 2, axis=0)
+    grad_half_sq = (grad_half ** 2).sum(axis=0)
     rate_coeff = 4.0 * p * coeff / (p - 1.0) ** 2
     rate = rate_coeff * _integral(d, grad_half_sq)
 
     lhs = coeff * rho ** (-p) * lap_rho
     rhs = -(coeff / (p - 1.0)) * lap_rho_pow + rate_coeff * grad_half_sq
-    residual = float(np.max(np.abs(lhs - rhs)))
+    residual = float(np.abs(lhs - rhs).max())
     return VacuumFunctional(value, rate, residual)
 
 
-def _vacuum_fields(d: SpectralState, p: float, forward=(), inverse=()):
-    """rho^{1-p} and the stacked grad rho^{-(p-1)/2}, Lap rho and
-    Lap rho^{1-p}: one forward transform of rho^{-(p-1)/2} and rho^{1-p},
-    and one inverse.  The fields of ``d`` named in ``forward`` and
-    ``inverse`` join those two stages."""
-    rho, grid = d.rho.data, d.grid
+def _vacuum_powers(rho: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """rho^{1-p}, and what the vacuum functional sends forward: rho^{-(p-1)/2}
+    and rho^{1-p}, stacked."""
     rho_pow = rho ** (1.0 - p)
-    ((half_hat, pow_hat),) = d.fill(to_spectral_stage, *forward, extra=[
-        np.stack([rho ** (-(p - 1.0) / 2.0), rho_pow])])
-    lap = grid.rfft_minus_beta_sq
-    (fields,) = d.fill(to_physical_stage, *inverse, extra=[np.concatenate([
-        grad_hat(half_hat, grid), np.stack([lap * d.rho_hat, lap * pow_hat])])])
-    return rho_pow, fields
+    return rho_pow, np.array([rho ** (-(p - 1.0) / 2.0), rho_pow])
+
+
+def _vacuum_derivatives(d: SpectralState, powers_hat: np.ndarray) -> np.ndarray:
+    """What the vacuum functional brings back, from the coefficients of
+    ``_vacuum_powers``: grad rho^{-(p-1)/2}, Lap rho and Lap rho^{1-p}, stacked."""
+    half_hat, pow_hat = powers_hat
+    lap = d.grid.rfft_minus_beta_sq
+    return np.concatenate([grad_hat(half_hat, d.grid),
+                           np.array([lap * d.rho_hat, lap * pow_hat])])
 
 
 # ---------------------------------------------------------------------------
@@ -409,10 +354,16 @@ def vacuum_indicator(state_or_rho, eps: float, delta: float) -> float:
     rho = getattr(state_or_rho, "rho", state_or_rho)
     if not isinstance(state_or_rho, SpectralState):  # whose density is checked
         require_positive_density(rho)
-    mask = rho.data <= delta
-    integrand = np.zeros_like(rho.data)
-    integrand[mask] = rho.data[mask] ** (-eps)  # the power only where it counts
-    return _integral(rho, integrand)
+    return _integral(rho, _low_density_weight(rho.data, eps, delta, np.empty_like(rho.data)))
+
+
+def _low_density_weight(rho: np.ndarray, eps: float, delta: float,
+                        out: np.ndarray) -> np.ndarray:
+    """``out`` set to rho^{-eps} where rho <= delta and to 0 elsewhere."""
+    mask = rho <= delta
+    out[...] = 0.0
+    out[mask] = rho[mask] ** (-eps)  # the power only where it counts
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -523,51 +474,137 @@ def evaluate_report(state: State, params: ModelParams, spec: MonitorSpec | None 
         return _report(d, params, spec, previous)
 
 
+def _sum_of_squares(components, out: np.ndarray) -> np.ndarray:
+    """``out`` set to the sum of the squares of ``components`` (an array whose
+    leading axes are components, or an iterable of arrays of ``out``'s shape),
+    added one by one in order, as ``np.sum(a ** 2, axis=...)`` adds them, but
+    without a squared copy of every component at once."""
+    if isinstance(components, np.ndarray):
+        components = components.reshape((-1,) + out.shape)
+    components = iter(components)
+    np.square(next(components), out=out)
+    for part in components:
+        out += np.square(part)
+    return out
+
+
 def _report(d: SpectralState, params: ModelParams, spec: MonitorSpec,
             previous: tuple[FunctionalReport, float] | None) -> FunctionalReport:
-    # the report's two transform stages, joined to the vacuum functional's;
-    # grad ln rho and grad w are held after a step and join on a bare state
-    vac = _vacuum_functional(d, params, spec.p_vacuum, *_vacuum_fields(
-        d, spec.p_vacuum, ["sqrt_rho_and_v_sq_hat"], ["grad_sqrt_rho_and_rho", "grad_of_v_sq",
-                                                       "hess_ln_rho", "grad_ln_rho", "grad_w"]))
-    rho = d.rho
-    en = energy(d, params)
-    eff_diss = effective_energy_dissipation(d, params)
-    bd = _bd_entropy(d, params, en)
-    mv = mv_entropy(d, params, spec.delta)
-    integ = integrability_functional(d, params, spec.p_integrability)
-    sp_, sq = spec.serrin_pair(d.grid.dim)
-    serrin_integrand = lp_norm(ScalarField(d.grid, d.v_speed), sq) ** sp_
-    deviation = rho.data - rho.data.sum() / rho.data.size  # np.var's steps
+    """Every column in one pass over ``d``: each pointwise field is formed
+    once, and every integrand is a row of one table summed in one call."""
+    grid, rho, gamma = d.grid, d.rho.data, params.gamma
+    delta, p, p_vac = spec.delta, spec.p_integrability, spec.p_vacuum
+    # v first, as it may bring grad ln rho back in a call of its own
+    v = d.v
+    v_sq = _sum_of_squares(v, np.empty(grid.shape))
+    rho_pow, powers = _vacuum_powers(rho, p_vac)
+    (sqrt_rho_hat, v_sq_hat), powers_hat = d.fill(to_spectral_stage, extra=[
+        np.array([np.sqrt(rho), v_sq]), powers])
+    # grad grad ln rho, grad ln rho and grad w join unless the step made them
+    grad_sqrt_rho_and_rho, grad_of_v_sq, vac_fields = d.fill(
+        to_physical_stage, "hess_ln_rho", "grad_ln_rho", "grad_w", extra=[
+            grad_hat(np.array([sqrt_rho_hat, d.rho_hat]), grid), grad_hat(v_sq_hat, grid),
+            _vacuum_derivatives(d, powers_hat)])
+    vac = _vacuum_functional(d, params, p_vac, rho_pow, vac_fields)
+    del rho_pow, powers, powers_hat, vac_fields, sqrt_rho_hat, v_sq_hat
+
+    # each name is its integrand's row of the table, and then its integral;
+    # a stage's output is dropped once its rows are written
+    table = np.empty((19,) + grid.shape)
+    (mass, kinetic, potential, capillary, eff_viscous, eff_pressure, bd_grad, bd_sym,
+     bd_cross, bd_capillary, mv_value, mv_rate, mv_rho, rho_v_sq, int_value, int_grad,
+     int_direct, int_identity, low_mass) = table
+    mass[...] = rho
+    np.multiply(rho, d.u_sq, out=kinetic)
+    potential[...] = (d.pressure / (gamma - 1.0) if gamma > 1.0  # Pi, as pressure_potential
+                      else pressure_potential(d.rho, params).data)
+    np.multiply(rho, v_sq, out=rho_v_sq)
+    _low_density_weight(rho, spec.epsilon, spec.delta_vacuum, out=low_mass)
+
+    _sum_of_squares(grad_sqrt_rho_and_rho[:, 0], capillary)
+    grad_rho_sq = _sum_of_squares(grad_sqrt_rho_and_rho[:, 1], np.empty(grid.shape))
+    del grad_sqrt_rho_and_rho
+    rho_pow_gamma_minus_2 = rho ** (gamma - 2.0)
+    np.multiply(params.a * gamma * (gamma - 1.0) * rho_pow_gamma_minus_2, grad_rho_sq,
+                out=eff_pressure)  # P''(rho) |grad rho|^2
+    np.multiply(rho_pow_gamma_minus_2, grad_rho_sq, out=bd_cross)
+    del grad_rho_sq, rho_pow_gamma_minus_2
+
+    hess = d.hess_ln_rho
+    original = params.variant == "original"
+    grad_v = d.grad_w + params.eps * hess if original else d.grad_w
+    grad_v_sq = _sum_of_squares(grad_v, np.empty(grid.shape))
+    direct, identity = _quartic_forms(v, grad_v, grad_of_v_sq)
+    del grad_v, grad_of_v_sq
+    speed = np.sqrt(v_sq)
+    # both quartic forms are O(|v|^2) near zeros of v, so the |v|^{p-4} weight
+    # stays integrable for every p > 2; mask the removable 0 * inf
+    moving = v_sq > 0.0
+    weight = np.where(moving, np.where(moving, speed, 1.0) ** (p - 4.0), 0.0)
+    np.multiply(rho, np.where(moving, direct * weight, 0.0), out=int_direct)
+    np.multiply(rho, np.where(moving, identity * weight, 0.0), out=int_identity)
+    del direct, identity, weight, moving
+
+    if original:
+        grad_u = d.grad_w
+    else:
+        grad_u = params.eps * hess
+        np.subtract(d.grad_w, grad_u, out=grad_u)
+    _sum_of_squares(grad_u, bd_grad)
+    # |Du|^2, each component grad_u + (grad_u)^T formed as it is squared
+    _sum_of_squares((grad_u[i, j] + grad_u[j, i] for i in range(grid.dim)
+                     for j in range(grid.dim)), bd_sym)
+    del grad_u
+    _sum_of_squares(hess, bd_capillary)
+    for row in (bd_grad, bd_sym, bd_capillary):
+        row *= rho
+
+    np.multiply(rho, grad_v_sq, out=eff_viscous)
+    np.multiply(rho, speed ** (2.0 + delta), out=mv_value)
+    np.multiply(rho * speed ** delta, grad_v_sq, out=mv_rate)
+    inner_exp = 2.0 / (2.0 - delta)
+    mv_rho[...] = rho ** ((2.0 * gamma - 1.0 - delta / 2.0) * inner_exp)
+    np.multiply(rho, speed ** p, out=int_value)
+    np.multiply(rho * speed ** (p - 2.0), grad_v_sq, out=int_grad)
+    # the rule of _integral, row by row: each row sum is its own .sum() to the bit
+    sums = table.reshape(len(table), -1).sum(axis=1)
+    (mass, kinetic, potential, capillary, eff_viscous, eff_pressure, bd_grad, bd_sym,
+     bd_cross, bd_capillary, mv_value, mv_rate, mv_rho, rho_v_sq, int_value, int_grad,
+     int_direct, int_identity, low_mass) = (sums / rho.size * grid.volume).tolist()
+
+    capillary = params.kappa * capillary
+    sp_, sq = spec.serrin_pair(grid.dim)
+    serrin_integrand = lp_norm(ScalarField(grid, speed), sq) ** sp_
+    deviation = rho - sums[0] / rho.size  # np.var's steps
     values = dict(
         time=d.time,
-        mass=_integral(d, rho.data),
-        rho_min=float(rho.data.min()),
-        rho_max=float(rho.data.max()),
+        mass=mass,
+        rho_min=float(rho.min()),
+        rho_max=float(rho.max()),
         rho_variance=float(np.square(deviation).sum() / deviation.size),
         max_speed=math.sqrt(d.u_sq.max()),
-        energy_total=en.total,
-        energy_kinetic=en.kinetic,
-        energy_pressure=en.pressure,
-        energy_capillary=en.capillary,
-        effective_energy=effective_energy(d, params),
-        eff_energy_rate_viscous=eff_diss[0],
-        eff_energy_rate_pressure=eff_diss[1],
-        bd_value=bd.value,
-        bd_rate_viscous=bd.viscous_rate,
-        bd_rate_cross=bd.cross_rate,
-        bd_rate_capillary=bd.capillary_rate,
-        mv_value=mv.value,
-        mv_rate_dissipation=mv.dissipation_rate,
-        mv_rhs_bound=mv.rhs_bound,
-        int_value=integ.value,
-        int_rate_grad=integ.grad_rate,
-        int_rate_quartic=integ.quartic_rate,
-        int_rate_quartic_identity=integ.quartic_rate_identity,
+        energy_total=kinetic + potential + capillary,
+        energy_kinetic=kinetic,
+        energy_pressure=potential,
+        energy_capillary=capillary,
+        effective_energy=0.5 * rho_v_sq + potential,
+        eff_energy_rate_viscous=params.mu * eff_viscous,
+        eff_energy_rate_pressure=params.eps * eff_pressure,
+        bd_value=kinetic + capillary + potential,
+        bd_rate_viscous=(params.mu - params.alpha) * bd_grad + params.alpha * bd_sym,
+        bd_rate_cross=params.a * gamma * bd_cross,
+        bd_rate_capillary=params.kappa * bd_capillary,
+        mv_value=mv_value / (2.0 + delta),
+        mv_rate_dissipation=0.25 * params.mu * mv_rate,
+        mv_rhs_bound=mv_rho ** inner_exp * rho_v_sq ** (delta / 2.0),
+        int_value=int_value / p,
+        int_rate_grad=int_grad,
+        int_rate_quartic=(p - 2.0) * int_direct,
+        int_rate_quartic_identity=(p - 2.0) * int_identity,
         vac_value=vac.value,
         vac_rate=vac.rate,
         vac_identity_residual=vac.identity_residual,
-        vacuum_indicator=vacuum_indicator(d, spec.epsilon, spec.delta_vacuum),
+        vacuum_indicator=low_mass,
         serrin_integrand=serrin_integrand,
     )
     diverged = tuple(k for k, val in values.items() if not math.isfinite(val))

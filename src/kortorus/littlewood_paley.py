@@ -239,11 +239,15 @@ def _block_norms(hat: np.ndarray, idx: BesovIndex, family: DyadicFamily) -> list
     coefficients of u with the component axis first (vector fields via
     Euclidean magnitude).  Every block is synthesized in one batched
     inverse transform."""
-    grid = family.grid
-    tables = family._block_tables[idx.flavor]
-    blocks = to_physical(tables[:, None] * hat[None], grid)
-    mags = np.sqrt(np.sum(blocks ** 2, axis=1))
-    return [lp_norm(ScalarField(grid, mag), idx.p) for mag in mags]
+    mags = np.sqrt(np.sum(_block_fields(hat, family, idx.flavor) ** 2, axis=1))
+    return [lp_norm(ScalarField(family.grid, mag), idx.p) for mag in mags]
+
+
+def _block_fields(hat: np.ndarray, family: DyadicFamily, flavor: str) -> np.ndarray:
+    """Delta_q of the field with rfft coefficients ``hat`` (component axis
+    first) for every q in family.block_range, stacked on a leading block
+    axis: one batched inverse transform."""
+    return to_physical(family._block_tables[flavor][:, None] * hat[None], family.grid)
 
 
 def block_lp_norms(u: ScalarField | VectorField, idx: BesovIndex) -> dict[int, float]:

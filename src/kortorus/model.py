@@ -144,14 +144,21 @@ class FieldState:
 
 def require_positive_density(rho: ScalarField) -> None:
     data = rho.data
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise InvalidField("density contains non-finite samples")
-    idx = np.unravel_index(np.argmin(data), data.shape)
-    low = float(data[idx])
+    require_above_floor(data)
+
+
+def require_above_floor(data: np.ndarray) -> None:
+    """NonpositiveDensity at the lowest of the finite density samples
+    ``data`` when it is at or below RHO_FLOOR."""
+    lowest = data.argmin()
+    low = float(data.flat[lowest])
     if low <= RHO_FLOOR:
+        idx = tuple(int(i) for i in np.unravel_index(lowest, data.shape))
         raise NonpositiveDensity(
-            f"density sample {low} at index {tuple(int(i) for i in idx)} is at or below "
-            f"the positivity floor {RHO_FLOOR}", location=tuple(int(i) for i in idx), value=low)
+            f"density sample {low} at index {idx} is at or below "
+            f"the positivity floor {RHO_FLOOR}", location=idx, value=low)
 
 
 # ---------------------------------------------------------------------------
@@ -313,12 +320,10 @@ class _Transformed:
 
 
 class SpectralState:
-    """One state's spectral coefficients and derived fields, each computed at
-    most once: ln rho, grad ln rho, u and v with their gradients, grad rho,
-    grad |v|^2, the Hessian of ln rho and the pressure (arrays; vector and
-    tensor components lead), and the pointwise quantities several
-    functionals share: |u|^2, |v|^2, |v|, |grad v|^2, |grad rho|^2,
-    |grad sqrt(rho)|^2 and rho^(gamma - 2).  The transforms go in the
+    """One state's spectral coefficients and the derived fields that the
+    step and the report share, each computed at most once: ln rho, grad ln
+    rho, u and v, grad w, the Hessian of ln rho, |u|^2 and the pressure
+    (arrays; vector and tensor components lead).  The transforms go in the
     dependency stages that the stepper, ``tendency_hats`` and
     ``evaluate_report`` ask ``fill`` for; a field read on its own is a stage
     of its own.  A bare state first sends rho, the components of w and ln rho
@@ -360,15 +365,6 @@ class SpectralState:
     grad_w = _Transformed(to_physical_stage, lambda d: grad_hat(d.w_hat, d.grid))
     hess_ln_rho = _Transformed(
         to_physical_stage, lambda d: d.grid.rfft_ik[:, None] * d.grid.rfft_ik[None] * d.ln_rho_hat)
-    #: coefficients of sqrt(rho) and |v|^2
-    sqrt_rho_and_v_sq_hat = _Transformed(
-        to_spectral_stage, lambda d: np.stack([np.sqrt(d.rho.data), d.v_sq]))
-    #: grad sqrt(rho) and grad rho as components [:, 0] and [:, 1]
-    grad_sqrt_rho_and_rho = _Transformed(to_physical_stage, lambda d: grad_hat(
-        np.stack([d.sqrt_rho_and_v_sq_hat[0], d.rho_hat]), d.grid))
-    #: grad |v|^2, the spectral derivative of the pointwise |v|^2
-    grad_of_v_sq = _Transformed(
-        to_physical_stage, lambda d: grad_hat(d.sqrt_rho_and_v_sq_hat[1], d.grid))
 
     @cached_property
     def u(self) -> np.ndarray:
@@ -383,54 +379,12 @@ class SpectralState:
         return self.w.data
 
     @cached_property
-    def grad_u(self) -> np.ndarray:
-        if self.params.variant == "original":
-            return self.grad_w
-        return self.grad_w - self.params.eps * self.hess_ln_rho
-
-    @cached_property
-    def grad_v(self) -> np.ndarray:
-        if self.params.variant == "original":
-            return self.grad_w + self.params.eps * self.hess_ln_rho
-        return self.grad_w
-
-    @cached_property
-    def grad_rho_sq(self) -> np.ndarray:
-        return np.sum(self.grad_sqrt_rho_and_rho[:, 1] ** 2, axis=0)
-
-    @cached_property
-    def grad_sqrt_rho_sq(self) -> np.ndarray:
-        return np.sum(self.grad_sqrt_rho_and_rho[:, 0] ** 2, axis=0)
-
-    @cached_property
-    def rho_pow_gamma_minus_2(self) -> np.ndarray:
-        return self.rho.data ** (self.params.gamma - 2.0)
-
-    @cached_property
     def u_sq(self) -> np.ndarray:
-        return np.sum(self.u ** 2, axis=0)
-
-    @cached_property
-    def v_sq(self) -> np.ndarray:
-        return np.sum(self.v ** 2, axis=0)
-
-    @cached_property
-    def v_speed(self) -> np.ndarray:
-        return np.sqrt(self.v_sq)
-
-    @cached_property
-    def grad_v_sq(self) -> np.ndarray:
-        return np.sum(self.grad_v ** 2, axis=(0, 1))
+        return (self.u ** 2).sum(axis=0)
 
     @cached_property
     def pressure(self) -> np.ndarray:  # model.pressure's, on a checked density
         return self.params.a * self.rho.data ** self.params.gamma
-
-    @cached_property
-    def pressure_potential(self) -> np.ndarray:
-        if self.params.gamma > 1.0:  # pressure_potential's a rho^gamma / (gamma - 1)
-            return self.pressure / (self.params.gamma - 1.0)
-        return pressure_potential(self.rho, self.params).data
 
 
 def spectral_state(state: FieldState | SpectralState, params: ModelParams) -> SpectralState:

@@ -36,7 +36,7 @@ from .model import (
     FieldState,
     ModelParams,
     SpectralState,
-    require_positive_density,
+    require_above_floor,
     spectral_state,
     tendency_hats,
 )
@@ -224,32 +224,28 @@ def _phi1(z: np.ndarray) -> np.ndarray:
 
 def _check_new_state(grid: SpectralGrid, rho_data: np.ndarray, w_data: np.ndarray,
                      t_new: float) -> FieldState:
-    if not (np.all(np.isfinite(rho_data)) and np.all(np.isfinite(w_data))):
+    if not (np.isfinite(rho_data).all() and np.isfinite(w_data).all()):
         raise NonFinite(f"time step produced non-finite samples at t={t_new}", time=t_new)
-    rho = ScalarField(grid, rho_data)
     try:
-        require_positive_density(rho)
+        require_above_floor(rho_data)
     except NonpositiveDensity as exc:
         raise PositivityLoss(f"density reached {exc.value} at index {exc.location}, t={t_new}",
                              location=exc.location, time=t_new) from None
-    return FieldState(rho, VectorField(grid, w_data), time=t_new)
+    return FieldState(ScalarField(grid, rho_data), VectorField(grid, w_data), time=t_new)
 
 
-def _advance_euler(level: _Level, grid: SpectralGrid, params: ModelParams,
+def _advance_euler(level: _Level, lam_rho: np.ndarray, ksq: np.ndarray,
                    nu_shift: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    lam_rho = (params.eps if params.variant != "original" else 0.0) * (-grid.rfft_minus_beta_sq)
     z = -lam_rho * dt
     rho_hat = np.exp(z) * level.rho_hat + dt * _phi1(z) * level.n_rho_hat
 
-    ksq = -grid.rfft_minus_beta_sq
     r_hat = level.f_w_hat + nu_shift * ksq * level.w_hat
     w_hat = (level.w_hat + dt * r_hat) / (1.0 + nu_shift * ksq * dt)
     return rho_hat, w_hat
 
 
-def _advance_bdf2(level_n: _Level, level_p: _Level, grid: SpectralGrid,
-                  params: ModelParams, nu_shift: float,
-                  dt: float) -> tuple[np.ndarray, np.ndarray]:
+def _advance_bdf2(level_n: _Level, level_p: _Level, lam_rho: np.ndarray, ksq: np.ndarray,
+                  nu_shift: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
     w_ratio = dt / level_n.dt_prev
     a0 = (1.0 + 2.0 * w_ratio) / (1.0 + w_ratio)
     a1 = -(1.0 + w_ratio)
@@ -257,13 +253,11 @@ def _advance_bdf2(level_n: _Level, level_p: _Level, grid: SpectralGrid,
     c1 = 1.0 + w_ratio
     c2 = -w_ratio
 
-    lam_rho = (params.eps if params.variant != "original" else 0.0) * (-grid.rfft_minus_beta_sq)
     e1 = np.exp(-lam_rho * dt)
     e2 = np.exp(-lam_rho * (dt + level_n.dt_prev))
     rho_hat = (-a1 * e1 * level_n.rho_hat - a2 * e2 * level_p.rho_hat
                + dt * (c1 * e1 * level_n.n_rho_hat + c2 * e2 * level_p.n_rho_hat)) / a0
 
-    ksq = -grid.rfft_minus_beta_sq
     r_n = level_n.f_w_hat + nu_shift * ksq * level_n.w_hat
     r_p = level_p.f_w_hat + nu_shift * ksq * level_p.w_hat
     w_hat = (-a1 * level_n.w_hat - a2 * level_p.w_hat
@@ -288,6 +282,9 @@ class Stepper:
         self.config = config
         self.forcing = forcing
         self.derived = spectral_state(state, params)
+        # the linear rates of the split: -Lap, and the density's (kappa/mu) -Lap
+        self._ksq = -state.grid.rfft_minus_beta_sq
+        self._lam_rho = (params.eps if params.variant != "original" else 0.0) * self._ksq
         self.run_state = RunState((_make_level(self.derived, forcing, None),), None,
                                   config.snapshot_interval)
 
@@ -304,10 +301,10 @@ class Stepper:
         nu_shift = _shift_value(self.state, self.params, self.config)
         levels = self.run_state.levels
         if self.config.scheme == "imex_bdf2" and len(levels) == 2:
-            rho_hat, w_hat = _advance_bdf2(levels[-1], levels[0], grid, self.params,
+            rho_hat, w_hat = _advance_bdf2(levels[-1], levels[0], self._lam_rho, self._ksq,
                                            nu_shift, dt)
         else:
-            rho_hat, w_hat = _advance_euler(levels[-1], grid, self.params, nu_shift, dt)
+            rho_hat, w_hat = _advance_euler(levels[-1], self._lam_rho, self._ksq, nu_shift, dt)
         # grad w rides along only where it costs no call: a 2D grid inverts
         # it when the tendencies first read it, after the check
         rho, w, *grad_w = to_physical_stage(

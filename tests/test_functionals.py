@@ -39,10 +39,12 @@ from kortorus.spectral import (
 from kortorus.timestepping import IntegratorConfig, Trajectory, run
 from helpers import (dense_quadrature_1d, max_abs, quartic_direct_einsum, readme_blocks,
                      rel_linf)
+from report_reference import bitwise, public_columns, reference_report
 
 TAU = 2.0 * math.pi
 P_V2 = ModelParams(mu=1.0, alpha=0.0, kappa=1.0, a=1.0, gamma=2.0, variant="effective_v2")
 P_ORIG = ModelParams(mu=1.0, alpha=0.4, kappa=0.8, a=1.0, gamma=2.0, variant="original")
+P_V1 = ModelParams(mu=1.0, alpha=0.8, kappa=0.8, a=1.5, gamma=1.4, variant="effective_v1")
 
 
 def state_1d(rho_fn, v_fn=None, grid=None):
@@ -420,39 +422,37 @@ class TestReportAndVerdict:
                                   MonitorSpec(p_vacuum=50.0))
         assert {"vac_value", "vac_rate", "vac_identity_residual"} <= set(rep.diverged)
 
-    @pytest.mark.parametrize("params,resolution", [(P_V2, 64), (P_ORIG, 64),
-                                                   (P_ORIG, (32, 32))])
+    @pytest.mark.parametrize("params,resolution", [(P_V2, 64), (P_ORIG, 64), (P_ORIG, (32, 32)),
+                                                   (P_V1, 64), (P_V1, (32, 32))])
     def test_columns_equal_standalone_functionals(self, params, resolution):
+        # a bare state, a spec away from its defaults, alpha > 0 outside effective_v2
         st = initial_state(SpectralGrid(resolution), "random_smooth",
                            {"mean": 0.9, "amplitude": 0.2,
                             "velocity_amplitude": 0.4}, seed=11)
-        spec = MonitorSpec(delta=0.7, p_integrability=5.0, p_vacuum=3.0,
+        spec = MonitorSpec(delta=0.7, p_integrability=5.0, p_vacuum=3.0, serrin_p=6.0,
                            epsilon=0.5, delta_vacuum=0.9)
         rep = evaluate_report(st, params, spec)
         assert rep.vacuum_indicator > 0.0
-        en = energy(st, params)
-        bd = bd_entropy(st, params)
-        mv = mv_entropy(st, params, spec.delta)
-        integ = integrability_functional(st, params, spec.p_integrability)
-        vac = vacuum_functional(st, params, spec.p_vacuum)
-        expected = dict(
-            mass=integrate(st.rho),
-            energy_total=en.total, energy_kinetic=en.kinetic,
-            energy_pressure=en.pressure, energy_capillary=en.capillary,
-            effective_energy=effective_energy(st, params),
-            eff_energy_rate_viscous=effective_energy_dissipation(st, params)[0],
-            eff_energy_rate_pressure=effective_energy_dissipation(st, params)[1],
-            bd_value=bd.value, bd_rate_viscous=bd.viscous_rate,
-            bd_rate_cross=bd.cross_rate, bd_rate_capillary=bd.capillary_rate,
-            mv_value=mv.value, mv_rate_dissipation=mv.dissipation_rate,
-            mv_rhs_bound=mv.rhs_bound,
-            int_value=integ.value, int_rate_grad=integ.grad_rate,
-            int_rate_quartic=integ.quartic_rate,
-            int_rate_quartic_identity=integ.quartic_rate_identity,
-            vac_value=vac.value, vac_rate=vac.rate,
-            vac_identity_residual=vac.identity_residual,
-            vacuum_indicator=vacuum_indicator(st, spec.epsilon, spec.delta_vacuum))
+        expected = reference_report(st, params, spec)
         assert {name: getattr(rep, name) for name in expected} == expected
+        public = public_columns(st, params, spec)
+        assert public == {name: expected[name] for name in public}
+
+    @pytest.mark.parametrize("params", [P_V2, P_ORIG])
+    def test_overflowed_columns_equal_standalone_functionals(self, params):
+        grid = SpectralGrid(32)
+        rho = grid.from_function(lambda x: 1.0 + (1.0 - 1e-7) * np.sin(x))
+        st = FieldState(rho, VectorField(grid, 0.3 * np.cos(grid.meshgrid()[0])[None]))
+        spec = MonitorSpec(p_vacuum=50.0)
+        rep = evaluate_report(st, params, spec)
+        expected = reference_report(st, params, spec)
+        assert bitwise({name: getattr(rep, name) for name in expected}) == bitwise(expected)
+        assert set(rep.diverged) == {name for name, x in expected.items()
+                                     if not math.isfinite(x)}
+        assert "vac_value" in rep.diverged
+        with np.errstate(over="ignore", invalid="ignore"):  # vacuum_functional's own
+            public = public_columns(st, params, spec)
+        assert bitwise(public) == bitwise({name: expected[name] for name in public})
 
     def test_monitor_serrin_default_pair(self):
         spec = MonitorSpec(serrin_p=4.0)
