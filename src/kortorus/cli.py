@@ -28,6 +28,7 @@ from .errors import (
     NonFinite,
     ParseError,
     PositivityLoss,
+    ResolutionTooSmall,
     StepUnderflow,
 )
 from .functionals import (
@@ -287,7 +288,11 @@ def cmd_besov(args) -> int:
     except ValueError as exc:
         print(f"invalid index: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    shells = block_lp_norms(field, idx)
+    try:
+        shells = block_lp_norms(field, idx)
+    except ResolutionTooSmall as exc:
+        print(f"grid too coarse for a Besov norm: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     payload = {
         "resolution": list(field.grid.resolution),
         "index": {"s": args.s, "p": args.p, "r": args.r, "flavor": args.flavor},

@@ -20,7 +20,7 @@ import json
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .errors import ConstraintViolationError, ParseError, ScalingPairInvalid, require
-from .functionals import MonitorSpec, check_serrin_pair
+from .functionals import MonitorSpec
 from .model import ModelParams
 from .scenarios import FAMILIES
 from .spectral import SpectralGrid
@@ -141,11 +141,9 @@ def parse_config(text: str) -> ScenarioConfig:
         except ConstraintViolationError as exc:
             violations += exc.violations
 
-    resolution, serrin_q = kw["grid"]["resolution"], kw["monitors"]["serrin_q"]
-    if serrin_q is not None:
-        dim = len(resolution) if isinstance(resolution, list) else 1
+    if "grid" in sections and "monitors" in sections:  # a fault of either is listed above
         try:
-            check_serrin_pair(kw["monitors"]["serrin_p"], serrin_q, dim)
+            sections["monitors"].serrin_pair(sections["grid"].dim)
         except ScalingPairInvalid as exc:
             violations.append(f"monitors.serrin_q: {exc}")
     if violations:

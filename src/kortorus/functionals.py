@@ -49,6 +49,7 @@ from .spectral import (
     VectorField,
     grad_hat,
     lp_norm,
+    lp_norms,
     to_physical,
     to_physical_stage,
     to_spectral,
@@ -237,44 +238,8 @@ def vacuum_functional(state: State, params: ModelParams, p: float) -> VacuumFunc
               + (4 p kappa/(mu (p-1)^2)) |grad(rho^{-(p-1)/2})|^2.
     """
     _P_VACUUM.enforce("vacuum exponent p", p, PExponentOutOfRange)
-    d = spectral_state(state, params)
-    rho_pow, powers = _vacuum_powers(d.rho.data, p)
-    (powers_hat,) = d.fill(to_spectral_stage, extra=[powers])
-    (fields,) = d.fill(to_physical_stage, extra=[_vacuum_derivatives(d, powers_hat)])
-    return _vacuum_functional(d, params, p, rho_pow, fields)
-
-
-def _vacuum_functional(d: SpectralState, params: ModelParams, p: float,
-                       rho_pow: np.ndarray, fields: np.ndarray) -> VacuumFunctional:
-    rho = d.rho.data
-    coeff = params.kappa / params.mu
-
-    value = _integral(d, rho_pow) / (p - 1.0)
-    grad_half, lap_rho, lap_rho_pow = fields[:d.grid.dim], fields[-2], fields[-1]
-    grad_half_sq = (grad_half ** 2).sum(axis=0)
-    rate_coeff = 4.0 * p * coeff / (p - 1.0) ** 2
-    rate = rate_coeff * _integral(d, grad_half_sq)
-
-    lhs = coeff * rho ** (-p) * lap_rho
-    rhs = -(coeff / (p - 1.0)) * lap_rho_pow + rate_coeff * grad_half_sq
-    residual = float(np.abs(lhs - rhs).max())
-    return VacuumFunctional(value, rate, residual)
-
-
-def _vacuum_powers(rho: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """rho^{1-p}, and what the vacuum functional sends forward: rho^{-(p-1)/2}
-    and rho^{1-p}, stacked."""
-    rho_pow = rho ** (1.0 - p)
-    return rho_pow, np.array([rho ** (-(p - 1.0) / 2.0), rho_pow])
-
-
-def _vacuum_derivatives(d: SpectralState, powers_hat: np.ndarray) -> np.ndarray:
-    """What the vacuum functional brings back, from the coefficients of
-    ``_vacuum_powers``: grad rho^{-(p-1)/2}, Lap rho and Lap rho^{1-p}, stacked."""
-    half_hat, pow_hat = powers_hat
-    lap = d.grid.rfft_minus_beta_sq
-    return np.concatenate([grad_hat(half_hat, d.grid),
-                           np.array([lap * d.rho_hat, lap * pow_hat])])
+    rep = evaluate_report(state, params, MonitorSpec(p_vacuum=p))
+    return VacuumFunctional(rep.vac_value, rep.vac_rate, rep.vac_identity_residual)
 
 
 # ---------------------------------------------------------------------------
@@ -282,14 +247,19 @@ def _vacuum_derivatives(d: SpectralState, powers_hat: np.ndarray) -> np.ndarray:
 
 
 def check_serrin_pair(p: float, q: float, dim: int) -> None:
+    if (fault := _serrin_fault(p, q, dim)) is not None:
+        raise ScalingPairInvalid(fault)
+
+
+def _serrin_fault(p: float, q: float, dim: int) -> str | None:
+    """What keeps (p, q) from the continuation scaling in dimension ``dim``."""
     if not (1.0 <= p < math.inf):
-        raise ScalingPairInvalid(f"need 1 <= p < inf, got p={p}")
+        return f"need 1 <= p < inf, got p={p}"
     if not (q > 0.0):
-        raise ScalingPairInvalid(f"need q > 0, got q={q}")
+        return f"need q > 0, got q={q}"
     if abs(1.0 / p + dim / (2.0 * q) - 0.5) > 1e-12:
-        raise ScalingPairInvalid(
-            f"(p, q) = ({p}, {q}) violates the continuation scaling "
-            f"1/p + N/(2q) = 1/2 in dimension {dim}")
+        return (f"(p, q) = ({p}, {q}) violates the continuation scaling "
+                f"1/p + N/(2q) = 1/2 in dimension {dim}")
 
 
 def _report_times_and_states(trajectory) -> tuple[list[float], list[FieldState]]:
@@ -376,9 +346,9 @@ class MonitorSpec:
     blow-up verdict.
 
     ``serrin_q`` None derives the scaling-admissible q from ``serrin_p`` and
-    the dimension; a given pair must satisfy 1/p + N/(2q) = 1/2, which needs
-    the dimension and is checked by ``check_serrin_pair``.  A spec that breaks
-    its constraints raises one ConstraintViolationError (a ValueError)
+    the dimension.  A given q must satisfy 1/p + N/(2q) = 1/2 in dimension 1
+    or 2, and ``serrin_pair`` checks it in the grid's dimension.  A spec that
+    breaks its constraints raises one ConstraintViolationError (a ValueError)
     listing all of them.
     """
 
@@ -391,21 +361,24 @@ class MonitorSpec:
     delta_vacuum: float = 0.1
 
     def __post_init__(self):
+        # every admissible pair has 1/p < 1/2, whatever the dimension
+        p, q, p_holds = self.serrin_p, self.serrin_q, 2.0 < self.serrin_p < math.inf
         require(
             _DELTA.check("monitors.delta", self.delta),
             _P_INTEGRABILITY.check("monitors.p_integrability", self.p_integrability),
             _P_VACUUM.check("monitors.p_vacuum", self.p_vacuum),
-            # every admissible pair has 1/p < 1/2, whatever the dimension
-            (2.0 < self.serrin_p < math.inf,
-             f"monitors.serrin_p must satisfy 2 < p < inf, got {self.serrin_p}"),
+            (p_holds, f"monitors.serrin_p must satisfy 2 < p < inf, got {p}"),
+            (not p_holds or q is None or any(_serrin_fault(p, q, dim) is None for dim in (1, 2)),
+             f"monitors.serrin_q must satisfy 1/p + N/(2q) = 1/2 with monitors.serrin_p "
+             f"= {p} in dimension N = 1 or 2, got {q}"),
             _EPSILON.check("monitors.epsilon", self.epsilon),
             _DELTA_VACUUM.check("monitors.delta_vacuum", self.delta_vacuum))
 
     def serrin_pair(self, dim: int) -> tuple[float, float]:
-        if self.serrin_q is not None:
-            return self.serrin_p, self.serrin_q
-        # solve 1/p + N/(2q) = 1/2 for q at the configured p
-        q = dim / (2.0 * (0.5 - 1.0 / self.serrin_p))
+        """(p, q) on a grid of dimension ``dim``: the given q, checked there
+        by ``check_serrin_pair``, or the q that solves 1/p + N/(2q) = 1/2."""
+        q = dim / (2.0 * (0.5 - 1.0 / self.serrin_p)) if self.serrin_q is None else self.serrin_q
+        check_serrin_pair(self.serrin_p, q, dim)
         return self.serrin_p, q
 
 
@@ -494,19 +467,29 @@ def _report(d: SpectralState, params: ModelParams, spec: MonitorSpec,
     once, and every integrand is a row of one table summed in one call."""
     grid, rho, gamma = d.grid, d.rho.data, params.gamma
     delta, p, p_vac = spec.delta, spec.p_integrability, spec.p_vacuum
+    serrin_p, serrin_q = spec.serrin_pair(grid.dim)
     # v first, as it may bring grad ln rho back in a call of its own
     v = d.v
     v_sq = _sum_of_squares(v, np.empty(grid.shape))
-    rho_pow, powers = _vacuum_powers(rho, p_vac)
-    (sqrt_rho_hat, v_sq_hat), powers_hat = d.fill(to_spectral_stage, extra=[
-        np.array([np.sqrt(rho), v_sq]), powers])
+    # vacuum functional: rho^{-(p-1)/2} and rho^{1-p} go forward; grad rho^{-(p-1)/2},
+    # Lap rho and Lap rho^{1-p} come back for its rate and identity residual
+    rho_pow = rho ** (1.0 - p_vac)
+    (sqrt_rho_hat, v_sq_hat), (half_hat, pow_hat) = d.fill(to_spectral_stage, extra=[
+        np.array([np.sqrt(rho), v_sq]), np.array([rho ** (-(p_vac - 1.0) / 2.0), rho_pow])])
     # grad grad ln rho, grad ln rho and grad w join unless the step made them
     grad_sqrt_rho_and_rho, grad_of_v_sq, vac_fields = d.fill(
         to_physical_stage, "hess_ln_rho", "grad_ln_rho", "grad_w", extra=[
             grad_hat(np.array([sqrt_rho_hat, d.rho_hat]), grid), grad_hat(v_sq_hat, grid),
-            _vacuum_derivatives(d, powers_hat)])
-    vac = _vacuum_functional(d, params, p_vac, rho_pow, vac_fields)
-    del rho_pow, powers, powers_hat, vac_fields, sqrt_rho_hat, v_sq_hat
+            np.concatenate([grad_hat(half_hat, grid),
+                            grid.rfft_minus_beta_sq * np.array([d.rho_hat, pow_hat])])])
+    coeff = params.kappa / params.mu
+    vac_value = _integral(d, rho_pow) / (p_vac - 1.0)
+    grad_half_sq = (vac_fields[:grid.dim] ** 2).sum(axis=0)
+    rate_coeff = 4.0 * p_vac * coeff / (p_vac - 1.0) ** 2
+    vac_rate = rate_coeff * _integral(d, grad_half_sq)
+    vac_residual = float(np.abs(coeff * rho ** (-p_vac) * vac_fields[-2] - (
+        -(coeff / (p_vac - 1.0)) * vac_fields[-1] + rate_coeff * grad_half_sq)).max())
+    del rho_pow, vac_fields, grad_half_sq, sqrt_rho_hat, v_sq_hat, half_hat, pow_hat
 
     # each name is its integrand's row of the table, and then its integral;
     # a stage's output is dropped once its rows are written
@@ -573,8 +556,7 @@ def _report(d: SpectralState, params: ModelParams, spec: MonitorSpec,
      int_direct, int_identity, low_mass) = (sums / rho.size * grid.volume).tolist()
 
     capillary = params.kappa * capillary
-    sp_, sq = spec.serrin_pair(grid.dim)
-    serrin_integrand = lp_norm(ScalarField(grid, speed), sq) ** sp_
+    serrin_integrand = lp_norms(speed, serrin_q, grid)[0] ** serrin_p
     deviation = rho - sums[0] / rho.size  # np.var's steps
     values = dict(
         time=d.time,
@@ -601,9 +583,9 @@ def _report(d: SpectralState, params: ModelParams, spec: MonitorSpec,
         int_rate_grad=int_grad,
         int_rate_quartic=(p - 2.0) * int_direct,
         int_rate_quartic_identity=(p - 2.0) * int_identity,
-        vac_value=vac.value,
-        vac_rate=vac.rate,
-        vac_identity_residual=vac.identity_residual,
+        vac_value=vac_value,
+        vac_rate=vac_rate,
+        vac_identity_residual=vac_residual,
         vacuum_indicator=low_mass,
         serrin_integrand=serrin_integrand,
     )

@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -58,6 +58,7 @@ from .spectral import (
     forward_transform,
     gradient,
     lp_norm,
+    lp_norms,
     to_physical,
     to_spectral,
 )
@@ -116,13 +117,13 @@ def _half_lattice_magnitude(grid: SpectralGrid) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DyadicFamily:
-    """Multiplier tables chi(beta), phi(2^-q beta) over a grid's rfft half
-    lattice, the layout of the coefficients they multiply."""
+    """Multiplier tables over a grid's rfft half lattice, the layout of the
+    coefficients they multiply: per flavor, the multipliers of the blocks
+    q = -1..q_max stacked on a leading axis (row q + 1 is block q)."""
 
     grid: SpectralGrid
     q_max: int
-    chi_table: np.ndarray
-    phi_tables: tuple[np.ndarray, ...] = field(repr=False)
+    tables: dict[str, np.ndarray] = field(repr=False)
 
     @property
     def q_range(self) -> range:
@@ -134,42 +135,30 @@ class DyadicFamily:
         """Block indices of both flavors; nonhomogeneous q = -1 carries chi."""
         return range(-1, self.q_max + 1)
 
-    def multiplier(self, q: int) -> np.ndarray:
-        """Nonhomogeneous block multiplier for index q."""
-        if q == -1:
-            return self.chi_table
-        if 0 <= q <= self.q_max:
-            return self.phi_tables[q]
-        return np.zeros(self.grid.rfft_shape)
+    @property
+    def chi_table(self) -> np.ndarray:
+        return self.tables["nonhomogeneous"][0]
 
-    def shell_multiplier(self, q: int) -> np.ndarray:
-        """Homogeneous-style multiplier phi(2^-q beta); q = -1 means phi(2 beta)."""
-        if 0 <= q <= self.q_max:
-            return self.phi_tables[q]
-        if q == -1:
-            return phi_profile(2.0 * _half_lattice_magnitude(self.grid))
-        return np.zeros(self.grid.rfft_shape)
+    @property
+    def phi_tables(self) -> tuple[np.ndarray, ...]:
+        """phi(2^-q beta) for q in q_range."""
+        return tuple(self.tables["nonhomogeneous"][1:])
 
-    @cached_property
-    def _block_tables(self) -> dict[str, np.ndarray]:
-        """Per flavor, the multipliers of block_range stacked on a leading axis."""
-        return {
-            "nonhomogeneous": np.stack([self.multiplier(q) for q in self.block_range]),
-            "homogeneous-style": np.stack([self.shell_multiplier(q)
-                                           for q in self.block_range]),
-        }
+    def multiplier(self, q: int, flavor: str = "nonhomogeneous") -> np.ndarray:
+        """Block q's multiplier: chi at nonhomogeneous q = -1, phi(2^-q beta)
+        otherwise, zero outside block_range."""
+        if -1 <= q <= self.q_max:
+            return self.tables[flavor][q + 1]
+        return np.zeros(self.grid.rfft_shape)
 
     def partition_deviation(self) -> float:
         """max_beta |chi(beta) + sum_q phi(2^-q beta) - 1| over the lattice."""
-        total = self.chi_table.copy()
-        for table in self.phi_tables:
-            total = total + table
-        return float(np.max(np.abs(total - 1.0)))
+        return float(np.max(np.abs(self.tables["nonhomogeneous"].sum(axis=0) - 1.0)))
 
 
 def build_dyadic_family(grid: SpectralGrid) -> DyadicFamily:
-    """Tabulate chi and the active shells phi(2^-q .) on the grid's rfft half
-    lattice.
+    """Tabulate chi and the shells phi(2^-q .), q = -1..q_max, on the grid's
+    rfft half lattice, for both flavors.
 
     The active range covers every representable |beta| up to the corner of
     the lattice, so the partition of unity holds at each point.  Raises
@@ -181,9 +170,10 @@ def build_dyadic_family(grid: SpectralGrid) -> DyadicFamily:
     if q_max + 1 < _MIN_SHELLS:
         raise ResolutionTooSmall(
             f"grid supports only {q_max + 1} dyadic shells, need {_MIN_SHELLS}")
-    chi_table = chi_profile(beta_mag)
-    phi_tables = tuple(phi_profile(beta_mag / 2.0 ** q) for q in range(q_max + 1))
-    return DyadicFamily(grid, q_max, chi_table, phi_tables)
+    shells = np.array([phi_profile(beta_mag / 2.0 ** q) for q in range(-1, q_max + 1)])
+    blocks = shells.copy()
+    blocks[0] = chi_profile(beta_mag)
+    return DyadicFamily(grid, q_max, {"nonhomogeneous": blocks, "homogeneous-style": shells})
 
 
 @cache
@@ -240,14 +230,14 @@ def _block_norms(hat: np.ndarray, idx: BesovIndex, family: DyadicFamily) -> list
     Euclidean magnitude).  Every block is synthesized in one batched
     inverse transform."""
     mags = np.sqrt(np.sum(_block_fields(hat, family, idx.flavor) ** 2, axis=1))
-    return [lp_norm(ScalarField(family.grid, mag), idx.p) for mag in mags]
+    return lp_norms(mags, idx.p, family.grid)
 
 
 def _block_fields(hat: np.ndarray, family: DyadicFamily, flavor: str) -> np.ndarray:
     """Delta_q of the field with rfft coefficients ``hat`` (component axis
     first) for every q in family.block_range, stacked on a leading block
     axis: one batched inverse transform."""
-    return to_physical(family._block_tables[flavor][:, None] * hat[None], family.grid)
+    return to_physical(family.tables[flavor][:, None] * hat[None], family.grid)
 
 
 def block_lp_norms(u: ScalarField | VectorField, idx: BesovIndex) -> dict[int, float]:

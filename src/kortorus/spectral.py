@@ -89,7 +89,7 @@ class SpectralGrid:
         object.__setattr__(self, "resolution", res)
         object.__setattr__(self, "length", len_)
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return len(self.resolution)
 
@@ -376,16 +376,25 @@ def integrate(f: ScalarField) -> float:
 
 
 def lp_norm(f: Field, p: float) -> float:
-    """Discrete L^p norm: cell-volume-weighted lattice sum; p = inf is the max.
+    """Discrete L^p norm of one field, the one-row case of ``lp_norms``.
 
     Vector fields are measured through their pointwise Euclidean magnitude.
     """
+    data = f.data if f.rank == 0 else np.sqrt(np.sum(f.data ** 2, axis=0))
+    return lp_norms(data, p, f.grid)[0]
+
+
+def lp_norms(samples: np.ndarray, p: float, grid: SpectralGrid) -> list[float]:
+    """Discrete L^p norm of each leading row of scalar ``samples`` on
+    ``grid``: the cell-volume-weighted lattice sum, p = inf the max.  Each
+    row is summed on its own, and each root taken on its own value."""
     if p < 1:
         raise ValueError(f"L^p norm requires p >= 1, got {p}")
-    data = f.data if f.rank == 0 else np.sqrt(np.sum(f.data ** 2, axis=0))
+    rows = np.abs(samples).reshape(-1, math.prod(grid.shape))
     if math.isinf(p):
-        return float(np.max(np.abs(data)))
-    return float((np.sum(np.abs(data) ** p) * f.grid.cell_volume) ** (1.0 / p))
+        return rows.max(axis=1).tolist()
+    sums = (rows ** p).sum(axis=1) * grid.cell_volume
+    return [total ** (1.0 / p) for total in sums.tolist()]
 
 
 def relative_l2_gap(a: Field, b: Field) -> float:

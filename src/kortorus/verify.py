@@ -231,10 +231,9 @@ def check_dyadic_structure(cases, shift: float, tol: float = 1e-12):
                      [fam.partition_deviation() for fam in families], tol)
     # exact checks: 1.0 marks a violation against a tolerance of 0.5
     yield _max_check("shell/ball support disjointness (exact)", [
-        float(any(np.any(fam.phi_tables[k] * fam.phi_tables[kp]) for k in fam.q_range
-                  for kp in fam.q_range if abs(k - kp) >= 2)
-              or any(np.any(fam.chi_table * fam.phi_tables[k]) for k in fam.q_range if k >= 1))
-        for fam in families], 0.5)
+        float(any(np.any(rows[i] * rows[j]) for i in range(len(rows))
+                  for j in range(i + 2, len(rows))))
+        for rows in (fam.tables["nonhomogeneous"] for fam in families)], 0.5)
     recon = []
     for fam, (grid, corpus, _) in zip(families, cases):
         for u in corpus:

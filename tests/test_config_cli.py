@@ -42,6 +42,17 @@ class TestParseConfig:
             parse_config(doc)
         assert any("1/p + N/(2q) = 1/2" in v for v in err.value.violations)
 
+    @pytest.mark.parametrize("monitors, fragment", [
+        ({"serrin_p": 4.0, "serrin_q": 0.5}, "monitors.serrin_q must satisfy"),
+        ({"serrin_p": 1.5, "serrin_q": 2.0}, "monitors.serrin_p must satisfy"),
+        ({"serrin_p": 4.0, "serrin_q": 4.0}, "in dimension 1"),  # admissible in 2D only
+    ])
+    def test_serrin_fault_reported_once(self, monitors, fragment):
+        with pytest.raises(ConstraintViolationError) as err:
+            parse_config(json.dumps({"grid": {"resolution": [64]}, "monitors": monitors}))
+        (violation,) = err.value.violations
+        assert fragment in violation
+
     def test_variant_constraint_named(self):
         doc = json.dumps({"model": {"variant": "effective_v2", "kappa": 2.0}})
         with pytest.raises(ConstraintViolationError) as err:
@@ -291,6 +302,15 @@ class TestBesovCLI:
         assert main(["besov", str(dump), "--s", "1.0", "--p", "0.5", "--r", "0.5"]) == 2
         err = capsys.readouterr().err
         assert "p >= 1, got 0.5" in err and "r >= 1, got 0.5" in err
+
+    def test_too_few_shells_exit_two(self, tmp_path, capsys):
+        dump = tmp_path / "coarse.fld"
+        write_field_dump(dump, SpectralGrid(8, length=1000.0).zeros())
+        assert main(["besov", str(dump), "--s", "1.0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert "supports only 1 dyadic shells, need 3" in line
 
 
 class TestMonitorCLI:

@@ -7,6 +7,7 @@ import pytest
 
 from kortorus.config import parse_config
 from kortorus.errors import (
+    ConstraintViolationError,
     DeltaOutOfRange,
     PExponentOutOfRange,
     PositivityLoss,
@@ -450,7 +451,8 @@ class TestReportAndVerdict:
         assert set(rep.diverged) == {name for name, x in expected.items()
                                      if not math.isfinite(x)}
         assert "vac_value" in rep.diverged
-        with np.errstate(over="ignore", invalid="ignore"):  # vacuum_functional's own
+        with warnings.catch_warnings():  # every view overflows without a numpy warning
+            warnings.simplefilter("error")
             public = public_columns(st, params, spec)
         assert bitwise(public) == bitwise({name: expected[name] for name in public})
 
@@ -458,6 +460,34 @@ class TestReportAndVerdict:
         spec = MonitorSpec(serrin_p=4.0)
         assert spec.serrin_pair(1) == (4.0, pytest.approx(2.0))
         assert spec.serrin_pair(2) == (4.0, pytest.approx(4.0))
+
+    @pytest.mark.parametrize("serrin_q", [0.5, math.inf, 0.0, -4.0, 3.0])
+    def test_serrin_q_admitted_in_no_dimension_rejected(self, serrin_q):
+        with pytest.raises(ConstraintViolationError) as err:
+            MonitorSpec(serrin_p=4.0, serrin_q=serrin_q)
+        (violation,) = err.value.violations
+        assert "monitors.serrin_q must satisfy 1/p + N/(2q) = 1/2" in violation
+        assert f"got {serrin_q}" in violation
+
+    def test_bad_serrin_p_reported_once(self):
+        with pytest.raises(ConstraintViolationError) as err:
+            MonitorSpec(serrin_p=math.inf, serrin_q=0.5)
+        (violation,) = err.value.violations
+        assert "monitors.serrin_p" in violation
+
+    def test_serrin_pair_checked_in_the_grid_dimension(self):
+        spec = MonitorSpec(serrin_p=4.0, serrin_q=4.0)  # admissible in 2D only
+        assert spec.serrin_pair(2) == (4.0, 4.0)
+        with pytest.raises(ScalingPairInvalid, match="in dimension 1"):
+            spec.serrin_pair(1)
+
+    def test_run_rejects_a_pair_of_another_dimension_before_any_step(self):
+        st = state_1d(lambda x: 1.0 + 0.1 * np.sin(x))
+        cfg = IntegratorConfig(dt_initial=1e-3, dt_min=1e-9, t_end=0.01)
+        traj = Trajectory(params=P_V2)
+        with pytest.raises(ScalingPairInvalid, match="in dimension 1"):
+            run(st, P_V2, cfg, MonitorSpec(serrin_p=4.0, serrin_q=4.0), trajectory=traj)
+        assert traj.reports == [] and [s.time for s in traj.states] == [0.0]
 
     def test_verdict_smooth_run(self):
         grid = SpectralGrid(64)

@@ -33,12 +33,22 @@ def test_tables_are_the_full_lattice_tables_restricted(resolution):
     for table in phis:
         total = total + table
 
+    # every row of both flavors: blocks q = -1..q_max, chi or phi(2 beta) at q = -1
+    references = {"nonhomogeneous": [chi] + phis,
+                  "homogeneous-style": [phi_profile(2.0 * full)] + phis}
+
     assert fam.q_max == q_max
     assert np.array_equal(fam.chi_table, chi[half])
     assert len(fam.phi_tables) == len(phis)
     for table, reference in zip(fam.phi_tables, phis):
         assert np.array_equal(table, reference[half])
-    assert np.array_equal(fam.shell_multiplier(-1), phi_profile(2.0 * full)[half])
+    assert fam.tables.keys() == references.keys()
+    for flavor, rows in references.items():
+        assert fam.tables[flavor].shape == (q_max + 2,) + grid.rfft_shape
+        for q, reference in zip(fam.block_range, rows, strict=True):
+            assert np.array_equal(fam.tables[flavor][q + 1], reference[half])
+            assert np.array_equal(fam.multiplier(q, flavor), reference[half])
+    assert np.array_equal(fam.multiplier(-1, "homogeneous-style"), phi_profile(2.0 * full)[half])
     assert fam.partition_deviation() == float(np.max(np.abs(total - 1.0)))
 
 

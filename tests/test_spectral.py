@@ -20,6 +20,7 @@ from kortorus.spectral import (
     inverse_transform,
     laplacian,
     lp_norm,
+    lp_norms,
     vector_gradient,
     tensor_divergence,
 )
@@ -216,6 +217,25 @@ class TestQuadrature:
         assert lp_norm(f, math.inf) == pytest.approx(2.0)
         with pytest.raises(ValueError):
             lp_norm(f, 0.5)
+
+    @pytest.mark.parametrize("resolution", [64, (16, 32)])
+    @pytest.mark.parametrize("rank", [0, 1])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 2.5, 4.0, math.inf])
+    def test_lp_norms_rows_are_lp_norm_of_each_row(self, resolution, rank, p):
+        grid = SpectralGrid(resolution)
+        kind = ScalarField if rank == 0 else VectorField
+        fields = [kind(grid, np.random.default_rng(seed).normal(
+            size=(grid.dim,) * rank + grid.shape)) for seed in range(5)]
+        stacked = np.array([f.data for f in fields])
+        rows = stacked if rank == 0 else np.sqrt(np.sum(stacked ** 2, axis=1))
+        assert lp_norms(rows, p, grid) == [lp_norm(f, p) for f in fields]
+        assert lp_norms(rows[0], p, grid) == [lp_norm(fields[0], p)]
+
+        def one_row(data):  # the rule written out for a single array
+            if math.isinf(p):
+                return float(np.max(np.abs(data)))
+            return float((np.sum(np.abs(data) ** p) * grid.cell_volume) ** (1.0 / p))
+        assert lp_norms(rows, p, grid) == [one_row(row) for row in rows]
 
 
 class TestDealias:
