@@ -41,7 +41,6 @@ from functools import cache
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import (
     EmptyTrajectory,
@@ -289,6 +288,7 @@ def _time_lp(values: np.ndarray, times: np.ndarray, rho_exp: float,
         return float(np.max(values))
     powered = values ** rho_exp
     if quadrature == "simpson":
+        from scipy.integrate import simpson
         integral = float(simpson(powered, x=times))
     else:
         integral = float(np.trapezoid(powered, x=times))

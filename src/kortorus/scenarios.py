@@ -15,20 +15,25 @@ Families (all analytic, so spectral residuals decay exponentially):
 
 Manufactured solutions carry symbolic density/velocity profiles; the forcing
 that makes them exact solutions of the effective-velocity system is derived
-with sympy once per (solution, parameter set) and cached.
+with sympy once per (solution, parameter set) and cached.  Sympy is imported
+the first time a manufactured solution is used, not with this module, so the
+commands and families that never use one do not pay for it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
-import sympy as sp
 
 from .model import FieldState, ModelParams
 from .spectral import TAU, ScalarField, SpectralGrid, VectorField
+
+if TYPE_CHECKING:
+    import sympy as sp
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +227,11 @@ class ManufacturedSolution:
 
     @property
     def _coords(self) -> tuple[sp.Symbol, ...]:
+        import sympy as sp
         return sp.symbols("x y")[: self.dim]
 
     def _lambdify(self, expr: sp.Expr):
+        import sympy as sp
         t = sp.Symbol("t")
         return sp.lambdify((t, *self._coords), expr, modules="numpy")
 
@@ -232,14 +239,11 @@ class ManufacturedSolution:
         if grid.dim != self.dim:
             raise ValueError(f"solution {self.sid!r} is {self.dim}-dimensional")
         mesh = grid.meshgrid()
-        rho_fn = self._lambdify(self.rho_expr)
+        rho_fn, v_fns = _compiled_profile(self)
         rho = np.broadcast_to(np.asarray(rho_fn(time, *mesh), dtype=float),
                               grid.shape).copy()
-        comps = []
-        for expr in self.v_exprs:
-            fn = self._lambdify(expr)
-            comps.append(np.broadcast_to(np.asarray(fn(time, *mesh), dtype=float),
-                                         grid.shape).copy())
+        comps = [np.broadcast_to(np.asarray(fn(time, *mesh), dtype=float),
+                                 grid.shape).copy() for fn in v_fns]
         return FieldState(ScalarField(grid, rho), VectorField(grid, np.stack(comps)),
                           time=max(time, 0.0))
 
@@ -251,6 +255,7 @@ class ManufacturedSolution:
             d_t v + (u . grad) v - (div(mu rho grad v) - grad(a rho^gamma))/rho = f_v,
 
         with u = v - (kappa/mu) grad ln rho."""
+        import sympy as sp
         t = sp.Symbol("t")
         coords = self._coords
         rho = self.rho_expr
@@ -287,7 +292,9 @@ class ManufacturedSolution:
         return apply
 
 
+@cache
 def _registry() -> dict[str, ManufacturedSolution]:
+    import sympy as sp
     t, x, y = sp.symbols("t x y")
     ms1d = ManufacturedSolution(
         "ms1d", 1,
@@ -306,19 +313,24 @@ def _registry() -> dict[str, ManufacturedSolution]:
     return {ms.sid: ms for ms in (ms1d, ms2d)}
 
 
-_SOLUTIONS = _registry()
-
-
 def manufactured_solution(sid: str) -> ManufacturedSolution:
+    solutions = _registry()
     try:
-        return _SOLUTIONS[sid]
+        return solutions[sid]
     except KeyError:
         raise ValueError(f"unknown manufactured solution {sid!r}, "
-                         f"expected one of {sorted(_SOLUTIONS)}") from None
+                         f"expected one of {sorted(solutions)}") from None
+
+
+@cache
+def _compiled_profile(ms: ManufacturedSolution):
+    """Numeric callables (t, *coords) -> samples of rho and of each v_j."""
+    return ms._lambdify(ms.rho_expr), tuple(ms._lambdify(e) for e in ms.v_exprs)
 
 
 @lru_cache(maxsize=16)
 def _compiled_forcing(sid: str, mu: float, kappa: float, a: float, gamma: float):
+    import sympy as sp
     ms = manufactured_solution(sid)
     f_rho, f_v = ms.forcing_exprs(mu, kappa, a, gamma)
     t = sp.Symbol("t")

@@ -8,13 +8,17 @@ quadratures are dense classical rules.
 from __future__ import annotations
 
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
-from kortorus.model import _evaluate_law
+from kortorus.functionals import evaluate_report
+from kortorus.model import ModelParams, _evaluate_law
+from kortorus.scenarios import initial_state
 from kortorus.spectral import (
     ScalarField,
+    SpectralGrid,
     TensorField,
     VectorField,
     dealias,
@@ -23,6 +27,7 @@ from kortorus.spectral import (
     laplacian,
     tensor_divergence,
 )
+from kortorus.timestepping import IntegratorConfig, Stepper
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -89,6 +94,29 @@ def measure(count: dict, fn) -> dict:
     fn()
     return {"calls": count["calls"] - calls, "points": count["points"] - points,
             "widest_2d": count["widest_2d"]}
+
+
+def report_peak_mb(resolution: int, steps: int, seed: int) -> float:
+    """The traced-memory (``tracemalloc``) peak of one ``evaluate_report``, in
+    MB above what was traced before it, on the state a ``Stepper`` holds
+    after ``steps`` imex_bdf2 steps of dt 1e-3 on a ``resolution``^2 grid.
+    The run starts from the ``random_smooth`` state of ``seed`` and has the
+    model and initial parameters of the ``evolve2d`` benchmark workload."""
+    grid = SpectralGrid((resolution, resolution))
+    params = ModelParams(mu=0.1, alpha=0.0, kappa=0.01, a=1.0, gamma=2.0,
+                         variant="effective_v2")
+    state = initial_state(grid, "random_smooth", {"mean": 1.2, "amplitude": 0.25,
+                                                  "velocity_amplitude": 0.3}, seed=seed)
+    stepper = Stepper(state, params, IntegratorConfig(dt_initial=1e-3, dt_min=1e-9,
+                                                      t_end=1.0, scheme="imex_bdf2"))
+    for _ in range(steps):
+        stepper.advance(1e-3)
+    tracemalloc.start()
+    try:
+        evaluate_report(stepper.derived, params)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def max_abs(a) -> float:

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -38,8 +39,8 @@ from kortorus.spectral import (
     vector_gradient,
 )
 from kortorus.timestepping import IntegratorConfig, Trajectory, run
-from helpers import (dense_quadrature_1d, max_abs, quartic_direct_einsum, readme_blocks,
-                     rel_linf)
+from helpers import (README, dense_quadrature_1d, max_abs, quartic_direct_einsum,
+                     readme_blocks, rel_linf, report_peak_mb)
 from report_reference import bitwise, public_columns, reference_report
 
 TAU = 2.0 * math.pi
@@ -401,6 +402,11 @@ class TestReportAndVerdict:
         assert rep.diverged == ()
         assert rep.mass == pytest.approx(integrate(st.rho))
         assert len(rep.csv_row()) == len(rep.csv_header())
+
+    def test_readme_report_memory_figure(self):
+        figure, args = re.search(r"peak is \+([\d.]+) MB\s+\(`report_peak_mb\(([\d, ]+)\)`",
+                                 README).groups()
+        assert f"{report_peak_mb(*map(int, args.split(','))):.2f}" == figure
 
     def test_overflowed_columns_reported_as_diverged(self):
         # min rho = 1e-7 is above the floor, but rho^(1-p) overflows at p = 50

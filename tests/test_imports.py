@@ -1,0 +1,76 @@
+"""Importing kortorus loads neither sympy nor scipy.integrate: each is
+imported where it is used (the manufactured solutions and the Simpson
+quadrature of the heat check), so start-up and resident memory stay small
+for every command that uses neither.  Each case runs in a fresh process,
+because the test session itself imports both."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+RANDOM_1D = {"grid": {"resolution": [32]},
+             "integrator": {"dt_initial": 1e-3, "t_end": 0.005},
+             "initial": {"family": "random_smooth", "seed": 3,
+                         "params": {"velocity_amplitude": 0.2}}}
+MANUFACTURED_2D = {"grid": {"resolution": [16, 16]},
+                   "model": {"variant": "effective_v2", "mu": 0.5, "kappa": 0.25,
+                             "a": 2.0, "gamma": 1.4},
+                   "integrator": {"scheme": "imex_bdf2", "dt_initial": 0.005,
+                                  "t_end": 0.05},
+                   "initial": {"family": "manufactured", "params": {"id": "ms2d"}}}
+# sha256 of the functionals.csv that MANUFACTURED_2D writes; a change to it
+# belongs in CHANGES.md
+MANUFACTURED_2D_CSV = "0cb7f6817db8508198e0519bee5447d466926011ed641c4f55e505216593486f"
+
+PROGRAM = """
+import contextlib, hashlib, io, json, sys
+from pathlib import Path
+
+def loaded():
+    return [m for m in ("sympy", "scipy.integrate") if m in sys.modules]
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(list(argv))
+
+def simulate(doc, name):
+    path = Path(tmp, name + ".json")
+    path.write_text(json.dumps(doc))
+    code = run("simulate", str(path), "--output", str(Path(tmp, name)))
+    return code, hashlib.sha256(Path(tmp, name, "functionals.csv").read_bytes()).hexdigest()
+
+import kortorus, kortorus.cli
+from kortorus import cli, scenarios
+random_1d, manufactured_2d = json.loads(sys.argv[1])
+tmp = sys.argv[2]
+out = {"import": loaded()}
+out["simulate random_smooth"] = [simulate(random_1d, "random")[0], loaded()]
+out["verify lp-norms"] = [run("verify", "lp-norms"), loaded()]
+out["simulate manufactured"] = [*simulate(manufactured_2d, "manufactured"), loaded()]
+try:
+    scenarios.manufactured_solution("ms3d")
+except ValueError as exc:
+    out["unknown id"] = str(exc)
+print(json.dumps(out))
+"""
+
+
+def test_sympy_and_scipy_integrate_load_on_first_use(tmp_path):
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=str(ROOT / "src"))
+    configs = json.dumps([RANDOM_1D, MANUFACTURED_2D])
+    proc = subprocess.run([sys.executable, "-c", PROGRAM, configs, str(tmp_path)], env=env, cwd=ROOT,
+                          stdout=subprocess.PIPE, text=True, timeout=120, check=True)
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["import"] == []
+    assert out["simulate random_smooth"] == [0, []]
+    assert out["verify lp-norms"] == [0, []]
+    # the manufactured run imports sympy for its profiles and forcing, and
+    # writes the same report as with sympy imported up front
+    assert out["simulate manufactured"] == [0, MANUFACTURED_2D_CSV, ["sympy"]]
+    assert out["unknown id"] == ("unknown manufactured solution 'ms3d', "
+                                 "expected one of ['ms1d', 'ms2d']")
