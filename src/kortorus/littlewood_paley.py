@@ -34,11 +34,10 @@ on the magnitude of a constant.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -63,6 +62,10 @@ from .spectral import (
 )
 
 _MIN_SHELLS = 3
+#: Samples in one chunk of synthesized block fields (see ``_block_fields``):
+#: a batch of fields or time samples is synthesized a chunk at a time, so
+#: its transient memory does not grow with the batch.
+_BLOCK_CHUNK_ELEMENTS = 2 ** 15
 _FLAVORS = ("nonhomogeneous", "homogeneous-style")
 
 
@@ -223,28 +226,50 @@ def dyadic_block_pair(u: ScalarField, q: int, q_prime: int) -> ScalarField:
     return _apply_multiplier(u, table)
 
 
-def _block_norms(hat: np.ndarray, idx: BesovIndex, family: DyadicFamily) -> list[float]:
-    """||Delta_q u||_{L^p} for q in family.block_range, from the rfft
-    coefficients of u with the component axis first (vector fields via
-    Euclidean magnitude).  Every block is synthesized in one batched
-    inverse transform."""
-    mags = np.sqrt(np.sum(_block_fields(hat, family, idx.flavor) ** 2, axis=1))
-    return lp_norms(mags, idx.p, family.grid)
+def _block_norms(hat: np.ndarray, idx: BesovIndex, family: DyadicFamily) -> np.ndarray:
+    """||Delta_q u||_{L^p} for q in family.block_range of each field u whose
+    rfft coefficients ``hat`` carries on leading batch axes, then the
+    component axis (vector fields via Euclidean magnitude).  The block axis
+    is last: shape hat.shape[:-1 - dim] + (number of blocks,).  The blocks
+    are synthesized in the chunks of ``_block_fields``."""
+    grid = family.grid
+    norms = [norm for chunk in _block_fields(hat, family, idx.flavor)
+             for norm in lp_norms(np.sqrt(np.sum(chunk ** 2, axis=1)), idx.p, grid)]
+    return np.array(norms).reshape(hat.shape[:-1 - grid.dim] + (len(family.block_range),))
 
 
-def _block_fields(hat: np.ndarray, family: DyadicFamily, flavor: str) -> np.ndarray:
-    """Delta_q of the field with rfft coefficients ``hat`` (component axis
-    first) for every q in family.block_range, stacked on a leading block
-    axis: one batched inverse transform."""
-    return to_physical(family.tables[flavor][:, None] * hat[None], family.grid)
+def _block_fields(hat: np.ndarray, family: DyadicFamily, flavor: str) -> Iterator[np.ndarray]:
+    """Delta_q of the fields with rfft coefficients ``hat`` (leading batch
+    axes, then the component axis) for every q in family.block_range.
+
+    The (field, block) pairs run field by field, blocks in order within a
+    field, and are synthesized in chunks: each yield is one batched inverse
+    transform of shape (pairs, components) + grid.shape that holds at most
+    _BLOCK_CHUNK_ELEMENTS samples, or one pair when a pair alone is larger."""
+    grid = family.grid
+    tables = family.tables[flavor]
+    rows = hat.reshape((-1,) + hat.shape[-1 - grid.dim:])
+    pair_size = rows.shape[1] * math.prod(grid.shape)
+    per_chunk = max(1, _BLOCK_CHUNK_ELEMENTS // pair_size)
+    n_pairs = len(rows) * len(tables)
+    for start in range(0, n_pairs, per_chunk):
+        row, block = np.divmod(np.arange(start, min(start + per_chunk, n_pairs)), len(tables))
+        yield to_physical(tables[block][:, None] * rows[row], grid)
+
+
+def _block_norm_rows(fields: Sequence[ScalarField | VectorField], idx: BesovIndex) -> np.ndarray:
+    """``_block_norms`` of each field of a non-empty same-grid list, one row
+    per field, from one stacked forward transform."""
+    grid = fields[0].grid
+    data = np.stack([f.data[None] if f.rank == 0 else f.data for f in fields])
+    return _block_norms(to_spectral(data, grid), idx, family_for(grid))
 
 
 def block_lp_norms(u: ScalarField | VectorField, idx: BesovIndex) -> dict[int, float]:
     """||Delta_q u||_{L^p} per block (vector fields via Euclidean magnitude),
-    from one forward and one batched inverse transform."""
-    family = family_for(u.grid)
-    hat = to_spectral(u.data[None] if u.rank == 0 else u.data, u.grid)
-    return dict(zip(family.block_range, _block_norms(hat, idx, family)))
+    from one forward transform and one inverse transform per chunk of blocks
+    (one in all while the blocks of u fit in one chunk)."""
+    return dict(zip(family_for(u.grid).block_range, _block_norm_rows([u], idx)[0].tolist()))
 
 
 def _besov_aggregate(norms: Sequence[float], idx: BesovIndex, family: DyadicFamily) -> float:
@@ -258,7 +283,16 @@ def _besov_aggregate(norms: Sequence[float], idx: BesovIndex, family: DyadicFami
 
 def besov_norm(u: ScalarField | VectorField, idx: BesovIndex) -> float:
     """l^r over blocks of 2^{qs} ||Delta_q u||_{L^p}."""
-    return _besov_aggregate(block_lp_norms(u, idx).values(), idx, family_for(u.grid))
+    return _besov_norms([u], idx)[0]
+
+
+def _besov_norms(fields: Sequence[ScalarField | VectorField], idx: BesovIndex) -> list[float]:
+    """``besov_norm`` of each field of a same-grid list, equal to it field by
+    field, from one stacked forward transform and chunked block synthesis."""
+    if not fields:
+        return []
+    family = family_for(fields[0].grid)
+    return [_besov_aggregate(row, idx, family) for row in _block_norm_rows(fields, idx).tolist()]
 
 
 def sobolev_weight_norm(u: ScalarField, s: float) -> float:
@@ -315,9 +349,8 @@ def chemin_lerner_norm(fields: Sequence[ScalarField | VectorField],
     L^{rho_exp}_T(B^s_{p,r}): <= when r >= rho_exp, >= when r <= rho_exp.
     """
     _check_time_norm("chemin_lerner_norm", fields, rho_exp)
-    series = [list(block_lp_norms(f, idx).values()) for f in fields]
-    return _tilde_aggregate(series, np.asarray(times, dtype=float), rho_exp, idx,
-                            family_for(fields[0].grid), "trapezoid")
+    return _tilde_aggregate(_block_norm_rows(fields, idx), np.asarray(times, dtype=float),
+                            rho_exp, idx, family_for(fields[0].grid), "trapezoid")
 
 
 def iterated_time_besov_norm(fields: Sequence[ScalarField | VectorField],
@@ -325,7 +358,7 @@ def iterated_time_besov_norm(fields: Sequence[ScalarField | VectorField],
     """Plain L^{rho_exp}_T(B^s_{p,r}) norm (trapezoid rule in time), for
     Minkowski-ordering checks."""
     _check_time_norm("iterated norm", fields, rho_exp)
-    series = np.asarray([besov_norm(f, idx) for f in fields])
+    series = np.asarray(_besov_norms(fields, idx))
     return _time_lp(series, np.asarray(times, dtype=float), rho_exp, "trapezoid")
 
 
@@ -359,18 +392,17 @@ class ConstantReport:
 
 def verify_derivative_equivalence(corpus: Sequence[ScalarField], s: float = 1.0,
                                   p: float = 2.0, r: float = 2.0) -> RatioReport:
-    """Ratios ||grad u||_{B^{s-1}_{p,r}} / ||u||_{B^s_{p,r}} over mean-free fields.
+    """Ratios ||grad u||_{B^{s-1}_{p,r}} / ||u||_{B^s_{p,r}} over the mean-free
+    parts of a same-grid corpus.
 
     Fields whose gradient vanishes (constants) are excluded and counted.
     """
-    idx_hi = BesovIndex(s, p, r)
-    idx_lo = BesovIndex(s - 1.0, p, r)
+    centered = [ScalarField(u.grid, u.data - np.mean(u.data)) for u in corpus]
     ratios = []
     excluded = 0
-    for u in corpus:
-        centered = ScalarField(u.grid, u.data - np.mean(u.data))
-        denom = besov_norm(centered, idx_hi)
-        grad_norm = besov_norm(gradient(centered), idx_lo)
+    for denom, grad_norm in zip(_besov_norms(centered, BesovIndex(s, p, r)),
+                                _besov_norms([gradient(c) for c in centered],
+                                             BesovIndex(s - 1.0, p, r))):
         if denom == 0.0 or grad_norm == 0.0:
             excluded += 1
             continue
@@ -383,18 +415,19 @@ def verify_derivative_equivalence(corpus: Sequence[ScalarField], s: float = 1.0,
 
 def verify_embedding(corpus: Sequence[ScalarField], s: float, p1: float, r1: float,
                      p2: float, r2: float) -> ConstantReport:
-    """Worst constant in ||u||_{B^{s - N(1/p1 - 1/p2)}_{p2,r2}} <= C ||u||_{B^s_{p1,r1}}."""
+    """Worst constant in ||u||_{B^{s - N(1/p1 - 1/p2)}_{p2,r2}} <= C ||u||_{B^s_{p1,r1}}
+    over a same-grid corpus."""
     if p1 > p2 or r1 > r2:
         raise IndexConstraintViolated(
             f"embedding requires p1 <= p2 and r1 <= r2, got p1={p1}, p2={p2}, "
             f"r1={r1}, r2={r2}")
+    if not corpus:
+        return ConstantReport(0.0, 0)
+    shift = corpus[0].grid.dim * (1.0 / p1 - 1.0 / p2)
     worst = 0.0
     n = 0
-    for u in corpus:
-        dim = u.grid.dim
-        shift = dim * (1.0 / p1 - 1.0 / p2)
-        source = besov_norm(u, BesovIndex(s, p1, r1))
-        target = besov_norm(u, BesovIndex(s - shift, p2, r2))
+    for source, target in zip(_besov_norms(corpus, BesovIndex(s, p1, r1)),
+                              _besov_norms(corpus, BesovIndex(s - shift, p2, r2))):
         if source == 0.0:
             continue
         worst = max(worst, target / source)
@@ -406,16 +439,16 @@ def verify_product_law(pairs: Sequence[tuple[ScalarField, ScalarField]], s: floa
                        p: float, r: float) -> ConstantReport:
     """Worst constant in
     ||uv||_{B^s_{p,r}} <= C (||u||_{Linf} ||v||_{B^s_{p,r}} + ||v||_{Linf} ||u||_{B^s_{p,r}}),
-    products dealiased.
+    products dealiased, over pairs on one grid.
     """
-    idx = BesovIndex(s, p, r)
+    n_pairs = len(pairs)
+    norms = _besov_norms([dealiased_product(u, v) for u, v in pairs]
+                         + [u for u, _ in pairs] + [v for _, v in pairs], BesovIndex(s, p, r))
     worst = 0.0
     n = 0
-    for u, v in pairs:
-        uv = dealiased_product(u, v)
-        lhs = besov_norm(uv, idx)
-        bound = (lp_norm(u, math.inf) * besov_norm(v, idx)
-                 + lp_norm(v, math.inf) * besov_norm(u, idx))
+    for (u, v), lhs, norm_u, norm_v in zip(pairs, norms, norms[n_pairs:],
+                                           norms[2 * n_pairs:]):
+        bound = lp_norm(u, math.inf) * norm_v + lp_norm(v, math.inf) * norm_u
         if bound == 0.0:
             continue
         worst = max(worst, lhs / bound)
@@ -437,17 +470,6 @@ class HeatReport:
     rho2: float
 
 
-def _forcing_samples(forcing, grid: SpectralGrid, times: np.ndarray, idx: BesovIndex,
-                     family: DyadicFamily):
-    """(rfft coefficients, component axis first; block norms) of the forcing
-    at each time; a time-constant ScalarField is measured once."""
-    if isinstance(forcing, ScalarField):
-        hat = to_spectral(forcing.data[None], grid)
-        return itertools.repeat((hat, _block_norms(hat, idx, family)))
-    hats = (to_spectral(np.asarray(forcing(float(t)), dtype=float)[None], grid) for t in times)
-    return ((hat, _block_norms(hat, idx, family)) for hat in hats)
-
-
 def heat_regularity_check(u0: ScalarField, forcing, mu: float, s: float, p: float,
                           r: float, rho1: float, rho2: float, T: float,
                           n_time: int = 257) -> HeatReport:
@@ -459,9 +481,13 @@ def heat_regularity_check(u0: ScalarField, forcing, mu: float, s: float, p: floa
     for d_t u - mu Lap u = f.  The solution is advanced exactly per mode
     (integrating factor), with forcing accumulated by per-substep trapezoid;
     time norms use composite Simpson so closed-form single-mode cases are
-    reproduced to ~1e-12.  The block norms of each time sample are taken
-    from the coefficients the solver holds, without a physical round trip,
-    and ||u0||_{B^s_{p,r}} from those of t = 0.
+    reproduced to ~1e-12.  Each step is written into one (n_time, 1, ...)
+    stack of rfft coefficients; a callable forcing is sampled at every time
+    into one array and transformed forward once.  The block norms of all
+    time samples come from those stacks through the chunked synthesis of
+    ``_block_norms``, without a physical round trip, and ||u0||_{B^s_{p,r}}
+    from those of t = 0.  Memory: the stacks (n_time times the coefficients
+    of one field, twice with a callable forcing) plus one chunk.
 
     ``forcing`` may be None, a time-constant ScalarField, or a callable
     t -> samples.  Needs 1 <= rho2 <= rho1 (ExponentOrderViolated), and mu,
@@ -484,25 +510,26 @@ def heat_regularity_check(u0: ScalarField, forcing, mu: float, s: float, p: floa
     idx_u = BesovIndex(s + (0.0 if math.isinf(rho1) else 2.0 / rho1), p, r)
     idx_f = BesovIndex(s - 2.0 + (0.0 if math.isinf(rho2) else 2.0 / rho2), p, r)
 
-    u_hat = to_spectral(u0.data[None], grid)
-    u_norms = [_block_norms(u_hat, idx_u, family)]
-    if forcing is not None:
-        samples = _forcing_samples(forcing, grid, times, idx_f, family)
-        f_hat, norms = next(samples)
-        f_norms = [norms]
-    for _ in times[1:]:
-        u_hat = decay * u_hat
+    stack_shape = (n_time, 1) + grid.rfft_shape
+    if isinstance(forcing, ScalarField):
+        f_hats = np.broadcast_to(to_spectral(forcing.data[None, None], grid), stack_shape)
+        f_distinct = f_hats[:1]
+    elif forcing is not None:
+        f_hats = f_distinct = to_spectral(
+            np.array([forcing(float(t)) for t in times], dtype=float)[:, None], grid)
+    u_hats = np.empty(stack_shape, dtype=complex)
+    u_hats[0] = to_spectral(u0.data[None], grid)
+    for i in range(1, n_time):
+        u_hats[i] = decay * u_hats[i - 1]
         if forcing is not None:
-            f_hat_next, norms = next(samples)
-            u_hat = u_hat + 0.5 * dt * (decay * f_hat + f_hat_next)
-            f_hat = f_hat_next
-            f_norms.append(norms)
-        u_norms.append(_block_norms(u_hat, idx_u, family))
+            u_hats[i] += 0.5 * dt * (decay * f_hats[i - 1] + f_hats[i])
+    u_norms = _block_norms(u_hats, idx_u, family)
 
     lhs = _tilde_aggregate(u_norms, times, rho1, idx_u, family, "simpson")
     # u0's B^s_{p,r} norm from the t = 0 block norms, which depend on p, not on s
     rhs_val = _besov_aggregate(u_norms[0], BesovIndex(s, p, r), family)
     if forcing is not None:
+        f_norms = np.broadcast_to(_block_norms(f_distinct, idx_f, family), u_norms.shape)
         f_norm = _tilde_aggregate(f_norms, times, rho2, idx_f, family, "simpson")
         rhs_val = rhs_val + mu ** (1.0 / rho2 - 1.0) * f_norm
     constant = math.inf if rhs_val == 0.0 else lhs / rhs_val

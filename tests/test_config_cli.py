@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from kortorus import verify
-from kortorus.cli import _read_snapshots, main
+from kortorus.cli import _json_dumps, _read_snapshots, main
 from kortorus.config import parse_config
 from kortorus.dump import write_field_dump
 from kortorus.errors import ConstraintViolationError, ParseError
 from kortorus.functionals import evaluate_report, serrin_accumulator
-from kortorus.littlewood_paley import BesovIndex, besov_norm
+from kortorus.littlewood_paley import BesovIndex, besov_norm, block_lp_norms
+from kortorus.scenarios import besov_corpus
 from kortorus.spectral import SpectralGrid
 from kortorus.timestepping import Trajectory
 from helpers import measure
@@ -286,7 +287,38 @@ class TestBesovCLI:
         assert main(["besov", str(dump), "--s", "0.0", "--p", "2", "--r", "2"]) == 0
         payload = json.loads(capsys.readouterr().out)
         expected = besov_norm(field, BesovIndex(0.0, 2.0, 2.0))
-        assert payload["norm"] == expected  # bit-identical, same code path
+        assert payload["norm"] == expected  # bit-identical
+
+    @pytest.mark.parametrize("argv", [["--s", "1.0"],
+                                      ["--s", "-0.5", "--p", "3", "--r", "1"],
+                                      ["--s", "0.5", "--p", "inf", "--r", "inf",
+                                       "--flavor", "homogeneous-style"]])
+    def test_output_is_shells_and_besov_norm(self, tmp_path, capsys, argv):
+        # the printed JSON, byte for byte: the shells of block_lp_norms and
+        # the norm of besov_norm, although the norm is aggregated from the
+        # shells the command already holds
+        field = besov_corpus(SpectralGrid(256), 1, seed=4)[0]
+        dump = tmp_path / "field.fld"
+        write_field_dump(dump, field)
+        assert main(["besov", str(dump), *argv]) == 0
+        args = dict(zip(argv[::2], argv[1::2]))
+        s, p, r = (float(args.get(k, "2")) for k in ("--s", "--p", "--r"))
+        flavor = args.get("--flavor", "nonhomogeneous")
+        idx = BesovIndex(s, p, r, flavor)
+        shells = block_lp_norms(field, idx)
+        assert capsys.readouterr().out == _json_dumps({
+            "resolution": [256],
+            "index": {"s": s, "p": p, "r": r, "flavor": flavor},
+            "shells": {str(q): shells[q] for q in sorted(shells)},
+            "norm": besov_norm(field, idx),
+        })
+
+    def test_two_transform_calls(self, tmp_path, fft_count, capsys):
+        # one forward transform and one batched inverse for shells and norm
+        dump = tmp_path / "field.fld"
+        write_field_dump(dump, besov_corpus(SpectralGrid(256), 1, seed=4)[0])
+        used = measure(fft_count, lambda: main(["besov", str(dump), "--s", "1.0"]))
+        assert used["calls"] == 2
 
     def test_truncated_dump_exit_two(self, tmp_path, capsys):
         grid = SpectralGrid(64)

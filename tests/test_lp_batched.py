@@ -1,0 +1,113 @@
+"""The stacked, chunked block norms against the one-at-a-time reference in
+``lp_reference``, held with ==, and the heat check's memory against the
+chunk bound."""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import lp_reference as ref
+from kortorus import littlewood_paley as lp
+from kortorus.scenarios import besov_corpus
+from kortorus.spectral import SpectralGrid, gradient
+
+GRIDS = [128, (32, 32)]
+INDICES = [lp.BesovIndex(1.0), lp.BesovIndex(0.5, 3.0, 1.0),
+           lp.BesovIndex(-0.5, math.inf, math.inf, "homogeneous-style")]
+
+
+def crosses_a_chunk(grid, n_fields, components):
+    """Whether the (field, block) pairs of a batch fill more than one chunk.
+    On the 2D grid a chunk (32 scalar or 16 vector pairs, 7 blocks a field)
+    also ends inside the blocks of a field."""
+    per_chunk = max(1, lp._BLOCK_CHUNK_ELEMENTS // (components * math.prod(grid.shape)))
+    return n_fields * len(lp.family_for(grid).block_range) > per_chunk
+
+
+@pytest.fixture(params=GRIDS, ids=str)
+def grid(request):
+    return SpectralGrid(request.param)
+
+
+@pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
+@pytest.mark.parametrize("idx", INDICES, ids=str)
+def test_time_norms_and_block_norms_equal_reference(grid, vector, idx):
+    scalars = besov_corpus(grid, 40, seed=7)
+    fields = [gradient(u) for u in scalars] if vector else scalars
+    assert crosses_a_chunk(grid, len(fields), fields[0].data.size // math.prod(grid.shape))
+    times = np.linspace(0.0, 1.3, len(fields))
+    for rho in (2.0, math.inf):
+        assert lp.chemin_lerner_norm(fields, times, rho, idx) \
+            == ref.chemin_lerner_norm(fields, times, rho, idx)
+        assert lp.iterated_time_besov_norm(fields, times, rho, idx) \
+            == ref.iterated_time_besov_norm(fields, times, rho, idx)
+    assert lp._besov_norms(fields, idx) == [ref.besov_norm(f, idx) for f in fields]
+    for f in fields[:3]:
+        assert list(lp.block_lp_norms(f, idx).values()) == ref.block_norms(f, idx)
+        assert lp.besov_norm(f, idx) == ref.besov_norm(f, idx)
+
+
+def test_verifiers_equal_reference(grid):
+    corpus = besov_corpus(grid, 40, seed=8)
+    # the gradients of a 2D corpus are vector fields
+    assert crosses_a_chunk(grid, 3 * 20, 1) and crosses_a_chunk(grid, 40, grid.dim)
+    assert lp.verify_derivative_equivalence(corpus) == ref.verify_derivative_equivalence(corpus)
+    for p2 in (4.0, math.inf):
+        assert lp.verify_embedding(corpus, 1.0, 2.0, 2.0, p2, 2.0) \
+            == ref.verify_embedding(corpus, 1.0, 2.0, 2.0, p2, 2.0)
+    pairs = list(zip(corpus[:20], corpus[20:]))
+    assert lp.verify_product_law(pairs, 1.0, 2.0, 2.0) \
+        == ref.verify_product_law(pairs, 1.0, 2.0, 2.0)
+
+
+def test_verifiers_on_empty_corpus():
+    assert lp.verify_embedding([], 1.0, 2.0, 2.0, 4.0, 2.0) == lp.ConstantReport(0.0, 0)
+    assert lp.verify_product_law([], 1.0, 2.0, 2.0) == lp.ConstantReport(0.0, 0)
+    assert lp.verify_derivative_equivalence([]).n_fields == 0
+
+
+@pytest.mark.parametrize("forcing_kind", ["none", "constant", "callable"])
+@pytest.mark.parametrize("rho1, rho2", [(math.inf, math.inf), (2.0, 1.0)])
+def test_heat_check_equals_reference(grid, forcing_kind, rho1, rho2):
+    u0 = besov_corpus(grid, 1, seed=5)[0]
+    f = besov_corpus(grid, 1, seed=6)[0]
+    forcing = {"none": None, "constant": f,
+               "callable": lambda t: f.data * math.cos(1.7 * t)}[forcing_kind]
+    n_time = 65
+    assert crosses_a_chunk(grid, n_time, 1)
+    args = (u0, forcing, 0.7, 1.0, 2.0, 2.0, rho1, rho2, 1.3)
+    assert lp.heat_regularity_check(*args, n_time=n_time) \
+        == ref.heat_regularity_check(*args, n_time=n_time)
+
+
+@pytest.mark.parametrize("forcing_kind", ["none", "callable"])
+def test_heat_check_memory_is_bounded_by_the_chunk(forcing_kind):
+    # Above the coefficient stacks the check holds (u at every time sample,
+    # and a callable forcing's), the traced peak is the synthesis of one
+    # chunk of block fields, whatever n_time: one chunk of 2D 64^2 blocks is
+    # 256 KB, the blocks of all 129 samples would be 34 MB
+    grid = SpectralGrid((64, 64))
+    u0 = besov_corpus(grid, 1, seed=1)[0]
+    f = besov_corpus(grid, 1, seed=2)[0]
+    forcing = None if forcing_kind == "none" else (lambda t: f.data * math.cos(t))
+    stacks = 1 if forcing is None else 2
+    chunk_bytes = lp._BLOCK_CHUNK_ELEMENTS * 8
+    lp.heat_regularity_check(u0, forcing, 0.5, 1.0, 2.0, 2.0, 2.0, 1.0, 1.0, n_time=9)
+
+    def excess(n_time):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            lp.heat_regularity_check(u0, forcing, 0.5, 1.0, 2.0, 2.0, 2.0, 1.0, 1.0,
+                                     n_time=n_time)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        held = stacks * n_time * math.prod(grid.rfft_shape) * 16
+        return peak - held
+
+    small, large = excess(33), excess(129)
+    assert small < 8 * chunk_bytes and large < 8 * chunk_bytes
+    assert large - small < chunk_bytes / 2

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from kortorus import littlewood_paley as lp
 from kortorus.littlewood_paley import (
     BesovIndex,
     besov_norm,
@@ -54,20 +55,24 @@ def test_tables_are_the_full_lattice_tables_restricted(resolution):
 
 @pytest.mark.parametrize("forcing_kind", ["none", "callable", "constant"])
 def test_heat_check_transform_budget(fft_count, forcing_kind):
-    # one forward transform of u0 and one batched inverse per time sample
-    # (||u0|| comes from the t = 0 block norms); a callable forcing adds a
-    # forward transform and a batched inverse per time sample, a constant
-    # one a single forward and inverse
+    # one forward transform of u0 and one of the forcing (a callable's time
+    # samples stacked); the blocks of u at every time sample, and those of a
+    # callable forcing, are synthesized in chunks of at most
+    # _BLOCK_CHUNK_ELEMENTS samples, one inverse transform a chunk; a
+    # constant forcing's blocks are synthesized once (u0's norm comes from
+    # the t = 0 block norms).  At 1D N = 64, 7 blocks: 65 samples take one
+    # chunk and 257 take four.
     grid = SpectralGrid(64)
-    n_time = 65
     u0 = besov_corpus(grid, 1, seed=20)[0]
     f = besov_corpus(grid, 1, seed=21)[0]
     forcing = {"none": None, "callable": lambda t: f.data * math.cos(t),
                "constant": f}[forcing_kind]
-    used = measure(fft_count, lambda: heat_regularity_check(
-        u0, forcing, 0.5, 1.0, 2.0, 2.0, 2.0, 1.0, 1.0, n_time=n_time))
-    budget = {"none": n_time + 1, "constant": n_time + 3, "callable": 3 * n_time + 1}
-    assert used["calls"] <= budget[forcing_kind]
+    for n_time, chunks in ((65, 1), (257, 4)):
+        assert chunks == math.ceil(n_time * 7 * 64 / lp._BLOCK_CHUNK_ELEMENTS)
+        used = measure(fft_count, lambda: heat_regularity_check(
+            u0, forcing, 0.5, 1.0, 2.0, 2.0, 2.0, 1.0, 1.0, n_time=n_time))
+        budget = {"none": 1 + chunks, "constant": 3 + chunks, "callable": 2 + 2 * chunks}
+        assert used["calls"] == budget[forcing_kind]
 
 
 @pytest.mark.parametrize("resolution, vector", [(64, False), ((32, 32), True)])
