@@ -34,7 +34,8 @@ from .errors import (
 from .functionals import (
     FunctionalReport,
     blow_up_verdict,
-    evaluate_report,
+    evaluate_report,  # noqa: F401  perfbench/tracing.py wraps it here by name
+    evaluate_reports,
     vacuum_endpoint_norm,
 )
 from .littlewood_paley import (
@@ -115,11 +116,14 @@ def _write_snapshots(outdir: Path, states: list[FieldState], index: list[str]):
 
 
 class _StreamedTrajectory(Trajectory):
-    """The Trajectory ``simulate`` records into: it holds no states.  Each
-    report is appended to ``functionals.csv`` and ``functionals.jsonl`` and
-    flushed as ``run`` records it, and with ``dump_snapshots`` each snapshot
-    is dumped as ``run`` captures it; otherwise snapshots are only counted.
-    A run that stops early leaves valid files up to its last accepted step."""
+    """The Trajectory ``simulate`` records into: it holds no states.  The
+    reports ``run`` records are appended to ``functionals.csv`` and
+    ``functionals.jsonl`` and flushed one batch at a time, as ``run`` records
+    them, and with ``dump_snapshots`` each snapshot is dumped as ``run``
+    captures it; otherwise snapshots are only counted.  A run that stops
+    early, by an exception of any kind, leaves valid files up to its last
+    accepted step; a hard kill loses at most the rows of the batch pending
+    in ``RunState.pending``."""
 
     def __init__(self, params, outdir: Path, dump_snapshots: bool):
         super().__init__(params=params)
@@ -133,15 +137,15 @@ class _StreamedTrajectory(Trajectory):
     def __exit__(self, *exc_info):
         self._files.close()
 
-    def record(self, report: FunctionalReport):
-        super().record(report)
-        first = len(self.reports) == 1
+    def record(self, *reports: FunctionalReport):
+        first = not self.reports
+        super().record(*reports)
         if first:
             self._csv = self._files.enter_context(open(self._outdir / "functionals.csv", "w"))
             self._jsonl = self._files.enter_context(
                 open(self._outdir / "functionals.jsonl", "w"))
-        _write_csv(self._csv, [report], header=first)
-        _write_jsonl(self._jsonl, [report])
+        _write_csv(self._csv, reports, header=first)
+        _write_jsonl(self._jsonl, reports)
 
     def keep(self, state: FieldState):
         if self._dump_snapshots:
@@ -319,7 +323,7 @@ def cmd_monitor(args) -> int:
         print(f"cannot read trajectory directory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    reports = [evaluate_report(s, config.model, config.monitors) for s in states]
+    reports = evaluate_reports(states, config.model, config.monitors)
     with open(trajdir / "monitor_functionals.csv", "w") as out:
         _write_csv(out, reports)
     with open(trajdir / "monitor_functionals.jsonl", "w") as out:

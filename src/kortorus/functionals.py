@@ -24,7 +24,7 @@ as residuals that must vanish under refinement (see the acceptance suite).
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, fields as dataclass_fields
 
 import numpy as np
@@ -40,7 +40,7 @@ from .model import (
     FieldState,
     ModelParams,
     SpectralState,
-    pressure_potential,
+    _potential,
     require_positive_density,
     spectral_state,
 )
@@ -432,19 +432,54 @@ class FunctionalReport:
         return out
 
 
+#: the spec of a report asked for without one, built once
+_DEFAULT_SPEC = MonitorSpec()
+
+#: A batch of reports holds at most this many grid points over its members
+#: (one member at least): 32 states at N = 64, 16 at N = 128, 2 at 32^2 and
+#: one at 64^2 or finer.  A 1D report costs about as much a state in batches
+#: of 2048 points as of 4096, and less in the benchmark's 1D study.
+_REPORT_BATCH_POINTS = 2048
+
+
 def evaluate_report(state: State, params: ModelParams, spec: MonitorSpec | None = None,
                     previous: tuple[FunctionalReport, float] | None = None) -> FunctionalReport:
-    """Evaluate every monitored functional on one state.  A functional that
-    overflows is named in ``diverged``, without a numpy warning.
-    ``serrin_accumulator`` is 0.0, or, given ``previous`` = (the report of
-    the step before, the dt since), the trapezoid rule's running value.
+    """Evaluate every monitored functional on one state: the one-state case
+    of ``evaluate_reports``.  ``serrin_accumulator`` is 0.0, or, given
+    ``previous`` = (the report of the step before, the dt since), the
+    trapezoid rule's running value."""
+    (report,) = evaluate_reports((state,), params, spec,
+                                 None if previous is None else (previous[0], (previous[1],)))
+    return report
+
+
+def evaluate_reports(states: Sequence[State], params: ModelParams,
+                     spec: MonitorSpec | None = None,
+                     previous: tuple[FunctionalReport, Sequence[float]] | None = None,
+                     ) -> list[FunctionalReport]:
+    """The report of each of ``states``, which share one grid, from one pass
+    over batches of them stacked along a batch axis (``SpectralState.stack``),
+    at most _REPORT_BATCH_POINTS grid points a batch; each report equals that
+    of its state alone to the bit.  A functional that overflows is named in
+    its member's ``diverged``, without a numpy warning.
+    ``serrin_accumulator`` is 0.0 in every report, or, given ``previous`` =
+    (the report before the first state, the dt before each state), the
+    trapezoid rule's running value, continued member by member.
 
     Transform stages: sqrt(rho), |v|^2 and the vacuum functional's powers of
     rho forward; everything the functionals differentiate back."""
-    spec = spec or MonitorSpec()
-    d = spectral_state(state, params)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _report(d, params, spec, previous)
+    spec = spec or _DEFAULT_SPEC
+    per_batch = max(1, _REPORT_BATCH_POINTS // math.prod(states[0].grid.shape)) if states else 1
+    reports: list[FunctionalReport] = []
+    for start in range(0, len(states), per_batch):
+        members = [spectral_state(s, params) for s in states[start:start + per_batch]]
+        batch = SpectralState.stack(members)
+        chain = None if previous is None else (
+            reports[-1] if reports else previous[0], previous[1][start:start + per_batch])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            reports += _report(batch, params, spec, chain)
+        batch.unstack(members)
+    return reports
 
 
 def _sum_of_squares(components, out: np.ndarray) -> np.ndarray:
@@ -462,15 +497,17 @@ def _sum_of_squares(components, out: np.ndarray) -> np.ndarray:
 
 
 def _report(d: SpectralState, params: ModelParams, spec: MonitorSpec,
-            previous: tuple[FunctionalReport, float] | None) -> FunctionalReport:
-    """Every column in one pass over ``d``: each pointwise field is formed
-    once, and every integrand is a row of one table summed in one call."""
+            previous: tuple[FunctionalReport, Sequence[float]] | None) -> list[FunctionalReport]:
+    """Every column of every member in one pass over the stack ``d``: each
+    pointwise field is formed once for the batch, every integrand is a row
+    of one table, and the table is summed member by member in one call."""
     grid, rho, gamma = d.grid, d.rho.data, params.gamma
+    size, members = math.prod(grid.shape), len(rho)
     delta, p, p_vac = spec.delta, spec.p_integrability, spec.p_vacuum
     serrin_p, serrin_q = spec.serrin_pair(grid.dim)
     # v first, as it may bring grad ln rho back in a call of its own
     v = d.v
-    v_sq = _sum_of_squares(v, np.empty(grid.shape))
+    v_sq = _sum_of_squares(v, np.empty(rho.shape))
     # vacuum functional: rho^{-(p-1)/2} and rho^{1-p} go forward; grad rho^{-(p-1)/2},
     # Lap rho and Lap rho^{1-p} come back for its rate and identity residual
     rho_pow = rho ** (1.0 - p_vac)
@@ -483,29 +520,33 @@ def _report(d: SpectralState, params: ModelParams, spec: MonitorSpec,
             np.concatenate([grad_hat(half_hat, grid),
                             grid.rfft_minus_beta_sq * np.array([d.rho_hat, pow_hat])])])
     coeff = params.kappa / params.mu
-    vac_value = _integral(d, rho_pow) / (p_vac - 1.0)
+    # the rule of _integral, member by member
+    vac_value = (rho_pow.reshape(members, size).sum(axis=1) / size * grid.volume
+                 / (p_vac - 1.0)).tolist()
     grad_half_sq = (vac_fields[:grid.dim] ** 2).sum(axis=0)
     rate_coeff = 4.0 * p_vac * coeff / (p_vac - 1.0) ** 2
-    vac_rate = rate_coeff * _integral(d, grad_half_sq)
-    vac_residual = float(np.abs(coeff * rho ** (-p_vac) * vac_fields[-2] - (
-        -(coeff / (p_vac - 1.0)) * vac_fields[-1] + rate_coeff * grad_half_sq)).max())
+    vac_rate = (rate_coeff * (grad_half_sq.reshape(members, size).sum(axis=1) / size
+                              * grid.volume)).tolist()
+    vac_residual = np.abs(coeff * rho ** (-p_vac) * vac_fields[-2] - (
+        -(coeff / (p_vac - 1.0)) * vac_fields[-1] + rate_coeff * grad_half_sq)
+    ).reshape(members, size).max(axis=1).tolist()
     del rho_pow, vac_fields, grad_half_sq, sqrt_rho_hat, v_sq_hat, half_hat, pow_hat
 
     # each name is its integrand's row of the table, and then its integral;
     # a stage's output is dropped once its rows are written
-    table = np.empty((19,) + grid.shape)
+    table = np.empty((19,) + rho.shape)
     (mass, kinetic, potential, capillary, eff_viscous, eff_pressure, bd_grad, bd_sym,
      bd_cross, bd_capillary, mv_value, mv_rate, mv_rho, rho_v_sq, int_value, int_grad,
      int_direct, int_identity, low_mass) = table
     mass[...] = rho
     np.multiply(rho, d.u_sq, out=kinetic)
-    potential[...] = (d.pressure / (gamma - 1.0) if gamma > 1.0  # Pi, as pressure_potential
-                      else pressure_potential(d.rho, params).data)
+    # Pi, as _potential makes it, from the pressure the state holds
+    potential[...] = d.pressure / (gamma - 1.0) if gamma > 1.0 else _potential(rho, params)
     np.multiply(rho, v_sq, out=rho_v_sq)
     _low_density_weight(rho, spec.epsilon, spec.delta_vacuum, out=low_mass)
 
     _sum_of_squares(grad_sqrt_rho_and_rho[:, 0], capillary)
-    grad_rho_sq = _sum_of_squares(grad_sqrt_rho_and_rho[:, 1], np.empty(grid.shape))
+    grad_rho_sq = _sum_of_squares(grad_sqrt_rho_and_rho[:, 1], np.empty(rho.shape))
     del grad_sqrt_rho_and_rho
     rho_pow_gamma_minus_2 = rho ** (gamma - 2.0)
     np.multiply(params.a * gamma * (gamma - 1.0) * rho_pow_gamma_minus_2, grad_rho_sq,
@@ -516,7 +557,7 @@ def _report(d: SpectralState, params: ModelParams, spec: MonitorSpec,
     hess = d.hess_ln_rho
     original = params.variant == "original"
     grad_v = d.grad_w + params.eps * hess if original else d.grad_w
-    grad_v_sq = _sum_of_squares(grad_v, np.empty(grid.shape))
+    grad_v_sq = _sum_of_squares(grad_v, np.empty(rho.shape))
     direct, identity = _quartic_forms(v, grad_v, grad_of_v_sq)
     del grad_v, grad_of_v_sq
     speed = np.sqrt(v_sq)
@@ -549,53 +590,64 @@ def _report(d: SpectralState, params: ModelParams, spec: MonitorSpec,
     mv_rho[...] = rho ** ((2.0 * gamma - 1.0 - delta / 2.0) * inner_exp)
     np.multiply(rho, speed ** p, out=int_value)
     np.multiply(rho * speed ** (p - 2.0), grad_v_sq, out=int_grad)
-    # the rule of _integral, row by row: each row sum is its own .sum() to the bit
-    sums = table.reshape(len(table), -1).sum(axis=1)
-    (mass, kinetic, potential, capillary, eff_viscous, eff_pressure, bd_grad, bd_sym,
-     bd_cross, bd_capillary, mv_value, mv_rate, mv_rho, rho_v_sq, int_value, int_grad,
-     int_direct, int_identity, low_mass) = (sums / rho.size * grid.volume).tolist()
-
-    capillary = params.kappa * capillary
-    serrin_integrand = lp_norms(speed, serrin_q, grid)[0] ** serrin_p
-    deviation = rho - sums[0] / rho.size  # np.var's steps
-    values = dict(
-        time=d.time,
-        mass=mass,
-        rho_min=float(rho.min()),
-        rho_max=float(rho.max()),
-        rho_variance=float(np.square(deviation).sum() / deviation.size),
-        max_speed=math.sqrt(d.u_sq.max()),
-        energy_total=kinetic + potential + capillary,
-        energy_kinetic=kinetic,
-        energy_pressure=potential,
-        energy_capillary=capillary,
-        effective_energy=0.5 * rho_v_sq + potential,
-        eff_energy_rate_viscous=params.mu * eff_viscous,
-        eff_energy_rate_pressure=params.eps * eff_pressure,
-        bd_value=kinetic + capillary + potential,
-        bd_rate_viscous=(params.mu - params.alpha) * bd_grad + params.alpha * bd_sym,
-        bd_rate_cross=params.a * gamma * bd_cross,
-        bd_rate_capillary=params.kappa * bd_capillary,
-        mv_value=mv_value / (2.0 + delta),
-        mv_rate_dissipation=0.25 * params.mu * mv_rate,
-        mv_rhs_bound=mv_rho ** inner_exp * rho_v_sq ** (delta / 2.0),
-        int_value=int_value / p,
-        int_rate_grad=int_grad,
-        int_rate_quartic=(p - 2.0) * int_direct,
-        int_rate_quartic_identity=(p - 2.0) * int_identity,
-        vac_value=vac_value,
-        vac_rate=vac_rate,
-        vac_identity_residual=vac_residual,
-        vacuum_indicator=low_mass,
-        serrin_integrand=serrin_integrand,
-    )
-    diverged = tuple(k for k, val in values.items() if not math.isfinite(val))
-    accumulated = 0.0
-    if previous is not None:
-        prev, dt = previous
-        accumulated = (prev.serrin_accumulator
-                       + 0.5 * dt * (prev.serrin_integrand + serrin_integrand))
-    return FunctionalReport(**values, serrin_accumulator=accumulated, diverged=diverged)
+    # the rule of _integral, row by row and member by member: each sum is
+    # its own .sum() to the bit
+    sums = table.reshape(len(table), members, size).sum(axis=2)
+    deviation = rho - (sums[0] / size).reshape((members,) + (1,) * grid.dim)  # np.var's steps
+    variance = (np.square(deviation).reshape(members, size).sum(axis=1) / size).tolist()
+    rho_min = rho.reshape(members, size).min(axis=1).tolist()
+    rho_max = rho.reshape(members, size).max(axis=1).tolist()
+    u_sq_max = d.u_sq.reshape(members, size).max(axis=1).tolist()
+    serrin_norms = lp_norms(speed, serrin_q, grid)
+    reports = []
+    prev = None if previous is None else previous[0]
+    for i, (mass, kinetic, potential, capillary, eff_viscous, eff_pressure, bd_grad, bd_sym,
+            bd_cross, bd_capillary, mv_value, mv_rate, mv_rho, rho_v_sq, int_value, int_grad,
+            int_direct, int_identity, low_mass) in enumerate(
+                (sums / size * grid.volume).T.tolist()):
+        capillary = params.kappa * capillary
+        serrin_integrand = serrin_norms[i] ** serrin_p
+        values = dict(
+            time=d.time[i],
+            mass=mass,
+            rho_min=rho_min[i],
+            rho_max=rho_max[i],
+            rho_variance=variance[i],
+            max_speed=math.sqrt(u_sq_max[i]),
+            energy_total=kinetic + potential + capillary,
+            energy_kinetic=kinetic,
+            energy_pressure=potential,
+            energy_capillary=capillary,
+            effective_energy=0.5 * rho_v_sq + potential,
+            eff_energy_rate_viscous=params.mu * eff_viscous,
+            eff_energy_rate_pressure=params.eps * eff_pressure,
+            bd_value=kinetic + capillary + potential,
+            bd_rate_viscous=(params.mu - params.alpha) * bd_grad + params.alpha * bd_sym,
+            bd_rate_cross=params.a * gamma * bd_cross,
+            bd_rate_capillary=params.kappa * bd_capillary,
+            mv_value=mv_value / (2.0 + delta),
+            mv_rate_dissipation=0.25 * params.mu * mv_rate,
+            mv_rhs_bound=mv_rho ** inner_exp * rho_v_sq ** (delta / 2.0),
+            int_value=int_value / p,
+            int_rate_grad=int_grad,
+            int_rate_quartic=(p - 2.0) * int_direct,
+            int_rate_quartic_identity=(p - 2.0) * int_identity,
+            vac_value=vac_value[i],
+            vac_rate=vac_rate[i],
+            vac_identity_residual=vac_residual[i],
+            vacuum_indicator=low_mass,
+            serrin_integrand=serrin_integrand,
+        )
+        diverged = tuple(k for k, val in values.items() if not math.isfinite(val))
+        accumulated = 0.0
+        if prev is not None:
+            accumulated = (prev.serrin_accumulator
+                           + 0.5 * previous[1][i] * (prev.serrin_integrand + serrin_integrand))
+        report = FunctionalReport(**values, serrin_accumulator=accumulated, diverged=diverged)
+        reports.append(report)
+        if prev is not None:
+            prev = report
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +688,7 @@ def blow_up_verdict(trajectory, params: ModelParams,
     The Serrin value (the trapezoid of ``serrin_integrand`` in time) and the
     vacuum-indicator series are read from the per-step report stream (dense);
     a trajectory without reports is given those of its stored snapshots,
-    ``evaluate_report(state, params, monitors)``.  A criterion passes while
+    ``evaluate_reports(states, params, monitors)``.  A criterion passes while
     its value stays finite; the vacuum criterion also fails at the first indicator above
     VACUUM_GROWTH_FACTOR times its initial value.  A report is produced even
     for degenerate trajectories, flagged insufficient_data.
@@ -654,7 +706,7 @@ def blow_up_verdict(trajectory, params: ModelParams,
                             None, None, None, None, None, None, None,
                             terminated_by, terminated_time)
 
-    reports = reports or [evaluate_report(s, params, monitors) for s in states]
+    reports = reports or evaluate_reports(states, params, monitors)
     times = [r.time for r in reports]
     serrin_value = float(np.trapezoid([r.serrin_integrand for r in reports], x=times))
     series = [r.vacuum_indicator for r in reports]

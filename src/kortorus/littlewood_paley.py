@@ -481,13 +481,15 @@ def heat_regularity_check(u0: ScalarField, forcing, mu: float, s: float, p: floa
     for d_t u - mu Lap u = f.  The solution is advanced exactly per mode
     (integrating factor), with forcing accumulated by per-substep trapezoid;
     time norms use composite Simpson so closed-form single-mode cases are
-    reproduced to ~1e-12.  Each step is written into one (n_time, 1, ...)
-    stack of rfft coefficients; a callable forcing is sampled at every time
-    into one array and transformed forward once.  The block norms of all
-    time samples come from those stacks through the chunked synthesis of
-    ``_block_norms``, without a physical round trip, and ||u0||_{B^s_{p,r}}
-    from those of t = 0.  Memory: the stacks (n_time times the coefficients
-    of one field, twice with a callable forcing) plus one chunk.
+    reproduced to ~1e-12.  The steps are written, a group of time samples
+    at a time, into a stack of rfft coefficients whose blocks fill whole
+    chunks of ``_block_norms``, and each group is measured through that
+    chunked synthesis, without a physical round trip, before the next is
+    made; ||u0||_{B^s_{p,r}} comes from the t = 0 block norms.  A callable
+    forcing is sampled at every time into one array and transformed forward
+    once.  Memory: about one chunk of coefficients and one of blocks, plus
+    the forcing's coefficient stack (n_time times those of one field) when
+    the forcing is callable.
 
     ``forcing`` may be None, a time-constant ScalarField, or a callable
     t -> samples.  Needs 1 <= rho2 <= rho1 (ExponentOrderViolated), and mu,
@@ -517,13 +519,21 @@ def heat_regularity_check(u0: ScalarField, forcing, mu: float, s: float, p: floa
     elif forcing is not None:
         f_hats = f_distinct = to_spectral(
             np.array([forcing(float(t)) for t in times], dtype=float)[:, None], grid)
-    u_hats = np.empty(stack_shape, dtype=complex)
-    u_hats[0] = to_spectral(u0.data[None], grid)
-    for i in range(1, n_time):
-        u_hats[i] = decay * u_hats[i - 1]
-        if forcing is not None:
-            u_hats[i] += 0.5 * dt * (decay * f_hats[i - 1] + f_hats[i])
-    u_norms = _block_norms(u_hats, idx_u, family)
+    # u in groups of time samples whose blocks fill whole chunks, so that the
+    # chunks are those of all samples at once
+    per_group = max(1, _BLOCK_CHUNK_ELEMENTS // math.prod(grid.shape))
+    u_hat = to_spectral(u0.data[None], grid)
+    groups = []
+    for start in range(0, n_time, per_group):
+        u_hats = np.empty((min(per_group, n_time - start),) + stack_shape[1:], dtype=complex)
+        for i, out in enumerate(u_hats, start):
+            if i:
+                u_hat = decay * u_hat
+                if forcing is not None:
+                    u_hat += 0.5 * dt * (decay * f_hats[i - 1] + f_hats[i])
+            out[...] = u_hat
+        groups.append(_block_norms(u_hats, idx_u, family))
+    u_norms = np.concatenate(groups)
 
     lhs = _tilde_aggregate(u_norms, times, rho1, idx_u, family, "simpson")
     # u0's B^s_{p,r} norm from the t = 0 block norms, which depend on p, not on s

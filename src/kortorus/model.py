@@ -30,7 +30,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,6 +49,7 @@ from .spectral import (
     div_hat,
     grad_hat,
     gradient,
+    hess_hat,
     to_physical,
     to_physical_stage,
     to_spectral,
@@ -179,11 +180,14 @@ def pressure_potential(rho: ScalarField, params: ModelParams) -> ScalarField:
     the additive normalization cancels in every monitored difference.
     """
     require_positive_density(rho)
+    return rho.with_data(_potential(rho.data, params))
+
+
+def _potential(rho: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Pi of ``pressure_potential`` on density samples already checked."""
     if params.gamma > 1.0:
-        data = params.a * rho.data ** params.gamma / (params.gamma - 1.0)
-    else:
-        data = params.a * (rho.data * np.log(rho.data) - rho.data + 1.0)
-    return rho.with_data(data)
+        return params.a * rho ** params.gamma / (params.gamma - 1.0)
+    return params.a * (rho * np.log(rho) - rho + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +278,7 @@ def korteweg_div_special(rho: ScalarField, kappa: float) -> VectorField:
     """
     require_positive_density(rho)
     grid = rho.grid
-    ik = grid.rfft_ik
-    hess = to_physical(ik[:, None] * ik[None] * to_spectral(np.log(rho.data), grid), grid)
+    hess = to_physical(hess_hat(to_spectral(np.log(rho.data), grid), grid), grid)
     weighted_hat = grid.rfft_dealias_keep * to_spectral(rho.data * hess, grid)
     return VectorField(grid, kappa * to_physical(div_hat(weighted_hat, grid), grid))
 
@@ -319,6 +322,35 @@ class _Transformed:
         return d.__dict__[self.name]
 
 
+class _Stacked(NamedTuple):
+    """Samples of same-grid fields along a batch axis after their component
+    axes, in the place of a ScalarField or VectorField (each member's own
+    field was checked)."""
+
+    grid: SpectralGrid
+    data: np.ndarray
+
+
+class _StackedState(NamedTuple):
+    """Same-grid states as one, in the place of a FieldState: the samples
+    along a batch axis, and the members' times."""
+
+    grid: SpectralGrid
+    rho: _Stacked
+    w: _Stacked
+    time: tuple[float, ...]
+
+
+def _along_batch(arrays: Sequence[np.ndarray], grid: SpectralGrid) -> np.ndarray:
+    """``arrays``, one field each (component axes, then the grid axes; rfft
+    coefficients count as grid axes), stacked along a batch axis placed
+    before the grid axes; one array gives a view."""
+    axis = arrays[0].ndim - grid.dim
+    if len(arrays) == 1:
+        return arrays[0][(slice(None),) * axis + (None,)]
+    return np.stack(arrays, axis)
+
+
 class SpectralState:
     """One state's spectral coefficients and the derived fields that the
     step and the report share, each computed at most once: ln rho, grad ln
@@ -332,7 +364,8 @@ class SpectralState:
     ``rhs``, ``cfl_dt`` and ``evaluate_report`` accept it in place of the
     FieldState it wraps, so they share this work.  Build it with
     ``spectral_state``, which validates the state; the stepper builds it from
-    the coefficients it has just advanced and checked.
+    the coefficients it has just advanced and checked.  ``stack`` joins
+    several into one with a batch axis.
     """
 
     def __init__(self, state: FieldState, params: ModelParams,
@@ -342,6 +375,46 @@ class SpectralState:
         self._bare = rho_hat is None
         if not self._bare:
             self.rho_hat, self.w_hat = rho_hat, w_hat
+
+    @classmethod
+    def stack(cls, members: Sequence["SpectralState"]) -> "SpectralState":
+        """``members`` (one grid, one ``params``) as one SpectralState whose
+        arrays carry a batch axis between the component axes and the grid
+        axes, for kernels that reduce member by member.  Its ``time`` lists
+        the members' times.
+
+        A derived field that every member holds is stacked; the others are
+        computed once, on the batch, when read.  Members that are all bare go
+        forward as one bare batch; otherwise each member's own coefficients
+        are stacked, so that a stepped state keeps the ones its step made.
+        One member gives views, not copies."""
+        first, *others = members
+        grid = first.grid
+        if any(m.grid is not grid and m.grid != grid for m in others):
+            raise InvalidField("stacked states must share one grid")
+        state = _StackedState(
+            grid, _Stacked(grid, _along_batch([m.rho.data for m in members], grid)),
+            _Stacked(grid, _along_batch([m.w.data for m in members], grid)),
+            tuple(m.time for m in members))
+        bare = all(m._bare for m in members)
+        d = cls(state, first.params, *(() if bare else (
+            _along_batch([m.rho_hat for m in members], grid),
+            _along_batch([m.w_hat for m in members], grid))))
+        held = (first.__dict__.keys() & _DERIVED) - d.__dict__.keys()
+        for name in held.intersection(*(m.__dict__ for m in others)):
+            d.__dict__[name] = _along_batch([m.__dict__[name] for m in members], grid)
+        return d
+
+    def unstack(self, members: Sequence["SpectralState"]):
+        """Give each of ``members``, the states this stack was made of, the
+        derived fields the stack holds and it does not, as views: a member
+        keeps them as long as it would had it been reported alone, and a
+        later reader of the member computes none of them again."""
+        for name in self.__dict__.keys() & _DERIVED:
+            batch = self.__dict__[name]
+            index = (slice(None),) * (batch.ndim - self.grid.dim - 1)
+            for i, member in enumerate(members):
+                member.__dict__.setdefault(name, batch[index + (i,)])
 
     def fill(self, stage, *names: str, extra=()) -> list[np.ndarray]:
         """Compute the fields ``names`` that are not held yet, and ``stage``
@@ -363,8 +436,7 @@ class SpectralState:
     ln_rho_hat = _Transformed(to_spectral_stage, lambda d: np.log(d.rho.data))
     grad_ln_rho = _Transformed(to_physical_stage, lambda d: grad_hat(d.ln_rho_hat, d.grid))
     grad_w = _Transformed(to_physical_stage, lambda d: grad_hat(d.w_hat, d.grid))
-    hess_ln_rho = _Transformed(
-        to_physical_stage, lambda d: d.grid.rfft_ik[:, None] * d.grid.rfft_ik[None] * d.ln_rho_hat)
+    hess_ln_rho = _Transformed(to_physical_stage, lambda d: hess_hat(d.ln_rho_hat, d.grid))
 
     @cached_property
     def u(self) -> np.ndarray:
@@ -385,6 +457,12 @@ class SpectralState:
     @cached_property
     def pressure(self) -> np.ndarray:  # model.pressure's, on a checked density
         return self.params.a * self.rho.data ** self.params.gamma
+
+
+#: the derived fields of a SpectralState, which ``SpectralState.stack`` takes
+#: from its members where every member holds one
+_DERIVED = tuple(name for name, attr in vars(SpectralState).items()
+                 if isinstance(attr, (_Transformed, cached_property)))
 
 
 def spectral_state(state: FieldState | SpectralState, params: ModelParams) -> SpectralState:

@@ -304,6 +304,14 @@ def grad_hat(hat: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     return ik * hat
 
 
+def hess_hat(hat: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """Coefficients of the second derivatives d_i d_j (multiplier -beta_i
+    beta_j), with the axes i, j prepended, as ``grad_hat`` prepends i."""
+    ik = grid.rfft_ik
+    shape = (grid.dim, grid.dim) + (1,) * (hat.ndim - grid.dim) + grid.rfft_shape
+    return (ik[:, None] * ik[None]).reshape(shape) * hat
+
+
 def div_hat(hat: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     """Coefficients of sum_i d_i over the first component axis i."""
     ik = grid.rfft_ik.reshape((grid.dim,) + (1,) * (hat.ndim - 1 - grid.dim) + grid.rfft_shape)
@@ -351,8 +359,7 @@ def laplacian(f: ScalarField) -> ScalarField:
 
 def hessian(f: ScalarField) -> TensorField:
     """Second derivatives, component (i, j) = d_i d_j f (multiplier -beta_i beta_j)."""
-    ik = f.grid.rfft_ik
-    return TensorField(f.grid, to_physical(ik[:, None] * ik[None] * _hat(f), f.grid))
+    return TensorField(f.grid, to_physical(hess_hat(_hat(f), f.grid), f.grid))
 
 
 def vector_gradient(F: VectorField) -> TensorField:

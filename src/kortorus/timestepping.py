@@ -31,7 +31,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonFinite, NonpositiveDensity, PositivityLoss, StepUnderflow, require
-from .functionals import FunctionalReport, MonitorSpec, evaluate_report
+from .functionals import (
+    _REPORT_BATCH_POINTS,
+    FunctionalReport,
+    MonitorSpec,
+    evaluate_report,
+    evaluate_reports,
+)
 from .model import (
     FieldState,
     ModelParams,
@@ -103,7 +109,8 @@ class Trajectory:
     state.  ``terminated`` is None for a clean run to t_end.  ``run`` fills a
     trajectory through ``record`` and ``capture`` only; a subclass that
     overrides ``keep`` can stream the snapshots elsewhere instead of holding
-    them.
+    them.  ``run`` records the reports of a batch of steps in one call, after
+    capturing the batch's snapshots.
     """
 
     params: ModelParams
@@ -125,10 +132,10 @@ class Trajectory:
     def final_state(self) -> FieldState:
         return self.states[-1]
 
-    def record(self, report: FunctionalReport):
-        """Append the report of one accepted step (the first is the initial
-        state's)."""
-        self.reports.append(report)
+    def record(self, *reports: FunctionalReport):
+        """Append the reports of accepted steps, in step order (the first
+        ever is the initial state's)."""
+        self.reports += reports
 
     def capture(self, state: FieldState):
         """Take ``state`` as the next snapshot, unless its time does not pass
@@ -159,7 +166,7 @@ def cfl_dt(state: FieldState | SpectralState, params: ModelParams,
     """
     d = spectral_state(state, params)
     h = min(d.grid.spacing)
-    max_u = float(np.max(np.sqrt(d.u_sq)))
+    max_u = math.sqrt(d.u_sq.max())
     adv = math.inf if max_u == 0.0 else h / max_u
     nu_expl = max(params.mu * float(np.max(d.rho.data))
                   - _shift_value(d.state, params, config), 0.0)
@@ -193,12 +200,15 @@ class RunState:
     """What a run carries from one accepted step to the next: the multistep
     history (newest level last), the newest report, whose
     ``serrin_accumulator`` is the running Serrin integral (None until ``run``
-    evaluates the first), and the next snapshot time (None without a
-    cadence)."""
+    evaluates the first), the next snapshot time (None without a cadence),
+    and the accepted steps not reported yet, each as its SpectralState and
+    the dt that made it.  ``run`` reports ``pending`` in one batch once its
+    grid points reach functionals._REPORT_BATCH_POINTS, and when it stops."""
 
     levels: tuple[_Level, ...]
     report: FunctionalReport | None
     next_snap: float | None
+    pending: tuple[tuple[SpectralState, float], ...] = ()
 
 
 def rhs(d: SpectralState, forcing: ForcingFn | None) -> tuple[np.ndarray, np.ndarray]:
@@ -314,8 +324,8 @@ class Stepper:
         self.derived = SpectralState(new_state, self.params, rho_hat, w_hat)
         if grad_w:
             self.derived.grad_w = grad_w[0]
-        self.run_state = RunState((levels[-1], _make_level(self.derived, self.forcing, dt)),
-                                  self.run_state.report, self.run_state.next_snap)
+        self.run_state = replace(self.run_state,
+                                 levels=(levels[-1], _make_level(self.derived, self.forcing, dt)))
         return new_state
 
 
@@ -342,6 +352,13 @@ def run(initial: FieldState, params: ModelParams, config: IntegratorConfig,
     the terminal error is re-raised with the partial trajectory attached.
     Results go into ``trajectory`` when one is given (a fresh Trajectory
     otherwise), which is returned.
+
+    The initial report is made at once, so that a bad Serrin pair stops the
+    run before its first step.  The others are made in batches
+    (``evaluate_reports``): accepted steps wait in ``RunState.pending`` until
+    their grid points reach functionals._REPORT_BATCH_POINTS (the batch is
+    reported once the next dt is known), and the run reports what is pending
+    when it stops, however it stops, so every accepted step has its report.
     """
     monitors = monitors or MonitorSpec()
     if trajectory is None:
@@ -353,32 +370,53 @@ def run(initial: FieldState, params: ModelParams, config: IntegratorConfig,
                                 report=evaluate_report(stepper.derived, params, monitors))
     trajectory.record(stepper.run_state.report)
     eps_end = 1e-12 * config.t_end
+    per_batch = max(1, _REPORT_BATCH_POINTS // math.prod(initial.grid.shape))
 
-    while (last := stepper.state).time < config.t_end - eps_end:
-        try:
-            dt = min(config.dt_initial, config.t_end - last.time,
-                     cfl_dt(stepper.derived, params, config) if config.adaptive else math.inf)
-            while True:
-                try:
-                    new_state = stepper.advance(dt)
-                    break
-                except (PositivityLoss, NonFinite):
-                    dt *= 0.5
-                    if dt < config.dt_min:
-                        raise
-        except (StepUnderflow, PositivityLoss, NonFinite) as exc:
-            trajectory.terminated = TerminationInfo(type(exc).__name__, str(exc), last.time)
-            exc.trajectory = trajectory
-            raise
-        next_snap = stepper.run_state.next_snap
-        rep = evaluate_report(stepper.derived, params, monitors,
-                              previous=(stepper.run_state.report, dt))
-        trajectory.record(rep)
-        while next_snap is not None and new_state.time >= next_snap - eps_end:
-            # the accepted state nearest the target; a tie goes to the later one
-            trajectory.capture(min(new_state, last, key=lambda s: abs(s.time - next_snap)))
-            next_snap += config.snapshot_interval
-        if next_snap is None or new_state.time >= config.t_end - eps_end:
-            trajectory.capture(new_state)
-        stepper.run_state = RunState(stepper.run_state.levels, rep, next_snap)
+    try:
+        while (last := stepper.state).time < config.t_end - eps_end:
+            try:
+                dt = min(config.dt_initial, config.t_end - last.time,
+                         cfl_dt(stepper.derived, params, config) if config.adaptive
+                         else math.inf)
+                # a full batch is reported after cfl_dt, which made |u|^2 of
+                # its newest state for the report to take
+                if len(stepper.run_state.pending) >= per_batch:
+                    _report_pending(stepper, trajectory, monitors)
+                while True:
+                    try:
+                        new_state = stepper.advance(dt)
+                        break
+                    except (PositivityLoss, NonFinite):
+                        dt *= 0.5
+                        if dt < config.dt_min:
+                            raise
+            except (StepUnderflow, PositivityLoss, NonFinite) as exc:
+                trajectory.terminated = TerminationInfo(type(exc).__name__, str(exc), last.time)
+                exc.trajectory = trajectory
+                raise
+            next_snap = stepper.run_state.next_snap
+            while next_snap is not None and new_state.time >= next_snap - eps_end:
+                # the accepted state nearest the target; a tie goes to the later one
+                trajectory.capture(min(new_state, last, key=lambda s: abs(s.time - next_snap)))
+                next_snap += config.snapshot_interval
+            if next_snap is None or new_state.time >= config.t_end - eps_end:
+                trajectory.capture(new_state)
+            stepper.run_state = replace(stepper.run_state, next_snap=next_snap,
+                                        pending=stepper.run_state.pending + ((stepper.derived, dt),))
+    finally:
+        _report_pending(stepper, trajectory, monitors)
     return trajectory
+
+
+def _report_pending(stepper: Stepper, trajectory: Trajectory, monitors: MonitorSpec):
+    """Report the accepted steps pending in ``stepper.run_state`` as one
+    batch, continuing the Serrin trapezoid, and record them in
+    ``trajectory``; the run state lets go of them first."""
+    run_state = stepper.run_state
+    if not run_state.pending:
+        return
+    states, dts = zip(*run_state.pending)
+    reports = evaluate_reports(states, stepper.params, monitors,
+                               previous=(run_state.report, dts))
+    stepper.run_state = replace(run_state, report=reports[-1], pending=())
+    trajectory.record(*reports)

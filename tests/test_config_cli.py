@@ -9,7 +9,7 @@ from kortorus.cli import _json_dumps, _read_snapshots, main
 from kortorus.config import parse_config
 from kortorus.dump import write_field_dump
 from kortorus.errors import ConstraintViolationError, ParseError
-from kortorus.functionals import evaluate_report, serrin_accumulator
+from kortorus.functionals import evaluate_reports, serrin_accumulator
 from kortorus.littlewood_paley import BesovIndex, besov_norm, block_lp_norms
 from kortorus.scenarios import besov_corpus
 from kortorus.spectral import SpectralGrid
@@ -402,8 +402,8 @@ class TestMonitorCLI:
 
         config = parse_config((out / "config.echo.json").read_text())
         states = _read_snapshots(out)
-        reports = measure(fft_count, lambda: [
-            evaluate_report(s, config.model, config.monitors) for s in states])
+        reports = measure(fft_count, lambda: evaluate_reports(
+            states, config.model, config.monitors))
         assert monitor == reports  # no transform beyond the reports'
         recomputed = serrin_accumulator(
             Trajectory(params=config.model, states=states),

@@ -12,6 +12,7 @@ import lp_reference as ref
 from kortorus import littlewood_paley as lp
 from kortorus.scenarios import besov_corpus
 from kortorus.spectral import SpectralGrid, gradient
+from helpers import measure
 
 GRIDS = [128, (32, 32)]
 INDICES = [lp.BesovIndex(1.0), lp.BesovIndex(0.5, 3.0, 1.0),
@@ -82,17 +83,20 @@ def test_heat_check_equals_reference(grid, forcing_kind, rho1, rho2):
         == ref.heat_regularity_check(*args, n_time=n_time)
 
 
-@pytest.mark.parametrize("forcing_kind", ["none", "callable"])
+@pytest.mark.parametrize("forcing_kind", ["none", "callable", "constant"])
 def test_heat_check_memory_is_bounded_by_the_chunk(forcing_kind):
-    # Above the coefficient stacks the check holds (u at every time sample,
-    # and a callable forcing's), the traced peak is the synthesis of one
-    # chunk of block fields, whatever n_time: one chunk of 2D 64^2 blocks is
-    # 256 KB, the blocks of all 129 samples would be 34 MB
+    # The solution's time steps are made as the chunks read them, so the
+    # traced peak is the synthesis of about one chunk of block fields,
+    # whatever n_time; only a callable forcing is held at every time sample
+    # (its samples and their coefficients, about two coefficient stacks, at
+    # its one forward transform).  One chunk of 2D 64^2 blocks is 256 KB;
+    # u at all 129 samples would be 4.4 MB and its blocks 34 MB
     grid = SpectralGrid((64, 64))
     u0 = besov_corpus(grid, 1, seed=1)[0]
     f = besov_corpus(grid, 1, seed=2)[0]
-    forcing = None if forcing_kind == "none" else (lambda t: f.data * math.cos(t))
-    stacks = 1 if forcing is None else 2
+    forcing = {"none": None, "constant": f,
+               "callable": lambda t: f.data * math.cos(t)}[forcing_kind]
+    stacks = 2 if forcing_kind == "callable" else 0
     chunk_bytes = lp._BLOCK_CHUNK_ELEMENTS * 8
     lp.heat_regularity_check(u0, forcing, 0.5, 1.0, 2.0, 2.0, 2.0, 1.0, 1.0, n_time=9)
 
@@ -111,3 +115,16 @@ def test_heat_check_memory_is_bounded_by_the_chunk(forcing_kind):
     small, large = excess(33), excess(129)
     assert small < 8 * chunk_bytes and large < 8 * chunk_bytes
     assert large - small < chunk_bytes / 2
+
+
+def test_heat_check_groups_keep_the_chunks_of_one_stack(fft_count):
+    # the time samples go through the block synthesis in groups, which must
+    # cut the (sample, block) pairs where the chunks of one stack of all
+    # samples would: 65 samples of 32^2 are groups of 32, 32 and 1
+    grid = SpectralGrid((32, 32))
+    u0 = besov_corpus(grid, 1, seed=5)[0]
+    n_time, blocks = 65, len(lp.family_for(grid).block_range)
+    chunks = math.ceil(n_time * blocks * math.prod(grid.shape) / lp._BLOCK_CHUNK_ELEMENTS)
+    used = measure(fft_count, lambda: lp.heat_regularity_check(
+        u0, None, 0.5, 1.0, 2.0, 2.0, 2.0, 1.0, 1.0, n_time=n_time))
+    assert used["calls"] == 1 + chunks

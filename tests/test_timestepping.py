@@ -318,8 +318,10 @@ class TestCrossVariant:
 class TestRouting:
     def test_run_routes_through_advance_report_and_rhs(self, monkeypatch):
         # every attempt goes through Stepper.advance, every report through
-        # timestepping.evaluate_report and every tendency through
-        # timestepping.rhs, where the traced benchmark counts them
+        # timestepping.evaluate_report (the initial one) or
+        # timestepping.evaluate_reports (the accepted steps, in batches), and
+        # every tendency through timestepping.rhs, where the traced
+        # benchmark counts them
         counts = dict(advanced=0, failed=0, report=0, rhs=0)
         advance = timestepping.Stepper.advance
 
@@ -338,9 +340,17 @@ class TestRouting:
                 return fn(*args, **kwargs)
             return wrapper
 
+        def counted_members(fn):
+            def wrapper(states, *args, **kwargs):
+                counts["report"] += len(states)
+                return fn(states, *args, **kwargs)
+            return wrapper
+
         monkeypatch.setattr(timestepping.Stepper, "advance", counted_advance)
         monkeypatch.setattr(timestepping, "evaluate_report",
                             counted("report", timestepping.evaluate_report))
+        monkeypatch.setattr(timestepping, "evaluate_reports",
+                            counted_members(timestepping.evaluate_reports))
         monkeypatch.setattr(timestepping, "rhs", counted("rhs", timestepping.rhs))
         (squeeze,) = [b for b in readme_blocks("json") if "gaussian_bump" in b]
         cfg = parse_config(squeeze)
