@@ -174,11 +174,13 @@ class SpectralGrid:
 
     @cached_property
     def rfft_dealias_keep(self) -> np.ndarray:
-        """Mask of modes kept by the 2/3 rule (|k_j| <= floor(n_j/3))."""
+        """Mask of modes kept by the 2/3 rule (|k_j| <= floor(n_j/3)), as
+        complex ones and zeros: a boolean mask would be cast to complex in
+        every product with coefficients, to these same values."""
         keep = np.ones(self.rfft_shape, dtype=bool)
         for axis, n in enumerate(self.resolution):
             keep = keep & (np.abs(self._rfft_index(axis)) <= n // 3)
-        return keep
+        return keep.astype(complex)
 
     def scalar(self, data) -> "ScalarField":
         return ScalarField(self, data)
@@ -277,15 +279,26 @@ def _stage(transform, arrays, grid: SpectralGrid) -> list[np.ndarray]:
     """``transform`` of each array of one dependency stage: stacked row by
     row into one call on a 1D grid, where a call costs about the same for 1
     row or 8; one call each on a 2D grid, where wider batches cost more per
-    component (see README), taking each array just before its call."""
-    arrays = list(arrays) if grid.dim == 1 else arrays
-    if grid.dim != 1 or len(arrays) < 2:
+    component (see README), taking each array just before its call.  On a
+    1D grid each array's part of the call is a view of its rows: one row
+    for a single field, the rows themselves for one component axis, and the
+    rows reshaped to the array's component axes otherwise."""
+    if grid.dim != 1:
         return [transform(a, grid) for a in arrays]
-    out = transform(np.concatenate([a.reshape(-1, a.shape[-1]) for a in arrays]), grid)
+    arrays = list(arrays)
+    if len(arrays) < 2:
+        return [transform(a, grid) for a in arrays]
+    out = transform(np.concatenate([a if a.ndim == 2 else a.reshape(-1, a.shape[-1])
+                                    for a in arrays]), grid)
     parts, start = [], 0
     for a in arrays:
+        if a.ndim == 1:
+            parts.append(out[start])
+            start += 1
+            continue
         stop = start + a.size // a.shape[-1]
-        parts.append(out[start:stop].reshape(a.shape[:-1] + out.shape[-1:]))
+        rows = out[start:stop]
+        parts.append(rows if a.ndim == 2 else rows.reshape(a.shape[:-1] + rows.shape[-1:]))
         start = stop
     return parts
 
@@ -300,6 +313,8 @@ def to_physical_stage(hats, grid: SpectralGrid) -> list[np.ndarray]:
 
 def grad_hat(hat: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     """Coefficients of the derivatives d_i, with the axis i prepended."""
+    if grid.dim == 1:
+        return (grid.rfft_ik[0] * hat)[None]
     ik = grid.rfft_ik.reshape((grid.dim,) + (1,) * (hat.ndim - grid.dim) + grid.rfft_shape)
     return ik * hat
 
@@ -313,7 +328,11 @@ def hess_hat(hat: np.ndarray, grid: SpectralGrid) -> np.ndarray:
 
 
 def div_hat(hat: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """Coefficients of sum_i d_i over the first component axis i."""
+    """Coefficients of sum_i d_i over the first component axis i.  On a 1D
+    grid that is its one term, added to +0 as the sum would (so -0.0 parts
+    come out +0.0, bit for bit as the sum's)."""
+    if grid.dim == 1:
+        return grid.rfft_ik[0] * hat[0] + 0.0
     ik = grid.rfft_ik.reshape((grid.dim,) + (1,) * (hat.ndim - 1 - grid.dim) + grid.rfft_shape)
     return np.sum(ik * hat, axis=0)
 

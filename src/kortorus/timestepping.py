@@ -20,12 +20,21 @@ Schemes:
 Positivity is guarded by reject-and-halve: a step that lands at or below the
 density floor is retried with dt/2 down to dt_min, then the failure is
 raised (never clipped, so the vacuum monitors retain their meaning).
+
+A step computes each quantity once at the scope it depends on.  Once per
+run (a Stepper): the linear rates -Lap and (kappa/mu) -Lap.  Once per dt,
+and per previous dt for imex_bdf2: E = exp(-lam dt) and dt phi1, or the BDF2
+weights with the integrating factors folded in; the Stepper holds at most
+_FACTOR_CACHE_SIZE of these sets, so a retry at a dt taken before and every
+step of a fixed-dt run reuse them.  Once per state: the density minimum,
+found by the positivity check and kept as ``SpectralState.rho_min`` for the
+velocity shift of every attempt from that state and for ``cfl_dt``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -151,10 +160,10 @@ class Trajectory:
         self.states.append(state)
 
 
-def _shift_value(state: FieldState, params: ModelParams, config: IntegratorConfig) -> float:
+def _shift_value(d: SpectralState, params: ModelParams, config: IntegratorConfig) -> float:
     if config.implicit_viscosity_shift is not None:
         return config.implicit_viscosity_shift
-    return params.mu * float(np.min(state.rho.data))
+    return params.mu * d.rho_min
 
 
 def cfl_dt(state: FieldState | SpectralState, params: ModelParams,
@@ -168,8 +177,8 @@ def cfl_dt(state: FieldState | SpectralState, params: ModelParams,
     h = min(d.grid.spacing)
     max_u = math.sqrt(d.u_sq.max())
     adv = math.inf if max_u == 0.0 else h / max_u
-    nu_expl = max(params.mu * float(np.max(d.rho.data))
-                  - _shift_value(d.state, params, config), 0.0)
+    nu_expl = max(params.mu * float(d.rho.data.max())
+                  - _shift_value(d, params, config), 0.0)
     diff = math.inf if nu_expl == 0.0 else h * h / nu_expl
     dt = config.cfl_safety * min(adv, diff)
     if dt < config.dt_min:
@@ -233,30 +242,49 @@ def _phi1(z: np.ndarray) -> np.ndarray:
 
 
 def _check_new_state(grid: SpectralGrid, rho_data: np.ndarray, w_data: np.ndarray,
-                     t_new: float) -> FieldState:
+                     t_new: float) -> tuple[FieldState, float]:
+    """The state of a step's samples, and its lowest density sample."""
     if not (np.isfinite(rho_data).all() and np.isfinite(w_data).all()):
         raise NonFinite(f"time step produced non-finite samples at t={t_new}", time=t_new)
     try:
-        require_above_floor(rho_data)
+        rho_min = require_above_floor(rho_data)
     except NonpositiveDensity as exc:
         raise PositivityLoss(f"density reached {exc.value} at index {exc.location}, t={t_new}",
                              location=exc.location, time=t_new) from None
-    return FieldState(ScalarField(grid, rho_data), VectorField(grid, w_data), time=t_new)
+    return FieldState(ScalarField(grid, rho_data), VectorField(grid, w_data), time=t_new), rho_min
 
 
-def _advance_euler(level: _Level, lam_rho: np.ndarray, ksq: np.ndarray,
-                   nu_shift: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+#: the most per-dt factor sets one Stepper holds, oldest out first.  A
+#: fixed-dt run uses one or two; reject-and-halve walks a ladder dt 2^-k
+#: (25 rungs in a squeeze run that halves down to its dt_min).  A run whose
+#: dt the CFL bound sets step by step makes a new set each step; in 2D each
+#: set holds two (imex_euler) or four (imex_bdf2) rfft coefficient arrays.
+_FACTOR_CACHE_SIZE = 32
+
+
+def _euler_factors(lam_rho: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """exp(z) and dt phi1(z) at z = -lam_rho dt."""
     z = -lam_rho * dt
-    rho_hat = np.exp(z) * level.rho_hat + dt * _phi1(z) * level.n_rho_hat
+    return np.exp(z), dt * _phi1(z)
 
-    r_hat = level.f_w_hat + nu_shift * ksq * level.w_hat
-    w_hat = (level.w_hat + dt * r_hat) / (1.0 + nu_shift * ksq * dt)
+
+def _advance_euler(level: _Level, factors: tuple[np.ndarray, np.ndarray], ksq: np.ndarray,
+                   nu_shift: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    exp_z, dt_phi1 = factors
+    rho_hat = exp_z * level.rho_hat + dt_phi1 * level.n_rho_hat
+
+    nu_ksq = nu_shift * ksq
+    r_hat = level.f_w_hat + nu_ksq * level.w_hat
+    w_hat = (level.w_hat + dt * r_hat) / (1.0 + nu_ksq * dt)
     return rho_hat, w_hat
 
 
-def _advance_bdf2(level_n: _Level, level_p: _Level, lam_rho: np.ndarray, ksq: np.ndarray,
-                  nu_shift: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    w_ratio = dt / level_n.dt_prev
+def _bdf2_factors(lam_rho: np.ndarray, dt: float, dt_prev: float) -> tuple:
+    """The variable-step BDF2 weights (a0, a1, a2, c1, c2) of dt after
+    dt_prev, and the density's integrating factors folded into them:
+    -a1 e1, a2 e2, c1 e1 and c2 e2, with e1 = exp(-lam_rho dt) and
+    e2 = exp(-lam_rho (dt + dt_prev))."""
+    w_ratio = dt / dt_prev
     a0 = (1.0 + 2.0 * w_ratio) / (1.0 + w_ratio)
     a1 = -(1.0 + w_ratio)
     a2 = w_ratio ** 2 / (1.0 + w_ratio)
@@ -264,14 +292,21 @@ def _advance_bdf2(level_n: _Level, level_p: _Level, lam_rho: np.ndarray, ksq: np
     c2 = -w_ratio
 
     e1 = np.exp(-lam_rho * dt)
-    e2 = np.exp(-lam_rho * (dt + level_n.dt_prev))
-    rho_hat = (-a1 * e1 * level_n.rho_hat - a2 * e2 * level_p.rho_hat
-               + dt * (c1 * e1 * level_n.n_rho_hat + c2 * e2 * level_p.n_rho_hat)) / a0
+    e2 = np.exp(-lam_rho * (dt + dt_prev))
+    return a0, a1, a2, c1, c2, -a1 * e1, a2 * e2, c1 * e1, c2 * e2
 
-    r_n = level_n.f_w_hat + nu_shift * ksq * level_n.w_hat
-    r_p = level_p.f_w_hat + nu_shift * ksq * level_p.w_hat
+
+def _advance_bdf2(level_n: _Level, level_p: _Level, factors: tuple, ksq: np.ndarray,
+                  nu_shift: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    a0, a1, a2, c1, c2, a1_e1, a2_e2, c1_e1, c2_e2 = factors
+    rho_hat = (a1_e1 * level_n.rho_hat - a2_e2 * level_p.rho_hat
+               + dt * (c1_e1 * level_n.n_rho_hat + c2_e2 * level_p.n_rho_hat)) / a0
+
+    nu_ksq = nu_shift * ksq
+    r_n = level_n.f_w_hat + nu_ksq * level_n.w_hat
+    r_p = level_p.f_w_hat + nu_ksq * level_p.w_hat
     w_hat = (-a1 * level_n.w_hat - a2 * level_p.w_hat
-             + dt * (c1 * r_n + c2 * r_p)) / (a0 + nu_shift * ksq * dt)
+             + dt * (c1 * r_n + c2 * r_p)) / (a0 + nu_ksq * dt)
     return rho_hat, w_hat
 
 
@@ -284,6 +319,11 @@ class Stepper:
     so no step transforms rho and w forward again.  A step's first transform
     stage brings rho and w back for the positivity check; ``rhs`` then makes
     the tendencies' stages.
+
+    It computes the split's linear rates once (per run), its factors once per
+    dt and previous dt, into ``_factors``, which is its own and holds at most
+    _FACTOR_CACHE_SIZE sets, and each state's density minimum once, as the
+    ``rho_min`` of ``derived``, from the positivity check.
     """
 
     def __init__(self, state: FieldState, params: ModelParams, config: IntegratorConfig,
@@ -295,6 +335,7 @@ class Stepper:
         # the linear rates of the split: -Lap, and the density's (kappa/mu) -Lap
         self._ksq = -state.grid.rfft_minus_beta_sq
         self._lam_rho = (params.eps if params.variant != "original" else 0.0) * self._ksq
+        self._factors: dict[tuple[float, float | None], tuple] = {}
         self.run_state = RunState((_make_level(self.derived, forcing, None),), None,
                                   config.snapshot_interval)
 
@@ -302,30 +343,48 @@ class Stepper:
     def state(self) -> FieldState:
         return self.derived.state
 
+    def _factors_of(self, dt: float, dt_prev: float | None) -> tuple:
+        """The split's factors for a step of dt (a BDF2 step after one of
+        dt_prev; an Euler step when dt_prev is None), made on first use."""
+        key = (dt, dt_prev)
+        factors = self._factors.get(key)
+        if factors is None:
+            if len(self._factors) >= _FACTOR_CACHE_SIZE:
+                del self._factors[next(iter(self._factors))]
+            factors = self._factors[key] = (
+                _euler_factors(self._lam_rho, dt) if dt_prev is None
+                else _bdf2_factors(self._lam_rho, dt, dt_prev))
+        return factors
+
     def advance(self, dt: float) -> FieldState:
         """One accepted step of size dt; raises PositivityLoss/NonFinite on
         failure without mutating the history."""
         if not (dt > 0.0):
             raise ValueError(f"dt must be positive, got {dt}")
-        grid = self.state.grid
-        nu_shift = _shift_value(self.state, self.params, self.config)
-        levels = self.run_state.levels
+        d = self.derived
+        grid = d.grid
+        nu_shift = _shift_value(d, self.params, self.config)
+        run_state = self.run_state
+        levels = run_state.levels
+        level = levels[-1]
         if self.config.scheme == "imex_bdf2" and len(levels) == 2:
-            rho_hat, w_hat = _advance_bdf2(levels[-1], levels[0], self._lam_rho, self._ksq,
-                                           nu_shift, dt)
+            rho_hat, w_hat = _advance_bdf2(level, levels[0], self._factors_of(dt, level.dt_prev),
+                                           self._ksq, nu_shift, dt)
         else:
-            rho_hat, w_hat = _advance_euler(levels[-1], self._lam_rho, self._ksq, nu_shift, dt)
+            rho_hat, w_hat = _advance_euler(level, self._factors_of(dt, None), self._ksq,
+                                            nu_shift, dt)
         # grad w rides along only where it costs no call: a 2D grid inverts
         # it when the tendencies first read it, after the check
         rho, w, *grad_w = to_physical_stage(
             [rho_hat, w_hat] + ([grad_hat(w_hat, grid)] if grid.dim == 1 else []), grid)
         # copies, so that a kept state does not hold the stage's whole array
-        new_state = _check_new_state(grid, rho.copy(), w.copy(), levels[-1].time + dt)
-        self.derived = SpectralState(new_state, self.params, rho_hat, w_hat)
+        new_state, rho_min = _check_new_state(grid, rho.copy(), w.copy(), level.time + dt)
+        self.derived = d = SpectralState(new_state, self.params, rho_hat, w_hat)
+        d.rho_min = rho_min
         if grad_w:
-            self.derived.grad_w = grad_w[0]
-        self.run_state = replace(self.run_state,
-                                 levels=(levels[-1], _make_level(self.derived, self.forcing, dt)))
+            d.grad_w = grad_w[0]
+        self.run_state = RunState((level, _make_level(d, self.forcing, dt)), run_state.report,
+                                  run_state.next_snap, run_state.pending)
         return new_state
 
 
@@ -366,8 +425,10 @@ def run(initial: FieldState, params: ModelParams, config: IntegratorConfig,
     initial = FieldState(initial.rho, initial.w, time=0.0)
     trajectory.capture(initial)
     stepper = Stepper(initial, params, config, forcing)
-    stepper.run_state = replace(stepper.run_state,
-                                report=evaluate_report(stepper.derived, params, monitors))
+    run_state = stepper.run_state
+    stepper.run_state = RunState(run_state.levels,
+                                 evaluate_report(stepper.derived, params, monitors),
+                                 run_state.next_snap)
     trajectory.record(stepper.run_state.report)
     eps_end = 1e-12 * config.t_end
     per_batch = max(1, _REPORT_BATCH_POINTS // math.prod(initial.grid.shape))
@@ -401,8 +462,9 @@ def run(initial: FieldState, params: ModelParams, config: IntegratorConfig,
                 next_snap += config.snapshot_interval
             if next_snap is None or new_state.time >= config.t_end - eps_end:
                 trajectory.capture(new_state)
-            stepper.run_state = replace(stepper.run_state, next_snap=next_snap,
-                                        pending=stepper.run_state.pending + ((stepper.derived, dt),))
+            run_state = stepper.run_state
+            stepper.run_state = RunState(run_state.levels, run_state.report, next_snap,
+                                         run_state.pending + ((stepper.derived, dt),))
     finally:
         _report_pending(stepper, trajectory, monitors)
     return trajectory
@@ -418,5 +480,5 @@ def _report_pending(stepper: Stepper, trajectory: Trajectory, monitors: MonitorS
     states, dts = zip(*run_state.pending)
     reports = evaluate_reports(states, stepper.params, monitors,
                                previous=(run_state.report, dts))
-    stepper.run_state = replace(run_state, report=reports[-1], pending=())
+    stepper.run_state = RunState(run_state.levels, reports[-1], run_state.next_snap)
     trajectory.record(*reports)
