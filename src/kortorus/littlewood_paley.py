@@ -52,9 +52,10 @@ from .spectral import (
     ScalarField,
     SpectralGrid,
     VectorField,
+    _require_finite,
     dealiased_product,
     forward_transform,
-    gradient,
+    grad_hat,
     lp_norm,
     lp_norms,
     to_physical,
@@ -226,16 +227,22 @@ def dyadic_block_pair(u: ScalarField, q: int, q_prime: int) -> ScalarField:
     return _apply_multiplier(u, table)
 
 
-def _block_norms(hat: np.ndarray, idx: BesovIndex, family: DyadicFamily) -> np.ndarray:
-    """||Delta_q u||_{L^p} for q in family.block_range of each field u whose
-    rfft coefficients ``hat`` carries on leading batch axes, then the
-    component axis (vector fields via Euclidean magnitude).  The block axis
-    is last: shape hat.shape[:-1 - dim] + (number of blocks,).  The blocks
-    are synthesized in the chunks of ``_block_fields``."""
+def _block_norms(hat: np.ndarray, family: DyadicFamily, flavor: str,
+                 ps: Sequence[float]) -> np.ndarray:
+    """||Delta_q u||_{L^p} for each p of ``ps`` and q in family.block_range
+    of each field u whose rfft coefficients ``hat`` carries on leading batch
+    axes, then the component axis (vector fields via Euclidean magnitude).
+    Shape (len(ps),) + hat.shape[:-1 - dim] + (number of blocks,).  The
+    blocks are synthesized once, in the chunks of ``_block_fields``, and
+    each chunk is measured for every p (one ``lp_norms`` call a p)."""
     grid = family.grid
-    norms = [norm for chunk in _block_fields(hat, family, idx.flavor)
-             for norm in lp_norms(np.sqrt(np.sum(chunk ** 2, axis=1)), idx.p, grid)]
-    return np.array(norms).reshape(hat.shape[:-1 - grid.dim] + (len(family.block_range),))
+    norms = [[] for _ in ps]
+    for chunk in _block_fields(hat, family, flavor):
+        magnitude = np.sqrt(np.sum(chunk ** 2, axis=1))
+        for p, out in zip(ps, norms):
+            out.extend(lp_norms(magnitude, p, grid))
+    return np.array(norms).reshape((len(ps),) + hat.shape[:-1 - grid.dim]
+                                   + (len(family.block_range),))
 
 
 def _block_fields(hat: np.ndarray, family: DyadicFamily, flavor: str) -> Iterator[np.ndarray]:
@@ -257,12 +264,17 @@ def _block_fields(hat: np.ndarray, family: DyadicFamily, flavor: str) -> Iterato
         yield to_physical(tables[block][:, None] * rows[row], grid)
 
 
+def _field_hats(fields: Sequence[ScalarField | VectorField]) -> np.ndarray:
+    """rfft coefficients of a non-empty same-grid list, stacked (field,
+    component, ...), from one forward transform."""
+    data = np.stack([f.data[None] if f.rank == 0 else f.data for f in fields])
+    return to_spectral(data, fields[0].grid)
+
+
 def _block_norm_rows(fields: Sequence[ScalarField | VectorField], idx: BesovIndex) -> np.ndarray:
     """``_block_norms`` of each field of a non-empty same-grid list, one row
     per field, from one stacked forward transform."""
-    grid = fields[0].grid
-    data = np.stack([f.data[None] if f.rank == 0 else f.data for f in fields])
-    return _block_norms(to_spectral(data, grid), idx, family_for(grid))
+    return _block_norms(_field_hats(fields), family_for(fields[0].grid), idx.flavor, (idx.p,))[0]
 
 
 def block_lp_norms(u: ScalarField | VectorField, idx: BesovIndex) -> dict[int, float]:
@@ -291,8 +303,14 @@ def _besov_norms(fields: Sequence[ScalarField | VectorField], idx: BesovIndex) -
     field, from one stacked forward transform and chunked block synthesis."""
     if not fields:
         return []
-    family = family_for(fields[0].grid)
-    return [_besov_aggregate(row, idx, family) for row in _block_norm_rows(fields, idx).tolist()]
+    return _besov_norms_of(_field_hats(fields), idx, family_for(fields[0].grid))
+
+
+def _besov_norms_of(hat: np.ndarray, idx: BesovIndex, family: DyadicFamily) -> list[float]:
+    """``besov_norm`` of each field whose rfft coefficients ``hat`` stacks
+    (field, component, ...)."""
+    return [_besov_aggregate(row, idx, family)
+            for row in _block_norms(hat, family, idx.flavor, (idx.p,))[0].tolist()]
 
 
 def sobolev_weight_norm(u: ScalarField, s: float) -> float:
@@ -396,13 +414,24 @@ def verify_derivative_equivalence(corpus: Sequence[ScalarField], s: float = 1.0,
     parts of a same-grid corpus.
 
     Fields whose gradient vanishes (constants) are excluded and counted.
+    The centred fields are stacked and go through one forward transform,
+    whose coefficients give their block norms and, through one inverse
+    transform, their gradients; InvalidField on a non-finite sample.
     """
-    centered = [ScalarField(u.grid, u.data - np.mean(u.data)) for u in corpus]
+    if not corpus:
+        return RatioReport(math.nan, math.nan, 0, 0)
+    grid = corpus[0].grid
+    family = family_for(grid)
+    centered = np.stack([u.data - np.mean(u.data) for u in corpus])
+    _require_finite(centered)
+    hat = to_spectral(centered, grid)
+    del centered
+    # the gradients' components come out first: (component, field, ...) -> (field, component, ...)
+    grad_hats = to_spectral(np.moveaxis(to_physical(grad_hat(hat, grid), grid), 0, 1), grid)
     ratios = []
     excluded = 0
-    for denom, grad_norm in zip(_besov_norms(centered, BesovIndex(s, p, r)),
-                                _besov_norms([gradient(c) for c in centered],
-                                             BesovIndex(s - 1.0, p, r))):
+    for denom, grad_norm in zip(_besov_norms_of(hat[:, None], BesovIndex(s, p, r), family),
+                                _besov_norms_of(grad_hats, BesovIndex(s - 1.0, p, r), family)):
         if denom == 0.0 or grad_norm == 0.0:
             excluded += 1
             continue
@@ -423,14 +452,19 @@ def verify_embedding(corpus: Sequence[ScalarField], s: float, p1: float, r1: flo
             f"r1={r1}, r2={r2}")
     if not corpus:
         return ConstantReport(0.0, 0)
-    shift = corpus[0].grid.dim * (1.0 / p1 - 1.0 / p2)
+    family = family_for(corpus[0].grid)
+    idx1 = BesovIndex(s, p1, r1)
+    idx2 = BesovIndex(s - corpus[0].grid.dim * (1.0 / p1 - 1.0 / p2), p2, r2)
+    # both norms from one synthesis of each field's blocks
+    norms1, norms2 = _block_norms(_field_hats(corpus), family, idx1.flavor,
+                                  (p1, p2)).tolist()
     worst = 0.0
     n = 0
-    for source, target in zip(_besov_norms(corpus, BesovIndex(s, p1, r1)),
-                              _besov_norms(corpus, BesovIndex(s - shift, p2, r2))):
+    for row1, row2 in zip(norms1, norms2):
+        source = _besov_aggregate(row1, idx1, family)
         if source == 0.0:
             continue
-        worst = max(worst, target / source)
+        worst = max(worst, _besov_aggregate(row2, idx2, family) / source)
         n += 1
     return ConstantReport(worst, n)
 
@@ -532,14 +566,15 @@ def heat_regularity_check(u0: ScalarField, forcing, mu: float, s: float, p: floa
                 if forcing is not None:
                     u_hat += 0.5 * dt * (decay * f_hats[i - 1] + f_hats[i])
             out[...] = u_hat
-        groups.append(_block_norms(u_hats, idx_u, family))
+        groups.append(_block_norms(u_hats, family, idx_u.flavor, (p,))[0])
     u_norms = np.concatenate(groups)
 
     lhs = _tilde_aggregate(u_norms, times, rho1, idx_u, family, "simpson")
     # u0's B^s_{p,r} norm from the t = 0 block norms, which depend on p, not on s
     rhs_val = _besov_aggregate(u_norms[0], BesovIndex(s, p, r), family)
     if forcing is not None:
-        f_norms = np.broadcast_to(_block_norms(f_distinct, idx_f, family), u_norms.shape)
+        f_norms = np.broadcast_to(_block_norms(f_distinct, family, idx_f.flavor, (p,))[0],
+                                  u_norms.shape)
         f_norm = _tilde_aggregate(f_norms, times, rho2, idx_f, family, "simpson")
         rhs_val = rhs_val + mu ** (1.0 / rho2 - 1.0) * f_norm
     constant = math.inf if rhs_val == 0.0 else lhs / rhs_val

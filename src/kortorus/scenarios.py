@@ -40,10 +40,11 @@ if TYPE_CHECKING:
 # random trigonometric fields
 
 
-def random_trig_field(grid: SpectralGrid, rng: np.random.Generator,
-                      kmax: int = 3, decay: float = 0.7,
-                      normalize: str = "max") -> np.ndarray:
-    """Zero-mean random trigonometric polynomial with sup norm <= 1.
+def random_trig_fields(grid: SpectralGrid, rng: np.random.Generator, count: int,
+                       kmax: int = 3, decay: float = 0.7,
+                       normalize: str = "max") -> np.ndarray:
+    """``count`` zero-mean random trigonometric polynomials on one grid,
+    stacked on a leading axis, each with sup norm <= 1.
 
     Coefficients of integer mode k carry weight exp(-decay |k|); downstream
     compositions (log, powers) then have spectra decaying fast enough for the
@@ -51,40 +52,64 @@ def random_trig_field(grid: SpectralGrid, rng: np.random.Generator,
     by the grid maximum; ``"coeff"`` scales by the coefficient-sum bound,
     which is grid-independent, so the same seed yields samples of the *same*
     function on grids of different resolution.
+
+    Draw order: the coefficient pairs (c1, c2) are drawn from ``rng`` before
+    any sampling, field by field and, within a field, mode by mode (k = 1..kmax
+    in 1D; kx = 0..kmax, then ky = -kmax..kmax, one representative per
+    conjugate pair, in 2D).  Then each mode's phase, cos and sin are evaluated
+    once on the grid and added to every field.  So the stack, and the state
+    ``rng`` is left in, are those of ``count`` one-field calls in a row.
     """
     mesh = grid.meshgrid()
     theta = [TAU * m / L for m, L in zip(mesh, grid.length)]
-    out = np.zeros(grid.shape)
-    bound = 0.0
     if grid.dim == 1:
-        for k in range(1, kmax + 1):
-            amp = math.exp(-decay * k)
-            c1, c2 = rng.normal(), rng.normal()
-            out = out + amp * (c1 * np.cos(k * theta[0]) + c2 * np.sin(k * theta[0]))
-            bound += amp * math.hypot(c1, c2)
+        modes = [(k,) for k in range(1, kmax + 1)]
     else:
-        for kx in range(0, kmax + 1):
-            for ky in range(-kmax, kmax + 1):
-                if kx == 0 and ky <= 0:
-                    continue  # one representative per conjugate pair
-                amp = math.exp(-decay * math.hypot(kx, ky))
-                phase = kx * theta[0] + ky * theta[1]
-                c1, c2 = rng.normal(), rng.normal()
-                out = out + amp * (c1 * np.cos(phase) + c2 * np.sin(phase))
-                bound += amp * math.hypot(c1, c2)
-    out -= out.mean()
-    if normalize == "coeff":
-        return out / bound if bound > 0 else out
-    peak = np.max(np.abs(out))
-    return out / peak if peak > 0 else out
+        modes = [(kx, ky) for kx in range(0, kmax + 1) for ky in range(-kmax, kmax + 1)
+                 if kx > 0 or ky > 0]
+    amps = [math.exp(-decay * math.hypot(*mode)) for mode in modes]
+    coeffs = rng.normal(size=(count, len(modes), 2))
+    column = (count,) + (1,) * grid.dim
+    out = np.zeros((count,) + grid.shape)
+    for mode, amp, (c1, c2) in zip(modes, amps, coeffs.transpose(1, 2, 0)):
+        phase = mode[0] * theta[0] if grid.dim == 1 else mode[0] * theta[0] + mode[1] * theta[1]
+        # amp * (c1 cos + c2 sin), in place to hold two stacks of temporaries
+        term = c1.reshape(column) * np.cos(phase)
+        term += c2.reshape(column) * np.sin(phase)
+        term *= amp
+        out += term
+    for row, pairs in zip(out, coeffs.tolist()):
+        row -= row.mean()
+        if normalize == "coeff":
+            scale = 0.0
+            for amp, (c1, c2) in zip(amps, pairs):
+                scale += amp * math.hypot(c1, c2)
+        else:
+            scale = np.max(np.abs(row))
+        if scale > 0:
+            row /= scale
+    return out
 
 
-def random_spectrum_field(grid: SpectralGrid, rng: np.random.Generator) -> np.ndarray:
-    """Mean-free random field with power-law modulus spectrum |k|^{-3/2},
-    band-limited to |k|_inf <= min(resolution) // 3 (the 2/3 cutoff), scaled
-    to sup norm 1."""
+def random_trig_field(grid: SpectralGrid, rng: np.random.Generator,
+                      kmax: int = 3, decay: float = 0.7,
+                      normalize: str = "max") -> np.ndarray:
+    """One ``random_trig_fields`` sample: a zero-mean random trigonometric
+    polynomial with sup norm <= 1, drawn from ``rng`` in the same order."""
+    return random_trig_fields(grid, rng, 1, kmax, decay, normalize)[0]
+
+
+def random_spectrum_fields(grid: SpectralGrid, rng: np.random.Generator,
+                           count: int) -> np.ndarray:
+    """``count`` mean-free random fields with power-law modulus spectrum
+    |k|^{-3/2}, band-limited to |k|_inf <= min(resolution) // 3 (the 2/3
+    cutoff), each scaled to sup norm 1, stacked on a leading axis.
+
+    Draw order: one standard-normal draw of shape (count, 2) + grid.shape,
+    so field by field the real parts of the coefficients, then their
+    imaginary parts.  The weight table is made once, and the stack goes
+    through one inverse transform over the grid axes."""
     kmax = min(grid.resolution) // 3
-    coeffs = (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
     keep = np.ones(grid.shape, dtype=bool)
     for axis, n in enumerate(grid.resolution):
         k = np.abs(np.fft.fftfreq(n, d=1.0 / n))
@@ -93,41 +118,53 @@ def random_spectrum_field(grid: SpectralGrid, rng: np.random.Generator) -> np.nd
         keep &= (k <= kmax).reshape(shape)
     mag = grid.beta_magnitude.copy()
     mag[mag == 0.0] = 1.0
+    draws = rng.standard_normal((count, 2) + grid.shape)
+    # real + 1j * imaginary, summed in place (addition commutes bit for bit)
+    coeffs = 1j * draws[:, 1]
+    coeffs += draws[:, 0]
+    del draws
     coeffs *= keep * mag ** (-1.5)
-    data = np.fft.ifftn(coeffs).real
-    data -= data.mean()
-    peak = np.max(np.abs(data))
-    return data / peak if peak > 0 else data
+    samples = np.fft.ifftn(coeffs, axes=tuple(range(1, grid.dim + 1))).real
+    del coeffs
+    out = np.empty((count,) + grid.shape)
+    for row, data in zip(out, samples):
+        data -= data.mean()
+        peak = np.max(np.abs(data))
+        np.divide(data, peak if peak > 0 else 1.0, out=row)
+    return out
+
+
+def random_spectrum_field(grid: SpectralGrid, rng: np.random.Generator) -> np.ndarray:
+    """One ``random_spectrum_fields`` sample, drawn from ``rng`` in the same
+    order: mean-free, spectrum |k|^{-3/2} below the 2/3 cutoff, sup norm 1."""
+    return random_spectrum_fields(grid, rng, 1)[0]
 
 
 def density_corpus(grid: SpectralGrid, count: int, seed: int,
                    lo: float = 1.0, hi: float = 3.0) -> list[ScalarField]:
-    """Seeded smooth densities with range inside [lo, hi]."""
+    """Seeded smooth densities with range inside [lo, hi]: ``count``
+    coefficient-normalized ``random_trig_fields`` from one rng."""
     rng = np.random.default_rng(seed)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    out = []
-    for _ in range(count):
-        pert = random_trig_field(grid, rng, normalize="coeff")
-        out.append(ScalarField(grid, mid + 0.98 * half * pert))
-    return out
+    perts = random_trig_fields(grid, rng, count, normalize="coeff")
+    return [ScalarField(grid, mid + 0.98 * half * pert) for pert in perts]
 
 
 def velocity_corpus(grid: SpectralGrid, count: int, seed: int,
                     amplitude: float = 0.5, kmax: int = 3) -> list[VectorField]:
+    """Seeded smooth velocities: ``count * dim`` ``random_trig_fields`` from
+    one rng, field by field and component by component."""
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        comps = [amplitude * random_trig_field(grid, rng, kmax=kmax)
-                 for _ in range(grid.dim)]
-        out.append(VectorField(grid, np.stack(comps)))
-    return out
+    comps = random_trig_fields(grid, rng, count * grid.dim, kmax=kmax)
+    return [VectorField(grid, amplitude * comps[i: i + grid.dim])
+            for i in range(0, len(comps), grid.dim)]
 
 
 def besov_corpus(grid: SpectralGrid, count: int, seed: int) -> list[ScalarField]:
-    """Seeded ``random_spectrum_field`` samples, which have content in every
-    dyadic shell, for the norm sweeps."""
+    """Seeded ``random_spectrum_fields`` samples, which have content in every
+    dyadic shell, for the norm sweeps: ``count`` of them from one rng."""
     rng = np.random.default_rng(seed)
-    return [ScalarField(grid, random_spectrum_field(grid, rng)) for _ in range(count)]
+    return [ScalarField(grid, data) for data in random_spectrum_fields(grid, rng, count)]
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +229,13 @@ def initial_state(grid: SpectralGrid, family: str, fam_params: dict | None = Non
         vel_kmax = int(p.pop("velocity_modes", kmax))
         _reject_unknown(family, p)
         rng = np.random.default_rng(0 if seed is None else seed)
-        rho = mean + amplitude * random_trig_field(grid, rng, kmax=kmax, decay=decay)
-        comps = [vel * random_trig_field(grid, rng, kmax=vel_kmax, decay=decay)
-                 for _ in range(grid.dim)]
-        return FieldState(ScalarField(grid, rho), VectorField(grid, np.stack(comps)))
+        if vel_kmax == kmax:  # rho and w share their modes: one pass for all
+            pert, *comps = random_trig_fields(grid, rng, 1 + grid.dim, kmax=kmax, decay=decay)
+        else:
+            pert = random_trig_field(grid, rng, kmax=kmax, decay=decay)
+            comps = random_trig_fields(grid, rng, grid.dim, kmax=vel_kmax, decay=decay)
+        return FieldState(ScalarField(grid, mean + amplitude * pert),
+                          VectorField(grid, vel * np.stack(comps)))
 
     if family == "manufactured":
         sid = p.pop("id", "ms1d")

@@ -24,11 +24,12 @@ raised (never clipped, so the vacuum monitors retain their meaning).
 A step computes each quantity once at the scope it depends on.  Once per
 run (a Stepper): the linear rates -Lap and (kappa/mu) -Lap.  Once per dt,
 and per previous dt for imex_bdf2: E = exp(-lam dt) and dt phi1, or the BDF2
-weights with the integrating factors folded in; the Stepper holds at most
-_FACTOR_CACHE_SIZE of these sets, so a retry at a dt taken before and every
-step of a fixed-dt run reuse them.  Once per state: the density minimum,
-found by the positivity check and kept as ``SpectralState.rho_min`` for the
-velocity shift of every attempt from that state and for ``cfl_dt``.
+weights with the integrating factors folded in; the Stepper holds these
+sets up to _FACTOR_CACHE_ENTRIES entries in all, so a retry at a dt taken
+before and every step of a fixed-dt run reuse them.  Once per state: the
+density minimum, found by the positivity check and kept as
+``SpectralState.rho_min`` for the velocity shift of every attempt from that
+state and for ``cfl_dt``.
 """
 
 from __future__ import annotations
@@ -254,12 +255,21 @@ def _check_new_state(grid: SpectralGrid, rho_data: np.ndarray, w_data: np.ndarra
     return FieldState(ScalarField(grid, rho_data), VectorField(grid, w_data), time=t_new), rho_min
 
 
-#: the most per-dt factor sets one Stepper holds, oldest out first.  A
-#: fixed-dt run uses one or two; reject-and-halve walks a ladder dt 2^-k
-#: (25 rungs in a squeeze run that halves down to its dt_min).  A run whose
-#: dt the CFL bound sets step by step makes a new set each step; in 2D each
-#: set holds two (imex_euler) or four (imex_bdf2) rfft coefficient arrays.
-_FACTOR_CACHE_SIZE = 32
+#: the most entries (array elements, a scalar weight counting one) that the
+#: per-dt factor sets of one Stepper hold in all; the oldest sets go first,
+#: the newest always stays.  A set holds two (imex_euler) or four (imex_bdf2)
+#: coefficient arrays of the rfft half lattice: 66 or 137 entries at 1D
+#: N = 64, 16,640 or 33,285 at 128^2.  2^16 (512 KB) keeps the two sets of a
+#: fixed-dt imex_bdf2 run up to 128^2 and the 25 rungs dt 2^-k of a 1D
+#: squeeze that halves down to its dt_min, and caps a run whose dt the CFL
+#: bound sets step by step, which makes a new set each step.
+_FACTOR_CACHE_ENTRIES = 2 ** 16
+
+
+def _factor_entries(factor_sets) -> int:
+    """The entries that ``factor_sets`` hold, as ``_FACTOR_CACHE_ENTRIES``
+    counts them."""
+    return sum(np.size(f) for factors in factor_sets for f in factors)
 
 
 def _euler_factors(lam_rho: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -322,8 +332,8 @@ class Stepper:
 
     It computes the split's linear rates once (per run), its factors once per
     dt and previous dt, into ``_factors``, which is its own and holds at most
-    _FACTOR_CACHE_SIZE sets, and each state's density minimum once, as the
-    ``rho_min`` of ``derived``, from the positivity check.
+    _FACTOR_CACHE_ENTRIES entries, and each state's density minimum once, as
+    the ``rho_min`` of ``derived``, from the positivity check.
     """
 
     def __init__(self, state: FieldState, params: ModelParams, config: IntegratorConfig,
@@ -349,11 +359,12 @@ class Stepper:
         key = (dt, dt_prev)
         factors = self._factors.get(key)
         if factors is None:
-            if len(self._factors) >= _FACTOR_CACHE_SIZE:
-                del self._factors[next(iter(self._factors))]
             factors = self._factors[key] = (
                 _euler_factors(self._lam_rho, dt) if dt_prev is None
                 else _bdf2_factors(self._lam_rho, dt, dt_prev))
+            held = _factor_entries(self._factors.values())
+            while held > _FACTOR_CACHE_ENTRIES and len(self._factors) > 1:
+                held -= _factor_entries([self._factors.pop(next(iter(self._factors)))])
         return factors
 
     def advance(self, dt: float) -> FieldState:

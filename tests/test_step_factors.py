@@ -159,18 +159,48 @@ def test_fixed_dt_run_builds_its_factors_once(monkeypatch, scheme, sets):
     assert len(builds) == sets  # imex_bdf2: the Euler start, then one BDF2 set
 
 
+def held_entries(stepper) -> int:
+    return timestepping._factor_entries(stepper._factors.values())
+
+
 def test_squeeze_cache_stays_within_its_bound(monkeypatch):
     config = squeeze_config()
-    attempts = watch_attempts(monkeypatch)
+    held = []
+    attempts = watch_attempts(monkeypatch, before=lambda stepper: held.append(stepper))
     normal = run_config(config)
     sizes = [size for _, size in attempts]
     assert normal[1] is PositivityLoss and not all(ok for ok, _ in attempts)
-    assert max(sizes) <= timestepping._FACTOR_CACHE_SIZE
+    # every rung of the halving ladder stays, far inside the bound
+    (stepper,) = set(held)
+    assert max(sizes) == len(stepper._factors) > 10
+    assert held_entries(stepper) <= timestepping._FACTOR_CACHE_ENTRIES
     # a bound the run reaches evicts the oldest sets and changes no output
     attempts.clear()
-    monkeypatch.setattr(timestepping, "_FACTOR_CACHE_SIZE", 4)
+    entries_per_set = held_entries(stepper) // len(stepper._factors)
+    monkeypatch.setattr(timestepping, "_FACTOR_CACHE_ENTRIES", 4 * entries_per_set)
     assert_same_run(run_config(config), normal)
     assert max(size for _, size in attempts) == 4
+
+
+def test_cfl_limited_2d_run_stays_under_the_entry_bound(monkeypatch):
+    """A 128^2 run whose dt the CFL bound sets makes a new set every step;
+    the cache keeps at most _FACTOR_CACHE_ENTRIES entries of them."""
+    grid = SpectralGrid((128, 128))
+    params = ModelParams(mu=0.1, alpha=0.0, kappa=0.01, a=1.0, gamma=1.0,
+                         variant="effective_v2")
+    config = IntegratorConfig(dt_initial=1.0, dt_min=1e-9, t_end=0.3, scheme="imex_bdf2")
+    held = []
+    watch_attempts(monkeypatch, before=lambda stepper: held.append(held_entries(stepper)))
+    built = []
+    make = timestepping._bdf2_factors
+    monkeypatch.setattr(timestepping, "_bdf2_factors",
+                        lambda *args: built.append(args[1:]) or make(*args))
+    state0 = initial_state(grid, "random_smooth", {"mean": 1.2, "amplitude": 0.25,
+                                                   "velocity_amplitude": 0.3}, seed=3)
+    traj = run(state0, params, config)
+    assert traj.states[-1].time == pytest.approx(0.3)
+    assert len(set(built)) == len(built) > 3  # a new set every BDF2 step
+    assert 0 < max(held) <= timestepping._FACTOR_CACHE_ENTRIES
 
 
 def test_each_stepper_starts_with_an_empty_cache():

@@ -8,6 +8,7 @@ from kortorus import littlewood_paley as lp
 from kortorus import verify
 from kortorus.scenarios import besov_corpus
 from kortorus.spectral import SpectralGrid
+from helpers import measure
 
 EMPTY = {
     "capillary gap": lambda: verify.check_capillary_gap([]),
@@ -47,6 +48,17 @@ def test_besov_norm_budget(besov_calls, suite, budget):
     results = verify.run_suite(suite, seed=0)
     assert all(r.passed for r in results)
     assert besov_calls["calls"] == budget
+
+
+# every corpus is built, and every sweep over one measured, in one pass: a
+# per-field path (a draw, a transform or a gradient round trip a field)
+# would add calls here
+@pytest.mark.parametrize("suite, calls", [("appendix", 336), ("entropy", 132),
+                                          ("lp-partition", 21), ("lp-norms", 202)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fft_budget_per_seed(fft_count, suite, calls, seed):
+    used = measure(fft_count, lambda: verify.run_suite(suite, seed))
+    assert used["calls"] == calls
 
 
 def test_lp_norms_values_match_whole_corpus_reference():
