@@ -228,21 +228,24 @@ def dyadic_block_pair(u: ScalarField, q: int, q_prime: int) -> ScalarField:
 
 
 def _block_norms(hat: np.ndarray, family: DyadicFamily, flavor: str,
-                 ps: Sequence[float]) -> np.ndarray:
-    """||Delta_q u||_{L^p} for each p of ``ps`` and q in family.block_range
-    of each field u whose rfft coefficients ``hat`` carries on leading batch
-    axes, then the component axis (vector fields via Euclidean magnitude).
-    Shape (len(ps),) + hat.shape[:-1 - dim] + (number of blocks,).  The
-    blocks are synthesized once, in the chunks of ``_block_fields``, and
-    each chunk is measured for every p (one ``lp_norms`` call a p)."""
+                 p: float | tuple[float, ...]) -> np.ndarray:
+    """||Delta_q u||_{L^p} for q in family.block_range of each field u whose
+    rfft coefficients ``hat`` carries on leading batch axes, then the
+    component axis (vector fields via Euclidean magnitude).  Shape
+    hat.shape[:-1 - dim] + (number of blocks,) for one p; for a tuple of p,
+    one such array a p on a new leading axis.  The blocks are synthesized
+    once, in the chunks of ``_block_fields``, and each chunk is measured for
+    every p (one ``lp_norms`` call a p)."""
     grid = family.grid
+    ps = p if isinstance(p, tuple) else (p,)
     norms = [[] for _ in ps]
     for chunk in _block_fields(hat, family, flavor):
         magnitude = np.sqrt(np.sum(chunk ** 2, axis=1))
-        for p, out in zip(ps, norms):
-            out.extend(lp_norms(magnitude, p, grid))
-    return np.array(norms).reshape((len(ps),) + hat.shape[:-1 - grid.dim]
-                                   + (len(family.block_range),))
+        for one_p, out in zip(ps, norms):
+            out.extend(lp_norms(magnitude, one_p, grid))
+    stacked = np.array(norms).reshape((len(ps),) + hat.shape[:-1 - grid.dim]
+                                      + (len(family.block_range),))
+    return stacked if isinstance(p, tuple) else stacked[0]
 
 
 def _block_fields(hat: np.ndarray, family: DyadicFamily, flavor: str) -> Iterator[np.ndarray]:
@@ -274,7 +277,7 @@ def _field_hats(fields: Sequence[ScalarField | VectorField]) -> np.ndarray:
 def _block_norm_rows(fields: Sequence[ScalarField | VectorField], idx: BesovIndex) -> np.ndarray:
     """``_block_norms`` of each field of a non-empty same-grid list, one row
     per field, from one stacked forward transform."""
-    return _block_norms(_field_hats(fields), family_for(fields[0].grid), idx.flavor, (idx.p,))[0]
+    return _block_norms(_field_hats(fields), family_for(fields[0].grid), idx.flavor, idx.p)
 
 
 def block_lp_norms(u: ScalarField | VectorField, idx: BesovIndex) -> dict[int, float]:
@@ -303,14 +306,8 @@ def _besov_norms(fields: Sequence[ScalarField | VectorField], idx: BesovIndex) -
     field, from one stacked forward transform and chunked block synthesis."""
     if not fields:
         return []
-    return _besov_norms_of(_field_hats(fields), idx, family_for(fields[0].grid))
-
-
-def _besov_norms_of(hat: np.ndarray, idx: BesovIndex, family: DyadicFamily) -> list[float]:
-    """``besov_norm`` of each field whose rfft coefficients ``hat`` stacks
-    (field, component, ...)."""
-    return [_besov_aggregate(row, idx, family)
-            for row in _block_norms(hat, family, idx.flavor, (idx.p,))[0].tolist()]
+    family = family_for(fields[0].grid)
+    return [_besov_aggregate(row, idx, family) for row in _block_norm_rows(fields, idx).tolist()]
 
 
 def sobolev_weight_norm(u: ScalarField, s: float) -> float:
@@ -418,6 +415,7 @@ def verify_derivative_equivalence(corpus: Sequence[ScalarField], s: float = 1.0,
     whose coefficients give their block norms and, through one inverse
     transform, their gradients; InvalidField on a non-finite sample.
     """
+    idx, grad_idx = BesovIndex(s, p, r), BesovIndex(s - 1.0, p, r)
     if not corpus:
         return RatioReport(math.nan, math.nan, 0, 0)
     grid = corpus[0].grid
@@ -430,8 +428,10 @@ def verify_derivative_equivalence(corpus: Sequence[ScalarField], s: float = 1.0,
     grad_hats = to_spectral(np.moveaxis(to_physical(grad_hat(hat, grid), grid), 0, 1), grid)
     ratios = []
     excluded = 0
-    for denom, grad_norm in zip(_besov_norms_of(hat[:, None], BesovIndex(s, p, r), family),
-                                _besov_norms_of(grad_hats, BesovIndex(s - 1.0, p, r), family)):
+    for row, grad_row in zip(_block_norms(hat[:, None], family, idx.flavor, p).tolist(),
+                             _block_norms(grad_hats, family, grad_idx.flavor, p).tolist()):
+        denom = _besov_aggregate(row, idx, family)
+        grad_norm = _besov_aggregate(grad_row, grad_idx, family)
         if denom == 0.0 or grad_norm == 0.0:
             excluded += 1
             continue
@@ -566,14 +566,14 @@ def heat_regularity_check(u0: ScalarField, forcing, mu: float, s: float, p: floa
                 if forcing is not None:
                     u_hat += 0.5 * dt * (decay * f_hats[i - 1] + f_hats[i])
             out[...] = u_hat
-        groups.append(_block_norms(u_hats, family, idx_u.flavor, (p,))[0])
+        groups.append(_block_norms(u_hats, family, idx_u.flavor, p))
     u_norms = np.concatenate(groups)
 
     lhs = _tilde_aggregate(u_norms, times, rho1, idx_u, family, "simpson")
     # u0's B^s_{p,r} norm from the t = 0 block norms, which depend on p, not on s
     rhs_val = _besov_aggregate(u_norms[0], BesovIndex(s, p, r), family)
     if forcing is not None:
-        f_norms = np.broadcast_to(_block_norms(f_distinct, family, idx_f.flavor, (p,))[0],
+        f_norms = np.broadcast_to(_block_norms(f_distinct, family, idx_f.flavor, p),
                                   u_norms.shape)
         f_norm = _tilde_aggregate(f_norms, times, rho2, idx_f, family, "simpson")
         rhs_val = rhs_val + mu ** (1.0 / rho2 - 1.0) * f_norm

@@ -134,12 +134,6 @@ def random_spectrum_fields(grid: SpectralGrid, rng: np.random.Generator,
     return out
 
 
-def random_spectrum_field(grid: SpectralGrid, rng: np.random.Generator) -> np.ndarray:
-    """One ``random_spectrum_fields`` sample, drawn from ``rng`` in the same
-    order: mean-free, spectrum |k|^{-3/2} below the 2/3 cutoff, sup norm 1."""
-    return random_spectrum_fields(grid, rng, 1)[0]
-
-
 def density_corpus(grid: SpectralGrid, count: int, seed: int,
                    lo: float = 1.0, hi: float = 3.0) -> list[ScalarField]:
     """Seeded smooth densities with range inside [lo, hi]: ``count``
@@ -229,13 +223,10 @@ def initial_state(grid: SpectralGrid, family: str, fam_params: dict | None = Non
         vel_kmax = int(p.pop("velocity_modes", kmax))
         _reject_unknown(family, p)
         rng = np.random.default_rng(0 if seed is None else seed)
-        if vel_kmax == kmax:  # rho and w share their modes: one pass for all
-            pert, *comps = random_trig_fields(grid, rng, 1 + grid.dim, kmax=kmax, decay=decay)
-        else:
-            pert = random_trig_field(grid, rng, kmax=kmax, decay=decay)
-            comps = random_trig_fields(grid, rng, grid.dim, kmax=vel_kmax, decay=decay)
+        pert = random_trig_field(grid, rng, kmax=kmax, decay=decay)
+        comps = random_trig_fields(grid, rng, grid.dim, kmax=vel_kmax, decay=decay)
         return FieldState(ScalarField(grid, mean + amplitude * pert),
-                          VectorField(grid, vel * np.stack(comps)))
+                          VectorField(grid, vel * comps))
 
     if family == "manufactured":
         sid = p.pop("id", "ms1d")

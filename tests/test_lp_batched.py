@@ -10,8 +10,9 @@ import pytest
 
 import lp_reference as ref
 from kortorus import littlewood_paley as lp
+from kortorus.errors import ConstraintViolationError
 from kortorus.scenarios import besov_corpus
-from kortorus.spectral import SpectralGrid, gradient
+from kortorus.spectral import ScalarField, SpectralGrid, gradient
 from helpers import measure
 
 GRIDS = [128, (32, 32)]
@@ -67,6 +68,16 @@ def test_verifiers_on_empty_corpus():
     assert lp.verify_embedding([], 1.0, 2.0, 2.0, 4.0, 2.0) == lp.ConstantReport(0.0, 0)
     assert lp.verify_product_law([], 1.0, 2.0, 2.0) == lp.ConstantReport(0.0, 0)
     assert lp.verify_derivative_equivalence([]).n_fields == 0
+
+
+def test_derivative_equivalence_checks_its_indices_first(grid):
+    # a bad index raises before the corpus is looked at, so also on an empty
+    # corpus and ahead of the non-finite-sample check
+    bad = besov_corpus(grid, 1, seed=3)[0].data.copy()
+    bad.flat[0] = np.nan
+    for corpus in ([], [ScalarField(grid, bad)]):
+        with pytest.raises(ConstraintViolationError):
+            lp.verify_derivative_equivalence(corpus, p=0.5)
 
 
 @pytest.mark.parametrize("forcing_kind", ["none", "constant", "callable"])
