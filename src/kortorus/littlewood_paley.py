@@ -52,6 +52,7 @@ from .spectral import (
     ScalarField,
     SpectralGrid,
     VectorField,
+    _coefficient_l2_norms,
     _require_finite,
     dealiased_product,
     forward_transform,
@@ -63,9 +64,10 @@ from .spectral import (
 )
 
 _MIN_SHELLS = 3
-#: Samples in one chunk of synthesized block fields (see ``_block_fields``):
-#: a batch of fields or time samples is synthesized a chunk at a time, so
-#: its transient memory does not grow with the batch.
+#: Samples in one chunk of synthesized block fields (see ``_block_fields``),
+#: and products in one chunk of the p = 2 coefficient sums (see
+#: ``_block_l2_norms``): a batch of fields or time samples is measured a
+#: chunk at a time, so its transient memory does not grow with the batch.
 _BLOCK_CHUNK_ELEMENTS = 2 ** 15
 _FLAVORS = ("nonhomogeneous", "homogeneous-style")
 
@@ -233,19 +235,48 @@ def _block_norms(hat: np.ndarray, family: DyadicFamily, flavor: str,
     rfft coefficients ``hat`` carries on leading batch axes, then the
     component axis (vector fields via Euclidean magnitude).  Shape
     hat.shape[:-1 - dim] + (number of blocks,) for one p; for a tuple of p,
-    one such array a p on a new leading axis.  The blocks are synthesized
-    once, in the chunks of ``_block_fields``, and each chunk is measured for
-    every p (one ``lp_norms`` call a p)."""
+    one such array a p on a new leading axis.
+
+    p = 2 is taken from the coefficients by Parseval (``_block_l2_norms``),
+    with no inverse transform.  Every other p synthesizes the blocks once,
+    in the chunks of ``_block_fields``, and measures each chunk for each of
+    them (one ``lp_norms`` call a p)."""
     grid = family.grid
     ps = p if isinstance(p, tuple) else (p,)
-    norms = [[] for _ in ps]
-    for chunk in _block_fields(hat, family, flavor):
-        magnitude = np.sqrt(np.sum(chunk ** 2, axis=1))
-        for one_p, out in zip(ps, norms):
-            out.extend(lp_norms(magnitude, one_p, grid))
-    stacked = np.array(norms).reshape((len(ps),) + hat.shape[:-1 - grid.dim]
-                                      + (len(family.block_range),))
+    norms = {one_p: [] for one_p in ps}
+    if 2.0 in norms:
+        norms[2.0] = _block_l2_norms(hat, family, flavor)
+    synthesized = [one_p for one_p in norms if one_p != 2.0]
+    if synthesized:
+        for chunk in _block_fields(hat, family, flavor):
+            magnitude = np.sqrt(np.sum(chunk ** 2, axis=1))
+            for one_p in synthesized:
+                norms[one_p].extend(lp_norms(magnitude, one_p, grid))
+    stacked = np.array([norms[one_p] for one_p in ps]).reshape(
+        (len(ps),) + hat.shape[:-1 - grid.dim] + (len(family.block_range),))
     return stacked if isinstance(p, tuple) else stacked[0]
+
+
+def _block_l2_norms(hat: np.ndarray, family: DyadicFamily, flavor: str) -> np.ndarray:
+    """||Delta_q u||_{L^2} of ``_block_norms``, field by field and blocks in
+    order within a field, as ``spectral._coefficient_l2_norms`` of the
+    squared tables.  The (field, block) sums are formed in chunks of at most
+    _BLOCK_CHUNK_ELEMENTS products: whole fields' blocks a chunk, or the
+    blocks of one field in slices where those alone are more."""
+    grid = family.grid
+    squares = family.tables[flavor] ** 2
+    rows = hat.reshape((-1,) + hat.shape[-1 - grid.dim:])
+    size = math.prod(grid.rfft_shape)
+    per_slice = min(len(squares), max(1, _BLOCK_CHUNK_ELEMENTS // size))
+    per_chunk = max(1, _BLOCK_CHUNK_ELEMENTS // (per_slice * size))
+    norms = np.empty((len(rows), len(squares)))
+    for start in range(0, len(rows), per_chunk):
+        chunk = rows[start:start + per_chunk]
+        for first in range(0, len(squares), per_slice):
+            tables = squares[first:first + per_slice]
+            norms[start:start + per_chunk, first:first + per_slice] = np.array(
+                _coefficient_l2_norms(chunk, tables, grid)).reshape(len(chunk), -1)
+    return norms.ravel()
 
 
 def _block_fields(hat: np.ndarray, family: DyadicFamily, flavor: str) -> Iterator[np.ndarray]:
@@ -282,8 +313,8 @@ def _block_norm_rows(fields: Sequence[ScalarField | VectorField], idx: BesovInde
 
 def block_lp_norms(u: ScalarField | VectorField, idx: BesovIndex) -> dict[int, float]:
     """||Delta_q u||_{L^p} per block (vector fields via Euclidean magnitude),
-    from one forward transform and one inverse transform per chunk of blocks
-    (one in all while the blocks of u fit in one chunk)."""
+    from one forward transform; at p != 2 also one inverse transform per
+    chunk of blocks (one in all while the blocks of u fit in one chunk)."""
     return dict(zip(family_for(u.grid).block_range, _block_norm_rows([u], idx)[0].tolist()))
 
 
@@ -303,7 +334,7 @@ def besov_norm(u: ScalarField | VectorField, idx: BesovIndex) -> float:
 
 def _besov_norms(fields: Sequence[ScalarField | VectorField], idx: BesovIndex) -> list[float]:
     """``besov_norm`` of each field of a same-grid list, equal to it field by
-    field, from one stacked forward transform and chunked block synthesis."""
+    field, from one stacked forward transform and ``_block_norms``."""
     if not fields:
         return []
     family = family_for(fields[0].grid)
@@ -332,16 +363,20 @@ def _check_time_norm(name: str, fields, rho_exp: float) -> None:
 
 
 def _time_lp(values: np.ndarray, times: np.ndarray, rho_exp: float,
-             quadrature: str) -> float:
+             quadrature: str) -> list[float]:
+    """L^{rho_exp} time norm of each row of ``values`` (rows, times): the
+    max at rho_exp = inf, else one quadrature call over all rows, each row
+    integrated on its own (the same bits as a call of its own) and each
+    root taken per value."""
     if math.isinf(rho_exp):
-        return float(np.max(values))
+        return np.max(values, axis=-1).tolist()
     powered = values ** rho_exp
     if quadrature == "simpson":
         from scipy.integrate import simpson
-        integral = float(simpson(powered, x=times))
+        integrals = simpson(powered, x=times, axis=-1)
     else:
-        integral = float(np.trapezoid(powered, x=times))
-    return max(integral, 0.0) ** (1.0 / rho_exp)
+        integrals = np.trapezoid(powered, x=times, axis=-1)
+    return [max(integral, 0.0) ** (1.0 / rho_exp) for integral in integrals.tolist()]
 
 
 def _tilde_aggregate(block_series: Sequence[Sequence[float]], times: np.ndarray,
@@ -350,9 +385,8 @@ def _tilde_aggregate(block_series: Sequence[Sequence[float]], times: np.ndarray,
     """Tilde-norm aggregation of block_series[t][i], the norm of block
     family.block_range[i] at times[t]: the L^{rho_exp} time norm of each
     block first, then l^r over blocks of the 2^{qs}-weighted time norms."""
-    series = np.asarray(block_series, dtype=float)
-    return _besov_aggregate([_time_lp(block, times, rho_exp, quadrature) for block in series.T],
-                            idx, family)
+    by_block = np.ascontiguousarray(np.asarray(block_series, dtype=float).T)
+    return _besov_aggregate(_time_lp(by_block, times, rho_exp, quadrature), idx, family)
 
 
 def chemin_lerner_norm(fields: Sequence[ScalarField | VectorField],
@@ -373,8 +407,8 @@ def iterated_time_besov_norm(fields: Sequence[ScalarField | VectorField],
     """Plain L^{rho_exp}_T(B^s_{p,r}) norm (trapezoid rule in time), for
     Minkowski-ordering checks."""
     _check_time_norm("iterated norm", fields, rho_exp)
-    series = np.asarray(_besov_norms(fields, idx))
-    return _time_lp(series, np.asarray(times, dtype=float), rho_exp, "trapezoid")
+    series = np.asarray([_besov_norms(fields, idx)])
+    return _time_lp(series, np.asarray(times, dtype=float), rho_exp, "trapezoid")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +489,8 @@ def verify_embedding(corpus: Sequence[ScalarField], s: float, p1: float, r1: flo
     family = family_for(corpus[0].grid)
     idx1 = BesovIndex(s, p1, r1)
     idx2 = BesovIndex(s - corpus[0].grid.dim * (1.0 / p1 - 1.0 / p2), p2, r2)
-    # both norms from one synthesis of each field's blocks
+    # both norms from one forward transform of each field (and one synthesis
+    # of its blocks for the p that is not 2)
     norms1, norms2 = _block_norms(_field_hats(corpus), family, idx1.flavor,
                                   (p1, p2)).tolist()
     worst = 0.0
@@ -517,13 +552,17 @@ def heat_regularity_check(u0: ScalarField, forcing, mu: float, s: float, p: floa
     time norms use composite Simpson so closed-form single-mode cases are
     reproduced to ~1e-12.  The steps are written, a group of time samples
     at a time, into a stack of rfft coefficients whose blocks fill whole
-    chunks of ``_block_norms``, and each group is measured through that
-    chunked synthesis, without a physical round trip, before the next is
-    made; ||u0||_{B^s_{p,r}} comes from the t = 0 block norms.  A callable
-    forcing is sampled at every time into one array and transformed forward
-    once.  Memory: about one chunk of coefficients and one of blocks, plus
-    the forcing's coefficient stack (n_time times those of one field) when
-    the forcing is callable.
+    chunks of ``_block_norms``: the group's forcing increments are formed
+    together, the recurrence is written in place into the group's stack,
+    and the group is measured, with no physical round trip, before the next
+    is made.  At p = 2 the block norms come from those coefficients by
+    Parseval, with no inverse transform; at other p through the chunked
+    synthesis.  ||u0||_{B^s_{p,r}} comes from the t = 0 block norms, and
+    each tilde norm takes every block's time norm in one quadrature call.
+    A callable forcing is sampled at every time into one array and
+    transformed forward once.  Memory: about one chunk of coefficients and
+    one of blocks (or of coefficient sums), plus the forcing's coefficient
+    stack (n_time times those of one field) when the forcing is callable.
 
     ``forcing`` may be None, a time-constant ScalarField, or a callable
     t -> samples.  Needs 1 <= rho2 <= rho1 (ExponentOrderViolated), and mu,
@@ -559,13 +598,20 @@ def heat_regularity_check(u0: ScalarField, forcing, mu: float, s: float, p: floa
     u_hat = to_spectral(u0.data[None], grid)
     groups = []
     for start in range(0, n_time, per_group):
-        u_hats = np.empty((min(per_group, n_time - start),) + stack_shape[1:], dtype=complex)
+        stop = min(start + per_group, n_time)
+        u_hats = np.empty((stop - start,) + stack_shape[1:], dtype=complex)
+        if forcing is not None:
+            # the group's forcing increments, sample i's at row i - first
+            first = max(start, 1)
+            increments = 0.5 * dt * (decay * f_hats[first - 1:stop - 1] + f_hats[first:stop])
         for i, out in enumerate(u_hats, start):
             if i:
-                u_hat = decay * u_hat
+                np.multiply(decay, u_hat, out=out)
                 if forcing is not None:
-                    u_hat += 0.5 * dt * (decay * f_hats[i - 1] + f_hats[i])
-            out[...] = u_hat
+                    out += increments[i - first]
+            else:
+                out[...] = u_hat
+            u_hat = out
         groups.append(_block_norms(u_hats, family, idx_u.flavor, p))
     u_norms = np.concatenate(groups)
 

@@ -173,6 +173,15 @@ class SpectralGrid:
         return -np.sum(self.rfft_ik.imag ** 2, axis=0)
 
     @cached_property
+    def rfft_multiplicity(self) -> np.ndarray:
+        """How many points of the full lattice each rfft coefficient stands
+        for: 1 on the k_last = 0 and Nyquist columns, which the half lattice
+        holds alone, and 2 elsewhere (k and its conjugate -k)."""
+        weight = np.full(self.rfft_shape, 2.0)
+        weight[..., 0] = weight[..., -1] = 1.0
+        return weight
+
+    @cached_property
     def rfft_dealias_keep(self) -> np.ndarray:
         """Mask of modes kept by the 2/3 rule (|k_j| <= floor(n_j/3)), as
         complex ones and zeros: a boolean mask would be cast to complex in
@@ -421,6 +430,26 @@ def lp_norms(samples: np.ndarray, p: float, grid: SpectralGrid) -> list[float]:
         return rows.max(axis=1).tolist()
     sums = (rows ** p).sum(axis=1) * grid.cell_volume
     return [total ** (1.0 / p) for total in sums.tolist()]
+
+
+def _coefficient_l2_norms(hat: np.ndarray, squared_multipliers: np.ndarray,
+                          grid: SpectralGrid) -> list[float]:
+    """Discrete L^2 norm of m(D) u for each field u whose unnormalized rfft
+    coefficients U ``hat`` holds (leading rows, then the component axis)
+    and each real multiplier m whose squares over the rfft half lattice
+    are the leading rows of ``squared_multipliers``, by discrete Parseval:
+
+        ||m(D) u||^2 = |T^N| / size^2 * sum_k w_k m(k)^2 sum_components |U_k|^2
+
+    with w_k = ``grid.rfft_multiplicity``.  Row-major over (field,
+    multiplier); each sum taken on its own and each root per value, as in
+    ``lp_norms``, whose p = 2 value this equals to roundoff."""
+    power = np.sum(hat.real ** 2 + hat.imag ** 2, axis=-1 - grid.dim)
+    weights = squared_multipliers * grid.rfft_multiplicity
+    products = (power.reshape(len(power), 1, -1)
+                * weights.reshape(1, len(weights), -1))
+    sums = products.sum(axis=-1) * (grid.volume / math.prod(grid.shape) ** 2)
+    return [total ** 0.5 for total in sums.ravel().tolist()]
 
 
 def relative_l2_gap(a: Field, b: Field) -> float:

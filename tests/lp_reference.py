@@ -3,10 +3,14 @@ one block at a time: the reference that the stacked, chunked block norms of
 ``littlewood_paley`` must equal bit for bit.
 
 Every field and every time sample here goes through a forward transform of
-its own, and every block through an inverse transform of its own.  Only the
-aggregation rules (the l^r sum over blocks and the time quadratures) and the
-L^p rule are shared with the module, because they are what the batched path
-feeds, not what it changes.
+its own.  At p = 2 every block is measured on its own from those
+coefficients, by Parseval; at any other p every block goes through an
+inverse transform of its own.  Only the aggregation rules (the l^r sum over
+blocks and the time quadratures) and the L^p and coefficient L^2 rules are
+shared with the module, because they are what the batched path feeds, not
+what it changes.  ``test_lp_batched`` holds the time quadratures to scipy's
+and numpy's on each series alone, and the coefficient L^2 rule to the
+synthesized ``lp_norm``.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from kortorus.littlewood_paley import (
 )
 from kortorus.spectral import (
     ScalarField,
+    _coefficient_l2_norms,
     dealiased_product,
     gradient,
     lp_norm,
@@ -37,7 +42,19 @@ from kortorus.spectral import (
 
 def coefficient_block_norms(hat: np.ndarray, idx: BesovIndex, grid) -> list[float]:
     """||Delta_q u||_{L^p} per block from the rfft coefficients of one field
-    (component axis first), one inverse transform per block."""
+    (component axis first): at p = 2 one coefficient sum per block, at any
+    other p ``synthesized_block_norms``."""
+    if idx.p != 2.0:
+        return synthesized_block_norms(hat, idx, grid)
+    family = family_for(grid)
+    return [_coefficient_l2_norms(hat[None], (family.multiplier(q, idx.flavor) ** 2)[None],
+                                  grid)[0]
+            for q in family.block_range]
+
+
+def synthesized_block_norms(hat: np.ndarray, idx: BesovIndex, grid) -> list[float]:
+    """||Delta_q u||_{L^p} per block, one inverse transform per block and
+    ``lp_norm`` of its samples (vector fields via Euclidean magnitude)."""
     family = family_for(grid)
     norms = []
     for q in family.block_range:
@@ -62,8 +79,8 @@ def chemin_lerner_norm(fields, times, rho_exp: float, idx: BesovIndex) -> float:
 
 
 def iterated_time_besov_norm(fields, times, rho_exp: float, idx: BesovIndex) -> float:
-    return _time_lp(np.asarray([besov_norm(f, idx) for f in fields]),
-                    np.asarray(times, dtype=float), rho_exp, "trapezoid")
+    return _time_lp(np.asarray([[besov_norm(f, idx) for f in fields]]),
+                    np.asarray(times, dtype=float), rho_exp, "trapezoid")[0]
 
 
 def verify_derivative_equivalence(corpus, s: float = 1.0, p: float = 2.0,

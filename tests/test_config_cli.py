@@ -314,11 +314,14 @@ class TestBesovCLI:
         })
 
     def test_two_transform_calls(self, tmp_path, fft_count, capsys):
-        # one forward transform and one batched inverse for shells and norm
+        # one forward transform for shells and norm, and at p != 2 one
+        # batched inverse; at the default p = 2 the shells come from the
+        # coefficients
         dump = tmp_path / "field.fld"
         write_field_dump(dump, besov_corpus(SpectralGrid(256), 1, seed=4)[0])
-        used = measure(fft_count, lambda: main(["besov", str(dump), "--s", "1.0"]))
-        assert used["calls"] == 2
+        for argv, calls in (([], 1), (["--p", "3"], 2)):
+            used = measure(fft_count, lambda: main(["besov", str(dump), "--s", "1.0", *argv]))
+            assert used["calls"] == calls
 
     def test_truncated_dump_exit_two(self, tmp_path, capsys):
         grid = SpectralGrid(64)

@@ -131,11 +131,26 @@ def test_heat_check_memory_is_bounded_by_the_chunk(forcing_kind):
 def test_heat_check_groups_keep_the_chunks_of_one_stack(fft_count):
     # the time samples go through the block synthesis in groups, which must
     # cut the (sample, block) pairs where the chunks of one stack of all
-    # samples would: 65 samples of 32^2 are groups of 32, 32 and 1
+    # samples would: 65 samples of 32^2 are groups of 32, 32 and 1.  At
+    # p = 2 the block norms come from the coefficients: only u0's forward
+    # transform
     grid = SpectralGrid((32, 32))
     u0 = besov_corpus(grid, 1, seed=5)[0]
     n_time, blocks = 65, len(lp.family_for(grid).block_range)
     chunks = math.ceil(n_time * blocks * math.prod(grid.shape) / lp._BLOCK_CHUNK_ELEMENTS)
-    used = measure(fft_count, lambda: lp.heat_regularity_check(
-        u0, None, 0.5, 1.0, 2.0, 2.0, 2.0, 1.0, 1.0, n_time=n_time))
-    assert used["calls"] == 1 + chunks
+    for p, calls in ((2.0, 1), (3.0, 1 + chunks)):
+        used = measure(fft_count, lambda: lp.heat_regularity_check(
+            u0, None, 0.5, 1.0, p, 2.0, 2.0, 1.0, 1.0, n_time=n_time))
+        assert used["calls"] == calls
+
+
+@pytest.mark.parametrize("chunk", [50, 300, 1000])
+def test_l2_block_norms_in_small_chunks_equal_reference(monkeypatch, chunk):
+    # p = 2 chunks of one block, of a slice of 4 of a field's 8 blocks, and
+    # of one field's 8 blocks: the slicing of large 2D grids, on a small one
+    grid = SpectralGrid(128)
+    fields = besov_corpus(grid, 5, seed=14)
+    monkeypatch.setattr(lp, "_BLOCK_CHUNK_ELEMENTS", chunk)
+    for idx in (lp.BesovIndex(1.0), lp.BesovIndex(0.5, 2.0, 1.0, "homogeneous-style")):
+        assert lp._besov_norms(fields, idx) == [ref.besov_norm(f, idx) for f in fields]
+        assert list(lp.block_lp_norms(fields[0], idx).values()) == ref.block_norms(fields[0], idx)

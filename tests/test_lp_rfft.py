@@ -56,10 +56,11 @@ def test_tables_are_the_full_lattice_tables_restricted(resolution):
 @pytest.mark.parametrize("forcing_kind", ["none", "callable", "constant"])
 def test_heat_check_transform_budget(fft_count, forcing_kind):
     # one forward transform of u0 and one of the forcing (a callable's time
-    # samples stacked); the blocks of u at every time sample, and those of a
-    # callable forcing, are synthesized in chunks of at most
-    # _BLOCK_CHUNK_ELEMENTS samples, one inverse transform a chunk; a
-    # constant forcing's blocks are synthesized once (u0's norm comes from
+    # samples stacked).  At p = 2 the block norms come from the coefficients,
+    # with no inverse transform.  At other p the blocks of u at every time
+    # sample, and those of a callable forcing, are synthesized in chunks of
+    # at most _BLOCK_CHUNK_ELEMENTS samples, one inverse transform a chunk;
+    # a constant forcing's blocks are synthesized once (u0's norm comes from
     # the t = 0 block norms).  At 1D N = 64, 7 blocks: 65 samples take one
     # chunk and 257 take four.
     grid = SpectralGrid(64)
@@ -69,10 +70,12 @@ def test_heat_check_transform_budget(fft_count, forcing_kind):
                "constant": f}[forcing_kind]
     for n_time, chunks in ((65, 1), (257, 4)):
         assert chunks == math.ceil(n_time * 7 * 64 / lp._BLOCK_CHUNK_ELEMENTS)
-        used = measure(fft_count, lambda: heat_regularity_check(
-            u0, forcing, 0.5, 1.0, 2.0, 2.0, 2.0, 1.0, 1.0, n_time=n_time))
-        budget = {"none": 1 + chunks, "constant": 3 + chunks, "callable": 2 + 2 * chunks}
-        assert used["calls"] == budget[forcing_kind]
+        for p in (2.0, 3.0):
+            used = measure(fft_count, lambda: heat_regularity_check(
+                u0, forcing, 0.5, 1.0, p, 2.0, 2.0, 1.0, 1.0, n_time=n_time))
+            budget = ({"none": 1, "constant": 2, "callable": 2} if p == 2.0 else
+                      {"none": 1 + chunks, "constant": 3 + chunks, "callable": 2 + 2 * chunks})
+            assert used["calls"] == budget[forcing_kind]
 
 
 @pytest.mark.parametrize("resolution, vector", [(64, False), ((32, 32), True)])
@@ -80,5 +83,7 @@ def test_besov_norm_transform_budget(fft_count, resolution, vector):
     grid = SpectralGrid(resolution)
     u = besov_corpus(grid, 1, seed=3)[0]
     field = gradient(u) if vector else u
-    used = measure(fft_count, lambda: besov_norm(field, BesovIndex(1.0, 2.0, 2.0)))
-    assert used["calls"] == 2
+    # one forward transform, and one inverse transform for the blocks at p != 2
+    for p, calls in ((2.0, 1), (3.0, 2)):
+        used = measure(fft_count, lambda: besov_norm(field, BesovIndex(1.0, p, 2.0)))
+        assert used["calls"] == calls

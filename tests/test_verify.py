@@ -52,9 +52,11 @@ def test_besov_norm_budget(besov_calls, suite, budget):
 
 # every corpus is built, and every sweep over one measured, in one pass: a
 # per-field path (a draw, a transform or a gradient round trip a field)
-# would add calls here
+# would add calls here, and so would synthesizing a p = 2 block norm's
+# blocks, which come from the coefficients
 @pytest.mark.parametrize("suite, calls", [("appendix", 336), ("entropy", 132),
-                                          ("lp-partition", 21), ("lp-norms", 202)])
+                                          ("lp-partition", 21), ("lp-norms", 161),
+                                          ("heat", 35)])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_fft_budget_per_seed(fft_count, suite, calls, seed):
     used = measure(fft_count, lambda: verify.run_suite(suite, seed))
