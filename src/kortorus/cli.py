@@ -335,7 +335,8 @@ def cmd_monitor(args) -> int:
     # the verdict integrates the reports' serrin_integrand over the snapshot
     # times, which is serrin_accumulator without a second Serrin norm per state
     serrin = 0.0 if verdict.serrin_value is None else verdict.serrin_value
-    k_endpoint = 6.0 if config.grid.dim == 1 else 4.0
+    # the diagonal k = q of the endpoint family 2/k + N/q = N/2
+    k_endpoint = 2.0 * (config.grid.dim + 2) / config.grid.dim
     summary = {
         "snapshots": len(states),
         "time_span": [states[0].time, states[-1].time],

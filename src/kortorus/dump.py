@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DumpFormatError
-from .spectral import ScalarField, SpectralGrid
+from .spectral import DIMENSIONS, ScalarField, SpectralGrid
 
 MAGIC = b"TORUSFLD"
 VERSION = 1
@@ -59,7 +59,7 @@ def read_field_dump(path) -> ScalarField:
         raise DumpFormatError(f"unsupported dump version {version}", offset=8)
     chunk, offset = _take(raw, offset, 8, "dim")
     (dim,) = struct.unpack("<q", chunk)
-    if dim not in (1, 2):
+    if dim not in DIMENSIONS:
         raise DumpFormatError(f"unsupported dimension {dim}", offset=offset - 8)
     chunk, offset = _take(raw, offset, 8 * dim, "resolution")
     resolution = struct.unpack(f"<{dim}q", chunk)

@@ -45,6 +45,7 @@ from .model import (
     spectral_state,
 )
 from .spectral import (
+    DIMENSIONS,
     ScalarField,
     VectorField,
     grad_hat,
@@ -368,9 +369,9 @@ class MonitorSpec:
             _P_INTEGRABILITY.check("monitors.p_integrability", self.p_integrability),
             _P_VACUUM.check("monitors.p_vacuum", self.p_vacuum),
             (p_holds, f"monitors.serrin_p must satisfy 2 < p < inf, got {p}"),
-            (not p_holds or q is None or any(_serrin_fault(p, q, dim) is None for dim in (1, 2)),
+            (not p_holds or q is None or any(_serrin_fault(p, q, n) is None for n in DIMENSIONS),
              f"monitors.serrin_q must satisfy 1/p + N/(2q) = 1/2 with monitors.serrin_p "
-             f"= {p} in dimension N = 1 or 2, got {q}"),
+             f"= {p} in a dimension N of {DIMENSIONS}, got {q}"),
             _EPSILON.check("monitors.epsilon", self.epsilon),
             _DELTA_VACUUM.check("monitors.delta_vacuum", self.delta_vacuum))
 

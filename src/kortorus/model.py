@@ -150,9 +150,9 @@ def require_positive_density(rho: ScalarField) -> None:
     require_above_floor(data)
 
 
-def require_above_floor(data: np.ndarray) -> float:
-    """The lowest of the finite density samples ``data``; NonpositiveDensity
-    at it when it is at or below RHO_FLOOR."""
+def require_above_floor(data: np.ndarray) -> None:
+    """Raise NonpositiveDensity at the lowest of the finite density samples
+    ``data`` when it is at or below RHO_FLOOR."""
     lowest = data.argmin()
     low = float(data.flat[lowest])
     if low <= RHO_FLOOR:
@@ -160,7 +160,6 @@ def require_above_floor(data: np.ndarray) -> float:
         raise NonpositiveDensity(
             f"density sample {low} at index {idx} is at or below "
             f"the positivity floor {RHO_FLOOR}", location=idx, value=low)
-    return low
 
 
 # ---------------------------------------------------------------------------
@@ -356,12 +355,11 @@ class SpectralState:
     """One state's spectral coefficients and the derived fields that the
     step and the report share, each computed at most once: ln rho, grad ln
     rho, u and v, grad w, the Hessian of ln rho, |u|^2 and the pressure
-    (arrays; vector and tensor components lead), and ``rho_min``, the lowest
-    density sample, which the step's shift and ``cfl_dt`` read.  The
-    transforms go in the dependency stages that the stepper,
-    ``tendency_hats`` and ``evaluate_report`` ask ``fill`` for; a field read
-    on its own is a stage of its own.  A bare state first sends rho, the
-    components of w and ln rho forward in one call.
+    (arrays; vector and tensor components lead).  The transforms go in the
+    dependency stages that the stepper, ``tendency_hats`` and
+    ``evaluate_report`` ask ``fill`` for; a field read on its own is a stage
+    of its own.  A bare state first sends rho, the components of w and ln rho
+    forward in one call.
 
     ``rhs``, ``cfl_dt`` and ``evaluate_report`` accept it in place of the
     FieldState it wraps, so they share this work.  Build it with
@@ -460,17 +458,11 @@ class SpectralState:
     def pressure(self) -> np.ndarray:  # model.pressure's, on a checked density
         return self.params.a * self.rho.data ** self.params.gamma
 
-    @cached_property
-    def rho_min(self) -> float:
-        """The lowest density sample (a float, not stacked); the stepper sets
-        it to the one its positivity check found."""
-        return float(np.min(self.rho.data))
-
 
 #: the derived fields of a SpectralState, which ``SpectralState.stack`` takes
 #: from its members where every member holds one
 _DERIVED = tuple(name for name, attr in vars(SpectralState).items()
-                 if isinstance(attr, (_Transformed, cached_property)) and name != "rho_min")
+                 if isinstance(attr, (_Transformed, cached_property)))
 
 
 def spectral_state(state: FieldState | SpectralState, params: ModelParams) -> SpectralState:

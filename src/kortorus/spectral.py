@@ -41,6 +41,9 @@ from .errors import InvalidField, require
 
 TAU = 2.0 * math.pi
 
+#: the torus dimensions that a grid, a field dump and a Serrin pair may have
+DIMENSIONS = (1, 2)
+
 _MIN_RESOLUTION = 8
 
 
@@ -79,7 +82,8 @@ class SpectralGrid:
             length = TAU
         len_ = _as_tuple(length, n=len(res), kind=float)
         require(
-            (len(res) in (1, 2), f"grid dimension must be 1 or 2, got {len(res)}"),
+            (len(res) in DIMENSIONS,
+             f"grid dimension must be one of {DIMENSIONS}, got {len(res)}"),
             (len(len_) == len(res), f"grid.length must have one entry per axis of "
                                     f"grid.resolution ({len(res)}), got {len(len_)}"),
             *((n >= _MIN_RESOLUTION and _is_power_of_two(n),

@@ -2,16 +2,18 @@
 
 The density equation is advanced with an exact spectral integrating factor
 for its linear diffusion (kappa/mu) Lap rho (absent in the ``original``
-variant) and an explicit transport term; the velocity equation treats a
-constant-coefficient Laplacian shift nu * Lap implicitly and the variable
-coefficient remainder explicitly.  With the shift nu = mu * min(rho) the
-stiffest modes are damped while the per-mode solves stay diagonal.
+variant) and an explicit transport term; the velocity equation treats its
+viscous diffusion mu Lap implicitly and the remainder explicitly.  The
+velocity tendency is per unit mass, so its stress term div(mu rho grad w)/rho
+= mu Lap w + mu (grad ln rho . grad) w diffuses at the rate mu whatever the
+density, and the per-mode solves stay diagonal; ``cfl_dt`` bounds the
+transport that is left explicit.
 
 Schemes:
 
 * ``imex_euler``   exponential Euler on the density
                    (rho_hat' = E rho_hat + dt phi1 N_hat, E = exp(-lam dt)),
-                   backward-Euler shift on the velocity; first order.
+                   backward Euler on the velocity's mu Lap; first order.
 * ``imex_bdf2``    two-step variable-step BDF with explicit extrapolation of
                    the nonlinear terms, density again under the integrating
                    factor; second order.  The first step bootstraps with
@@ -22,14 +24,13 @@ density floor is retried with dt/2 down to dt_min, then the failure is
 raised (never clipped, so the vacuum monitors retain their meaning).
 
 A step computes each quantity once at the scope it depends on.  Once per
-run (a Stepper): the linear rates -Lap and (kappa/mu) -Lap.  Once per dt,
-and per previous dt for imex_bdf2: E = exp(-lam dt) and dt phi1, or the BDF2
-weights with the integrating factors folded in; the Stepper holds these
-sets up to _FACTOR_CACHE_ENTRIES entries in all, so a retry at a dt taken
-before and every step of a fixed-dt run reuse them.  Once per state: the
-density minimum, found by the positivity check and kept as
-``SpectralState.rho_min`` for the velocity shift of every attempt from that
-state and for ``cfl_dt``.
+run (a Stepper): the linear rates (kappa/mu) -Lap of the density and
+mu -Lap of the velocity.  Once per dt, and per previous dt for imex_bdf2:
+E = exp(-lam dt), dt phi1 and the velocity's divisor 1 + mu k^2 dt, or the
+BDF2 weights with the integrating factors folded in and the divisor
+a0 + mu k^2 dt; the Stepper holds these sets up to _FACTOR_CACHE_ENTRIES
+entries in all, so a retry at a dt taken before and every step of a
+fixed-dt run reuse them.
 """
 
 from __future__ import annotations
@@ -67,8 +68,6 @@ ForcingFn = Callable[[float], tuple[np.ndarray, np.ndarray]]
 class IntegratorConfig:
     """Step-size and scheme selection.
 
-    ``implicit_viscosity_shift`` fixes the implicit Laplacian coefficient in
-    the velocity equation; None selects mu * min(rho) at each step start.
     ``snapshot_interval`` decouples output cadence from dt (None stores every
     accepted step); ``adaptive`` disables the CFL controller for fixed-dt
     convergence studies.  A config that breaks its constraints raises one
@@ -79,13 +78,12 @@ class IntegratorConfig:
     dt_min: float
     t_end: float
     cfl_safety: float = 0.9
-    implicit_viscosity_shift: float | None = None
     scheme: str = "imex_euler"
     snapshot_interval: float | None = None
     adaptive: bool = True
 
     def __post_init__(self):
-        shift, interval = self.implicit_viscosity_shift, self.snapshot_interval
+        interval = self.snapshot_interval
         require(
             (self.dt_initial > 0.0,
              f"integrator.dt_initial must be positive, got {self.dt_initial}"),
@@ -95,8 +93,6 @@ class IntegratorConfig:
             (self.t_end > 0.0, f"integrator.t_end must be positive, got {self.t_end}"),
             (0.0 < self.cfl_safety <= 1.0,
              f"integrator.cfl_safety must lie in (0, 1], got {self.cfl_safety}"),
-            (shift is None or shift >= 0.0,
-             f"integrator.implicit_viscosity_shift must be >= 0, got {shift}"),
             (self.scheme in SCHEMES,
              f"integrator.scheme must be one of {SCHEMES}, got {self.scheme!r}"),
             (interval is None or interval > 0.0,
@@ -161,27 +157,26 @@ class Trajectory:
         self.states.append(state)
 
 
-def _shift_value(d: SpectralState, params: ModelParams, config: IntegratorConfig) -> float:
-    if config.implicit_viscosity_shift is not None:
-        return config.implicit_viscosity_shift
-    return params.mu * d.rho_min
-
-
 def cfl_dt(state: FieldState | SpectralState, params: ModelParams,
            config: IntegratorConfig) -> float:
-    """cfl_safety * min(h / max|u|, h^2 / nu_expl) with h the smallest grid
-    spacing, u the advecting velocity, and nu_expl = mu max(rho) - nu_shift
-    the explicitly treated slice of the velocity diffusion.  An empty bound
-    is +inf; a result below dt_min raises StepUnderflow.
+    """cfl_safety * h / max|u - mu grad ln rho|, with h the smallest grid
+    spacing: the bound on the transport that the step treats explicitly.
+
+    The velocity tendency is per unit mass, so in every variant
+
+        d_t w = -(u . grad) w + div(mu rho grad w) / rho + ...
+              = mu Lap w - ((u - mu grad ln rho) . grad) w + ...,
+
+    u the advecting velocity.  The step takes mu Lap w implicitly, so the
+    transport it leaves explicit carries w at the speed u - mu grad ln rho.
+    The pressure and, in ``original``, the alpha and capillary stresses are
+    explicit too and are not bounded here.  An empty bound is +inf; a result
+    below dt_min raises StepUnderflow.
     """
     d = spectral_state(state, params)
     h = min(d.grid.spacing)
-    max_u = math.sqrt(d.u_sq.max())
-    adv = math.inf if max_u == 0.0 else h / max_u
-    nu_expl = max(params.mu * float(d.rho.data.max())
-                  - _shift_value(d, params, config), 0.0)
-    diff = math.inf if nu_expl == 0.0 else h * h / nu_expl
-    dt = config.cfl_safety * min(adv, diff)
+    speed = math.sqrt(((d.u - params.mu * d.grad_ln_rho) ** 2).sum(axis=0).max())
+    dt = config.cfl_safety * (math.inf if speed == 0.0 else h / speed)
     if dt < config.dt_min:
         raise StepUnderflow(
             f"CFL-limited dt {dt} fell below dt_min {config.dt_min}",
@@ -243,26 +238,27 @@ def _phi1(z: np.ndarray) -> np.ndarray:
 
 
 def _check_new_state(grid: SpectralGrid, rho_data: np.ndarray, w_data: np.ndarray,
-                     t_new: float) -> tuple[FieldState, float]:
-    """The state of a step's samples, and its lowest density sample."""
+                     t_new: float) -> FieldState:
+    """The state of a step's samples, once they pass the checks."""
     if not (np.isfinite(rho_data).all() and np.isfinite(w_data).all()):
         raise NonFinite(f"time step produced non-finite samples at t={t_new}", time=t_new)
     try:
-        rho_min = require_above_floor(rho_data)
+        require_above_floor(rho_data)
     except NonpositiveDensity as exc:
         raise PositivityLoss(f"density reached {exc.value} at index {exc.location}, t={t_new}",
                              location=exc.location, time=t_new) from None
-    return FieldState(ScalarField(grid, rho_data), VectorField(grid, w_data), time=t_new), rho_min
+    return FieldState(ScalarField(grid, rho_data), VectorField(grid, w_data), time=t_new)
 
 
 #: the most entries (array elements, a scalar weight counting one) that the
 #: per-dt factor sets of one Stepper hold in all; the oldest sets go first,
-#: the newest always stays.  A set holds two (imex_euler) or four (imex_bdf2)
-#: coefficient arrays of the rfft half lattice: 66 or 137 entries at 1D
-#: N = 64, 16,640 or 33,285 at 128^2.  2^16 (512 KB) keeps the two sets of a
-#: fixed-dt imex_bdf2 run up to 128^2 and the 25 rungs dt 2^-k of a 1D
-#: squeeze that halves down to its dt_min, and caps a run whose dt the CFL
-#: bound sets step by step, which makes a new set each step.
+#: the newest always stays.  A set holds three (imex_euler) or five
+#: (imex_bdf2) coefficient arrays of the rfft half lattice: 99 or 170 entries
+#: at 1D N = 64, 24,960 or 41,605 at 128^2.  2^16 (512 KB) keeps the BDF2 set
+#: of a fixed-dt imex_bdf2 run up to 128^2 (there its Euler start set goes
+#: when the BDF2 set comes) and the 25 rungs dt 2^-k of a 1D squeeze that
+#: halves down to its dt_min, and caps a run whose dt the CFL bound sets step
+#: by step, which makes a new set each step.
 _FACTOR_CACHE_ENTRIES = 2 ** 16
 
 
@@ -272,28 +268,31 @@ def _factor_entries(factor_sets) -> int:
     return sum(np.size(f) for factors in factor_sets for f in factors)
 
 
-def _euler_factors(lam_rho: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """exp(z) and dt phi1(z) at z = -lam_rho dt."""
+def _euler_factors(rates: tuple[np.ndarray, np.ndarray], dt: float) -> tuple:
+    """exp(z) and dt phi1(z) at z = -lam_rho dt, and the velocity's divisor
+    1 + lam_w dt, of the split's ``rates`` (lam_rho, lam_w)."""
+    lam_rho, lam_w = rates
     z = -lam_rho * dt
-    return np.exp(z), dt * _phi1(z)
+    return np.exp(z), dt * _phi1(z), 1.0 + lam_w * dt
 
 
-def _advance_euler(level: _Level, factors: tuple[np.ndarray, np.ndarray], ksq: np.ndarray,
-                   nu_shift: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    exp_z, dt_phi1 = factors
+def _advance_euler(level: _Level, factors: tuple, lam_w: np.ndarray,
+                   dt: float) -> tuple[np.ndarray, np.ndarray]:
+    exp_z, dt_phi1, w_divisor = factors
     rho_hat = exp_z * level.rho_hat + dt_phi1 * level.n_rho_hat
 
-    nu_ksq = nu_shift * ksq
-    r_hat = level.f_w_hat + nu_ksq * level.w_hat
-    w_hat = (level.w_hat + dt * r_hat) / (1.0 + nu_ksq * dt)
+    r_hat = level.f_w_hat + lam_w * level.w_hat
+    w_hat = (level.w_hat + dt * r_hat) / w_divisor
     return rho_hat, w_hat
 
 
-def _bdf2_factors(lam_rho: np.ndarray, dt: float, dt_prev: float) -> tuple:
+def _bdf2_factors(rates: tuple[np.ndarray, np.ndarray], dt: float, dt_prev: float) -> tuple:
     """The variable-step BDF2 weights (a0, a1, a2, c1, c2) of dt after
-    dt_prev, and the density's integrating factors folded into them:
-    -a1 e1, a2 e2, c1 e1 and c2 e2, with e1 = exp(-lam_rho dt) and
-    e2 = exp(-lam_rho (dt + dt_prev))."""
+    dt_prev, the density's integrating factors folded into them: -a1 e1,
+    a2 e2, c1 e1 and c2 e2, with e1 = exp(-lam_rho dt) and
+    e2 = exp(-lam_rho (dt + dt_prev)), and the velocity's divisor
+    a0 + lam_w dt, of the split's ``rates`` (lam_rho, lam_w)."""
+    lam_rho, lam_w = rates
     w_ratio = dt / dt_prev
     a0 = (1.0 + 2.0 * w_ratio) / (1.0 + w_ratio)
     a1 = -(1.0 + w_ratio)
@@ -303,20 +302,19 @@ def _bdf2_factors(lam_rho: np.ndarray, dt: float, dt_prev: float) -> tuple:
 
     e1 = np.exp(-lam_rho * dt)
     e2 = np.exp(-lam_rho * (dt + dt_prev))
-    return a0, a1, a2, c1, c2, -a1 * e1, a2 * e2, c1 * e1, c2 * e2
+    return a0, a1, a2, c1, c2, -a1 * e1, a2 * e2, c1 * e1, c2 * e2, a0 + lam_w * dt
 
 
-def _advance_bdf2(level_n: _Level, level_p: _Level, factors: tuple, ksq: np.ndarray,
-                  nu_shift: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    a0, a1, a2, c1, c2, a1_e1, a2_e2, c1_e1, c2_e2 = factors
+def _advance_bdf2(level_n: _Level, level_p: _Level, factors: tuple, lam_w: np.ndarray,
+                  dt: float) -> tuple[np.ndarray, np.ndarray]:
+    a0, a1, a2, c1, c2, a1_e1, a2_e2, c1_e1, c2_e2, w_divisor = factors
     rho_hat = (a1_e1 * level_n.rho_hat - a2_e2 * level_p.rho_hat
                + dt * (c1_e1 * level_n.n_rho_hat + c2_e2 * level_p.n_rho_hat)) / a0
 
-    nu_ksq = nu_shift * ksq
-    r_n = level_n.f_w_hat + nu_ksq * level_n.w_hat
-    r_p = level_p.f_w_hat + nu_ksq * level_p.w_hat
+    r_n = level_n.f_w_hat + lam_w * level_n.w_hat
+    r_p = level_p.f_w_hat + lam_w * level_p.w_hat
     w_hat = (-a1 * level_n.w_hat - a2 * level_p.w_hat
-             + dt * (c1 * r_n + c2 * r_p)) / (a0 + nu_ksq * dt)
+             + dt * (c1 * r_n + c2 * r_p)) / w_divisor
     return rho_hat, w_hat
 
 
@@ -330,10 +328,9 @@ class Stepper:
     stage brings rho and w back for the positivity check; ``rhs`` then makes
     the tendencies' stages.
 
-    It computes the split's linear rates once (per run), its factors once per
-    dt and previous dt, into ``_factors``, which is its own and holds at most
-    _FACTOR_CACHE_ENTRIES entries, and each state's density minimum once, as
-    the ``rho_min`` of ``derived``, from the positivity check.
+    It computes the split's linear rates once (per run) and its factors once
+    per dt and previous dt, into ``_factors``, which is its own and holds at
+    most _FACTOR_CACHE_ENTRIES entries.
     """
 
     def __init__(self, state: FieldState, params: ModelParams, config: IntegratorConfig,
@@ -342,9 +339,11 @@ class Stepper:
         self.config = config
         self.forcing = forcing
         self.derived = spectral_state(state, params)
-        # the linear rates of the split: -Lap, and the density's (kappa/mu) -Lap
-        self._ksq = -state.grid.rfft_minus_beta_sq
-        self._lam_rho = (params.eps if params.variant != "original" else 0.0) * self._ksq
+        # the linear rates of the split: the density's (kappa/mu) -Lap and
+        # the velocity's mu -Lap
+        ksq = -state.grid.rfft_minus_beta_sq
+        self._rates = ((params.eps if params.variant != "original" else 0.0) * ksq,
+                       params.mu * ksq)
         self._factors: dict[tuple[float, float | None], tuple] = {}
         self.run_state = RunState((_make_level(self.derived, forcing, None),), None,
                                   config.snapshot_interval)
@@ -360,8 +359,8 @@ class Stepper:
         factors = self._factors.get(key)
         if factors is None:
             factors = self._factors[key] = (
-                _euler_factors(self._lam_rho, dt) if dt_prev is None
-                else _bdf2_factors(self._lam_rho, dt, dt_prev))
+                _euler_factors(self._rates, dt) if dt_prev is None
+                else _bdf2_factors(self._rates, dt, dt_prev))
             held = _factor_entries(self._factors.values())
             while held > _FACTOR_CACHE_ENTRIES and len(self._factors) > 1:
                 held -= _factor_entries([self._factors.pop(next(iter(self._factors)))])
@@ -372,26 +371,23 @@ class Stepper:
         failure without mutating the history."""
         if not (dt > 0.0):
             raise ValueError(f"dt must be positive, got {dt}")
-        d = self.derived
-        grid = d.grid
-        nu_shift = _shift_value(d, self.params, self.config)
+        grid = self.derived.grid
+        lam_w = self._rates[1]
         run_state = self.run_state
         levels = run_state.levels
         level = levels[-1]
         if self.config.scheme == "imex_bdf2" and len(levels) == 2:
             rho_hat, w_hat = _advance_bdf2(level, levels[0], self._factors_of(dt, level.dt_prev),
-                                           self._ksq, nu_shift, dt)
+                                           lam_w, dt)
         else:
-            rho_hat, w_hat = _advance_euler(level, self._factors_of(dt, None), self._ksq,
-                                            nu_shift, dt)
+            rho_hat, w_hat = _advance_euler(level, self._factors_of(dt, None), lam_w, dt)
         # grad w rides along only where it costs no call: a 2D grid inverts
         # it when the tendencies first read it, after the check
         rho, w, *grad_w = to_physical_stage(
             [rho_hat, w_hat] + ([grad_hat(w_hat, grid)] if grid.dim == 1 else []), grid)
         # copies, so that a kept state does not hold the stage's whole array
-        new_state, rho_min = _check_new_state(grid, rho.copy(), w.copy(), level.time + dt)
+        new_state = _check_new_state(grid, rho.copy(), w.copy(), level.time + dt)
         self.derived = d = SpectralState(new_state, self.params, rho_hat, w_hat)
-        d.rho_min = rho_min
         if grad_w:
             d.grad_w = grad_w[0]
         self.run_state = RunState((level, _make_level(d, self.forcing, dt)), run_state.report,
@@ -450,8 +446,6 @@ def run(initial: FieldState, params: ModelParams, config: IntegratorConfig,
                 dt = min(config.dt_initial, config.t_end - last.time,
                          cfl_dt(stepper.derived, params, config) if config.adaptive
                          else math.inf)
-                # a full batch is reported after cfl_dt, which made |u|^2 of
-                # its newest state for the report to take
                 if len(stepper.run_state.pending) >= per_batch:
                     _report_pending(stepper, trajectory, monitors)
                 while True:

@@ -3,21 +3,13 @@ equations, computing every integrating factor and weight on each call.
 
 ``kortorus.timestepping`` computes those factors once per dt (and per
 previous dt for imex_bdf2) and holds them on its Stepper; the tests hold its
-kernels and runs equal to these, with ``==``.  The density minimum of the
-velocity shift is taken here from the samples, as ``reference_shift`` does.
+kernels and runs equal to these, with ``==``.  The velocity's implicit part
+is mu Lap, its viscous term at its true rate mu.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def reference_shift(state, params, config) -> float:
-    """The implicit velocity shift at ``state``: the configured one, or mu
-    times the lowest density sample."""
-    if config.implicit_viscosity_shift is not None:
-        return config.implicit_viscosity_shift
-    return params.mu * float(np.min(state.rho.data))
 
 
 def reference_phi1(z: np.ndarray) -> np.ndarray:
@@ -27,18 +19,18 @@ def reference_phi1(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def reference_euler(level, lam_rho, ksq, nu_shift, dt):
+def reference_euler(level, lam_rho, ksq, mu, dt):
     """Exponential Euler on the density, backward Euler on the velocity's
-    shift: (rho_hat, w_hat) one step of dt after ``level``."""
+    mu Lap: (rho_hat, w_hat) one step of dt after ``level``."""
     z = -lam_rho * dt
     rho_hat = np.exp(z) * level.rho_hat + dt * reference_phi1(z) * level.n_rho_hat
 
-    r_hat = level.f_w_hat + nu_shift * ksq * level.w_hat
-    w_hat = (level.w_hat + dt * r_hat) / (1.0 + nu_shift * ksq * dt)
+    r_hat = level.f_w_hat + mu * ksq * level.w_hat
+    w_hat = (level.w_hat + dt * r_hat) / (1.0 + mu * ksq * dt)
     return rho_hat, w_hat
 
 
-def reference_bdf2(level_n, level_p, lam_rho, ksq, nu_shift, dt):
+def reference_bdf2(level_n, level_p, lam_rho, ksq, mu, dt):
     """Variable-step BDF2 with extrapolated explicit terms, the density under
     its integrating factor: (rho_hat, w_hat) one step of dt after
     ``level_n``, which ``level_n.dt_prev`` after ``level_p``."""
@@ -54,8 +46,8 @@ def reference_bdf2(level_n, level_p, lam_rho, ksq, nu_shift, dt):
     rho_hat = (-a1 * e1 * level_n.rho_hat - a2 * e2 * level_p.rho_hat
                + dt * (c1 * e1 * level_n.n_rho_hat + c2 * e2 * level_p.n_rho_hat)) / a0
 
-    r_n = level_n.f_w_hat + nu_shift * ksq * level_n.w_hat
-    r_p = level_p.f_w_hat + nu_shift * ksq * level_p.w_hat
+    r_n = level_n.f_w_hat + mu * ksq * level_n.w_hat
+    r_p = level_p.f_w_hat + mu * ksq * level_p.w_hat
     w_hat = (-a1 * level_n.w_hat - a2 * level_p.w_hat
-             + dt * (c1 * r_n + c2 * r_p)) / (a0 + nu_shift * ksq * dt)
+             + dt * (c1 * r_n + c2 * r_p)) / (a0 + mu * ksq * dt)
     return rho_hat, w_hat

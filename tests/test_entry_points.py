@@ -20,8 +20,7 @@ README_SIGNATURES = {
     "SpectralGrid": "(resolution, length=None)",
     "ModelParams": "(mu, alpha, kappa, a, gamma, variant='original')",
     "FieldState": "(rho, w, time=0.0)",
-    "IntegratorConfig": "(dt_initial, dt_min, t_end, cfl_safety=0.9, "
-                        "implicit_viscosity_shift=None, scheme='imex_euler', "
+    "IntegratorConfig": "(dt_initial, dt_min, t_end, cfl_safety=0.9, scheme='imex_euler', "
                         "snapshot_interval=None, adaptive=True)",
     "MonitorSpec": "(delta=0.5, p_integrability=4.0, p_vacuum=2.0, serrin_p=4.0, "
                    "serrin_q=None, epsilon=0.01, delta_vacuum=0.1)",

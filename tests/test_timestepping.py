@@ -8,9 +8,10 @@ from kortorus.config import parse_config
 from kortorus.errors import NonFinite, PositivityLoss, StepUnderflow
 from kortorus.functionals import MonitorSpec
 from kortorus.littlewood_paley import BesovIndex, besov_norm
-from kortorus.model import FieldState, ModelParams
+from kortorus.model import FieldState, ModelParams, recover_u
 from kortorus.scenarios import initial_state, manufactured_solution
-from kortorus.spectral import ScalarField, SpectralGrid, VectorField, forward_transform
+from kortorus.spectral import (ScalarField, SpectralGrid, VectorField, forward_transform,
+                               gradient)
 from kortorus.timestepping import IntegratorConfig, cfl_dt, run, step
 from helpers import max_abs, readme_blocks
 
@@ -99,19 +100,27 @@ class TestStep:
 
 
 class TestCFL:
-    def test_zero_velocity_diffusion_bound(self):
-        grid = SpectralGrid(64)
-        x = grid.axes()[0]
-        st = FieldState(ScalarField(grid, 1.0 + 0.5 * np.sin(x)), grid.zero_vector())
-        cfg = base_config(cfl_safety=0.5)
-        h = grid.spacing[0]
-        nu_expl = P_V2.mu * float(np.max(st.rho.data)) - P_V2.mu * float(np.min(st.rho.data))
-        expected = 0.5 * h * h / nu_expl
-        assert cfl_dt(st, P_V2, cfg) == pytest.approx(expected, rel=1e-14)
+    @pytest.mark.parametrize("variant", ["effective_v2", "original"])
+    @pytest.mark.parametrize("resolution", [64, (32, 32)])
+    def test_transport_speed_bound(self, variant, resolution):
+        # the bound is h / max|u - mu grad ln rho|, on a state whose
+        # grad ln rho does not vanish
+        grid = SpectralGrid(resolution)
+        params = P_V2.with_variant(variant)
+        st = initial_state(grid, "random_smooth",
+                           {"mean": 1.5, "amplitude": 0.3,
+                            "velocity_amplitude": 0.7}, seed=2)
+        grad_ln_rho = gradient(ScalarField(grid, np.log(st.rho.data))).data
+        assert max_abs(grad_ln_rho) > 0.1
+        u = recover_u(st.rho, st.w, params).data if variant != "original" else st.w.data
+        speed = float(np.sqrt(((u - params.mu * grad_ln_rho) ** 2).sum(axis=0)).max())
+        h = min(grid.spacing)
+        assert cfl_dt(st, params, base_config(cfl_safety=0.9)) == pytest.approx(
+            0.9 * h / speed, rel=1e-14)
 
     def test_velocity_halves_advective_bound(self):
         grid = SpectralGrid(64)
-        cfg = base_config(cfl_safety=0.4, implicit_viscosity_shift=10.0)
+        cfg = base_config(cfl_safety=0.4)
         h = grid.spacing[0]
         dts = []
         for amp in (1.0, 2.0):
@@ -121,26 +130,43 @@ class TestCFL:
         assert dts[0] == pytest.approx(0.4 * h / 1.0, rel=1e-14)
         assert dts[1] == pytest.approx(dts[0] / 2.0, rel=1e-14)
 
-    def test_formula_on_random_state(self):
-        grid = SpectralGrid(64)
-        st = initial_state(grid, "random_smooth",
-                           {"mean": 1.5, "amplitude": 0.3,
-                            "velocity_amplitude": 0.7}, seed=2)
-        cfg = base_config(cfl_safety=0.9)
-        h = grid.spacing[0]
-        from kortorus.model import recover_u
-        u = recover_u(st.rho, st.w, P_V2)
-        max_u = float(np.max(np.abs(u.data)))
-        nu_expl = P_V2.mu * (float(np.max(st.rho.data)) - float(np.min(st.rho.data)))
-        expected = 0.9 * min(h / max_u, h * h / nu_expl)
-        assert cfl_dt(st, P_V2, cfg) == pytest.approx(expected, rel=1e-14)
-
     def test_underflow(self):
         grid = SpectralGrid(64)
         w = VectorField(grid, np.full((1,) + grid.shape, 1e9))
         st = FieldState(grid.constant(1.0), w)
         with pytest.raises(StepUnderflow):
             cfl_dt(st, P_V2, base_config(dt_min=1e-3))
+
+
+class TestViscousRate:
+    """The velocity tendency is per unit mass, so its stress term
+    div(mu rho grad w)/rho = mu Lap w + mu (grad ln rho . grad) w diffuses at
+    the rate mu at every density, and the step treats it so."""
+
+    @pytest.mark.parametrize("variant", ["effective_v2", "original"])
+    @pytest.mark.parametrize("rho0", [0.1, 1.0, 10.0])
+    def test_velocity_mode_decays_at_mu_whatever_the_density(self, rho0, variant):
+        grid = SpectralGrid(32)
+        params = P_V2.with_variant(variant)
+        w = VectorField(grid, 1e-3 * np.sin(3 * grid.axes()[0])[None])
+        dt = 0.01
+        out = step(FieldState(grid.constant(rho0), w), params, base_config(), dt)
+        ratio = np.fft.rfft(out.w.data[0])[3] / np.fft.rfft(w.data[0])[3]
+        assert ratio == pytest.approx(1.0 / (1.0 + 9.0 * params.mu * dt), rel=1e-13)
+
+    def test_low_density_run_completes_with_decaying_energy(self):
+        # at mean density 0.2, an implicit rate of mu rho would leave about
+        # 0.8 mu Lap explicit, far beyond what dt 0.05 at N = 128 can carry
+        params = ModelParams(mu=1.0, alpha=0.0, kappa=1.0, a=0.1, gamma=2.0,
+                             variant="effective_v2")
+        st = initial_state(SpectralGrid(128), "random_smooth",
+                           {"mean": 0.2, "amplitude": 0.05, "velocity_amplitude": 0.1,
+                            "modes": 3}, seed=0)
+        traj = run(st, params, base_config(dt_initial=0.05, t_end=10.0))
+        assert traj.terminated is None
+        assert traj.reports[-1].time == pytest.approx(10.0)
+        energy = [r.effective_energy for r in traj.reports]
+        assert all(b - a <= 1e-12 * abs(a) for a, b in zip(energy, energy[1:]))
 
 
 class TestRun:
