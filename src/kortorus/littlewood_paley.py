@@ -318,13 +318,22 @@ def block_lp_norms(u: ScalarField | VectorField, idx: BesovIndex) -> dict[int, f
     return dict(zip(family_for(u.grid).block_range, _block_norm_rows([u], idx)[0].tolist()))
 
 
-def _besov_aggregate(norms: Sequence[float], idx: BesovIndex, family: DyadicFamily) -> float:
-    """l^r over blocks of 2^{qs} times ``norms``, one norm per block of
-    family.block_range."""
-    arr = np.asarray([2.0 ** (q * idx.s) * n for q, n in zip(family.block_range, norms)])
+def _besov_aggregates(rows: np.ndarray, idx: BesovIndex, family: DyadicFamily) -> list[float]:
+    """l^r over blocks of 2^{qs} times each row of ``rows``, a C-contiguous
+    (fields, blocks) array with one norm per block of family.block_range.
+    Each value has the bits of its row aggregated alone: the weights and the
+    power are elementwise, a row of a C-contiguous array is summed as that
+    row alone, and the root is taken per value (numpy's array power can be
+    an ulp off the scalar one)."""
+    weighted = np.array([2.0 ** (q * idx.s) for q in family.block_range]) * rows
     if math.isinf(idx.r):
-        return float(np.max(arr))
-    return float(np.sum(arr ** idx.r) ** (1.0 / idx.r))
+        return np.max(weighted, axis=-1).tolist()
+    return [total ** (1.0 / idx.r) for total in np.sum(weighted ** idx.r, axis=-1).tolist()]
+
+
+def _besov_aggregate(norms: Sequence[float], idx: BesovIndex, family: DyadicFamily) -> float:
+    """``_besov_aggregates`` of one row of block norms."""
+    return _besov_aggregates(np.array([list(norms)], dtype=float), idx, family)[0]
 
 
 def besov_norm(u: ScalarField | VectorField, idx: BesovIndex) -> float:
@@ -338,7 +347,7 @@ def _besov_norms(fields: Sequence[ScalarField | VectorField], idx: BesovIndex) -
     if not fields:
         return []
     family = family_for(fields[0].grid)
-    return [_besov_aggregate(row, idx, family) for row in _block_norm_rows(fields, idx).tolist()]
+    return _besov_aggregates(_block_norm_rows(fields, idx), idx, family)
 
 
 def sobolev_weight_norm(u: ScalarField, s: float) -> float:
@@ -362,18 +371,53 @@ def _check_time_norm(name: str, fields, rho_exp: float) -> None:
     require((rho_exp >= 1.0, f"time exponent must satisfy rho >= 1, got {rho_exp}"))
 
 
+def _simpson_pairs(y: np.ndarray, h: np.ndarray, stop: int) -> np.ndarray:
+    """Simpson's rule for irregular spacing over the interval pairs that
+    start at samples 0, 2, ... < stop, summed along the last axis of ``y``;
+    ``h`` holds the spacings."""
+    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    hsum = h0 + h1
+    hprod = h0 * h1
+    h0divh1 = h0 / h1
+    pairs = hsum / 6.0 * (y[..., 0:stop:2] * (2.0 - 1.0 / h0divh1)
+                          + y[..., 1:stop + 1:2] * (hsum * (hsum / hprod))
+                          + y[..., 2:stop + 2:2] * (2.0 - h0divh1))
+    return np.sum(pairs, axis=-1)
+
+
+def _simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Composite Simpson integral of each row of ``y`` (rows, samples),
+    sampled at the strictly increasing points ``x`` (at least three): the
+    operations of scipy 1.17's ``scipy.integrate.simpson(y, x=x, axis=-1)``
+    in its order, so the same bits.  An odd sample count takes Simpson's
+    rule on every interval pair; an even one takes it on all but the last
+    interval, which gets Cartwright's correction.  (scipy guards each
+    division against a zero spacing, which such ``x`` do not have.)"""
+    n = y.shape[-1]
+    h = np.diff(x)
+    if n % 2:
+        return _simpson_pairs(y, h, n - 2)
+    h0, h1 = h[-2:, None]
+    alpha = (2 * h1 ** 2 + 3 * h0 * h1) / (6 * (h1 + h0))
+    beta = (h1 ** 2 + 3.0 * h0 * h1) / (6 * h0)
+    eta = h1 ** 3 / (6 * h0 * (h0 + h1))
+    last = alpha * y[..., -1] + beta * y[..., -2] - eta * y[..., -3]
+    # scipy then adds its 0.0 two-sample term, which turns -0.0 into 0.0
+    return _simpson_pairs(y, h, n - 3) + last + 0.0
+
+
 def _time_lp(values: np.ndarray, times: np.ndarray, rho_exp: float,
              quadrature: str) -> list[float]:
     """L^{rho_exp} time norm of each row of ``values`` (rows, times): the
-    max at rho_exp = inf, else one quadrature call over all rows, each row
-    integrated on its own (the same bits as a call of its own) and each
-    root taken per value."""
+    max at rho_exp = inf, else one quadrature call over all rows (composite
+    Simpson, ``_simpson``, or numpy's trapezoid), each row integrated on its
+    own (the same bits as a call of its own) and each root taken per
+    value."""
     if math.isinf(rho_exp):
         return np.max(values, axis=-1).tolist()
     powered = values ** rho_exp
     if quadrature == "simpson":
-        from scipy.integrate import simpson
-        integrals = simpson(powered, x=times, axis=-1)
+        integrals = _simpson(powered, times)
     else:
         integrals = np.trapezoid(powered, x=times, axis=-1)
     return [max(integral, 0.0) ** (1.0 / rho_exp) for integral in integrals.tolist()]
@@ -462,10 +506,10 @@ def verify_derivative_equivalence(corpus: Sequence[ScalarField], s: float = 1.0,
     grad_hats = to_spectral(np.moveaxis(to_physical(grad_hat(hat, grid), grid), 0, 1), grid)
     ratios = []
     excluded = 0
-    for row, grad_row in zip(_block_norms(hat[:, None], family, idx.flavor, p).tolist(),
-                             _block_norms(grad_hats, family, grad_idx.flavor, p).tolist()):
-        denom = _besov_aggregate(row, idx, family)
-        grad_norm = _besov_aggregate(grad_row, grad_idx, family)
+    denoms = _besov_aggregates(_block_norms(hat[:, None], family, idx.flavor, p), idx, family)
+    grad_norms = _besov_aggregates(_block_norms(grad_hats, family, grad_idx.flavor, p),
+                                   grad_idx, family)
+    for denom, grad_norm in zip(denoms, grad_norms):
         if denom == 0.0 or grad_norm == 0.0:
             excluded += 1
             continue
@@ -491,15 +535,14 @@ def verify_embedding(corpus: Sequence[ScalarField], s: float, p1: float, r1: flo
     idx2 = BesovIndex(s - corpus[0].grid.dim * (1.0 / p1 - 1.0 / p2), p2, r2)
     # both norms from one forward transform of each field (and one synthesis
     # of its blocks for the p that is not 2)
-    norms1, norms2 = _block_norms(_field_hats(corpus), family, idx1.flavor,
-                                  (p1, p2)).tolist()
+    norms1, norms2 = _block_norms(_field_hats(corpus), family, idx1.flavor, (p1, p2))
     worst = 0.0
     n = 0
-    for row1, row2 in zip(norms1, norms2):
-        source = _besov_aggregate(row1, idx1, family)
+    for source, target in zip(_besov_aggregates(norms1, idx1, family),
+                              _besov_aggregates(norms2, idx2, family)):
         if source == 0.0:
             continue
-        worst = max(worst, _besov_aggregate(row2, idx2, family) / source)
+        worst = max(worst, target / source)
         n += 1
     return ConstantReport(worst, n)
 
@@ -549,15 +592,16 @@ def heat_regularity_check(u0: ScalarField, forcing, mu: float, s: float, p: floa
 
     for d_t u - mu Lap u = f.  The solution is advanced exactly per mode
     (integrating factor), with forcing accumulated by per-substep trapezoid;
-    time norms use composite Simpson so closed-form single-mode cases are
-    reproduced to ~1e-12.  The steps are written, a group of time samples
-    at a time, into a stack of rfft coefficients whose blocks fill whole
-    chunks of ``_block_norms``: the group's forcing increments are formed
-    together, the recurrence is written in place into the group's stack,
-    and the group is measured, with no physical round trip, before the next
-    is made.  At p = 2 the block norms come from those coefficients by
-    Parseval, with no inverse transform; at other p through the chunked
-    synthesis.  ||u0||_{B^s_{p,r}} comes from the t = 0 block norms, and
+    time norms use composite Simpson (``_simpson``, which gives scipy's
+    ``simpson`` bits without importing scipy.integrate) so closed-form
+    single-mode cases are reproduced to ~1e-12.  The steps are written, a
+    group of time samples at a time, into a stack of rfft coefficients
+    whose blocks fill whole chunks of ``_block_norms``: the group's forcing
+    increments are formed together, the recurrence is written in place into
+    the group's stack, and the group is measured, with no physical round
+    trip, before the next is made.  At p = 2 the block norms come from those
+    coefficients by Parseval, with no inverse transform; at other p through
+    the chunked synthesis.  ||u0||_{B^s_{p,r}} comes from the t = 0 block norms, and
     each tilde norm takes every block's time norm in one quadrature call.
     A callable forcing is sampled at every time into one array and
     transformed forward once.  Memory: about one chunk of coefficients and

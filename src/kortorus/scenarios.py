@@ -22,6 +22,7 @@ commands and families that never use one do not pay for it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
@@ -54,25 +55,26 @@ def random_trig_fields(grid: SpectralGrid, rng: np.random.Generator, count: int,
     function on grids of different resolution.
 
     Draw order: the coefficient pairs (c1, c2) are drawn from ``rng`` before
-    any sampling, field by field and, within a field, mode by mode (k = 1..kmax
-    in 1D; kx = 0..kmax, then ky = -kmax..kmax, one representative per
-    conjugate pair, in 2D).  Then each mode's phase, cos and sin are evaluated
-    once on the grid and added to every field.  So the stack, and the state
-    ``rng`` is left in, are those of ``count`` one-field calls in a row.
+    any sampling, field by field and, within a field, mode by mode: the
+    modes of the half lattice, k_1 = 0..kmax and each later component
+    -kmax..kmax in lexicographic order, whose first nonzero component is
+    positive (one representative per conjugate pair; k = 1..kmax in 1D).
+    Then each mode's phase, the sum over axes of k_i theta_i, and its cos
+    and sin are evaluated once on the grid and added to every field.  So
+    the stack, and the state ``rng`` is left in, are those of ``count``
+    one-field calls in a row.
     """
     mesh = grid.meshgrid()
     theta = [TAU * m / L for m, L in zip(mesh, grid.length)]
-    if grid.dim == 1:
-        modes = [(k,) for k in range(1, kmax + 1)]
-    else:
-        modes = [(kx, ky) for kx in range(0, kmax + 1) for ky in range(-kmax, kmax + 1)
-                 if kx > 0 or ky > 0]
+    modes = [mode for mode in itertools.product(range(kmax + 1),
+                                                *[range(-kmax, kmax + 1)] * (grid.dim - 1))
+             if next((k for k in mode if k), 0) > 0]
     amps = [math.exp(-decay * math.hypot(*mode)) for mode in modes]
     coeffs = rng.normal(size=(count, len(modes), 2))
     column = (count,) + (1,) * grid.dim
     out = np.zeros((count,) + grid.shape)
     for mode, amp, (c1, c2) in zip(modes, amps, coeffs.transpose(1, 2, 0)):
-        phase = mode[0] * theta[0] if grid.dim == 1 else mode[0] * theta[0] + mode[1] * theta[1]
+        phase = sum(k * angle for k, angle in zip(mode, theta))
         # amp * (c1 cos + c2 sin), in place to hold two stacks of temporaries
         term = c1.reshape(column) * np.cos(phase)
         term += c2.reshape(column) * np.sin(phase)

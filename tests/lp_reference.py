@@ -5,12 +5,12 @@ one block at a time: the reference that the stacked, chunked block norms of
 Every field and every time sample here goes through a forward transform of
 its own.  At p = 2 every block is measured on its own from those
 coefficients, by Parseval; at any other p every block goes through an
-inverse transform of its own.  Only the aggregation rules (the l^r sum over
-blocks and the time quadratures) and the L^p and coefficient L^2 rules are
-shared with the module, because they are what the batched path feeds, not
-what it changes.  ``test_lp_batched`` holds the time quadratures to scipy's
-and numpy's on each series alone, and the coefficient L^2 rule to the
-synthesized ``lp_norm``.
+inverse transform of its own, and every l^r sum over blocks is taken for
+its field alone.  Only the time quadratures and the L^p and coefficient L^2
+rules are shared with the module, because they are what the batched path
+feeds, not what it changes.  ``test_lp_parseval`` holds the time
+quadratures to scipy's and numpy's on each series alone, and the
+coefficient L^2 rule to the synthesized ``lp_norm``.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from kortorus.littlewood_paley import (
     ConstantReport,
     HeatReport,
     RatioReport,
-    _besov_aggregate,
-    _tilde_aggregate,
     _time_lp,
     family_for,
 )
@@ -63,19 +61,35 @@ def synthesized_block_norms(hat: np.ndarray, idx: BesovIndex, grid) -> list[floa
     return norms
 
 
+def besov_aggregate(norms, idx: BesovIndex, family) -> float:
+    """l^r over blocks of 2^{qs} times ``norms``, for one field alone."""
+    arr = np.asarray([2.0 ** (q * idx.s) * n for q, n in zip(family.block_range, norms)])
+    if math.isinf(idx.r):
+        return float(np.max(arr))
+    return float(np.sum(arr ** idx.r) ** (1.0 / idx.r))
+
+
+def tilde_aggregate(block_series, times, rho_exp: float, idx: BesovIndex, family,
+                    quadrature: str) -> float:
+    """block_series[t][i] is block i's norm at times[t]: each block's time
+    norm, then ``besov_aggregate`` of them."""
+    by_block = np.ascontiguousarray(np.asarray(block_series, dtype=float).T)
+    return besov_aggregate(_time_lp(by_block, times, rho_exp, quadrature), idx, family)
+
+
 def block_norms(u, idx: BesovIndex) -> list[float]:
     return coefficient_block_norms(to_spectral(u.data[None] if u.rank == 0 else u.data, u.grid),
                                    idx, u.grid)
 
 
 def besov_norm(u, idx: BesovIndex) -> float:
-    return _besov_aggregate(block_norms(u, idx), idx, family_for(u.grid))
+    return besov_aggregate(block_norms(u, idx), idx, family_for(u.grid))
 
 
 def chemin_lerner_norm(fields, times, rho_exp: float, idx: BesovIndex) -> float:
-    return _tilde_aggregate([block_norms(f, idx) for f in fields],
-                            np.asarray(times, dtype=float), rho_exp, idx,
-                            family_for(fields[0].grid), "trapezoid")
+    return tilde_aggregate([block_norms(f, idx) for f in fields],
+                           np.asarray(times, dtype=float), rho_exp, idx,
+                           family_for(fields[0].grid), "trapezoid")
 
 
 def iterated_time_besov_norm(fields, times, rho_exp: float, idx: BesovIndex) -> float:
@@ -164,10 +178,10 @@ def heat_regularity_check(u0: ScalarField, forcing, mu: float, s: float, p: floa
             f_norms.append(coefficient_block_norms(f_hat, idx_f, grid))
         u_norms.append(coefficient_block_norms(u_hat, idx_u, grid))
 
-    lhs = _tilde_aggregate(u_norms, times, rho1, idx_u, family, "simpson")
-    rhs_val = _besov_aggregate(u_norms[0], BesovIndex(s, p, r), family)
+    lhs = tilde_aggregate(u_norms, times, rho1, idx_u, family, "simpson")
+    rhs_val = besov_aggregate(u_norms[0], BesovIndex(s, p, r), family)
     if forcing is not None:
-        f_norm = _tilde_aggregate(f_norms, times, rho2, idx_f, family, "simpson")
+        f_norm = tilde_aggregate(f_norms, times, rho2, idx_f, family, "simpson")
         rhs_val = rhs_val + mu ** (1.0 / rho2 - 1.0) * f_norm
     constant = math.inf if rhs_val == 0.0 else lhs / rhs_val
     return HeatReport(lhs, rhs_val, constant, s, rho1, rho2)

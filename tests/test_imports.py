@@ -1,9 +1,11 @@
-"""Importing kortorus loads neither sympy nor scipy.integrate: each is
-imported where it is used (the manufactured solutions and the Simpson
-quadrature of the heat check), so start-up and resident memory stay small
-for every command that uses neither.  Each case runs in a fresh process,
-because the test session itself imports both."""
+"""No command imports scipy.integrate: the heat check's Simpson rule is the
+module's own, and scipy.fft is the only scipy module kortorus imports.
+Sympy is imported the first time a manufactured solution is used, so start-up
+and resident memory stay small for every command that uses none.  Each
+command runs in a fresh process, because the test session itself imports
+both; a scan of the source holds the same boundary for every module."""
 
+import ast
 import json
 import os
 import subprocess
@@ -50,6 +52,7 @@ tmp = sys.argv[2]
 out = {"import": loaded()}
 out["simulate random_smooth"] = [simulate(random_1d, "random")[0], loaded()]
 out["verify lp-norms"] = [run("verify", "lp-norms"), loaded()]
+out["verify all"] = [run("verify", "all"), loaded()]
 out["simulate manufactured"] = [*simulate(manufactured_2d, "manufactured"), loaded()]
 try:
     scenarios.manufactured_solution("ms3d")
@@ -59,7 +62,7 @@ print(json.dumps(out))
 """
 
 
-def test_sympy_and_scipy_integrate_load_on_first_use(tmp_path):
+def test_sympy_loads_on_first_use_and_scipy_integrate_never(tmp_path):
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=str(ROOT / "src"))
     configs = json.dumps([RANDOM_1D, MANUFACTURED_2D])
@@ -69,8 +72,48 @@ def test_sympy_and_scipy_integrate_load_on_first_use(tmp_path):
     assert out["import"] == []
     assert out["simulate random_smooth"] == [0, []]
     assert out["verify lp-norms"] == [0, []]
+    # the heat check integrates in time with the module's own Simpson rule
+    assert out["verify all"] == [0, []]
     # the manufactured run imports sympy for its profiles and forcing, and
     # writes the same report as with sympy imported up front
     assert out["simulate manufactured"] == [0, MANUFACTURED_2D_CSV, ["sympy"]]
     assert out["unknown id"] == ("unknown manufactured solution 'ms3d', "
                                  "expected one of ['ms1d', 'ms2d']")
+
+
+def module_imports(tree: ast.Module) -> list[tuple[str, bool]]:
+    """Each module an import statement names (``from a import b`` names
+    a.b), with whether the statement is deferred: inside a function body or
+    in the body of ``if TYPE_CHECKING``."""
+    found = []
+
+    def visit(nodes, deferred):
+        for node in nodes:
+            if isinstance(node, ast.Import):
+                found.extend((alias.name, deferred) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.extend((f"{node.module}.{alias.name}", deferred) for alias in node.names)
+            elif isinstance(node, ast.If) and ast.unparse(node.test) in (
+                    "TYPE_CHECKING", "typing.TYPE_CHECKING"):
+                visit(node.body, True)
+                visit(node.orelse, deferred)
+                continue
+            visit(ast.iter_child_nodes(node), deferred or isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+
+    visit(tree.body, False)
+    return found
+
+
+def test_scipy_fft_is_the_only_scipy_module_and_sympy_is_deferred():
+    # scipy.integrate alone costs a process about 23 MB and 270 modules
+    sources = sorted((ROOT / "src" / "kortorus").glob("*.py"))
+    assert sources
+    imports = {path.name: module_imports(ast.parse(path.read_text())) for path in sources}
+    scipy = {(name, module) for name, found in imports.items() for module, _ in found
+             if module.split(".")[0] == "scipy"}
+    assert scipy and all(module == "scipy.fft" or module.startswith("scipy.fft.")
+                         for _, module in scipy), scipy
+    sympy = [(name, deferred) for name, found in imports.items()
+             for module, deferred in found if module.split(".")[0] == "sympy"]
+    assert sympy and all(deferred for _, deferred in sympy), sympy

@@ -1,7 +1,9 @@
-"""The two rules that the stacked block norms share with ``lp_reference``,
-held apart from it: the p = 2 coefficient sum against the synthesized blocks'
+"""The rules that the stacked block norms share with ``lp_reference``, held
+apart from it: the p = 2 coefficient sum against the synthesized blocks'
 ``lp_norm``, and the stacked time norms against scipy's and numpy's
-quadratures on each series alone."""
+quadratures on each series alone.  The module's own Simpson rule is held to
+scipy's bit for bit, and the l^r sum over blocks, taken over a stack of
+fields at once, to each field's sum alone."""
 
 import math
 
@@ -112,3 +114,49 @@ def test_stacked_time_norms_equal_each_series_alone(n_time, rho, quadrature):
     # many series in one call, as the heat check's blocks
     assert lp._time_lp(np.array(by_block), times, rho, quadrature) \
         == [series_alone(block, times, rho, quadrature) for block in by_block]
+
+
+def same_bits(a, b) -> bool:
+    """Equal arrays, -0.0 and 0.0 told apart."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("spacing", ["linspace", "sorted random"])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 64, 65, 128, 257, 513])
+def test_simpson_rule_equals_scipys_bit_for_bit(n, spacing):
+    """``_simpson`` against ``scipy.integrate.simpson(y, x=x, axis=-1)`` of
+    scipy 1.17: odd counts take the irregular-spacing rule on every interval
+    pair, even ones Cartwright's last-interval correction."""
+    rng = np.random.default_rng(n)
+    x = np.linspace(0.0, 1.3, n) if spacing == "linspace" else np.sort(rng.uniform(-1.0, 2.0, n))
+    # signed rows, powers of norms as the heat check integrates, and zeros of both signs
+    y = np.concatenate([rng.normal(size=(4, n)), rng.uniform(size=(2, n)) ** 3.5,
+                        np.zeros((1, n)), -np.zeros((1, n))])
+    assert same_bits(lp._simpson(y, x), simpson(y, x=x, axis=-1))
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+def test_heat_check_equals_the_one_with_scipys_rule(monkeypatch, forced):
+    grid = SpectralGrid(128)
+    u0, f = besov_corpus(grid, 2, seed=21)
+    forcing = (lambda t: f.data * math.cos(1.7 * t)) if forced else None
+    args = (u0, forcing, 0.7, 1.0, 2.0, 2.0, 3.0, 2.0, 1.3)
+    report = lp.heat_regularity_check(*args)
+    monkeypatch.setattr(lp, "_simpson", lambda y, x: simpson(y, x=x, axis=-1))
+    assert report == lp.heat_regularity_check(*args)
+
+
+@pytest.mark.parametrize("resolution", [128, 256, (32, 32)], ids=str)
+def test_stacked_besov_aggregates_equal_each_row_alone(resolution):
+    # 256 has 9 blocks, so each row sum runs numpy's 8-way pairwise loop
+    grid = SpectralGrid(resolution)
+    family = lp.family_for(grid)
+    rows = lp._block_norm_rows(besov_corpus(grid, 30, seed=17), lp.BesovIndex(0.0))
+    rows = np.concatenate([rows, np.zeros((1, rows.shape[1]))])
+    for s in (-1.5, 0.0, 1.0, 2.3):
+        for r in (1.0, 1.5, 2.0, 3.5, math.inf):
+            idx = lp.BesovIndex(s, 2.0, r)
+            expected = [ref.besov_aggregate(row, idx, family) for row in rows.tolist()]
+            assert same_bits(lp._besov_aggregates(rows, idx, family), expected)
+            assert same_bits([lp._besov_aggregate(row, idx, family) for row in rows], expected)
