@@ -230,6 +230,10 @@ def cmd_simulate(args) -> int:
     (outdir / "config.echo.json").write_text(config.serialize())
 
     if args.restart:
+        if config.initial.family == "manufactured":
+            print("cannot restart a manufactured run: the checkpoint carries "
+                  "neither its forcing nor its time", file=sys.stderr)
+            return EXIT_USAGE
         try:
             state0, forcing = _load_checkpoint(Path(args.restart), config), None
         except _SNAPSHOT_ERRORS as exc:

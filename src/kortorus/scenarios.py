@@ -13,11 +13,12 @@ Families (all analytic, so spectral residuals decay exponentially):
                       decaying coefficients.
 * ``manufactured``    registry entry evaluated at t = 0.
 
-Manufactured solutions carry symbolic density/velocity profiles; the forcing
-that makes them exact solutions of the effective-velocity system is derived
-with sympy once per (solution, parameter set) and cached.  Sympy is imported
-the first time a manufactured solution is used, not with this module, so the
-commands and families that never use one do not pay for it.
+Manufactured solutions are closed-form numpy *jets* of their density and
+velocity profiles: each profile's value, time derivative, gradient and pure
+second derivatives.  One function, ``_effective_forcing``, assembles from
+them the forcing that makes the profiles an exact solution of the
+effective-velocity system.  ``tests/manufactured_reference.py`` derives the
+same quantities with sympy and is the tests' oracle for both.
 """
 
 from __future__ import annotations
@@ -25,16 +26,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache
-from typing import TYPE_CHECKING
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .model import FieldState, ModelParams
 from .spectral import TAU, ScalarField, SpectralGrid, VectorField
-
-if TYPE_CHECKING:
-    import sympy as sp
 
 
 # ---------------------------------------------------------------------------
@@ -249,125 +246,128 @@ def _reject_unknown(family: str, leftover: dict):
 # manufactured solutions
 
 
+class Jet(NamedTuple):
+    """Samples of one profile and of its derivatives: the value, the time
+    derivative, the gradient and the pure second derivatives d_ii."""
+
+    value: np.ndarray
+    d_t: np.ndarray
+    grad: tuple[np.ndarray, ...]
+    second: tuple[np.ndarray, ...]
+
+
 @dataclass(frozen=True)
 class ManufacturedSolution:
-    """Symbolic exact solution of the effective-velocity system with forcing."""
+    """Closed-form exact solution (rho, v) of the effective-velocity system,
+    under the forcing that ``_effective_forcing`` assembles from its jets.
+    ``jets(t, *coords)`` returns the jets of rho and of each v_j."""
 
     sid: str
     dim: int
-    rho_expr: sp.Expr
-    v_exprs: tuple[sp.Expr, ...]
-
-    @property
-    def _coords(self) -> tuple[sp.Symbol, ...]:
-        import sympy as sp
-        return sp.symbols("x y")[: self.dim]
-
-    def _lambdify(self, expr: sp.Expr):
-        import sympy as sp
-        t = sp.Symbol("t")
-        return sp.lambdify((t, *self._coords), expr, modules="numpy")
+    jets: Callable[..., tuple[Jet, ...]]
 
     def state(self, grid: SpectralGrid, time: float) -> FieldState:
         if grid.dim != self.dim:
             raise ValueError(f"solution {self.sid!r} is {self.dim}-dimensional")
-        mesh = grid.meshgrid()
-        rho_fn, v_fns = _compiled_profile(self)
-        rho = np.broadcast_to(np.asarray(rho_fn(time, *mesh), dtype=float),
-                              grid.shape).copy()
-        comps = [np.broadcast_to(np.asarray(fn(time, *mesh), dtype=float),
-                                 grid.shape).copy() for fn in v_fns]
-        return FieldState(ScalarField(grid, rho), VectorField(grid, np.stack(comps)),
+        rho, *v = self.jets(time, *grid.meshgrid())
+        return FieldState(ScalarField(grid, rho.value),
+                          VectorField(grid, np.stack([vj.value for vj in v])),
                           time=max(time, 0.0))
-
-    def forcing_exprs(self, mu: float, kappa: float, a: float,
-                      gamma: float) -> tuple[sp.Expr, tuple[sp.Expr, ...]]:
-        """Symbolic (f_rho, f_v) making (rho, v) an exact solution of
-
-            d_t rho + div(rho v) - (kappa/mu) Lap rho = f_rho,
-            d_t v + (u . grad) v - (div(mu rho grad v) - grad(a rho^gamma))/rho = f_v,
-
-        with u = v - (kappa/mu) grad ln rho."""
-        import sympy as sp
-        t = sp.Symbol("t")
-        coords = self._coords
-        rho = self.rho_expr
-        v = list(self.v_exprs)
-        eps = kappa / mu
-
-        u = [v[j] - eps * sp.diff(sp.log(rho), coords[j]) for j in range(self.dim)]
-        div_rho_v = sum(sp.diff(rho * v[i], coords[i]) for i in range(self.dim))
-        lap_rho = sum(sp.diff(rho, c, 2) for c in coords)
-        f_rho = sp.diff(rho, t) + div_rho_v - eps * lap_rho
-
-        f_v = []
-        for j in range(self.dim):
-            advect = sum(u[i] * sp.diff(v[j], coords[i]) for i in range(self.dim))
-            diffusion = sum(sp.diff(mu * rho * sp.diff(v[j], coords[i]), coords[i])
-                            for i in range(self.dim))
-            grad_p = sp.diff(a * rho ** gamma, coords[j])
-            f_v.append(sp.diff(v[j], t) + advect - (diffusion - grad_p) / rho)
-        return f_rho, tuple(f_v)
 
     def forcing(self, grid: SpectralGrid, params: ModelParams):
         """Numeric forcing callable t -> (f_rho samples, f_v samples)."""
-        f_rho_fn, f_v_fns = _compiled_forcing(self.sid, params.mu, params.kappa,
-                                              params.a, params.gamma)
         mesh = grid.meshgrid()
 
         def apply(time: float):
-            f_rho = np.broadcast_to(np.asarray(f_rho_fn(time, *mesh), dtype=float),
-                                    grid.shape)
-            f_v = np.stack([np.broadcast_to(np.asarray(fn(time, *mesh), dtype=float),
-                                            grid.shape) for fn in f_v_fns])
-            return f_rho, f_v
+            rho, *v = self.jets(time, *mesh)
+            return _effective_forcing(rho, v, params)
 
         return apply
 
 
-@cache
-def _registry() -> dict[str, ManufacturedSolution]:
-    import sympy as sp
-    t, x, y = sp.symbols("t x y")
-    ms1d = ManufacturedSolution(
-        "ms1d", 1,
-        sp.Rational(6, 5) + sp.Rational(7, 20) * sp.exp(
-            sp.Rational(4, 5) * sp.sin(x - sp.Rational(3, 5) * t) - sp.Rational(4, 5)),
-        (sp.Rational(3, 10) * sp.exp(
-            sp.Rational(1, 2) * sp.cos(x - sp.Rational(9, 10) * t) - sp.Rational(1, 2))
-         * sp.sin(x),))
-    ms2d = ManufacturedSolution(
-        "ms2d", 2,
-        sp.Rational(13, 10) + sp.Rational(1, 5) * sp.exp(
-            sp.Rational(1, 2) * sp.sin(x - sp.Rational(2, 5) * t) - sp.Rational(1, 2))
-        * sp.cos(y),
-        (sp.Rational(1, 5) * sp.sin(x + sp.Rational(3, 10) * t) * sp.cos(y),
-         sp.Rational(3, 20) * sp.cos(x) * sp.sin(y - sp.Rational(1, 2) * t)))
-    return {ms.sid: ms for ms in (ms1d, ms2d)}
+def _effective_forcing(rho: Jet, v: list[Jet],
+                       params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """(f_rho, f_v) making the profiles of the jets an exact solution of
+
+        d_t rho + div(rho v) - (kappa/mu) Lap rho = f_rho,
+        d_t v + (u . grad) v - (div(mu rho grad v) - grad(a rho^gamma))/rho = f_v,
+
+    with u = v - (kappa/mu) grad ln rho."""
+    eps = params.kappa / params.mu
+    u = [vi.value - eps * rho_i / rho.value for vi, rho_i in zip(v, rho.grad)]
+    f_rho = rho.d_t - eps * sum(rho.second)
+    for i, vi in enumerate(v):
+        f_rho += rho.grad[i] * vi.value + rho.value * vi.grad[i]
+    # d(a rho^gamma)/d rho
+    pressure = params.a * params.gamma * rho.value ** (params.gamma - 1.0)
+    f_v = np.empty((len(v),) + rho.value.shape)
+    for j, vj in enumerate(v):
+        advect = sum(ui * vj_i for ui, vj_i in zip(u, vj.grad))
+        diffusion = params.mu * sum(rho_i * vj_i + rho.value * vj_ii for rho_i, vj_i, vj_ii
+                                    in zip(rho.grad, vj.grad, vj.second))
+        f_v[j] = vj.d_t + advect - (diffusion - pressure * rho.grad[j]) / rho.value
+    return f_rho, f_v
+
+
+# The value of each profile is evaluated in the operations, and their order,
+# of sympy's printing of its expression (tests/manufactured_reference.py), so
+# a state is the same to the bit as one sampled from that expression.
+
+def _ms1d(t, x) -> tuple[Jet, ...]:
+    """rho = 6/5 + 7/20 exp(4/5 sin(x - 3t/5) - 4/5),
+    v = 3/10 exp(1/2 cos(x - 9t/10) - 1/2) sin x."""
+    # s = -sin(x - 3t/5), c = cos(x - 3t/5)
+    phase = (3/5)*t - x
+    s, c = np.sin(phase), np.cos(phase)
+    e = np.exp(-4/5*s - 4/5)
+    rho_x = (7/25) * e * c
+    rho = Jet((7/20)*e + 6/5, -(3/5) * rho_x, (rho_x,),
+              ((7/20) * e * ((16/25) * c * c + (4/5) * s),))
+    # v = amp sin x with amp = 3/10 exp(h), h = 1/2 cos(phi) - 1/2 and
+    # phi = x - 9t/10; h1 and h2 are dh/dphi and d2h/dphi2
+    sin_x, cos_x = np.sin(x), np.cos(x)
+    phase = (9/10)*t - x
+    cos_phase = np.cos(phase)
+    amp = (3/10)*np.exp((1/2)*cos_phase - 1/2)
+    h1 = (1/2) * np.sin(phase)
+    h2 = -(1/2) * cos_phase
+    v = Jet(amp*sin_x, -(9/10) * amp * h1 * sin_x, (amp * (h1 * sin_x + cos_x),),
+            (amp * ((h2 + h1 * h1 - 1.0) * sin_x + 2.0 * h1 * cos_x),))
+    return rho, v
+
+
+def _ms2d(t, x, y) -> tuple[Jet, ...]:
+    """rho = 13/10 + 1/5 exp(1/2 sin(x - 2t/5) - 1/2) cos y,
+    v = (1/5 sin(x + 3t/10) cos y, 3/20 cos x sin(y - t/2))."""
+    sin_x, cos_x, sin_y, cos_y = np.sin(x), np.cos(x), np.sin(y), np.cos(y)
+    # s = -sin(x - 2t/5), c = cos(x - 2t/5)
+    phase = (2/5)*t - x
+    s, c = np.sin(phase), np.cos(phase)
+    e = np.exp(-1/2*s - 1/2)
+    rho_x = (1/10) * e * c * cos_y
+    rho = Jet((1/5)*e*cos_y + 13/10, -(2/5) * rho_x, (rho_x, -(1/5) * e * sin_y),
+              ((1/5) * e * ((1/4) * c * c + (1/2) * s) * cos_y, -(1/5) * e * cos_y))
+    phase = (3/10)*t + x
+    s, c = np.sin(phase), np.cos(phase)
+    v0 = (1/5)*s*cos_y
+    v0_x = (1/5) * c * cos_y
+    v_0 = Jet(v0, (3/10) * v0_x, (v0_x, -(1/5) * s * sin_y), (-v0, -v0))
+    # s = -sin(y - t/2), c = cos(y - t/2)
+    phase = (1/2)*t - y
+    s, c = np.sin(phase), np.cos(phase)
+    v1 = -3/20*s*cos_x
+    v1_y = (3/20) * c * cos_x
+    v_1 = Jet(v1, -(1/2) * v1_y, ((3/20) * s * sin_x, v1_y), (-v1, -v1))
+    return rho, v_0, v_1
+
+
+_SOLUTIONS = {ms.sid: ms for ms in (ManufacturedSolution("ms1d", 1, _ms1d),
+                                    ManufacturedSolution("ms2d", 2, _ms2d))}
 
 
 def manufactured_solution(sid: str) -> ManufacturedSolution:
-    solutions = _registry()
     try:
-        return solutions[sid]
+        return _SOLUTIONS[sid]
     except KeyError:
         raise ValueError(f"unknown manufactured solution {sid!r}, "
-                         f"expected one of {sorted(solutions)}") from None
-
-
-@cache
-def _compiled_profile(ms: ManufacturedSolution):
-    """Numeric callables (t, *coords) -> samples of rho and of each v_j."""
-    return ms._lambdify(ms.rho_expr), tuple(ms._lambdify(e) for e in ms.v_exprs)
-
-
-@lru_cache(maxsize=16)
-def _compiled_forcing(sid: str, mu: float, kappa: float, a: float, gamma: float):
-    import sympy as sp
-    ms = manufactured_solution(sid)
-    f_rho, f_v = ms.forcing_exprs(mu, kappa, a, gamma)
-    t = sp.Symbol("t")
-    coords = ms._coords
-    f_rho_fn = sp.lambdify((t, *coords), f_rho, modules="numpy", cse=True)
-    f_v_fns = tuple(sp.lambdify((t, *coords), e, modules="numpy", cse=True) for e in f_v)
-    return f_rho_fn, f_v_fns
+                         f"expected one of {sorted(_SOLUTIONS)}") from None

@@ -245,6 +245,23 @@ class TestRestartCLI:
         assert main(["simulate", str(other), "--output", str(tmp_path / "mismatch"),
                      "--restart", str(first)]) == 2
 
+    def test_restart_of_a_manufactured_run_is_refused(self, tmp_path, capsys):
+        # the checkpoint holds neither the forcing nor the time it was taken
+        # at, so a restart would go on unforced from t = 0
+        path = write_config(tmp_path, integrator={
+            "dt_initial": 0.01, "t_end": 0.05, "snapshot_interval": 0.05},
+            initial={"family": "manufactured", "params": {"id": "ms1d"}})
+        first = tmp_path / "first"
+        assert main(["simulate", str(path), "--output", str(first)]) == 0
+        capsys.readouterr()
+        second = tmp_path / "second"
+        assert main(["simulate", str(path), "--output", str(second),
+                     "--restart", str(first)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("cannot restart a manufactured run: the checkpoint carries "
+                       "neither its forcing nor its time\n")
+        assert not (second / "functionals.csv").exists()
+
 
 class TestVerifyCLI:
     def test_lp_partition_passes(self, capsys):

@@ -1,9 +1,8 @@
-"""No command imports scipy.integrate: the heat check's Simpson rule is the
-module's own, and scipy.fft is the only scipy module kortorus imports.
-Sympy is imported the first time a manufactured solution is used, so start-up
-and resident memory stay small for every command that uses none.  Each
-command runs in a fresh process, because the test session itself imports
-both; a scan of the source holds the same boundary for every module."""
+"""No command imports sympy or scipy.integrate: the manufactured solutions
+are numpy jets, the heat check's Simpson rule is the module's own, and
+scipy.fft is the only scipy module kortorus imports.  Each command runs in a
+fresh process, because the test session itself imports both; a scan of the
+source holds the same boundary for every module."""
 
 import ast
 import json
@@ -26,7 +25,7 @@ MANUFACTURED_2D = {"grid": {"resolution": [16, 16]},
                    "initial": {"family": "manufactured", "params": {"id": "ms2d"}}}
 # sha256 of the functionals.csv that MANUFACTURED_2D writes; a change to it
 # belongs in CHANGES.md
-MANUFACTURED_2D_CSV = "8e8e395ae7c7fe9b9491a336c4cb8f98285f6f9195c56b5aabe1710234ba880e"
+MANUFACTURED_2D_CSV = "6db879745961888cd471d35476051bdacc4aa96579a9a1ce731abbb616ae9a7e"
 
 PROGRAM = """
 import contextlib, hashlib, io, json, sys
@@ -62,7 +61,7 @@ print(json.dumps(out))
 """
 
 
-def test_sympy_loads_on_first_use_and_scipy_integrate_never(tmp_path):
+def test_no_command_loads_sympy_or_scipy_integrate(tmp_path):
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=str(ROOT / "src"))
     configs = json.dumps([RANDOM_1D, MANUFACTURED_2D])
@@ -74,9 +73,8 @@ def test_sympy_loads_on_first_use_and_scipy_integrate_never(tmp_path):
     assert out["verify lp-norms"] == [0, []]
     # the heat check integrates in time with the module's own Simpson rule
     assert out["verify all"] == [0, []]
-    # the manufactured run imports sympy for its profiles and forcing, and
-    # writes the same report as with sympy imported up front
-    assert out["simulate manufactured"] == [0, MANUFACTURED_2D_CSV, ["sympy"]]
+    # the manufactured run takes its profiles and forcing from numpy jets
+    assert out["simulate manufactured"] == [0, MANUFACTURED_2D_CSV, []]
     assert out["unknown id"] == ("unknown manufactured solution 'ms3d', "
                                  "expected one of ['ms1d', 'ms2d']")
 
@@ -105,7 +103,7 @@ def module_imports(tree: ast.Module) -> list[tuple[str, bool]]:
     return found
 
 
-def test_scipy_fft_is_the_only_scipy_module_and_sympy_is_deferred():
+def test_scipy_fft_is_the_only_scipy_module_and_sympy_is_never_imported():
     # scipy.integrate alone costs a process about 23 MB and 270 modules
     sources = sorted((ROOT / "src" / "kortorus").glob("*.py"))
     assert sources
@@ -114,6 +112,6 @@ def test_scipy_fft_is_the_only_scipy_module_and_sympy_is_deferred():
              if module.split(".")[0] == "scipy"}
     assert scipy and all(module == "scipy.fft" or module.startswith("scipy.fft.")
                          for _, module in scipy), scipy
-    sympy = [(name, deferred) for name, found in imports.items()
-             for module, deferred in found if module.split(".")[0] == "sympy"]
-    assert sympy and all(deferred for _, deferred in sympy), sympy
+    sympy = [(name, module) for name, found in imports.items()
+             for module, _ in found if module.split(".")[0] == "sympy"]
+    assert sympy == [], sympy
