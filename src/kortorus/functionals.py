@@ -47,10 +47,13 @@ from .model import (
 from .spectral import (
     DIMENSIONS,
     ScalarField,
+    SpectralGrid,
     VectorField,
     grad_hat,
+    integrals,
     lp_norm,
     lp_norms,
+    means,
     to_physical,
     to_physical_stage,
     to_spectral,
@@ -84,14 +87,6 @@ _P_INTEGRABILITY = _Range(lambda p: p > 2.0, "must exceed 2")
 _P_VACUUM = _Range(lambda p: p >= 2.0, "must be >= 2")
 _EPSILON = _Range(lambda eps: eps > 0.0, "must be positive")
 _DELTA_VACUUM = _Range(lambda delta: 0.0 < delta < 1.0, "must lie in (0, 1)")
-
-
-def _integral(d: SpectralState | ScalarField, data: np.ndarray) -> float:
-    """The rectangle rule of ``spectral.integrate`` over the grid of ``d``,
-    except that an integrand that overflowed gives inf or nan instead of
-    raising, so that ``evaluate_report`` can name it in ``diverged``.  The
-    sum over the size is ``np.mean`` to the bit, at half its call cost."""
-    return float(data.sum() / data.size * d.grid.volume)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +320,8 @@ def vacuum_indicator(state_or_rho, eps: float, delta: float) -> float:
     rho = getattr(state_or_rho, "rho", state_or_rho)
     if not isinstance(state_or_rho, SpectralState):  # whose density is checked
         require_positive_density(rho)
-    return _integral(rho, _low_density_weight(rho.data, eps, delta, np.empty_like(rho.data)))
+    return float(integrals(_low_density_weight(rho.data, eps, delta, np.empty_like(rho.data)),
+                           rho.grid)[0])
 
 
 def _low_density_weight(rho: np.ndarray, eps: float, delta: float,
@@ -437,10 +433,16 @@ class FunctionalReport:
 _DEFAULT_SPEC = MonitorSpec()
 
 #: A batch of reports holds at most this many grid points over its members
-#: (one member at least): 32 states at N = 64, 16 at N = 128, 2 at 32^2 and
-#: one at 64^2 or finer.  A 1D report costs about as much a state in batches
+#: (one member at least).  A 1D report costs about as much a state in batches
 #: of 2048 points as of 4096, and less in the benchmark's 1D study.
 _REPORT_BATCH_POINTS = 2048
+
+
+def report_batch_size(grid: SpectralGrid) -> int:
+    """The number of states of ``grid`` that one batch of reports takes: as
+    many as _REPORT_BATCH_POINTS grid points hold, one at least, so 32 at
+    N = 64, 16 at N = 128, 2 at 32^2 and one at 64^2 or finer."""
+    return max(1, _REPORT_BATCH_POINTS // math.prod(grid.shape))
 
 
 def evaluate_report(state: State, params: ModelParams, spec: MonitorSpec | None = None,
@@ -459,10 +461,10 @@ def evaluate_reports(states: Sequence[State], params: ModelParams,
                      previous: tuple[FunctionalReport, Sequence[float]] | None = None,
                      ) -> list[FunctionalReport]:
     """The report of each of ``states``, which share one grid, from one pass
-    over batches of them stacked along a batch axis (``SpectralState.stack``),
-    at most _REPORT_BATCH_POINTS grid points a batch; each report equals that
-    of its state alone to the bit.  A functional that overflows is named in
-    its member's ``diverged``, without a numpy warning.
+    over batches of ``report_batch_size`` of them stacked along a batch axis
+    (``SpectralState.stack``); each report equals that of its state alone to
+    the bit.  A functional that overflows is named in its member's
+    ``diverged``, without a numpy warning.
     ``serrin_accumulator`` is 0.0 in every report, or, given ``previous`` =
     (the report before the first state, the dt before each state), the
     trapezoid rule's running value, continued member by member.
@@ -470,7 +472,7 @@ def evaluate_reports(states: Sequence[State], params: ModelParams,
     Transform stages: sqrt(rho), |v|^2 and the vacuum functional's powers of
     rho forward; everything the functionals differentiate back."""
     spec = spec or _DEFAULT_SPEC
-    per_batch = max(1, _REPORT_BATCH_POINTS // math.prod(states[0].grid.shape)) if states else 1
+    per_batch = report_batch_size(states[0].grid) if states else 1
     reports: list[FunctionalReport] = []
     for start in range(0, len(states), per_batch):
         members = [spectral_state(s, params) for s in states[start:start + per_batch]]
@@ -500,10 +502,10 @@ def _sum_of_squares(components, out: np.ndarray) -> np.ndarray:
 def _report(d: SpectralState, params: ModelParams, spec: MonitorSpec,
             previous: tuple[FunctionalReport, Sequence[float]] | None) -> list[FunctionalReport]:
     """Every column of every member in one pass over the stack ``d``: each
-    pointwise field is formed once for the batch, every integrand is a row
-    of one table, and the table is summed member by member in one call."""
+    pointwise field is formed once for the batch, and each integrand is
+    reduced member by member (``spectral.integrals``) as soon as it is formed."""
     grid, rho, gamma = d.grid, d.rho.data, params.gamma
-    size, members = math.prod(grid.shape), len(rho)
+    members = len(rho)
     delta, p, p_vac = spec.delta, spec.p_integrability, spec.p_vacuum
     serrin_p, serrin_q = spec.serrin_pair(grid.dim)
     # v first, as it may bring grad ln rho back in a call of its own
@@ -520,39 +522,42 @@ def _report(d: SpectralState, params: ModelParams, spec: MonitorSpec,
             grad_hat(np.array([sqrt_rho_hat, d.rho_hat]), grid), grad_hat(v_sq_hat, grid),
             np.concatenate([grad_hat(half_hat, grid),
                             grid.rfft_minus_beta_sq * np.array([d.rho_hat, pow_hat])])])
+    del sqrt_rho_hat, v_sq_hat, half_hat, pow_hat
     coeff = params.kappa / params.mu
-    # the rule of _integral, member by member
-    vac_value = (rho_pow.reshape(members, size).sum(axis=1) / size * grid.volume
-                 / (p_vac - 1.0)).tolist()
+    vac_value = integrals(rho_pow, grid) / (p_vac - 1.0)
+    del rho_pow
     grad_half_sq = (vac_fields[:grid.dim] ** 2).sum(axis=0)
     rate_coeff = 4.0 * p_vac * coeff / (p_vac - 1.0) ** 2
-    vac_rate = (rate_coeff * (grad_half_sq.reshape(members, size).sum(axis=1) / size
-                              * grid.volume)).tolist()
+    vac_rate = rate_coeff * integrals(grad_half_sq, grid)
     vac_residual = np.abs(coeff * rho ** (-p_vac) * vac_fields[-2] - (
         -(coeff / (p_vac - 1.0)) * vac_fields[-1] + rate_coeff * grad_half_sq)
-    ).reshape(members, size).max(axis=1).tolist()
-    del rho_pow, vac_fields, grad_half_sq, sqrt_rho_hat, v_sq_hat, half_hat, pow_hat
+    ).reshape(members, -1).max(axis=1)
+    del vac_fields, grad_half_sq
 
-    # each name is its integrand's row of the table, and then its integral;
-    # a stage's output is dropped once its rows are written
-    table = np.empty((19,) + rho.shape)
-    (mass, kinetic, potential, capillary, eff_viscous, eff_pressure, bd_grad, bd_sym,
-     bd_cross, bd_capillary, mv_value, mv_rate, mv_rho, rho_v_sq, int_value, int_grad,
-     int_direct, int_identity, low_mass) = table
-    mass[...] = rho
-    np.multiply(rho, d.u_sq, out=kinetic)
+    # each integrand is reduced as it is formed, and a stage's output is
+    # dropped once its integrands are; products and sums of squares are
+    # formed in ``scratch``, one at a time
+    scratch = np.empty(rho.shape)
+
+    def product_integrals(a, b):
+        return integrals(np.multiply(a, b, out=scratch), grid)
+
+    kinetic = product_integrals(rho, d.u_sq)
     # Pi, as _potential makes it, from the pressure the state holds
-    potential[...] = d.pressure / (gamma - 1.0) if gamma > 1.0 else _potential(rho, params)
-    np.multiply(rho, v_sq, out=rho_v_sq)
-    _low_density_weight(rho, spec.epsilon, spec.delta_vacuum, out=low_mass)
-
-    _sum_of_squares(grad_sqrt_rho_and_rho[:, 0], capillary)
+    potential = integrals(d.pressure / (gamma - 1.0) if gamma > 1.0
+                          else _potential(rho, params), grid)
+    rho_v_sq = product_integrals(rho, v_sq)
+    low_mass = integrals(_low_density_weight(rho, spec.epsilon, spec.delta_vacuum, scratch),
+                         grid)
+    capillary = params.kappa * integrals(_sum_of_squares(grad_sqrt_rho_and_rho[:, 0], scratch),
+                                         grid)
     grad_rho_sq = _sum_of_squares(grad_sqrt_rho_and_rho[:, 1], np.empty(rho.shape))
     del grad_sqrt_rho_and_rho
     rho_pow_gamma_minus_2 = rho ** (gamma - 2.0)
-    np.multiply(params.a * gamma * (gamma - 1.0) * rho_pow_gamma_minus_2, grad_rho_sq,
-                out=eff_pressure)  # P''(rho) |grad rho|^2
-    np.multiply(rho_pow_gamma_minus_2, grad_rho_sq, out=bd_cross)
+    # P''(rho) |grad rho|^2
+    eff_pressure = product_integrals(params.a * gamma * (gamma - 1.0) * rho_pow_gamma_minus_2,
+                                     grad_rho_sq)
+    bd_cross = product_integrals(rho_pow_gamma_minus_2, grad_rho_sq)
     del grad_rho_sq, rho_pow_gamma_minus_2
 
     hess = d.hess_ln_rho
@@ -566,8 +571,8 @@ def _report(d: SpectralState, params: ModelParams, spec: MonitorSpec,
     # stays integrable for every p > 2; mask the removable 0 * inf
     moving = v_sq > 0.0
     weight = np.where(moving, np.where(moving, speed, 1.0) ** (p - 4.0), 0.0)
-    np.multiply(rho, np.where(moving, direct * weight, 0.0), out=int_direct)
-    np.multiply(rho, np.where(moving, identity * weight, 0.0), out=int_identity)
+    int_direct = product_integrals(rho, np.where(moving, direct * weight, 0.0))
+    int_identity = product_integrals(rho, np.where(moving, identity * weight, 0.0))
     del direct, identity, weight, moving
 
     if original:
@@ -575,79 +580,60 @@ def _report(d: SpectralState, params: ModelParams, spec: MonitorSpec,
     else:
         grad_u = params.eps * hess
         np.subtract(d.grad_w, grad_u, out=grad_u)
-    _sum_of_squares(grad_u, bd_grad)
+    bd_grad = product_integrals(_sum_of_squares(grad_u, scratch), rho)
     # |Du|^2, each component grad_u + (grad_u)^T formed as it is squared
-    _sum_of_squares((grad_u[i, j] + grad_u[j, i] for i in range(grid.dim)
-                     for j in range(grid.dim)), bd_sym)
+    bd_sym = product_integrals(_sum_of_squares((grad_u[i, j] + grad_u[j, i]
+                                                for i in range(grid.dim)
+                                                for j in range(grid.dim)), scratch), rho)
     del grad_u
-    _sum_of_squares(hess, bd_capillary)
-    for row in (bd_grad, bd_sym, bd_capillary):
-        row *= rho
+    bd_capillary = product_integrals(_sum_of_squares(hess, scratch), rho)
 
-    np.multiply(rho, grad_v_sq, out=eff_viscous)
-    np.multiply(rho, speed ** (2.0 + delta), out=mv_value)
-    np.multiply(rho * speed ** delta, grad_v_sq, out=mv_rate)
     inner_exp = 2.0 / (2.0 - delta)
-    mv_rho[...] = rho ** ((2.0 * gamma - 1.0 - delta / 2.0) * inner_exp)
-    np.multiply(rho, speed ** p, out=int_value)
-    np.multiply(rho * speed ** (p - 2.0), grad_v_sq, out=int_grad)
-    # the rule of _integral, row by row and member by member: each sum is
-    # its own .sum() to the bit
-    sums = table.reshape(len(table), members, size).sum(axis=2)
-    deviation = rho - (sums[0] / size).reshape((members,) + (1,) * grid.dim)  # np.var's steps
-    variance = (np.square(deviation).reshape(members, size).sum(axis=1) / size).tolist()
-    rho_min = rho.reshape(members, size).min(axis=1).tolist()
-    rho_max = rho.reshape(members, size).max(axis=1).tolist()
-    u_sq_max = d.u_sq.reshape(members, size).max(axis=1).tolist()
-    serrin_norms = lp_norms(speed, serrin_q, grid)
+    mv_rho = integrals(rho ** ((2.0 * gamma - 1.0 - delta / 2.0) * inner_exp), grid)
+    mean_rho = means(rho, grid).reshape((members,) + (1,) * grid.dim)
+    columns = dict(
+        time=d.time,
+        mass=integrals(rho, grid),
+        rho_min=rho.reshape(members, -1).min(axis=1),
+        rho_max=rho.reshape(members, -1).max(axis=1),
+        rho_variance=means(np.square(rho - mean_rho), grid),  # np.var's steps
+        max_speed=np.sqrt(d.u_sq.reshape(members, -1).max(axis=1)),
+        energy_total=kinetic + potential + capillary,
+        energy_kinetic=kinetic,
+        energy_pressure=potential,
+        energy_capillary=capillary,
+        effective_energy=0.5 * rho_v_sq + potential,
+        eff_energy_rate_viscous=params.mu * product_integrals(rho, grad_v_sq),
+        eff_energy_rate_pressure=params.eps * eff_pressure,
+        bd_value=kinetic + capillary + potential,
+        bd_rate_viscous=(params.mu - params.alpha) * bd_grad + params.alpha * bd_sym,
+        bd_rate_cross=params.a * gamma * bd_cross,
+        bd_rate_capillary=params.kappa * bd_capillary,
+        mv_value=product_integrals(rho, speed ** (2.0 + delta)) / (2.0 + delta),
+        mv_rate_dissipation=0.25 * params.mu * product_integrals(rho * speed ** delta, grad_v_sq),
+        # Python's scalar power, as numpy's array power can be an ulp off it
+        mv_rhs_bound=[m ** inner_exp * r ** (delta / 2.0)
+                      for m, r in zip(mv_rho.tolist(), rho_v_sq.tolist())],
+        int_value=product_integrals(rho, speed ** p) / p,
+        int_rate_grad=product_integrals(rho * speed ** (p - 2.0), grad_v_sq),
+        int_rate_quartic=(p - 2.0) * int_direct,
+        int_rate_quartic_identity=(p - 2.0) * int_identity,
+        vac_value=vac_value,
+        vac_rate=vac_rate,
+        vac_identity_residual=vac_residual,
+        vacuum_indicator=low_mass,
+        serrin_integrand=[norm ** serrin_p for norm in lp_norms(speed, serrin_q, grid)],
+    )
     reports = []
-    prev = None if previous is None else previous[0]
-    for i, (mass, kinetic, potential, capillary, eff_viscous, eff_pressure, bd_grad, bd_sym,
-            bd_cross, bd_capillary, mv_value, mv_rate, mv_rho, rho_v_sq, int_value, int_grad,
-            int_direct, int_identity, low_mass) in enumerate(
-                (sums / size * grid.volume).T.tolist()):
-        capillary = params.kappa * capillary
-        serrin_integrand = serrin_norms[i] ** serrin_p
-        values = dict(
-            time=d.time[i],
-            mass=mass,
-            rho_min=rho_min[i],
-            rho_max=rho_max[i],
-            rho_variance=variance[i],
-            max_speed=math.sqrt(u_sq_max[i]),
-            energy_total=kinetic + potential + capillary,
-            energy_kinetic=kinetic,
-            energy_pressure=potential,
-            energy_capillary=capillary,
-            effective_energy=0.5 * rho_v_sq + potential,
-            eff_energy_rate_viscous=params.mu * eff_viscous,
-            eff_energy_rate_pressure=params.eps * eff_pressure,
-            bd_value=kinetic + capillary + potential,
-            bd_rate_viscous=(params.mu - params.alpha) * bd_grad + params.alpha * bd_sym,
-            bd_rate_cross=params.a * gamma * bd_cross,
-            bd_rate_capillary=params.kappa * bd_capillary,
-            mv_value=mv_value / (2.0 + delta),
-            mv_rate_dissipation=0.25 * params.mu * mv_rate,
-            mv_rhs_bound=mv_rho ** inner_exp * rho_v_sq ** (delta / 2.0),
-            int_value=int_value / p,
-            int_rate_grad=int_grad,
-            int_rate_quartic=(p - 2.0) * int_direct,
-            int_rate_quartic_identity=(p - 2.0) * int_identity,
-            vac_value=vac_value[i],
-            vac_rate=vac_rate[i],
-            vac_identity_residual=vac_residual[i],
-            vacuum_indicator=low_mass,
-            serrin_integrand=serrin_integrand,
-        )
-        diverged = tuple(k for k, val in values.items() if not math.isfinite(val))
+    for i, row in enumerate(np.array(list(columns.values())).T.tolist()):
+        values = dict(zip(columns, row))
         accumulated = 0.0
-        if prev is not None:
-            accumulated = (prev.serrin_accumulator
-                           + 0.5 * previous[1][i] * (prev.serrin_integrand + serrin_integrand))
-        report = FunctionalReport(**values, serrin_accumulator=accumulated, diverged=diverged)
-        reports.append(report)
-        if prev is not None:
-            prev = report
+        if previous is not None:
+            prev = reports[-1] if reports else previous[0]
+            accumulated = (prev.serrin_accumulator + 0.5 * previous[1][i]
+                           * (prev.serrin_integrand + values["serrin_integrand"]))
+        reports.append(FunctionalReport(**values, serrin_accumulator=accumulated, diverged=tuple(
+            k for k, val in values.items() if not math.isfinite(val))))
     return reports
 
 

@@ -408,10 +408,23 @@ def tensor_divergence(T: TensorField) -> VectorField:
 # quadrature and norms
 
 
+def means(samples: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """The mean over ``grid`` of each leading member of ``samples``, each
+    member's sum its own ``.sum()`` (and so ``np.mean``) to the bit."""
+    rows = samples.reshape(-1, math.prod(grid.shape))
+    return rows.sum(axis=1) / rows.shape[1]
+
+
+def integrals(samples: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """The rectangle rule of each leading member of ``samples``: its mean times
+    |T^N|, exact for resolved trig polynomials; an overflow gives inf or nan."""
+    return means(samples, grid) * grid.volume
+
+
 def integrate(f: ScalarField) -> float:
-    """Rectangle-rule integral = |T^N| * u_hat(0); exact for resolved trig polynomials."""
+    """The rectangle-rule integral of one finite field."""
     _require_finite(f.data)
-    return float(np.mean(f.data) * f.grid.volume)
+    return float(integrals(f.data, f.grid)[0])
 
 
 def lp_norm(f: Field, p: float) -> float:

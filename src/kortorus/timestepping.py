@@ -43,11 +43,11 @@ import numpy as np
 
 from .errors import NonFinite, NonpositiveDensity, PositivityLoss, StepUnderflow, require
 from .functionals import (
-    _REPORT_BATCH_POINTS,
     FunctionalReport,
     MonitorSpec,
     evaluate_report,
     evaluate_reports,
+    report_batch_size,
 )
 from .model import (
     FieldState,
@@ -207,8 +207,8 @@ class RunState:
     ``serrin_accumulator`` is the running Serrin integral (None until ``run``
     evaluates the first), the next snapshot time (None without a cadence),
     and the accepted steps not reported yet, each as its SpectralState and
-    the dt that made it.  ``run`` reports ``pending`` in one batch once its
-    grid points reach functionals._REPORT_BATCH_POINTS, and when it stops."""
+    the dt that made it.  ``run`` reports ``pending`` in one batch once it
+    holds ``functionals.report_batch_size`` states, and when it stops."""
 
     levels: tuple[_Level, ...]
     report: FunctionalReport | None
@@ -422,7 +422,7 @@ def run(initial: FieldState, params: ModelParams, config: IntegratorConfig,
     The initial report is made at once, so that a bad Serrin pair stops the
     run before its first step.  The others are made in batches
     (``evaluate_reports``): accepted steps wait in ``RunState.pending`` until
-    their grid points reach functionals._REPORT_BATCH_POINTS (the batch is
+    they are ``functionals.report_batch_size`` states (the batch is
     reported once the next dt is known), and the run reports what is pending
     when it stops, however it stops, so every accepted step has its report.
     """
@@ -438,7 +438,7 @@ def run(initial: FieldState, params: ModelParams, config: IntegratorConfig,
                                  run_state.next_snap)
     trajectory.record(stepper.run_state.report)
     eps_end = 1e-12 * config.t_end
-    per_batch = max(1, _REPORT_BATCH_POINTS // math.prod(initial.grid.shape))
+    per_batch = report_batch_size(initial.grid)
 
     try:
         while (last := stepper.state).time < config.t_end - eps_end:

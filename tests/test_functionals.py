@@ -429,8 +429,9 @@ class TestReportAndVerdict:
                                   MonitorSpec(p_vacuum=50.0))
         assert {"vac_value", "vac_rate", "vac_identity_residual"} <= set(rep.diverged)
 
-    @pytest.mark.parametrize("params,resolution", [(P_V2, 64), (P_ORIG, 64), (P_ORIG, (32, 32)),
-                                                   (P_V1, 64), (P_V1, (32, 32))])
+    @pytest.mark.parametrize("params,resolution", [(P_V2, 64), (P_V2, (32, 32)), (P_ORIG, 64),
+                                                   (P_ORIG, (32, 32)), (P_V1, 64),
+                                                   (P_V1, (32, 32))])
     def test_columns_equal_standalone_functionals(self, params, resolution):
         # a bare state, a spec away from its defaults, alpha > 0 outside effective_v2
         st = initial_state(SpectralGrid(resolution), "random_smooth",

@@ -267,3 +267,9 @@ def test_run_batches_by_the_cap(monkeypatch):
     run(smooth_state(grid, 1), VARIANT_PARAMS["effective_v2"],
         IntegratorConfig(dt_initial=1e-4, dt_min=1e-9, t_end=3e-4))
     assert sizes == [1, 1, 1]
+
+
+@pytest.mark.parametrize("resolution,states", [(64, 32), (128, 16), ((32, 32), 2),
+                                               ((64, 64), 1), ((128, 128), 1)])
+def test_report_batch_size_is_the_readme_figure(resolution, states):
+    assert functionals.report_batch_size(SpectralGrid(resolution)) == states
