@@ -40,10 +40,9 @@ from .functionals import (
 )
 from .littlewood_paley import (
     BesovIndex,
-    _besov_aggregate,
+    _besov_aggregates,
     besov_norm,  # noqa: F401  `kortorus besov`'s "norm"; perfbench/tracing.py wraps it here
     block_lp_norms,
-    family_for,
 )
 from .model import FieldState
 from .scenarios import initial_state, manufactured_solution
@@ -307,12 +306,15 @@ def cmd_besov(args) -> int:
     except ResolutionTooSmall as exc:
         print(f"grid too coarse for a Besov norm: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except InvalidField as exc:
+        print(f"invalid field: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     payload = {
         "resolution": list(field.grid.resolution),
         "index": {"s": args.s, "p": args.p, "r": args.r, "flavor": args.flavor},
         "shells": {str(q): shells[q] for q in sorted(shells)},
         # besov_norm(field, idx) to the bit, from the shells already taken
-        "norm": _besov_aggregate(shells.values(), idx, family_for(field.grid)),
+        "norm": _besov_aggregates(np.array([list(shells.values())]), idx)[0],
     }
     print(_json_dumps(payload), end="")
     return EXIT_OK

@@ -65,9 +65,9 @@ from .spectral import (
 
 _MIN_SHELLS = 3
 #: Samples in one chunk of synthesized block fields (see ``_block_fields``),
-#: and products in one chunk of the p = 2 coefficient sums (see
-#: ``_block_l2_norms``): a batch of fields or time samples is measured a
-#: chunk at a time, so its transient memory does not grow with the batch.
+#: and coefficient entries in one chunk of fields measured at p = 2 (see
+#: ``_block_norms``): a batch of fields or time samples is measured a chunk
+#: at a time, so its transient memory does not grow with the batch.
 _BLOCK_CHUNK_ELEMENTS = 2 ** 15
 _FLAVORS = ("nonhomogeneous", "homogeneous-style")
 
@@ -229,54 +229,31 @@ def dyadic_block_pair(u: ScalarField, q: int, q_prime: int) -> ScalarField:
     return _apply_multiplier(u, table)
 
 
-def _block_norms(hat: np.ndarray, family: DyadicFamily, flavor: str,
-                 p: float | tuple[float, ...]) -> np.ndarray:
-    """||Delta_q u||_{L^p} for q in family.block_range of each field u whose
-    rfft coefficients ``hat`` carries on leading batch axes, then the
-    component axis (vector fields via Euclidean magnitude).  Shape
-    hat.shape[:-1 - dim] + (number of blocks,) for one p; for a tuple of p,
-    one such array a p on a new leading axis.
+def _block_norms(hat: np.ndarray, grid: SpectralGrid, idx: BesovIndex) -> np.ndarray:
+    """||Delta_q u||_{L^p} at idx's p and flavor, for q in the family's
+    block_range, of each field u whose rfft coefficients ``hat`` carries on
+    leading batch axes, then the component axis (vector fields via
+    Euclidean magnitude).  Shape hat.shape[:-1 - dim] + (number of blocks,).
 
-    p = 2 is taken from the coefficients by Parseval (``_block_l2_norms``),
-    with no inverse transform.  Every other p synthesizes the blocks once,
-    in the chunks of ``_block_fields``, and measures each chunk for each of
-    them (one ``lp_norms`` call a p)."""
-    grid = family.grid
-    ps = p if isinstance(p, tuple) else (p,)
-    norms = {one_p: [] for one_p in ps}
-    if 2.0 in norms:
-        norms[2.0] = _block_l2_norms(hat, family, flavor)
-    synthesized = [one_p for one_p in norms if one_p != 2.0]
-    if synthesized:
-        for chunk in _block_fields(hat, family, flavor):
-            magnitude = np.sqrt(np.sum(chunk ** 2, axis=1))
-            for one_p in synthesized:
-                norms[one_p].extend(lp_norms(magnitude, one_p, grid))
-    stacked = np.array([norms[one_p] for one_p in ps]).reshape(
-        (len(ps),) + hat.shape[:-1 - grid.dim] + (len(family.block_range),))
-    return stacked if isinstance(p, tuple) else stacked[0]
-
-
-def _block_l2_norms(hat: np.ndarray, family: DyadicFamily, flavor: str) -> np.ndarray:
-    """||Delta_q u||_{L^2} of ``_block_norms``, field by field and blocks in
-    order within a field, as ``spectral._coefficient_l2_norms`` of the
-    squared tables.  The (field, block) sums are formed in chunks of at most
-    _BLOCK_CHUNK_ELEMENTS products: whole fields' blocks a chunk, or the
-    blocks of one field in slices where those alone are more."""
-    grid = family.grid
-    squares = family.tables[flavor] ** 2
+    p = 2 is taken from the coefficients by Parseval, with no inverse
+    transform: ``spectral._coefficient_l2_norms`` of a chunk of fields (at
+    most _BLOCK_CHUNK_ELEMENTS coefficient entries, or one field where that
+    alone is more) against each table, squared as it is used.  Every other p
+    synthesizes the blocks in the chunks of ``_block_fields`` and measures
+    each chunk in one ``lp_norms`` call."""
+    family = family_for(grid)
+    tables = family.tables[idx.flavor]
     rows = hat.reshape((-1,) + hat.shape[-1 - grid.dim:])
-    size = math.prod(grid.rfft_shape)
-    per_slice = min(len(squares), max(1, _BLOCK_CHUNK_ELEMENTS // size))
-    per_chunk = max(1, _BLOCK_CHUNK_ELEMENTS // (per_slice * size))
-    norms = np.empty((len(rows), len(squares)))
-    for start in range(0, len(rows), per_chunk):
-        chunk = rows[start:start + per_chunk]
-        for first in range(0, len(squares), per_slice):
-            tables = squares[first:first + per_slice]
-            norms[start:start + per_chunk, first:first + per_slice] = np.array(
-                _coefficient_l2_norms(chunk, tables, grid)).reshape(len(chunk), -1)
-    return norms.ravel()
+    norms = []
+    if idx.p == 2.0:
+        per_chunk = max(1, _BLOCK_CHUNK_ELEMENTS // math.prod(rows.shape[1:]))
+        for start in range(0, len(rows), per_chunk):
+            norms.extend(_coefficient_l2_norms(rows[start:start + per_chunk],
+                                               (table ** 2 for table in tables), grid))
+    else:
+        for chunk in _block_fields(rows, family, idx.flavor):
+            norms.extend(lp_norms(np.sqrt(np.sum(chunk ** 2, axis=1)), idx.p, grid))
+    return np.array(norms).reshape(hat.shape[:-1 - grid.dim] + (len(tables),))
 
 
 def _block_fields(hat: np.ndarray, family: DyadicFamily, flavor: str) -> Iterator[np.ndarray]:
@@ -298,46 +275,41 @@ def _block_fields(hat: np.ndarray, family: DyadicFamily, flavor: str) -> Iterato
         yield to_physical(tables[block][:, None] * rows[row], grid)
 
 
-def _field_hats(fields: Sequence[ScalarField | VectorField]) -> np.ndarray:
-    """rfft coefficients of a non-empty same-grid list, stacked (field,
-    component, ...), from one forward transform."""
+def _coefficients(fields: Sequence[ScalarField | VectorField]) -> np.ndarray:
+    """rfft coefficients of a non-empty same-grid list of fields, stacked
+    (field, component, ...), from one forward transform: the entry of every
+    field list to ``_block_norms``.  InvalidField on a non-finite sample."""
     data = np.stack([f.data[None] if f.rank == 0 else f.data for f in fields])
+    _require_finite(data)
     return to_spectral(data, fields[0].grid)
-
-
-def _block_norm_rows(fields: Sequence[ScalarField | VectorField], idx: BesovIndex) -> np.ndarray:
-    """``_block_norms`` of each field of a non-empty same-grid list, one row
-    per field, from one stacked forward transform."""
-    return _block_norms(_field_hats(fields), family_for(fields[0].grid), idx.flavor, idx.p)
 
 
 def block_lp_norms(u: ScalarField | VectorField, idx: BesovIndex) -> dict[int, float]:
     """||Delta_q u||_{L^p} per block (vector fields via Euclidean magnitude),
     from one forward transform; at p != 2 also one inverse transform per
-    chunk of blocks (one in all while the blocks of u fit in one chunk)."""
-    return dict(zip(family_for(u.grid).block_range, _block_norm_rows([u], idx)[0].tolist()))
+    chunk of blocks (one in all while the blocks of u fit in one chunk).
+    InvalidField on a non-finite sample."""
+    norms = _block_norms(_coefficients([u]), u.grid, idx)[0]
+    return dict(zip(family_for(u.grid).block_range, norms.tolist()))
 
 
-def _besov_aggregates(rows: np.ndarray, idx: BesovIndex, family: DyadicFamily) -> list[float]:
+def _besov_aggregates(rows: np.ndarray, idx: BesovIndex) -> list[float]:
     """l^r over blocks of 2^{qs} times each row of ``rows``, a C-contiguous
-    (fields, blocks) array with one norm per block of family.block_range.
-    Each value has the bits of its row aggregated alone: the weights and the
-    power are elementwise, a row of a C-contiguous array is summed as that
-    row alone, and the root is taken per value (numpy's array power can be
-    an ulp off the scalar one)."""
-    weighted = np.array([2.0 ** (q * idx.s) for q in family.block_range]) * rows
+    (fields, blocks) array whose entry i of a row is the norm of block
+    q = i - 1 (``DyadicFamily.block_range``).  Each value has the bits of
+    its row aggregated alone: the weights and the power are elementwise, a
+    row of a C-contiguous array is summed as that row alone, and the root
+    is taken per value (numpy's array power can be an ulp off the scalar
+    one)."""
+    weighted = np.array([2.0 ** (q * idx.s) for q in range(-1, rows.shape[-1] - 1)]) * rows
     if math.isinf(idx.r):
         return np.max(weighted, axis=-1).tolist()
     return [total ** (1.0 / idx.r) for total in np.sum(weighted ** idx.r, axis=-1).tolist()]
 
 
-def _besov_aggregate(norms: Sequence[float], idx: BesovIndex, family: DyadicFamily) -> float:
-    """``_besov_aggregates`` of one row of block norms."""
-    return _besov_aggregates(np.array([list(norms)], dtype=float), idx, family)[0]
-
-
 def besov_norm(u: ScalarField | VectorField, idx: BesovIndex) -> float:
-    """l^r over blocks of 2^{qs} ||Delta_q u||_{L^p}."""
+    """l^r over blocks of 2^{qs} ||Delta_q u||_{L^p}; InvalidField on a
+    non-finite sample."""
     return _besov_norms([u], idx)[0]
 
 
@@ -346,8 +318,7 @@ def _besov_norms(fields: Sequence[ScalarField | VectorField], idx: BesovIndex) -
     field, from one stacked forward transform and ``_block_norms``."""
     if not fields:
         return []
-    family = family_for(fields[0].grid)
-    return _besov_aggregates(_block_norm_rows(fields, idx), idx, family)
+    return _besov_aggregates(_block_norms(_coefficients(fields), fields[0].grid, idx), idx)
 
 
 def sobolev_weight_norm(u: ScalarField, s: float) -> float:
@@ -364,11 +335,14 @@ def sobolev_weight_norm(u: ScalarField, s: float) -> float:
 # Chemin-Lerner (tilde) norms
 
 
-def _check_time_norm(name: str, fields, rho_exp: float) -> None:
-    """A time norm needs at least one snapshot and rho_exp >= 1."""
+def _check_time_norm(name: str, fields, times, rho_exp: float) -> None:
+    """A time norm needs at least one snapshot, one time a snapshot and
+    rho_exp >= 1."""
     if len(fields) == 0:
         raise EmptyTrajectory(f"{name} needs at least one snapshot")
-    require((rho_exp >= 1.0, f"time exponent must satisfy rho >= 1, got {rho_exp}"))
+    require((len(times) == len(fields), f"{name} needs one time a snapshot, got "
+                                        f"{len(times)} times for {len(fields)} snapshots"),
+            (rho_exp >= 1.0, f"time exponent must satisfy rho >= 1, got {rho_exp}"))
 
 
 def _simpson_pairs(y: np.ndarray, h: np.ndarray, stop: int) -> np.ndarray:
@@ -424,13 +398,12 @@ def _time_lp(values: np.ndarray, times: np.ndarray, rho_exp: float,
 
 
 def _tilde_aggregate(block_series: Sequence[Sequence[float]], times: np.ndarray,
-                     rho_exp: float, idx: BesovIndex, family: DyadicFamily,
-                     quadrature: str) -> float:
+                     rho_exp: float, idx: BesovIndex, quadrature: str) -> float:
     """Tilde-norm aggregation of block_series[t][i], the norm of block
-    family.block_range[i] at times[t]: the L^{rho_exp} time norm of each
-    block first, then l^r over blocks of the 2^{qs}-weighted time norms."""
+    q = i - 1 at times[t]: the L^{rho_exp} time norm of each block first,
+    then l^r over blocks of the 2^{qs}-weighted time norms."""
     by_block = np.ascontiguousarray(np.asarray(block_series, dtype=float).T)
-    return _besov_aggregate(_time_lp(by_block, times, rho_exp, quadrature), idx, family)
+    return _besov_aggregates(np.array([_time_lp(by_block, times, rho_exp, quadrature)]), idx)[0]
 
 
 def chemin_lerner_norm(fields: Sequence[ScalarField | VectorField],
@@ -441,16 +414,16 @@ def chemin_lerner_norm(fields: Sequence[ScalarField | VectorField],
     Satisfies the Minkowski ordering against the iterated norm
     L^{rho_exp}_T(B^s_{p,r}): <= when r >= rho_exp, >= when r <= rho_exp.
     """
-    _check_time_norm("chemin_lerner_norm", fields, rho_exp)
-    return _tilde_aggregate(_block_norm_rows(fields, idx), np.asarray(times, dtype=float),
-                            rho_exp, idx, family_for(fields[0].grid), "trapezoid")
+    _check_time_norm("chemin_lerner_norm", fields, times, rho_exp)
+    return _tilde_aggregate(_block_norms(_coefficients(fields), fields[0].grid, idx),
+                            np.asarray(times, dtype=float), rho_exp, idx, "trapezoid")
 
 
 def iterated_time_besov_norm(fields: Sequence[ScalarField | VectorField],
                              times: Sequence[float], rho_exp: float, idx: BesovIndex) -> float:
     """Plain L^{rho_exp}_T(B^s_{p,r}) norm (trapezoid rule in time), for
     Minkowski-ordering checks."""
-    _check_time_norm("iterated norm", fields, rho_exp)
+    _check_time_norm("iterated norm", fields, times, rho_exp)
     series = np.asarray([_besov_norms(fields, idx)])
     return _time_lp(series, np.asarray(times, dtype=float), rho_exp, "trapezoid")[0]
 
@@ -497,7 +470,6 @@ def verify_derivative_equivalence(corpus: Sequence[ScalarField], s: float = 1.0,
     if not corpus:
         return RatioReport(math.nan, math.nan, 0, 0)
     grid = corpus[0].grid
-    family = family_for(grid)
     centered = np.stack([u.data - np.mean(u.data) for u in corpus])
     _require_finite(centered)
     hat = to_spectral(centered, grid)
@@ -506,9 +478,8 @@ def verify_derivative_equivalence(corpus: Sequence[ScalarField], s: float = 1.0,
     grad_hats = to_spectral(np.moveaxis(to_physical(grad_hat(hat, grid), grid), 0, 1), grid)
     ratios = []
     excluded = 0
-    denoms = _besov_aggregates(_block_norms(hat[:, None], family, idx.flavor, p), idx, family)
-    grad_norms = _besov_aggregates(_block_norms(grad_hats, family, grad_idx.flavor, p),
-                                   grad_idx, family)
+    denoms = _besov_aggregates(_block_norms(hat[:, None], grid, idx), idx)
+    grad_norms = _besov_aggregates(_block_norms(grad_hats, grid, grad_idx), grad_idx)
     for denom, grad_norm in zip(denoms, grad_norms):
         if denom == 0.0 or grad_norm == 0.0:
             excluded += 1
@@ -530,16 +501,16 @@ def verify_embedding(corpus: Sequence[ScalarField], s: float, p1: float, r1: flo
             f"r1={r1}, r2={r2}")
     if not corpus:
         return ConstantReport(0.0, 0)
-    family = family_for(corpus[0].grid)
+    grid = corpus[0].grid
     idx1 = BesovIndex(s, p1, r1)
-    idx2 = BesovIndex(s - corpus[0].grid.dim * (1.0 / p1 - 1.0 / p2), p2, r2)
+    idx2 = BesovIndex(s - grid.dim * (1.0 / p1 - 1.0 / p2), p2, r2)
     # both norms from one forward transform of each field (and one synthesis
-    # of its blocks for the p that is not 2)
-    norms1, norms2 = _block_norms(_field_hats(corpus), family, idx1.flavor, (p1, p2))
+    # of its blocks for each p that is not 2)
+    hat = _coefficients(corpus)
     worst = 0.0
     n = 0
-    for source, target in zip(_besov_aggregates(norms1, idx1, family),
-                              _besov_aggregates(norms2, idx2, family)):
+    for source, target in zip(_besov_aggregates(_block_norms(hat, grid, idx1), idx1),
+                              _besov_aggregates(_block_norms(hat, grid, idx2), idx2)):
         if source == 0.0:
             continue
         worst = max(worst, target / source)
@@ -605,8 +576,9 @@ def heat_regularity_check(u0: ScalarField, forcing, mu: float, s: float, p: floa
     each tilde norm takes every block's time norm in one quadrature call.
     A callable forcing is sampled at every time into one array and
     transformed forward once.  Memory: about one chunk of coefficients and
-    one of blocks (or of coefficient sums), plus the forcing's coefficient
-    stack (n_time times those of one field) when the forcing is callable.
+    one of blocks (or, at p = 2, of their power spectra), plus the
+    forcing's coefficient stack (n_time times those of one field) when the
+    forcing is callable.
 
     ``forcing`` may be None, a time-constant ScalarField, or a callable
     t -> samples.  Needs 1 <= rho2 <= rho1 (ExponentOrderViolated), and mu,
@@ -621,7 +593,6 @@ def heat_regularity_check(u0: ScalarField, forcing, mu: float, s: float, p: floa
     if n_time % 2 == 0:
         n_time += 1  # Simpson wants an odd sample count
     grid = u0.grid
-    family = family_for(grid)
     times = np.linspace(0.0, T, n_time)
     dt = times[1] - times[0]
     lam = -grid.rfft_minus_beta_sq  # |beta|^2 >= 0
@@ -656,16 +627,15 @@ def heat_regularity_check(u0: ScalarField, forcing, mu: float, s: float, p: floa
             else:
                 out[...] = u_hat
             u_hat = out
-        groups.append(_block_norms(u_hats, family, idx_u.flavor, p))
+        groups.append(_block_norms(u_hats, grid, idx_u))
     u_norms = np.concatenate(groups)
 
-    lhs = _tilde_aggregate(u_norms, times, rho1, idx_u, family, "simpson")
+    lhs = _tilde_aggregate(u_norms, times, rho1, idx_u, "simpson")
     # u0's B^s_{p,r} norm from the t = 0 block norms, which depend on p, not on s
-    rhs_val = _besov_aggregate(u_norms[0], BesovIndex(s, p, r), family)
+    rhs_val = _besov_aggregates(u_norms[:1], BesovIndex(s, p, r))[0]
     if forcing is not None:
-        f_norms = np.broadcast_to(_block_norms(f_distinct, family, idx_f.flavor, p),
-                                  u_norms.shape)
-        f_norm = _tilde_aggregate(f_norms, times, rho2, idx_f, family, "simpson")
+        f_norms = np.broadcast_to(_block_norms(f_distinct, grid, idx_f), u_norms.shape)
+        f_norm = _tilde_aggregate(f_norms, times, rho2, idx_f, "simpson")
         rhs_val = rhs_val + mu ** (1.0 / rho2 - 1.0) * f_norm
     constant = math.inf if rhs_val == 0.0 else lhs / rhs_val
     return HeatReport(lhs, rhs_val, constant, s, rho1, rho2)

@@ -449,24 +449,29 @@ def lp_norms(samples: np.ndarray, p: float, grid: SpectralGrid) -> list[float]:
     return [total ** (1.0 / p) for total in sums.tolist()]
 
 
-def _coefficient_l2_norms(hat: np.ndarray, squared_multipliers: np.ndarray,
+def _coefficient_l2_norms(hat: np.ndarray, squared_multipliers,
                           grid: SpectralGrid) -> list[float]:
     """Discrete L^2 norm of m(D) u for each field u whose unnormalized rfft
     coefficients U ``hat`` holds (leading rows, then the component axis)
     and each real multiplier m whose squares over the rfft half lattice
-    are the leading rows of ``squared_multipliers``, by discrete Parseval:
+    are the rows of ``squared_multipliers`` (an array of such rows, or any
+    iterable of them), by discrete Parseval:
 
         ||m(D) u||^2 = |T^N| / size^2 * sum_k w_k m(k)^2 sum_components |U_k|^2
 
-    with w_k = ``grid.rfft_multiplicity``.  Row-major over (field,
-    multiplier); each sum taken on its own and each root per value, as in
-    ``lp_norms``, whose p = 2 value this equals to roundoff."""
-    power = np.sum(hat.real ** 2 + hat.imag ** 2, axis=-1 - grid.dim)
-    weights = squared_multipliers * grid.rfft_multiplicity
-    products = (power.reshape(len(power), 1, -1)
-                * weights.reshape(1, len(weights), -1))
-    sums = products.sum(axis=-1) * (grid.volume / math.prod(grid.shape) ** 2)
-    return [total ** 0.5 for total in sums.ravel().tolist()]
+    with w_k = ``grid.rfft_multiplicity``.  The weighted power spectra
+    w_k sum_components |U_k|^2 are formed once (w_k is 1 or 2, so short of
+    overflow the product w_k m(k)^2 |U_k|^2 has the same bits whichever
+    factor takes w_k), and the multipliers are taken one at a time, each as one
+    (fields, modes) product: the transient memory is a few arrays of the
+    fields' power spectra, whatever the number of multipliers.  Row-major
+    over (field, multiplier); each sum taken on its own and each root per
+    value, as in ``lp_norms``, whose p = 2 value this equals to roundoff."""
+    power = (np.sum(hat.real ** 2 + hat.imag ** 2, axis=-1 - grid.dim).reshape(len(hat), -1)
+             * grid.rfft_multiplicity.ravel())
+    sums = np.array([(power * square.ravel()).sum(axis=-1) for square in squared_multipliers])
+    sums *= grid.volume / math.prod(grid.shape) ** 2
+    return [total ** 0.5 for total in sums.T.ravel().tolist()]
 
 
 def relative_l2_gap(a: Field, b: Field) -> float:

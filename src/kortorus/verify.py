@@ -314,7 +314,8 @@ def suite_lp_norms(seed: int = 0):
     # almost orthogonality
     factors = []
     sample = corpus[:20]
-    for u, norms in zip(sample, lp._block_norm_rows(sample, lp.BesovIndex(0.0)).tolist()):
+    rows = lp._block_norms(lp._coefficients(sample), grid, lp.BesovIndex(0.0))
+    for u, norms in zip(sample, rows.tolist()):
         l2 = lp_norm(u, 2.0) ** 2
         blocks = sum(n ** 2 for n in norms)
         factors.append(max(l2 / blocks, blocks / l2))

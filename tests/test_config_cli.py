@@ -355,6 +355,16 @@ class TestBesovCLI:
         err = capsys.readouterr().err
         assert "p >= 1, got 0.5" in err and "r >= 1, got 0.5" in err
 
+    def test_non_finite_sample_exit_two(self, tmp_path, capsys):
+        field = besov_corpus(SpectralGrid(64), 1, seed=4)[0]
+        field.data[7] = np.nan
+        dump = tmp_path / "nan.fld"
+        write_field_dump(dump, field)
+        assert main(["besov", str(dump), "--s", "1.0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite" in captured.err
+
     def test_too_few_shells_exit_two(self, tmp_path, capsys):
         dump = tmp_path / "coarse.fld"
         write_field_dump(dump, SpectralGrid(8, length=1000.0).zeros())

@@ -8,12 +8,14 @@ from kortorus.errors import (
     EmptyTrajectory,
     ExponentOrderViolated,
     IndexConstraintViolated,
+    InvalidField,
     ResolutionTooSmall,
 )
 from kortorus.littlewood_paley import (
     BesovIndex,
     build_dyadic_family,
     besov_norm,
+    block_lp_norms,
     chemin_lerner_norm,
     chi_profile,
     dyadic_block,
@@ -179,6 +181,21 @@ class TestBesovNorm:
         with pytest.raises(ValueError):
             BesovIndex(1.0, 2.0, 2.0, flavor="whatever")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_non_finite_sample_rejected(self, bad, p):
+        grid = SpectralGrid(64)
+        fields = besov_corpus(grid, 3, seed=1)
+        fields[1].data.flat[5] = bad
+        idx = BesovIndex(1.0, p)
+        times = [0.0, 0.5, 1.0]
+        for measure in (lambda: besov_norm(fields[1], idx), lambda: block_lp_norms(fields[1], idx),
+                        lambda: chemin_lerner_norm(fields, times, 2.0, idx),
+                        lambda: iterated_time_besov_norm(fields, times, 2.0, idx),
+                        lambda: verify_embedding(fields, 1.0, p, 2.0, 4.0, 2.0)):
+            with pytest.raises(InvalidField, match="non-finite"):
+                measure()
+
 
 class TestCheminLerner:
     def test_time_constant_factorizes(self):
@@ -225,6 +242,16 @@ class TestCheminLerner:
         fields = besov_corpus(SpectralGrid(64), 3, seed=14)
         with pytest.raises(ConstraintViolationError, match=r"rho >= 1, got 0\.5"):
             norm(fields, [0.0, 0.5, 1.0], 0.5, BesovIndex(0.0))
+
+    @pytest.mark.parametrize("norm", [chemin_lerner_norm, iterated_time_besov_norm])
+    @pytest.mark.parametrize("rho", [2.0, math.inf])
+    @pytest.mark.parametrize("n_times", [2, 6])
+    def test_one_time_a_snapshot(self, norm, rho, n_times):
+        # 2 times for 5 snapshots once broadcast np.trapezoid's one spacing
+        fields = besov_corpus(SpectralGrid(64), 5, seed=1)
+        with pytest.raises(ConstraintViolationError,
+                           match=f"one time a snapshot, got {n_times} times for 5 snapshots"):
+            norm(fields, np.linspace(0.0, 1.0, n_times), rho, BesovIndex(1.0))
 
 
 class TestVerifiers:

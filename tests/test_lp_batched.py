@@ -56,9 +56,10 @@ def test_verifiers_equal_reference(grid):
     # the gradients of a 2D corpus are vector fields
     assert crosses_a_chunk(grid, 3 * 20, 1) and crosses_a_chunk(grid, 40, grid.dim)
     assert lp.verify_derivative_equivalence(corpus) == ref.verify_derivative_equivalence(corpus)
-    for p2 in (4.0, math.inf):
-        assert lp.verify_embedding(corpus, 1.0, 2.0, 2.0, p2, 2.0) \
-            == ref.verify_embedding(corpus, 1.0, 2.0, 2.0, p2, 2.0)
+    # (3, 4) synthesizes the blocks for both norms
+    for p1, p2 in ((2.0, 4.0), (2.0, math.inf), (3.0, 4.0)):
+        assert lp.verify_embedding(corpus, 1.0, p1, 2.0, p2, 2.0) \
+            == ref.verify_embedding(corpus, 1.0, p1, 2.0, p2, 2.0)
     pairs = list(zip(corpus[:20], corpus[20:]))
     assert lp.verify_product_law(pairs, 1.0, 2.0, 2.0) \
         == ref.verify_product_law(pairs, 1.0, 2.0, 2.0)
@@ -128,6 +129,26 @@ def test_heat_check_memory_is_bounded_by_the_chunk(forcing_kind):
     assert large - small < chunk_bytes / 2
 
 
+def test_l2_block_norms_memory_is_bounded_by_the_field():
+    # p = 2 takes one (fields, modes) product a table, each table squared as
+    # it is used, so the traced peak is a few arrays the size of one 256^2
+    # field's samples (512 KB): its stack, its coefficients and its power
+    # spectrum times one table.  A stack of all 10 squared tables and their
+    # products would add 2.6 MB and fail the bound
+    grid = SpectralGrid((256, 256))
+    u = besov_corpus(grid, 1, seed=1)[0]
+    idx = lp.BesovIndex(1.0)
+    lp.block_lp_norms(u, idx)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        lp.block_lp_norms(u, idx)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * u.data.nbytes
+
+
 def test_heat_check_groups_keep_the_chunks_of_one_stack(fft_count):
     # the time samples go through the block synthesis in groups, which must
     # cut the (sample, block) pairs where the chunks of one stack of all
@@ -146,8 +167,8 @@ def test_heat_check_groups_keep_the_chunks_of_one_stack(fft_count):
 
 @pytest.mark.parametrize("chunk", [50, 300, 1000])
 def test_l2_block_norms_in_small_chunks_equal_reference(monkeypatch, chunk):
-    # p = 2 chunks of one block, of a slice of 4 of a field's 8 blocks, and
-    # of one field's 8 blocks: the slicing of large 2D grids, on a small one
+    # p = 2 chunks of one field (65 coefficients), of 4 of the 5 fields and
+    # of all 5: the chunks of a long series, on a short one
     grid = SpectralGrid(128)
     fields = besov_corpus(grid, 5, seed=14)
     monkeypatch.setattr(lp, "_BLOCK_CHUNK_ELEMENTS", chunk)

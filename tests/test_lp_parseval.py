@@ -104,12 +104,12 @@ def test_stacked_time_norms_equal_each_series_alone(n_time, rho, quadrature):
     for u in besov_corpus(grid, 3, seed=13):
         hats = np.array(heat_decayed(to_spectral(u.data[None], grid), grid, 0.7,
                                      times[1], n_time - 1))
-        series = lp._block_norms(hats, family, idx.flavor, idx.p)
+        series = lp._block_norms(hats, grid, idx)
         assert series.shape == (n_time, len(family.block_range))
         expected = [series_alone(block, times, rho, quadrature) for block in series.T]
         assert lp._time_lp(np.ascontiguousarray(series.T), times, rho, quadrature) == expected
-        assert lp._tilde_aggregate(series, times, rho, idx, family, quadrature) \
-            == lp._besov_aggregate(expected, idx, family)
+        assert lp._tilde_aggregate(series, times, rho, idx, quadrature) \
+            == lp._besov_aggregates(np.array([expected]), idx)[0]
         by_block.extend(series.T)
     # many series in one call, as the heat check's blocks
     assert lp._time_lp(np.array(by_block), times, rho, quadrature) \
@@ -152,11 +152,12 @@ def test_stacked_besov_aggregates_equal_each_row_alone(resolution):
     # 256 has 9 blocks, so each row sum runs numpy's 8-way pairwise loop
     grid = SpectralGrid(resolution)
     family = lp.family_for(grid)
-    rows = lp._block_norm_rows(besov_corpus(grid, 30, seed=17), lp.BesovIndex(0.0))
+    fields = besov_corpus(grid, 30, seed=17)
+    rows = lp._block_norms(lp._coefficients(fields), grid, lp.BesovIndex(0.0))
     rows = np.concatenate([rows, np.zeros((1, rows.shape[1]))])
     for s in (-1.5, 0.0, 1.0, 2.3):
         for r in (1.0, 1.5, 2.0, 3.5, math.inf):
             idx = lp.BesovIndex(s, 2.0, r)
             expected = [ref.besov_aggregate(row, idx, family) for row in rows.tolist()]
-            assert same_bits(lp._besov_aggregates(rows, idx, family), expected)
-            assert same_bits([lp._besov_aggregate(row, idx, family) for row in rows], expected)
+            assert same_bits(lp._besov_aggregates(rows, idx), expected)
+            assert same_bits([lp._besov_aggregates(row[None], idx)[0] for row in rows], expected)
