@@ -582,7 +582,8 @@ def heat_regularity_check(u0: ScalarField, forcing, mu: float, s: float, p: floa
 
     ``forcing`` may be None, a time-constant ScalarField, or a callable
     t -> samples.  Needs 1 <= rho2 <= rho1 (ExponentOrderViolated), and mu,
-    T > 0 and n_time >= 2 (one ConstraintViolationError listing each miss).
+    T > 0 and n_time >= 2 (one ConstraintViolationError listing each miss);
+    a non-finite sample of u0 or of the forcing raises InvalidField.
     """
     if not (1.0 <= rho2 <= rho1):
         raise ExponentOrderViolated(
@@ -601,12 +602,15 @@ def heat_regularity_check(u0: ScalarField, forcing, mu: float, s: float, p: floa
     idx_f = BesovIndex(s - 2.0 + (0.0 if math.isinf(rho2) else 2.0 / rho2), p, r)
 
     stack_shape = (n_time, 1) + grid.rfft_shape
+    _require_finite(u0.data)
     if isinstance(forcing, ScalarField):
+        _require_finite(forcing.data)
         f_hats = np.broadcast_to(to_spectral(forcing.data[None, None], grid), stack_shape)
         f_distinct = f_hats[:1]
     elif forcing is not None:
-        f_hats = f_distinct = to_spectral(
-            np.array([forcing(float(t)) for t in times], dtype=float)[:, None], grid)
+        samples = np.array([forcing(float(t)) for t in times], dtype=float)
+        _require_finite(samples)
+        f_hats = f_distinct = to_spectral(samples[:, None], grid)
     # u in groups of time samples whose blocks fill whole chunks, so that the
     # chunks are those of all samples at once
     per_group = max(1, _BLOCK_CHUNK_ELEMENTS // math.prod(grid.shape))

@@ -20,8 +20,8 @@ divergence is available in two independently assembled forms:
 kappa * div(rho grad grad ln rho); their agreement is a core verification
 target.
 
-Momentum tendencies are returned per unit mass (divided pointwise by rho);
-every nonlinear product is dealiased with the 2/3 rule.
+Velocity tendencies are per unit mass, derived term by term in
+``tendency_hats``; every nonlinear product is dealiased with the 2/3 rule.
 """
 
 from __future__ import annotations
@@ -354,12 +354,12 @@ def _along_batch(arrays: Sequence[np.ndarray], grid: SpectralGrid) -> np.ndarray
 class SpectralState:
     """One state's spectral coefficients and the derived fields that the
     step and the report share, each computed at most once: ln rho, grad ln
-    rho, u and v, grad w, the Hessian of ln rho, |u|^2 and the pressure
-    (arrays; vector and tensor components lead).  The transforms go in the
-    dependency stages that the stepper, ``tendency_hats`` and
-    ``evaluate_report`` ask ``fill`` for; a field read on its own is a stage
-    of its own.  A bare state first sends rho, the components of w and ln rho
-    forward in one call.
+    rho, u, v and the transport velocity, grad w, the Hessian of ln rho,
+    |u|^2 and the pressure (arrays; vector and tensor components lead).
+    The transforms go in the dependency stages that the stepper,
+    ``tendency_hats`` and ``evaluate_report`` ask ``fill`` for; a field
+    read on its own is a stage of its own.  A bare state first sends rho,
+    the components of w and ln rho forward in one call.
 
     ``rhs``, ``cfl_dt`` and ``evaluate_report`` accept it in place of the
     FieldState it wraps, so they share this work.  Build it with
@@ -451,6 +451,10 @@ class SpectralState:
         return self.w.data
 
     @cached_property
+    def transport(self) -> np.ndarray:  # u - mu grad ln rho, see tendency_hats
+        return self.u - self.params.mu * self.grad_ln_rho
+
+    @cached_property
     def u_sq(self) -> np.ndarray:
         return (self.u ** 2).sum(axis=0)
 
@@ -482,34 +486,47 @@ def spectral_state(state: FieldState | SpectralState, params: ModelParams) -> Sp
 def tendency_hats(d: SpectralState, forcing=()) -> tuple[np.ndarray, np.ndarray]:
     """rfft coefficients of (d rho/dt without its (kappa/mu) Lap rho part,
     d w/dt), each plus its source sampled in ``forcing`` = (f_rho, f_w) if
-    given: every nonlinear product is dealiased by masking its coefficients,
-    and derivatives are taken from the masked coefficients directly.
+    given; every nonlinear product is dealiased by masking its coefficients.
 
-    Both variant families share the assembly: the mass flux is rho w, the
-    stress is div(rho T) with T = mu grad w, plus alpha (grad w)^T and the
-    Korteweg term kappa grad grad ln rho for ``original``, and the advecting
-    field is u.  Transform stages: ln rho, rho w, P(rho), the forcing and
-    rho T forward; grad ln rho and the force back; the tendency forward.
-    ``original`` first brings back grad grad ln rho (with grad ln rho on a
-    1D grid, where it costs no call) and sends rho T forward alone."""
-    params, grid = d.params, d.grid
-    rho = d.rho.data
+    d rho/dt = -div(rho w) in every variant, and d w/dt is per unit mass.
+    With L = ln rho, g = grad L, u the advecting velocity and the stress
+    T_ij = mu d_i w_j, plus alpha d_j w_i + kappa d_i d_j L in ``original``
+    (kappa div(rho grad grad L) is div K of the kappa/rho law),
+
+        d_t w = div(rho T) / rho - (u . grad) w - grad P / rho
+              = div T + g . T - (u . grad) w - a gamma rho^(gamma-1) g,
+
+    as div(rho T)_j / rho = sum_i (d_i T_ij + g_i T_ij).  Term by term, mu
+    gives mu Lap w - ((u - mu g) . grad) w, a transport at the speed
+    ``SpectralState.transport`` that ``cfl_dt`` bounds; alpha gives
+    alpha (grad div w + (d_j w_i) g_i); kappa gives kappa (grad Lap L +
+    (d_i d_j L) g_i) = kappa grad(Lap L + |g|^2 / 2), the Bohm potential
+    2 kappa grad(Lap sqrt(rho) / sqrt(rho)).
+
+    div T is a symbol on the coefficients of w and L and the rest is formed
+    pointwise: nothing is multiplied by rho to be divided by it again, which
+    would amplify truncation error by 1/rho.  Stages, one order for every
+    variant: L, rho w and the forcing forward; g and grad w (and grad grad L
+    in ``original``) back; the pointwise part forward.  The 2/3 mask covers
+    the whole velocity tendency."""
+    params, grid, rho = d.params, d.grid, d.rho.data
     keep = grid.rfft_dealias_keep
-    effective = params.variant != "original"
-    stress = params.mu * d.grad_w
-    flux_hat, p_hat, *hats = d.fill(to_spectral_stage, "ln_rho_hat", extra=[
-        rho * d.w.data, d.pressure, *forcing, *([rho * stress] if effective else [])])
-    if not effective:
-        d.fill(to_physical_stage, "hess_ln_rho", *(["grad_ln_rho"] if grid.dim == 1 else []))
-        stress = (stress + params.alpha * np.swapaxes(d.grad_w, 0, 1)
-                  + params.kappa * d.hess_ln_rho)
-        hats += d.fill(to_spectral_stage, extra=[rho * stress])
-    *forcing_hats, stress_hat = hats
-    (force,) = d.fill(to_physical_stage, *(["grad_ln_rho"] if effective else []), extra=[
-        div_hat(keep * stress_hat, grid) - grad_hat(p_hat, grid)])
-    advect = np.einsum("i...,ij...->j...", d.u, d.grad_w)
-    (momentum_hat,) = d.fill(to_spectral_stage, extra=[force / rho - advect])
-    drho_hat, dw_hat = -div_hat(keep * flux_hat, grid), keep * momentum_hat
+    original = params.variant == "original"
+    flux_hat, *forcing_hats = d.fill(to_spectral_stage, "ln_rho_hat",
+                                     extra=[rho * d.w.data, *forcing])
+    d.fill(to_physical_stage, "grad_ln_rho", "grad_w", *(["hess_ln_rho"] if original else []))
+    g = d.grad_ln_rho
+    explicit = (-np.einsum("i...,ij...->j...", d.transport, d.grad_w)
+                - params.a * params.gamma * rho ** (params.gamma - 1.0) * g)
+    div_stress_hat = params.mu * grid.rfft_minus_beta_sq * d.w_hat
+    if original:
+        explicit += np.einsum("i...,ij...->j...", g, params.alpha * np.swapaxes(d.grad_w, 0, 1)
+                              + params.kappa * d.hess_ln_rho)
+        div_stress_hat = div_stress_hat + grad_hat(
+            params.alpha * div_hat(d.w_hat, grid)
+            + params.kappa * grid.rfft_minus_beta_sq * d.ln_rho_hat, grid)
+    (explicit_hat,) = d.fill(to_spectral_stage, extra=[explicit])
+    drho_hat, dw_hat = -div_hat(keep * flux_hat, grid), keep * (explicit_hat + div_stress_hat)
     if forcing_hats:
         drho_hat, dw_hat = drho_hat + forcing_hats[0], dw_hat + forcing_hats[1]
     return drho_hat, dw_hat
@@ -517,12 +534,8 @@ def tendency_hats(d: SpectralState, forcing=()) -> tuple[np.ndarray, np.ndarray]
 
 def rhs(state: FieldState | SpectralState,
         params: ModelParams) -> tuple[ScalarField, VectorField]:
-    """Time derivative (d rho/dt, d w/dt) for the configured variant.
-
-    For the effective variants the advecting field is the reconstructed
-    u = v - (kappa/mu) grad ln rho, and the momentum tendency is stored per
-    unit mass (after pointwise division by rho).
-    """
+    """Time derivative (d rho/dt, d w/dt) for the configured variant, the
+    velocity's per unit mass (``tendency_hats``)."""
     d = spectral_state(state, params)
     drho_hat, dw_hat = tendency_hats(d)
     if params.variant != "original":

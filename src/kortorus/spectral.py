@@ -293,25 +293,17 @@ def _stage(transform, arrays, grid: SpectralGrid) -> list[np.ndarray]:
     row into one call on a 1D grid, where a call costs about the same for 1
     row or 8; one call each on a 2D grid, where wider batches cost more per
     component (see README), taking each array just before its call.  On a
-    1D grid each array's part of the call is a view of its rows: one row
-    for a single field, the rows themselves for one component axis, and the
-    rows reshaped to the array's component axes otherwise."""
-    if grid.dim != 1:
+    1D grid each array's part of the call is a view of its rows, reshaped to
+    the array's component axes."""
+    if grid.dim == 1:
+        arrays = list(arrays)
+    if grid.dim != 1 or len(arrays) < 2:
         return [transform(a, grid) for a in arrays]
-    arrays = list(arrays)
-    if len(arrays) < 2:
-        return [transform(a, grid) for a in arrays]
-    out = transform(np.concatenate([a if a.ndim == 2 else a.reshape(-1, a.shape[-1])
-                                    for a in arrays]), grid)
+    out = transform(np.concatenate([a.reshape(-1, a.shape[-1]) for a in arrays]), grid)
     parts, start = [], 0
     for a in arrays:
-        if a.ndim == 1:
-            parts.append(out[start])
-            start += 1
-            continue
         stop = start + a.size // a.shape[-1]
-        rows = out[start:stop]
-        parts.append(rows if a.ndim == 2 else rows.reshape(a.shape[:-1] + rows.shape[-1:]))
+        parts.append(out[start:stop].reshape(a.shape[:-1] + out.shape[-1:]))
         start = stop
     return parts
 

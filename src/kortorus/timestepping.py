@@ -4,10 +4,9 @@ The density equation is advanced with an exact spectral integrating factor
 for its linear diffusion (kappa/mu) Lap rho (absent in the ``original``
 variant) and an explicit transport term; the velocity equation treats its
 viscous diffusion mu Lap implicitly and the remainder explicitly.  The
-velocity tendency is per unit mass, so its stress term div(mu rho grad w)/rho
-= mu Lap w + mu (grad ln rho . grad) w diffuses at the rate mu whatever the
-density, and the per-mode solves stay diagonal; ``cfl_dt`` bounds the
-transport that is left explicit.
+velocity tendency is per unit mass (``model.tendency_hats``), so it diffuses
+at the rate mu whatever the density, and the per-mode solves stay diagonal;
+``cfl_dt`` bounds the transport that is left explicit.
 
 Schemes:
 
@@ -160,22 +159,14 @@ class Trajectory:
 def cfl_dt(state: FieldState | SpectralState, params: ModelParams,
            config: IntegratorConfig) -> float:
     """cfl_safety * h / max|u - mu grad ln rho|, with h the smallest grid
-    spacing: the bound on the transport that the step treats explicitly.
-
-    The velocity tendency is per unit mass, so in every variant
-
-        d_t w = -(u . grad) w + div(mu rho grad w) / rho + ...
-              = mu Lap w - ((u - mu grad ln rho) . grad) w + ...,
-
-    u the advecting velocity.  The step takes mu Lap w implicitly, so the
-    transport it leaves explicit carries w at the speed u - mu grad ln rho.
-    The pressure and, in ``original``, the alpha and capillary stresses are
-    explicit too and are not bounded here.  An empty bound is +inf; a result
-    below dt_min raises StepUnderflow.
-    """
+    spacing: the bound on the transport -((u - mu grad ln rho) . grad) w
+    that the step leaves explicit once it takes mu Lap w implicitly (see
+    ``model.tendency_hats``).  The pressure and, in ``original``, the alpha
+    and capillary terms are explicit too and are not bounded here.  An empty
+    bound is +inf; a result below dt_min raises StepUnderflow."""
     d = spectral_state(state, params)
     h = min(d.grid.spacing)
-    speed = math.sqrt(((d.u - params.mu * d.grad_ln_rho) ** 2).sum(axis=0).max())
+    speed = math.sqrt((d.transport ** 2).sum(axis=0).max())
     dt = config.cfl_safety * (math.inf if speed == 0.0 else h / speed)
     if dt < config.dt_min:
         raise StepUnderflow(
@@ -382,7 +373,7 @@ class Stepper:
         else:
             rho_hat, w_hat = _advance_euler(level, self._factors_of(dt, None), lam_w, dt)
         # grad w rides along only where it costs no call: a 2D grid inverts
-        # it when the tendencies first read it, after the check
+        # it in the tendencies' stage, after the check
         rho, w, *grad_w = to_physical_stage(
             [rho_hat, w_hat] + ([grad_hat(w_hat, grid)] if grid.dim == 1 else []), grid)
         # copies, so that a kept state does not hold the stage's whole array

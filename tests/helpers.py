@@ -134,31 +134,58 @@ def rel_linf(a, b) -> float:
     return max_abs(np.asarray(a) - np.asarray(b)) / scale
 
 
-def reference_rhs(rho: np.ndarray, w: np.ndarray, grid, params) -> tuple[np.ndarray, np.ndarray]:
-    """Right-hand side assembled with a complex FFT pair per operator, the
-    way the model equations read: every product dealiased on its own by a
-    physical -> spectral -> physical round trip, then differentiated.
+class _ComplexFFT:
+    """Spectral operators of a grid built from numpy.fft and the grid's
+    resolution and length only, none of the package's spectral tables or
+    operators: one complex FFT pair per operator."""
 
-    Uses numpy.fft and the grid's resolution and length only, none of the
-    package's spectral tables or operators."""
-    d = grid.dim
-    ks, keep = [], np.ones(grid.shape, dtype=bool)
-    for axis, (n, length) in enumerate(zip(grid.resolution, grid.length)):
-        shape = [1] * d
-        shape[axis] = n
-        k = np.fft.fftfreq(n, d=1.0 / n)
-        keep &= (np.abs(k) <= n // 3).reshape(shape)
-        k[n // 2] = 0.0
-        ks.append((k * (2.0 * np.pi / length)).reshape(shape))
+    def __init__(self, grid):
+        d = grid.dim
+        self.ks, self.keep = [], np.ones(grid.shape, dtype=bool)
+        for axis, (n, length) in enumerate(zip(grid.resolution, grid.length)):
+            shape = [1] * d
+            shape[axis] = n
+            k = np.fft.fftfreq(n, d=1.0 / n)
+            self.keep &= (np.abs(k) <= n // 3).reshape(shape)
+            k[n // 2] = 0.0
+            self.ks.append((k * (2.0 * np.pi / length)).reshape(shape))
 
+    @staticmethod
     def real_ifft(hat):
         return np.fft.ifftn(hat).real
 
-    def deriv(f, i):
-        return real_ifft(1j * ks[i] * np.fft.fftn(f))
+    def deriv(self, f, i):
+        return self.real_ifft(1j * self.ks[i] * np.fft.fftn(f))
 
-    def dealias(f):
-        return real_ifft(keep * np.fft.fftn(f))
+    def hessian(self, f):  # H[i][j] = d_i d_j f
+        f_hat = np.fft.fftn(f)
+        return [[self.real_ifft(-ki * kj * f_hat) for kj in self.ks] for ki in self.ks]
+
+    def laplacian(self, f):
+        return self.real_ifft(-sum(k * k for k in self.ks) * np.fft.fftn(f))
+
+    def dealias(self, f):
+        return self.real_ifft(self.keep * np.fft.fftn(f))
+
+    def density_tendency(self, rho, w, params):
+        """-div dealias(rho w), plus (kappa/mu) Lap rho in the effective variants."""
+        drho = -sum(self.deriv(self.dealias(rho * w[i]), i) for i in range(len(w)))
+        if params.variant == "original":
+            return drho
+        return drho + params.kappa / params.mu * self.laplacian(rho)
+
+
+def reference_rhs(rho: np.ndarray, w: np.ndarray, grid, params) -> tuple[np.ndarray, np.ndarray]:
+    """Right-hand side assembled with a complex FFT pair per operator, in the
+    conservative form of the model equations: every product dealiased on its
+    own by a physical -> spectral -> physical round trip, then
+    differentiated, and the stress divergence div(rho T) divided by rho.
+
+    The package assembles the velocity tendency per unit mass instead
+    (``reference_rhs_per_unit_mass``); the two differ by truncation error."""
+    ops = _ComplexFFT(grid)
+    deriv, dealias = ops.deriv, ops.dealias
+    d = grid.dim
 
     def div_rho(T):  # component j = sum_i d_i dealias(rho T_ij)
         return np.stack([sum(deriv(dealias(rho * T[i][j]), i) for i in range(d))
@@ -168,21 +195,54 @@ def reference_rhs(rho: np.ndarray, w: np.ndarray, grid, params) -> tuple[np.ndar
     eps = params.kappa / params.mu
     original = params.variant == "original"
     u = w if original else w - eps * np.stack([deriv(ln_rho, i) for i in range(d)])
-    drho = -sum(deriv(dealias(rho * w[i]), i) for i in range(d))
-    if not original:
-        drho = drho + eps * real_ifft(-sum(k * k for k in ks) * np.fft.fftn(rho))
+    drho = ops.density_tendency(rho, w, params)
 
     G = [[deriv(w[j], i) for j in range(d)] for i in range(d)]  # G[i][j] = d_i w_j
     force = params.mu * div_rho(G)
     if original:
         force = force + params.alpha * div_rho([list(row) for row in zip(*G)])
-        H = [[real_ifft(-ks[i] * ks[j] * np.fft.fftn(ln_rho)) for j in range(d)]
-             for i in range(d)]
-        force = force + params.kappa * div_rho(H)
+        force = force + params.kappa * div_rho(ops.hessian(ln_rho))
     p = params.a * rho ** params.gamma
     force = force - np.stack([deriv(p, j) for j in range(d)])
     advect = np.stack([dealias(sum(u[i] * G[i][j] for i in range(d))) for j in range(d)])
     return drho, -advect + np.stack([dealias(f / rho) for f in force])
+
+
+def reference_rhs_per_unit_mass(rho: np.ndarray, w: np.ndarray, grid,
+                                params) -> tuple[np.ndarray, np.ndarray]:
+    """Right-hand side assembled with a complex FFT pair per operator, the
+    velocity tendency in the per-unit-mass form that ``model.tendency_hats``
+    derives: with g = grad ln rho, G_ij = d_i w_j and H_ij = d_i d_j ln rho,
+
+        d_t w_j = mu Lap w_j - sum_i (u_i - mu g_i) G_ij - a gamma rho^(gamma-1) g_j
+                  + alpha (d_j div w + sum_i G_ji g_i)               (original)
+                  + kappa (d_j Lap ln rho + sum_i H_ij g_i),         (original)
+
+    each operator applied to physical samples and the whole tendency
+    dealiased once by a round trip.  The density tendency is
+    ``reference_rhs``'s."""
+    ops = _ComplexFFT(grid)
+    deriv = ops.deriv
+    d = grid.dim
+    ln_rho = np.log(rho)
+    original = params.variant == "original"
+    g = [deriv(ln_rho, i) for i in range(d)]
+    G = [[deriv(w[j], i) for j in range(d)] for i in range(d)]
+    u = w if original else [w[i] - params.kappa / params.mu * g[i] for i in range(d)]
+    sound = params.a * params.gamma * rho ** (params.gamma - 1.0)
+    if original:
+        div_w = sum(G[i][i] for i in range(d))
+        H = ops.hessian(ln_rho)
+        lap_ln_rho = ops.laplacian(ln_rho)
+    dw = []
+    for j in range(d):
+        term = (params.mu * ops.laplacian(w[j])
+                - sum((u[i] - params.mu * g[i]) * G[i][j] for i in range(d)) - sound * g[j])
+        if original:
+            term = (term + params.alpha * (deriv(div_w, j) + sum(G[j][i] * g[i] for i in range(d)))
+                    + params.kappa * (deriv(lap_ln_rho, j) + sum(H[i][j] * g[i] for i in range(d))))
+        dw.append(ops.dealias(term))
+    return ops.density_tendency(rho, w, params), np.stack(dw)
 
 
 def quartic_direct_einsum(v: np.ndarray, grad_v: np.ndarray) -> np.ndarray:

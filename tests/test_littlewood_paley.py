@@ -360,6 +360,18 @@ class TestHeat:
         assert all(math.isfinite(c) for c in consts)
         assert max(consts) / min(consts) < 1.15
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("where", ["u0", "field forcing", "callable forcing"])
+    def test_non_finite_datum_rejected(self, bad, where):
+        # unchecked, a NaN sample gave HeatReport(lhs=nan, rhs=nan, constant=nan)
+        grid = SpectralGrid(64)
+        u0, f = besov_corpus(grid, 2, seed=1)
+        target = {"u0": u0, "field forcing": f, "callable forcing": f}[where]
+        target.data.flat[5] = bad
+        forcing = (lambda t: f.data) if where == "callable forcing" else f
+        with pytest.raises(InvalidField, match="non-finite"):
+            heat_regularity_check(u0, forcing, 0.5, 1.0, 2.0, 2.0, 2.0, 1.0, 1.0, n_time=9)
+
     def test_exponent_order_enforced(self):
         grid = SpectralGrid(64)
         with pytest.raises(ExponentOrderViolated):

@@ -1,5 +1,6 @@
 """The spectral-state core: agreement with an independent complex-FFT
-assembly of the right-hand side and with round-trip dealiasing of the
+assembly of the right-hand side (and convergence to its conservative form
+under refinement), and with round-trip dealiasing of the
 Korteweg term, the 1D transform entry points, the transform budget of one
 step and one report (counts, so machine-independent), and bit-identity of
 the staged transforms with one call per field."""
@@ -37,6 +38,7 @@ from helpers import (
     korteweg_div_special_round_trip,
     measure,
     reference_rhs,
+    reference_rhs_per_unit_mass,
     rel_linf,
 )
 from report_reference import public_columns, reference_report
@@ -62,9 +64,28 @@ def test_rhs_matches_complex_fft_reference(variant, resolution, seed):
     params = VARIANT_PARAMS[variant]
     state = smooth_state(resolution, seed)
     drho, dw = rhs(state, params)
-    ref_rho, ref_w = reference_rhs(state.rho.data, state.w.data, state.grid, params)
+    ref_rho, ref_w = reference_rhs_per_unit_mass(state.rho.data, state.w.data, state.grid,
+                                                 params)
     assert rel_linf(drho.data, ref_rho) < 1e-12
     assert rel_linf(dw.data, ref_w) < 1e-12
+
+
+@pytest.mark.parametrize("variant,coarse,fine", [
+    ("effective_v1", (32, 32), (64, 64)), ("effective_v2", (32, 32), (64, 64)),
+    ("original", (32, 32), (64, 64)), ("original", 64, 128)])
+def test_rhs_converges_to_conservative_reference(variant, coarse, fine):
+    # the conservative form truncates rho T before dividing it by rho again;
+    # on a smooth state its gap to rhs is truncation error, which one
+    # doubling cuts by far more than 100x (2e-7 -> 2e-14, 1.3e-4 -> 8e-8
+    # and 6e-9 -> 1e-13 for the cases here)
+    params = VARIANT_PARAMS[variant]
+    gaps = []
+    for resolution in (coarse, fine):
+        state = smooth_state(resolution, 4)
+        _, dw = rhs(state, params)
+        _, ref_w = reference_rhs(state.rho.data, state.w.data, state.grid, params)
+        gaps.append(rel_linf(dw.data, ref_w))
+    assert gaps[1] < gaps[0] / 100
 
 
 def stepped(variant, resolution, seed, forcing=None, dt=1e-4):
@@ -94,7 +115,9 @@ def test_fft_budget_2d_effective_bdf2_step_and_report(fft_count):
     step = measure(fft_count, one_step)
     report = measure(fft_count, lambda: evaluate_report(stepper.derived, params))
     size = stepper.state.rho.data.size
-    assert step["calls"] == 10 and step["points"] <= 24 * size
+    # rho and w back; ln rho and rho w forward; grad ln rho and grad w back;
+    # the tendency forward
+    assert step["calls"] == 7 and step["points"] <= 24 * size
     assert report["calls"] == 6 and report["points"] <= 20 * size
     assert step["widest_2d"] == report["widest_2d"] == 4
 
@@ -108,18 +131,18 @@ def step_budget(fft_count, variant, forced):
 
 
 def test_fft_budget_1d_original_step(fft_count):
-    # rho, w and grad w back; ln rho, rho w, P and the forcing forward;
-    # grad grad ln rho and grad ln rho back; rho T forward; the force back;
-    # the tendency forward.  The forcing adds no call.
+    # rho, w and grad w back; ln rho, rho w and the forcing forward; grad ln
+    # rho and grad grad ln rho back; the tendency forward.  The forcing adds
+    # no call.
     for forced in (False, True):
         step = step_budget(fft_count, "original", forced)
-        assert step["calls"] == 6 and step["points"] <= 24 * 128
+        assert step["calls"] == 4 and step["points"] <= 24 * 128
 
 
 @pytest.mark.parametrize("variant", ["effective_v1", "effective_v2"])
 def test_fft_budget_1d_effective_step(fft_count, variant):
-    # rho, w and grad w back; ln rho, rho w, P, rho T and the forcing
-    # forward; grad ln rho and the force back; the tendency forward
+    # rho, w and grad w back; ln rho, rho w and the forcing forward; grad ln
+    # rho back; the tendency forward
     for forced in (False, True):
         step = step_budget(fft_count, variant, forced)
         assert step["calls"] == 4 and step["points"] <= 24 * 128
@@ -141,7 +164,10 @@ def test_fft_budget_report(fft_count, variant, resolution):
     if stepper.derived.grid.dim == 1:
         assert report["calls"] <= 2
     else:
-        assert report["calls"] == 6 and report["widest_2d"] <= 4
+        # an original step brings grad grad ln rho back, and its report
+        # takes it from there
+        assert report["calls"] == (5 if variant == "original" else 6)
+        assert report["widest_2d"] <= 4
         assert report["points"] <= REPORT_POINTS_2D * stepper.state.rho.data.size
 
 

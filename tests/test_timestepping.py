@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -277,6 +278,23 @@ class TestRun:
         assert len(traj.reports) > 10
         # the final recorded state is still strictly positive
         assert traj.reports[-1].rho_min > 0.0
+
+    def test_readme_squeeze_converges_under_refinement(self):
+        # the README vacuum squeeze, resolved: at N = 128 and 256 (dt_initial
+        # scaled as 1/N) it runs to t = 2, and the final min rho agree within
+        # 10 % (7.94e-3 and 8.59e-3; 8.60e-3 at N = 512).  With the stress
+        # formed as div(rho T) and divided by rho again, N = 256 ended in
+        # PositivityLoss at t = 1.812, earlier than N = 128.
+        (squeeze,) = [b for b in readme_blocks("json") if "gaussian_bump" in b]
+        cfg = parse_config(squeeze)
+        finals = []
+        for n, dt in ((128, 1e-3), (256, 5e-4)):
+            st = initial_state(SpectralGrid(n), cfg.initial.family, cfg.initial.params)
+            integrator = replace(cfg.integrator, dt_initial=dt, t_end=2.0)
+            traj = run(st, cfg.model, integrator, cfg.monitors)
+            assert traj.terminated is None
+            finals.append(traj.reports[-1].rho_min)
+        assert finals[1] == pytest.approx(finals[0], rel=0.1)
 
     def test_forcing_manufactured_exactness(self):
         # forcing derived for the manufactured solution keeps the discrete

@@ -54,7 +54,7 @@ def test_besov_norm_budget(besov_calls, suite, budget):
 # per-field path (a draw, a transform or a gradient round trip a field)
 # would add calls here, and so would synthesizing a p = 2 block norm's
 # blocks, which come from the coefficients
-@pytest.mark.parametrize("suite, calls", [("appendix", 336), ("entropy", 132),
+@pytest.mark.parametrize("suite, calls", [("appendix", 336), ("entropy", 116),
                                           ("lp-partition", 21), ("lp-norms", 161),
                                           ("heat", 35)])
 @pytest.mark.parametrize("seed", [0, 1])
