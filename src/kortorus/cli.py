@@ -89,16 +89,19 @@ def _write_jsonl(out: TextIO, reports: list[FunctionalReport]):
     out.flush()
 
 
-def _write_snapshots(outdir: Path, states: list[FieldState], index: list[str]):
+def _write_snapshots(outdir: Path, states: list[FieldState], index: list[str],
+                     replace_index: bool = True):
     """Dump ``states`` into ``outdir/snapshots`` as the snapshots that follow
-    the ``index`` entries already there, append their entries to ``index``,
-    and replace ``index.json`` (a temporary file renamed over it), so that the
-    index only ever names dumps that are complete on disk.
+    the ``index`` entries already there and append their entries to
+    ``index``; then, unless ``replace_index`` is False, replace
+    ``index.json`` (a temporary file renamed over it) with all of ``index``.
+    An entry is appended once its dumps are complete, so the index only ever
+    names dumps that are complete on disk.
 
     ``index`` holds each entry as its indented text in ``index.json``, so
     the file reads as ``_json_dumps({"snapshots": entries})`` without every
     entry going through json's indenting encoder (pure Python) again at each
-    snapshot, which dominated runs that dump every step."""
+    replacement, which dominated runs that dump every step."""
     snapdir = outdir / "snapshots"
     snapdir.mkdir(parents=True, exist_ok=True)
     for i, state in enumerate(states, start=len(index)):
@@ -109,25 +112,30 @@ def _write_snapshots(outdir: Path, states: list[FieldState], index: list[str]):
             write_field_dump(snapdir / name, state.w.component(j))
             entry["w"].append(name)
         index.append(textwrap.indent(_json_dumps(entry), "    ").rstrip("\n"))
-    tmp = snapdir / "index.json.tmp"
-    tmp.write_text('{\n  "snapshots": [\n' + ",\n".join(index) + "\n  ]\n}\n")
-    os.replace(tmp, snapdir / "index.json")
+    if replace_index:
+        tmp = snapdir / "index.json.tmp"
+        tmp.write_text('{\n  "snapshots": [\n' + ",\n".join(index) + "\n  ]\n}\n")
+        os.replace(tmp, snapdir / "index.json")
 
 
 class _StreamedTrajectory(Trajectory):
     """The Trajectory ``simulate`` records into: it holds no states.  The
     reports ``run`` records are appended to ``functionals.csv`` and
     ``functionals.jsonl`` and flushed one batch at a time, as ``run`` records
-    them, and with ``dump_snapshots`` each snapshot is dumped as ``run``
-    captures it; otherwise snapshots are only counted.  A run that stops
-    early, by an exception of any kind, leaves valid files up to its last
-    accepted step; a hard kill loses at most the rows of the batch pending
-    in ``RunState.pending``."""
+    them.  With ``dump_snapshots`` each snapshot is dumped as ``run``
+    captures it, and ``snapshots/index.json`` is replaced once per recorded
+    batch, when the batch has new snapshots, and when the trajectory is
+    closed; otherwise snapshots are only counted.  A run that stops early,
+    by an exception of any kind, leaves valid files up to its last accepted
+    step; a hard kill loses at most the rows of the batch pending in
+    ``RunState.pending`` and the index entries of its snapshots, whose dumps
+    stay on disk unnamed."""
 
     def __init__(self, params, outdir: Path, dump_snapshots: bool):
         super().__init__(params=params)
         self._outdir, self._dump_snapshots = outdir, dump_snapshots
         self._index: list[str] = []
+        self._indexed = 0  # the entries index.json names
         self._files = contextlib.ExitStack()
 
     def __enter__(self):
@@ -135,6 +143,7 @@ class _StreamedTrajectory(Trajectory):
 
     def __exit__(self, *exc_info):
         self._files.close()
+        self._replace_index()
 
     def record(self, *reports: FunctionalReport):
         first = not self.reports
@@ -145,10 +154,16 @@ class _StreamedTrajectory(Trajectory):
                 open(self._outdir / "functionals.jsonl", "w"))
         _write_csv(self._csv, reports, header=first)
         _write_jsonl(self._jsonl, reports)
+        self._replace_index()
 
     def keep(self, state: FieldState):
         if self._dump_snapshots:
-            _write_snapshots(self._outdir, [state], self._index)
+            _write_snapshots(self._outdir, [state], self._index, replace_index=False)
+
+    def _replace_index(self):
+        if len(self._index) > self._indexed:
+            _write_snapshots(self._outdir, [], self._index)
+            self._indexed = len(self._index)
 
 
 def _forcing_for(config: ScenarioConfig):

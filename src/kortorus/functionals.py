@@ -49,6 +49,7 @@ from .spectral import (
     ScalarField,
     SpectralGrid,
     VectorField,
+    Workspace,
     grad_hat,
     integrals,
     lp_norm,
@@ -175,16 +176,22 @@ def quartic_forms(v: VectorField) -> tuple[np.ndarray, np.ndarray]:
     grid = v.grid
     grad_v_sq = to_physical(grad_hat(to_spectral(np.sum(v.data ** 2, axis=0), grid), grid),
                             grid)
-    return _quartic_forms(v.data, vector_gradient(v).data, grad_v_sq)
+    return _quartic_forms(v.data, vector_gradient(v).data, grad_v_sq, np.empty(grid.shape),
+                          np.empty(grid.shape), np.empty(v.data.shape))
 
 
-def _quartic_forms(v: np.ndarray, grad_v: np.ndarray,
-                   grad_v_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _quartic_forms(v: np.ndarray, grad_v: np.ndarray, grad_v_sq: np.ndarray,
+                   direct: np.ndarray, square: np.ndarray,
+                   products: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The direct form, set in ``direct``, and the identity form, in the
+    first row of ``grad_v_sq``, which it overwrites; ``square`` (a field)
+    and ``products`` (a vector field) take their terms.  Each sum adds its
+    terms in the order ``np.sum`` over their axis adds them."""
     # sum_{jk} v_j v_k d_i v_j d_i v_k = (sum_j v_j d_i v_j)^2 for each i
-    s = (v * grad_v).sum(axis=1)
-    direct = (s ** 2).sum(axis=0)
-    identity = ((0.5 * grad_v_sq) ** 2).sum(axis=0)
-    return direct, identity
+    _sum_of_squares((np.sum(np.multiply(v, grad_v[i], out=products), axis=0, out=square)
+                     for i in range(len(v))), direct, square)
+    halves = np.multiply(0.5, grad_v_sq, out=grad_v_sq)
+    return direct, _sum_of_squares(halves, halves[0], square)
 
 
 def integrability_functional(state: State, params: ModelParams, p: float) -> Integrability:
@@ -459,7 +466,7 @@ def evaluate_report(state: State, params: ModelParams, spec: MonitorSpec | None 
 def evaluate_reports(states: Sequence[State], params: ModelParams,
                      spec: MonitorSpec | None = None,
                      previous: tuple[FunctionalReport, Sequence[float]] | None = None,
-                     ) -> list[FunctionalReport]:
+                     _workspace: Workspace | None = None) -> list[FunctionalReport]:
     """The report of each of ``states``, which share one grid, from one pass
     over batches of ``report_batch_size`` of them stacked along a batch axis
     (``SpectralState.stack``); each report equals that of its state alone to
@@ -470,8 +477,12 @@ def evaluate_reports(states: Sequence[State], params: ModelParams,
     trapezoid rule's running value, continued member by member.
 
     Transform stages: sqrt(rho), |v|^2 and the vacuum functional's powers of
-    rho forward; everything the functionals differentiate back."""
+    rho forward; everything the functionals differentiate back.  Every
+    temporary that is not a transform's output is taken from ``_workspace``,
+    which ``run`` passes so that its steps and report batches share them; a
+    caller without one gets a fresh workspace per call."""
     spec = spec or _DEFAULT_SPEC
+    workspace = _workspace or Workspace()
     per_batch = report_batch_size(states[0].grid) if states else 1
     reports: list[FunctionalReport] = []
     for start in range(0, len(states), per_batch):
@@ -479,150 +490,206 @@ def evaluate_reports(states: Sequence[State], params: ModelParams,
         batch = SpectralState.stack(members)
         chain = None if previous is None else (
             reports[-1] if reports else previous[0], previous[1][start:start + per_batch])
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            reports += _report(batch, params, spec, chain)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"), workspace:
+            reports += _report(batch, params, spec, chain, workspace)
         batch.unstack(members)
     return reports
 
 
-def _sum_of_squares(components, out: np.ndarray) -> np.ndarray:
+def _sum_of_squares(components, out: np.ndarray, square: np.ndarray) -> np.ndarray:
     """``out`` set to the sum of the squares of ``components`` (an array whose
     leading axes are components, or an iterable of arrays of ``out``'s shape),
-    added one by one in order, as ``np.sum(a ** 2, axis=...)`` adds them, but
-    without a squared copy of every component at once."""
+    added one by one in order, as ``np.sum(a ** 2, axis=...)`` adds them, each
+    square but the first formed in ``square`` (an array of ``out``'s shape,
+    which may be the component itself)."""
     if isinstance(components, np.ndarray):
         components = components.reshape((-1,) + out.shape)
     components = iter(components)
     np.square(next(components), out=out)
     for part in components:
-        out += np.square(part)
+        out += np.square(part, out=square)
     return out
 
 
+def _inverse_inputs(d: SpectralState, sqrt_rho_and_v_sq_hat: np.ndarray,
+                    vac_powers_hat: np.ndarray, ws: Workspace):
+    """The report's inverse-stage inputs, from the coefficients of its
+    forward stage: grad sqrt(rho) and grad rho; grad |v|^2; and
+    grad rho^{-(p-1)/2}, Lap rho and Lap rho^{1-p}.  Each is formed in an
+    array of ``ws`` as the stage reads it, and each forward output is let go
+    once read, so that on a 2D grid each input takes the place of the one
+    before."""
+    grid, shape = d.grid, sqrt_rho_and_v_sq_hat.shape[1:]
+    pair_hat = ws.take((grid.dim, 2) + shape, complex)
+    grad_hat(sqrt_rho_and_v_sq_hat[0], grid, pair_hat[:, 0])
+    grad_hat(d.rho_hat, grid, pair_hat[:, 1])
+    yield pair_hat
+    grad_v_sq_hat = grad_hat(sqrt_rho_and_v_sq_hat[1], grid, ws.take((grid.dim,) + shape, complex))
+    del sqrt_rho_and_v_sq_hat
+    yield grad_v_sq_hat
+    vac_hat = ws.take((grid.dim + 2,) + shape, complex)
+    grad_hat(vac_powers_hat[0], grid, vac_hat[:grid.dim])
+    np.multiply(grid.rfft_minus_beta_sq, d.rho_hat, out=vac_hat[grid.dim])
+    np.multiply(grid.rfft_minus_beta_sq, vac_powers_hat[1], out=vac_hat[grid.dim + 1])
+    del vac_powers_hat
+    yield vac_hat
+
+
 def _report(d: SpectralState, params: ModelParams, spec: MonitorSpec,
-            previous: tuple[FunctionalReport, Sequence[float]] | None) -> list[FunctionalReport]:
+            previous: tuple[FunctionalReport, Sequence[float]] | None,
+            ws: Workspace) -> list[FunctionalReport]:
     """Every column of every member in one pass over the stack ``d``: each
     pointwise field is formed once for the batch, and each integrand is
-    reduced member by member (``spectral.integrals``) as soon as it is formed."""
+    reduced member by member (``spectral.integrals``) as soon as it is formed.
+    Temporaries are arrays of ``ws``, given back as they die, or rows of a
+    transform's output that the report holds alone and no longer reads."""
     grid, rho, gamma = d.grid, d.rho.data, params.gamma
-    members = len(rho)
+    members, scalar = len(rho), rho.shape
     delta, p, p_vac = spec.delta, spec.p_integrability, spec.p_vacuum
     serrin_p, serrin_q = spec.serrin_pair(grid.dim)
+    # products are formed in ``scratch``, and the squares of a sum, or a
+    # factor of a product, in ``square``, one at a time
+    scratch, square = ws.take(scalar), ws.take(scalar)
     # v first, as it may bring grad ln rho back in a call of its own
     v = d.v
-    v_sq = _sum_of_squares(v, np.empty(rho.shape))
-    # vacuum functional: rho^{-(p-1)/2} and rho^{1-p} go forward; grad rho^{-(p-1)/2},
-    # Lap rho and Lap rho^{1-p} come back for its rate and identity residual
-    rho_pow = rho ** (1.0 - p_vac)
-    (sqrt_rho_hat, v_sq_hat), (half_hat, pow_hat) = d.fill(to_spectral_stage, extra=[
-        np.array([np.sqrt(rho), v_sq]), np.array([rho ** (-(p_vac - 1.0) / 2.0), rho_pow])])
+    v_sq = _sum_of_squares(v, ws.take(scalar), square)
+    # the forward stage: sqrt(rho) and a copy of |v|^2, and the vacuum
+    # functional's rho^{-(p-1)/2} and rho^{1-p}, whose integral is taken
+    # first: the stage gives its inputs back to ``ws``
+    sqrt_rho_and_v_sq, vac_powers = ws.take((2,) + scalar), ws.take((2,) + scalar)
+    np.sqrt(rho, out=sqrt_rho_and_v_sq[0])
+    np.copyto(sqrt_rho_and_v_sq[1], v_sq)
+    np.power(rho, -(p_vac - 1.0) / 2.0, out=vac_powers[0])
+    vac_value = integrals(np.power(rho, 1.0 - p_vac, out=vac_powers[1]), grid) / (p_vac - 1.0)
     # grad grad ln rho, grad ln rho and grad w join unless the step made them
     grad_sqrt_rho_and_rho, grad_of_v_sq, vac_fields = d.fill(
-        to_physical_stage, "hess_ln_rho", "grad_ln_rho", "grad_w", extra=[
-            grad_hat(np.array([sqrt_rho_hat, d.rho_hat]), grid), grad_hat(v_sq_hat, grid),
-            np.concatenate([grad_hat(half_hat, grid),
-                            grid.rfft_minus_beta_sq * np.array([d.rho_hat, pow_hat])])])
-    del sqrt_rho_hat, v_sq_hat, half_hat, pow_hat
+        to_physical_stage, "hess_ln_rho", "grad_ln_rho", "grad_w", extra=_inverse_inputs(
+            d, *d.fill(to_spectral_stage, extra=[sqrt_rho_and_v_sq, vac_powers], workspace=ws),
+            ws), workspace=ws)
     coeff = params.kappa / params.mu
-    vac_value = integrals(rho_pow, grid) / (p_vac - 1.0)
-    del rho_pow
-    grad_half_sq = (vac_fields[:grid.dim] ** 2).sum(axis=0)
+    grad_half_sq = _sum_of_squares(vac_fields[:grid.dim], vac_fields[0], square)
     rate_coeff = 4.0 * p_vac * coeff / (p_vac - 1.0) ** 2
     vac_rate = rate_coeff * integrals(grad_half_sq, grid)
-    vac_residual = np.abs(coeff * rho ** (-p_vac) * vac_fields[-2] - (
-        -(coeff / (p_vac - 1.0)) * vac_fields[-1] + rate_coeff * grad_half_sq)
-    ).reshape(members, -1).max(axis=1)
-    del vac_fields, grad_half_sq
-
-    # each integrand is reduced as it is formed, and a stage's output is
-    # dropped once its integrands are; products and sums of squares are
-    # formed in ``scratch``, one at a time
-    scratch = np.empty(rho.shape)
+    # |coeff rho^{-p} Lap rho - (-(coeff / (p - 1)) Lap rho^{1-p}
+    #  + rate_coeff |grad rho^{-(p-1)/2}|^2)|
+    lap_rho, lap_pow = vac_fields[-2], vac_fields[-1]
+    np.multiply(np.multiply(coeff, np.power(rho, -p_vac, out=square), out=square), lap_rho,
+                out=lap_rho)
+    np.multiply(-(coeff / (p_vac - 1.0)), lap_pow, out=lap_pow)
+    lap_pow += np.multiply(rate_coeff, grad_half_sq, out=grad_half_sq)
+    vac_residual = np.abs(np.subtract(lap_rho, lap_pow, out=lap_rho), out=lap_rho).reshape(
+        members, -1).max(axis=1)
+    del vac_fields, grad_half_sq, lap_rho, lap_pow
 
     def product_integrals(a, b):
         return integrals(np.multiply(a, b, out=scratch), grid)
 
     kinetic = product_integrals(rho, d.u_sq)
     # Pi, as _potential makes it, from the pressure the state holds
-    potential = integrals(d.pressure / (gamma - 1.0) if gamma > 1.0
+    potential = integrals(np.divide(d.pressure, gamma - 1.0, out=scratch) if gamma > 1.0
                           else _potential(rho, params), grid)
     rho_v_sq = product_integrals(rho, v_sq)
     low_mass = integrals(_low_density_weight(rho, spec.epsilon, spec.delta_vacuum, scratch),
                          grid)
-    capillary = params.kappa * integrals(_sum_of_squares(grad_sqrt_rho_and_rho[:, 0], scratch),
-                                         grid)
-    grad_rho_sq = _sum_of_squares(grad_sqrt_rho_and_rho[:, 1], np.empty(rho.shape))
-    del grad_sqrt_rho_and_rho
-    rho_pow_gamma_minus_2 = rho ** (gamma - 2.0)
-    # P''(rho) |grad rho|^2
-    eff_pressure = product_integrals(params.a * gamma * (gamma - 1.0) * rho_pow_gamma_minus_2,
-                                     grad_rho_sq)
+    capillary = params.kappa * integrals(
+        _sum_of_squares(grad_sqrt_rho_and_rho[:, 0], scratch, square), grid)
+    grad_rho_sq = _sum_of_squares(grad_sqrt_rho_and_rho[:, 1], grad_sqrt_rho_and_rho[0, 1],
+                                  square)
+    rho_pow_gamma_minus_2 = np.power(rho, gamma - 2.0, out=square)
     bd_cross = product_integrals(rho_pow_gamma_minus_2, grad_rho_sq)
-    del grad_rho_sq, rho_pow_gamma_minus_2
+    # P''(rho) |grad rho|^2
+    eff_pressure = product_integrals(np.multiply(params.a * gamma * (gamma - 1.0),
+                                                 rho_pow_gamma_minus_2, out=square), grad_rho_sq)
+    del grad_sqrt_rho_and_rho, grad_rho_sq, rho_pow_gamma_minus_2
 
     hess = d.hess_ln_rho
     original = params.variant == "original"
-    grad_v = d.grad_w + params.eps * hess if original else d.grad_w
-    grad_v_sq = _sum_of_squares(grad_v, np.empty(rho.shape))
-    direct, identity = _quartic_forms(v, grad_v, grad_of_v_sq)
-    del grad_v, grad_of_v_sq
-    speed = np.sqrt(v_sq)
+    grad_v = d.grad_w
+    if original:
+        grad_v = np.multiply(params.eps, hess, out=ws.take(hess.shape))
+        np.add(d.grad_w, grad_v, out=grad_v)
     # both quartic forms are O(|v|^2) near zeros of v, so the |v|^{p-4} weight
-    # stays integrable for every p > 2; mask the removable 0 * inf
-    moving = v_sq > 0.0
-    weight = np.where(moving, np.where(moving, speed, 1.0) ** (p - 4.0), 0.0)
-    int_direct = product_integrals(rho, np.where(moving, direct * weight, 0.0))
-    int_identity = product_integrals(rho, np.where(moving, identity * weight, 0.0))
-    del direct, identity, weight, moving
+    # stays integrable for every p > 2; zero the removable 0 * inf where v = 0
+    still = ws.take(scalar, bool)
+    np.logical_not(np.greater(v_sq, 0.0, out=still), out=still)
+    speed = np.sqrt(v_sq, out=v_sq)
+    # the integrals that read |grad v|^2 are taken first, so that its array
+    # goes back before the quartic forms take theirs
+    grad_v_sq = _sum_of_squares(grad_v, ws.take(scalar), square)
+    viscous = product_integrals(rho, grad_v_sq)
+    mv_dissipation = product_integrals(
+        np.multiply(rho, np.power(speed, delta, out=square), out=square), grad_v_sq)
+    int_grad = product_integrals(
+        np.multiply(rho, np.power(speed, p - 2.0, out=square), out=square), grad_v_sq)
+    ws.give(grad_v_sq)
+    # the direct form is formed in ``scratch``, as its integral is
+    products = ws.take(v.shape)
+    direct, identity = _quartic_forms(v, grad_v, grad_of_v_sq, scratch, square, products)
+    ws.give(products)
+    if original:
+        ws.give(grad_v)
+    weight = np.power(speed, p - 4.0, out=square)
+    np.copyto(weight, 0.0, where=still)
+    for form in (direct, identity):
+        np.multiply(form, weight, out=form)
+        np.copyto(form, 0.0, where=still)
+    int_direct = product_integrals(rho, direct)
+    int_identity = product_integrals(rho, identity)
+    ws.give(still)
+    del grad_v, grad_of_v_sq, direct, identity, weight
 
     if original:
         grad_u = d.grad_w
     else:
-        grad_u = params.eps * hess
+        grad_u = np.multiply(params.eps, hess, out=ws.take(hess.shape))
         np.subtract(d.grad_w, grad_u, out=grad_u)
-    bd_grad = product_integrals(_sum_of_squares(grad_u, scratch), rho)
+    bd_grad = product_integrals(_sum_of_squares(grad_u, scratch, square), rho)
     # |Du|^2, each component grad_u + (grad_u)^T formed as it is squared
-    bd_sym = product_integrals(_sum_of_squares((grad_u[i, j] + grad_u[j, i]
+    bd_sym = product_integrals(_sum_of_squares((np.add(grad_u[i, j], grad_u[j, i], out=square)
                                                 for i in range(grid.dim)
-                                                for j in range(grid.dim)), scratch), rho)
+                                                for j in range(grid.dim)), scratch, square), rho)
+    if not original:
+        ws.give(grad_u)
     del grad_u
-    bd_capillary = product_integrals(_sum_of_squares(hess, scratch), rho)
+    bd_capillary = product_integrals(_sum_of_squares(hess, scratch, square), rho)
 
     inner_exp = 2.0 / (2.0 - delta)
-    mv_rho = integrals(rho ** ((2.0 * gamma - 1.0 - delta / 2.0) * inner_exp), grid)
+    mv_rho = integrals(np.power(rho, (2.0 * gamma - 1.0 - delta / 2.0) * inner_exp, out=square),
+                       grid)
     mean_rho = means(rho, grid).reshape((members,) + (1,) * grid.dim)
     columns = dict(
         time=d.time,
         mass=integrals(rho, grid),
         rho_min=rho.reshape(members, -1).min(axis=1),
         rho_max=rho.reshape(members, -1).max(axis=1),
-        rho_variance=means(np.square(rho - mean_rho), grid),  # np.var's steps
+        rho_variance=means(np.square(np.subtract(rho, mean_rho, out=square), out=square),
+                           grid),  # np.var's steps
         max_speed=np.sqrt(d.u_sq.reshape(members, -1).max(axis=1)),
         energy_total=kinetic + potential + capillary,
         energy_kinetic=kinetic,
         energy_pressure=potential,
         energy_capillary=capillary,
         effective_energy=0.5 * rho_v_sq + potential,
-        eff_energy_rate_viscous=params.mu * product_integrals(rho, grad_v_sq),
+        eff_energy_rate_viscous=params.mu * viscous,
         eff_energy_rate_pressure=params.eps * eff_pressure,
         bd_value=kinetic + capillary + potential,
         bd_rate_viscous=(params.mu - params.alpha) * bd_grad + params.alpha * bd_sym,
         bd_rate_cross=params.a * gamma * bd_cross,
         bd_rate_capillary=params.kappa * bd_capillary,
-        mv_value=product_integrals(rho, speed ** (2.0 + delta)) / (2.0 + delta),
-        mv_rate_dissipation=0.25 * params.mu * product_integrals(rho * speed ** delta, grad_v_sq),
+        mv_value=product_integrals(rho, np.power(speed, 2.0 + delta, out=square)) / (2.0 + delta),
+        mv_rate_dissipation=0.25 * params.mu * mv_dissipation,
         # Python's scalar power, as numpy's array power can be an ulp off it
         mv_rhs_bound=[m ** inner_exp * r ** (delta / 2.0)
                       for m, r in zip(mv_rho.tolist(), rho_v_sq.tolist())],
-        int_value=product_integrals(rho, speed ** p) / p,
-        int_rate_grad=product_integrals(rho * speed ** (p - 2.0), grad_v_sq),
+        int_value=product_integrals(rho, np.power(speed, p, out=square)) / p,
+        int_rate_grad=int_grad,
         int_rate_quartic=(p - 2.0) * int_direct,
         int_rate_quartic_identity=(p - 2.0) * int_identity,
         vac_value=vac_value,
         vac_rate=vac_rate,
         vac_identity_residual=vac_residual,
         vacuum_indicator=low_mass,
-        serrin_integrand=[norm ** serrin_p for norm in lp_norms(speed, serrin_q, grid)],
+        serrin_integrand=[norm ** serrin_p for norm in lp_norms(speed, serrin_q, grid, square)],
     )
     reports = []
     for i, row in enumerate(np.array(list(columns.values())).T.tolist()):

@@ -46,6 +46,7 @@ from .spectral import (
     ScalarField,
     SpectralGrid,
     VectorField,
+    Workspace,
     div_hat,
     grad_hat,
     gradient,
@@ -306,8 +307,10 @@ def recover_u(rho: ScalarField, v: VectorField, params: ModelParams) -> VectorFi
 
 
 class _Transformed:
-    """A SpectralState field that is ``stage`` of ``source(d)``, held once
-    read, like a cached property; ``SpectralState.fill`` computes several."""
+    """A SpectralState field that is ``stage`` of ``source(d, workspace)``,
+    held once read, like a cached property; ``SpectralState.fill`` computes
+    several.  A source that is not the state's own samples is formed in an
+    array of the workspace."""
 
     def __init__(self, stage, source):
         self.stage, self.source = stage, source
@@ -416,9 +419,14 @@ class SpectralState:
             for i, member in enumerate(members):
                 member.__dict__.setdefault(name, batch[index + (i,)])
 
-    def fill(self, stage, *names: str, extra=()) -> list[np.ndarray]:
+    def fill(self, stage, *names: str, extra=(),
+             workspace: Workspace | None = None) -> list[np.ndarray]:
         """Compute the fields ``names`` that are not held yet, and ``stage``
-        of the arrays ``extra``, as one stage; return the latter."""
+        of the arrays ``extra`` (an iterable, which the stage may read
+        lazily), as one stage; return the latter.  The sources of ``names``
+        are formed in ``workspace`` (a fresh one if None), and every array
+        of the stage that the workspace handed out is given back once
+        transformed."""
         if self._bare:
             self._bare = False
             rho = self.rho.data
@@ -426,17 +434,22 @@ class SpectralState:
                                self.grid)
             self.rho_hat, self.w_hat, self.ln_rho_hat = hats[0], hats[1:-1], hats[-1]
         todo = [name for name in names if name not in self.__dict__]
-        sources = (getattr(type(self), name).source(self) for name in todo)
-        out = stage(itertools.chain(sources, extra), self.grid)
+        ws = workspace or Workspace()
+        sources = (getattr(type(self), name).source(self, ws) for name in todo)
+        out = stage(itertools.chain(sources, extra), self.grid, ws)
         self.__dict__.update(zip(todo, out))
         return out[len(todo):]
 
-    rho_hat = _Transformed(to_spectral_stage, lambda d: d.rho.data)
-    w_hat = _Transformed(to_spectral_stage, lambda d: d.w.data)
-    ln_rho_hat = _Transformed(to_spectral_stage, lambda d: np.log(d.rho.data))
-    grad_ln_rho = _Transformed(to_physical_stage, lambda d: grad_hat(d.ln_rho_hat, d.grid))
-    grad_w = _Transformed(to_physical_stage, lambda d: grad_hat(d.w_hat, d.grid))
-    hess_ln_rho = _Transformed(to_physical_stage, lambda d: hess_hat(d.ln_rho_hat, d.grid))
+    rho_hat = _Transformed(to_spectral_stage, lambda d, ws: d.rho.data)
+    w_hat = _Transformed(to_spectral_stage, lambda d, ws: d.w.data)
+    ln_rho_hat = _Transformed(to_spectral_stage, lambda d, ws: np.log(
+        d.rho.data, out=ws.take(d.rho.data.shape)))
+    grad_ln_rho = _Transformed(to_physical_stage, lambda d, ws: grad_hat(
+        d.ln_rho_hat, d.grid, ws.take((d.grid.dim,) + d.ln_rho_hat.shape, complex)))
+    grad_w = _Transformed(to_physical_stage, lambda d, ws: grad_hat(
+        d.w_hat, d.grid, ws.take((d.grid.dim,) + d.w_hat.shape, complex)))
+    hess_ln_rho = _Transformed(to_physical_stage, lambda d, ws: hess_hat(
+        d.ln_rho_hat, d.grid, ws.take((d.grid.dim,) * 2 + d.ln_rho_hat.shape, complex)))
 
     @cached_property
     def u(self) -> np.ndarray:
@@ -483,10 +496,12 @@ def spectral_state(state: FieldState | SpectralState, params: ModelParams) -> Sp
 # right-hand sides
 
 
-def tendency_hats(d: SpectralState, forcing=()) -> tuple[np.ndarray, np.ndarray]:
+def tendency_hats(d: SpectralState, forcing=(),
+                  workspace: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
     """rfft coefficients of (d rho/dt without its (kappa/mu) Lap rho part,
     d w/dt), each plus its source sampled in ``forcing`` = (f_rho, f_w) if
     given; every nonlinear product is dealiased by masking its coefficients.
+    Their temporaries are taken from ``workspace`` (a fresh one if None).
 
     d rho/dt = -div(rho w) in every variant, and d w/dt is per unit mass.
     With L = ln rho, g = grad L, u the advecting velocity and the stress
@@ -512,24 +527,58 @@ def tendency_hats(d: SpectralState, forcing=()) -> tuple[np.ndarray, np.ndarray]
     params, grid, rho = d.params, d.grid, d.rho.data
     keep = grid.rfft_dealias_keep
     original = params.variant == "original"
-    flux_hat, *forcing_hats = d.fill(to_spectral_stage, "ln_rho_hat",
-                                     extra=[rho * d.w.data, *forcing])
-    d.fill(to_physical_stage, "grad_ln_rho", "grad_w", *(["hess_ln_rho"] if original else []))
-    g = d.grad_ln_rho
-    explicit = (-np.einsum("i...,ij...->j...", d.transport, d.grad_w)
-                - params.a * params.gamma * rho ** (params.gamma - 1.0) * g)
-    div_stress_hat = params.mu * grid.rfft_minus_beta_sq * d.w_hat
-    if original:
-        explicit += np.einsum("i...,ij...->j...", g, params.alpha * np.swapaxes(d.grad_w, 0, 1)
-                              + params.kappa * d.hess_ln_rho)
-        div_stress_hat = div_stress_hat + grad_hat(
-            params.alpha * div_hat(d.w_hat, grid)
-            + params.kappa * grid.rfft_minus_beta_sq * d.ln_rho_hat, grid)
-    (explicit_hat,) = d.fill(to_spectral_stage, extra=[explicit])
-    drho_hat, dw_hat = -div_hat(keep * flux_hat, grid), keep * (explicit_hat + div_stress_hat)
+    vector = (grid.dim,) + rho.shape
+    with workspace or Workspace() as ws:
+        flux_hat, *forcing_hats = d.fill(to_spectral_stage, "ln_rho_hat", extra=[
+            np.multiply(rho, d.w.data, out=ws.take(vector)), *forcing], workspace=ws)
+        d.fill(to_physical_stage, "grad_ln_rho", "grad_w",
+               *(["hess_ln_rho"] if original else []), workspace=ws)
+        g = d.grad_ln_rho
+        explicit = np.einsum("i...,ij...->j...", d.transport, d.grad_w, out=ws.take(vector))
+        np.negative(explicit, out=explicit)
+        pressure_force = np.power(rho, params.gamma - 1.0, out=ws.take(rho.shape))
+        np.multiply(params.a * params.gamma, pressure_force, out=pressure_force)
+        term = np.multiply(pressure_force, g, out=ws.take(vector))
+        explicit -= term
+        ws.give(pressure_force, term)
+        mu_lap = np.multiply(params.mu, grid.rfft_minus_beta_sq, out=ws.take(grid.rfft_shape))
+        div_stress_hat = np.multiply(mu_lap, d.w_hat, out=ws.take(d.w_hat.shape, complex))
+        ws.give(mu_lap)
+        if original:
+            _add_original_stress(d, explicit, div_stress_hat, ws)
+        (explicit_hat,) = d.fill(to_spectral_stage, extra=[explicit], workspace=ws)
+        # the tendencies are formed in arrays that the transforms returned
+        drho_hat = div_hat(np.multiply(keep, flux_hat, out=flux_hat), grid, flux_hat)
+        np.negative(drho_hat, out=drho_hat)
+        explicit_hat += div_stress_hat
+        dw_hat = np.multiply(keep, explicit_hat, out=explicit_hat)
     if forcing_hats:
-        drho_hat, dw_hat = drho_hat + forcing_hats[0], dw_hat + forcing_hats[1]
+        drho_hat += forcing_hats[0]
+        dw_hat += forcing_hats[1]
     return drho_hat, dw_hat
+
+
+def _add_original_stress(d: SpectralState, explicit: np.ndarray, div_stress_hat: np.ndarray,
+                         ws: Workspace):
+    """Add the alpha and kappa terms of ``original``'s stress to the
+    velocity tendency's pointwise part ``explicit``, g . (alpha grad w^T +
+    kappa grad grad L), and to its symbol part ``div_stress_hat``,
+    grad(alpha div w + kappa Lap L) (``tendency_hats``)."""
+    params, grid = d.params, d.grid
+    stress = np.multiply(params.alpha, np.swapaxes(d.grad_w, 0, 1), out=ws.take(d.grad_w.shape))
+    term = np.multiply(params.kappa, d.hess_ln_rho, out=ws.take(stress.shape))
+    stress += term
+    ws.give(term)
+    term = np.einsum("i...,ij...->j...", d.grad_ln_rho, stress, out=ws.take(explicit.shape))
+    explicit += term
+    ws.give(stress, term)
+    term = ws.take(d.w_hat.shape, complex)
+    potential_hat = div_hat(d.w_hat, grid, term)
+    np.multiply(params.alpha, potential_hat, out=potential_hat)
+    kappa_lap = np.multiply(params.kappa, grid.rfft_minus_beta_sq, out=ws.take(grid.rfft_shape))
+    potential_hat += np.multiply(kappa_lap, d.ln_rho_hat, out=term[0])
+    div_stress_hat += grad_hat(potential_hat, grid, term)
+    ws.give(kappa_lap, term)
 
 
 def rhs(state: FieldState | SpectralState,

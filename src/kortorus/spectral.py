@@ -172,6 +172,12 @@ class SpectralGrid:
         return out
 
     @cached_property
+    def rfft_ik_ik(self) -> np.ndarray:
+        """Second-derivative multipliers (i beta_i)(i beta_j) = -beta_i beta_j,
+        products of ``rfft_ik``; shape (dim, dim) + rfft_shape."""
+        return self.rfft_ik[:, None] * self.rfft_ik[None]
+
+    @cached_property
     def rfft_minus_beta_sq(self) -> np.ndarray:
         """Laplacian multiplier -|beta|^2 (Nyquist-zeroed, so it equals div o grad)."""
         return -np.sum(self.rfft_ik.imag ** 2, axis=0)
@@ -265,6 +271,69 @@ def _require_finite(data: np.ndarray):
         raise InvalidField("field contains non-finite samples")
 
 
+#: arrays of fewer elements are not pooled: the allocator's free lists serve
+#: them from memory it holds, sooner than the pool's bookkeeping
+_POOLED_ELEMENTS = 2048
+
+
+class Workspace:
+    """Scratch arrays that outlive one step or one report batch.
+
+    ``take(shape, dtype)`` hands out an array that nobody holds, made on
+    first use.  ``give`` hands arrays back once their values are dead, and a
+    ``with workspace:`` block gives back, as it closes, what was taken inside
+    it and not given back; the transform stages give back what they have
+    transformed.  An array given back is handed out again by a later
+    ``take`` of the same size, so the step and the report batches of a run,
+    blocks that never overlap, share one set of arrays, as large as the
+    widest moment of any block needs, instead of asking the allocator for
+    their temporaries again each time.  Nothing that outlives its block may
+    be taken from a workspace.  A ``Stepper`` holds one for its run; a caller
+    without one gets a fresh workspace per call.
+
+    Arrays share by size: real samples with n values on their last axis take
+    the size of the rfft coefficients of those rows, n // 2 + 1 complex
+    values, so that a real field and the coefficients of a field of the same
+    shape take turns in one buffer."""
+
+    def __init__(self):
+        self._free: dict[int, list[np.ndarray]] = {}
+        self._taken: list[tuple[np.ndarray, np.ndarray]] = []  # (array, its buffer)
+        self._blocks: list[int] = []
+
+    def take(self, shape: tuple[int, ...], dtype: type = float) -> np.ndarray:
+        count = math.prod(shape)
+        if count < _POOLED_ELEMENTS:
+            return np.empty(shape, dtype)
+        size = (count // shape[-1] * (shape[-1] // 2 + 1) * 16 if dtype is float
+                else count * np.dtype(dtype).itemsize)
+        free = self._free.get(size)
+        buffer = free.pop() if free else np.empty(size, np.uint8)
+        array = np.ndarray(shape, dtype, buffer)
+        self._taken.append((array, buffer))
+        return array
+
+    def give(self, *arrays: np.ndarray):
+        """Hand ``arrays`` back; one that is not out of this workspace is
+        left alone."""
+        for array in arrays if self._taken else ():
+            for i, (taken, buffer) in enumerate(self._taken):
+                if taken is array:
+                    del self._taken[i]
+                    self._free.setdefault(buffer.size, []).append(buffer)
+                    break
+
+    def __enter__(self) -> "Workspace":
+        self._blocks.append(len(self._taken))
+        return self
+
+    def __exit__(self, *exc_info):
+        start = self._blocks.pop()
+        for _, buffer in self._taken[start:]:
+            self._free.setdefault(buffer.size, []).append(buffer)
+        del self._taken[start:]
+
+
 # ---------------------------------------------------------------------------
 # transforms
 
@@ -288,58 +357,74 @@ def to_physical(hat: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     return scipy.fft.irfftn(hat, s=grid.shape, axes=grid.rfft_axes)
 
 
-def _stage(transform, arrays, grid: SpectralGrid) -> list[np.ndarray]:
+def _stage(transform, arrays, grid: SpectralGrid,
+           workspace: Workspace | None = None) -> list[np.ndarray]:
     """``transform`` of each array of one dependency stage: stacked row by
     row into one call on a 1D grid, where a call costs about the same for 1
     row or 8; one call each on a 2D grid, where wider batches cost more per
     component (see README), taking each array just before its call.  On a
     1D grid each array's part of the call is a view of its rows, reshaped to
-    the array's component axes."""
+    the array's component axes.  Each array is given back to ``workspace``
+    once transformed, so that on a 2D grid the next one may take its place."""
     if grid.dim == 1:
         arrays = list(arrays)
     if grid.dim != 1 or len(arrays) < 2:
-        return [transform(a, grid) for a in arrays]
+        parts = []
+        for a in arrays:
+            parts.append(transform(a, grid))
+            if workspace is not None and workspace._taken:
+                workspace.give(a)
+        return parts
     out = transform(np.concatenate([a.reshape(-1, a.shape[-1]) for a in arrays]), grid)
     parts, start = [], 0
     for a in arrays:
         stop = start + a.size // a.shape[-1]
         parts.append(out[start:stop].reshape(a.shape[:-1] + out.shape[-1:]))
         start = stop
+    if workspace is not None:
+        workspace.give(*arrays)
     return parts
 
 
-def to_spectral_stage(arrays, grid: SpectralGrid) -> list[np.ndarray]:
-    return _stage(to_spectral, arrays, grid)
+def to_spectral_stage(arrays, grid: SpectralGrid,
+                      workspace: Workspace | None = None) -> list[np.ndarray]:
+    return _stage(to_spectral, arrays, grid, workspace)
 
 
-def to_physical_stage(hats, grid: SpectralGrid) -> list[np.ndarray]:
-    return _stage(to_physical, hats, grid)
+def to_physical_stage(hats, grid: SpectralGrid,
+                      workspace: Workspace | None = None) -> list[np.ndarray]:
+    return _stage(to_physical, hats, grid, workspace)
 
 
-def grad_hat(hat: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """Coefficients of the derivatives d_i, with the axis i prepended."""
+def grad_hat(hat: np.ndarray, grid: SpectralGrid, out: np.ndarray | None = None) -> np.ndarray:
+    """Coefficients of the derivatives d_i, with the axis i prepended; into
+    ``out`` when given."""
     if grid.dim == 1:
-        return (grid.rfft_ik[0] * hat)[None]
+        if out is None:
+            return (grid.rfft_ik[0] * hat)[None]
+        np.multiply(grid.rfft_ik[0], hat, out=out[0])
+        return out
     ik = grid.rfft_ik.reshape((grid.dim,) + (1,) * (hat.ndim - grid.dim) + grid.rfft_shape)
-    return ik * hat
+    return np.multiply(ik, hat, out=out)
 
 
-def hess_hat(hat: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+def hess_hat(hat: np.ndarray, grid: SpectralGrid, out: np.ndarray | None = None) -> np.ndarray:
     """Coefficients of the second derivatives d_i d_j (multiplier -beta_i
-    beta_j), with the axes i, j prepended, as ``grad_hat`` prepends i."""
-    ik = grid.rfft_ik
+    beta_j), with the axes i, j prepended, as ``grad_hat`` prepends i; into
+    ``out`` when given."""
     shape = (grid.dim, grid.dim) + (1,) * (hat.ndim - grid.dim) + grid.rfft_shape
-    return (ik[:, None] * ik[None]).reshape(shape) * hat
+    return np.multiply(grid.rfft_ik_ik.reshape(shape), hat, out=out)
 
 
-def div_hat(hat: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """Coefficients of sum_i d_i over the first component axis i.  On a 1D
-    grid that is its one term, added to +0 as the sum would (so -0.0 parts
-    come out +0.0, bit for bit as the sum's)."""
+def div_hat(hat: np.ndarray, grid: SpectralGrid, terms: np.ndarray | None = None) -> np.ndarray:
+    """Coefficients of sum_i d_i over the first component axis i, the terms
+    formed in ``terms`` (an array of ``hat``'s shape, ``hat`` itself say)
+    when given.  On a 1D grid that is its one term, added to +0 as the sum
+    would (so -0.0 parts come out +0.0, bit for bit as the sum's)."""
     if grid.dim == 1:
-        return grid.rfft_ik[0] * hat[0] + 0.0
+        return np.multiply(grid.rfft_ik[0], hat[0], out=None if terms is None else terms[0]) + 0.0
     ik = grid.rfft_ik.reshape((grid.dim,) + (1,) * (hat.ndim - 1 - grid.dim) + grid.rfft_shape)
-    return np.sum(ik * hat, axis=0)
+    return np.sum(np.multiply(ik, hat, out=terms), axis=0)
 
 
 def forward_transform(f: ScalarField) -> np.ndarray:
@@ -428,16 +513,19 @@ def lp_norm(f: Field, p: float) -> float:
     return lp_norms(data, p, f.grid)[0]
 
 
-def lp_norms(samples: np.ndarray, p: float, grid: SpectralGrid) -> list[float]:
+def lp_norms(samples: np.ndarray, p: float, grid: SpectralGrid,
+             scratch: np.ndarray | None = None) -> list[float]:
     """Discrete L^p norm of each leading row of scalar ``samples`` on
     ``grid``: the cell-volume-weighted lattice sum, p = inf the max.  Each
-    row is summed on its own, and each root taken on its own value."""
+    row is summed on its own, and each root taken on its own value.
+    |samples| and its power are formed in ``scratch`` (an array of the
+    samples' shape) when given, in a new array otherwise."""
     if p < 1:
         raise ValueError(f"L^p norm requires p >= 1, got {p}")
-    rows = np.abs(samples).reshape(-1, math.prod(grid.shape))
+    rows = np.abs(samples, out=scratch).reshape(-1, math.prod(grid.shape))
     if math.isinf(p):
         return rows.max(axis=1).tolist()
-    sums = (rows ** p).sum(axis=1) * grid.cell_volume
+    sums = np.power(rows, p, out=rows).sum(axis=1) * grid.cell_volume
     return [total ** (1.0 / p) for total in sums.tolist()]
 
 

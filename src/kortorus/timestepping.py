@@ -24,7 +24,9 @@ raised (never clipped, so the vacuum monitors retain their meaning).
 
 A step computes each quantity once at the scope it depends on.  Once per
 run (a Stepper): the linear rates (kappa/mu) -Lap of the density and
-mu -Lap of the velocity.  Once per dt, and per previous dt for imex_bdf2:
+mu -Lap of the velocity, and the workspace whose arrays the temporaries of
+every step and report batch of the run take in turn (``spectral.Workspace``).
+Once per dt, and per previous dt for imex_bdf2:
 E = exp(-lam dt), dt phi1 and the velocity's divisor 1 + mu k^2 dt, or the
 BDF2 weights with the integrating factors folded in and the divisor
 a0 + mu k^2 dt; the Stepper holds these sets up to _FACTOR_CACHE_ENTRIES
@@ -56,7 +58,14 @@ from .model import (
     spectral_state,
     tendency_hats,
 )
-from .spectral import ScalarField, SpectralGrid, VectorField, grad_hat, to_physical_stage
+from .spectral import (
+    ScalarField,
+    SpectralGrid,
+    VectorField,
+    Workspace,
+    grad_hat,
+    to_physical_stage,
+)
 
 SCHEMES = ("imex_euler", "imex_bdf2")
 
@@ -207,18 +216,20 @@ class RunState:
     pending: tuple[tuple[SpectralState, float], ...] = ()
 
 
-def rhs(d: SpectralState, forcing: ForcingFn | None) -> tuple[np.ndarray, np.ndarray]:
+def rhs(d: SpectralState, forcing: ForcingFn | None,
+        workspace: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Right-hand side of the IMEX split, as rfft coefficients: the explicit
     density tendency (the (kappa/mu) Lap rho part is integrated exactly and
     left out) and the full velocity tendency, forcing included.  The
     forcing samples go forward in the tendencies' first forward stage."""
     if forcing is None:
-        return tendency_hats(d)
-    return tendency_hats(d, [np.asarray(f, dtype=float) for f in forcing(d.time)])
+        return tendency_hats(d, workspace=workspace)
+    return tendency_hats(d, [np.asarray(f, dtype=float) for f in forcing(d.time)], workspace)
 
 
-def _make_level(d: SpectralState, forcing: ForcingFn | None, dt_prev: float | None) -> _Level:
-    return _Level(d.time, d.rho_hat, d.w_hat, *rhs(d, forcing), dt_prev)
+def _make_level(d: SpectralState, forcing: ForcingFn | None, dt_prev: float | None,
+                workspace: Workspace) -> _Level:
+    return _Level(d.time, d.rho_hat, d.w_hat, *rhs(d, forcing, workspace), dt_prev)
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -267,13 +278,21 @@ def _euler_factors(rates: tuple[np.ndarray, np.ndarray], dt: float) -> tuple:
     return np.exp(z), dt * _phi1(z), 1.0 + lam_w * dt
 
 
-def _advance_euler(level: _Level, factors: tuple, lam_w: np.ndarray,
-                   dt: float) -> tuple[np.ndarray, np.ndarray]:
+def _advance_euler(level: _Level, factors: tuple, lam_w: np.ndarray, dt: float,
+                   workspace: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The new level's coefficients, each formed in the array it is returned
+    in and its other terms in ``workspace`` (a fresh one if None):
+    rho_hat = exp_z rho_hat + dt_phi1 n_rho_hat and
+    w_hat = (w_hat + dt (f_w_hat + lam_w w_hat)) / w_divisor."""
     exp_z, dt_phi1, w_divisor = factors
-    rho_hat = exp_z * level.rho_hat + dt_phi1 * level.n_rho_hat
+    with workspace or Workspace() as ws:
+        rho_hat = exp_z * level.rho_hat
+        rho_hat += np.multiply(dt_phi1, level.n_rho_hat, out=ws.take(rho_hat.shape, complex))
 
-    r_hat = level.f_w_hat + lam_w * level.w_hat
-    w_hat = (level.w_hat + dt * r_hat) / w_divisor
+        r_hat = np.multiply(lam_w, level.w_hat, out=ws.take(level.w_hat.shape, complex))
+        np.add(level.f_w_hat, r_hat, out=r_hat)
+        w_hat = level.w_hat + np.multiply(dt, r_hat, out=r_hat)
+        w_hat /= w_divisor
     return rho_hat, w_hat
 
 
@@ -297,15 +316,32 @@ def _bdf2_factors(rates: tuple[np.ndarray, np.ndarray], dt: float, dt_prev: floa
 
 
 def _advance_bdf2(level_n: _Level, level_p: _Level, factors: tuple, lam_w: np.ndarray,
-                  dt: float) -> tuple[np.ndarray, np.ndarray]:
+                  dt: float, workspace: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The new level's coefficients, each formed in the array it is returned
+    in and its other terms in ``workspace`` (a fresh one if None), with
+    r = f_w_hat + lam_w w_hat:
+    rho_hat = (a1_e1 rho_hat_n - a2_e2 rho_hat_p
+               + dt (c1_e1 n_rho_hat_n + c2_e2 n_rho_hat_p)) / a0 and
+    w_hat = (-a1 w_hat_n - a2 w_hat_p + dt (c1 r_n + c2 r_p)) / w_divisor."""
     a0, a1, a2, c1, c2, a1_e1, a2_e2, c1_e1, c2_e2, w_divisor = factors
-    rho_hat = (a1_e1 * level_n.rho_hat - a2_e2 * level_p.rho_hat
-               + dt * (c1_e1 * level_n.n_rho_hat + c2_e2 * level_p.n_rho_hat)) / a0
+    with workspace or Workspace() as ws:
+        rho_hat = a1_e1 * level_n.rho_hat
+        term, explicit = ws.take(rho_hat.shape, complex), ws.take(rho_hat.shape, complex)
+        rho_hat -= np.multiply(a2_e2, level_p.rho_hat, out=term)
+        np.multiply(c1_e1, level_n.n_rho_hat, out=explicit)
+        explicit += np.multiply(c2_e2, level_p.n_rho_hat, out=term)
+        rho_hat += np.multiply(dt, explicit, out=explicit)
+        rho_hat /= a0
 
-    r_n = level_n.f_w_hat + lam_w * level_n.w_hat
-    r_p = level_p.f_w_hat + lam_w * level_p.w_hat
-    w_hat = (-a1 * level_n.w_hat - a2 * level_p.w_hat
-             + dt * (c1 * r_n + c2 * r_p)) / w_divisor
+        w_hat = -a1 * level_n.w_hat
+        r_n, r_p = ws.take(w_hat.shape, complex), ws.take(w_hat.shape, complex)
+        w_hat -= np.multiply(a2, level_p.w_hat, out=r_p)
+        np.add(level_n.f_w_hat, np.multiply(lam_w, level_n.w_hat, out=r_n), out=r_n)
+        np.add(level_p.f_w_hat, np.multiply(lam_w, level_p.w_hat, out=r_p), out=r_p)
+        np.multiply(c1, r_n, out=r_n)
+        r_n += np.multiply(c2, r_p, out=r_p)
+        w_hat += np.multiply(dt, r_n, out=r_n)
+        w_hat /= w_divisor
     return rho_hat, w_hat
 
 
@@ -321,7 +357,10 @@ class Stepper:
 
     It computes the split's linear rates once (per run) and its factors once
     per dt and previous dt, into ``_factors``, which is its own and holds at
-    most _FACTOR_CACHE_ENTRIES entries.
+    most _FACTOR_CACHE_ENTRIES entries.  It holds ``workspace`` for its run:
+    the temporaries of its steps (``rhs`` and the Euler and BDF2
+    combinations) and of the report batches that ``run`` makes of its states
+    are arrays of it, taken and given back by each step and batch in turn.
     """
 
     def __init__(self, state: FieldState, params: ModelParams, config: IntegratorConfig,
@@ -336,8 +375,9 @@ class Stepper:
         self._rates = ((params.eps if params.variant != "original" else 0.0) * ksq,
                        params.mu * ksq)
         self._factors: dict[tuple[float, float | None], tuple] = {}
-        self.run_state = RunState((_make_level(self.derived, forcing, None),), None,
-                                  config.snapshot_interval)
+        self.workspace = Workspace()
+        self.run_state = RunState((_make_level(self.derived, forcing, None, self.workspace),),
+                                  None, config.snapshot_interval)
 
     @property
     def state(self) -> FieldState:
@@ -369,20 +409,22 @@ class Stepper:
         level = levels[-1]
         if self.config.scheme == "imex_bdf2" and len(levels) == 2:
             rho_hat, w_hat = _advance_bdf2(level, levels[0], self._factors_of(dt, level.dt_prev),
-                                           lam_w, dt)
+                                           lam_w, dt, self.workspace)
         else:
-            rho_hat, w_hat = _advance_euler(level, self._factors_of(dt, None), lam_w, dt)
+            rho_hat, w_hat = _advance_euler(level, self._factors_of(dt, None), lam_w, dt,
+                                            self.workspace)
         # grad w rides along only where it costs no call: a 2D grid inverts
         # it in the tendencies' stage, after the check
         rho, w, *grad_w = to_physical_stage(
             [rho_hat, w_hat] + ([grad_hat(w_hat, grid)] if grid.dim == 1 else []), grid)
-        # copies, so that a kept state does not hold the stage's whole array
-        new_state = _check_new_state(grid, rho.copy(), w.copy(), level.time + dt)
+        if grid.dim == 1:  # copies of the stage's views, so that a kept
+            rho, w = rho.copy(), w.copy()  # state does not hold its whole array
+        new_state = _check_new_state(grid, rho, w, level.time + dt)
         self.derived = d = SpectralState(new_state, self.params, rho_hat, w_hat)
         if grad_w:
             d.grad_w = grad_w[0]
-        self.run_state = RunState((level, _make_level(d, self.forcing, dt)), run_state.report,
-                                  run_state.next_snap, run_state.pending)
+        self.run_state = RunState((level, _make_level(d, self.forcing, dt, self.workspace)),
+                                  run_state.report, run_state.next_snap, run_state.pending)
         return new_state
 
 
@@ -475,6 +517,6 @@ def _report_pending(stepper: Stepper, trajectory: Trajectory, monitors: MonitorS
         return
     states, dts = zip(*run_state.pending)
     reports = evaluate_reports(states, stepper.params, monitors,
-                               previous=(run_state.report, dts))
+                               previous=(run_state.report, dts), _workspace=stepper.workspace)
     stepper.run_state = RunState(run_state.levels, reports[-1], run_state.next_snap)
     trajectory.record(*reports)

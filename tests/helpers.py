@@ -7,13 +7,19 @@ quadratures are dense classical rules.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import re
+import resource
+import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
-from kortorus.functionals import evaluate_report
+from kortorus import cli
+from kortorus.functionals import evaluate_report, evaluate_reports
 from kortorus.model import ModelParams, _evaluate_law, spectral_state
 from kortorus.scenarios import initial_state
 from kortorus.spectral import (
@@ -96,25 +102,34 @@ def measure(count: dict, fn) -> dict:
             "widest_2d": count["widest_2d"]}
 
 
+def _evolve2d_stepper(resolution: int, seed: int) -> Stepper:
+    """A Stepper of the ``evolve2d`` benchmark workload's model and initial
+    parameters on a ``resolution``^2 grid, from the ``random_smooth`` state
+    of ``seed``, with imex_bdf2 steps."""
+    grid = SpectralGrid((resolution, resolution))
+    params = ModelParams(mu=0.1, alpha=0.0, kappa=0.01, a=1.0, gamma=2.0,
+                         variant="effective_v2")
+    state = initial_state(grid, "random_smooth", {"mean": 1.2, "amplitude": 0.25,
+                                                  "velocity_amplitude": 0.3}, seed=seed)
+    return Stepper(state, params, IntegratorConfig(dt_initial=1e-3, dt_min=1e-9,
+                                                   t_end=1.0, scheme="imex_bdf2"))
+
+
 def report_peak_mb(resolution: int, steps: int, seed: int) -> float:
     """The traced-memory (``tracemalloc``) peak of one ``evaluate_report``, in
     MB above what was traced before it, on the state a ``Stepper`` holds
     after ``steps`` imex_bdf2 steps of dt 1e-3 on a ``resolution``^2 grid.
     The run starts from the ``random_smooth`` state of ``seed`` and has the
     model and initial parameters of the ``evolve2d`` benchmark workload.
+    The report takes a workspace of its own, whose arrays count in the peak.
 
     An untraced report of the initial state comes first, so that the caches
     numpy and scipy fill on a first report (about 1 KB) are full whatever
     ran before in the process; it is made on a SpectralState of its own, so
     that the traced report still computes every field it needs."""
-    grid = SpectralGrid((resolution, resolution))
-    params = ModelParams(mu=0.1, alpha=0.0, kappa=0.01, a=1.0, gamma=2.0,
-                         variant="effective_v2")
-    state = initial_state(grid, "random_smooth", {"mean": 1.2, "amplitude": 0.25,
-                                                  "velocity_amplitude": 0.3}, seed=seed)
-    evaluate_report(spectral_state(state, params), params)
-    stepper = Stepper(state, params, IntegratorConfig(dt_initial=1e-3, dt_min=1e-9,
-                                                      t_end=1.0, scheme="imex_bdf2"))
+    stepper = _evolve2d_stepper(resolution, seed)
+    params = stepper.params
+    evaluate_report(spectral_state(stepper.state, params), params)
     for _ in range(steps):
         stepper.advance(1e-3)
     tracemalloc.start()
@@ -123,6 +138,52 @@ def report_peak_mb(resolution: int, steps: int, seed: int) -> float:
         return tracemalloc.get_traced_memory()[1] / 1e6
     finally:
         tracemalloc.stop()
+
+
+def step_report_peak_mb(resolution: int, steps: int, seed: int) -> tuple[float, float]:
+    """The traced-memory peaks of one imex_bdf2 step of dt 1e-3 and of the
+    report of the state it makes, each in MB above what was traced before
+    it, as ``run`` makes them: on the Stepper of ``report_peak_mb`` after
+    ``steps`` steps, each reported through the Stepper's workspace, so that
+    the workspace holds the arrays a step and a report take.  The peaks
+    count what a step and a report allocate beyond them: the transforms'
+    outputs and the fields the new state holds."""
+    stepper = _evolve2d_stepper(resolution, seed)
+    params = stepper.params
+    for _ in range(steps):
+        stepper.advance(1e-3)
+        evaluate_reports([stepper.derived], params, _workspace=stepper.workspace)
+    tracemalloc.start()
+    try:
+        stepper.advance(1e-3)
+        step = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        evaluate_reports([stepper.derived], params, _workspace=stepper.workspace)
+        return step / 1e6, (tracemalloc.get_traced_memory()[1] - before) / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def simulate_minor_faults(config_path, runs: int) -> list[tuple[int, float]]:
+    """Minor page faults and wall seconds of each of ``runs`` in-process
+    ``kortorus simulate`` runs of ``config_path`` (``getrusage`` of this
+    process), after one untimed run, each into a fresh output directory.
+    The counts are how often the runs touched memory the process did not
+    hold: allocations that the heap serves from pages it gave back.  Run
+    it in a process of its own, as a run's faults depend on what the heap
+    held when it started.  Faults of other threads of the process count
+    too; numpy and scipy start none here with one BLAS thread."""
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for i in range(runs + 1):
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            start = time.perf_counter()
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.main(["simulate", str(config_path), "--output", f"{tmp}/run{i}"])
+            out.append((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults,
+                        time.perf_counter() - start))
+    return out[1:]
 
 
 def max_abs(a) -> float:

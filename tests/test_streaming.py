@@ -194,6 +194,41 @@ def test_snapshot_index_names_only_complete_dumps(tmp_path, monkeypatch):
     assert len(cli._read_snapshots(tmp_path / "out")) == 2
 
 
+def test_snapshot_index_is_replaced_once_per_recorded_batch(tmp_path, monkeypatch):
+    # 100 steps that dump every state: the initial report and 4 batches of 32
+    # or fewer, not one replacement per snapshot
+    replaced, recorded = [], []
+    replace, record = cli.os.replace, cli._StreamedTrajectory.record
+    monkeypatch.setattr(cli.os, "replace", lambda *paths: (replaced.append(paths),
+                                                           replace(*paths)))
+
+    def counting(self, *reports):
+        recorded.append(len(reports))
+        record(self, *reports)
+    monkeypatch.setattr(cli._StreamedTrajectory, "record", counting)
+    doc = dict(CONFIGS["write_fields"], integrator={"scheme": "imex_bdf2", "dt_initial": 1e-3,
+                                                   "t_end": 0.1})
+    code, out = simulate(tmp_path, doc)
+    assert code == 0
+    assert recorded == [1, 32, 32, 32, 4]
+    assert len(replaced) == len(recorded)
+    index = json.loads((out / "snapshots" / "index.json").read_text())["snapshots"]
+    assert len(index) == sum(recorded)
+
+
+def test_positivity_loss_leaves_an_index_of_complete_dumps(tmp_path):
+    doc = dict(CONFIGS["squeeze"], output={"write_fields": True})
+    code, out = simulate(tmp_path, doc)
+    summary = json.loads((out / "summary.json").read_text())
+    assert code == 1 and summary["error"]["kind"] == "PositivityLoss"
+    snapdir = out / "snapshots"
+    entries = json.loads((snapdir / "index.json").read_text())["snapshots"]
+    assert len(entries) == summary["snapshots"] == summary["steps"] + 1
+    named = [name for entry in entries for name in [entry["rho"], *entry["w"]]]
+    assert sorted(named) == sorted(p.name for p in snapdir.glob("*.fld"))
+    assert [s.time for s in cli._read_snapshots(out)] == [e["time"] for e in entries]
+
+
 def test_simulate_memory_does_not_grow_with_steps(tmp_path):
     def peak_mb(steps):
         doc = {"grid": {"resolution": [64, 64]}, "model": MODEL_2D,
