@@ -691,16 +691,21 @@ def _report(d: SpectralState, params: ModelParams, spec: MonitorSpec,
         vacuum_indicator=low_mass,
         serrin_integrand=[norm ** serrin_p for norm in lp_norms(speed, serrin_q, grid, square)],
     )
+    table = np.array(list(columns.values())).T
+    # one finiteness test of the whole (members x columns) table; names are
+    # listed only for a member that holds a non-finite value
+    finite = np.isfinite(table)
     reports = []
-    for i, row in enumerate(np.array(list(columns.values())).T.tolist()):
+    for i, (row, all_finite) in enumerate(zip(table.tolist(), finite.all(axis=1).tolist())):
         values = dict(zip(columns, row))
         accumulated = 0.0
         if previous is not None:
             prev = reports[-1] if reports else previous[0]
             accumulated = (prev.serrin_accumulator + 0.5 * previous[1][i]
                            * (prev.serrin_integrand + values["serrin_integrand"]))
-        reports.append(FunctionalReport(**values, serrin_accumulator=accumulated, diverged=tuple(
-            k for k, val in values.items() if not math.isfinite(val))))
+        diverged = () if all_finite else tuple(k for k, ok in zip(columns, finite[i]) if not ok)
+        reports.append(FunctionalReport(**values, serrin_accumulator=accumulated,
+                                        diverged=diverged))
     return reports
 
 

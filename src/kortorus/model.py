@@ -51,6 +51,7 @@ from .spectral import (
     grad_hat,
     gradient,
     hess_hat,
+    kernel_workspace,
     to_physical,
     to_physical_stage,
     to_spectral,
@@ -310,7 +311,7 @@ class _Transformed:
     """A SpectralState field that is ``stage`` of ``source(d, workspace)``,
     held once read, like a cached property; ``SpectralState.fill`` computes
     several.  A source that is not the state's own samples is formed in an
-    array of the workspace."""
+    array of the workspace, or in a new array when the workspace is None."""
 
     def __init__(self, stage, source):
         self.stage, self.source = stage, source
@@ -323,6 +324,11 @@ class _Transformed:
             return self
         d.fill(self.stage, self.name)
         return d.__dict__[self.name]
+
+
+def _take(ws: Workspace | None, shape: tuple[int, ...], dtype: type = float) -> np.ndarray | None:
+    """An array of ``ws`` to form a source in, or None (a new array) without one."""
+    return None if ws is None else ws.take(shape, dtype)
 
 
 class _Stacked(NamedTuple):
@@ -424,7 +430,7 @@ class SpectralState:
         """Compute the fields ``names`` that are not held yet, and ``stage``
         of the arrays ``extra`` (an iterable, which the stage may read
         lazily), as one stage; return the latter.  The sources of ``names``
-        are formed in ``workspace`` (a fresh one if None), and every array
+        are formed in ``workspace`` (in new arrays if None), and every array
         of the stage that the workspace handed out is given back once
         transformed."""
         if self._bare:
@@ -434,22 +440,21 @@ class SpectralState:
                                self.grid)
             self.rho_hat, self.w_hat, self.ln_rho_hat = hats[0], hats[1:-1], hats[-1]
         todo = [name for name in names if name not in self.__dict__]
-        ws = workspace or Workspace()
-        sources = (getattr(type(self), name).source(self, ws) for name in todo)
-        out = stage(itertools.chain(sources, extra), self.grid, ws)
+        sources = (getattr(type(self), name).source(self, workspace) for name in todo)
+        out = stage(itertools.chain(sources, extra), self.grid, workspace)
         self.__dict__.update(zip(todo, out))
         return out[len(todo):]
 
     rho_hat = _Transformed(to_spectral_stage, lambda d, ws: d.rho.data)
     w_hat = _Transformed(to_spectral_stage, lambda d, ws: d.w.data)
     ln_rho_hat = _Transformed(to_spectral_stage, lambda d, ws: np.log(
-        d.rho.data, out=ws.take(d.rho.data.shape)))
+        d.rho.data, out=_take(ws, d.rho.data.shape)))
     grad_ln_rho = _Transformed(to_physical_stage, lambda d, ws: grad_hat(
-        d.ln_rho_hat, d.grid, ws.take((d.grid.dim,) + d.ln_rho_hat.shape, complex)))
+        d.ln_rho_hat, d.grid, _take(ws, (d.grid.dim,) + d.ln_rho_hat.shape, complex)))
     grad_w = _Transformed(to_physical_stage, lambda d, ws: grad_hat(
-        d.w_hat, d.grid, ws.take((d.grid.dim,) + d.w_hat.shape, complex)))
+        d.w_hat, d.grid, _take(ws, (d.grid.dim,) + d.w_hat.shape, complex)))
     hess_ln_rho = _Transformed(to_physical_stage, lambda d, ws: hess_hat(
-        d.ln_rho_hat, d.grid, ws.take((d.grid.dim,) * 2 + d.ln_rho_hat.shape, complex)))
+        d.ln_rho_hat, d.grid, _take(ws, (d.grid.dim,) * 2 + d.ln_rho_hat.shape, complex)))
 
     @cached_property
     def u(self) -> np.ndarray:
@@ -501,7 +506,9 @@ def tendency_hats(d: SpectralState, forcing=(),
     """rfft coefficients of (d rho/dt without its (kappa/mu) Lap rho part,
     d w/dt), each plus its source sampled in ``forcing`` = (f_rho, f_w) if
     given; every nonlinear product is dealiased by masking its coefficients.
-    Their temporaries are taken from ``workspace`` (a fresh one if None).
+    Their temporaries are plain numpy arrays on a grid too small to pool and
+    arrays of ``workspace`` (a fresh one if None) otherwise
+    (``spectral.kernel_workspace``); both forms give the same bits.
 
     d rho/dt = -div(rho w) in every variant, and d w/dt is per unit mass.
     With L = ln rho, g = grad L, u the advecting velocity and the stress
@@ -524,11 +531,14 @@ def tendency_hats(d: SpectralState, forcing=(),
     variant: L, rho w and the forcing forward; g and grad w (and grad grad L
     in ``original``) back; the pointwise part forward.  The 2/3 mask covers
     the whole velocity tendency."""
+    ws = kernel_workspace(d.grid, workspace)
+    if ws is None:
+        return _plain_tendency_hats(d, forcing)
     params, grid, rho = d.params, d.grid, d.rho.data
     keep = grid.rfft_dealias_keep
     original = params.variant == "original"
     vector = (grid.dim,) + rho.shape
-    with workspace or Workspace() as ws:
+    with ws:
         flux_hat, *forcing_hats = d.fill(to_spectral_stage, "ln_rho_hat", extra=[
             np.multiply(rho, d.w.data, out=ws.take(vector)), *forcing], workspace=ws)
         d.fill(to_physical_stage, "grad_ln_rho", "grad_w",
@@ -555,6 +565,31 @@ def tendency_hats(d: SpectralState, forcing=(),
     if forcing_hats:
         drho_hat += forcing_hats[0]
         dw_hat += forcing_hats[1]
+    return drho_hat, dw_hat
+
+
+def _plain_tendency_hats(d: SpectralState, forcing=()) -> tuple[np.ndarray, np.ndarray]:
+    """``tendency_hats`` as plain numpy expressions."""
+    params, grid, rho = d.params, d.grid, d.rho.data
+    keep = grid.rfft_dealias_keep
+    original = params.variant == "original"
+    flux_hat, *forcing_hats = d.fill(to_spectral_stage, "ln_rho_hat",
+                                     extra=[rho * d.w.data, *forcing])
+    d.fill(to_physical_stage, "grad_ln_rho", "grad_w", *(["hess_ln_rho"] if original else []))
+    g = d.grad_ln_rho
+    explicit = (-np.einsum("i...,ij...->j...", d.transport, d.grad_w)
+                - params.a * params.gamma * rho ** (params.gamma - 1.0) * g)
+    div_stress_hat = params.mu * grid.rfft_minus_beta_sq * d.w_hat
+    if original:
+        explicit += np.einsum("i...,ij...->j...", g, params.alpha * np.swapaxes(d.grad_w, 0, 1)
+                              + params.kappa * d.hess_ln_rho)
+        div_stress_hat = div_stress_hat + grad_hat(
+            params.alpha * div_hat(d.w_hat, grid)
+            + params.kappa * grid.rfft_minus_beta_sq * d.ln_rho_hat, grid)
+    (explicit_hat,) = d.fill(to_spectral_stage, extra=[explicit])
+    drho_hat, dw_hat = -div_hat(keep * flux_hat, grid), keep * (explicit_hat + div_stress_hat)
+    if forcing_hats:
+        drho_hat, dw_hat = drho_hat + forcing_hats[0], dw_hat + forcing_hats[1]
     return drho_hat, dw_hat
 
 

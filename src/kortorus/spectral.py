@@ -289,7 +289,8 @@ class Workspace:
     widest moment of any block needs, instead of asking the allocator for
     their temporaries again each time.  Nothing that outlives its block may
     be taken from a workspace.  A ``Stepper`` holds one for its run; a caller
-    without one gets a fresh workspace per call.
+    without one gets a fresh workspace per call.  The step kernels take none
+    on a grid too small to pool (``kernel_workspace``).
 
     Arrays share by size: real samples with n values on their last axis take
     the size of the rfft coefficients of those rows, n // 2 + 1 complex
@@ -334,6 +335,18 @@ class Workspace:
         del self._taken[start:]
 
 
+def kernel_workspace(grid: SpectralGrid, workspace: Workspace | None = None) -> Workspace | None:
+    """The workspace that the step kernels on ``grid`` (``model.tendency_hats``
+    and ``timestepping._advance_euler``/``_advance_bdf2``) form their
+    temporaries in: None on a grid of fewer than _POOLED_ELEMENTS points,
+    where they evaluate plain numpy expressions, as the workspace's
+    bookkeeping would cost them more than the small allocations it replaces;
+    ``workspace``, or a fresh one, otherwise."""
+    if math.prod(grid.shape) < _POOLED_ELEMENTS:
+        return None
+    return workspace if workspace is not None else Workspace()
+
+
 # ---------------------------------------------------------------------------
 # transforms
 
@@ -343,17 +356,19 @@ def to_spectral(data: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     leading axes are components, transformed together in one call.
 
     This and ``to_physical`` are the transforms behind every operator.  A 1D
-    grid goes through ``rfft``, which gives the same coefficients as
-    ``rfftn`` over the last axis at a lower per-call cost."""
+    grid goes through ``numpy.fft.rfft``, which gives the same coefficients
+    as ``scipy.fft.rfftn`` over the last axis, each row as from a call of its
+    own, at a lower per-call cost than either ``scipy.fft`` entry point; a
+    2D grid through ``scipy.fft.rfftn``."""
     if grid.dim == 1:
-        return scipy.fft.rfft(data)
+        return np.fft.rfft(data)
     return scipy.fft.rfftn(data, axes=grid.rfft_axes)
 
 
 def to_physical(hat: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     """Inverse of ``to_spectral``, batched the same way."""
     if grid.dim == 1:
-        return scipy.fft.irfft(hat, n=grid.shape[0])
+        return np.fft.irfft(hat, n=grid.shape[0])
     return scipy.fft.irfftn(hat, s=grid.shape, axes=grid.rfft_axes)
 
 

@@ -19,14 +19,20 @@ Schemes:
                    imex_euler.
 
 Positivity is guarded by reject-and-halve: a step that lands at or below the
-density floor is retried with dt/2 down to dt_min, then the failure is
-raised (never clipped, so the vacuum monitors retain their meaning).
+density floor, or makes a non-finite sample, is retried with dt/2 down to
+dt_min, then the failure is raised (never clipped, so the vacuum monitors
+retain their meaning).  On a 1D grid the halvings after a rejection are
+evaluated together (``Stepper.probe``), and the step is retried once, at the
+first that passes; the run is the same, bit for bit, as one that tries them
+one by one.
 
 A step computes each quantity once at the scope it depends on.  Once per
 run (a Stepper): the linear rates (kappa/mu) -Lap of the density and
 mu -Lap of the velocity, and the workspace whose arrays the temporaries of
-every step and report batch of the run take in turn (``spectral.Workspace``).
-Once per dt, and per previous dt for imex_bdf2:
+every report batch of the run take in turn (``spectral.Workspace``), and
+those of every step on a grid large enough to pool
+(``spectral.kernel_workspace``; a smaller grid's steps are plain numpy
+expressions).  Once per dt, and per previous dt for imex_bdf2:
 E = exp(-lam dt), dt phi1 and the velocity's divisor 1 + mu k^2 dt, or the
 BDF2 weights with the integrating factors folded in and the divisor
 a0 + mu k^2 dt; the Stepper holds these sets up to _FACTOR_CACHE_ENTRIES
@@ -51,6 +57,7 @@ from .functionals import (
     report_batch_size,
 )
 from .model import (
+    RHO_FLOOR,
     FieldState,
     ModelParams,
     SpectralState,
@@ -64,6 +71,8 @@ from .spectral import (
     VectorField,
     Workspace,
     grad_hat,
+    kernel_workspace,
+    to_physical,
     to_physical_stage,
 )
 
@@ -241,7 +250,9 @@ def _phi1(z: np.ndarray) -> np.ndarray:
 
 def _check_new_state(grid: SpectralGrid, rho_data: np.ndarray, w_data: np.ndarray,
                      t_new: float) -> FieldState:
-    """The state of a step's samples, once they pass the checks."""
+    """The state of a step's samples, once they pass the checks.
+    ``Stepper.probe`` makes the same checks on every rung of a ladder at
+    once; the two must agree."""
     if not (np.isfinite(rho_data).all() and np.isfinite(w_data).all()):
         raise NonFinite(f"time step produced non-finite samples at t={t_new}", time=t_new)
     try:
@@ -278,14 +289,20 @@ def _euler_factors(rates: tuple[np.ndarray, np.ndarray], dt: float) -> tuple:
     return np.exp(z), dt * _phi1(z), 1.0 + lam_w * dt
 
 
-def _advance_euler(level: _Level, factors: tuple, lam_w: np.ndarray, dt: float,
+def _advance_euler(level: _Level, factors: tuple, lam_w: np.ndarray, dt,
                    workspace: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The new level's coefficients, each formed in the array it is returned
-    in and its other terms in ``workspace`` (a fresh one if None):
+    """The new level's coefficients
     rho_hat = exp_z rho_hat + dt_phi1 n_rho_hat and
-    w_hat = (w_hat + dt (f_w_hat + lam_w w_hat)) / w_divisor."""
+    w_hat = (w_hat + dt (f_w_hat + lam_w w_hat)) / w_divisor:
+    with a ``workspace``, each formed in the array it is returned in and its
+    other terms in the workspace; without one, as plain numpy expressions,
+    which broadcast over a leading rung axis of ``factors`` and ``dt``
+    (``_along_rungs``)."""
     exp_z, dt_phi1, w_divisor = factors
-    with workspace or Workspace() as ws:
+    if workspace is None:
+        return (exp_z * level.rho_hat + dt_phi1 * level.n_rho_hat,
+                (level.w_hat + dt * (level.f_w_hat + lam_w * level.w_hat)) / w_divisor)
+    with workspace as ws:
         rho_hat = exp_z * level.rho_hat
         rho_hat += np.multiply(dt_phi1, level.n_rho_hat, out=ws.take(rho_hat.shape, complex))
 
@@ -316,15 +333,21 @@ def _bdf2_factors(rates: tuple[np.ndarray, np.ndarray], dt: float, dt_prev: floa
 
 
 def _advance_bdf2(level_n: _Level, level_p: _Level, factors: tuple, lam_w: np.ndarray,
-                  dt: float, workspace: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The new level's coefficients, each formed in the array it is returned
-    in and its other terms in ``workspace`` (a fresh one if None), with
-    r = f_w_hat + lam_w w_hat:
+                  dt, workspace: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The new level's coefficients, with r = f_w_hat + lam_w w_hat,
     rho_hat = (a1_e1 rho_hat_n - a2_e2 rho_hat_p
                + dt (c1_e1 n_rho_hat_n + c2_e2 n_rho_hat_p)) / a0 and
-    w_hat = (-a1 w_hat_n - a2 w_hat_p + dt (c1 r_n + c2 r_p)) / w_divisor."""
+    w_hat = (-a1 w_hat_n - a2 w_hat_p + dt (c1 r_n + c2 r_p)) / w_divisor,
+    formed as ``_advance_euler`` forms its own."""
     a0, a1, a2, c1, c2, a1_e1, a2_e2, c1_e1, c2_e2, w_divisor = factors
-    with workspace or Workspace() as ws:
+    if workspace is None:
+        rho_hat = (a1_e1 * level_n.rho_hat - a2_e2 * level_p.rho_hat
+                   + dt * (c1_e1 * level_n.n_rho_hat + c2_e2 * level_p.n_rho_hat)) / a0
+        r_n = level_n.f_w_hat + lam_w * level_n.w_hat
+        r_p = level_p.f_w_hat + lam_w * level_p.w_hat
+        return rho_hat, (-a1 * level_n.w_hat - a2 * level_p.w_hat
+                         + dt * (c1 * r_n + c2 * r_p)) / w_divisor
+    with workspace as ws:
         rho_hat = a1_e1 * level_n.rho_hat
         term, explicit = ws.take(rho_hat.shape, complex), ws.take(rho_hat.shape, complex)
         rho_hat -= np.multiply(a2_e2, level_p.rho_hat, out=term)
@@ -345,6 +368,16 @@ def _advance_bdf2(level_n: _Level, level_p: _Level, factors: tuple, lam_w: np.nd
     return rho_hat, w_hat
 
 
+def _along_rungs(values, dim: int) -> np.ndarray:
+    """The values one factor (or dt) takes at each rung of a ladder, stacked
+    on a leading rung axis and shaped to broadcast against rho_hat and the
+    (dim,) + rfft-shape w_hat: a scalar as (rungs, 1, ..., 1), an rfft
+    array as (rungs, 1) + its shape."""
+    stacked = np.array(values)
+    return stacked.reshape(stacked.shape[:1] + (1,) * (2 + dim - stacked.ndim)
+                           + stacked.shape[1:])
+
+
 class Stepper:
     """Stateful driver of one run; everything it carries between steps is the
     frozen ``run_state``.
@@ -353,14 +386,16 @@ class Stepper:
     newest level: after a step it is built from that level's coefficients,
     so no step transforms rho and w forward again.  A step's first transform
     stage brings rho and w back for the positivity check; ``rhs`` then makes
-    the tendencies' stages.
+    the tendencies' stages.  ``probe`` finds, for a step that failed, the
+    largest of its halvings that passes, in one evaluation of them all.
 
     It computes the split's linear rates once (per run) and its factors once
     per dt and previous dt, into ``_factors``, which is its own and holds at
     most _FACTOR_CACHE_ENTRIES entries.  It holds ``workspace`` for its run:
-    the temporaries of its steps (``rhs`` and the Euler and BDF2
-    combinations) and of the report batches that ``run`` makes of its states
-    are arrays of it, taken and given back by each step and batch in turn.
+    the temporaries of the report batches that ``run`` makes of its states,
+    and of its steps (``rhs`` and the Euler and BDF2 combinations) on a grid
+    large enough to pool (``spectral.kernel_workspace``), are arrays of it,
+    taken and given back by each step and batch in turn.
     """
 
     def __init__(self, state: FieldState, params: ModelParams, config: IntegratorConfig,
@@ -376,8 +411,10 @@ class Stepper:
                        params.mu * ksq)
         self._factors: dict[tuple[float, float | None], tuple] = {}
         self.workspace = Workspace()
-        self.run_state = RunState((_make_level(self.derived, forcing, None, self.workspace),),
-                                  None, config.snapshot_interval)
+        self._kernel_workspace = kernel_workspace(state.grid, self.workspace)
+        self.run_state = RunState(
+            (_make_level(self.derived, forcing, None, self._kernel_workspace),),
+            None, config.snapshot_interval)
 
     @property
     def state(self) -> FieldState:
@@ -397,22 +434,34 @@ class Stepper:
                 held -= _factor_entries([self._factors.pop(next(iter(self._factors)))])
         return factors
 
+    def _step_hats(self, dt: float | list[float],
+                   workspace: Workspace | None) -> tuple[np.ndarray, np.ndarray]:
+        """rho_hat and w_hat after a step of dt from the newest level, or
+        after a step of each rung of the list ``dt``, along a leading axis
+        (which takes ``workspace`` None)."""
+        levels = self.run_state.levels
+        level = levels[-1]
+        dt_prev = level.dt_prev if self.config.scheme == "imex_bdf2" and len(levels) == 2 else None
+        if isinstance(dt, list):
+            dim = self.derived.grid.dim
+            factors = tuple(_along_rungs(values, dim)
+                            for values in zip(*(self._factors_of(r, dt_prev) for r in dt)))
+            dt = _along_rungs(dt, dim)
+        else:
+            factors = self._factors_of(dt, dt_prev)
+        if dt_prev is None:
+            return _advance_euler(level, factors, self._rates[1], dt, workspace)
+        return _advance_bdf2(level, levels[0], factors, self._rates[1], dt, workspace)
+
     def advance(self, dt: float) -> FieldState:
         """One accepted step of size dt; raises PositivityLoss/NonFinite on
         failure without mutating the history."""
         if not (dt > 0.0):
             raise ValueError(f"dt must be positive, got {dt}")
         grid = self.derived.grid
-        lam_w = self._rates[1]
         run_state = self.run_state
-        levels = run_state.levels
-        level = levels[-1]
-        if self.config.scheme == "imex_bdf2" and len(levels) == 2:
-            rho_hat, w_hat = _advance_bdf2(level, levels[0], self._factors_of(dt, level.dt_prev),
-                                           lam_w, dt, self.workspace)
-        else:
-            rho_hat, w_hat = _advance_euler(level, self._factors_of(dt, None), lam_w, dt,
-                                            self.workspace)
+        level = run_state.levels[-1]
+        rho_hat, w_hat = self._step_hats(dt, self._kernel_workspace)
         # grad w rides along only where it costs no call: a 2D grid inverts
         # it in the tendencies' stage, after the check
         rho, w, *grad_w = to_physical_stage(
@@ -423,9 +472,35 @@ class Stepper:
         self.derived = d = SpectralState(new_state, self.params, rho_hat, w_hat)
         if grad_w:
             d.grad_w = grad_w[0]
-        self.run_state = RunState((level, _make_level(d, self.forcing, dt, self.workspace)),
-                                  run_state.report, run_state.next_snap, run_state.pending)
+        self.run_state = RunState(
+            (level, _make_level(d, self.forcing, dt, self._kernel_workspace)),
+            run_state.report, run_state.next_snap, run_state.pending)
         return new_state
+
+    def probe(self, dt: float, dt_min: float) -> float:
+        """The first of the rungs dt, dt/2, dt/4, ... (none below dt_min) at
+        which ``advance`` would pass its checks, or the last rung when none
+        would; the history is left as it is.
+
+        On a 1D grid every rung is evaluated at once: the step kernels over a
+        leading rung axis, the rungs' rho and w rows back in one call, and
+        ``_check_new_state``'s checks (finite rho and w, rho above the
+        floor) on each.  A rung's samples are those ``advance`` would make,
+        bit for bit.  On a 2D grid, where a rung is a full-size transform,
+        this is dt: there a run tries one rung per attempt, as ``_stage``
+        makes one call per array."""
+        grid = self.derived.grid
+        rungs = [dt]
+        while grid.dim == 1 and rungs[-1] * 0.5 >= dt_min:
+            rungs.append(rungs[-1] * 0.5)
+        if len(rungs) == 1:
+            return dt
+        rho_hat, w_hat = self._step_hats(rungs, None)
+        samples = to_physical(np.concatenate((rho_hat, w_hat), axis=1), grid)
+        passing = (np.isfinite(samples).reshape(len(rungs), -1).all(axis=1)
+                   & (samples[:, 0].reshape(len(rungs), -1).min(axis=1) > RHO_FLOOR))
+        first = np.flatnonzero(passing)
+        return rungs[first[0] if first.size else -1]
 
 
 def step(state: FieldState, params: ModelParams, config: IntegratorConfig,
@@ -447,8 +522,10 @@ def run(initial: FieldState, params: ModelParams, config: IntegratorConfig,
     Deterministic for identical inputs.  Every accepted step appends a
     FunctionalReport; snapshots are captured interpolation-free at the state
     nearest each cadence target (every step when no cadence is set).  On
-    PositivityLoss or NonFinite the step is retried with dt/2 down to dt_min;
-    the terminal error is re-raised with the partial trajectory attached.
+    PositivityLoss or NonFinite the step is retried with dt/2 down to dt_min,
+    at the first of those halvings that ``Stepper.probe`` finds to pass (on
+    a 2D grid, each in turn), or at the last when none does; the terminal
+    error is re-raised with the partial trajectory attached.
     Results go into ``trajectory`` when one is given (a fresh Trajectory
     otherwise), which is returned.
 
@@ -489,6 +566,7 @@ def run(initial: FieldState, params: ModelParams, config: IntegratorConfig,
                         dt *= 0.5
                         if dt < config.dt_min:
                             raise
+                        dt = stepper.probe(dt, config.dt_min)
             except (StepUnderflow, PositivityLoss, NonFinite) as exc:
                 trajectory.terminated = TerminationInfo(type(exc).__name__, str(exc), last.time)
                 exc.trajectory = trajectory

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
-FFT_ENTRY_POINTS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
-                    "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft")
+from helpers import FFT_ENTRY_POINTS
 
 
 @pytest.fixture

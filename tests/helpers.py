@@ -17,9 +17,11 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import scipy.fft
 
-from kortorus import cli
-from kortorus.functionals import evaluate_report, evaluate_reports
+from kortorus import cli, timestepping
+from kortorus.errors import NonFinite, PositivityLoss
+from kortorus.functionals import MonitorSpec, evaluate_report, evaluate_reports
 from kortorus.model import ModelParams, _evaluate_law, spectral_state
 from kortorus.scenarios import initial_state
 from kortorus.spectral import (
@@ -184,6 +186,81 @@ def simulate_minor_faults(config_path, runs: int) -> list[tuple[int, float]]:
             out.append((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults,
                         time.perf_counter() - start))
     return out[1:]
+
+
+#: the model, monitors and controller of the vacuum-squeeze sweep of the
+#: ``study1d`` benchmark workload (acceptance criterion 11)
+SQUEEZE_PARAMS = ModelParams(mu=0.05, alpha=0.0, kappa=0.05 ** 2, a=0.01, gamma=2.0,
+                             variant="effective_v2")
+SQUEEZE_MONITORS = MonitorSpec(epsilon=0.75, delta_vacuum=0.25)
+SQUEEZE_CONFIG = IntegratorConfig(dt_initial=2e-3, dt_min=1e-10, t_end=3.0, cfl_safety=0.5)
+
+
+def squeeze_state(index: int):
+    """The ``index``-th initial state of the ``study1d`` squeeze sweep: a
+    seeded gaussian bump with an outflow, on a 1D N = 64 grid."""
+    rng = np.random.default_rng(2000 + index)
+    spec = {"mean": 1.0,
+            "depth": 0.90 + 0.06 * rng.uniform(),
+            "width": 0.45 + 0.15 * rng.uniform(),
+            "center": [0.25 + 0.5 * rng.uniform()],
+            "velocity_amplitude": 2.6 + 0.5 * rng.uniform()}
+    return initial_state(SpectralGrid(64), "gaussian_bump", spec)
+
+
+#: the forward and inverse entry points of ``numpy.fft`` and ``scipy.fft``
+#: that the FFT counters wrap
+FFT_ENTRY_POINTS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
+                    "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft")
+
+
+def squeeze_attempts(index: int = 0) -> dict:
+    """What one ``run`` of ``squeeze_state(index)`` under the squeeze sweep's
+    model and monitors does, as counts that no host changes: its
+    ``Stepper.advance`` calls and the rejected ones among them, its
+    ``Stepper.probe`` calls, its calls of the ``numpy.fft`` and
+    ``scipy.fft`` entry points and those made inside the probes, and how
+    the run ended (the type of the error that ended it, or None)."""
+    count = dict(advance=0, rejected=0, probe=0, fft=0, probe_fft=0)
+    saved = [(Stepper, name, getattr(Stepper, name)) for name in ("advance", "probe")]
+    saved += [(module, name, getattr(module, name)) for module in (np.fft, scipy.fft)
+              for name in FFT_ENTRY_POINTS if hasattr(module, name)]
+    advance, probe = saved[0][2], saved[1][2]
+
+    def counted_advance(self, dt):
+        count["advance"] += 1
+        try:
+            return advance(self, dt)
+        except (PositivityLoss, NonFinite):
+            count["rejected"] += 1
+            raise
+
+    def counted_probe(self, dt, dt_min):
+        count["probe"] += 1
+        calls = count["fft"]
+        try:
+            return probe(self, dt, dt_min)
+        finally:
+            count["probe_fft"] += count["fft"] - calls
+
+    def counted_fft(fn):
+        def counted(*args, **kwargs):
+            count["fft"] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    Stepper.advance, Stepper.probe = counted_advance, counted_probe
+    for module, name, fn in saved[2:]:
+        setattr(module, name, counted_fft(fn))
+    try:
+        timestepping.run(squeeze_state(index), SQUEEZE_PARAMS, SQUEEZE_CONFIG, SQUEEZE_MONITORS)
+        count["ended_by"] = None
+    except (PositivityLoss, NonFinite) as exc:
+        count["ended_by"] = type(exc)
+    finally:
+        for owner, name, fn in saved:
+            setattr(owner, name, fn)
+    return count
 
 
 def max_abs(a) -> float:
