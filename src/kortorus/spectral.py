@@ -358,8 +358,8 @@ def to_spectral(data: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     This and ``to_physical`` are the transforms behind every operator.  A 1D
     grid goes through ``numpy.fft.rfft``, which gives the same coefficients
     as ``scipy.fft.rfftn`` over the last axis, each row as from a call of its
-    own, at a lower per-call cost than either ``scipy.fft`` entry point; a
-    2D grid through ``scipy.fft.rfftn``."""
+    own, at about scipy's per-call cost (numpy's ``irfft`` costs less than
+    scipy's); a 2D grid through ``scipy.fft.rfftn``."""
     if grid.dim == 1:
         return np.fft.rfft(data)
     return scipy.fft.rfftn(data, axes=grid.rfft_axes)
