@@ -386,7 +386,7 @@ class MonitorSpec:
         return self.serrin_p, q
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FunctionalReport:
     """One row of the monitoring stream; flat so it maps 1:1 onto CSV."""
 
@@ -542,7 +542,11 @@ def _report(d: SpectralState, params: ModelParams, spec: MonitorSpec,
     pointwise field is formed once for the batch, and each integrand is
     reduced member by member (``spectral.integrals``) as soon as it is formed.
     Temporaries are arrays of ``ws``, given back as they die, or rows of a
-    transform's output that the report holds alone and no longer reads."""
+    transform's output that the report holds alone and no longer reads.
+    The columns go into one (columns x members) table in FunctionalReport's
+    field order, the Serrin trapezoid is a running sum over its last row,
+    and each report is built positionally from its member's row: no
+    per-member dict or keyword call."""
     grid, rho, gamma = d.grid, d.rho.data, params.gamma
     members, scalar = len(rho), rho.shape
     delta, p, p_vac = spec.delta, spec.p_integrability, spec.p_vacuum
@@ -678,8 +682,7 @@ def _report(d: SpectralState, params: ModelParams, spec: MonitorSpec,
         bd_rate_capillary=params.kappa * bd_capillary,
         mv_value=product_integrals(rho, np.power(speed, 2.0 + delta, out=square)) / (2.0 + delta),
         mv_rate_dissipation=0.25 * params.mu * mv_dissipation,
-        # Python's scalar power, as numpy's array power can be an ulp off it
-        mv_rhs_bound=[m ** inner_exp * r ** (delta / 2.0)
+        mv_rhs_bound=[_power(m, inner_exp) * _power(r, delta / 2.0)
                       for m, r in zip(mv_rho.tolist(), rho_v_sq.tolist())],
         int_value=product_integrals(rho, np.power(speed, p, out=square)) / p,
         int_rate_grad=int_grad,
@@ -689,24 +692,36 @@ def _report(d: SpectralState, params: ModelParams, spec: MonitorSpec,
         vac_rate=vac_rate,
         vac_identity_residual=vac_residual,
         vacuum_indicator=low_mass,
-        serrin_integrand=[norm ** serrin_p for norm in lp_norms(speed, serrin_q, grid, square)],
+        serrin_integrand=[_power(norm, serrin_p)
+                          for norm in lp_norms(speed, serrin_q, grid, square)],
     )
-    table = np.array(list(columns.values())).T
-    # one finiteness test of the whole (members x columns) table; names are
+    table = np.array(list(columns.values()))
+    # one finiteness test of the whole (columns x members) table; names are
     # listed only for a member that holds a non-finite value
     finite = np.isfinite(table)
-    reports = []
-    for i, (row, all_finite) in enumerate(zip(table.tolist(), finite.all(axis=1).tolist())):
-        values = dict(zip(columns, row))
-        accumulated = 0.0
-        if previous is not None:
-            prev = reports[-1] if reports else previous[0]
-            accumulated = (prev.serrin_accumulator + 0.5 * previous[1][i]
-                           * (prev.serrin_integrand + values["serrin_integrand"]))
-        diverged = () if all_finite else tuple(k for k, ok in zip(columns, finite[i]) if not ok)
-        reports.append(FunctionalReport(**values, serrin_accumulator=accumulated,
-                                        diverged=diverged))
-    return reports
+    diverged = [() if all_finite else tuple(k for k, ok in zip(columns, finite[:, i]) if not ok)
+                for i, all_finite in enumerate(finite.all(axis=0).tolist())]
+    # the Serrin trapezoid, continued member by member: each running value
+    # adds one term to the one before, as a Python loop would add them
+    integrand = table[-1]  # serrin_integrand, the last column
+    accumulated = np.zeros(members)
+    if previous is not None:
+        report, dts = previous
+        terms = 0.5 * np.asarray(dts) * (np.append(report.serrin_integrand, integrand[:-1])
+                                         + integrand)
+        accumulated = np.cumsum(np.append(report.serrin_accumulator, terms))[1:]
+    # one row a report, in FunctionalReport's field order
+    return [FunctionalReport(*row, names) for row, names in zip(
+        np.vstack((table, accumulated)).T.tolist(), diverged)]
+
+
+def _power(base: float, exponent: float) -> float:
+    """Python's scalar power, as numpy's array power can be an ulp off it;
+    inf where it overflows, so that the column is named in ``diverged``."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------

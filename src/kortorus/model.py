@@ -119,7 +119,7 @@ class ModelParams:
         return replace(self, variant=variant)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class FieldState:
     """Density plus velocity sample; ``w`` is u for the original variant and
     the effective velocity v for the effective variants."""
@@ -353,11 +353,14 @@ class _StackedState(NamedTuple):
 def _along_batch(arrays: Sequence[np.ndarray], grid: SpectralGrid) -> np.ndarray:
     """``arrays``, one field each (component axes, then the grid axes; rfft
     coefficients count as grid axes), stacked along a batch axis placed
-    before the grid axes; one array gives a view."""
-    axis = arrays[0].ndim - grid.dim
+    before the grid axes; one array gives a view.  Joined along their first
+    grid axis, the members lie in memory as the stack does, so one C copy
+    and a reshape make it."""
+    shape = arrays[0].shape
+    axis = len(shape) - grid.dim
     if len(arrays) == 1:
         return arrays[0][(slice(None),) * axis + (None,)]
-    return np.stack(arrays, axis)
+    return np.concatenate(arrays, axis).reshape(shape[:axis] + (len(arrays),) + shape[axis:])
 
 
 class SpectralState:
@@ -392,11 +395,12 @@ class SpectralState:
         axes, for kernels that reduce member by member.  Its ``time`` lists
         the members' times.
 
-        A derived field that every member holds is stacked; the others are
-        computed once, on the batch, when read.  Members that are all bare go
-        forward as one bare batch; otherwise each member's own coefficients
-        are stacked, so that a stepped state keeps the ones its step made.
-        One member gives views, not copies."""
+        A derived field that every member holds is stacked, copied into one
+        array in C (``_along_batch``); the others are computed once, on the
+        batch, when read, and ``unstack`` hands those, and only those, back.
+        Members that are all bare go forward as one bare batch; otherwise
+        each member's own coefficients are stacked, so that a stepped state
+        keeps the ones its step made.  One member gives views, not copies."""
         first, *others = members
         grid = first.grid
         if any(m.grid is not grid and m.grid != grid for m in others):
@@ -412,18 +416,21 @@ class SpectralState:
         held = (first.__dict__.keys() & _DERIVED) - d.__dict__.keys()
         for name in held.intersection(*(m.__dict__ for m in others)):
             d.__dict__[name] = _along_batch([m.__dict__[name] for m in members], grid)
+        d._stacked = d.__dict__.keys() & _DERIVED
         return d
 
     def unstack(self, members: Sequence["SpectralState"]):
         """Give each of ``members``, the states this stack was made of, the
-        derived fields the stack holds and it does not, as views: a member
-        keeps them as long as it would had it been reported alone, and a
-        later reader of the member computes none of them again."""
-        for name in self.__dict__.keys() & _DERIVED:
+        derived fields that the stack formed itself and the member does not
+        hold, as views: a member keeps them as long as it would had it been
+        reported alone, and a later reader of the member computes none of
+        them again.  The fields the stack was made of are the members' own
+        already."""
+        for name in (self.__dict__.keys() & _DERIVED) - self._stacked:
             batch = self.__dict__[name]
-            index = (slice(None),) * (batch.ndim - self.grid.dim - 1)
-            for i, member in enumerate(members):
-                member.__dict__.setdefault(name, batch[index + (i,)])
+            views = np.moveaxis(batch, batch.ndim - self.grid.dim - 1, 0)
+            for member, view in zip(members, views):
+                member.__dict__.setdefault(name, view)
 
     def fill(self, stage, *names: str, extra=(),
              workspace: Workspace | None = None) -> list[np.ndarray]:

@@ -218,7 +218,7 @@ class SpectralGrid:
         return ScalarField(self, np.asarray(fn(*self.meshgrid()), dtype=float))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class _Samples:
     """Real samples on a SpectralGrid: ``rank`` component axes of length
     grid.dim, then the grid axes (row-major axis order)."""
@@ -239,14 +239,14 @@ class _Samples:
         return type(self)(self.grid, data)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class ScalarField(_Samples):
     """Real rank-0 samples on a SpectralGrid (row-major axis order)."""
 
     rank = 0
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class VectorField(_Samples):
     """Real rank-1 samples, component-major: data[j] is the j-th component."""
 
@@ -256,7 +256,7 @@ class VectorField(_Samples):
         return ScalarField(self.grid, self.data[j])
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class TensorField(_Samples):
     """Real rank-2 samples, data[i, j] holds component T_ij."""
 

