@@ -51,7 +51,6 @@ from .spectral import (
     grad_hat,
     gradient,
     hess_hat,
-    kernel_workspace,
     to_physical,
     to_physical_stage,
     to_spectral,
@@ -508,14 +507,13 @@ def spectral_state(state: FieldState | SpectralState, params: ModelParams) -> Sp
 # right-hand sides
 
 
-def tendency_hats(d: SpectralState, forcing=(),
-                  workspace: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
+def tendency_hats(d: SpectralState, forcing=()) -> tuple[np.ndarray, np.ndarray]:
     """rfft coefficients of (d rho/dt without its (kappa/mu) Lap rho part,
     d w/dt), each plus its source sampled in ``forcing`` = (f_rho, f_w) if
     given; every nonlinear product is dealiased by masking its coefficients.
-    Their temporaries are plain numpy arrays on a grid too small to pool and
-    arrays of ``workspace`` (a fresh one if None) otherwise
-    (``spectral.kernel_workspace``); both forms give the same bits.
+    Each sum is formed in place in its first term, a new array, and the
+    tendencies in the arrays that the transforms returned: the bits of the
+    plain numpy expressions, with fewer temporaries.
 
     d rho/dt = -div(rho w) in every variant, and d w/dt is per unit mass.
     With L = ln rho, g = grad L, u the advecting velocity and the stress
@@ -538,89 +536,33 @@ def tendency_hats(d: SpectralState, forcing=(),
     variant: L, rho w and the forcing forward; g and grad w (and grad grad L
     in ``original``) back; the pointwise part forward.  The 2/3 mask covers
     the whole velocity tendency."""
-    ws = kernel_workspace(d.grid, workspace)
-    if ws is None:
-        return _plain_tendency_hats(d, forcing)
     params, grid, rho = d.params, d.grid, d.rho.data
-    keep = grid.rfft_dealias_keep
-    original = params.variant == "original"
-    vector = (grid.dim,) + rho.shape
-    with ws:
-        flux_hat, *forcing_hats = d.fill(to_spectral_stage, "ln_rho_hat", extra=[
-            np.multiply(rho, d.w.data, out=ws.take(vector)), *forcing], workspace=ws)
-        d.fill(to_physical_stage, "grad_ln_rho", "grad_w",
-               *(["hess_ln_rho"] if original else []), workspace=ws)
-        g = d.grad_ln_rho
-        explicit = np.einsum("i...,ij...->j...", d.transport, d.grad_w, out=ws.take(vector))
-        np.negative(explicit, out=explicit)
-        pressure_force = np.power(rho, params.gamma - 1.0, out=ws.take(rho.shape))
-        np.multiply(params.a * params.gamma, pressure_force, out=pressure_force)
-        term = np.multiply(pressure_force, g, out=ws.take(vector))
-        explicit -= term
-        ws.give(pressure_force, term)
-        mu_lap = np.multiply(params.mu, grid.rfft_minus_beta_sq, out=ws.take(grid.rfft_shape))
-        div_stress_hat = np.multiply(mu_lap, d.w_hat, out=ws.take(d.w_hat.shape, complex))
-        ws.give(mu_lap)
-        if original:
-            _add_original_stress(d, explicit, div_stress_hat, ws)
-        (explicit_hat,) = d.fill(to_spectral_stage, extra=[explicit], workspace=ws)
-        # the tendencies are formed in arrays that the transforms returned
-        drho_hat = div_hat(np.multiply(keep, flux_hat, out=flux_hat), grid, flux_hat)
-        np.negative(drho_hat, out=drho_hat)
-        explicit_hat += div_stress_hat
-        dw_hat = np.multiply(keep, explicit_hat, out=explicit_hat)
-    if forcing_hats:
-        drho_hat += forcing_hats[0]
-        dw_hat += forcing_hats[1]
-    return drho_hat, dw_hat
-
-
-def _plain_tendency_hats(d: SpectralState, forcing=()) -> tuple[np.ndarray, np.ndarray]:
-    """``tendency_hats`` as plain numpy expressions."""
-    params, grid, rho = d.params, d.grid, d.rho.data
-    keep = grid.rfft_dealias_keep
     original = params.variant == "original"
     flux_hat, *forcing_hats = d.fill(to_spectral_stage, "ln_rho_hat",
                                      extra=[rho * d.w.data, *forcing])
     d.fill(to_physical_stage, "grad_ln_rho", "grad_w", *(["hess_ln_rho"] if original else []))
     g = d.grad_ln_rho
-    explicit = (-np.einsum("i...,ij...->j...", d.transport, d.grad_w)
-                - params.a * params.gamma * rho ** (params.gamma - 1.0) * g)
+    explicit = np.einsum("i...,ij...->j...", d.transport, d.grad_w)
+    np.negative(explicit, out=explicit)
+    explicit -= params.a * params.gamma * rho ** (params.gamma - 1.0) * g
     div_stress_hat = params.mu * grid.rfft_minus_beta_sq * d.w_hat
     if original:
-        explicit += np.einsum("i...,ij...->j...", g, params.alpha * np.swapaxes(d.grad_w, 0, 1)
-                              + params.kappa * d.hess_ln_rho)
-        div_stress_hat = div_stress_hat + grad_hat(
-            params.alpha * div_hat(d.w_hat, grid)
-            + params.kappa * grid.rfft_minus_beta_sq * d.ln_rho_hat, grid)
-    (explicit_hat,) = d.fill(to_spectral_stage, extra=[explicit])
-    drho_hat, dw_hat = -div_hat(keep * flux_hat, grid), keep * (explicit_hat + div_stress_hat)
+        stress = params.alpha * np.swapaxes(d.grad_w, 0, 1)
+        stress += params.kappa * d.hess_ln_rho
+        explicit += np.einsum("i...,ij...->j...", g, stress)
+        potential_hat = params.alpha * div_hat(d.w_hat, grid)
+        potential_hat += params.kappa * grid.rfft_minus_beta_sq * d.ln_rho_hat
+        div_stress_hat += grad_hat(potential_hat, grid)
+    (dw_hat,) = d.fill(to_spectral_stage, extra=[explicit])
+    flux_hat *= grid.rfft_dealias_keep
+    drho_hat = div_hat(flux_hat, grid, flux_hat)
+    np.negative(drho_hat, out=drho_hat)
+    dw_hat += div_stress_hat
+    dw_hat *= grid.rfft_dealias_keep
     if forcing_hats:
-        drho_hat, dw_hat = drho_hat + forcing_hats[0], dw_hat + forcing_hats[1]
+        drho_hat += forcing_hats[0]
+        dw_hat += forcing_hats[1]
     return drho_hat, dw_hat
-
-
-def _add_original_stress(d: SpectralState, explicit: np.ndarray, div_stress_hat: np.ndarray,
-                         ws: Workspace):
-    """Add the alpha and kappa terms of ``original``'s stress to the
-    velocity tendency's pointwise part ``explicit``, g . (alpha grad w^T +
-    kappa grad grad L), and to its symbol part ``div_stress_hat``,
-    grad(alpha div w + kappa Lap L) (``tendency_hats``)."""
-    params, grid = d.params, d.grid
-    stress = np.multiply(params.alpha, np.swapaxes(d.grad_w, 0, 1), out=ws.take(d.grad_w.shape))
-    term = np.multiply(params.kappa, d.hess_ln_rho, out=ws.take(stress.shape))
-    stress += term
-    ws.give(term)
-    term = np.einsum("i...,ij...->j...", d.grad_ln_rho, stress, out=ws.take(explicit.shape))
-    explicit += term
-    ws.give(stress, term)
-    term = ws.take(d.w_hat.shape, complex)
-    potential_hat = div_hat(d.w_hat, grid, term)
-    np.multiply(params.alpha, potential_hat, out=potential_hat)
-    kappa_lap = np.multiply(params.kappa, grid.rfft_minus_beta_sq, out=ws.take(grid.rfft_shape))
-    potential_hat += np.multiply(kappa_lap, d.ln_rho_hat, out=term[0])
-    div_stress_hat += grad_hat(potential_hat, grid, term)
-    ws.give(kappa_lap, term)
 
 
 def rhs(state: FieldState | SpectralState,

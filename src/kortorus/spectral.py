@@ -277,20 +277,21 @@ _POOLED_ELEMENTS = 2048
 
 
 class Workspace:
-    """Scratch arrays that outlive one step or one report batch.
+    """Scratch arrays that outlive one report batch.
 
     ``take(shape, dtype)`` hands out an array that nobody holds, made on
     first use.  ``give`` hands arrays back once their values are dead, and a
     ``with workspace:`` block gives back, as it closes, what was taken inside
     it and not given back; the transform stages give back what they have
     transformed.  An array given back is handed out again by a later
-    ``take`` of the same size, so the step and the report batches of a run,
-    blocks that never overlap, share one set of arrays, as large as the
-    widest moment of any block needs, instead of asking the allocator for
-    their temporaries again each time.  Nothing that outlives its block may
-    be taken from a workspace.  A ``Stepper`` holds one for its run; a caller
-    without one gets a fresh workspace per call.  The step kernels take none
-    on a grid too small to pool (``kernel_workspace``).
+    ``take`` of the same size, so the report batches of a run, blocks that
+    never overlap, share one set of arrays, as large as the widest moment of
+    any batch needs, instead of asking the allocator for their temporaries
+    again each time.  Nothing that outlives its block may be taken from a
+    workspace.  A ``Stepper`` holds one for its run
+    (``functionals.evaluate_reports``); a caller without one gets a fresh
+    workspace per call.  The step kernels take none: they are numpy
+    expressions evaluated in place (``model.tendency_hats``).
 
     Arrays share by size: real samples with n values on their last axis take
     the size of the rfft coefficients of those rows, n // 2 + 1 complex
@@ -333,18 +334,6 @@ class Workspace:
         for _, buffer in self._taken[start:]:
             self._free.setdefault(buffer.size, []).append(buffer)
         del self._taken[start:]
-
-
-def kernel_workspace(grid: SpectralGrid, workspace: Workspace | None = None) -> Workspace | None:
-    """The workspace that the step kernels on ``grid`` (``model.tendency_hats``
-    and ``timestepping._advance_euler``/``_advance_bdf2``) form their
-    temporaries in: None on a grid of fewer than _POOLED_ELEMENTS points,
-    where they evaluate plain numpy expressions, as the workspace's
-    bookkeeping would cost them more than the small allocations it replaces;
-    ``workspace``, or a fresh one, otherwise."""
-    if math.prod(grid.shape) < _POOLED_ELEMENTS:
-        return None
-    return workspace if workspace is not None else Workspace()
 
 
 # ---------------------------------------------------------------------------
@@ -561,12 +550,29 @@ def _coefficient_l2_norms(hat: np.ndarray, squared_multipliers,
     (fields, modes) product: the transient memory is a few arrays of the
     fields' power spectra, whatever the number of multipliers.  Row-major
     over (field, multiplier); each sum taken on its own and each root per
-    value, as in ``lp_norms``, whose p = 2 value this equals to roundoff."""
-    power = (np.sum(hat.real ** 2 + hat.imag ** 2, axis=-1 - grid.dim).reshape(len(hat), -1)
-             * grid.rfft_multiplicity.ravel())
+    value, as in ``lp_norms``, whose p = 2 value this equals to roundoff.
+
+    A field whose largest term times |T^N| / size^2 is not a normal float
+    is measured at 2^-e times its coefficients, its largest part then in
+    [0.5, 1), and its norms scaled back by 2^e: powers of two scale exactly,
+    so its squares keep their bits, and the other fields' norms are as before."""
+    def weighted_power(real, imag):
+        return (np.sum(real ** 2 + imag ** 2, axis=-1 - grid.dim).reshape(len(real), -1)
+                * grid.rfft_multiplicity.ravel())
+    power = weighted_power(hat.real, hat.imag)
+    scale = grid.volume / math.prod(grid.shape) ** 2
+    low = np.flatnonzero(power.max(axis=1) * scale < np.finfo(float).tiny)
+    if low.size:
+        parts = np.stack([hat[low].real, hat[low].imag])
+        shifts = np.frexp(np.abs(parts).reshape(2, len(low), -1).max(axis=(0, 2)))[1]
+        power[low] = weighted_power(*np.ldexp(parts, -shifts.reshape((-1,) + (1,) * (hat.ndim - 1))))
     sums = np.array([(power * square.ravel()).sum(axis=-1) for square in squared_multipliers])
-    sums *= grid.volume / math.prod(grid.shape) ** 2
-    return [total ** 0.5 for total in sums.T.ravel().tolist()]
+    sums *= scale
+    norms = [total ** 0.5 for total in sums.T.ravel().tolist()]
+    for row, shift in zip(low.tolist(), shifts.tolist() if low.size else ()):
+        span = slice(row * len(sums), (row + 1) * len(sums))
+        norms[span] = [math.ldexp(norm, shift) for norm in norms[span]]
+    return norms
 
 
 def relative_l2_gap(a: Field, b: Field) -> float:

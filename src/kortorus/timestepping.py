@@ -29,10 +29,10 @@ one by one.
 A step computes each quantity once at the scope it depends on.  Once per
 run (a Stepper): the linear rates (kappa/mu) -Lap of the density and
 mu -Lap of the velocity, and the workspace whose arrays the temporaries of
-every report batch of the run take in turn (``spectral.Workspace``), and
-those of every step on a grid large enough to pool
-(``spectral.kernel_workspace``; a smaller grid's steps are plain numpy
-expressions).  Once per dt, and per previous dt for imex_bdf2:
+every report batch of the run take in turn (``spectral.Workspace``).  The
+step's own kernels, the tendencies and the Euler and BDF2 combinations, are
+numpy expressions whose sums are formed in place, at every grid size.
+Once per dt, and per previous dt for imex_bdf2:
 E = exp(-lam dt), dt phi1 and the velocity's divisor 1 + mu k^2 dt, or the
 BDF2 weights with the integrating factors folded in and the divisor
 a0 + mu k^2 dt; the Stepper holds these sets up to _FACTOR_CACHE_ENTRIES
@@ -71,7 +71,6 @@ from .spectral import (
     VectorField,
     Workspace,
     grad_hat,
-    kernel_workspace,
     to_physical,
     to_physical_stage,
 )
@@ -228,20 +227,18 @@ class RunState:
     pending: tuple[tuple[SpectralState, float], ...] = ()
 
 
-def rhs(d: SpectralState, forcing: ForcingFn | None,
-        workspace: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
+def rhs(d: SpectralState, forcing: ForcingFn | None) -> tuple[np.ndarray, np.ndarray]:
     """Right-hand side of the IMEX split, as rfft coefficients: the explicit
     density tendency (the (kappa/mu) Lap rho part is integrated exactly and
     left out) and the full velocity tendency, forcing included.  The
     forcing samples go forward in the tendencies' first forward stage."""
     if forcing is None:
-        return tendency_hats(d, workspace=workspace)
-    return tendency_hats(d, [np.asarray(f, dtype=float) for f in forcing(d.time)], workspace)
+        return tendency_hats(d)
+    return tendency_hats(d, [np.asarray(f, dtype=float) for f in forcing(d.time)])
 
 
-def _make_level(d: SpectralState, forcing: ForcingFn | None, dt_prev: float | None,
-                workspace: Workspace) -> _Level:
-    return _Level(d.time, d.rho_hat, d.w_hat, *rhs(d, forcing, workspace), dt_prev)
+def _make_level(d: SpectralState, forcing: ForcingFn | None, dt_prev: float | None) -> _Level:
+    return _Level(d.time, d.rho_hat, d.w_hat, *rhs(d, forcing), dt_prev)
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -292,27 +289,22 @@ def _euler_factors(rates: tuple[np.ndarray, np.ndarray], dt: float) -> tuple:
     return np.exp(z), dt * _phi1(z), 1.0 + lam_w * dt
 
 
-def _advance_euler(level: _Level, factors: tuple, lam_w: np.ndarray, dt,
-                   workspace: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _advance_euler(level: _Level, factors: tuple, lam_w: np.ndarray,
+                   dt) -> tuple[np.ndarray, np.ndarray]:
     """The new level's coefficients
     rho_hat = exp_z rho_hat + dt_phi1 n_rho_hat and
-    w_hat = (w_hat + dt (f_w_hat + lam_w w_hat)) / w_divisor:
-    with a ``workspace``, each formed in the array it is returned in and its
-    other terms in the workspace; without one, as plain numpy expressions,
-    which broadcast over a leading rung axis of ``factors`` and ``dt``
-    (``_along_rungs``)."""
+    w_hat = (w_hat + dt (f_w_hat + lam_w w_hat)) / w_divisor,
+    each sum formed in place in its first term.  They broadcast over a
+    leading rung axis of ``factors`` and ``dt`` (``_along_rungs``): no
+    operand of an update in place has an axis that the array updated lacks."""
     exp_z, dt_phi1, w_divisor = factors
-    if workspace is None:
-        return (exp_z * level.rho_hat + dt_phi1 * level.n_rho_hat,
-                (level.w_hat + dt * (level.f_w_hat + lam_w * level.w_hat)) / w_divisor)
-    with workspace as ws:
-        rho_hat = exp_z * level.rho_hat
-        rho_hat += np.multiply(dt_phi1, level.n_rho_hat, out=ws.take(rho_hat.shape, complex))
-
-        r_hat = np.multiply(lam_w, level.w_hat, out=ws.take(level.w_hat.shape, complex))
-        np.add(level.f_w_hat, r_hat, out=r_hat)
-        w_hat = level.w_hat + np.multiply(dt, r_hat, out=r_hat)
-        w_hat /= w_divisor
+    rho_hat = exp_z * level.rho_hat
+    rho_hat += dt_phi1 * level.n_rho_hat
+    r_hat = lam_w * level.w_hat
+    r_hat += level.f_w_hat
+    w_hat = dt * r_hat
+    w_hat += level.w_hat
+    w_hat /= w_divisor
     return rho_hat, w_hat
 
 
@@ -336,38 +328,32 @@ def _bdf2_factors(rates: tuple[np.ndarray, np.ndarray], dt: float, dt_prev: floa
 
 
 def _advance_bdf2(level_n: _Level, level_p: _Level, factors: tuple, lam_w: np.ndarray,
-                  dt, workspace: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
+                  dt) -> tuple[np.ndarray, np.ndarray]:
     """The new level's coefficients, with r = f_w_hat + lam_w w_hat,
     rho_hat = (a1_e1 rho_hat_n - a2_e2 rho_hat_p
                + dt (c1_e1 n_rho_hat_n + c2_e2 n_rho_hat_p)) / a0 and
     w_hat = (-a1 w_hat_n - a2 w_hat_p + dt (c1 r_n + c2 r_p)) / w_divisor,
-    formed as ``_advance_euler`` forms its own."""
+    formed in place as ``_advance_euler`` forms its own."""
     a0, a1, a2, c1, c2, a1_e1, a2_e2, c1_e1, c2_e2, w_divisor = factors
-    if workspace is None:
-        rho_hat = (a1_e1 * level_n.rho_hat - a2_e2 * level_p.rho_hat
-                   + dt * (c1_e1 * level_n.n_rho_hat + c2_e2 * level_p.n_rho_hat)) / a0
-        r_n = level_n.f_w_hat + lam_w * level_n.w_hat
-        r_p = level_p.f_w_hat + lam_w * level_p.w_hat
-        return rho_hat, (-a1 * level_n.w_hat - a2 * level_p.w_hat
-                         + dt * (c1 * r_n + c2 * r_p)) / w_divisor
-    with workspace as ws:
-        rho_hat = a1_e1 * level_n.rho_hat
-        term, explicit = ws.take(rho_hat.shape, complex), ws.take(rho_hat.shape, complex)
-        rho_hat -= np.multiply(a2_e2, level_p.rho_hat, out=term)
-        np.multiply(c1_e1, level_n.n_rho_hat, out=explicit)
-        explicit += np.multiply(c2_e2, level_p.n_rho_hat, out=term)
-        rho_hat += np.multiply(dt, explicit, out=explicit)
-        rho_hat /= a0
+    rho_hat = a1_e1 * level_n.rho_hat
+    rho_hat -= a2_e2 * level_p.rho_hat
+    explicit = c1_e1 * level_n.n_rho_hat
+    explicit += c2_e2 * level_p.n_rho_hat
+    explicit *= dt
+    rho_hat += explicit
+    rho_hat /= a0
 
-        w_hat = -a1 * level_n.w_hat
-        r_n, r_p = ws.take(w_hat.shape, complex), ws.take(w_hat.shape, complex)
-        w_hat -= np.multiply(a2, level_p.w_hat, out=r_p)
-        np.add(level_n.f_w_hat, np.multiply(lam_w, level_n.w_hat, out=r_n), out=r_n)
-        np.add(level_p.f_w_hat, np.multiply(lam_w, level_p.w_hat, out=r_p), out=r_p)
-        np.multiply(c1, r_n, out=r_n)
-        r_n += np.multiply(c2, r_p, out=r_p)
-        w_hat += np.multiply(dt, r_n, out=r_n)
-        w_hat /= w_divisor
+    r_n = lam_w * level_n.w_hat
+    r_n += level_n.f_w_hat
+    r_p = lam_w * level_p.w_hat
+    r_p += level_p.f_w_hat
+    explicit = c1 * r_n
+    explicit += c2 * r_p
+    w_hat = -a1 * level_n.w_hat
+    w_hat -= a2 * level_p.w_hat
+    explicit *= dt
+    w_hat += explicit
+    w_hat /= w_divisor
     return rho_hat, w_hat
 
 
@@ -395,10 +381,9 @@ class Stepper:
     It computes the split's linear rates once (per run) and its factors once
     per dt and previous dt, into ``_factors``, which is its own and holds at
     most _FACTOR_CACHE_ENTRIES entries.  It holds ``workspace`` for its run:
-    the temporaries of the report batches that ``run`` makes of its states,
-    and of its steps (``rhs`` and the Euler and BDF2 combinations) on a grid
-    large enough to pool (``spectral.kernel_workspace``), are arrays of it,
-    taken and given back by each step and batch in turn.
+    the temporaries of the report batches that ``run`` makes of its states
+    are arrays of it, taken and given back by each batch in turn.  A step
+    takes none of it (``_advance_euler``, ``model.tendency_hats``).
     """
 
     def __init__(self, state: FieldState, params: ModelParams, config: IntegratorConfig,
@@ -414,9 +399,8 @@ class Stepper:
                        params.mu * ksq)
         self._factors: dict[tuple[float, float | None], tuple] = {}
         self.workspace = Workspace()
-        self._kernel_workspace = kernel_workspace(state.grid, self.workspace)
         self.run_state = RunState(
-            (_make_level(self.derived, forcing, None, self._kernel_workspace),),
+            (_make_level(self.derived, forcing, None),),
             None, config.snapshot_interval)
 
     @property
@@ -437,11 +421,9 @@ class Stepper:
                 held -= _factor_entries([self._factors.pop(next(iter(self._factors)))])
         return factors
 
-    def _step_hats(self, dt: float | list[float],
-                   workspace: Workspace | None) -> tuple[np.ndarray, np.ndarray]:
+    def _step_hats(self, dt: float | list[float]) -> tuple[np.ndarray, np.ndarray]:
         """rho_hat and w_hat after a step of dt from the newest level, or
-        after a step of each rung of the list ``dt``, along a leading axis
-        (which takes ``workspace`` None)."""
+        after a step of each rung of the list ``dt``, along a leading axis."""
         levels = self.run_state.levels
         level = levels[-1]
         dt_prev = level.dt_prev if self.config.scheme == "imex_bdf2" and len(levels) == 2 else None
@@ -456,8 +438,8 @@ class Stepper:
         # and the probe raise on its samples, not a numpy warning
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             if dt_prev is None:
-                return _advance_euler(level, factors, self._rates[1], dt, workspace)
-            return _advance_bdf2(level, levels[0], factors, self._rates[1], dt, workspace)
+                return _advance_euler(level, factors, self._rates[1], dt)
+            return _advance_bdf2(level, levels[0], factors, self._rates[1], dt)
 
     def advance(self, dt: float) -> FieldState:
         """One accepted step of size dt; raises PositivityLoss/NonFinite on
@@ -467,7 +449,7 @@ class Stepper:
         grid = self.derived.grid
         run_state = self.run_state
         level = run_state.levels[-1]
-        rho_hat, w_hat = self._step_hats(dt, self._kernel_workspace)
+        rho_hat, w_hat = self._step_hats(dt)
         # grad w rides along only where it costs no call: a 2D grid inverts
         # it in the tendencies' stage, after the check
         rho, w, *grad_w = to_physical_stage(
@@ -479,7 +461,7 @@ class Stepper:
         if grad_w:
             d.grad_w = grad_w[0]
         self.run_state = RunState(
-            (level, _make_level(d, self.forcing, dt, self._kernel_workspace)),
+            (level, _make_level(d, self.forcing, dt)),
             run_state.report, run_state.next_snap, run_state.pending)
         return new_state
 
@@ -501,7 +483,7 @@ class Stepper:
             rungs.append(rungs[-1] * 0.5)
         if len(rungs) == 1:
             return dt
-        rho_hat, w_hat = self._step_hats(rungs, None)
+        rho_hat, w_hat = self._step_hats(rungs)
         samples = to_physical(np.concatenate((rho_hat, w_hat), axis=1), grid)
         passing = (np.isfinite(samples).reshape(len(rungs), -1).all(axis=1)
                    & (samples[:, 0].reshape(len(rungs), -1).min(axis=1) > RHO_FLOOR))

@@ -172,6 +172,24 @@ def step_report_peak_mb(resolution: int, steps: int, seed: int) -> tuple[float, 
         tracemalloc.stop()
 
 
+def advance_us(params: ModelParams, resolution, steps: int, repeats: int) -> float:
+    """The fastest of ``repeats`` timings of ``steps`` imex_bdf2
+    ``Stepper.advance`` calls of dt 1e-3, in µs a call.  Each timing takes
+    a fresh Stepper of ``params`` from the ``random_smooth`` state of seed 0
+    with the ``evolve2d`` workload's initial parameters on a ``resolution``
+    grid, and covers the calls alone."""
+    state = initial_state(SpectralGrid(resolution), "random_smooth", EVOLVE2D_INITIAL, seed=0)
+    config = IntegratorConfig(dt_initial=1e-3, dt_min=1e-9, t_end=1.0, scheme="imex_bdf2")
+    best = float("inf")
+    for _ in range(repeats):
+        stepper = Stepper(state, params, config)
+        start = time.perf_counter()
+        for _ in range(steps):
+            stepper.advance(1e-3)
+        best = min(best, time.perf_counter() - start)
+    return best / steps * 1e6
+
+
 def simulate_minor_faults(config_path, runs: int) -> list[tuple[int, float]]:
     """Minor page faults and wall seconds of each of ``runs`` in-process
     ``kortorus simulate`` runs of ``config_path`` (``getrusage`` of this

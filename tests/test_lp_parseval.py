@@ -79,6 +79,25 @@ def test_parseval_block_norms_equal_synthesis_on_the_heat_check_datum(n, flavor)
     assert smallest < (1e-160 if n == 256 else 1e-130)
 
 
+@pytest.mark.parametrize("shift", [-510, -530])
+def test_parseval_block_norms_of_a_field_whose_squares_are_subnormal(shift):
+    # the 64^2 corpus field (seed 9) heat-decayed to t = 10 with mu 0.7, and
+    # that field times 2^shift, whose every square is subnormal: measured in
+    # one chunk, its block norms are 2^shift times the field's, bit for bit,
+    # and the field's are those it has alone (they were 2.3e-5 apart at
+    # 1.7e-160 and read 0 below about 1e-163)
+    grid = SpectralGrid((64, 64))
+    (u,) = besov_corpus(grid, 1, seed=9)
+    hat = heat_decayed(to_spectral(u.data[None], grid), grid, 0.7, 10.0, 1)[-1]
+    small = np.ldexp(hat.real, shift) + 1j * np.ldexp(hat.imag, shift)
+    idx = lp.BesovIndex(0.0)
+    alone = ref.coefficient_block_norms(hat, idx, grid)
+    together = lp._block_norms(np.stack([hat, small]), grid, idx).tolist()
+    assert together[0] == alone and min(x for x in alone if x) > 1e-60
+    assert together[1] == [math.ldexp(norm, shift) for norm in alone]
+    assert 0.0 < min(x for x in together[1] if x) < 1e-210
+
+
 def series_alone(series, times, rho, quadrature):
     """One series' L^rho time norm, from its own quadrature call."""
     if math.isinf(rho):

@@ -1,22 +1,22 @@
-"""The batched retry of a 1D run and the two forms of the step kernels.
+"""The batched retry of a 1D run and the in-place form of the step kernels.
 
 After a rejected step a 1D run evaluates every halving of it at once
 (``Stepper.probe``) and steps at the first that passes; the runs must equal,
 bit for bit, those of the halving loop that tries one rung per attempt.  The
-step kernels evaluate plain numpy expressions on a grid too small to pool
-and take their temporaries from a workspace otherwise; both forms, and the
-probe's rung axis, give the same bits."""
+step kernels form their sums in place, at every grid size; they give the
+bits of the plain expressions of ``step_reference``, and the probe's rung
+axis gives the bits of a step of its own."""
 
 import math
 
 import numpy as np
 import pytest
 
-from kortorus import spectral, timestepping
+from kortorus import timestepping
 from kortorus.errors import NonFinite, PositivityLoss, StepUnderflow
 from kortorus.model import FieldState, ModelParams, SpectralState, tendency_hats
 from kortorus.scenarios import initial_state
-from kortorus.spectral import ScalarField, SpectralGrid, VectorField, Workspace
+from kortorus.spectral import ScalarField, SpectralGrid, VectorField
 from kortorus.timestepping import IntegratorConfig, Stepper, run
 from helpers import (
     SQUEEZE_CONFIG,
@@ -25,6 +25,7 @@ from helpers import (
     squeeze_attempts,
     squeeze_state,
 )
+from step_reference import reference_bdf2, reference_euler, reference_tendency_hats
 
 VARIANT_PARAMS = {
     "original": ModelParams(mu=1.0, alpha=0.3, kappa=0.5, a=1.0, gamma=1.4),
@@ -127,8 +128,7 @@ def test_probed_bdf2_run_equals_the_halving_loop(monkeypatch):
 def test_probe_equals_advance_at_each_rung(monkeypatch):
     """At a state where the squeeze rejects, the rung the probe picks is the
     first one whose ``advance`` passes, and every rung's coefficients along
-    the probe's rung axis are those of a step of its own, in either form of
-    the kernels."""
+    the probe's rung axis are those of a step of its own."""
     log = advance_log(monkeypatch)
     rejected_at = []
     probe = Stepper.probe
@@ -144,11 +144,10 @@ def test_probe_equals_advance_at_each_rung(monkeypatch):
     for run_state, dt in rejected_at[:4]:
         stepper.run_state = run_state
         rungs = [dt * 0.5 ** k for k in range(30) if dt * 0.5 ** k >= SQUEEZE_CONFIG.dt_min]
-        ladder = stepper._step_hats(rungs, None)
+        ladder = stepper._step_hats(rungs)
         for k, rung in enumerate(rungs):
-            for workspace in (None, Workspace()):
-                single = stepper._step_hats(rung, workspace)
-                assert same_bits(ladder[0][k, 0], single[0]) and same_bits(ladder[1][k], single[1])
+            single = stepper._step_hats(rung)
+            assert same_bits(ladder[0][k, 0], single[0]) and same_bits(ladder[1][k], single[1])
         chosen = stepper.probe(dt, SQUEEZE_CONFIG.dt_min)
         passes = []
         for rung in rungs:
@@ -208,7 +207,7 @@ def test_2d_run_tries_one_rung_per_attempt():
 
 
 # ---------------------------------------------------------------------------
-# the two forms of the step kernels
+# the in-place step kernels against the plain expressions
 
 
 def sine_forcing(grid):
@@ -219,7 +218,7 @@ def sine_forcing(grid):
 @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
 @pytest.mark.parametrize("variant", sorted(VARIANT_PARAMS))
 @pytest.mark.parametrize("resolution", [64, 1024, 4096, (32, 32), (64, 64)])
-def test_plain_and_workspace_kernels_agree(monkeypatch, resolution, variant, forced):
+def test_step_kernels_equal_the_plain_expressions(resolution, variant, forced):
     grid, params = SpectralGrid(resolution), VARIANT_PARAMS[variant]
     forcing = sine_forcing(grid) if forced else None
     state = initial_state(grid, "random_smooth", {"mean": 1.5, "amplitude": 0.4,
@@ -229,23 +228,21 @@ def test_plain_and_workspace_kernels_agree(monkeypatch, resolution, variant, for
     stepper.advance(1e-3)
     stepper.advance(5e-4)
     level_p, level_n = stepper.run_state.levels
-    lam_w, dt = stepper._rates[1], 2.5e-4
-    euler = stepper._factors_of(dt, None)
-    bdf2 = stepper._factors_of(dt, level_n.dt_prev)
-    for plain, pooled in [
-            (timestepping._advance_euler(level_n, euler, lam_w, dt),
-             timestepping._advance_euler(level_n, euler, lam_w, dt, Workspace())),
-            (timestepping._advance_bdf2(level_n, level_p, bdf2, lam_w, dt),
-             timestepping._advance_bdf2(level_n, level_p, bdf2, lam_w, dt, Workspace()))]:
-        assert all(map(same_bits, plain, pooled))
+    ksq = -grid.rfft_minus_beta_sq
+    lam_rho, lam_w = stepper._rates
+    dt = 2.5e-4
+    assert all(map(same_bits,
+                   timestepping._advance_euler(level_n, stepper._factors_of(dt, None), lam_w, dt),
+                   reference_euler(level_n, lam_rho, ksq, params.mu, dt)))
+    assert all(map(same_bits,
+                   timestepping._advance_bdf2(level_n, level_p,
+                                              stepper._factors_of(dt, level_n.dt_prev), lam_w, dt),
+                   reference_bdf2(level_n, level_p, lam_rho, ksq, params.mu, dt)))
 
     d = stepper.derived
     sources = [] if forcing is None else list(forcing(d.time))
-    forms = []
-    for threshold in (math.inf, 0):  # plain everywhere, then pooled everywhere
-        monkeypatch.setattr(spectral, "_POOLED_ELEMENTS", threshold)
-        fresh = SpectralState(d.state, params, d.rho_hat, d.w_hat)
-        forms.append(tendency_hats(fresh, sources))
-    assert all(map(same_bits, *forms))
+    got, expected = (kernel(SpectralState(d.state, params, d.rho_hat, d.w_hat), sources)
+                     for kernel in (tendency_hats, reference_tendency_hats))
+    assert all(map(same_bits, got, expected))
     # and they are the run's own tendencies of that state
-    assert same_bits(level_n.n_rho_hat, forms[0][0]) and same_bits(level_n.f_w_hat, forms[0][1])
+    assert same_bits(level_n.n_rho_hat, got[0]) and same_bits(level_n.f_w_hat, got[1])

@@ -1,9 +1,10 @@
-"""The Stepper's workspace: the arrays that a step and a report batch take
-outlive them and are reused by every step and report batch of a run, without
-moving a bit of any output, across grids, batch shapes and tail batches, and
-without raising the memory that a step and a report take."""
+"""The Stepper's workspace: the arrays that a report batch takes outlive it
+and are reused by every report batch of a run, without moving a bit of any
+output, across grids, batch shapes and tail batches; and the memory that a
+step, whose kernels form their sums in place, and a report take."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,8 +18,8 @@ from kortorus.functionals import MonitorSpec, evaluate_report, evaluate_reports
 from kortorus.model import ModelParams, SpectralState
 from kortorus.scenarios import initial_state
 from kortorus.spectral import SpectralGrid, Workspace
-from kortorus.timestepping import IntegratorConfig, run
-from helpers import simulate_minor_faults, step_report_peak_mb
+from kortorus.timestepping import IntegratorConfig, Stepper, run
+from helpers import advance_us, simulate_minor_faults, step_report_peak_mb
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -134,6 +135,9 @@ def test_step_and_report_peaks_stay_under_the_figures_before_the_workspace():
     # before the workspace, the step traced 4.36 MB and its report 3.97 MB
     step, report = step_report_peak_mb(128, 2, 0)
     assert step < 4.36 and report < 3.97
+    # step kernels that form every sum as a new array trace 3.97 MB; the
+    # in-place ones 3.43 MB
+    assert step < 3.8
 
 
 def test_simulate_minor_faults_counts_each_run(tmp_path):
@@ -148,6 +152,14 @@ def test_simulate_minor_faults_counts_each_run(tmp_path):
     assert len(runs) == 2
     assert all(isinstance(faults, int) and faults >= 0 and seconds > 0.0
                for faults, seconds in runs)
+
+
+def test_advance_us_times_the_steps_alone(monkeypatch):
+    calls = []
+    advance = Stepper.advance
+    monkeypatch.setattr(Stepper, "advance", lambda self, dt: calls.append(dt) or advance(self, dt))
+    us = advance_us(PARAMS, 16, 3, 2)
+    assert calls == [1e-3] * 6 and 0.0 < us < math.inf
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
