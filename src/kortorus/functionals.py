@@ -49,7 +49,6 @@ from .spectral import (
     ScalarField,
     SpectralGrid,
     VectorField,
-    Workspace,
     grad_hat,
     integrals,
     lp_norm,
@@ -463,10 +462,9 @@ def evaluate_report(state: State, params: ModelParams, spec: MonitorSpec | None 
     return report
 
 
-def evaluate_reports(states: Sequence[State], params: ModelParams,
-                     spec: MonitorSpec | None = None,
-                     previous: tuple[FunctionalReport, Sequence[float]] | None = None,
-                     _workspace: Workspace | None = None) -> list[FunctionalReport]:
+def evaluate_reports(states: Sequence[State], params: ModelParams, spec: MonitorSpec | None = None,
+                     previous: tuple[FunctionalReport, Sequence[float]] | None = None
+                     ) -> list[FunctionalReport]:
     """The report of each of ``states``, which share one grid, from one pass
     over batches of ``report_batch_size`` of them stacked along a batch axis
     (``SpectralState.stack``); each report equals that of its state alone to
@@ -478,11 +476,8 @@ def evaluate_reports(states: Sequence[State], params: ModelParams,
 
     Transform stages: sqrt(rho), |v|^2 and the vacuum functional's powers of
     rho forward; everything the functionals differentiate back.  Every
-    temporary that is not a transform's output is taken from ``_workspace``,
-    which ``run`` passes so that its steps and report batches share them; a
-    caller without one gets a fresh workspace per call."""
+    temporary is a plain numpy array, let go as it dies (``_report``)."""
     spec = spec or _DEFAULT_SPEC
-    workspace = _workspace or Workspace()
     per_batch = report_batch_size(states[0].grid) if states else 1
     reports: list[FunctionalReport] = []
     for start in range(0, len(states), per_batch):
@@ -490,8 +485,8 @@ def evaluate_reports(states: Sequence[State], params: ModelParams,
         batch = SpectralState.stack(members)
         chain = None if previous is None else (
             reports[-1] if reports else previous[0], previous[1][start:start + per_batch])
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"), workspace:
-            reports += _report(batch, params, spec, chain, workspace)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            reports += _report(batch, params, spec, chain)
         batch.unstack(members)
     return reports
 
@@ -512,22 +507,23 @@ def _sum_of_squares(components, out: np.ndarray, square: np.ndarray) -> np.ndarr
 
 
 def _inverse_inputs(d: SpectralState, sqrt_rho_and_v_sq_hat: np.ndarray,
-                    vac_powers_hat: np.ndarray, ws: Workspace):
+                    vac_powers_hat: np.ndarray):
     """The report's inverse-stage inputs, from the coefficients of its
     forward stage: grad sqrt(rho) and grad rho; grad |v|^2; and
-    grad rho^{-(p-1)/2}, Lap rho and Lap rho^{1-p}.  Each is formed in an
-    array of ``ws`` as the stage reads it, and each forward output is let go
-    once read, so that on a 2D grid each input takes the place of the one
-    before."""
+    grad rho^{-(p-1)/2}, Lap rho and Lap rho^{1-p}.  Each is formed as the
+    stage reads it and let go once transformed, and each forward output once
+    read, so that on a 2D grid no two inputs are held at once."""
     grid, shape = d.grid, sqrt_rho_and_v_sq_hat.shape[1:]
-    pair_hat = ws.take((grid.dim, 2) + shape, complex)
+    pair_hat = np.empty((grid.dim, 2) + shape, complex)
     grad_hat(sqrt_rho_and_v_sq_hat[0], grid, pair_hat[:, 0])
     grad_hat(d.rho_hat, grid, pair_hat[:, 1])
     yield pair_hat
-    grad_v_sq_hat = grad_hat(sqrt_rho_and_v_sq_hat[1], grid, ws.take((grid.dim,) + shape, complex))
+    del pair_hat
+    grad_v_sq_hat = grad_hat(sqrt_rho_and_v_sq_hat[1], grid)
     del sqrt_rho_and_v_sq_hat
     yield grad_v_sq_hat
-    vac_hat = ws.take((grid.dim + 2,) + shape, complex)
+    del grad_v_sq_hat
+    vac_hat = np.empty((grid.dim + 2,) + shape, complex)
     grad_hat(vac_powers_hat[0], grid, vac_hat[:grid.dim])
     np.multiply(grid.rfft_minus_beta_sq, d.rho_hat, out=vac_hat[grid.dim])
     np.multiply(grid.rfft_minus_beta_sq, vac_powers_hat[1], out=vac_hat[grid.dim + 1])
@@ -536,13 +532,13 @@ def _inverse_inputs(d: SpectralState, sqrt_rho_and_v_sq_hat: np.ndarray,
 
 
 def _report(d: SpectralState, params: ModelParams, spec: MonitorSpec,
-            previous: tuple[FunctionalReport, Sequence[float]] | None,
-            ws: Workspace) -> list[FunctionalReport]:
+            previous: tuple[FunctionalReport, Sequence[float]] | None) -> list[FunctionalReport]:
     """Every column of every member in one pass over the stack ``d``: each
     pointwise field is formed once for the batch, and each integrand is
     reduced member by member (``spectral.integrals``) as soon as it is formed.
-    Temporaries are arrays of ``ws``, given back as they die, or rows of a
-    transform's output that the report holds alone and no longer reads.
+    Temporaries are new arrays, let go as they die (the forward stage's
+    inputs with their stage), or rows of a transform's output that the
+    report holds alone and no longer reads.
     The columns go into one (columns x members) table in FunctionalReport's
     field order, the Serrin trapezoid is a running sum over its last row,
     and each report is built positionally from its member's row: no
@@ -553,23 +549,24 @@ def _report(d: SpectralState, params: ModelParams, spec: MonitorSpec,
     serrin_p, serrin_q = spec.serrin_pair(grid.dim)
     # products are formed in ``scratch``, and the squares of a sum, or a
     # factor of a product, in ``square``, one at a time
-    scratch, square = ws.take(scalar), ws.take(scalar)
+    scratch, square = np.empty(scalar), np.empty(scalar)
     # v first, as it may bring grad ln rho back in a call of its own
     v = d.v
-    v_sq = _sum_of_squares(v, ws.take(scalar), square)
+    v_sq = _sum_of_squares(v, np.empty(scalar), square)
     # the forward stage: sqrt(rho) and a copy of |v|^2, and the vacuum
     # functional's rho^{-(p-1)/2} and rho^{1-p}, whose integral is taken
-    # first: the stage gives its inputs back to ``ws``
-    sqrt_rho_and_v_sq, vac_powers = ws.take((2,) + scalar), ws.take((2,) + scalar)
+    # first; its inputs are let go before the inverse stage forms its own
+    sqrt_rho_and_v_sq, vac_powers = np.empty((2,) + scalar), np.empty((2,) + scalar)
     np.sqrt(rho, out=sqrt_rho_and_v_sq[0])
     np.copyto(sqrt_rho_and_v_sq[1], v_sq)
     np.power(rho, -(p_vac - 1.0) / 2.0, out=vac_powers[0])
     vac_value = integrals(np.power(rho, 1.0 - p_vac, out=vac_powers[1]), grid) / (p_vac - 1.0)
     # grad grad ln rho, grad ln rho and grad w join unless the step made them
+    inverse_inputs = _inverse_inputs(
+        d, *d.fill(to_spectral_stage, extra=[sqrt_rho_and_v_sq, vac_powers]))
+    del sqrt_rho_and_v_sq, vac_powers
     grad_sqrt_rho_and_rho, grad_of_v_sq, vac_fields = d.fill(
-        to_physical_stage, "hess_ln_rho", "grad_ln_rho", "grad_w", extra=_inverse_inputs(
-            d, *d.fill(to_spectral_stage, extra=[sqrt_rho_and_v_sq, vac_powers], workspace=ws),
-            ws), workspace=ws)
+        to_physical_stage, "hess_ln_rho", "grad_ln_rho", "grad_w", extra=inverse_inputs)
     coeff = params.kappa / params.mu
     grad_half_sq = _sum_of_squares(vac_fields[:grid.dim], vac_fields[0], square)
     rate_coeff = 4.0 * p_vac * coeff / (p_vac - 1.0) ** 2
@@ -610,28 +607,25 @@ def _report(d: SpectralState, params: ModelParams, spec: MonitorSpec,
     original = params.variant == "original"
     grad_v = d.grad_w
     if original:
-        grad_v = np.multiply(params.eps, hess, out=ws.take(hess.shape))
+        grad_v = np.multiply(params.eps, hess)
         np.add(d.grad_w, grad_v, out=grad_v)
     # both quartic forms are O(|v|^2) near zeros of v, so the |v|^{p-4} weight
     # stays integrable for every p > 2; zero the removable 0 * inf where v = 0
-    still = ws.take(scalar, bool)
-    np.logical_not(np.greater(v_sq, 0.0, out=still), out=still)
+    still = np.logical_not(np.greater(v_sq, 0.0))
     speed = np.sqrt(v_sq, out=v_sq)
     # the integrals that read |grad v|^2 are taken first, so that its array
-    # goes back before the quartic forms take theirs
-    grad_v_sq = _sum_of_squares(grad_v, ws.take(scalar), square)
+    # is let go before the quartic forms take theirs
+    grad_v_sq = _sum_of_squares(grad_v, np.empty(scalar), square)
     viscous = product_integrals(rho, grad_v_sq)
     mv_dissipation = product_integrals(
         np.multiply(rho, np.power(speed, delta, out=square), out=square), grad_v_sq)
     int_grad = product_integrals(
         np.multiply(rho, np.power(speed, p - 2.0, out=square), out=square), grad_v_sq)
-    ws.give(grad_v_sq)
+    del grad_v_sq
     # the direct form is formed in ``scratch``, as its integral is
-    products = ws.take(v.shape)
-    direct, identity = _quartic_forms(v, grad_v, grad_of_v_sq, scratch, square, products)
-    ws.give(products)
-    if original:
-        ws.give(grad_v)
+    direct, identity = _quartic_forms(v, grad_v, grad_of_v_sq, scratch, square,
+                                      np.empty(v.shape))
+    del grad_v
     weight = np.power(speed, p - 4.0, out=square)
     np.copyto(weight, 0.0, where=still)
     for form in (direct, identity):
@@ -639,21 +633,18 @@ def _report(d: SpectralState, params: ModelParams, spec: MonitorSpec,
         np.copyto(form, 0.0, where=still)
     int_direct = product_integrals(rho, direct)
     int_identity = product_integrals(rho, identity)
-    ws.give(still)
-    del grad_v, grad_of_v_sq, direct, identity, weight
+    del still, grad_of_v_sq, direct, identity, weight
 
     if original:
         grad_u = d.grad_w
     else:
-        grad_u = np.multiply(params.eps, hess, out=ws.take(hess.shape))
+        grad_u = np.multiply(params.eps, hess)
         np.subtract(d.grad_w, grad_u, out=grad_u)
     bd_grad = product_integrals(_sum_of_squares(grad_u, scratch, square), rho)
     # |Du|^2, each component grad_u + (grad_u)^T formed as it is squared
     bd_sym = product_integrals(_sum_of_squares((np.add(grad_u[i, j], grad_u[j, i], out=square)
                                                 for i in range(grid.dim)
                                                 for j in range(grid.dim)), scratch, square), rho)
-    if not original:
-        ws.give(grad_u)
     del grad_u
     bd_capillary = product_integrals(_sum_of_squares(hess, scratch, square), rho)
 

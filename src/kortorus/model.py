@@ -46,7 +46,6 @@ from .spectral import (
     ScalarField,
     SpectralGrid,
     VectorField,
-    Workspace,
     div_hat,
     grad_hat,
     gradient,
@@ -307,10 +306,8 @@ def recover_u(rho: ScalarField, v: VectorField, params: ModelParams) -> VectorFi
 
 
 class _Transformed:
-    """A SpectralState field that is ``stage`` of ``source(d, workspace)``,
-    held once read, like a cached property; ``SpectralState.fill`` computes
-    several.  A source that is not the state's own samples is formed in an
-    array of the workspace, or in a new array when the workspace is None."""
+    """A SpectralState field that is ``stage`` of ``source(d)``, held once
+    read, like a cached property; ``SpectralState.fill`` computes several."""
 
     def __init__(self, stage, source):
         self.stage, self.source = stage, source
@@ -323,11 +320,6 @@ class _Transformed:
             return self
         d.fill(self.stage, self.name)
         return d.__dict__[self.name]
-
-
-def _take(ws: Workspace | None, shape: tuple[int, ...], dtype: type = float) -> np.ndarray | None:
-    """An array of ``ws`` to form a source in, or None (a new array) without one."""
-    return None if ws is None else ws.take(shape, dtype)
 
 
 class _Stacked(NamedTuple):
@@ -431,14 +423,12 @@ class SpectralState:
             for member, view in zip(members, views):
                 member.__dict__.setdefault(name, view)
 
-    def fill(self, stage, *names: str, extra=(),
-             workspace: Workspace | None = None) -> list[np.ndarray]:
+    def fill(self, stage, *names: str, extra=()) -> list[np.ndarray]:
         """Compute the fields ``names`` that are not held yet, and ``stage``
         of the arrays ``extra`` (an iterable, which the stage may read
-        lazily), as one stage; return the latter.  The sources of ``names``
-        are formed in ``workspace`` (in new arrays if None), and every array
-        of the stage that the workspace handed out is given back once
-        transformed."""
+        lazily), as one stage; return the latter.  The source of each of
+        ``names`` is formed as the stage reads it, so that a new array is let
+        go once transformed."""
         if self._bare:
             self._bare = False
             rho = self.rho.data
@@ -446,21 +436,17 @@ class SpectralState:
                                self.grid)
             self.rho_hat, self.w_hat, self.ln_rho_hat = hats[0], hats[1:-1], hats[-1]
         todo = [name for name in names if name not in self.__dict__]
-        sources = (getattr(type(self), name).source(self, workspace) for name in todo)
-        out = stage(itertools.chain(sources, extra), self.grid, workspace)
+        sources = (getattr(type(self), name).source(self) for name in todo)
+        out = stage(itertools.chain(sources, extra), self.grid)
         self.__dict__.update(zip(todo, out))
         return out[len(todo):]
 
-    rho_hat = _Transformed(to_spectral_stage, lambda d, ws: d.rho.data)
-    w_hat = _Transformed(to_spectral_stage, lambda d, ws: d.w.data)
-    ln_rho_hat = _Transformed(to_spectral_stage, lambda d, ws: np.log(
-        d.rho.data, out=_take(ws, d.rho.data.shape)))
-    grad_ln_rho = _Transformed(to_physical_stage, lambda d, ws: grad_hat(
-        d.ln_rho_hat, d.grid, _take(ws, (d.grid.dim,) + d.ln_rho_hat.shape, complex)))
-    grad_w = _Transformed(to_physical_stage, lambda d, ws: grad_hat(
-        d.w_hat, d.grid, _take(ws, (d.grid.dim,) + d.w_hat.shape, complex)))
-    hess_ln_rho = _Transformed(to_physical_stage, lambda d, ws: hess_hat(
-        d.ln_rho_hat, d.grid, _take(ws, (d.grid.dim,) * 2 + d.ln_rho_hat.shape, complex)))
+    rho_hat = _Transformed(to_spectral_stage, lambda d: d.rho.data)
+    w_hat = _Transformed(to_spectral_stage, lambda d: d.w.data)
+    ln_rho_hat = _Transformed(to_spectral_stage, lambda d: np.log(d.rho.data))
+    grad_ln_rho = _Transformed(to_physical_stage, lambda d: grad_hat(d.ln_rho_hat, d.grid))
+    grad_w = _Transformed(to_physical_stage, lambda d: grad_hat(d.w_hat, d.grid))
+    hess_ln_rho = _Transformed(to_physical_stage, lambda d: hess_hat(d.ln_rho_hat, d.grid))
 
     @cached_property
     def u(self) -> np.ndarray:

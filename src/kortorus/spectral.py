@@ -271,71 +271,6 @@ def _require_finite(data: np.ndarray):
         raise InvalidField("field contains non-finite samples")
 
 
-#: arrays of fewer elements are not pooled: the allocator's free lists serve
-#: them from memory it holds, sooner than the pool's bookkeeping
-_POOLED_ELEMENTS = 2048
-
-
-class Workspace:
-    """Scratch arrays that outlive one report batch.
-
-    ``take(shape, dtype)`` hands out an array that nobody holds, made on
-    first use.  ``give`` hands arrays back once their values are dead, and a
-    ``with workspace:`` block gives back, as it closes, what was taken inside
-    it and not given back; the transform stages give back what they have
-    transformed.  An array given back is handed out again by a later
-    ``take`` of the same size, so the report batches of a run, blocks that
-    never overlap, share one set of arrays, as large as the widest moment of
-    any batch needs, instead of asking the allocator for their temporaries
-    again each time.  Nothing that outlives its block may be taken from a
-    workspace.  A ``Stepper`` holds one for its run
-    (``functionals.evaluate_reports``); a caller without one gets a fresh
-    workspace per call.  The step kernels take none: they are numpy
-    expressions evaluated in place (``model.tendency_hats``).
-
-    Arrays share by size: real samples with n values on their last axis take
-    the size of the rfft coefficients of those rows, n // 2 + 1 complex
-    values, so that a real field and the coefficients of a field of the same
-    shape take turns in one buffer."""
-
-    def __init__(self):
-        self._free: dict[int, list[np.ndarray]] = {}
-        self._taken: list[tuple[np.ndarray, np.ndarray]] = []  # (array, its buffer)
-        self._blocks: list[int] = []
-
-    def take(self, shape: tuple[int, ...], dtype: type = float) -> np.ndarray:
-        count = math.prod(shape)
-        if count < _POOLED_ELEMENTS:
-            return np.empty(shape, dtype)
-        size = (count // shape[-1] * (shape[-1] // 2 + 1) * 16 if dtype is float
-                else count * np.dtype(dtype).itemsize)
-        free = self._free.get(size)
-        buffer = free.pop() if free else np.empty(size, np.uint8)
-        array = np.ndarray(shape, dtype, buffer)
-        self._taken.append((array, buffer))
-        return array
-
-    def give(self, *arrays: np.ndarray):
-        """Hand ``arrays`` back; one that is not out of this workspace is
-        left alone."""
-        for array in arrays if self._taken else ():
-            for i, (taken, buffer) in enumerate(self._taken):
-                if taken is array:
-                    del self._taken[i]
-                    self._free.setdefault(buffer.size, []).append(buffer)
-                    break
-
-    def __enter__(self) -> "Workspace":
-        self._blocks.append(len(self._taken))
-        return self
-
-    def __exit__(self, *exc_info):
-        start = self._blocks.pop()
-        for _, buffer in self._taken[start:]:
-            self._free.setdefault(buffer.size, []).append(buffer)
-        del self._taken[start:]
-
-
 # ---------------------------------------------------------------------------
 # transforms
 
@@ -361,23 +296,21 @@ def to_physical(hat: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     return scipy.fft.irfftn(hat, s=grid.shape, axes=grid.rfft_axes)
 
 
-def _stage(transform, arrays, grid: SpectralGrid,
-           workspace: Workspace | None = None) -> list[np.ndarray]:
+def _stage(transform, arrays, grid: SpectralGrid) -> list[np.ndarray]:
     """``transform`` of each array of one dependency stage: stacked row by
     row into one call on a 1D grid, where a call costs about the same for 1
     row or 8; one call each on a 2D grid, where wider batches cost more per
-    component (see README), taking each array just before its call.  On a
-    1D grid each array's part of the call is a view of its rows, reshaped to
-    the array's component axes.  Each array is given back to ``workspace``
-    once transformed, so that on a 2D grid the next one may take its place."""
+    component (see README), taking each array just before its call and
+    letting it go once transformed, so that one that only the stage holds is
+    freed before the next is formed.  On a 1D grid each array's part of the
+    call is a view of its rows, reshaped to the array's component axes."""
     if grid.dim == 1:
         arrays = list(arrays)
     if grid.dim != 1 or len(arrays) < 2:
         parts = []
         for a in arrays:
             parts.append(transform(a, grid))
-            if workspace is not None and workspace._taken:
-                workspace.give(a)
+            del a
         return parts
     out = transform(np.concatenate([a.reshape(-1, a.shape[-1]) for a in arrays]), grid)
     parts, start = [], 0
@@ -385,19 +318,15 @@ def _stage(transform, arrays, grid: SpectralGrid,
         stop = start + a.size // a.shape[-1]
         parts.append(out[start:stop].reshape(a.shape[:-1] + out.shape[-1:]))
         start = stop
-    if workspace is not None:
-        workspace.give(*arrays)
     return parts
 
 
-def to_spectral_stage(arrays, grid: SpectralGrid,
-                      workspace: Workspace | None = None) -> list[np.ndarray]:
-    return _stage(to_spectral, arrays, grid, workspace)
+def to_spectral_stage(arrays, grid: SpectralGrid) -> list[np.ndarray]:
+    return _stage(to_spectral, arrays, grid)
 
 
-def to_physical_stage(hats, grid: SpectralGrid,
-                      workspace: Workspace | None = None) -> list[np.ndarray]:
-    return _stage(to_physical, hats, grid, workspace)
+def to_physical_stage(hats, grid: SpectralGrid) -> list[np.ndarray]:
+    return _stage(to_physical, hats, grid)
 
 
 def grad_hat(hat: np.ndarray, grid: SpectralGrid, out: np.ndarray | None = None) -> np.ndarray:

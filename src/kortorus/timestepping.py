@@ -28,10 +28,10 @@ one by one.
 
 A step computes each quantity once at the scope it depends on.  Once per
 run (a Stepper): the linear rates (kappa/mu) -Lap of the density and
-mu -Lap of the velocity, and the workspace whose arrays the temporaries of
-every report batch of the run take in turn (``spectral.Workspace``).  The
-step's own kernels, the tendencies and the Euler and BDF2 combinations, are
-numpy expressions whose sums are formed in place, at every grid size.
+mu -Lap of the velocity.  The step's own kernels, the tendencies and the
+Euler and BDF2 combinations, are numpy expressions whose sums are formed in
+place, at every grid size; they and the report batches take new arrays, and
+no scratch array outlives the step or batch that made it.
 Once per dt, and per previous dt for imex_bdf2:
 E = exp(-lam dt), dt phi1 and the velocity's divisor 1 + mu k^2 dt, or the
 BDF2 weights with the integrating factors folded in and the divisor
@@ -69,7 +69,6 @@ from .spectral import (
     ScalarField,
     SpectralGrid,
     VectorField,
-    Workspace,
     grad_hat,
     to_physical,
     to_physical_stage,
@@ -85,8 +84,8 @@ class IntegratorConfig:
     """Step-size and scheme selection.
 
     ``snapshot_interval`` decouples output cadence from dt (None stores every
-    accepted step); ``adaptive`` disables the CFL controller for fixed-dt
-    convergence studies.  A config that breaks its constraints raises one
+    accepted step); ``adaptive=False`` disables the CFL controller for
+    fixed-dt convergence studies.  A config that breaks its constraints raises one
     ConstraintViolationError (a ValueError) listing all of them.
     """
 
@@ -380,10 +379,10 @@ class Stepper:
 
     It computes the split's linear rates once (per run) and its factors once
     per dt and previous dt, into ``_factors``, which is its own and holds at
-    most _FACTOR_CACHE_ENTRIES entries.  It holds ``workspace`` for its run:
-    the temporaries of the report batches that ``run`` makes of its states
-    are arrays of it, taken and given back by each batch in turn.  A step
-    takes none of it (``_advance_euler``, ``model.tendency_hats``).
+    most _FACTOR_CACHE_ENTRIES entries.  It holds no scratch arrays: a step's
+    temporaries (``_advance_euler``, ``model.tendency_hats``) and those of
+    the report batches that ``run`` makes of its states are new arrays,
+    freed as they die.
     """
 
     def __init__(self, state: FieldState, params: ModelParams, config: IntegratorConfig,
@@ -398,7 +397,6 @@ class Stepper:
         self._rates = ((params.eps if params.variant != "original" else 0.0) * ksq,
                        params.mu * ksq)
         self._factors: dict[tuple[float, float | None], tuple] = {}
-        self.workspace = Workspace()
         self.run_state = RunState(
             (_make_level(self.derived, forcing, None),),
             None, config.snapshot_interval)
@@ -583,6 +581,6 @@ def _report_pending(stepper: Stepper, trajectory: Trajectory, monitors: MonitorS
         return
     states, dts = zip(*run_state.pending)
     reports = evaluate_reports(states, stepper.params, monitors,
-                               previous=(run_state.report, dts), _workspace=stepper.workspace)
+                               previous=(run_state.report, dts))
     stepper.run_state = RunState(run_state.levels, reports[-1], run_state.next_snap)
     trajectory.record(*reports)

@@ -128,7 +128,6 @@ def report_peak_mb(resolution: int, steps: int, seed: int) -> float:
     after ``steps`` imex_bdf2 steps of dt 1e-3 on a ``resolution``^2 grid.
     The run starts from the ``random_smooth`` state of ``seed`` and has the
     model and initial parameters of the ``evolve2d`` benchmark workload.
-    The report takes a workspace of its own, whose arrays count in the peak.
 
     An untraced report of the initial state comes first, so that the caches
     numpy and scipy fill on a first report (about 1 KB) are full whatever
@@ -151,22 +150,21 @@ def step_report_peak_mb(resolution: int, steps: int, seed: int) -> tuple[float, 
     """The traced-memory peaks of one imex_bdf2 step of dt 1e-3 and of the
     report of the state it makes, each in MB above what was traced before
     it, as ``run`` makes them: on the Stepper of ``report_peak_mb`` after
-    ``steps`` steps, each reported through the Stepper's workspace, so that
-    the workspace holds the arrays a step and a report take.  The peaks
-    count what a step and a report allocate beyond them: the transforms'
-    outputs and the fields the new state holds."""
+    ``steps`` steps, each reported.  The peaks count every temporary of
+    the step and the report, the transforms' outputs and the fields the
+    new state holds."""
     stepper = _evolve2d_stepper(resolution, seed)
     params = stepper.params
     for _ in range(steps):
         stepper.advance(1e-3)
-        evaluate_reports([stepper.derived], params, _workspace=stepper.workspace)
+        evaluate_reports([stepper.derived], params)
     tracemalloc.start()
     try:
         stepper.advance(1e-3)
         step = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        evaluate_reports([stepper.derived], params, _workspace=stepper.workspace)
+        evaluate_reports([stepper.derived], params)
         return step / 1e6, (tracemalloc.get_traced_memory()[1] - before) / 1e6
     finally:
         tracemalloc.stop()

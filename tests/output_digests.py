@@ -1,0 +1,142 @@
+"""Print one JSON object of sha256 digests of kortorus outputs, one entry a
+name, so that two checkouts can be compared bit for bit:
+
+* ``evolve2d/<variant>/seed<k>/<file>``: ``functionals.csv``,
+  ``functionals.jsonl`` and ``summary.json`` of ``kortorus simulate`` of the
+  ``evolve2d`` benchmark workload's config (128^2, 200 imex_bdf2 steps), for
+  ``effective_v2`` and ``original`` (alpha 0.02), at seeds 0, 3 and 7;
+* ``squeeze/<file>``: every file that ``kortorus simulate`` writes for the
+  README's vacuum-squeeze config;
+* ``verify/seed<k>``: the lines of ``kortorus verify all --seed k``, k = 0..3,
+  with their ``elapsed=`` times stripped;
+* ``study1d/seed<k>/<run>``: the reports, kept states and termination of
+  each of the 17 runs of the ``study1d`` benchmark workload (six ms1d
+  convergence runs, one ``original`` run from the ``random_smooth`` state
+  of the seed, ten squeeze runs), at seeds 3101 and 7.
+
+Run it from the repository root as ``PYTHONPATH=src python3
+tests/output_digests.py > digests.json``; it takes no flags and about
+15 s on a 2-core host.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import re
+import sys
+import tempfile
+from pathlib import Path
+
+from kortorus import cli, timestepping
+from kortorus.model import ModelParams
+from kortorus.scenarios import initial_state
+from kortorus.spectral import SpectralGrid
+from kortorus.timestepping import IntegratorConfig
+
+from helpers import (
+    EVOLVE2D_INITIAL,
+    ms1d_run,
+    readme_blocks,
+    report_digest,
+    squeeze_run,
+)
+
+#: the model of each ``evolve2d`` variant
+EVOLVE2D_MODELS = {
+    "effective_v2": {"variant": "effective_v2", "mu": 0.1, "kappa": 0.01, "a": 1.0},
+    "original": {"variant": "original", "mu": 0.1, "alpha": 0.02, "kappa": 0.01, "a": 1.0},
+}
+EVOLVE2D_FILES = ("functionals.csv", "functionals.jsonl", "summary.json")
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _simulate(document: dict, outdir: Path) -> dict[str, bytes]:
+    """Every file (by path relative to ``outdir``) that ``kortorus
+    simulate`` of ``document`` writes into ``outdir``."""
+    config = outdir.parent / f"{outdir.name}.json"
+    config.write_text(json.dumps(document))
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["simulate", str(config), "--output", str(outdir)])
+    return {str(p.relative_to(outdir)): p.read_bytes()
+            for p in sorted(outdir.rglob("*")) if p.is_file()}
+
+
+def evolve2d(variant: str, seed: int, tmp: Path) -> dict[str, str]:
+    files = _simulate({
+        "grid": {"resolution": [128, 128]},
+        "model": EVOLVE2D_MODELS[variant],
+        "integrator": {"scheme": "imex_bdf2", "dt_initial": 1e-3, "t_end": 0.2},
+        "initial": {"family": "random_smooth", "seed": seed, "params": EVOLVE2D_INITIAL},
+        "output": {"label": "evolve2d"},
+    }, tmp / f"evolve2d_{variant}_{seed}")
+    return {f"evolve2d/{variant}/seed{seed}/{name}": sha256(files[name])
+            for name in EVOLVE2D_FILES}
+
+
+def squeeze(tmp: Path) -> dict[str, str]:
+    (document,) = [json.loads(block) for block in readme_blocks("json")
+                   if '"gaussian_bump"' in block and '"delta_vacuum"' in block]
+    return {f"squeeze/{name}": sha256(data)
+            for name, data in _simulate(document, tmp / "squeeze").items()}
+
+
+def verify(seed: int) -> dict[str, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(["verify", "all", "--seed", str(seed)])
+    return {f"verify/seed{seed}": sha256(re.sub(r" elapsed=\S+", "", out.getvalue()).encode())}
+
+
+def trajectory_digest(trajectory: timestepping.Trajectory) -> str:
+    """The sha256 of a trajectory's reports (``report_digest``), the bits
+    of its kept states and its termination."""
+    digest = hashlib.sha256(report_digest(trajectory.reports).encode())
+    for state in trajectory.states:
+        digest.update(repr(state.time).encode())
+        digest.update(state.rho.data.tobytes())
+        digest.update(state.w.data.tobytes())
+    digest.update(repr(trajectory.terminated).encode())
+    return digest.hexdigest()
+
+
+def original_run(seed: int) -> timestepping.Trajectory:
+    """The ``study1d`` workload's ``original`` run: 1000 steps of dt 2.5e-4
+    from the ``random_smooth`` state of ``seed`` on a 1D N = 128 grid."""
+    params = ModelParams(mu=1.0, alpha=0.0, kappa=1.0, a=1.0, gamma=2.0, variant="original")
+    state = initial_state(SpectralGrid(128), "random_smooth",
+                          {"mean": 1.2, "amplitude": 0.25, "velocity_amplitude": 0.3}, seed=seed)
+    return timestepping.run(state, params, IntegratorConfig(dt_initial=2.5e-4, dt_min=1e-9,
+                                                            t_end=1000 * 2.5e-4))
+
+
+def study1d(seed: int) -> dict[str, str]:
+    runs = {f"ms1d_{scheme}_{steps}": (lambda s=scheme, n=steps: ms1d_run(s, n))
+            for scheme in ("imex_euler", "imex_bdf2") for steps in (80, 160, 320)}
+    runs["original"] = lambda: original_run(seed)
+    runs.update({f"squeeze{i}": (lambda i=i: squeeze_run(i)) for i in range(10)})
+    return {f"study1d/seed{seed}/{name}": trajectory_digest(make()) for name, make in runs.items()}
+
+
+def digests() -> dict[str, str]:
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for variant in EVOLVE2D_MODELS:
+            for seed in (0, 3, 7):
+                out.update(evolve2d(variant, seed, Path(tmp)))
+        out.update(squeeze(Path(tmp)))
+    for seed in range(4):
+        out.update(verify(seed))
+    for seed in (3101, 7):
+        out.update(study1d(seed))
+    return out
+
+
+if __name__ == "__main__":
+    json.dump(digests(), sys.stdout, indent=1, sort_keys=True)
+    print()

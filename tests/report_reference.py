@@ -53,13 +53,13 @@ class ReferenceState(SpectralState):
 
     #: coefficients of sqrt(rho) and |v|^2
     sqrt_rho_and_v_sq_hat = _Transformed(
-        to_spectral_stage, lambda d, ws: np.stack([np.sqrt(d.rho.data), d.v_sq]))
+        to_spectral_stage, lambda d: np.stack([np.sqrt(d.rho.data), d.v_sq]))
     #: grad sqrt(rho) and grad rho as components [:, 0] and [:, 1]
-    grad_sqrt_rho_and_rho = _Transformed(to_physical_stage, lambda d, ws: grad_hat(
+    grad_sqrt_rho_and_rho = _Transformed(to_physical_stage, lambda d: grad_hat(
         np.stack([d.sqrt_rho_and_v_sq_hat[0], d.rho_hat]), d.grid))
     #: grad |v|^2, the spectral derivative of the pointwise |v|^2
     grad_of_v_sq = _Transformed(
-        to_physical_stage, lambda d, ws: grad_hat(d.sqrt_rho_and_v_sq_hat[1], d.grid))
+        to_physical_stage, lambda d: grad_hat(d.sqrt_rho_and_v_sq_hat[1], d.grid))
 
     @cached_property
     def grad_u(self) -> np.ndarray:

@@ -1,7 +1,7 @@
-"""The Stepper's workspace: the arrays that a report batch takes outlive it
-and are reused by every report batch of a run, without moving a bit of any
-output, across grids, batch shapes and tail batches; and the memory that a
-step, whose kernels form their sums in place, and a report take."""
+"""Runs and their report batches in one process: runs interleaved, and the
+batches of several runs reported in turn, give each run's reports to the
+bit, across grids, batch shapes and tail batches; and the traced memory
+of a step and of a report."""
 
 import json
 import math
@@ -10,16 +10,13 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
-import pytest
-
 from kortorus import timestepping
 from kortorus.functionals import MonitorSpec, evaluate_report, evaluate_reports
 from kortorus.model import ModelParams, SpectralState
 from kortorus.scenarios import initial_state
-from kortorus.spectral import SpectralGrid, Workspace
+from kortorus.spectral import SpectralGrid
 from kortorus.timestepping import IntegratorConfig, Stepper, run
-from helpers import advance_us, simulate_minor_faults, step_report_peak_mb
+from helpers import advance_us, report_peak_mb, simulate_minor_faults, step_report_peak_mb
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -47,7 +44,7 @@ def fresh_process_rows(name: str) -> list[list[str]]:
     """The report rows of ``run_case(name)`` run alone in a new process."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))
     code = ("import json, sys\n"
-            "from test_workspace import csv_rows, run_case\n"
+            "from test_run_memory import csv_rows, run_case\n"
             f"print(json.dumps(csv_rows(run_case({name!r}))))\n")
     out = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT, check=True,
                          stdout=subprocess.PIPE, text=True).stdout
@@ -71,10 +68,10 @@ def recorded_batches(monkeypatch, name):
     batches = []
     evaluate = timestepping.evaluate_reports
 
-    def capturing(states, params, spec=None, previous=None, _workspace=None):
+    def capturing(states, params, spec=None, previous=None):
         batches.append(([SpectralState(s.state, params, s.rho_hat, s.w_hat) for s in states],
                         previous[1]))
-        return evaluate(states, params, spec, previous, _workspace)
+        return evaluate(states, params, spec, previous)
     monkeypatch.setattr(timestepping, "evaluate_reports", capturing)
     trajectory = run_case(name)
     monkeypatch.undo()
@@ -85,7 +82,7 @@ def fresh_copies(states):
     return [SpectralState(s.state, s.params, s.rho_hat, s.w_hat) for s in states]
 
 
-def test_standalone_and_shared_workspace_reports_equal_the_recorded_ones(monkeypatch):
+def test_standalone_and_interleaved_batch_reports_equal_the_recorded_ones(monkeypatch):
     spec = MonitorSpec()
     cases = {name: recorded_batches(monkeypatch, name) for name in RUNS}
     for name, (batches, trajectory) in cases.items():
@@ -99,42 +96,28 @@ def test_standalone_and_shared_workspace_reports_equal_the_recorded_ones(monkeyp
                 previous = standalone[-1] if standalone else trajectory.reports[0]
                 standalone.append(evaluate_report(state, PARAMS, spec, previous=(previous, dt)))
         assert standalone == reports, name
-    # one workspace for every batch of the three runs, taken in turn
-    workspace, shared = Workspace(), {name: [] for name in RUNS}
+    # the batches of the three runs, reported in turn in one process
+    shared = {name: [] for name in RUNS}
     for turn in range(max(len(batches) for batches, _ in cases.values())):
         for name, (batches, trajectory) in cases.items():
             if turn < len(batches):
                 states, dts = batches[turn]
                 previous = shared[name][-1] if shared[name] else trajectory.reports[0]
                 shared[name] += evaluate_reports(fresh_copies(states), PARAMS, spec,
-                                                 previous=(previous, dts), _workspace=workspace)
+                                                 previous=(previous, dts))
     for name, (_, trajectory) in cases.items():
         assert shared[name] == trajectory.reports[1:], name
 
 
-def test_workspace_hands_out_given_back_arrays_by_size():
-    ws = Workspace()
-    with ws:
-        fields = ws.take((4, 128, 128))
-        # four fields take the size of their rfft coefficients
-        coefficients = ws.take((4, 128, 65), complex)
-        assert not np.shares_memory(fields, coefficients)
-        ws.give(fields)
-        tensor_hat = ws.take((2, 2, 128, 65), complex)
-        assert np.shares_memory(tensor_hat, fields)
-        assert tensor_hat.dtype == complex and tensor_hat.flags.c_contiguous
-        small = ws.take((64,))
-        ws.give(small, np.empty(3))  # not from the pool, left alone
-    # the block gave back both buffers, and the next block takes them again
-    with ws:
-        again = [ws.take((4, 128, 128)), ws.take((1, 4, 128, 65), complex)]
-        assert {id(a.base) for a in again} == {id(fields.base), id(coefficients.base)}
+def test_report_peak_alone_stays_under_its_bound():
+    # 2.77 MB; 3.29 MB if a forward-stage input outlives its stage, and
+    # 2.91 MB or more if a stage input is held past its transform
+    assert report_peak_mb(128, 2, 0) < 2.85
 
 
-def test_step_and_report_peaks_stay_under_the_figures_before_the_workspace():
-    # before the workspace, the step traced 4.36 MB and its report 3.97 MB
+def test_step_and_report_peaks_in_a_run_stay_under_their_bounds():
     step, report = step_report_peak_mb(128, 2, 0)
-    assert step < 4.36 and report < 3.97
+    assert report < 2.85
     # step kernels that form every sum as a new array trace 3.97 MB; the
     # in-place ones 3.43 MB
     assert step < 3.8
@@ -160,16 +143,3 @@ def test_advance_us_times_the_steps_alone(monkeypatch):
     monkeypatch.setattr(Stepper, "advance", lambda self, dt: calls.append(dt) or advance(self, dt))
     us = advance_us(PARAMS, 16, 3, 2)
     assert calls == [1e-3] * 6 and 0.0 < us < math.inf
-
-
-@pytest.mark.parametrize("name", sorted(RUNS))
-def test_runs_give_back_everything_they_take(monkeypatch, name):
-    made = []
-    init = Workspace.__init__
-
-    def recording(self):
-        init(self)
-        made.append(self)
-    monkeypatch.setattr(Workspace, "__init__", recording)
-    run_case(name)
-    assert made and all(not ws._taken and not ws._blocks for ws in made)

@@ -187,7 +187,7 @@ def test_fft_budget_report_on_bare_state(fft_count, variant, resolution):
 def unbatched(monkeypatch):
     """Make every transform stage call once per array, as before the 1D
     batching."""
-    monkeypatch.setattr(spectral, "_stage", lambda transform, arrays, grid, workspace=None: [
+    monkeypatch.setattr(spectral, "_stage", lambda transform, arrays, grid: [
         transform(a, grid) for a in arrays])
 
 
