@@ -1,14 +1,18 @@
 """Runs and their report batches in one process: runs interleaved, and the
 batches of several runs reported in turn, give each run's reports to the
-bit, across grids, batch shapes and tail batches; and the traced memory
-of a step and of a report."""
+bit, across grids, batch shapes and tail batches; the traced memory of a
+step and of a report; and what a finished run leaves traced."""
 
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+
+import pytest
 
 from kortorus import timestepping
 from kortorus.functionals import MonitorSpec, evaluate_report, evaluate_reports
@@ -143,3 +147,24 @@ def test_advance_us_times_the_steps_alone(monkeypatch):
     monkeypatch.setattr(Stepper, "advance", lambda self, dt: calls.append(dt) or advance(self, dt))
     us = advance_us(PARAMS, 16, 3, 2)
     assert calls == [1e-3] * 6 and 0.0 < us < math.inf
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_a_finished_run_leaves_nothing_traced_but_its_trajectory(name):
+    # a first run fills the caches numpy and scipy keep, outside the trace
+    run_case(name)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        trajectory = run_case(name)
+        held = tracemalloc.get_traced_memory()[0]
+        del trajectory
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # the trajectory holds 0.1-0.7 MB; once it is gone about 1-3 KB stay
+    # traced (interpreter bookkeeping), under one 32^2 field (8 KB).  A run
+    # that kept its Stepper past its end leaves 66 KB or more, and one that
+    # kept the coefficients of its last report batch 12 KB or more
+    assert held > 100_000 and left < 8_000, (held, left)
