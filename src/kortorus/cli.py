@@ -353,15 +353,12 @@ def cmd_monitor(args) -> int:
     traj = Trajectory(params=config.model, states=states, reports=reports)
     mon = config.monitors
     verdict = blow_up_verdict(traj, config.model, mon)
-    # the verdict integrates the reports' serrin_integrand over the snapshot
-    # times, which is serrin_accumulator without a second Serrin norm per state
-    serrin = 0.0 if verdict.serrin_value is None else verdict.serrin_value
     # the diagonal k = q of the endpoint family 2/k + N/q = N/2
     k_endpoint = 2.0 * (config.grid.dim + 2) / config.grid.dim
     summary = {
         "snapshots": len(states),
         "time_span": [states[0].time, states[-1].time],
-        "serrin_accumulator": serrin,
+        "serrin_accumulator": reports[-1].serrin_accumulator,
         "vacuum_endpoint_norm": vacuum_endpoint_norm(traj, mon.p_vacuum, k_endpoint),
         "verdict": verdict.to_json_dict(),
         "csv": str(trajdir / "monitor_functionals.csv"),

@@ -13,9 +13,9 @@ Conventions, stated once:
   (int (rho^{2 gamma - 1 - delta/2})^{2/(2-delta)} dx)^{2/(2-delta)}
   * (int rho |v|^2 dx)^{delta/2}.
 * the quartic dissipation of the gain-of-integrability functional is
-  reported in both of its algebraic forms, the literal quadruple sum
-  sum_{ijk} v_j v_k d_i v_j d_i v_k (authoritative) and the
-  sum_i (d_i |v|^2 / 2)^2 identity form.
+  reported as the literal quadruple sum sum_{ijk} v_j v_k d_i v_j d_i v_k;
+  its sum_i (d_i |v|^2 / 2)^2 identity form is formed only by
+  ``quartic_forms``, the check of the two against each other.
 
 Unspecified analytic constants are never asserted; inequalities are tracked
 as residuals that must vanish under refinement (see the acceptance suite).
@@ -61,7 +61,7 @@ from .spectral import (
     vector_gradient,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 State = FieldState | SpectralState
 
@@ -131,8 +131,9 @@ class BDEntropy:
 
 
 def bd_entropy(state: State, params: ModelParams) -> BDEntropy:
-    """int (rho |u|^2 + kappa |grad sqrt(rho)|^2 + Pi(rho)) dx plus the three
-    instantaneous dissipation rates controlled by the two-velocity entropy:
+    """int (rho |u|^2 + kappa |grad sqrt(rho)|^2 + Pi(rho)) dx, the
+    ``energy`` total, plus the three instantaneous dissipation rates
+    controlled by the two-velocity entropy:
 
     * viscous: (mu - alpha) int rho |grad u|^2 + alpha int rho |Du|^2,
       Du = grad u + (grad u)^T,
@@ -141,7 +142,7 @@ def bd_entropy(state: State, params: ModelParams) -> BDEntropy:
     * capillary: kappa int rho sum_ij (d_i d_j ln rho)^2.
     """
     rep = evaluate_report(state, params)
-    return BDEntropy(rep.bd_value, rep.bd_rate_viscous, rep.bd_rate_cross,
+    return BDEntropy(rep.energy_total, rep.bd_rate_viscous, rep.bd_rate_cross,
                      rep.bd_rate_capillary)
 
 
@@ -166,42 +167,38 @@ class Integrability:
     value: float
     grad_rate: float
     quartic_rate: float
-    quartic_rate_identity: float
 
 
 def quartic_forms(v: VectorField) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise quadruple sum sum_{ijk} v_j v_k d_i v_j d_i v_k and the
     identity form sum_i (d_i |v|^2 / 2)^2 (spectral derivative of |v|^2)."""
     grid = v.grid
-    grad_v_sq = to_physical(grad_hat(to_spectral(np.sum(v.data ** 2, axis=0), grid), grid),
-                            grid)
-    return _quartic_forms(v.data, vector_gradient(v).data, grad_v_sq, np.empty(grid.shape),
-                          np.empty(grid.shape), np.empty(v.data.shape))
-
-
-def _quartic_forms(v: np.ndarray, grad_v: np.ndarray, grad_v_sq: np.ndarray,
-                   direct: np.ndarray, square: np.ndarray,
-                   products: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The direct form, set in ``direct``, and the identity form, in the
-    first row of ``grad_v_sq``, which it overwrites; ``square`` (a field)
-    and ``products`` (a vector field) take their terms.  Each sum adds its
-    terms in the order ``np.sum`` over their axis adds them."""
-    # sum_{jk} v_j v_k d_i v_j d_i v_k = (sum_j v_j d_i v_j)^2 for each i
-    _sum_of_squares((np.sum(np.multiply(v, grad_v[i], out=products), axis=0, out=square)
-                     for i in range(len(v))), direct, square)
-    halves = np.multiply(0.5, grad_v_sq, out=grad_v_sq)
+    square = np.empty(grid.shape)
+    direct = _quartic_direct(v.data, vector_gradient(v).data, np.empty(grid.shape), square)
+    halves = 0.5 * to_physical(grad_hat(to_spectral(np.sum(v.data ** 2, axis=0), grid), grid),
+                               grid)
     return direct, _sum_of_squares(halves, halves[0], square)
+
+
+def _quartic_direct(v: np.ndarray, grad_v: np.ndarray, out: np.ndarray,
+                    square: np.ndarray) -> np.ndarray:
+    """``out`` set to the direct form; ``square`` (a field) takes its
+    terms.  Each sum adds its terms in the order ``np.sum`` over their axis
+    adds them."""
+    # sum_{jk} v_j v_k d_i v_j d_i v_k = (sum_j v_j d_i v_j)^2 for each i
+    products = np.empty(v.shape)
+    return _sum_of_squares((np.sum(np.multiply(v, grad_v[i], out=products), axis=0, out=square)
+                            for i in range(len(v))), out, square)
 
 
 def integrability_functional(state: State, params: ModelParams, p: float) -> Integrability:
     """A = (1/p) int rho |v|^p dx with the two instantaneous dissipation rates
     int rho |v|^{p-2} |grad v|^2 and (p-2) int rho (quartic form) |v|^{p-4};
-    the quadruple-sum assembly of the quartic form is the authoritative one,
-    the identity form is reported for cross-checking."""
+    the quartic form is the quadruple sum (``quartic_forms`` checks it
+    against its identity form)."""
     _P_INTEGRABILITY.enforce("integrability exponent p", p, PExponentOutOfRange)
     rep = evaluate_report(state, params, MonitorSpec(p_integrability=p))
-    return Integrability(rep.int_value, rep.int_rate_grad, rep.int_rate_quartic,
-                         rep.int_rate_quartic_identity)
+    return Integrability(rep.int_value, rep.int_rate_grad, rep.int_rate_quartic)
 
 
 def integrability_accumulated(trajectory) -> np.ndarray:
@@ -402,7 +399,6 @@ class FunctionalReport:
     effective_energy: float
     eff_energy_rate_viscous: float
     eff_energy_rate_pressure: float
-    bd_value: float
     bd_rate_viscous: float
     bd_rate_cross: float
     bd_rate_capillary: float
@@ -412,7 +408,6 @@ class FunctionalReport:
     int_value: float
     int_rate_grad: float
     int_rate_quartic: float
-    int_rate_quartic_identity: float
     vac_value: float
     vac_rate: float
     vac_identity_residual: float
@@ -452,30 +447,27 @@ def report_batch_size(grid: SpectralGrid) -> int:
 
 
 def evaluate_report(state: State, params: ModelParams, spec: MonitorSpec | None = None,
-                    previous: tuple[FunctionalReport, float] | None = None) -> FunctionalReport:
+                    previous: FunctionalReport | None = None) -> FunctionalReport:
     """Evaluate every monitored functional on one state: the one-state case
-    of ``evaluate_reports``.  ``serrin_accumulator`` is 0.0, or, given
-    ``previous`` = (the report of the step before, the dt since), the
-    trapezoid rule's running value."""
-    (report,) = evaluate_reports((state,), params, spec,
-                                 None if previous is None else (previous[0], (previous[1],)))
+    of ``evaluate_reports``."""
+    (report,) = evaluate_reports((state,), params, spec, previous)
     return report
 
 
 def evaluate_reports(states: Sequence[State], params: ModelParams, spec: MonitorSpec | None = None,
-                     previous: tuple[FunctionalReport, Sequence[float]] | None = None
-                     ) -> list[FunctionalReport]:
+                     previous: FunctionalReport | None = None) -> list[FunctionalReport]:
     """The report of each of ``states``, which share one grid, from one pass
     over batches of ``report_batch_size`` of them stacked along a batch axis
     (``SpectralState.stack``); each report equals that of its state alone to
     the bit.  A functional that overflows is named in its member's
     ``diverged``, without a numpy warning.
-    ``serrin_accumulator`` is 0.0 in every report, or, given ``previous`` =
-    (the report before the first state, the dt before each state), the
-    trapezoid rule's running value, continued member by member.
+    ``serrin_accumulator`` is the trapezoid rule's running value of
+    ``serrin_integrand`` over the states' times, continued from
+    ``previous`` (the report before the first state), or from 0.0 at the
+    first state when ``previous`` is None.
 
-    Transform stages: sqrt(rho), |v|^2 and the vacuum functional's powers of
-    rho forward; everything the functionals differentiate back.  Every
+    Transform stages: sqrt(rho) and the vacuum functional's powers of rho
+    forward; everything the functionals differentiate back.  Every
     temporary is a plain numpy array, let go as it dies (``_report``)."""
     spec = spec or _DEFAULT_SPEC
     per_batch = report_batch_size(states[0].grid) if states else 1
@@ -483,10 +475,8 @@ def evaluate_reports(states: Sequence[State], params: ModelParams, spec: Monitor
     for start in range(0, len(states), per_batch):
         members = [spectral_state(s, params) for s in states[start:start + per_batch]]
         batch = SpectralState.stack(members)
-        chain = None if previous is None else (
-            reports[-1] if reports else previous[0], previous[1][start:start + per_batch])
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            reports += _report(batch, params, spec, chain)
+            reports += _report(batch, params, spec, reports[-1] if reports else previous)
         batch.unstack(members)
     return reports
 
@@ -506,33 +496,29 @@ def _sum_of_squares(components, out: np.ndarray, square: np.ndarray) -> np.ndarr
     return out
 
 
-def _inverse_inputs(d: SpectralState, sqrt_rho_and_v_sq_hat: np.ndarray,
-                    vac_powers_hat: np.ndarray):
+def _inverse_inputs(d: SpectralState, forward_hat: np.ndarray):
     """The report's inverse-stage inputs, from the coefficients of its
-    forward stage: grad sqrt(rho) and grad rho; grad |v|^2; and
-    grad rho^{-(p-1)/2}, Lap rho and Lap rho^{1-p}.  Each is formed as the
-    stage reads it and let go once transformed, and each forward output once
-    read, so that on a 2D grid no two inputs are held at once."""
-    grid, shape = d.grid, sqrt_rho_and_v_sq_hat.shape[1:]
+    forward stage (sqrt(rho), rho^{-(p-1)/2} and rho^{1-p}): grad sqrt(rho)
+    and grad rho; and grad rho^{-(p-1)/2}, Lap rho and Lap rho^{1-p}.  Each
+    is formed as the stage reads it and let go once transformed, and the
+    forward output once read, so that on a 2D grid no two inputs are held
+    at once."""
+    grid, shape = d.grid, forward_hat.shape[1:]
     pair_hat = np.empty((grid.dim, 2) + shape, complex)
-    grad_hat(sqrt_rho_and_v_sq_hat[0], grid, pair_hat[:, 0])
+    grad_hat(forward_hat[0], grid, pair_hat[:, 0])
     grad_hat(d.rho_hat, grid, pair_hat[:, 1])
     yield pair_hat
     del pair_hat
-    grad_v_sq_hat = grad_hat(sqrt_rho_and_v_sq_hat[1], grid)
-    del sqrt_rho_and_v_sq_hat
-    yield grad_v_sq_hat
-    del grad_v_sq_hat
     vac_hat = np.empty((grid.dim + 2,) + shape, complex)
-    grad_hat(vac_powers_hat[0], grid, vac_hat[:grid.dim])
+    grad_hat(forward_hat[1], grid, vac_hat[:grid.dim])
     np.multiply(grid.rfft_minus_beta_sq, d.rho_hat, out=vac_hat[grid.dim])
-    np.multiply(grid.rfft_minus_beta_sq, vac_powers_hat[1], out=vac_hat[grid.dim + 1])
-    del vac_powers_hat
+    np.multiply(grid.rfft_minus_beta_sq, forward_hat[2], out=vac_hat[grid.dim + 1])
+    del forward_hat
     yield vac_hat
 
 
 def _report(d: SpectralState, params: ModelParams, spec: MonitorSpec,
-            previous: tuple[FunctionalReport, Sequence[float]] | None) -> list[FunctionalReport]:
+            previous: FunctionalReport | None) -> list[FunctionalReport]:
     """Every column of every member in one pass over the stack ``d``: each
     pointwise field is formed once for the batch, and each integrand is
     reduced member by member (``spectral.integrals``) as soon as it is formed.
@@ -540,9 +526,9 @@ def _report(d: SpectralState, params: ModelParams, spec: MonitorSpec,
     inputs with their stage), or rows of a transform's output that the
     report holds alone and no longer reads.
     The columns go into one (columns x members) table in FunctionalReport's
-    field order, the Serrin trapezoid is a running sum over its last row,
-    and each report is built positionally from its member's row: no
-    per-member dict or keyword call."""
+    field order, the Serrin trapezoid is a running sum over its last row
+    and the members' times, and each report is built positionally from its
+    member's row: no per-member dict or keyword call."""
     grid, rho, gamma = d.grid, d.rho.data, params.gamma
     members, scalar = len(rho), rho.shape
     delta, p, p_vac = spec.delta, spec.p_integrability, spec.p_vacuum
@@ -553,19 +539,17 @@ def _report(d: SpectralState, params: ModelParams, spec: MonitorSpec,
     # v first, as it may bring grad ln rho back in a call of its own
     v = d.v
     v_sq = _sum_of_squares(v, np.empty(scalar), square)
-    # the forward stage: sqrt(rho) and a copy of |v|^2, and the vacuum
-    # functional's rho^{-(p-1)/2} and rho^{1-p}, whose integral is taken
-    # first; its inputs are let go before the inverse stage forms its own
-    sqrt_rho_and_v_sq, vac_powers = np.empty((2,) + scalar), np.empty((2,) + scalar)
-    np.sqrt(rho, out=sqrt_rho_and_v_sq[0])
-    np.copyto(sqrt_rho_and_v_sq[1], v_sq)
-    np.power(rho, -(p_vac - 1.0) / 2.0, out=vac_powers[0])
-    vac_value = integrals(np.power(rho, 1.0 - p_vac, out=vac_powers[1]), grid) / (p_vac - 1.0)
+    # the forward stage: sqrt(rho) and the vacuum functional's
+    # rho^{-(p-1)/2} and rho^{1-p}, whose integral is taken first; its input
+    # is let go before the inverse stage forms its own
+    forward = np.empty((3,) + scalar)
+    np.sqrt(rho, out=forward[0])
+    np.power(rho, -(p_vac - 1.0) / 2.0, out=forward[1])
+    vac_value = integrals(np.power(rho, 1.0 - p_vac, out=forward[2]), grid) / (p_vac - 1.0)
     # grad grad ln rho, grad ln rho and grad w join unless the step made them
-    inverse_inputs = _inverse_inputs(
-        d, *d.fill(to_spectral_stage, extra=[sqrt_rho_and_v_sq, vac_powers]))
-    del sqrt_rho_and_v_sq, vac_powers
-    grad_sqrt_rho_and_rho, grad_of_v_sq, vac_fields = d.fill(
+    inverse_inputs = _inverse_inputs(d, *d.fill(to_spectral_stage, extra=[forward]))
+    del forward
+    grad_sqrt_rho_and_rho, vac_fields = d.fill(
         to_physical_stage, "hess_ln_rho", "grad_ln_rho", "grad_w", extra=inverse_inputs)
     coeff = params.kappa / params.mu
     grad_half_sq = _sum_of_squares(vac_fields[:grid.dim], vac_fields[0], square)
@@ -609,7 +593,7 @@ def _report(d: SpectralState, params: ModelParams, spec: MonitorSpec,
     if original:
         grad_v = np.multiply(params.eps, hess)
         np.add(d.grad_w, grad_v, out=grad_v)
-    # both quartic forms are O(|v|^2) near zeros of v, so the |v|^{p-4} weight
+    # the quartic form is O(|v|^2) near zeros of v, so the |v|^{p-4} weight
     # stays integrable for every p > 2; zero the removable 0 * inf where v = 0
     still = np.logical_not(np.greater(v_sq, 0.0))
     speed = np.sqrt(v_sq, out=v_sq)
@@ -623,17 +607,14 @@ def _report(d: SpectralState, params: ModelParams, spec: MonitorSpec,
         np.multiply(rho, np.power(speed, p - 2.0, out=square), out=square), grad_v_sq)
     del grad_v_sq
     # the direct form is formed in ``scratch``, as its integral is
-    direct, identity = _quartic_forms(v, grad_v, grad_of_v_sq, scratch, square,
-                                      np.empty(v.shape))
+    direct = _quartic_direct(v, grad_v, scratch, square)
     del grad_v
     weight = np.power(speed, p - 4.0, out=square)
     np.copyto(weight, 0.0, where=still)
-    for form in (direct, identity):
-        np.multiply(form, weight, out=form)
-        np.copyto(form, 0.0, where=still)
+    np.multiply(direct, weight, out=direct)
+    np.copyto(direct, 0.0, where=still)
     int_direct = product_integrals(rho, direct)
-    int_identity = product_integrals(rho, identity)
-    del still, grad_of_v_sq, direct, identity, weight
+    del still, direct, weight
 
     if original:
         grad_u = d.grad_w
@@ -667,7 +648,6 @@ def _report(d: SpectralState, params: ModelParams, spec: MonitorSpec,
         effective_energy=0.5 * rho_v_sq + potential,
         eff_energy_rate_viscous=params.mu * viscous,
         eff_energy_rate_pressure=params.eps * eff_pressure,
-        bd_value=kinetic + capillary + potential,
         bd_rate_viscous=(params.mu - params.alpha) * bd_grad + params.alpha * bd_sym,
         bd_rate_cross=params.a * gamma * bd_cross,
         bd_rate_capillary=params.kappa * bd_capillary,
@@ -678,7 +658,6 @@ def _report(d: SpectralState, params: ModelParams, spec: MonitorSpec,
         int_value=product_integrals(rho, np.power(speed, p, out=square)) / p,
         int_rate_grad=int_grad,
         int_rate_quartic=(p - 2.0) * int_direct,
-        int_rate_quartic_identity=(p - 2.0) * int_identity,
         vac_value=vac_value,
         vac_rate=vac_rate,
         vac_identity_residual=vac_residual,
@@ -692,15 +671,17 @@ def _report(d: SpectralState, params: ModelParams, spec: MonitorSpec,
     finite = np.isfinite(table)
     diverged = [() if all_finite else tuple(k for k, ok in zip(columns, finite[:, i]) if not ok)
                 for i, all_finite in enumerate(finite.all(axis=0).tolist())]
-    # the Serrin trapezoid, continued member by member: each running value
-    # adds one term to the one before, as a Python loop would add them
-    integrand = table[-1]  # serrin_integrand, the last column
-    accumulated = np.zeros(members)
+    # the Serrin trapezoid over the members' times, continued member by
+    # member from ``previous``: each running value adds one term to the one
+    # before, as a Python loop would add them
+    times, integrand = table[0], table[-1]  # time and serrin_integrand
+    start = 0.0
     if previous is not None:
-        report, dts = previous
-        terms = 0.5 * np.asarray(dts) * (np.append(report.serrin_integrand, integrand[:-1])
-                                         + integrand)
-        accumulated = np.cumsum(np.append(report.serrin_accumulator, terms))[1:]
+        times = np.append(previous.time, times)
+        integrand = np.append(previous.serrin_integrand, integrand)
+        start = previous.serrin_accumulator
+    terms = 0.5 * np.diff(times) * (integrand[:-1] + integrand[1:])
+    accumulated = np.cumsum(np.append(start, terms))[-members:]
     # one row a report, in FunctionalReport's field order
     return [FunctionalReport(*row, names) for row, names in zip(
         np.vstack((table, accumulated)).T.tolist(), diverged)]
@@ -750,7 +731,7 @@ def blow_up_verdict(trajectory, params: ModelParams,
                     monitors: MonitorSpec | None = None) -> BlowUpReport:
     """Correlate the two continuation criteria with how the run ended.
 
-    The Serrin value (the trapezoid of ``serrin_integrand`` in time) and the
+    The Serrin value (the last report's ``serrin_accumulator``) and the
     vacuum-indicator series are read from the per-step report stream (dense);
     a trajectory without reports is given those of its stored snapshots,
     ``evaluate_reports(states, params, monitors)``.  A criterion passes while
@@ -773,7 +754,7 @@ def blow_up_verdict(trajectory, params: ModelParams,
 
     reports = reports or evaluate_reports(states, params, monitors)
     times = [r.time for r in reports]
-    serrin_value = float(np.trapezoid([r.serrin_integrand for r in reports], x=times))
+    serrin_value = reports[-1].serrin_accumulator
     series = [r.vacuum_indicator for r in reports]
     initial = series[0]
     peak = max(series)

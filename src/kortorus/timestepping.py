@@ -216,14 +216,14 @@ class RunState:
     history (newest level last), the newest report, whose
     ``serrin_accumulator`` is the running Serrin integral (None until ``run``
     evaluates the first), the next snapshot time (None without a cadence),
-    and the accepted steps not reported yet, each as its SpectralState and
-    the dt that made it.  ``run`` reports ``pending`` in one batch once it
-    holds ``functionals.report_batch_size`` states, and when it stops."""
+    and the SpectralStates of the accepted steps not reported yet.  ``run``
+    reports ``pending`` in one batch once it holds
+    ``functionals.report_batch_size`` states, and when it stops."""
 
     levels: tuple[_Level, ...]
     report: FunctionalReport | None
     next_snap: float | None
-    pending: tuple[tuple[SpectralState, float], ...] = ()
+    pending: tuple[SpectralState, ...] = ()
 
 
 def rhs(d: SpectralState, forcing: ForcingFn | None) -> tuple[np.ndarray, np.ndarray]:
@@ -566,7 +566,7 @@ def run(initial: FieldState, params: ModelParams, config: IntegratorConfig,
                 trajectory.capture(new_state)
             run_state = stepper.run_state
             stepper.run_state = RunState(run_state.levels, run_state.report, next_snap,
-                                         run_state.pending + ((stepper.derived, dt),))
+                                         run_state.pending + (stepper.derived,))
     finally:
         _report_pending(stepper, trajectory, monitors)
     return trajectory
@@ -579,8 +579,7 @@ def _report_pending(stepper: Stepper, trajectory: Trajectory, monitors: MonitorS
     run_state = stepper.run_state
     if not run_state.pending:
         return
-    states, dts = zip(*run_state.pending)
-    reports = evaluate_reports(states, stepper.params, monitors,
-                               previous=(run_state.report, dts))
+    reports = evaluate_reports(run_state.pending, stepper.params, monitors,
+                               previous=run_state.report)
     stepper.run_state = RunState(run_state.levels, reports[-1], run_state.next_snap)
     trajectory.record(*reports)

@@ -12,7 +12,11 @@ name, so that two checkouts can be compared bit for bit:
 * ``study1d/seed<k>/<run>``: the reports, kept states and termination of
   each of the 17 runs of the ``study1d`` benchmark workload (six ms1d
   convergence runs, one ``original`` run from the ``random_smooth`` state
-  of the seed, ten squeeze runs), at seeds 3101 and 7.
+  of the seed, ten squeeze runs), at seeds 3101 and 7;
+* ``<run>/functionals.csv#<column>``: each column of each of those report
+  streams (the ``evolve2d`` and ``squeeze`` files, and the CSV that the
+  ``study1d`` runs' reports would write), so that a change that moves some
+  columns names them.
 
 Run it from the repository root as ``PYTHONPATH=src python3
 tests/output_digests.py > digests.json``; it takes no flags and about
@@ -67,6 +71,14 @@ def _simulate(document: dict, outdir: Path) -> dict[str, bytes]:
             for p in sorted(outdir.rglob("*")) if p.is_file()}
 
 
+def column_digests(run: str, csv_text: str) -> dict[str, str]:
+    """One digest per column of the ``functionals.csv`` text ``csv_text``
+    (its values, one a line), named ``<run>/functionals.csv#<column>``."""
+    header, *rows = [line.split(",") for line in csv_text.splitlines()]
+    return {f"{run}/functionals.csv#{name}": sha256("\n".join(row[i] for row in rows).encode())
+            for i, name in enumerate(header)}
+
+
 def evolve2d(variant: str, seed: int, tmp: Path) -> dict[str, str]:
     files = _simulate({
         "grid": {"resolution": [128, 128]},
@@ -75,15 +87,17 @@ def evolve2d(variant: str, seed: int, tmp: Path) -> dict[str, str]:
         "initial": {"family": "random_smooth", "seed": seed, "params": EVOLVE2D_INITIAL},
         "output": {"label": "evolve2d"},
     }, tmp / f"evolve2d_{variant}_{seed}")
-    return {f"evolve2d/{variant}/seed{seed}/{name}": sha256(files[name])
-            for name in EVOLVE2D_FILES}
+    run = f"evolve2d/{variant}/seed{seed}"
+    return {f"{run}/{name}": sha256(files[name]) for name in EVOLVE2D_FILES} | column_digests(
+        run, files["functionals.csv"].decode())
 
 
 def squeeze(tmp: Path) -> dict[str, str]:
     (document,) = [json.loads(block) for block in readme_blocks("json")
                    if '"gaussian_bump"' in block and '"delta_vacuum"' in block]
-    return {f"squeeze/{name}": sha256(data)
-            for name, data in _simulate(document, tmp / "squeeze").items()}
+    files = _simulate(document, tmp / "squeeze")
+    return {f"squeeze/{name}": sha256(data) for name, data in files.items()} | column_digests(
+        "squeeze", files["functionals.csv"].decode())
 
 
 def verify(seed: int) -> dict[str, str]:
@@ -120,7 +134,14 @@ def study1d(seed: int) -> dict[str, str]:
             for scheme in ("imex_euler", "imex_bdf2") for steps in (80, 160, 320)}
     runs["original"] = lambda: original_run(seed)
     runs.update({f"squeeze{i}": (lambda i=i: squeeze_run(i)) for i in range(10)})
-    return {f"study1d/seed{seed}/{name}": trajectory_digest(make()) for name, make in runs.items()}
+    out = {}
+    for name, make in runs.items():
+        trajectory, run = make(), f"study1d/seed{seed}/{name}"
+        csv = io.StringIO()
+        cli._write_csv(csv, trajectory.reports)
+        out[run] = trajectory_digest(trajectory)
+        out.update(column_digests(run, csv.getvalue()))
+    return out
 
 
 def digests() -> dict[str, str]:

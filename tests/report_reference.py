@@ -51,15 +51,11 @@ from kortorus.spectral import (
 class ReferenceState(SpectralState):
     """A SpectralState with the report's shared fields as fields of its own."""
 
-    #: coefficients of sqrt(rho) and |v|^2
-    sqrt_rho_and_v_sq_hat = _Transformed(
-        to_spectral_stage, lambda d: np.stack([np.sqrt(d.rho.data), d.v_sq]))
+    #: coefficients of sqrt(rho)
+    sqrt_rho_hat = _Transformed(to_spectral_stage, lambda d: np.sqrt(d.rho.data))
     #: grad sqrt(rho) and grad rho as components [:, 0] and [:, 1]
     grad_sqrt_rho_and_rho = _Transformed(to_physical_stage, lambda d: grad_hat(
-        np.stack([d.sqrt_rho_and_v_sq_hat[0], d.rho_hat]), d.grid))
-    #: grad |v|^2, the spectral derivative of the pointwise |v|^2
-    grad_of_v_sq = _Transformed(
-        to_physical_stage, lambda d: grad_hat(d.sqrt_rho_and_v_sq_hat[1], d.grid))
+        np.stack([d.sqrt_rho_hat, d.rho_hat]), d.grid))
 
     @cached_property
     def grad_u(self) -> np.ndarray:
@@ -138,10 +134,9 @@ def effective_energy_dissipation(d: ReferenceState, params: ModelParams) -> tupl
 
 
 def bd_entropy(d: ReferenceState, params: ModelParams) -> BDEntropy:
-    """Its value is ``energy``'s three addends, summed in another order."""
+    """Its value is ``energy``'s total."""
     rho = d.rho.data
-    en = energy(d, params)
-    value = en.kinetic + en.capillary + en.pressure
+    value = energy(d, params).total
 
     grad_u = d.grad_u
     grad_sq = np.sum(grad_u ** 2, axis=(0, 1))
@@ -177,14 +172,11 @@ def integrability_functional(d: ReferenceState, params: ModelParams, p: float) -
 
     s = np.sum(d.v * d.grad_v, axis=1)  # the quadruple sum, one square per i
     direct = np.sum(s ** 2, axis=0)
-    identity = np.sum((0.5 * d.grad_of_v_sq) ** 2, axis=0)
     safe_speed = np.where(speed_sq > 0.0, speed, 1.0)
     weight = np.where(speed_sq > 0.0, safe_speed ** (p - 4.0), 0.0)
     rate_direct = (p - 2.0) * _integral(
         d, rho * np.where(speed_sq > 0.0, direct * weight, 0.0))
-    rate_identity = (p - 2.0) * _integral(
-        d, rho * np.where(speed_sq > 0.0, identity * weight, 0.0))
-    return Integrability(value, grad_rate, rate_direct, rate_identity)
+    return Integrability(value, grad_rate, rate_direct)
 
 
 def vacuum_functional(d: ReferenceState, params: ModelParams, p: float) -> VacuumFunctional:
@@ -248,7 +240,6 @@ def reference_report(state: FieldState | SpectralState, params: ModelParams,
             effective_energy=effective_energy(d, params),
             eff_energy_rate_viscous=eff_diss[0],
             eff_energy_rate_pressure=eff_diss[1],
-            bd_value=bd.value,
             bd_rate_viscous=bd.viscous_rate,
             bd_rate_cross=bd.cross_rate,
             bd_rate_capillary=bd.capillary_rate,
@@ -258,7 +249,6 @@ def reference_report(state: FieldState | SpectralState, params: ModelParams,
             int_value=integ.value,
             int_rate_grad=integ.grad_rate,
             int_rate_quartic=integ.quartic_rate,
-            int_rate_quartic_identity=integ.quartic_rate_identity,
             vac_value=vac.value,
             vac_rate=vac.rate,
             vac_identity_residual=vac.identity_residual,
@@ -280,12 +270,11 @@ def public_columns(state: FieldState | SpectralState, params: ModelParams,
         energy_total=en.total, energy_kinetic=en.kinetic, energy_pressure=en.pressure,
         energy_capillary=en.capillary, effective_energy=public_effective_energy(state, params),
         eff_energy_rate_viscous=viscous, eff_energy_rate_pressure=pressure,
-        bd_value=bd.value, bd_rate_viscous=bd.viscous_rate, bd_rate_cross=bd.cross_rate,
+        bd_rate_viscous=bd.viscous_rate, bd_rate_cross=bd.cross_rate,
         bd_rate_capillary=bd.capillary_rate, mv_value=mv.value,
         mv_rate_dissipation=mv.dissipation_rate, mv_rhs_bound=mv.rhs_bound,
         int_value=integ.value, int_rate_grad=integ.grad_rate,
-        int_rate_quartic=integ.quartic_rate,
-        int_rate_quartic_identity=integ.quartic_rate_identity, vac_value=vac.value,
+        int_rate_quartic=integ.quartic_rate, vac_value=vac.value,
         vac_rate=vac.rate, vac_identity_residual=vac.identity_residual,
         vacuum_indicator=public_vacuum_indicator(state, spec.epsilon, spec.delta_vacuum))
 

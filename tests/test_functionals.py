@@ -106,6 +106,11 @@ class TestEnergy:
 
 
 class TestBDEntropy:
+    @pytest.mark.parametrize("params", [P_V2, P_ORIG])
+    def test_value_is_the_energy_total(self, params):
+        st = state_1d(lambda x: 1.0 + 0.2 * np.sin(x), lambda x: 0.3 * np.cos(x))
+        assert bd_entropy(st, params).value == energy(st, params).total
+
     def test_equilibrium_rates_vanish(self):
         st = state_1d(lambda x: np.ones_like(x) * 1.4)
         bd = bd_entropy(st, P_V2)
@@ -207,8 +212,10 @@ class TestIntegrability:
             np.sin(grid.meshgrid()[0]), np.zeros(grid.shape)]))
         st = FieldState(grid.constant(1.0), w)
         out = integrability_functional(st, P_V2, 4.0)
-        assert abs(out.quartic_rate - out.quartic_rate_identity) \
-            < 1e-12 * max(1.0, abs(out.quartic_rate))
+        # rho = 1 and p = 4: the rate is (p - 2) times the form's integral
+        for form in quartic_forms(w):
+            assert abs(out.quartic_rate - 2.0 * integrate(ScalarField(grid, form))) \
+                < 1e-12 * max(1.0, abs(out.quartic_rate))
 
     def test_quartic_forms_pointwise_identity(self):
         grid = SpectralGrid((64, 64))
@@ -523,9 +530,12 @@ class TestReportAndVerdict:
         states, terminated = err.value.trajectory.states, err.value.trajectory.terminated
         assert len(states) > 2
         snapshots_only = Trajectory(params=cfg.model, states=states, terminated=terminated)
-        with_reports = Trajectory(
-            params=cfg.model, states=states, terminated=terminated,
-            reports=[evaluate_report(s, cfg.model, cfg.monitors) for s in states])
+        reports = []
+        for s in states:
+            reports.append(evaluate_report(s, cfg.model, cfg.monitors,
+                                           previous=reports[-1] if reports else None))
+        with_reports = Trajectory(params=cfg.model, states=states, terminated=terminated,
+                                  reports=reports)
         verdict = blow_up_verdict(snapshots_only, cfg.model, cfg.monitors)
         assert not verdict.insufficient_data
         assert verdict == blow_up_verdict(with_reports, cfg.model, cfg.monitors)

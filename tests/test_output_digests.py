@@ -2,7 +2,7 @@
 
 import re
 
-from output_digests import verify
+from output_digests import column_digests, sha256, verify
 
 
 def test_verify_digest_strips_the_elapsed_times():
@@ -11,3 +11,9 @@ def test_verify_digest_strips_the_elapsed_times():
     assert re.fullmatch("[0-9a-f]{64}", first["verify/seed0"])
     # whatever the two runs' elapsed= times, their digests agree
     assert first == second
+
+
+def test_column_digests_name_each_column_of_a_csv():
+    digests = column_digests("run", "a,b\n1.0,2.0\n3.0,4.0\n")
+    assert digests == {"run/functionals.csv#a": sha256(b"1.0\n3.0"),
+                       "run/functionals.csv#b": sha256(b"2.0\n4.0")}

@@ -74,7 +74,12 @@ def test_batched_reports_equal_reference(variant, resolution):
         expected = [bitwise(reference_report(m, params, SPEC)) for m in members]
     reports = evaluate_reports(members, params, SPEC)
     assert [member_columns(r) for r in reports] == expected
-    assert all(r.serrin_accumulator == 0.0 for r in reports)
+    # the Serrin trapezoid over the members' times, from 0.0 at the first
+    accumulated = [0.0]
+    for before, after in zip(reports, reports[1:]):
+        accumulated.append(accumulated[-1] + 0.5 * (after.time - before.time)
+                           * (before.serrin_integrand + after.serrin_integrand))
+    assert [r.serrin_accumulator for r in reports] == accumulated
     # each member names its own overflowed columns
     assert [set(r.diverged) for r in reports] == [
         {k for k, x in e.items() if x == "nan" or not math.isfinite(x)} for e in expected]
@@ -88,11 +93,16 @@ def test_batched_reports_continue_the_serrin_trapezoid(variant, resolution):
     params = VARIANT_PARAMS[variant]
     members = batch_members(resolution, params, batch_count(resolution) + 3)[3:]
     first = evaluate_report(smooth_state(SpectralGrid(resolution), 6), params)
-    dts = [1e-4 * (1 + i % 3) for i in range(len(members))]
     one_by_one = [first]
-    for member, dt in zip(members, dts):
-        one_by_one.append(evaluate_report(member, params, previous=(one_by_one[-1], dt)))
-    assert evaluate_reports(members, params, previous=(first, dts)) == one_by_one[1:]
+    for member in members:
+        one_by_one.append(evaluate_report(member, params, previous=one_by_one[-1]))
+    assert evaluate_reports(members, params, previous=first) == one_by_one[1:]
+    # without a report before, the trapezoid starts at 0.0 on the first member
+    from_first = [evaluate_report(members[0], params)]
+    for member in members[1:]:
+        from_first.append(evaluate_report(member, params, previous=from_first[-1]))
+    assert from_first[0].serrin_accumulator == 0.0
+    assert evaluate_reports(members, params) == from_first
     assert evaluate_reports([], params) == []
 
 
@@ -197,7 +207,7 @@ def per_step_reports(initial, params, config, monitors, forcing=None):
                     if dt < config.dt_min:
                         raise
             reports.append(evaluate_report(stepper.derived, params, monitors,
-                                           previous=(reports[-1], dt)))
+                                           previous=reports[-1]))
     except (StepUnderflow, PositivityLoss, NonFinite) as exc:
         return reports, type(exc)
     return reports, None

@@ -66,15 +66,14 @@ def test_runs_interleaved_in_one_process_equal_each_run_alone():
 
 
 def recorded_batches(monkeypatch, name):
-    """The report batches that ``run`` makes of ``run_case(name)``: each as
+    """The report batches that ``run`` makes of ``run_case(name)``, each as
     copies of its states (built from their coefficients before the batch is
-    reported) and the dt before each; and the trajectory."""
+    reported); and the trajectory."""
     batches = []
     evaluate = timestepping.evaluate_reports
 
     def capturing(states, params, spec=None, previous=None):
-        batches.append(([SpectralState(s.state, params, s.rho_hat, s.w_hat) for s in states],
-                        previous[1]))
+        batches.append([SpectralState(s.state, params, s.rho_hat, s.w_hat) for s in states])
         return evaluate(states, params, spec, previous)
     monkeypatch.setattr(timestepping, "evaluate_reports", capturing)
     trajectory = run_case(name)
@@ -91,31 +90,30 @@ def test_standalone_and_interleaved_batch_reports_equal_the_recorded_ones(monkey
     cases = {name: recorded_batches(monkeypatch, name) for name in RUNS}
     for name, (batches, trajectory) in cases.items():
         # a tail batch of 8 on the 1D grid, of 1 on 32^2
-        assert [len(states) for states, _ in batches][-1] == {"1d": 8, "32x32": 1,
-                                                              "64x64": 1}[name]
+        assert [len(states) for states in batches][-1] == {"1d": 8, "32x32": 1,
+                                                           "64x64": 1}[name]
         reports = trajectory.reports[1:]
         standalone = []
-        for states, dts in batches:
-            for state, dt in zip(fresh_copies(states), dts):
+        for states in batches:
+            for state in fresh_copies(states):
                 previous = standalone[-1] if standalone else trajectory.reports[0]
-                standalone.append(evaluate_report(state, PARAMS, spec, previous=(previous, dt)))
+                standalone.append(evaluate_report(state, PARAMS, spec, previous=previous))
         assert standalone == reports, name
     # the batches of the three runs, reported in turn in one process
     shared = {name: [] for name in RUNS}
     for turn in range(max(len(batches) for batches, _ in cases.values())):
         for name, (batches, trajectory) in cases.items():
             if turn < len(batches):
-                states, dts = batches[turn]
                 previous = shared[name][-1] if shared[name] else trajectory.reports[0]
-                shared[name] += evaluate_reports(fresh_copies(states), PARAMS, spec,
-                                                 previous=(previous, dts))
+                shared[name] += evaluate_reports(fresh_copies(batches[turn]), PARAMS, spec,
+                                                 previous=previous)
     for name, (_, trajectory) in cases.items():
         assert shared[name] == trajectory.reports[1:], name
 
 
 def test_report_peak_alone_stays_under_its_bound():
-    # 2.77 MB; 3.29 MB if a forward-stage input outlives its stage, and
-    # 2.91 MB or more if a stage input is held past its transform
+    # 2.51 MB; 2.90 MB if the forward-stage input outlives its stage, and
+    # 3.04 MB if an inverse-stage input is held past its transform
     assert report_peak_mb(128, 2, 0) < 2.85
 
 
