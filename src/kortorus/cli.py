@@ -32,7 +32,9 @@ from .errors import (
     StepUnderflow,
 )
 from .functionals import (
-    FunctionalReport,
+    COLUMNS,
+    SCHEMA_VERSION,
+    ReportTable,
     blow_up_verdict,
     evaluate_report,  # noqa: F401  perfbench/tracing.py wraps it here by name
     evaluate_reports,
@@ -73,19 +75,26 @@ def _resolve_output(directory: str | None, label: str) -> Path:
     return path
 
 
-def _write_csv(out: TextIO, reports: list[FunctionalReport], header: bool = True):
-    """Write the CSV rows of ``reports`` to ``out``, after the header line
-    unless ``header`` is False, and flush."""
-    lines = [",".join(FunctionalReport.csv_header())] if header else []
-    lines += [",".join(rep.csv_row()) for rep in reports]
+def _rows(table: ReportTable):
+    """Each report's values in ``table``, in COLUMNS order, as Python floats."""
+    return zip(*(table.column(name).tolist() for name in COLUMNS))
+
+
+def _write_csv(out: TextIO, table: ReportTable, header: bool = True):
+    """Write the CSV rows of ``table`` (shortest round-trip reprs) to ``out``,
+    after the header line unless ``header`` is False, and flush."""
+    lines = [",".join(COLUMNS)] if header else []
+    lines += [",".join(map(repr, row)) for row in _rows(table)]
     out.write("".join(line + "\n" for line in lines))
     out.flush()
 
 
-def _write_jsonl(out: TextIO, reports: list[FunctionalReport]):
-    """Write one JSON line per report to ``out`` and flush."""
-    out.write("".join(json.dumps(rep.to_json_dict(), sort_keys=True, default=_float_repr)
-                      + "\n" for rep in reports))
+def _write_jsonl(out: TextIO, table: ReportTable):
+    """Write one JSON line per report of ``table`` to ``out`` and flush."""
+    out.write("".join(
+        json.dumps(dict(zip(COLUMNS, row), diverged=list(diverged),
+                        schema_version=SCHEMA_VERSION), sort_keys=True, default=_float_repr)
+        + "\n" for row, diverged in zip(_rows(table), table.diverged)))
     out.flush()
 
 
@@ -145,15 +154,15 @@ class _StreamedTrajectory(Trajectory):
         self._files.close()
         self._replace_index()
 
-    def record(self, *reports: FunctionalReport):
+    def record(self, table: ReportTable):
         first = not self.reports
-        super().record(*reports)
+        super().record(table)
         if first:
             self._csv = self._files.enter_context(open(self._outdir / "functionals.csv", "w"))
             self._jsonl = self._files.enter_context(
                 open(self._outdir / "functionals.jsonl", "w"))
-        _write_csv(self._csv, reports, header=first)
-        _write_jsonl(self._jsonl, reports)
+        _write_csv(self._csv, table, header=first)
+        _write_jsonl(self._jsonl, table)
         self._replace_index()
 
     def keep(self, state: FieldState):
@@ -208,18 +217,18 @@ def _summary(config: ScenarioConfig, traj: Trajectory, error_info: dict | None,
              restarted_from: str | None) -> dict:
     """The ``summary.json`` document of a run that ended with ``traj``."""
     verdict = blow_up_verdict(traj, config.model, config.monitors)
+    times, mass = traj.reports.column("time").tolist(), traj.reports.column("mass").tolist()
     return {
         "status": "blow-up detected" if error_info else "completed",
         "label": config.output.label,
         "config": config.to_json_dict(),
         "restarted_from": restarted_from,
-        "final_time": traj.reports[-1].time if traj.reports else 0.0,
+        "final_time": times[-1] if times else 0.0,
         "steps": len(traj.reports) - 1,
         "snapshots": traj.snapshots,
         "error": error_info,
         "verdict": verdict.to_json_dict(),
-        "mass_drift": abs(traj.reports[-1].mass - traj.reports[0].mass)
-                      / abs(traj.reports[0].mass) if traj.reports else 0.0,
+        "mass_drift": abs(mass[-1] - mass[0]) / abs(mass[0]) if mass else 0.0,
     }
 
 
@@ -358,7 +367,7 @@ def cmd_monitor(args) -> int:
     summary = {
         "snapshots": len(states),
         "time_span": [states[0].time, states[-1].time],
-        "serrin_accumulator": reports[-1].serrin_accumulator,
+        "serrin_accumulator": reports.column("serrin_accumulator")[-1].item(),
         "vacuum_endpoint_norm": vacuum_endpoint_norm(traj, mon.p_vacuum, k_endpoint),
         "verdict": verdict.to_json_dict(),
         "csv": str(trajdir / "monitor_functionals.csv"),

@@ -204,16 +204,19 @@ def integrability_functional(state: State, params: ModelParams, p: float) -> Int
 def integrability_accumulated(trajectory) -> np.ndarray:
     """A(t) along a trajectory's report stream, at the run's p_integrability:
     ``int_value`` plus the time-accumulated dissipation ``int_rate_grad +
-    int_rate_quartic`` (trapezoidal over the report times).  Returns one
-    entry per report."""
-    reports = list(getattr(trajectory, "reports", []))
+    int_rate_quartic`` (``_running_trapezoid`` over the report times).
+    Returns one entry per report."""
+    reports = getattr(trajectory, "reports", None)
     if not reports:
         raise EmptyTrajectory("trajectory has no reports")
-    times = np.asarray([r.time for r in reports])
-    rates = np.asarray([r.int_rate_grad + r.int_rate_quartic for r in reports])
-    accumulated = np.concatenate([[0.0], np.cumsum(
-        0.5 * (rates[1:] + rates[:-1]) * np.diff(times))])
-    return np.asarray([r.int_value for r in reports]) + accumulated
+    rates = reports.column("int_rate_grad") + reports.column("int_rate_quartic")
+    return reports.column("int_value") + _running_trapezoid(reports.column("time"), rates)
+
+
+def _running_trapezoid(times: np.ndarray, values: np.ndarray, start: float = 0.0) -> np.ndarray:
+    """``start`` plus the trapezoid rule's running integral of ``values`` over
+    ``times`` at each point, one term added at a time, as a Python loop adds."""
+    return np.cumsum(np.append(start, 0.5 * np.diff(times) * (values[:-1] + values[1:])))
 
 
 # ---------------------------------------------------------------------------
@@ -416,18 +419,44 @@ class FunctionalReport:
     serrin_accumulator: float
     diverged: tuple[str, ...] = field(default=())
 
-    @classmethod
-    def csv_header(cls) -> list[str]:
-        return [f.name for f in dataclass_fields(cls) if f.name != "diverged"]
 
-    def csv_row(self) -> list[str]:
-        return [repr(getattr(self, name)) for name in self.csv_header()]
+#: the float columns of a report, in FunctionalReport's field order
+COLUMNS = tuple(f.name for f in dataclass_fields(FunctionalReport))[:-1]
 
-    def to_json_dict(self) -> dict:
-        out = {name: getattr(self, name) for name in self.csv_header()}
-        out["diverged"] = list(self.diverged)
-        out["schema_version"] = SCHEMA_VERSION
-        return out
+
+class ReportTable:
+    """Reports as columns: one float64 (columns x reports) array in COLUMNS
+    order, grown by doubling (``columns``, none when None), and a tuple of
+    each report's non-finite column names (``diverged``).  ``table[i]`` is
+    report i as a FunctionalReport (i < 0 from the end), so tables iterate."""
+
+    __slots__ = ("_data", "_length", "diverged")
+
+    def __init__(self, columns=None, diverged: Sequence[tuple[str, ...]] = ()):
+        self._data = np.empty((len(COLUMNS), 0)) if columns is None else np.asarray(columns, float)
+        self._length, self.diverged = self._data.shape[1], list(diverged)
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, i: int) -> FunctionalReport:
+        i = range(self._length)[i]
+        return FunctionalReport(*self._data[:, i].tolist(), self.diverged[i])
+
+    def column(self, name: str) -> np.ndarray:
+        """The values of column ``name``, one a report (a view)."""
+        return self._data[COLUMNS.index(name), :self._length]
+
+    def extend(self, table: ReportTable):
+        """Append the reports of ``table``, in order."""
+        start, stop = self._length, self._length + len(table)
+        if stop > self._data.shape[1]:
+            grown = np.empty((len(COLUMNS), max(stop, 2 * self._data.shape[1])))
+            grown[:, :start] = self._data[:, :start]
+            self._data = grown
+        self._data[:, start:stop] = table._data[:, :len(table)]
+        self._length = stop
+        self.diverged += table.diverged
 
 
 #: the spec of a report asked for without one, built once
@@ -450,35 +479,33 @@ def evaluate_report(state: State, params: ModelParams, spec: MonitorSpec | None 
                     previous: FunctionalReport | None = None) -> FunctionalReport:
     """Evaluate every monitored functional on one state: the one-state case
     of ``evaluate_reports``."""
-    (report,) = evaluate_reports((state,), params, spec, previous)
-    return report
+    return evaluate_reports((state,), params, spec, previous)[0]
 
 
 def evaluate_reports(states: Sequence[State], params: ModelParams, spec: MonitorSpec | None = None,
-                     previous: FunctionalReport | None = None) -> list[FunctionalReport]:
-    """The report of each of ``states``, which share one grid, from one pass
-    over batches of ``report_batch_size`` of them stacked along a batch axis
-    (``SpectralState.stack``); each report equals that of its state alone to
-    the bit.  A functional that overflows is named in its member's
-    ``diverged``, without a numpy warning.
-    ``serrin_accumulator`` is the trapezoid rule's running value of
-    ``serrin_integrand`` over the states' times, continued from
-    ``previous`` (the report before the first state), or from 0.0 at the
-    first state when ``previous`` is None.
+                     previous: FunctionalReport | None = None) -> ReportTable:
+    """The reports of ``states``, which share one grid, as one table, from
+    one pass over batches of ``report_batch_size`` of them stacked along a
+    batch axis (``SpectralState.stack``); each report equals that of its
+    state alone to the bit.  A functional that overflows is named in its
+    member's ``diverged``, without a numpy warning.  ``serrin_accumulator``
+    is the trapezoid rule's running value of ``serrin_integrand`` over the
+    states' times, continued from ``previous`` (the report before the first
+    state), or from 0.0 at the first state when ``previous`` is None.
 
     Transform stages: sqrt(rho) and the vacuum functional's powers of rho
     forward; everything the functionals differentiate back.  Every
-    temporary is a plain numpy array, let go as it dies (``_report``)."""
+    temporary and every field a batch forms dies with it (``_report``);
+    ``states`` gain at most the coefficients ``SpectralState.stack`` reads."""
     spec = spec or _DEFAULT_SPEC
     per_batch = report_batch_size(states[0].grid) if states else 1
-    reports: list[FunctionalReport] = []
+    table = ReportTable()
     for start in range(0, len(states), per_batch):
-        members = [spectral_state(s, params) for s in states[start:start + per_batch]]
-        batch = SpectralState.stack(members)
+        batch = SpectralState.stack([spectral_state(s, params)
+                                     for s in states[start:start + per_batch]])
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            reports += _report(batch, params, spec, reports[-1] if reports else previous)
-        batch.unstack(members)
-    return reports
+            table.extend(_report(batch, params, spec, table[-1] if table else previous))
+    return table
 
 
 def _sum_of_squares(components, out: np.ndarray, square: np.ndarray) -> np.ndarray:
@@ -518,17 +545,16 @@ def _inverse_inputs(d: SpectralState, forward_hat: np.ndarray):
 
 
 def _report(d: SpectralState, params: ModelParams, spec: MonitorSpec,
-            previous: FunctionalReport | None) -> list[FunctionalReport]:
+            previous: FunctionalReport | None) -> ReportTable:
     """Every column of every member in one pass over the stack ``d``: each
     pointwise field is formed once for the batch, and each integrand is
     reduced member by member (``spectral.integrals``) as soon as it is formed.
     Temporaries are new arrays, let go as they die (the forward stage's
     inputs with their stage), or rows of a transform's output that the
     report holds alone and no longer reads.
-    The columns go into one (columns x members) table in FunctionalReport's
-    field order, the Serrin trapezoid is a running sum over its last row
-    and the members' times, and each report is built positionally from its
-    member's row: no per-member dict or keyword call."""
+    The columns go into one (columns x members) table in COLUMNS order,
+    returned as it is, whose Serrin trapezoid is a running sum over its last
+    row and the members' times, continued from ``previous``."""
     grid, rho, gamma = d.grid, d.rho.data, params.gamma
     members, scalar = len(rho), rho.shape
     delta, p, p_vac = spec.delta, spec.p_integrability, spec.p_vacuum
@@ -570,9 +596,7 @@ def _report(d: SpectralState, params: ModelParams, spec: MonitorSpec,
         return integrals(np.multiply(a, b, out=scratch), grid)
 
     kinetic = product_integrals(rho, d.u_sq)
-    # Pi, as _potential makes it, from the pressure the state holds
-    potential = integrals(np.divide(d.pressure, gamma - 1.0, out=scratch) if gamma > 1.0
-                          else _potential(rho, params), grid)
+    potential = integrals(_potential(rho, params), grid)
     rho_v_sq = product_integrals(rho, v_sq)
     low_mass = integrals(_low_density_weight(rho, spec.epsilon, spec.delta_vacuum, scratch),
                          grid)
@@ -671,20 +695,14 @@ def _report(d: SpectralState, params: ModelParams, spec: MonitorSpec,
     finite = np.isfinite(table)
     diverged = [() if all_finite else tuple(k for k, ok in zip(columns, finite[:, i]) if not ok)
                 for i, all_finite in enumerate(finite.all(axis=0).tolist())]
-    # the Serrin trapezoid over the members' times, continued member by
-    # member from ``previous``: each running value adds one term to the one
-    # before, as a Python loop would add them
-    times, integrand = table[0], table[-1]  # time and serrin_integrand
-    start = 0.0
+    # the Serrin trapezoid over time and serrin_integrand, the first and last
+    # rows, continued from the report before
+    serrin, start = table[[0, -1]], 0.0
     if previous is not None:
-        times = np.append(previous.time, times)
-        integrand = np.append(previous.serrin_integrand, integrand)
+        serrin = np.column_stack(([previous.time, previous.serrin_integrand], serrin))
         start = previous.serrin_accumulator
-    terms = 0.5 * np.diff(times) * (integrand[:-1] + integrand[1:])
-    accumulated = np.cumsum(np.append(start, terms))[-members:]
-    # one row a report, in FunctionalReport's field order
-    return [FunctionalReport(*row, names) for row, names in zip(
-        np.vstack((table, accumulated)).T.tolist(), diverged)]
+    accumulated = _running_trapezoid(*serrin, start)[-members:]
+    return ReportTable(np.vstack((table, accumulated)), diverged)
 
 
 def _power(base: float, exponent: float) -> float:
@@ -745,7 +763,7 @@ def blow_up_verdict(trajectory, params: ModelParams,
     terminated_time = terminated.time if terminated is not None else None
 
     states = list(getattr(trajectory, "states", []))
-    reports = list(getattr(trajectory, "reports", []))
+    reports = getattr(trajectory, "reports", None) or ReportTable()
     if len(states) < 2 and len(reports) < 2:
         last = states or reports
         return BlowUpReport(True, last[-1].time if last else None,
@@ -753,9 +771,9 @@ def blow_up_verdict(trajectory, params: ModelParams,
                             terminated_by, terminated_time)
 
     reports = reports or evaluate_reports(states, params, monitors)
-    times = [r.time for r in reports]
-    serrin_value = reports[-1].serrin_accumulator
-    series = [r.vacuum_indicator for r in reports]
+    times = reports.column("time").tolist()
+    serrin_value = reports.column("serrin_accumulator")[-1].item()
+    series = reports.column("vacuum_indicator").tolist()
     initial = series[0]
     peak = max(series)
     growth = math.inf if initial == 0.0 and peak > 0.0 else (

@@ -357,8 +357,8 @@ def _along_batch(arrays: Sequence[np.ndarray], grid: SpectralGrid) -> np.ndarray
 class SpectralState:
     """One state's spectral coefficients and the derived fields that the
     step and the report share, each computed at most once: ln rho, grad ln
-    rho, u, v and the transport velocity, grad w, the Hessian of ln rho,
-    |u|^2 and the pressure (arrays; vector and tensor components lead).
+    rho, u, v and the transport velocity, grad w, the Hessian of ln rho
+    and |u|^2 (arrays; vector and tensor components lead).
     The transforms go in the dependency stages that the stepper,
     ``tendency_hats`` and ``evaluate_report`` ask ``fill`` for; a field
     read on its own is a stage of its own.  A bare state first sends rho,
@@ -388,10 +388,10 @@ class SpectralState:
 
         A derived field that every member holds is stacked, copied into one
         array in C (``_along_batch``); the others are computed once, on the
-        batch, when read, and ``unstack`` hands those, and only those, back.
-        Members that are all bare go forward as one bare batch; otherwise
-        each member's own coefficients are stacked, so that a stepped state
-        keeps the ones its step made.  One member gives views, not copies."""
+        batch, when read, and die with it.  Members that are all bare go
+        forward as one bare batch; otherwise each member's own coefficients
+        are stacked (a bare one computes and keeps its own), so that a
+        stepped state keeps the ones its step made.  One member gives views."""
         first, *others = members
         grid = first.grid
         if any(m.grid is not grid and m.grid != grid for m in others):
@@ -407,21 +407,7 @@ class SpectralState:
         held = (first.__dict__.keys() & _DERIVED) - d.__dict__.keys()
         for name in held.intersection(*(m.__dict__ for m in others)):
             d.__dict__[name] = _along_batch([m.__dict__[name] for m in members], grid)
-        d._stacked = d.__dict__.keys() & _DERIVED
         return d
-
-    def unstack(self, members: Sequence["SpectralState"]):
-        """Give each of ``members``, the states this stack was made of, the
-        derived fields that the stack formed itself and the member does not
-        hold, as views: a member keeps them as long as it would had it been
-        reported alone, and a later reader of the member computes none of
-        them again.  The fields the stack was made of are the members' own
-        already."""
-        for name in (self.__dict__.keys() & _DERIVED) - self._stacked:
-            batch = self.__dict__[name]
-            views = np.moveaxis(batch, batch.ndim - self.grid.dim - 1, 0)
-            for member, view in zip(members, views):
-                member.__dict__.setdefault(name, view)
 
     def fill(self, stage, *names: str, extra=()) -> list[np.ndarray]:
         """Compute the fields ``names`` that are not held yet, and ``stage``
@@ -467,10 +453,6 @@ class SpectralState:
     @cached_property
     def u_sq(self) -> np.ndarray:
         return (self.u ** 2).sum(axis=0)
-
-    @cached_property
-    def pressure(self) -> np.ndarray:  # model.pressure's, on a checked density
-        return self.params.a * self.rho.data ** self.params.gamma
 
 
 #: the derived fields of a SpectralState, which ``SpectralState.stack`` takes

@@ -30,6 +30,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .errors import VariantMismatch, require
 from .model import FieldState, ModelParams
 from .spectral import TAU, ScalarField, SpectralGrid, VectorField
 
@@ -275,7 +276,11 @@ class ManufacturedSolution:
                           time=max(time, 0.0))
 
     def forcing(self, grid: SpectralGrid, params: ModelParams):
-        """Numeric forcing callable t -> (f_rho samples, f_v samples)."""
+        """Numeric forcing callable t -> (f_rho, f_v samples) of the effective
+        system; ``original`` parameters raise VariantMismatch."""
+        require((params.variant != "original", f"manufactured solution {self.sid!r} is exact "
+                 "for the effective system only; model.variant must be effective_v1 or "
+                 "effective_v2, got 'original'"), error=VariantMismatch)
         mesh = grid.meshgrid()
 
         def apply(time: float):

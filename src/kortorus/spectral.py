@@ -341,12 +341,11 @@ def grad_hat(hat: np.ndarray, grid: SpectralGrid, out: np.ndarray | None = None)
     return np.multiply(ik, hat, out=out)
 
 
-def hess_hat(hat: np.ndarray, grid: SpectralGrid, out: np.ndarray | None = None) -> np.ndarray:
+def hess_hat(hat: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     """Coefficients of the second derivatives d_i d_j (multiplier -beta_i
-    beta_j), with the axes i, j prepended, as ``grad_hat`` prepends i; into
-    ``out`` when given."""
+    beta_j), with the axes i, j prepended, as ``grad_hat`` prepends i."""
     shape = (grid.dim, grid.dim) + (1,) * (hat.ndim - grid.dim) + grid.rfft_shape
-    return np.multiply(grid.rfft_ik_ik.reshape(shape), hat, out=out)
+    return grid.rfft_ik_ik.reshape(shape) * hat
 
 
 def div_hat(hat: np.ndarray, grid: SpectralGrid, terms: np.ndarray | None = None) -> np.ndarray:

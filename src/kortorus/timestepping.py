@@ -43,15 +43,15 @@ fixed-dt run reuse them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import NonFinite, NonpositiveDensity, PositivityLoss, StepUnderflow, require
 from .functionals import (
-    FunctionalReport,
     MonitorSpec,
+    ReportTable,
     evaluate_report,
     evaluate_reports,
     report_batch_size,
@@ -69,7 +69,6 @@ from .spectral import (
     ScalarField,
     SpectralGrid,
     VectorField,
-    grad_hat,
     to_physical,
     to_physical_stage,
 )
@@ -125,21 +124,20 @@ class TerminationInfo:
 class Trajectory:
     """Snapshots at the configured cadence plus the per-step report stream.
 
-    ``states`` holds the captured snapshots (first one at t = 0) and
-    ``reports`` one FunctionalReport per accepted step including the initial
-    state; without a cadence every accepted step is a snapshot.  Both are
-    slotted records that hold their arrays and floats alone: a kept 1D
-    state and its report take about 2.5 KB at N = 64 and 3.5 KB at
-    N = 128.  ``terminated`` is None for a clean run to t_end.  ``run``
-    fills a trajectory through ``record`` and ``capture`` only; a subclass
-    that overrides ``keep`` can stream the snapshots elsewhere instead of
-    holding them.  ``run`` records the reports of a batch of steps in one
-    call, after capturing the batch's snapshots.
+    ``states`` holds the captured snapshots (first one at t = 0), and
+    ``reports``, a ``functionals.ReportTable``, one report per accepted step
+    including the initial state; without a cadence every accepted step is a
+    snapshot.  A kept 1D state (one array of samples) and its report (a
+    table column) take about 1.8 KB at N = 64 and 2.9 KB at N = 128.
+    ``terminated`` is None for a clean run to t_end.  ``run`` fills a
+    trajectory through ``record`` and ``capture`` only; a subclass that
+    overrides ``keep`` can stream the snapshots elsewhere instead of holding
+    them.  ``run`` records each batch's table after capturing its snapshots.
     """
 
     params: ModelParams
     states: list[FieldState] = field(default_factory=list)
-    reports: list[FunctionalReport] = field(default_factory=list)
+    reports: ReportTable = field(default_factory=ReportTable)
     terminated: TerminationInfo | None = None
     snapshots: int = field(init=False)
     _last_capture: float | None = field(init=False, repr=False)
@@ -156,10 +154,10 @@ class Trajectory:
     def final_state(self) -> FieldState:
         return self.states[-1]
 
-    def record(self, *reports: FunctionalReport):
-        """Append the reports of accepted steps, in step order (the first
-        ever is the initial state's)."""
-        self.reports += reports
+    def record(self, table: ReportTable):
+        """Append the reports of accepted steps in ``table``, in step order
+        (the first ever is the initial state's)."""
+        self.reports.extend(table)
 
     def capture(self, state: FieldState):
         """Take ``state`` as the next snapshot, unless its time does not pass
@@ -213,15 +211,13 @@ class _Level:
 @dataclass(frozen=True, slots=True)
 class RunState:
     """What a run carries from one accepted step to the next: the multistep
-    history (newest level last), the newest report, whose
-    ``serrin_accumulator`` is the running Serrin integral (None until ``run``
-    evaluates the first), the next snapshot time (None without a cadence),
-    and the SpectralStates of the accepted steps not reported yet.  ``run``
-    reports ``pending`` in one batch once it holds
-    ``functionals.report_batch_size`` states, and when it stops."""
+    history (newest level last), the next snapshot time (None without a
+    cadence), and the SpectralStates of the accepted steps not reported
+    yet.  ``run`` reports ``pending`` as one table once it holds
+    ``functionals.report_batch_size`` states, and when it stops; the
+    table's Serrin trapezoid goes on from the trajectory's last report."""
 
     levels: tuple[_Level, ...]
-    report: FunctionalReport | None
     next_snap: float | None
     pending: tuple[SpectralState, ...] = ()
 
@@ -374,8 +370,8 @@ class Stepper:
     newest level: after a step it is built from that level's coefficients,
     so no step transforms rho and w forward again.  A step's first transform
     stage brings rho and w back for the positivity check; ``rhs`` then makes
-    the tendencies' stages.  ``probe`` finds, for a step that failed, the
-    largest of its halvings that passes, in one evaluation of them all.
+    the tendencies' stages, grad w's among them.  ``probe`` finds, for a
+    step that failed, the largest of its halvings that passes, at once.
 
     It computes the split's linear rates once (per run) and its factors once
     per dt and previous dt, into ``_factors``, which is its own and holds at
@@ -397,9 +393,8 @@ class Stepper:
         self._rates = ((params.eps if params.variant != "original" else 0.0) * ksq,
                        params.mu * ksq)
         self._factors: dict[tuple[float, float | None], tuple] = {}
-        self.run_state = RunState(
-            (_make_level(self.derived, forcing, None),),
-            None, config.snapshot_interval)
+        self.run_state = RunState((_make_level(self.derived, forcing, None),),
+                                  config.snapshot_interval)
 
     @property
     def state(self) -> FieldState:
@@ -448,19 +443,13 @@ class Stepper:
         run_state = self.run_state
         level = run_state.levels[-1]
         rho_hat, w_hat = self._step_hats(dt)
-        # grad w rides along only where it costs no call: a 2D grid inverts
-        # it in the tendencies' stage, after the check
-        rho, w, *grad_w = to_physical_stage(
-            [rho_hat, w_hat] + ([grad_hat(w_hat, grid)] if grid.dim == 1 else []), grid)
-        if grid.dim == 1:  # copies of the stage's views, so that a kept
-            rho, w = rho.copy(), w.copy()  # state does not hold its whole array
+        # on a 1D grid rho and w are views of the stage's one output, which
+        # the kept state holds whole; grad w comes in the tendencies' stage
+        rho, w = to_physical_stage([rho_hat, w_hat], grid)
         new_state = _check_new_state(grid, rho, w, level.time + dt)
         self.derived = d = SpectralState(new_state, self.params, rho_hat, w_hat)
-        if grad_w:
-            d.grad_w = grad_w[0]
-        self.run_state = RunState(
-            (level, _make_level(d, self.forcing, dt)),
-            run_state.report, run_state.next_snap, run_state.pending)
+        self.run_state = RunState((level, _make_level(d, self.forcing, dt)),
+                                  run_state.next_snap, run_state.pending)
         return new_state
 
     def probe(self, dt: float, dt_min: float) -> float:
@@ -506,7 +495,7 @@ def run(initial: FieldState, params: ModelParams, config: IntegratorConfig,
     """Integrate to t_end (or to a numerical-breakdown signal).
 
     Deterministic for identical inputs.  Every accepted step appends a
-    FunctionalReport; snapshots are captured interpolation-free at the state
+    report; snapshots are captured interpolation-free at the state
     nearest each cadence target (every step when no cadence is set).  On
     PositivityLoss or NonFinite the step is retried with dt/2 down to dt_min,
     at the first of those halvings that ``Stepper.probe`` finds to pass (on
@@ -528,11 +517,8 @@ def run(initial: FieldState, params: ModelParams, config: IntegratorConfig,
     initial = FieldState(initial.rho, initial.w, time=0.0)
     trajectory.capture(initial)
     stepper = Stepper(initial, params, config, forcing)
-    run_state = stepper.run_state
-    stepper.run_state = RunState(run_state.levels,
-                                 evaluate_report(stepper.derived, params, monitors),
-                                 run_state.next_snap)
-    trajectory.record(stepper.run_state.report)
+    first = evaluate_report(stepper.derived, params, monitors)
+    trajectory.record(ReportTable(np.array(astuple(first)[:-1])[:, None], [first.diverged]))
     eps_end = 1e-12 * config.t_end
     per_batch = report_batch_size(initial.grid)
 
@@ -565,7 +551,7 @@ def run(initial: FieldState, params: ModelParams, config: IntegratorConfig,
             if next_snap is None or new_state.time >= config.t_end - eps_end:
                 trajectory.capture(new_state)
             run_state = stepper.run_state
-            stepper.run_state = RunState(run_state.levels, run_state.report, next_snap,
+            stepper.run_state = RunState(run_state.levels, next_snap,
                                          run_state.pending + (stepper.derived,))
     finally:
         _report_pending(stepper, trajectory, monitors)
@@ -574,12 +560,12 @@ def run(initial: FieldState, params: ModelParams, config: IntegratorConfig,
 
 def _report_pending(stepper: Stepper, trajectory: Trajectory, monitors: MonitorSpec):
     """Report the accepted steps pending in ``stepper.run_state`` as one
-    batch, continuing the Serrin trapezoid, and record them in
-    ``trajectory``; the run state lets go of them first."""
+    batch whose Serrin trapezoid goes on from the last report of
+    ``trajectory``, and record it there; the run state lets go of them first."""
     run_state = stepper.run_state
     if not run_state.pending:
         return
-    reports = evaluate_reports(run_state.pending, stepper.params, monitors,
-                               previous=run_state.report)
-    stepper.run_state = RunState(run_state.levels, reports[-1], run_state.next_snap)
-    trajectory.record(*reports)
+    table = evaluate_reports(run_state.pending, stepper.params, monitors,
+                             previous=trajectory.reports[-1])
+    stepper.run_state = RunState(run_state.levels, run_state.next_snap)
+    trajectory.record(table)

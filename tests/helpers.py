@@ -253,12 +253,12 @@ def ms1d_run(scheme: str, steps: int) -> timestepping.Trajectory:
 
 
 def report_digest(reports) -> str:
-    """The sha256 of the ``csv_row``s of ``reports``, one comma-joined line
-    each: the bits of every column as ``functionals.csv`` writes them."""
-    digest = hashlib.sha256()
-    for report in reports:
-        digest.update((",".join(report.csv_row()) + "\n").encode())
-    return digest.hexdigest()
+    """The sha256 of the rows that ``cli._write_csv`` writes of the report
+    table ``reports``, without the header: the bits of every column as
+    ``functionals.csv`` holds them."""
+    out = io.StringIO()
+    cli._write_csv(out, reports, header=False)
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
 def kept_bytes(resolution: int, steps: int) -> float:

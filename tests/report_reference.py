@@ -96,7 +96,8 @@ class ReferenceState(SpectralState):
     @cached_property
     def pressure_potential(self) -> np.ndarray:
         if self.params.gamma > 1.0:  # pressure_potential's a rho^gamma / (gamma - 1)
-            return self.pressure / (self.params.gamma - 1.0)
+            pressure = self.params.a * self.rho.data ** self.params.gamma
+            return pressure / (self.params.gamma - 1.0)
         return pressure_potential(self.rho, self.params).data
 
 

@@ -262,6 +262,23 @@ class TestRestartCLI:
                        "neither its forcing nor its time\n")
         assert not (second / "functionals.csv").exists()
 
+    def test_a_manufactured_run_of_the_original_variant_is_refused(self, tmp_path, capsys):
+        # the forcing is the effective system's; under ``original`` the run
+        # used to end in PositivityLoss at t = 0.310 and read "blow-up detected"
+        path = write_config(
+            tmp_path, model={"variant": "original", "mu": 1.0, "kappa": 1.0, "a": 1.0,
+                             "gamma": 2.0, "alpha": 0.0},
+            integrator={"scheme": "imex_bdf2", "dt_initial": 0.005, "t_end": 0.4,
+                        "adaptive": False},
+            initial={"family": "manufactured", "params": {"id": "ms1d"}})
+        out = tmp_path / "out"
+        assert main(["simulate", str(path), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("invalid initial-condition parameters: manufactured solution 'ms1d' "
+                       "is exact for the effective system only; model.variant must be "
+                       "effective_v1 or effective_v2, got 'original'\n")
+        assert not (out / "functionals.csv").exists()
+
 
 class TestVerifyCLI:
     def test_lp_partition_passes(self, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from kortorus.errors import VariantMismatch
 from kortorus.model import ModelParams
 from kortorus.scenarios import manufactured_solution
 from kortorus.spectral import SpectralGrid
@@ -66,3 +67,12 @@ def test_jets_match_symbolic_derivatives(sid, resolution):
             for got, derivative in pairs:
                 want = np.broadcast_to(ref.lambdify(derivative)(t, *mesh), grid.shape)
                 assert rel_linf(got, want) < 1e-13, (sid, t, derivative)
+
+
+@pytest.mark.parametrize("sid,resolution", GRIDS)
+def test_forcing_of_the_original_variant_is_refused(sid, resolution):
+    # the forcing is derived for the effective system, not for ``original``
+    params = ModelParams(mu=1.0, alpha=0.0, kappa=1.0, a=1.0, gamma=2.0)
+    with pytest.raises(VariantMismatch, match="model.variant must be effective_v1 or "
+                                              "effective_v2, got 'original'"):
+        manufactured_solution(sid).forcing(SpectralGrid(resolution), params)

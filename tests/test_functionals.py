@@ -1,3 +1,4 @@
+import io
 import math
 import re
 import warnings
@@ -6,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from kortorus import cli
 from kortorus.config import parse_config
 from kortorus.errors import (
     ConstraintViolationError,
@@ -15,13 +17,16 @@ from kortorus.errors import (
     ScalingPairInvalid,
 )
 from kortorus.functionals import (
+    COLUMNS,
     MonitorSpec,
+    ReportTable,
     bd_entropy,
     blow_up_verdict,
     effective_energy,
     effective_energy_dissipation,
     energy,
     evaluate_report,
+    evaluate_reports,
     integrability_functional,
     mv_entropy,
     quartic_forms,
@@ -408,7 +413,10 @@ class TestReportAndVerdict:
         rep = evaluate_report(st, P_V2, MonitorSpec())
         assert rep.diverged == ()
         assert rep.mass == pytest.approx(integrate(st.rho))
-        assert len(rep.csv_row()) == len(rep.csv_header())
+        out = io.StringIO()
+        cli._write_csv(out, evaluate_reports([st], P_V2, MonitorSpec()))
+        header, row = out.getvalue().splitlines()
+        assert len(row.split(",")) == len(header.split(",")) == len(COLUMNS)
 
     def test_readme_report_memory_figure(self):
         figure, args = re.search(r"peak is \+([\d.]+) MB\s+\(`report_peak_mb\(([\d, ]+)\)`",
@@ -423,7 +431,7 @@ class TestReportAndVerdict:
             rep = evaluate_report(FieldState(rho, grid.zero_vector()), P_V2,
                                   MonitorSpec(p_vacuum=50.0))
         assert "vac_value" in rep.diverged
-        assert set(rep.diverged) == {name for name in rep.csv_header()
+        assert set(rep.diverged) == {name for name in COLUMNS
                                      if not math.isfinite(getattr(rep, name))}
         assert math.isfinite(rep.energy_total) and "energy_total" not in rep.diverged
 
@@ -501,7 +509,7 @@ class TestReportAndVerdict:
         traj = Trajectory(params=P_V2)
         with pytest.raises(ScalingPairInvalid, match="in dimension 1"):
             run(st, P_V2, cfg, MonitorSpec(serrin_p=4.0, serrin_q=4.0), trajectory=traj)
-        assert traj.reports == [] and [s.time for s in traj.states] == [0.0]
+        assert len(traj.reports) == 0 and [s.time for s in traj.states] == [0.0]
 
     def test_verdict_smooth_run(self):
         grid = SpectralGrid(64)
@@ -530,10 +538,10 @@ class TestReportAndVerdict:
         states, terminated = err.value.trajectory.states, err.value.trajectory.terminated
         assert len(states) > 2
         snapshots_only = Trajectory(params=cfg.model, states=states, terminated=terminated)
-        reports = []
+        reports = ReportTable()
         for s in states:
-            reports.append(evaluate_report(s, cfg.model, cfg.monitors,
-                                           previous=reports[-1] if reports else None))
+            reports.extend(evaluate_reports([s], cfg.model, cfg.monitors,
+                                            previous=reports[-1] if reports else None))
         with_reports = Trajectory(params=cfg.model, states=states, terminated=terminated,
                                   reports=reports)
         verdict = blow_up_verdict(snapshots_only, cfg.model, cfg.monitors)

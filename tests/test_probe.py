@@ -22,6 +22,7 @@ from helpers import (
     SQUEEZE_CONFIG,
     SQUEEZE_MONITORS,
     SQUEEZE_PARAMS,
+    report_digest,
     squeeze_attempts,
     squeeze_state,
 )
@@ -79,8 +80,8 @@ def assert_same_run(a, b):
     (traj_a, error_a), (traj_b, error_b) = a, b
     assert error_a == error_b
     assert traj_a.terminated == traj_b.terminated
-    assert ([(r.csv_row(), r.diverged) for r in traj_a.reports]
-            == [(r.csv_row(), r.diverged) for r in traj_b.reports])
+    assert report_digest(traj_a.reports) == report_digest(traj_b.reports)
+    assert traj_a.reports.diverged == traj_b.reports.diverged
     assert len(traj_a.states) == len(traj_b.states)
     for s, t in zip(traj_a.states, traj_b.states):
         assert s.time == t.time

@@ -35,8 +35,8 @@ def squeeze():
 def test_per_step_records_have_no_instance_dict(squeeze):
     state = squeeze.states[-1]
     run_state = Stepper(state, SQUEEZE_PARAMS, SQUEEZE_CONFIG).run_state
-    records = [squeeze.reports[-1], squeeze.terminated, state, state.rho, state.w,
-               TensorField(state.grid, np.zeros((1, 1) + state.grid.shape)),
+    records = [squeeze.reports, squeeze.reports[-1], squeeze.terminated, state, state.rho,
+               state.w, TensorField(state.grid, np.zeros((1, 1) + state.grid.shape)),
                run_state, run_state.levels[0]]
     for record in records:
         assert not hasattr(record, "__dict__"), type(record).__name__
@@ -44,10 +44,13 @@ def test_per_step_records_have_no_instance_dict(squeeze):
 
 def test_a_kept_state_and_its_report_hold_their_data():
     """Traced bytes a kept state and its report hold at 1D N = 64: 3,951
-    with an instance ``__dict__`` in each record, 2,485 slotted, and 2,419
-    with the two fewer columns of schema version 2, of which the two sample
-    arrays take 1,216 and the report's floats about 670."""
-    assert kept_bytes(64, 500) <= 2600
+    with an instance ``__dict__`` in each record, 2,485 slotted, 2,419 with
+    the two fewer columns of schema version 2, and 1,836 with the reports
+    in one table (a float64 column a report, about 220 B with the table's
+    spare room) and the state's rho and w views of one array (1,024 B of
+    samples), where a report object and two sample arrays took about 670
+    and 1,216 B."""
+    assert kept_bytes(64, 500) <= 1950
 
 
 def test_report_streams_keep_their_bits(squeeze):

@@ -8,7 +8,7 @@ import re
 import pytest
 
 from kortorus import timestepping
-from kortorus.functionals import SCHEMA_VERSION, FunctionalReport
+from kortorus.functionals import COLUMNS, SCHEMA_VERSION
 from kortorus.model import ModelParams
 from kortorus.scenarios import initial_state
 from kortorus.spectral import SpectralGrid
@@ -27,9 +27,9 @@ RUNS = {
 
 
 def agreeing_pairs(reports, rel=1e-12) -> list[tuple[str, str]]:
-    """The pairs of CSV columns of ``reports`` that agree to ``rel``
-    relative in every row."""
-    columns = {name: [getattr(r, name) for r in reports] for name in FunctionalReport.csv_header()}
+    """The pairs of columns of the report table ``reports`` that agree to
+    ``rel`` relative in every row."""
+    columns = {name: reports.column(name).tolist() for name in COLUMNS}
     return [(a, b) for a, b in itertools.combinations(columns, 2)
             if all(abs(x - y) <= rel * max(abs(x), abs(y))
                    for x, y in zip(columns[a], columns[b]))]
@@ -50,4 +50,4 @@ def test_readme_lists_the_written_columns_and_schema_version():
     assert int(version) == SCHEMA_VERSION
     (listed,) = re.findall(r"`functionals\.csv` - one row per accepted step; columns, in "
                            r"order:\s+`([^`]*)`", README)
-    assert re.split(r",\s*", listed) == FunctionalReport.csv_header()
+    assert re.split(r",\s*", listed) == list(COLUMNS)

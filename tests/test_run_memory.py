@@ -4,6 +4,7 @@ bit, across grids, batch shapes and tail batches; the traced memory of a
 step and of a report; and what a finished run leaves traced."""
 
 import gc
+import io
 import json
 import math
 import os
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from kortorus import timestepping
+from kortorus import cli, timestepping
 from kortorus.functionals import MonitorSpec, evaluate_report, evaluate_reports
 from kortorus.model import ModelParams, SpectralState
 from kortorus.scenarios import initial_state
@@ -40,8 +41,11 @@ def run_case(name: str) -> timestepping.Trajectory:
                                                t_end=steps * 1e-3, scheme="imex_bdf2"))
 
 
-def csv_rows(trajectory) -> list[list[str]]:
-    return [report.csv_row() for report in trajectory.reports]
+def csv_rows(trajectory) -> list[str]:
+    """The rows ``cli._write_csv`` writes of the trajectory's reports."""
+    out = io.StringIO()
+    cli._write_csv(out, trajectory.reports, header=False)
+    return out.getvalue().splitlines()
 
 
 def fresh_process_rows(name: str) -> list[list[str]]:
@@ -92,7 +96,7 @@ def test_standalone_and_interleaved_batch_reports_equal_the_recorded_ones(monkey
         # a tail batch of 8 on the 1D grid, of 1 on 32^2
         assert [len(states) for states in batches][-1] == {"1d": 8, "32x32": 1,
                                                            "64x64": 1}[name]
-        reports = trajectory.reports[1:]
+        reports = list(trajectory.reports)[1:]
         standalone = []
         for states in batches:
             for state in fresh_copies(states):
@@ -108,7 +112,7 @@ def test_standalone_and_interleaved_batch_reports_equal_the_recorded_ones(monkey
                 shared[name] += evaluate_reports(fresh_copies(batches[turn]), PARAMS, spec,
                                                  previous=previous)
     for name, (_, trajectory) in cases.items():
-        assert shared[name] == trajectory.reports[1:], name
+        assert shared[name] == list(trajectory.reports)[1:], name
 
 
 def test_report_peak_alone_stays_under_its_bound():
@@ -156,13 +160,15 @@ def test_a_finished_run_leaves_nothing_traced_but_its_trajectory(name):
     try:
         trajectory = run_case(name)
         held = tracemalloc.get_traced_memory()[0]
+        samples = sum(s.rho.data.nbytes + s.w.data.nbytes for s in trajectory.states)
         del trajectory
         gc.collect()
         left = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    # the trajectory holds 0.1-0.7 MB; once it is gone about 1-3 KB stay
+    # the trajectory holds 0.1-0.7 MB, more than its states' samples (42 KB
+    # in 1D), so that it was traced; once it is gone about 1-3 KB stay
     # traced (interpreter bookkeeping), under one 32^2 field (8 KB).  A run
     # that kept its Stepper past its end leaves 66 KB or more, and one that
     # kept the coefficients of its last report batch 12 KB or more
-    assert held > 100_000 and left < 8_000, (held, left)
+    assert held > samples and left < 8_000, (held, samples, left)

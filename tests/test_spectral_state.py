@@ -131,9 +131,9 @@ def step_budget(fft_count, variant, forced):
 
 
 def test_fft_budget_1d_original_step(fft_count):
-    # rho, w and grad w back; ln rho, rho w and the forcing forward; grad ln
-    # rho and grad grad ln rho back; the tendency forward.  The forcing adds
-    # no call.
+    # rho and w back; ln rho, rho w and the forcing forward; grad ln rho,
+    # grad w and grad grad ln rho back; the tendency forward.  The forcing
+    # adds no call.
     for forced in (False, True):
         step = step_budget(fft_count, "original", forced)
         assert step["calls"] == 4 and step["points"] <= 24 * 128
@@ -141,8 +141,8 @@ def test_fft_budget_1d_original_step(fft_count):
 
 @pytest.mark.parametrize("variant", ["effective_v1", "effective_v2"])
 def test_fft_budget_1d_effective_step(fft_count, variant):
-    # rho, w and grad w back; ln rho, rho w and the forcing forward; grad ln
-    # rho back; the tendency forward
+    # rho and w back; ln rho, rho w and the forcing forward; grad ln rho and
+    # grad w back; the tendency forward
     for forced in (False, True):
         step = step_budget(fft_count, variant, forced)
         assert step["calls"] == 4 and step["points"] <= 24 * 128

@@ -100,7 +100,7 @@ def assert_same_run(a, b):
     (traj_a, error_a), (traj_b, error_b) = a, b
     assert error_a is error_b
     assert traj_a.terminated == traj_b.terminated
-    assert traj_a.reports == traj_b.reports
+    assert list(traj_a.reports) == list(traj_b.reports)
     assert len(traj_a.states) == len(traj_b.states)
     for s, t in zip(traj_a.states, traj_b.states):
         assert s.time == t.time

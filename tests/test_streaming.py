@@ -12,7 +12,7 @@ import pytest
 from kortorus import cli
 from kortorus.config import parse_config
 from kortorus.errors import NonFinite, PositivityLoss, StepUnderflow
-from kortorus.functionals import FunctionalReport
+from kortorus.functionals import COLUMNS
 from kortorus.scenarios import initial_state
 from kortorus.timestepping import Stepper, run
 
@@ -141,7 +141,7 @@ def kill_after(monkeypatch, accepted):
 
 def assert_reports_parse(out, rows):
     lines = (out / "functionals.csv").read_text().splitlines()
-    header = FunctionalReport.csv_header()
+    header = COLUMNS
     assert lines[0].split(",") == list(header)
     assert len(lines) == rows + 1
     for line in lines[1:]:
@@ -202,9 +202,9 @@ def test_snapshot_index_is_replaced_once_per_recorded_batch(tmp_path, monkeypatc
     monkeypatch.setattr(cli.os, "replace", lambda *paths: (replaced.append(paths),
                                                            replace(*paths)))
 
-    def counting(self, *reports):
-        recorded.append(len(reports))
-        record(self, *reports)
+    def counting(self, table):
+        recorded.append(len(table))
+        record(self, table)
     monkeypatch.setattr(cli._StreamedTrajectory, "record", counting)
     doc = dict(CONFIGS["write_fields"], integrator={"scheme": "imex_bdf2", "dt_initial": 1e-3,
                                                    "t_end": 0.1})
