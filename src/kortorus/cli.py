@@ -35,10 +35,11 @@ from .functionals import (
     COLUMNS,
     SCHEMA_VERSION,
     ReportTable,
+    _VacuumEndpointNorm,
     blow_up_verdict,
     evaluate_report,  # noqa: F401  perfbench/tracing.py wraps it here by name
     evaluate_reports,
-    vacuum_endpoint_norm,
+    report_batch_size,
 )
 from .littlewood_paley import (
     BesovIndex,
@@ -187,25 +188,34 @@ def _forcing_for(config: ScenarioConfig):
 _SNAPSHOT_ERRORS = (DumpFormatError, InvalidField, OSError, KeyError, TypeError, ValueError)
 
 
-def _read_snapshots(trajdir: Path, last_only: bool = False) -> list[FieldState]:
-    """The snapshots ``_write_snapshots`` stored under ``trajdir`` (only the
-    last one with ``last_only``); raises one of _SNAPSHOT_ERRORS."""
+def _snapshot_entries(trajdir: Path) -> tuple[Path, list[dict]]:
+    """The snapshot directory of ``trajdir`` and the entries of its index,
+    one at least; raises one of _SNAPSHOT_ERRORS."""
     snapdir = trajdir / "snapshots"
     entries = json.loads((snapdir / "index.json").read_text())["snapshots"]
     if not entries:
         raise DumpFormatError(f"no snapshots in {trajdir}")
-    states = []
-    for entry in entries[-1:] if last_only else entries:
-        rho = read_field_dump(snapdir / entry["rho"])
-        comps = [read_field_dump(snapdir / name).data for name in entry["w"]]
-        states.append(FieldState(rho, VectorField(rho.grid, np.stack(comps)),
-                                 time=float(entry["time"])))
-    return states
+    return snapdir, entries
+
+
+def _read_snapshot(snapdir: Path, entry: dict) -> FieldState:
+    """The snapshot of index entry ``entry``; raises one of _SNAPSHOT_ERRORS."""
+    rho = read_field_dump(snapdir / entry["rho"])
+    comps = [read_field_dump(snapdir / name).data for name in entry["w"]]
+    return FieldState(rho, VectorField(rho.grid, np.stack(comps)), time=float(entry["time"]))
+
+
+def _read_snapshots(trajdir: Path) -> list[FieldState]:
+    """The snapshots ``_write_snapshots`` stored under ``trajdir``; raises
+    one of _SNAPSHOT_ERRORS."""
+    snapdir, entries = _snapshot_entries(trajdir)
+    return [_read_snapshot(snapdir, entry) for entry in entries]
 
 
 def _load_checkpoint(trajdir: Path, config: ScenarioConfig) -> FieldState:
     """Last stored snapshot of a previous run, as a fresh initial state."""
-    (last,) = _read_snapshots(trajdir, last_only=True)
+    snapdir, entries = _snapshot_entries(trajdir)
+    last = _read_snapshot(snapdir, entries[-1])
     if last.grid != config.grid:
         raise DumpFormatError(
             f"checkpoint grid {last.grid.resolution} does not match the "
@@ -345,30 +355,49 @@ def cmd_besov(args) -> int:
 
 
 def cmd_monitor(args) -> int:
+    """Recompute the reports of a stored trajectory's snapshots into
+    ``monitor_functionals.csv`` and ``monitor_functionals.jsonl`` and print
+    a summary.  The snapshots are read and reported in groups of
+    ``report_batch_size``, the Serrin trapezoid going on from group to group
+    (``evaluate_reports``' ``previous``), and each group's rows are appended
+    to the files as it is reported: one group's states are held at a time,
+    whatever the number of snapshots, and the vacuum endpoint norm takes each
+    snapshot's norm as its group passes.  A snapshot that cannot be read
+    stops it with exit code 2, its files holding the rows before it."""
     trajdir = Path(args.trajectory)
     try:
         config = parse_config((trajdir / "config.echo.json").read_text())
-        states = _read_snapshots(trajdir)
+        snapdir, entries = _snapshot_entries(trajdir)
     except (ParseError, ConstraintViolationError, *_SNAPSHOT_ERRORS) as exc:
         print(f"cannot read trajectory directory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    reports = evaluate_reports(states, config.model, config.monitors)
-    with open(trajdir / "monitor_functionals.csv", "w") as out:
-        _write_csv(out, reports)
-    with open(trajdir / "monitor_functionals.jsonl", "w") as out:
-        _write_jsonl(out, reports)
-
-    traj = Trajectory(params=config.model, states=states, reports=reports)
-    mon = config.monitors
-    verdict = blow_up_verdict(traj, config.model, mon)
+    mon, dim = config.monitors, config.grid.dim
     # the diagonal k = q of the endpoint family 2/k + N/q = N/2
-    k_endpoint = 2.0 * (config.grid.dim + 2) / config.grid.dim
+    endpoint = _VacuumEndpointNorm(mon.p_vacuum, 2.0 * (dim + 2) / dim, dim)
+    reports, per_group = ReportTable(), report_batch_size(config.grid)
+    with open(trajdir / "monitor_functionals.csv", "w") as csv, \
+            open(trajdir / "monitor_functionals.jsonl", "w") as jsonl:
+        for start in range(0, len(entries), per_group):
+            try:
+                states = [_read_snapshot(snapdir, entry)
+                          for entry in entries[start:start + per_group]]
+            except _SNAPSHOT_ERRORS as exc:
+                print(f"cannot read trajectory directory: {exc}", file=sys.stderr)
+                return EXIT_USAGE
+            table = evaluate_reports(states, config.model, mon, reports[-1] if reports else None)
+            _write_csv(csv, table, header=not reports)
+            _write_jsonl(jsonl, table)
+            reports.extend(table)
+            endpoint.add(states)
+
+    verdict = blow_up_verdict(Trajectory(params=config.model, reports=reports), config.model,
+                              mon)
     summary = {
-        "snapshots": len(states),
-        "time_span": [states[0].time, states[-1].time],
+        "snapshots": len(reports),
+        "time_span": reports.column("time")[[0, -1]].tolist(),
         "serrin_accumulator": reports.column("serrin_accumulator")[-1].item(),
-        "vacuum_endpoint_norm": vacuum_endpoint_norm(traj, mon.p_vacuum, k_endpoint),
+        "vacuum_endpoint_norm": endpoint.value(),
         "verdict": verdict.to_json_dict(),
         "csv": str(trajdir / "monitor_functionals.csv"),
     }

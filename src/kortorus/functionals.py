@@ -50,6 +50,7 @@ from .spectral import (
     SpectralGrid,
     VectorField,
     grad_hat,
+    hess_hat,
     integrals,
     lp_norm,
     lp_norms,
@@ -297,26 +298,43 @@ def vacuum_endpoint_norm(trajectory, p: float, time_exponent: float) -> float:
     scaffolding and is not re-derived numerically.
     """
     _P_VACUUM.enforce("vacuum exponent p", p, PExponentOutOfRange)
-    times, states = _report_times_and_states(trajectory)
-    dim = states[0].grid.dim
-    k = time_exponent
-    inv_q = 0.5 - 2.0 / (dim * k)
-    if not (k >= 1.0) or inv_q < 0.0:
-        raise ScalingPairInvalid(
-            f"time exponent k = {k} leaves no admissible q on the parabolic "
-            f"family 2/k + N/q = N/2 in dimension {dim}")
-    q = math.inf if inv_q == 0.0 else 1.0 / inv_q
-    norms = []
-    for state in states:
-        require_positive_density(state.rho)
-        weight = ScalarField(state.grid, state.rho.data ** (-(p - 1.0) / 2.0))
-        norms.append(lp_norm(weight, q))
-    if math.isinf(k):
-        return float(np.max(norms))
-    if len(times) == 1:
-        return 0.0
-    powered = np.asarray(norms) ** k
-    return float(np.trapezoid(powered, x=np.asarray(times)) ** (1.0 / k))
+    _, states = _report_times_and_states(trajectory)
+    norm = _VacuumEndpointNorm(p, time_exponent, states[0].grid.dim)
+    norm.add(states)
+    return norm.value()
+
+
+class _VacuumEndpointNorm:
+    """``vacuum_endpoint_norm`` taken over snapshots as they pass: ``add``
+    them in time order, in as many calls as they come in, then read
+    ``value``; only each snapshot's time and spatial norm are kept."""
+
+    def __init__(self, p: float, time_exponent: float, dim: int):
+        k = time_exponent
+        inv_q = 0.5 - 2.0 / (dim * k)
+        if not (k >= 1.0) or inv_q < 0.0:
+            raise ScalingPairInvalid(
+                f"time exponent k = {k} leaves no admissible q on the parabolic "
+                f"family 2/k + N/q = N/2 in dimension {dim}")
+        self.p, self.k = p, k
+        self.q = math.inf if inv_q == 0.0 else 1.0 / inv_q
+        self.times: list[float] = []
+        self.norms: list[float] = []
+
+    def add(self, states: Sequence[FieldState]):
+        for state in states:
+            require_positive_density(state.rho)
+            weight = ScalarField(state.grid, state.rho.data ** (-(self.p - 1.0) / 2.0))
+            self.times.append(state.time)
+            self.norms.append(lp_norm(weight, self.q))
+
+    def value(self) -> float:
+        if math.isinf(self.k):
+            return float(np.max(self.norms))
+        if len(self.times) == 1:
+            return 0.0
+        powered = np.asarray(self.norms) ** self.k
+        return float(np.trapezoid(powered, x=np.asarray(self.times)) ** (1.0 / self.k))
 
 
 def vacuum_indicator(state_or_rho, eps: float, delta: float) -> float:
@@ -525,23 +543,32 @@ def _sum_of_squares(components, out: np.ndarray, square: np.ndarray) -> np.ndarr
 
 def _inverse_inputs(d: SpectralState, forward_hat: np.ndarray):
     """The report's inverse-stage inputs, from the coefficients of its
-    forward stage (sqrt(rho), rho^{-(p-1)/2} and rho^{1-p}): grad sqrt(rho)
-    and grad rho; and grad rho^{-(p-1)/2}, Lap rho and Lap rho^{1-p}.  Each
-    is formed as the stage reads it and let go once transformed, and the
-    forward output once read, so that on a 2D grid no two inputs are held
-    at once."""
+    forward stage (sqrt(rho), rho^{-(p-1)/2} and rho^{1-p}), in the order
+    ``_report`` reads their outputs: grad rho^{-(p-1)/2}, Lap rho and
+    Lap rho^{1-p}; grad sqrt(rho) and grad rho, after which the forward
+    coefficients are let go; and grad grad ln rho, unless ``d`` holds it
+    (an ``original`` step makes it).  Each is formed as the stage reads it
+    and let go when the stage asks for the next, which on a 2D grid is
+    after the report has let go of its output: no two inputs are held at
+    once.  Holding an input while its output is read adds nothing to the
+    report's peak, which the input and output of the transform set, and
+    the heap then keeps the pages of both for the next pair instead of
+    trimming and faulting them back."""
     grid, shape = d.grid, forward_hat.shape[1:]
-    pair_hat = np.empty((grid.dim, 2) + shape, complex)
-    grad_hat(forward_hat[0], grid, pair_hat[:, 0])
-    grad_hat(d.rho_hat, grid, pair_hat[:, 1])
-    yield pair_hat
-    del pair_hat
     vac_hat = np.empty((grid.dim + 2,) + shape, complex)
     grad_hat(forward_hat[1], grid, vac_hat[:grid.dim])
     np.multiply(grid.rfft_minus_beta_sq, d.rho_hat, out=vac_hat[grid.dim])
     np.multiply(grid.rfft_minus_beta_sq, forward_hat[2], out=vac_hat[grid.dim + 1])
-    del forward_hat
     yield vac_hat
+    del vac_hat
+    pair_hat = np.empty((grid.dim, 2) + shape, complex)
+    grad_hat(forward_hat[0], grid, pair_hat[:, 0])
+    grad_hat(d.rho_hat, grid, pair_hat[:, 1])
+    del forward_hat
+    yield pair_hat
+    del pair_hat
+    if not d.holds("hess_ln_rho"):
+        yield hess_hat(d.ln_rho_hat, grid)
 
 
 def _report(d: SpectralState, params: ModelParams, spec: MonitorSpec,
@@ -551,7 +578,10 @@ def _report(d: SpectralState, params: ModelParams, spec: MonitorSpec,
     reduced member by member (``spectral.integrals``) as soon as it is formed.
     Temporaries are new arrays, let go as they die (the forward stage's
     inputs with their stage), or rows of a transform's output that the
-    report holds alone and no longer reads.
+    report holds alone and no longer reads.  The inverse stage's outputs
+    are read one at a time, in the order ``_inverse_inputs`` forms their
+    inputs, and each is let go before the next is asked for, so that on a
+    2D grid, where the next is made only then, one is held at a time.
     The columns go into one (columns x members) table in COLUMNS order,
     returned as it is, whose Serrin trapezoid is a running sum over its last
     row and the members' times, continued from ``previous``."""
@@ -572,11 +602,13 @@ def _report(d: SpectralState, params: ModelParams, spec: MonitorSpec,
     np.sqrt(rho, out=forward[0])
     np.power(rho, -(p_vac - 1.0) / 2.0, out=forward[1])
     vac_value = integrals(np.power(rho, 1.0 - p_vac, out=forward[2]), grid) / (p_vac - 1.0)
-    # grad grad ln rho, grad ln rho and grad w join unless the step made them
     inverse_inputs = _inverse_inputs(d, *d.fill(to_spectral_stage, extra=[forward]))
     del forward
-    grad_sqrt_rho_and_rho, vac_fields = d.fill(
-        to_physical_stage, "hess_ln_rho", "grad_ln_rho", "grad_w", extra=inverse_inputs)
+    # the inverse stage: grad ln rho and grad w join unless the step made
+    # them; its other outputs are read one at a time, each let go before
+    # the next is asked for, which on a 2D grid is when it is made
+    outputs = d.fill(to_physical_stage, "grad_ln_rho", "grad_w", extra=inverse_inputs)
+    vac_fields = next(outputs)
     coeff = params.kappa / params.mu
     grad_half_sq = _sum_of_squares(vac_fields[:grid.dim], vac_fields[0], square)
     rate_coeff = 4.0 * p_vac * coeff / (p_vac - 1.0) ** 2
@@ -600,6 +632,7 @@ def _report(d: SpectralState, params: ModelParams, spec: MonitorSpec,
     rho_v_sq = product_integrals(rho, v_sq)
     low_mass = integrals(_low_density_weight(rho, spec.epsilon, spec.delta_vacuum, scratch),
                          grid)
+    grad_sqrt_rho_and_rho = next(outputs)
     capillary = params.kappa * integrals(
         _sum_of_squares(grad_sqrt_rho_and_rho[:, 0], scratch, square), grid)
     grad_rho_sq = _sum_of_squares(grad_sqrt_rho_and_rho[:, 1], grad_sqrt_rho_and_rho[0, 1],
@@ -611,7 +644,9 @@ def _report(d: SpectralState, params: ModelParams, spec: MonitorSpec,
                                                  rho_pow_gamma_minus_2, out=square), grad_rho_sq)
     del grad_sqrt_rho_and_rho, grad_rho_sq, rho_pow_gamma_minus_2
 
-    hess = d.hess_ln_rho
+    hess = next(outputs, None)
+    if hess is None:  # the batch holds it
+        hess = d.hess_ln_rho
     original = params.variant == "original"
     grad_v = d.grad_w
     if original:

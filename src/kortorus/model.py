@@ -30,7 +30,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -409,12 +409,16 @@ class SpectralState:
             d.__dict__[name] = _along_batch([m.__dict__[name] for m in members], grid)
         return d
 
-    def fill(self, stage, *names: str, extra=()) -> list[np.ndarray]:
+    def fill(self, stage, *names: str, extra=()) -> Iterator[np.ndarray]:
         """Compute the fields ``names`` that are not held yet, and ``stage``
         of the arrays ``extra`` (an iterable, which the stage may read
-        lazily), as one stage; return the latter.  The source of each of
-        ``names`` is formed as the stage reads it, so that a new array is let
-        go once transformed."""
+        lazily), as one stage; store the former and return an iterator over
+        the latter.  The source of each of ``names`` is formed as the stage
+        reads it, so that a new array is let go once transformed.  On a 2D
+        grid each of the latter is transformed when the iterator is asked
+        for it (``spectral._stage``), so that a reader that lets each go
+        before it asks for the next holds one at a time; it must take them
+        all."""
         if self._bare:
             self._bare = False
             rho = self.rho.data
@@ -423,9 +427,13 @@ class SpectralState:
             self.rho_hat, self.w_hat, self.ln_rho_hat = hats[0], hats[1:-1], hats[-1]
         todo = [name for name in names if name not in self.__dict__]
         sources = (getattr(type(self), name).source(self) for name in todo)
-        out = stage(itertools.chain(sources, extra), self.grid)
+        out = iter(stage(itertools.chain(sources, extra), self.grid))
         self.__dict__.update(zip(todo, out))
-        return out[len(todo):]
+        return out
+
+    def holds(self, name: str) -> bool:
+        """Whether the derived field ``name`` is computed and held."""
+        return name in self.__dict__
 
     rho_hat = _Transformed(to_spectral_stage, lambda d: d.rho.data)
     w_hat = _Transformed(to_spectral_stage, lambda d: d.w.data)

@@ -29,7 +29,9 @@ representable wavenumbers.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar
@@ -172,12 +174,6 @@ class SpectralGrid:
         return out
 
     @cached_property
-    def rfft_ik_ik(self) -> np.ndarray:
-        """Second-derivative multipliers (i beta_i)(i beta_j) = -beta_i beta_j,
-        products of ``rfft_ik``; shape (dim, dim) + rfft_shape."""
-        return self.rfft_ik[:, None] * self.rfft_ik[None]
-
-    @cached_property
     def rfft_minus_beta_sq(self) -> np.ndarray:
         """Laplacian multiplier -|beta|^2 (Nyquist-zeroed, so it equals div o grad)."""
         return -np.sum(self.rfft_ik.imag ** 2, axis=0)
@@ -296,36 +292,39 @@ def to_physical(hat: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     return scipy.fft.irfftn(hat, s=grid.shape, axes=grid.rfft_axes)
 
 
-def _stage(transform, arrays, grid: SpectralGrid) -> list[np.ndarray]:
-    """``transform`` of each array of one dependency stage: stacked row by
-    row into one call on a 1D grid, where a call costs about the same for 1
-    row or 8; one call each on a 2D grid, where wider batches cost more per
-    component (see README), taking each array just before its call and
-    letting it go once transformed, so that one that only the stage holds is
-    freed before the next is formed.  On a 1D grid each array's part of the
-    call is a view of its rows, reshaped to the array's component axes."""
-    if grid.dim == 1:
-        arrays = list(arrays)
-    if grid.dim != 1 or len(arrays) < 2:
-        parts = []
-        for a in arrays:
-            parts.append(transform(a, grid))
-            del a
-        return parts
+def _stage(transform, arrays, grid: SpectralGrid):
+    """``transform`` of each array of one dependency stage, as an iterator
+    over the outputs in order.  On a 1D grid the arrays are stacked row by
+    row into one call, where a call costs about the same for 1 row or 8, and
+    each array's part of the output is a view of its rows, reshaped to the
+    array's component axes.  On a 2D grid, where wider batches cost more per
+    component (see README), the stage is lazy: one call each, made when its
+    output is asked for, taking each array just then and letting it go once
+    transformed, so that an array that only the stage holds is freed before
+    the next is formed, and an output that its reader lets go before it
+    asks for the next is freed before the next is made.  Its reader must
+    take every output, or the calls it leaves are not made."""
+    if grid.dim != 1:
+        return map(transform, arrays, itertools.repeat(grid))
+    arrays = list(arrays)
+    if len(arrays) < 2:
+        return iter([transform(a, grid) for a in arrays])
     out = transform(np.concatenate([a.reshape(-1, a.shape[-1]) for a in arrays]), grid)
     parts, start = [], 0
     for a in arrays:
         stop = start + a.size // a.shape[-1]
         parts.append(out[start:stop].reshape(a.shape[:-1] + out.shape[-1:]))
         start = stop
-    return parts
+    return iter(parts)
 
 
-def to_spectral_stage(arrays, grid: SpectralGrid) -> list[np.ndarray]:
+def to_spectral_stage(arrays, grid: SpectralGrid) -> Iterator[np.ndarray]:
+    """``to_spectral`` of each of ``arrays`` as one stage (``_stage``)."""
     return _stage(to_spectral, arrays, grid)
 
 
-def to_physical_stage(hats, grid: SpectralGrid) -> list[np.ndarray]:
+def to_physical_stage(hats, grid: SpectralGrid) -> Iterator[np.ndarray]:
+    """``to_physical`` of each of ``hats`` as one stage (``_stage``)."""
     return _stage(to_physical, hats, grid)
 
 
@@ -343,9 +342,14 @@ def grad_hat(hat: np.ndarray, grid: SpectralGrid, out: np.ndarray | None = None)
 
 def hess_hat(hat: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     """Coefficients of the second derivatives d_i d_j (multiplier -beta_i
-    beta_j), with the axes i, j prepended, as ``grad_hat`` prepends i."""
-    shape = (grid.dim, grid.dim) + (1,) * (hat.ndim - grid.dim) + grid.rfft_shape
-    return grid.rfft_ik_ik.reshape(shape) * hat
+    beta_j), with the axes i, j prepended, as ``grad_hat`` prepends i.  The
+    multipliers ik_i * ik_j (rows of ``rfft_ik``) are formed in the output
+    and multiplied by ``hat`` there, so no table of them is held or made."""
+    ik = grid.rfft_ik.reshape((grid.dim,) + (1,) * (hat.ndim - grid.dim) + grid.rfft_shape)
+    out = np.empty((grid.dim, grid.dim) + hat.shape, complex)
+    np.multiply(ik[:, None], ik[None], out=out)
+    out *= hat
+    return out
 
 
 def div_hat(hat: np.ndarray, grid: SpectralGrid, terms: np.ndarray | None = None) -> np.ndarray:

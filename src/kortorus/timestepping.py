@@ -368,10 +368,13 @@ class Stepper:
 
     ``derived`` is the SpectralState of the current ``state``, a cache of the
     newest level: after a step it is built from that level's coefficients,
-    so no step transforms rho and w forward again.  A step's first transform
-    stage brings rho and w back for the positivity check; ``rhs`` then makes
-    the tendencies' stages, grad w's among them.  ``probe`` finds, for a
-    step that failed, the largest of its halvings that passes, at once.
+    so no step transforms rho and w forward again, and once the state is
+    reported it is built anew from them (``_report_pending``), so that the
+    fields its step and report cached die before the next step.  A step's
+    first transform stage brings rho and w back for the positivity check;
+    ``rhs`` then makes the tendencies' stages, grad w's among them.
+    ``probe`` finds, for a step that failed, the largest of its halvings
+    that passes, at once.
 
     It computes the split's linear rates once (per run) and its factors once
     per dt and previous dt, into ``_factors``, which is its own and holds at
@@ -561,11 +564,17 @@ def run(initial: FieldState, params: ModelParams, config: IntegratorConfig,
 def _report_pending(stepper: Stepper, trajectory: Trajectory, monitors: MonitorSpec):
     """Report the accepted steps pending in ``stepper.run_state`` as one
     batch whose Serrin trapezoid goes on from the last report of
-    ``trajectory``, and record it there; the run state lets go of them first."""
+    ``trajectory``, and record it there; the run state lets go of them first.
+    The newest of them is ``stepper.derived``, whose derived fields nothing
+    reads once it is reported (``cfl_dt`` has read its transport already):
+    it becomes a fresh SpectralState over its state and coefficients, so
+    that they die before the next step."""
     run_state = stepper.run_state
     if not run_state.pending:
         return
     table = evaluate_reports(run_state.pending, stepper.params, monitors,
                              previous=trajectory.reports[-1])
     stepper.run_state = RunState(run_state.levels, run_state.next_snap)
+    stepper.derived = SpectralState(stepper.state, stepper.params,
+                                    stepper.derived.rho_hat, stepper.derived.w_hat)
     trajectory.record(table)

@@ -170,6 +170,33 @@ def step_report_peak_mb(resolution: int, steps: int, seed: int) -> tuple[float, 
         tracemalloc.stop()
 
 
+def run_peak_mb(resolution: int, steps: int, seed: int) -> float:
+    """The traced-memory (``tracemalloc``) peak of one ``run`` of ``steps``
+    imex_bdf2 steps of dt 1e-3 on a ``resolution``^2 grid, in MB above what
+    was traced before it, with the model and initial parameters of the
+    ``evolve2d`` benchmark workload from the ``random_smooth`` state of
+    ``seed``.  The peak counts every step and report of the run, the fields
+    its Stepper holds between them, the states its trajectory keeps and the
+    tables its grid caches: the traced run's initial state is made before
+    the trace on a grid of its own.  An untraced run of the same on another
+    grid comes first, so that the caches numpy and scipy fill on a first run
+    are full whatever ran before in the process."""
+    def initial():
+        return initial_state(SpectralGrid((resolution, resolution)), "random_smooth",
+                             EVOLVE2D_INITIAL, seed=seed)
+    config = IntegratorConfig(dt_initial=1e-3, dt_min=1e-9, t_end=steps * 1e-3,
+                              scheme="imex_bdf2", adaptive=False)
+    timestepping.run(initial(), EVOLVE2D_PARAMS, config)
+    state = initial()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        timestepping.run(state, EVOLVE2D_PARAMS, config)
+        return (tracemalloc.get_traced_memory()[1] - before) / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def advance_us(params: ModelParams, resolution, steps: int, repeats: int) -> float:
     """The fastest of ``repeats`` timings of ``steps`` imex_bdf2
     ``Stepper.advance`` calls of dt 1e-3, in µs a call.  Each timing takes

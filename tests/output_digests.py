@@ -19,12 +19,15 @@ name, so that two checkouts can be compared bit for bit:
   columns names them.
 
 Run it from the repository root as ``PYTHONPATH=src python3
-tests/output_digests.py > digests.json``; it takes no flags and about
-15 s on a 2-core host.
+tests/output_digests.py > digests.json``; it takes about 15 s on a 2-core
+host.  With ``--against digests.json`` it compares its run with that saved
+object instead of printing one: it prints ``identical`` and exits 0, or
+prints each entry that differs, is missing or is new, and exits 1.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -158,6 +161,29 @@ def digests() -> dict[str, str]:
     return out
 
 
+def differences(run: dict[str, str], saved: dict[str, str]) -> list[str]:
+    """One line for each entry of ``saved`` that ``run`` gives another
+    digest or lacks, and for each entry of ``run`` that ``saved`` lacks."""
+    return ([f"differs: {name}" for name in sorted(run.keys() & saved.keys())
+             if run[name] != saved[name]]
+            + [f"missing: {name}" for name in sorted(saved.keys() - run.keys())]
+            + [f"new: {name}" for name in sorted(run.keys() - saved.keys())])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", metavar="FILE",
+                        help="compare with the digests saved in FILE instead of printing them")
+    args = parser.parse_args(argv)
+    if args.against is None:
+        json.dump(digests(), sys.stdout, indent=1, sort_keys=True)
+        print()
+        return 0
+    saved = json.loads(Path(args.against).read_text())
+    lines = differences(digests(), saved)
+    print("\n".join(lines) if lines else "identical")
+    return 1 if lines else 0
+
+
 if __name__ == "__main__":
-    json.dump(digests(), sys.stdout, indent=1, sort_keys=True)
-    print()
+    sys.exit(main())

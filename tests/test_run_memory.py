@@ -13,15 +13,23 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kortorus import cli, timestepping
 from kortorus.functionals import MonitorSpec, evaluate_report, evaluate_reports
-from kortorus.model import ModelParams, SpectralState
+from kortorus.model import _DERIVED, ModelParams, SpectralState
 from kortorus.scenarios import initial_state
 from kortorus.spectral import SpectralGrid
-from kortorus.timestepping import IntegratorConfig, Stepper, run
-from helpers import advance_us, report_peak_mb, simulate_minor_faults, step_report_peak_mb
+from kortorus.timestepping import IntegratorConfig, RunState, Stepper, Trajectory, cfl_dt, run
+from helpers import (
+    advance_us,
+    measure,
+    report_peak_mb,
+    run_peak_mb,
+    simulate_minor_faults,
+    step_report_peak_mb,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -116,17 +124,50 @@ def test_standalone_and_interleaved_batch_reports_equal_the_recorded_ones(monkey
 
 
 def test_report_peak_alone_stays_under_its_bound():
-    # 2.51 MB; 2.90 MB if the forward-stage input outlives its stage, and
-    # 3.04 MB if an inverse-stage input is held past its transform
-    assert report_peak_mb(128, 2, 0) < 2.85
+    # 1.86 MB, the inverse stage's outputs read one at a time; 2.51 MB when
+    # all three are held at once, as they were made by one eager stage
+    assert report_peak_mb(128, 2, 0) < 2.0
 
 
 def test_step_and_report_peaks_in_a_run_stay_under_their_bounds():
     step, report = step_report_peak_mb(128, 2, 0)
-    assert report < 2.85
+    assert report < 2.0
     # step kernels that form every sum as a new array trace 3.97 MB; the
     # in-place ones 3.43 MB
     assert step < 3.8
+
+
+def test_run_peak_stays_under_its_bound():
+    # 7.41 MB; 8.60 MB with a report that holds its three inverse outputs at
+    # once and a grid that caches the (dim, dim) table of Hessian multipliers
+    assert run_peak_mb(128, 4, 0) < 7.9
+
+
+@pytest.mark.parametrize("resolution", [64, (32, 32), (128, 128)])
+def test_a_reported_state_keeps_only_its_samples_and_coefficients(fft_count, resolution):
+    state = initial_state(SpectralGrid(resolution), "random_smooth",
+                          {"mean": 1.2, "amplitude": 0.25, "velocity_amplitude": 0.3}, seed=5)
+    config = IntegratorConfig(dt_initial=1e-3, dt_min=1e-9, t_end=1.0, scheme="imex_bdf2")
+    steppers = []
+    for _ in range(2):
+        stepper = Stepper(state, PARAMS, config)
+        for _ in range(2):
+            stepper.advance(cfl_dt(stepper.derived, PARAMS, config) / 4)
+        steppers.append(stepper)
+    # one reported as ``run`` reports it: the step-size bound, then the batch
+    reported, twin = steppers
+    dt = cfl_dt(reported.derived, PARAMS, config) / 4
+    reported.run_state = RunState(reported.run_state.levels, None, (reported.derived,))
+    trajectory = Trajectory(PARAMS)
+    trajectory.record(evaluate_reports([state], PARAMS))  # the report before
+    timestepping._report_pending(reported, trajectory, MonitorSpec())
+    assert [name for name in _DERIVED if reported.derived.holds(name)] == ["rho_hat", "w_hat"]
+    # nothing the step reads is made again
+    budgets = [measure(fft_count, lambda: stepper.advance(dt)) for stepper in steppers]
+    assert budgets[0] == budgets[1]
+    assert budgets[0]["calls"] == (4 if reported.derived.grid.dim == 1 else 7)
+    assert np.array_equal(reported.state.rho.data, twin.state.rho.data)
+    assert np.array_equal(reported.state.w.data, twin.state.w.data)
 
 
 def test_simulate_minor_faults_counts_each_run(tmp_path):
