@@ -205,13 +205,6 @@ def _read_snapshot(snapdir: Path, entry: dict) -> FieldState:
     return FieldState(rho, VectorField(rho.grid, np.stack(comps)), time=float(entry["time"]))
 
 
-def _read_snapshots(trajdir: Path) -> list[FieldState]:
-    """The snapshots ``_write_snapshots`` stored under ``trajdir``; raises
-    one of _SNAPSHOT_ERRORS."""
-    snapdir, entries = _snapshot_entries(trajdir)
-    return [_read_snapshot(snapdir, entry) for entry in entries]
-
-
 def _load_checkpoint(trajdir: Path, config: ScenarioConfig) -> FieldState:
     """Last stored snapshot of a previous run, as a fresh initial state."""
     snapdir, entries = _snapshot_entries(trajdir)
@@ -362,8 +355,10 @@ def cmd_monitor(args) -> int:
     (``evaluate_reports``' ``previous``), and each group's rows are appended
     to the files as it is reported: one group's states are held at a time,
     whatever the number of snapshots, and the vacuum endpoint norm takes each
-    snapshot's norm as its group passes.  A snapshot that cannot be read
-    stops it with exit code 2, its files holding the rows before it."""
+    snapshot's norm as its group passes.  The rows go to ``.tmp`` files that
+    replace the two outputs once every group is reported, so a snapshot that
+    cannot be read stops it with exit code 2 and leaves the outputs of an
+    earlier call as they were."""
     trajdir = Path(args.trajectory)
     try:
         config = parse_config((trajdir / "config.echo.json").read_text())
@@ -376,20 +371,28 @@ def cmd_monitor(args) -> int:
     # the diagonal k = q of the endpoint family 2/k + N/q = N/2
     endpoint = _VacuumEndpointNorm(mon.p_vacuum, 2.0 * (dim + 2) / dim, dim)
     reports, per_group = ReportTable(), report_batch_size(config.grid)
-    with open(trajdir / "monitor_functionals.csv", "w") as csv, \
-            open(trajdir / "monitor_functionals.jsonl", "w") as jsonl:
-        for start in range(0, len(entries), per_group):
-            try:
-                states = [_read_snapshot(snapdir, entry)
-                          for entry in entries[start:start + per_group]]
-            except _SNAPSHOT_ERRORS as exc:
-                print(f"cannot read trajectory directory: {exc}", file=sys.stderr)
-                return EXIT_USAGE
-            table = evaluate_reports(states, config.model, mon, reports[-1] if reports else None)
-            _write_csv(csv, table, header=not reports)
-            _write_jsonl(jsonl, table)
-            reports.extend(table)
-            endpoint.add(states)
+    outputs = [trajdir / "monitor_functionals.csv", trajdir / "monitor_functionals.jsonl"]
+    partial = [path.with_name(path.name + ".tmp") for path in outputs]
+    try:
+        with open(partial[0], "w") as csv, open(partial[1], "w") as jsonl:
+            for start in range(0, len(entries), per_group):
+                try:
+                    states = [_read_snapshot(snapdir, entry)
+                              for entry in entries[start:start + per_group]]
+                except _SNAPSHOT_ERRORS as exc:
+                    print(f"cannot read trajectory directory: {exc}", file=sys.stderr)
+                    return EXIT_USAGE
+                table = evaluate_reports(states, config.model, mon,
+                                         reports[-1] if reports else None)
+                _write_csv(csv, table, header=not reports)
+                _write_jsonl(jsonl, table)
+                reports.extend(table)
+                endpoint.add(states)
+        for tmp, path in zip(partial, outputs):
+            os.replace(tmp, path)
+    finally:
+        for tmp in partial:  # left only when a group failed
+            tmp.unlink(missing_ok=True)
 
     verdict = blow_up_verdict(Trajectory(params=config.model, reports=reports), config.model,
                               mon)

@@ -112,6 +112,12 @@ EVOLVE2D_PARAMS = ModelParams(mu=0.1, alpha=0.0, kappa=0.01, a=1.0, gamma=2.0,
 EVOLVE2D_INITIAL = {"mean": 1.2, "amplitude": 0.25, "velocity_amplitude": 0.3}
 
 
+def read_snapshots(trajdir: Path) -> list:
+    """Every snapshot ``simulate`` stored under ``trajdir``, in index order."""
+    snapdir, entries = cli._snapshot_entries(trajdir)
+    return [cli._read_snapshot(snapdir, entry) for entry in entries]
+
+
 def _evolve2d_stepper(resolution: int, seed: int) -> Stepper:
     """A Stepper of the ``evolve2d`` benchmark workload's model and initial
     parameters on a ``resolution``^2 grid, from the ``random_smooth`` state

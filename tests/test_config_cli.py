@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kortorus import verify
-from kortorus.cli import _json_dumps, _read_snapshots, main
+from kortorus.cli import _json_dumps, main
 from kortorus.config import parse_config
 from kortorus.dump import write_field_dump
 from kortorus.errors import ConstraintViolationError, ParseError
@@ -15,7 +15,7 @@ from kortorus.littlewood_paley import BesovIndex, besov_norm, block_lp_norms
 from kortorus.scenarios import besov_corpus
 from kortorus.spectral import SpectralGrid
 from kortorus.timestepping import Trajectory
-from helpers import EVOLVE2D_INITIAL, measure
+from helpers import EVOLVE2D_INITIAL, measure, read_snapshots
 
 
 MINIMAL = "{}"
@@ -419,8 +419,25 @@ class TestMonitorCLI:
         capsys.readouterr()
         assert main(["monitor", str(out)]) == 2
         assert "truncated" in capsys.readouterr().err
+        assert not list(out.glob("monitor_functionals*"))
         assert main(["simulate", str(path), "--output", str(tmp_path / "again"),
                      "--restart", str(out)]) == 0  # reads only the last snapshot
+
+    def test_unreadable_snapshot_keeps_earlier_monitor_output(self, tmp_path, capsys):
+        path = write_config(tmp_path, integrator={
+            "dt_initial": 0.01, "t_end": 0.5, "snapshot_interval": 0.01})
+        out = tmp_path / "run"
+        assert main(["simulate", str(path), "--output", str(out)]) == 0
+        assert main(["monitor", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.glob("monitor_functionals*")}
+        entries = json.loads((out / "snapshots" / "index.json").read_text())["snapshots"]
+        assert len(entries) > 32  # more than one report group at N = 64
+        (out / "snapshots" / entries[-1]["rho"]).write_bytes(b"")
+        capsys.readouterr()
+        assert main(["monitor", str(out)]) == 2
+        assert "cannot read trajectory directory" in capsys.readouterr().err
+        after = {p.name: p.read_bytes() for p in out.glob("monitor_functionals*")}
+        assert after == before and len(before) == 2
 
     def test_verdict_serrin_value_is_the_snapshot_accumulator(self, tmp_path, capsys):
         path = write_config(tmp_path, integrator={
@@ -483,7 +500,7 @@ class TestMonitorCLI:
         payload = json.loads(capsys.readouterr().out)
 
         config = parse_config((out / "config.echo.json").read_text())
-        states = _read_snapshots(out)
+        states = read_snapshots(out)
         reports = measure(fft_count, lambda: evaluate_reports(
             states, config.model, config.monitors))
         assert monitor == reports  # no transform beyond the reports'

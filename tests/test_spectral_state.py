@@ -241,14 +241,35 @@ def test_1d_transforms_match_rfftn_bit_for_bit(lead):
                           scipy.fft.irfftn(hat, s=grid.shape, axes=(-1,)))
 
 
-def test_stages_match_single_transforms_bit_for_bit():
-    grid = SpectralGrid(64)
+@pytest.mark.parametrize("resolution", [64, (16, 16)])
+def test_stages_match_single_transforms_bit_for_bit(resolution):
+    grid = SpectralGrid(resolution)
     rng = np.random.default_rng(11)
     arrays = [rng.standard_normal(lead + grid.shape) for lead in [(), (1,), (2, 1), (3,)]]
-    hats = to_spectral_stage(arrays, grid)
+    hats = list(to_spectral_stage(arrays, grid))
+    assert len(hats) == len(arrays)
     assert all(np.array_equal(h, to_spectral(a, grid)) for h, a in zip(hats, arrays))
-    back = to_physical_stage(hats, grid)
+    back = list(to_physical_stage(hats, grid))
+    assert len(back) == len(hats)
     assert all(np.array_equal(b, to_physical(h, grid)) for b, h in zip(back, hats))
+
+
+def test_2d_stage_takes_each_input_when_its_output_is_asked_for():
+    grid = SpectralGrid((16, 16))
+    rng = np.random.default_rng(12)
+    arrays = [rng.standard_normal(grid.shape) for _ in range(3)]
+    taken = []
+
+    def inputs():
+        for a in arrays:
+            taken.append(a)
+            yield a
+
+    stage = to_spectral_stage(inputs(), grid)
+    assert taken == []
+    for count, (hat, a) in enumerate(zip(stage, arrays), start=1):
+        assert len(taken) == count
+        assert np.array_equal(hat, to_spectral(a, grid))
 
 
 @pytest.fixture(scope="module")

@@ -15,6 +15,7 @@ from kortorus.errors import NonFinite, PositivityLoss, StepUnderflow
 from kortorus.functionals import COLUMNS
 from kortorus.scenarios import initial_state
 from kortorus.timestepping import Stepper, run
+from helpers import read_snapshots
 
 RANDOM_2D = {"family": "random_smooth", "seed": 7,
              "params": {"mean": 1.2, "amplitude": 0.25, "velocity_amplitude": 0.3}}
@@ -167,7 +168,7 @@ def test_killed_run_leaves_valid_partial_output(tmp_path, monkeypatch, name):
         # the snapshots of the whole run taken before the kill at t = 0.017
         kept = [t for t in full.times if t < 0.0175]
         assert len(kept) == 3
-        assert [s.time for s in cli._read_snapshots(out)] == kept
+        assert [s.time for s in read_snapshots(out)] == kept
 
 
 def test_snapshot_index_names_only_complete_dumps(tmp_path, monkeypatch):
@@ -191,7 +192,7 @@ def test_snapshot_index_names_only_complete_dumps(tmp_path, monkeypatch):
         for name in [entry["rho"], *entry["w"]]:
             assert (snapdir / name).is_file()
     assert not (snapdir / "index.json.tmp").exists()
-    assert len(cli._read_snapshots(tmp_path / "out")) == 2
+    assert len(read_snapshots(tmp_path / "out")) == 2
 
 
 def test_snapshot_index_is_replaced_once_per_recorded_batch(tmp_path, monkeypatch):
@@ -226,7 +227,7 @@ def test_positivity_loss_leaves_an_index_of_complete_dumps(tmp_path):
     assert len(entries) == summary["snapshots"] == summary["steps"] + 1
     named = [name for entry in entries for name in [entry["rho"], *entry["w"]]]
     assert sorted(named) == sorted(p.name for p in snapdir.glob("*.fld"))
-    assert [s.time for s in cli._read_snapshots(out)] == [e["time"] for e in entries]
+    assert [s.time for s in read_snapshots(out)] == [e["time"] for e in entries]
 
 
 def test_simulate_memory_does_not_grow_with_steps(tmp_path):
