@@ -26,6 +26,7 @@ from .errors import (
     InvalidField,
     KortorusError,
     NonFinite,
+    NonpositiveDensity,
     ParseError,
     PositivityLoss,
     ResolutionTooSmall,
@@ -35,11 +36,10 @@ from .functionals import (
     COLUMNS,
     SCHEMA_VERSION,
     ReportTable,
-    _VacuumEndpointNorm,
     blow_up_verdict,
     evaluate_report,  # noqa: F401  perfbench/tracing.py wraps it here by name
     evaluate_reports,
-    report_batch_size,
+    vacuum_endpoint_norm,
 )
 from .littlewood_paley import (
     BesovIndex,
@@ -99,14 +99,11 @@ def _write_jsonl(out: TextIO, table: ReportTable):
     out.flush()
 
 
-def _write_snapshots(outdir: Path, states: list[FieldState], index: list[str],
-                     replace_index: bool = True):
+def _write_snapshots(outdir: Path, states, index: list[str]):
     """Dump ``states`` into ``outdir/snapshots`` as the snapshots that follow
-    the ``index`` entries already there and append their entries to
-    ``index``; then, unless ``replace_index`` is False, replace
-    ``index.json`` (a temporary file renamed over it) with all of ``index``.
-    An entry is appended once its dumps are complete, so the index only ever
-    names dumps that are complete on disk.
+    the ``index`` entries already there, and append each one's entry to
+    ``index`` once its dumps are complete, so the index only ever names
+    dumps that are complete on disk (``_write_index`` writes it).
 
     ``index`` holds each entry as its indented text in ``index.json``, so
     the file reads as ``_json_dumps({"snapshots": entries})`` without every
@@ -122,10 +119,14 @@ def _write_snapshots(outdir: Path, states: list[FieldState], index: list[str],
             write_field_dump(snapdir / name, state.w.component(j))
             entry["w"].append(name)
         index.append(textwrap.indent(_json_dumps(entry), "    ").rstrip("\n"))
-    if replace_index:
-        tmp = snapdir / "index.json.tmp"
-        tmp.write_text('{\n  "snapshots": [\n' + ",\n".join(index) + "\n  ]\n}\n")
-        os.replace(tmp, snapdir / "index.json")
+
+
+def _write_index(outdir: Path, index: list[str]):
+    """Replace ``outdir/snapshots/index.json`` (a temporary file renamed over
+    it) with the entries ``index`` holds (``_write_snapshots``)."""
+    tmp = outdir / "snapshots" / "index.json.tmp"
+    tmp.write_text('{\n  "snapshots": [\n' + ",\n".join(index) + "\n  ]\n}\n")
+    os.replace(tmp, outdir / "snapshots" / "index.json")
 
 
 class _StreamedTrajectory(Trajectory):
@@ -168,11 +169,11 @@ class _StreamedTrajectory(Trajectory):
 
     def keep(self, state: FieldState):
         if self._dump_snapshots:
-            _write_snapshots(self._outdir, [state], self._index, replace_index=False)
+            _write_snapshots(self._outdir, [state], self._index)
 
     def _replace_index(self):
         if len(self._index) > self._indexed:
-            _write_snapshots(self._outdir, [], self._index)
+            _write_index(self._outdir, self._index)
             self._indexed = len(self._index)
 
 
@@ -183,26 +184,36 @@ def _forcing_for(config: ScenarioConfig):
     return manufactured_solution(sid).forcing(config.grid, config.model)
 
 
-#: What reading the snapshots of a trajectory directory raises when they are
-#: missing or corrupt (json.JSONDecodeError is a ValueError).
-_SNAPSHOT_ERRORS = (DumpFormatError, InvalidField, OSError, KeyError, TypeError, ValueError)
+@contextlib.contextmanager
+def _snapshot_faults():
+    """Raise as DumpFormatError what reading a trajectory's snapshots raises
+    in the block when they are missing, corrupt or hold bad samples
+    (json.JSONDecodeError is a ValueError), and nothing else."""
+    try:
+        yield
+    except (InvalidField, NonpositiveDensity, OSError, KeyError, TypeError, ValueError) as exc:
+        raise DumpFormatError(str(exc)) from exc
 
 
 def _snapshot_entries(trajdir: Path) -> tuple[Path, list[dict]]:
     """The snapshot directory of ``trajdir`` and the entries of its index,
-    one at least; raises one of _SNAPSHOT_ERRORS."""
+    one at least; raises DumpFormatError."""
     snapdir = trajdir / "snapshots"
-    entries = json.loads((snapdir / "index.json").read_text())["snapshots"]
+    with _snapshot_faults():
+        entries = list(json.loads((snapdir / "index.json").read_text())["snapshots"])
     if not entries:
         raise DumpFormatError(f"no snapshots in {trajdir}")
     return snapdir, entries
 
 
 def _read_snapshot(snapdir: Path, entry: dict) -> FieldState:
-    """The snapshot of index entry ``entry``; raises one of _SNAPSHOT_ERRORS."""
-    rho = read_field_dump(snapdir / entry["rho"])
-    comps = [read_field_dump(snapdir / name).data for name in entry["w"]]
-    return FieldState(rho, VectorField(rho.grid, np.stack(comps)), time=float(entry["time"]))
+    """The snapshot of index entry ``entry``, validated (finite samples, a
+    density above RHO_FLOOR); raises DumpFormatError."""
+    with _snapshot_faults():
+        rho = read_field_dump(snapdir / entry["rho"])
+        comps = [read_field_dump(snapdir / name).data for name in entry["w"]]
+        return FieldState(rho, VectorField(rho.grid, np.stack(comps)),
+                          time=float(entry["time"])).validate()
 
 
 def _load_checkpoint(trajdir: Path, config: ScenarioConfig) -> FieldState:
@@ -262,7 +273,7 @@ def cmd_simulate(args) -> int:
             return EXIT_USAGE
         try:
             state0, forcing = _load_checkpoint(Path(args.restart), config), None
-        except _SNAPSHOT_ERRORS as exc:
+        except DumpFormatError as exc:
             print(f"cannot restart from checkpoint: {exc}", file=sys.stderr)
             return EXIT_USAGE
     else:
@@ -350,49 +361,41 @@ def cmd_besov(args) -> int:
 def cmd_monitor(args) -> int:
     """Recompute the reports of a stored trajectory's snapshots into
     ``monitor_functionals.csv`` and ``monitor_functionals.jsonl`` and print
-    a summary.  The snapshots are read and reported in groups of
-    ``report_batch_size``, the Serrin trapezoid going on from group to group
-    (``evaluate_reports``' ``previous``), and each group's rows are appended
-    to the files as it is reported: one group's states are held at a time,
-    whatever the number of snapshots, and the vacuum endpoint norm takes each
-    snapshot's norm as its group passes.  The rows go to ``.tmp`` files that
-    replace the two outputs once every group is reported, so a snapshot that
-    cannot be read stops it with exit code 2 and leaves the outputs of an
-    earlier call as they were."""
+    a summary.  ``evaluate_reports`` reads the snapshots from the index as
+    it reports them, one report batch at a time, and the vacuum endpoint
+    norm reads them once more, one at a time, so no more than a batch of
+    states is held, whatever the number of snapshots.  The two outputs are
+    written once every snapshot is read, to ``.tmp`` files that replace
+    them, so a snapshot that cannot be read, or holds bad samples, stops it
+    with exit code 2 and leaves the outputs of an earlier call as they
+    were."""
     trajdir = Path(args.trajectory)
     try:
         config = parse_config((trajdir / "config.echo.json").read_text())
         snapdir, entries = _snapshot_entries(trajdir)
-    except (ParseError, ConstraintViolationError, *_SNAPSHOT_ERRORS) as exc:
+    except (ParseError, ConstraintViolationError, OSError, DumpFormatError) as exc:
         print(f"cannot read trajectory directory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
+    def snapshots():  # each read as it is drawn
+        return (_read_snapshot(snapdir, entry) for entry in entries)
+
     mon, dim = config.monitors, config.grid.dim
-    # the diagonal k = q of the endpoint family 2/k + N/q = N/2
-    endpoint = _VacuumEndpointNorm(mon.p_vacuum, 2.0 * (dim + 2) / dim, dim)
-    reports, per_group = ReportTable(), report_batch_size(config.grid)
+    try:
+        reports = evaluate_reports(snapshots(), config.model, mon)
+        # the diagonal k = q of the endpoint family 2/k + N/q = N/2
+        endpoint = vacuum_endpoint_norm(snapshots(), mon.p_vacuum, 2.0 * (dim + 2) / dim)
+    except DumpFormatError as exc:
+        print(f"cannot read trajectory directory: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+
     outputs = [trajdir / "monitor_functionals.csv", trajdir / "monitor_functionals.jsonl"]
     partial = [path.with_name(path.name + ".tmp") for path in outputs]
-    try:
-        with open(partial[0], "w") as csv, open(partial[1], "w") as jsonl:
-            for start in range(0, len(entries), per_group):
-                try:
-                    states = [_read_snapshot(snapdir, entry)
-                              for entry in entries[start:start + per_group]]
-                except _SNAPSHOT_ERRORS as exc:
-                    print(f"cannot read trajectory directory: {exc}", file=sys.stderr)
-                    return EXIT_USAGE
-                table = evaluate_reports(states, config.model, mon,
-                                         reports[-1] if reports else None)
-                _write_csv(csv, table, header=not reports)
-                _write_jsonl(jsonl, table)
-                reports.extend(table)
-                endpoint.add(states)
-        for tmp, path in zip(partial, outputs):
-            os.replace(tmp, path)
-    finally:
-        for tmp in partial:  # left only when a group failed
-            tmp.unlink(missing_ok=True)
+    for tmp, write in zip(partial, (_write_csv, _write_jsonl)):
+        with open(tmp, "w") as out:
+            write(out, reports)
+    for tmp, path in zip(partial, outputs):
+        os.replace(tmp, path)
 
     verdict = blow_up_verdict(Trajectory(params=config.model, reports=reports), config.model,
                               mon)
@@ -400,7 +403,7 @@ def cmd_monitor(args) -> int:
         "snapshots": len(reports),
         "time_span": reports.column("time")[[0, -1]].tolist(),
         "serrin_accumulator": reports.column("serrin_accumulator")[-1].item(),
-        "vacuum_endpoint_norm": endpoint.value(),
+        "vacuum_endpoint_norm": endpoint,
         "verdict": verdict.to_json_dict(),
         "csv": str(trajdir / "monitor_functionals.csv"),
     }

@@ -23,8 +23,9 @@ as residuals that must vanish under refinement (see the acceptance suite).
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field, fields as dataclass_fields
 
 import numpy as np
@@ -265,76 +266,53 @@ def _serrin_fault(p: float, q: float, dim: int) -> str | None:
                 f"1/p + N/(2q) = 1/2 in dimension {dim}")
 
 
-def _report_times_and_states(trajectory) -> tuple[list[float], list[FieldState]]:
-    states = list(getattr(trajectory, "states", []))
-    times = [s.time for s in states]
+def serrin_accumulator(trajectory, p: float, q: float) -> float:
+    """Time-quadrature of ||v(t)||_{L^q}^p over the stored snapshots, for a
+    scaling-admissible pair 1/p + N/(2q) = 1/2: the last
+    ``serrin_accumulator`` of their reports (``evaluate_reports`` with
+    ``trajectory.params`` and this pair), the trapezoid rule's running
+    value over the snapshot times, 0.0 for one snapshot."""
+    states = trajectory.states
     if not states:
         raise EmptyTrajectory("trajectory has no snapshots")
-    return times, states
-
-
-def serrin_accumulator(trajectory, p: float, q: float) -> float:
-    """Time-quadrature of ||v(t)||_{L^q}^p over the stored snapshots
-    (trapezoidal), for a scaling-admissible pair 1/p + N/(2q) = 1/2; v is
-    formed with ``trajectory.params``."""
-    times, states = _report_times_and_states(trajectory)
     check_serrin_pair(p, q, states[0].grid.dim)
-    norms = []
-    for state in states:
-        v = VectorField(state.grid, spectral_state(state, trajectory.params).v)
-        norms.append(lp_norm(v, q) ** p)
-    if len(times) == 1:
-        return 0.0
-    return float(np.trapezoid(np.asarray(norms), x=np.asarray(times)))
+    reports = evaluate_reports(states, trajectory.params, MonitorSpec(serrin_p=p, serrin_q=q))
+    return reports.column("serrin_accumulator")[-1].item()
 
 
 def vacuum_endpoint_norm(trajectory, p: float, time_exponent: float) -> float:
-    """||rho^{-(p-1)/2}||_{L^k_T(L^q)} along a trajectory, with q derived from
-    the parabolic interpolation family 2/k + N/q = N/2 of the space-time
-    endpoints L^inf_T(L^2) and L^2_T(H^1).
+    """||rho^{-(p-1)/2}||_{L^k_T(L^q)} along ``trajectory`` (its stored
+    snapshots), or along any iterable of same-grid states in time order,
+    each read once and let go, with q derived from the parabolic
+    interpolation family 2/k + N/q = N/2 of the space-time endpoints
+    L^inf_T(L^2) and L^2_T(H^1); only each state's time and spatial norm
+    are kept.
 
     These are the monitorable inputs/outputs of the interpolation chain that
     absorbs the vacuum functional's transport term; the chain itself is proof
     scaffolding and is not re-derived numerically.
     """
     _P_VACUUM.enforce("vacuum exponent p", p, PExponentOutOfRange)
-    _, states = _report_times_and_states(trajectory)
-    norm = _VacuumEndpointNorm(p, time_exponent, states[0].grid.dim)
-    norm.add(states)
-    return norm.value()
-
-
-class _VacuumEndpointNorm:
-    """``vacuum_endpoint_norm`` taken over snapshots as they pass: ``add``
-    them in time order, in as many calls as they come in, then read
-    ``value``; only each snapshot's time and spatial norm are kept."""
-
-    def __init__(self, p: float, time_exponent: float, dim: int):
-        k = time_exponent
-        inv_q = 0.5 - 2.0 / (dim * k)
-        if not (k >= 1.0) or inv_q < 0.0:
-            raise ScalingPairInvalid(
-                f"time exponent k = {k} leaves no admissible q on the parabolic "
-                f"family 2/k + N/q = N/2 in dimension {dim}")
-        self.p, self.k = p, k
-        self.q = math.inf if inv_q == 0.0 else 1.0 / inv_q
-        self.times: list[float] = []
-        self.norms: list[float] = []
-
-    def add(self, states: Sequence[FieldState]):
-        for state in states:
-            require_positive_density(state.rho)
-            weight = ScalarField(state.grid, state.rho.data ** (-(self.p - 1.0) / 2.0))
-            self.times.append(state.time)
-            self.norms.append(lp_norm(weight, self.q))
-
-    def value(self) -> float:
-        if math.isinf(self.k):
-            return float(np.max(self.norms))
-        if len(self.times) == 1:
-            return 0.0
-        powered = np.asarray(self.norms) ** self.k
-        return float(np.trapezoid(powered, x=np.asarray(self.times)) ** (1.0 / self.k))
+    k, q, times, norms = time_exponent, None, [], []
+    for state in getattr(trajectory, "states", trajectory):
+        if q is None:  # the first state gives the dimension
+            dim = state.grid.dim
+            inv_q = 0.5 - 2.0 / (dim * k)
+            if not (k >= 1.0) or inv_q < 0.0:
+                raise ScalingPairInvalid(
+                    f"time exponent k = {k} leaves no admissible q on the parabolic "
+                    f"family 2/k + N/q = N/2 in dimension {dim}")
+            q = math.inf if inv_q == 0.0 else 1.0 / inv_q
+        require_positive_density(state.rho)
+        times.append(state.time)
+        norms.append(lp_norm(ScalarField(state.grid, state.rho.data ** (-(p - 1.0) / 2.0)), q))
+    if not times:
+        raise EmptyTrajectory("trajectory has no snapshots")
+    if math.isinf(k):
+        return float(np.max(norms))
+    if len(times) == 1:
+        return 0.0
+    return float(np.trapezoid(np.asarray(norms) ** k, x=np.asarray(times)) ** (1.0 / k))
 
 
 def vacuum_indicator(state_or_rho, eps: float, delta: float) -> float:
@@ -500,27 +478,29 @@ def evaluate_report(state: State, params: ModelParams, spec: MonitorSpec | None 
     return evaluate_reports((state,), params, spec, previous)[0]
 
 
-def evaluate_reports(states: Sequence[State], params: ModelParams, spec: MonitorSpec | None = None,
+def evaluate_reports(states: Iterable[State], params: ModelParams,
+                     spec: MonitorSpec | None = None,
                      previous: FunctionalReport | None = None) -> ReportTable:
-    """The reports of ``states``, which share one grid, as one table, from
-    one pass over batches of ``report_batch_size`` of them stacked along a
-    batch axis (``SpectralState.stack``); each report equals that of its
-    state alone to the bit.  A functional that overflows is named in its
-    member's ``diverged``, without a numpy warning.  ``serrin_accumulator``
-    is the trapezoid rule's running value of ``serrin_integrand`` over the
-    states' times, continued from ``previous`` (the report before the first
-    state), or from 0.0 at the first state when ``previous`` is None.
+    """The reports of ``states``, any iterable of states that share one
+    grid, as one table.  The states are drawn one batch of
+    ``report_batch_size`` at a time, each batch only once the one before it
+    is reported, and a batch is reported in one pass with its members
+    stacked along a batch axis (``SpectralState.stack``); each report
+    equals that of its state alone to the bit.  A functional that overflows
+    is named in its member's ``diverged``, without a numpy warning.
+    ``serrin_accumulator`` is the trapezoid rule's running value of
+    ``serrin_integrand`` over the states' times, continued from batch to
+    batch and from ``previous`` (the report before the first state), or
+    from 0.0 at the first state when ``previous`` is None.
 
     Transform stages: sqrt(rho) and the vacuum functional's powers of rho
     forward; everything the functionals differentiate back.  Every
     temporary and every field a batch forms dies with it (``_report``);
     ``states`` gain at most the coefficients ``SpectralState.stack`` reads."""
-    spec = spec or _DEFAULT_SPEC
-    per_batch = report_batch_size(states[0].grid) if states else 1
-    table = ReportTable()
-    for start in range(0, len(states), per_batch):
-        batch = SpectralState.stack([spectral_state(s, params)
-                                     for s in states[start:start + per_batch]])
+    spec, states, table = spec or _DEFAULT_SPEC, iter(states), ReportTable()
+    for first in states:
+        batch = SpectralState.stack([spectral_state(s, params) for s in (
+            first, *itertools.islice(states, report_batch_size(first.grid) - 1))])
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             table.extend(_report(batch, params, spec, table[-1] if table else previous))
     return table

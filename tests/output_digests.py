@@ -13,10 +13,22 @@ name, so that two checkouts can be compared bit for bit:
   each of the 17 runs of the ``study1d`` benchmark workload (six ms1d
   convergence runs, one ``original`` run from the ``random_smooth`` state
   of the seed, ten squeeze runs), at seeds 3101 and 7;
+* ``monitor/<run>/<file>``: every file in the directory of a stored
+  trajectory once ``kortorus monitor`` has read it (each snapshot dump,
+  ``snapshots/index.json`` and both ``monitor_functionals`` outputs among
+  them), and ``monitor/<run>/stdout``, the summary that ``monitor`` prints,
+  without its ``csv`` path, for three runs:
+  ``squeeze``, the README's vacuum-squeeze config with ``write_fields``
+  (1D N = 64, report batches of 32); ``cadence``, 30 imex_bdf2 steps of an
+  ``effective_v1`` model (alpha = kappa/mu = 0.02) from the ``evolve2d``
+  initial state at 32^2, with a 0.003 snapshot cadence (batches of 2); and
+  ``evolve2d64``, 80 steps of the ``evolve2d`` model at 64^2 with
+  ``write_fields`` (one state a batch);
 * ``<run>/functionals.csv#<column>``: each column of each of those report
-  streams (the ``evolve2d`` and ``squeeze`` files, and the CSV that the
-  ``study1d`` runs' reports would write), so that a change that moves some
-  columns names them.
+  streams (the ``evolve2d`` and ``squeeze`` files, the CSV that the
+  ``study1d`` runs' reports would write, and the ``monitor`` runs'
+  ``monitor_functionals.csv``), so that a change that moves some columns
+  names them.
 
 Run it from the repository root as ``PYTHONPATH=src python3
 tests/output_digests.py > digests.json``; it takes about 15 s on a 2-core
@@ -74,11 +86,11 @@ def _simulate(document: dict, outdir: Path) -> dict[str, bytes]:
             for p in sorted(outdir.rglob("*")) if p.is_file()}
 
 
-def column_digests(run: str, csv_text: str) -> dict[str, str]:
-    """One digest per column of the ``functionals.csv`` text ``csv_text``
-    (its values, one a line), named ``<run>/functionals.csv#<column>``."""
+def column_digests(run: str, csv_text: str, file: str = "functionals.csv") -> dict[str, str]:
+    """One digest per column of the report CSV text ``csv_text`` (its
+    values, one a line), named ``<run>/<file>#<column>``."""
     header, *rows = [line.split(",") for line in csv_text.splitlines()]
-    return {f"{run}/functionals.csv#{name}": sha256("\n".join(row[i] for row in rows).encode())
+    return {f"{run}/{file}#{name}": sha256("\n".join(row[i] for row in rows).encode())
             for i, name in enumerate(header)}
 
 
@@ -96,11 +108,55 @@ def evolve2d(variant: str, seed: int, tmp: Path) -> dict[str, str]:
 
 
 def squeeze(tmp: Path) -> dict[str, str]:
-    (document,) = [json.loads(block) for block in readme_blocks("json")
-                   if '"gaussian_bump"' in block and '"delta_vacuum"' in block]
-    files = _simulate(document, tmp / "squeeze")
+    files = _simulate(readme_squeeze(), tmp / "squeeze")
     return {f"squeeze/{name}": sha256(data) for name, data in files.items()} | column_digests(
         "squeeze", files["functionals.csv"].decode())
+
+
+def readme_squeeze() -> dict:
+    """The README's vacuum-squeeze config document."""
+    (document,) = [json.loads(block) for block in readme_blocks("json")
+                   if '"gaussian_bump"' in block and '"delta_vacuum"' in block]
+    return document
+
+
+def stored_runs() -> dict[str, dict]:
+    """The config document of each stored trajectory that ``monitor`` reads."""
+    initial = {"family": "random_smooth", "seed": 3, "params": EVOLVE2D_INITIAL}
+    return {
+        "squeeze": dict(readme_squeeze(), output={"write_fields": True}),
+        "cadence": {
+            "grid": {"resolution": [32, 32]},
+            "model": {"variant": "effective_v1", "mu": 0.1, "alpha": 0.02, "kappa": 0.002,
+                      "a": 1.0},
+            "integrator": {"scheme": "imex_bdf2", "dt_initial": 1e-3, "t_end": 0.03,
+                           "snapshot_interval": 0.003},
+            "initial": initial},
+        "evolve2d64": {
+            "grid": {"resolution": [64, 64]},
+            "model": EVOLVE2D_MODELS["effective_v2"],
+            "integrator": {"scheme": "imex_bdf2", "dt_initial": 1e-3, "t_end": 0.08},
+            "initial": initial,
+            "output": {"write_fields": True}},
+    }
+
+
+def monitor(name: str, document: dict, tmp: Path) -> dict[str, str]:
+    """The digests of ``simulate`` of ``document`` followed by ``monitor``
+    of its directory: every file there, the printed summary without its
+    ``csv`` path, and each column of ``monitor_functionals.csv``."""
+    outdir, out = tmp / f"monitor_{name}", io.StringIO()
+    _simulate(document, outdir)
+    with contextlib.redirect_stdout(out):
+        cli.main(["monitor", str(outdir)])
+    run = f"monitor/{name}"
+    files = {str(p.relative_to(outdir)): p.read_bytes()
+             for p in sorted(outdir.rglob("*")) if p.is_file()}
+    return ({f"{run}/{rel}": sha256(data) for rel, data in files.items()}
+            | {f"{run}/stdout": sha256(re.sub(r'^  "csv": .*\n', "", out.getvalue(),
+                                              flags=re.M).encode())}
+            | column_digests(run, files["monitor_functionals.csv"].decode(),
+                             "monitor_functionals.csv"))
 
 
 def verify(seed: int) -> dict[str, str]:
@@ -154,6 +210,8 @@ def digests() -> dict[str, str]:
             for seed in (0, 3, 7):
                 out.update(evolve2d(variant, seed, Path(tmp)))
         out.update(squeeze(Path(tmp)))
+        for name, document in stored_runs().items():
+            out.update(monitor(name, document, Path(tmp)))
     for seed in range(4):
         out.update(verify(seed))
     for seed in (3101, 7):

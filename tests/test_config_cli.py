@@ -5,15 +5,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kortorus import verify
+from kortorus import functionals, verify
 from kortorus.cli import _json_dumps, main
 from kortorus.config import parse_config
-from kortorus.dump import write_field_dump
+from kortorus.dump import read_field_dump, write_field_dump
 from kortorus.errors import ConstraintViolationError, ParseError
 from kortorus.functionals import evaluate_reports, serrin_accumulator
 from kortorus.littlewood_paley import BesovIndex, besov_norm, block_lp_norms
+from kortorus.model import RHO_FLOOR
 from kortorus.scenarios import besov_corpus
-from kortorus.spectral import SpectralGrid
+from kortorus.spectral import ScalarField, SpectralGrid
 from kortorus.timestepping import Trajectory
 from helpers import EVOLVE2D_INITIAL, measure, read_snapshots
 
@@ -508,4 +509,62 @@ class TestMonitorCLI:
             Trajectory(params=config.model, states=states),
             *config.monitors.serrin_pair(config.grid.dim))
         assert recomputed > 0.0
-        assert payload["serrin_accumulator"] == pytest.approx(recomputed, rel=1e-12)
+        assert payload["serrin_accumulator"] == recomputed
+
+    # a NaN, and a sample at the positivity floor, in the last snapshot's density
+    @pytest.mark.parametrize("sample,fault", [(math.nan, "non-finite"), (RHO_FLOOR, "floor")])
+    def test_snapshot_with_bad_samples_exit_two(self, tmp_path, capsys, sample, fault):
+        path = write_config(tmp_path, integrator={
+            "dt_initial": 0.01, "t_end": 0.1, "snapshot_interval": 0.05})
+        out = tmp_path / "run"
+        assert main(["simulate", str(path), "--output", str(out)]) == 0
+        assert main(["monitor", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.glob("monitor_functionals*")}
+        entries = json.loads((out / "snapshots" / "index.json").read_text())["snapshots"]
+        dump = out / "snapshots" / entries[-1]["rho"]
+        rho = read_field_dump(dump)
+        data = rho.data.copy()
+        data[3] = sample
+        write_field_dump(dump, ScalarField(rho.grid, data))
+        capsys.readouterr()
+        assert main(["monitor", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot read trajectory directory: ") and fault in err
+        after = {p.name: p.read_bytes() for p in out.glob("monitor_functionals*")}
+        assert after == before and len(before) == 2
+        again = tmp_path / "again"
+        assert main(["simulate", str(path), "--output", str(again), "--restart", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot restart from checkpoint: ") and fault in err
+        assert not (again / "summary.json").exists()
+
+    @pytest.mark.parametrize("index", ["{", '{"snapshots": 5}', '{"snapshots": []}',
+                                       '{"snapshots": [{"time": 0.0}]}', '[]'])
+    def test_malformed_index_exit_two(self, tmp_path, capsys, index):
+        path = write_config(tmp_path, integrator={
+            "dt_initial": 0.01, "t_end": 0.1, "snapshot_interval": 0.05})
+        out = tmp_path / "run"
+        assert main(["simulate", str(path), "--output", str(out)]) == 0
+        (out / "snapshots" / "index.json").write_text(index)
+        capsys.readouterr()
+        assert main(["monitor", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("cannot read trajectory directory: ")
+        assert main(["simulate", str(path), "--output", str(tmp_path / "again"),
+                     "--restart", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("cannot restart from checkpoint: ")
+
+    def test_a_fault_of_the_report_code_is_not_a_usage_error(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # only a snapshot's read and validation faults are "cannot read
+        # trajectory directory", though the reports draw the snapshots
+        path = write_config(tmp_path, integrator={
+            "dt_initial": 0.01, "t_end": 0.1, "snapshot_interval": 0.05})
+        out = tmp_path / "run"
+        assert main(["simulate", str(path), "--output", str(out)]) == 0
+
+        def failing(*args):
+            raise TypeError("a fault of the report code")
+        monkeypatch.setattr(functionals, "_report", failing)
+        with pytest.raises(TypeError, match="a fault of the report code"):
+            main(["monitor", str(out)])
+        assert not list(out.glob("monitor_functionals*"))

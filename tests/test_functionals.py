@@ -12,6 +12,7 @@ from kortorus.config import parse_config
 from kortorus.errors import (
     ConstraintViolationError,
     DeltaOutOfRange,
+    EmptyTrajectory,
     PExponentOutOfRange,
     PositivityLoss,
     ScalingPairInvalid,
@@ -572,6 +573,18 @@ class TestVacuumEndpointNorm:
         traj = Trajectory(params=P_V2, states=[st])
         with pytest.raises(ScalingPairInvalid):
             vacuum_endpoint_norm(traj, 2.0, 3.0)  # k = 3 < 4 in 1D
+
+    def test_reads_any_iterable_of_states_once(self):
+        from kortorus.functionals import vacuum_endpoint_norm
+
+        grid = SpectralGrid((16, 16))
+        states = [FieldState(grid.from_function(lambda x, y: 1.0 + 0.3 * np.sin(x + t) * np.cos(y)),
+                             grid.zero_vector(), t) for t in (0.0, 0.4, 1.0)]
+        along = vacuum_endpoint_norm(Trajectory(params=P_V2, states=states), 2.0, 4.0)
+        assert along > 0.0
+        assert vacuum_endpoint_norm(iter(states), 2.0, 4.0) == along
+        with pytest.raises(EmptyTrajectory):
+            vacuum_endpoint_norm(iter([]), 2.0, 4.0)
 
     def test_grows_toward_vacuum(self):
         from kortorus.functionals import vacuum_endpoint_norm

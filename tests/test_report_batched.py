@@ -106,6 +106,45 @@ def test_batched_reports_continue_the_serrin_trapezoid(variant, resolution):
     assert len(evaluate_reports([], params)) == 0
 
 
+def table_bits(table):
+    """The bits of every column of a report table, and its ``diverged``."""
+    return np.array([table.column(name) for name in COLUMNS]).tobytes(), table.diverged
+
+
+@pytest.mark.parametrize("resolution", [64, (32, 32)])
+def test_reports_of_a_stream_equal_those_of_its_list(resolution):
+    params = VARIANT_PARAMS["effective_v2"]
+    members = batch_members(resolution, params, batch_count(resolution))
+    first = evaluate_report(smooth_state(SpectralGrid(resolution), 6), params, SPEC)
+    for previous in (None, first):
+        listed = evaluate_reports(members, params, SPEC, previous)
+        streamed = evaluate_reports((member for member in members), params, SPEC, previous)
+        assert len(streamed) == len(members)
+        assert table_bits(streamed) == table_bits(listed)
+
+
+def test_a_stream_is_drawn_one_batch_at_a_time(monkeypatch):
+    # 1D N = 64: 32 states a batch, none of a batch drawn before the one
+    # before it is reported
+    events, report = [], functionals._report
+
+    def reporting(d, *args):
+        events.append(("report", len(d.rho.data)))
+        return report(d, *args)
+    monkeypatch.setattr(functionals, "_report", reporting)
+    params = VARIANT_PARAMS["effective_v2"]
+    members = batch_members(64, params, 70)
+
+    def drawn():
+        for i, member in enumerate(members):
+            events.append(("draw", i))
+            yield member
+    assert len(evaluate_reports(drawn(), params)) == 70
+    assert events == ([("draw", i) for i in range(32)] + [("report", 32)]
+                      + [("draw", i) for i in range(32, 64)] + [("report", 32)]
+                      + [("draw", i) for i in range(64, 70)] + [("report", 6)])
+
+
 @pytest.mark.parametrize("dt_min", [1.0, 1e-3])
 def test_a_finite_state_past_the_float_range_is_reported_and_ends_as_nonfinite(dt_min):
     """A density source of 1e307 on 8 points (effective_v2, gamma 1): the

@@ -84,7 +84,9 @@ def bulk_outputs(doc, outdir):
     with open(outdir / "functionals.jsonl", "w") as out:
         cli._write_jsonl(out, traj.reports)
     if config.output.write_fields or config.integrator.snapshot_interval is not None:
-        cli._write_snapshots(outdir, traj.states, [])
+        index = []
+        cli._write_snapshots(outdir, traj.states, index)
+        cli._write_index(outdir, index)
     (outdir / "summary.json").write_text(
         cli._json_dumps(cli._summary(config, traj, error_info, None)))
     return traj, error_info
