@@ -47,7 +47,7 @@ from .littlewood_paley import (
     besov_norm,  # noqa: F401  `kortorus besov`'s "norm"; perfbench/tracing.py wraps it here
     block_lp_norms,
 )
-from .model import FieldState
+from .model import FieldState, ModelParams, SpectralState
 from .scenarios import initial_state, manufactured_solution
 from .spectral import VectorField
 from .timestepping import Trajectory, run
@@ -206,20 +206,21 @@ def _snapshot_entries(trajdir: Path) -> tuple[Path, list[dict]]:
     return snapdir, entries
 
 
-def _read_snapshot(snapdir: Path, entry: dict) -> FieldState:
-    """The snapshot of index entry ``entry``, validated (finite samples, a
-    density above RHO_FLOOR); raises DumpFormatError."""
+def _read_snapshot(snapdir: Path, entry: dict, params: ModelParams) -> SpectralState:
+    """The snapshot of index entry ``entry``, validated once (finite samples,
+    a density above RHO_FLOOR), as the SpectralState under ``params`` that
+    the reports take as it is; raises DumpFormatError."""
     with _snapshot_faults():
         rho = read_field_dump(snapdir / entry["rho"])
         comps = [read_field_dump(snapdir / name).data for name in entry["w"]]
-        return FieldState(rho, VectorField(rho.grid, np.stack(comps)),
-                          time=float(entry["time"])).validate()
+        return SpectralState(FieldState(rho, VectorField(rho.grid, np.stack(comps)),
+                                        time=float(entry["time"])).validate(), params)
 
 
 def _load_checkpoint(trajdir: Path, config: ScenarioConfig) -> FieldState:
     """Last stored snapshot of a previous run, as a fresh initial state."""
     snapdir, entries = _snapshot_entries(trajdir)
-    last = _read_snapshot(snapdir, entries[-1])
+    last = _read_snapshot(snapdir, entries[-1], config.model)
     if last.grid != config.grid:
         raise DumpFormatError(
             f"checkpoint grid {last.grid.resolution} does not match the "
@@ -378,7 +379,7 @@ def cmd_monitor(args) -> int:
         return EXIT_USAGE
 
     def snapshots():  # each read as it is drawn
-        return (_read_snapshot(snapdir, entry) for entry in entries)
+        return (_read_snapshot(snapdir, entry, config.model) for entry in entries)
 
     mon, dim = config.monitors, config.grid.dim
     try:

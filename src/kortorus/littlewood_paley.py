@@ -345,39 +345,23 @@ def _check_time_norm(name: str, fields, times, rho_exp: float) -> None:
             (rho_exp >= 1.0, f"time exponent must satisfy rho >= 1, got {rho_exp}"))
 
 
-def _simpson_pairs(y: np.ndarray, h: np.ndarray, stop: int) -> np.ndarray:
-    """Simpson's rule for irregular spacing over the interval pairs that
-    start at samples 0, 2, ... < stop, summed along the last axis of ``y``;
-    ``h`` holds the spacings."""
-    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+def _simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Composite Simpson integral of each row of ``y`` (rows, samples),
+    sampled at the strictly increasing points ``x``, an odd number of them
+    (at least three; ``heat_regularity_check`` makes its count odd):
+    Simpson's rule for irregular spacing on every interval pair, with the
+    operations of scipy 1.17's ``scipy.integrate.simpson(y, x=x, axis=-1)``
+    in its order, so the same bits.  (scipy guards each division against a
+    zero spacing, which such ``x`` do not have.)"""
+    h = np.diff(x)
+    h0, h1 = h[0::2], h[1::2]
     hsum = h0 + h1
     hprod = h0 * h1
     h0divh1 = h0 / h1
-    pairs = hsum / 6.0 * (y[..., 0:stop:2] * (2.0 - 1.0 / h0divh1)
-                          + y[..., 1:stop + 1:2] * (hsum * (hsum / hprod))
-                          + y[..., 2:stop + 2:2] * (2.0 - h0divh1))
+    pairs = hsum / 6.0 * (y[..., 0:-2:2] * (2.0 - 1.0 / h0divh1)
+                          + y[..., 1:-1:2] * (hsum * (hsum / hprod))
+                          + y[..., 2::2] * (2.0 - h0divh1))
     return np.sum(pairs, axis=-1)
-
-
-def _simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Composite Simpson integral of each row of ``y`` (rows, samples),
-    sampled at the strictly increasing points ``x`` (at least three): the
-    operations of scipy 1.17's ``scipy.integrate.simpson(y, x=x, axis=-1)``
-    in its order, so the same bits.  An odd sample count takes Simpson's
-    rule on every interval pair; an even one takes it on all but the last
-    interval, which gets Cartwright's correction.  (scipy guards each
-    division against a zero spacing, which such ``x`` do not have.)"""
-    n = y.shape[-1]
-    h = np.diff(x)
-    if n % 2:
-        return _simpson_pairs(y, h, n - 2)
-    h0, h1 = h[-2:, None]
-    alpha = (2 * h1 ** 2 + 3 * h0 * h1) / (6 * (h1 + h0))
-    beta = (h1 ** 2 + 3.0 * h0 * h1) / (6 * h0)
-    eta = h1 ** 3 / (6 * h0 * (h0 + h1))
-    last = alpha * y[..., -1] + beta * y[..., -2] - eta * y[..., -3]
-    # scipy then adds its 0.0 two-sample term, which turns -0.0 into 0.0
-    return _simpson_pairs(y, h, n - 3) + last + 0.0
 
 
 def _time_lp(values: np.ndarray, times: np.ndarray, rho_exp: float,

@@ -21,7 +21,8 @@ kappa * div(rho grad grad ln rho); their agreement is a core verification
 target.
 
 Velocity tendencies are per unit mass, derived term by term in
-``tendency_hats``; every nonlinear product is dealiased with the 2/3 rule.
+``tendency_hats``; every nonlinear product is dealiased with the 2/3 rule,
+and the linear diffusions act on every mode.
 """
 
 from __future__ import annotations
@@ -484,12 +485,13 @@ def spectral_state(state: FieldState | SpectralState, params: ModelParams) -> Sp
 
 
 def tendency_hats(d: SpectralState, forcing=()) -> tuple[np.ndarray, np.ndarray]:
-    """rfft coefficients of (d rho/dt without its (kappa/mu) Lap rho part,
-    d w/dt), each plus its source sampled in ``forcing`` = (f_rho, f_w) if
-    given; every nonlinear product is dealiased by masking its coefficients.
-    Each sum is formed in place in its first term, a new array, and the
-    tendencies in the arrays that the transforms returned: the bits of the
-    plain numpy expressions, with fewer temporaries.
+    """rfft coefficients of (d rho/dt, d w/dt) without their linear
+    diffusions (kappa/mu) Lap rho and mu Lap w, which the step integrates
+    and ``rhs`` adds back, each plus its source sampled in ``forcing`` =
+    (f_rho, f_w) if given.  Each sum is formed in place in its first term, a
+    new array, and the tendencies in the arrays that the transforms
+    returned: the bits of the plain numpy expressions, with fewer
+    temporaries.
 
     d rho/dt = -div(rho w) in every variant, and d w/dt is per unit mass.
     With L = ln rho, g = grad L, u the advecting velocity and the stress
@@ -510,8 +512,13 @@ def tendency_hats(d: SpectralState, forcing=()) -> tuple[np.ndarray, np.ndarray]
     pointwise: nothing is multiplied by rho to be divided by it again, which
     would amplify truncation error by 1/rho.  Stages, one order for every
     variant: L, rho w and the forcing forward; g and grad w (and grad grad L
-    in ``original``) back; the pointwise part forward.  The 2/3 mask covers
-    the whole velocity tendency."""
+    in ``original``) back; the pointwise part forward.
+
+    The truncation rule, stated once: the 2/3 mask covers all that is
+    returned, so every nonlinear product is dealiased by masking its
+    coefficients, and the linear diffusions act on every mode.  ``original``
+    has no density diffusion, so its density modes above the cutoff are
+    carried as they are."""
     params, grid, rho = d.params, d.grid, d.rho.data
     original = params.variant == "original"
     flux_hat, *forcing_hats = d.fill(to_spectral_stage, "ln_rho_hat",
@@ -521,19 +528,18 @@ def tendency_hats(d: SpectralState, forcing=()) -> tuple[np.ndarray, np.ndarray]
     explicit = np.einsum("i...,ij...->j...", d.transport, d.grad_w)
     np.negative(explicit, out=explicit)
     explicit -= params.a * params.gamma * rho ** (params.gamma - 1.0) * g
-    div_stress_hat = params.mu * grid.rfft_minus_beta_sq * d.w_hat
     if original:
         stress = params.alpha * np.swapaxes(d.grad_w, 0, 1)
         stress += params.kappa * d.hess_ln_rho
         explicit += np.einsum("i...,ij...->j...", g, stress)
+    (dw_hat,) = d.fill(to_spectral_stage, extra=[explicit])
+    if original:
         potential_hat = params.alpha * div_hat(d.w_hat, grid)
         potential_hat += params.kappa * grid.rfft_minus_beta_sq * d.ln_rho_hat
-        div_stress_hat += grad_hat(potential_hat, grid)
-    (dw_hat,) = d.fill(to_spectral_stage, extra=[explicit])
+        dw_hat += grad_hat(potential_hat, grid)
     flux_hat *= grid.rfft_dealias_keep
     drho_hat = div_hat(flux_hat, grid, flux_hat)
     np.negative(drho_hat, out=drho_hat)
-    dw_hat += div_stress_hat
     dw_hat *= grid.rfft_dealias_keep
     if forcing_hats:
         drho_hat += forcing_hats[0]
@@ -544,10 +550,12 @@ def tendency_hats(d: SpectralState, forcing=()) -> tuple[np.ndarray, np.ndarray]
 def rhs(state: FieldState | SpectralState,
         params: ModelParams) -> tuple[ScalarField, VectorField]:
     """Time derivative (d rho/dt, d w/dt) for the configured variant, the
-    velocity's per unit mass (``tendency_hats``)."""
+    velocity's per unit mass: ``tendency_hats`` with the diffusions mu Lap w
+    and, in the effective variants, (kappa/mu) Lap rho added back."""
     d = spectral_state(state, params)
     drho_hat, dw_hat = tendency_hats(d)
     if params.variant != "original":
-        drho_hat = drho_hat + params.eps * d.grid.rfft_minus_beta_sq * d.rho_hat
+        drho_hat += params.eps * d.grid.rfft_minus_beta_sq * d.rho_hat
+    dw_hat += params.mu * d.grid.rfft_minus_beta_sq * d.w_hat
     drho, dw = to_physical_stage([drho_hat, dw_hat], d.grid)
     return ScalarField(d.grid, drho), VectorField(d.grid, dw)

@@ -3,9 +3,10 @@
 The density equation is advanced with an exact spectral integrating factor
 for its linear diffusion (kappa/mu) Lap rho (absent in the ``original``
 variant) and an explicit transport term; the velocity equation treats its
-viscous diffusion mu Lap implicitly and the remainder explicitly.  The
-velocity tendency is per unit mass (``model.tendency_hats``), so it diffuses
-at the rate mu whatever the density, and the per-mode solves stay diagonal;
+viscous diffusion mu Lap implicitly and the remainder explicitly.  The two
+diffusions act on every mode; ``model.tendency_hats`` gives the masked
+remainders.  The velocity tendency is per unit mass, so it diffuses at the
+rate mu whatever the density, and the per-mode solves stay diagonal;
 ``cfl_dt`` bounds the transport that is left explicit.
 
 Schemes:
@@ -204,7 +205,7 @@ class _Level:
     rho_hat: np.ndarray
     w_hat: np.ndarray          # (dim,) + rfft shape
     n_rho_hat: np.ndarray      # explicit density tendency
-    f_w_hat: np.ndarray        # full velocity tendency
+    f_w_hat: np.ndarray        # explicit velocity tendency, without mu Lap w
     dt_prev: float | None      # dt that produced this level from the one before
 
 
@@ -224,9 +225,10 @@ class RunState:
 
 def rhs(d: SpectralState, forcing: ForcingFn | None) -> tuple[np.ndarray, np.ndarray]:
     """Right-hand side of the IMEX split, as rfft coefficients: the explicit
-    density tendency (the (kappa/mu) Lap rho part is integrated exactly and
-    left out) and the full velocity tendency, forcing included.  The
-    forcing samples go forward in the tendencies' first forward stage."""
+    density and velocity tendencies, forcing included, without the
+    (kappa/mu) Lap rho and mu Lap w that the step integrates
+    (``model.tendency_hats``).  The forcing samples go forward in the
+    tendencies' first forward stage."""
     if forcing is None:
         return tendency_hats(d)
     return tendency_hats(d, [np.asarray(f, dtype=float) for f in forcing(d.time)])
@@ -284,20 +286,17 @@ def _euler_factors(rates: tuple[np.ndarray, np.ndarray], dt: float) -> tuple:
     return np.exp(z), dt * _phi1(z), 1.0 + lam_w * dt
 
 
-def _advance_euler(level: _Level, factors: tuple, lam_w: np.ndarray,
-                   dt) -> tuple[np.ndarray, np.ndarray]:
+def _advance_euler(level: _Level, factors: tuple, dt) -> tuple[np.ndarray, np.ndarray]:
     """The new level's coefficients
     rho_hat = exp_z rho_hat + dt_phi1 n_rho_hat and
-    w_hat = (w_hat + dt (f_w_hat + lam_w w_hat)) / w_divisor,
+    w_hat = (w_hat + dt f_w_hat) / w_divisor,
     each sum formed in place in its first term.  They broadcast over a
     leading rung axis of ``factors`` and ``dt`` (``_along_rungs``): no
     operand of an update in place has an axis that the array updated lacks."""
     exp_z, dt_phi1, w_divisor = factors
     rho_hat = exp_z * level.rho_hat
     rho_hat += dt_phi1 * level.n_rho_hat
-    r_hat = lam_w * level.w_hat
-    r_hat += level.f_w_hat
-    w_hat = dt * r_hat
+    w_hat = dt * level.f_w_hat
     w_hat += level.w_hat
     w_hat /= w_divisor
     return rho_hat, w_hat
@@ -322,12 +321,13 @@ def _bdf2_factors(rates: tuple[np.ndarray, np.ndarray], dt: float, dt_prev: floa
     return a0, a1, a2, c1, c2, -a1 * e1, a2 * e2, c1 * e1, c2 * e2, a0 + lam_w * dt
 
 
-def _advance_bdf2(level_n: _Level, level_p: _Level, factors: tuple, lam_w: np.ndarray,
+def _advance_bdf2(level_n: _Level, level_p: _Level, factors: tuple,
                   dt) -> tuple[np.ndarray, np.ndarray]:
-    """The new level's coefficients, with r = f_w_hat + lam_w w_hat,
+    """The new level's coefficients
     rho_hat = (a1_e1 rho_hat_n - a2_e2 rho_hat_p
                + dt (c1_e1 n_rho_hat_n + c2_e2 n_rho_hat_p)) / a0 and
-    w_hat = (-a1 w_hat_n - a2 w_hat_p + dt (c1 r_n + c2 r_p)) / w_divisor,
+    w_hat = (-a1 w_hat_n - a2 w_hat_p + dt (c1 f_w_hat_n + c2 f_w_hat_p))
+            / w_divisor,
     formed in place as ``_advance_euler`` forms its own."""
     a0, a1, a2, c1, c2, a1_e1, a2_e2, c1_e1, c2_e2, w_divisor = factors
     rho_hat = a1_e1 * level_n.rho_hat
@@ -338,12 +338,8 @@ def _advance_bdf2(level_n: _Level, level_p: _Level, factors: tuple, lam_w: np.nd
     rho_hat += explicit
     rho_hat /= a0
 
-    r_n = lam_w * level_n.w_hat
-    r_n += level_n.f_w_hat
-    r_p = lam_w * level_p.w_hat
-    r_p += level_p.f_w_hat
-    explicit = c1 * r_n
-    explicit += c2 * r_p
+    explicit = c1 * level_n.f_w_hat
+    explicit += c2 * level_p.f_w_hat
     w_hat = -a1 * level_n.w_hat
     w_hat -= a2 * level_p.w_hat
     explicit *= dt
@@ -434,8 +430,8 @@ class Stepper:
         # and the probe raise on its samples, not a numpy warning
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             if dt_prev is None:
-                return _advance_euler(level, factors, self._rates[1], dt)
-            return _advance_bdf2(level, levels[0], factors, self._rates[1], dt)
+                return _advance_euler(level, factors, dt)
+            return _advance_bdf2(level, levels[0], factors, dt)
 
     def advance(self, dt: float) -> FieldState:
         """One accepted step of size dt; raises PositivityLoss/NonFinite on

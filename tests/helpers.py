@@ -21,6 +21,7 @@ import numpy as np
 import scipy.fft
 
 from kortorus import cli, timestepping
+from kortorus.config import parse_config
 from kortorus.errors import KortorusError, NonFinite, PositivityLoss
 from kortorus.functionals import MonitorSpec, evaluate_report, evaluate_reports
 from kortorus.model import ModelParams, _evaluate_law, spectral_state
@@ -113,9 +114,11 @@ EVOLVE2D_INITIAL = {"mean": 1.2, "amplitude": 0.25, "velocity_amplitude": 0.3}
 
 
 def read_snapshots(trajdir: Path) -> list:
-    """Every snapshot ``simulate`` stored under ``trajdir``, in index order."""
+    """Every snapshot ``simulate`` stored under ``trajdir``, in index order,
+    as the SpectralStates of its echoed model."""
+    model = parse_config((trajdir / "config.echo.json").read_text()).model
     snapdir, entries = cli._snapshot_entries(trajdir)
-    return [cli._read_snapshot(snapdir, entry) for entry in entries]
+    return [cli._read_snapshot(snapdir, entry, model) for entry in entries]
 
 
 def _evolve2d_stepper(resolution: int, seed: int) -> Stepper:

@@ -30,11 +30,17 @@ name, so that two checkouts can be compared bit for bit:
   ``monitor_functionals.csv``), so that a change that moves some columns
   names them.
 
+A column's entry, and a ``study1d`` run's, is an object: its ``sha256``
+and the values recorded beside it, the column's ``first``, ``last``,
+``min`` and ``max`` and the final state's ``max_abs_rho`` and
+``max_abs_w``; every other entry is a digest.
+
 Run it from the repository root as ``PYTHONPATH=src python3
 tests/output_digests.py > digests.json``; it takes about 15 s on a 2-core
 host.  With ``--against digests.json`` it compares its run with that saved
 object instead of printing one: it prints ``identical`` and exits 0, or
-prints each entry that differs, is missing or is new, and exits 1.
+prints each entry whose digest differs (with the largest relative change
+among its recorded values), is missing or is new, and exits 1.
 """
 
 from __future__ import annotations
@@ -44,10 +50,13 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import re
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from kortorus import cli, timestepping
 from kortorus.model import ModelParams
@@ -86,15 +95,32 @@ def _simulate(document: dict, outdir: Path) -> dict[str, bytes]:
             for p in sorted(outdir.rglob("*")) if p.is_file()}
 
 
+def _columns(csv_text: str) -> dict[str, list[str]]:
+    """The values of each column of the CSV text ``csv_text``, by name."""
+    header, *rows = [line.split(",") for line in csv_text.splitlines()]
+    return {name: [row[i] for row in rows] for i, name in enumerate(header)}
+
+
 def column_digests(run: str, csv_text: str, file: str = "functionals.csv") -> dict[str, str]:
     """One digest per column of the report CSV text ``csv_text`` (its
     values, one a line), named ``<run>/<file>#<column>``."""
-    header, *rows = [line.split(",") for line in csv_text.splitlines()]
-    return {f"{run}/{file}#{name}": sha256("\n".join(row[i] for row in rows).encode())
-            for i, name in enumerate(header)}
+    return {f"{run}/{file}#{name}": sha256("\n".join(column).encode())
+            for name, column in _columns(csv_text).items()}
 
 
-def evolve2d(variant: str, seed: int, tmp: Path) -> dict[str, str]:
+def column_entries(run: str, csv_text: str, file: str = "functionals.csv") -> dict[str, dict]:
+    """``column_digests``, each with its column's first, last, min and max
+    value recorded beside it."""
+    entries = {}
+    for (key, digest), column in zip(column_digests(run, csv_text, file).items(),
+                                     _columns(csv_text).values()):
+        values = np.array(column, dtype=float)
+        entries[key] = {"sha256": digest, "first": values[0].item(), "last": values[-1].item(),
+                        "min": values.min().item(), "max": values.max().item()}
+    return entries
+
+
+def evolve2d(variant: str, seed: int, tmp: Path) -> dict:
     files = _simulate({
         "grid": {"resolution": [128, 128]},
         "model": EVOLVE2D_MODELS[variant],
@@ -103,13 +129,13 @@ def evolve2d(variant: str, seed: int, tmp: Path) -> dict[str, str]:
         "output": {"label": "evolve2d"},
     }, tmp / f"evolve2d_{variant}_{seed}")
     run = f"evolve2d/{variant}/seed{seed}"
-    return {f"{run}/{name}": sha256(files[name]) for name in EVOLVE2D_FILES} | column_digests(
+    return {f"{run}/{name}": sha256(files[name]) for name in EVOLVE2D_FILES} | column_entries(
         run, files["functionals.csv"].decode())
 
 
-def squeeze(tmp: Path) -> dict[str, str]:
+def squeeze(tmp: Path) -> dict:
     files = _simulate(readme_squeeze(), tmp / "squeeze")
-    return {f"squeeze/{name}": sha256(data) for name, data in files.items()} | column_digests(
+    return {f"squeeze/{name}": sha256(data) for name, data in files.items()} | column_entries(
         "squeeze", files["functionals.csv"].decode())
 
 
@@ -141,7 +167,7 @@ def stored_runs() -> dict[str, dict]:
     }
 
 
-def monitor(name: str, document: dict, tmp: Path) -> dict[str, str]:
+def monitor(name: str, document: dict, tmp: Path) -> dict:
     """The digests of ``simulate`` of ``document`` followed by ``monitor``
     of its directory: every file there, the printed summary without its
     ``csv`` path, and each column of ``monitor_functionals.csv``."""
@@ -155,7 +181,7 @@ def monitor(name: str, document: dict, tmp: Path) -> dict[str, str]:
     return ({f"{run}/{rel}": sha256(data) for rel, data in files.items()}
             | {f"{run}/stdout": sha256(re.sub(r'^  "csv": .*\n', "", out.getvalue(),
                                               flags=re.M).encode())}
-            | column_digests(run, files["monitor_functionals.csv"].decode(),
+            | column_entries(run, files["monitor_functionals.csv"].decode(),
                              "monitor_functionals.csv"))
 
 
@@ -188,7 +214,7 @@ def original_run(seed: int) -> timestepping.Trajectory:
                                                             t_end=1000 * 2.5e-4))
 
 
-def study1d(seed: int) -> dict[str, str]:
+def study1d(seed: int) -> dict:
     runs = {f"ms1d_{scheme}_{steps}": (lambda s=scheme, n=steps: ms1d_run(s, n))
             for scheme in ("imex_euler", "imex_bdf2") for steps in (80, 160, 320)}
     runs["original"] = lambda: original_run(seed)
@@ -198,12 +224,15 @@ def study1d(seed: int) -> dict[str, str]:
         trajectory, run = make(), f"study1d/seed{seed}/{name}"
         csv = io.StringIO()
         cli._write_csv(csv, trajectory.reports)
-        out[run] = trajectory_digest(trajectory)
-        out.update(column_digests(run, csv.getvalue()))
+        final = trajectory.final_state
+        out[run] = {"sha256": trajectory_digest(trajectory),
+                    "max_abs_rho": np.abs(final.rho.data).max().item(),
+                    "max_abs_w": np.abs(final.w.data).max().item()}
+        out.update(column_entries(run, csv.getvalue()))
     return out
 
 
-def digests() -> dict[str, str]:
+def digests() -> dict:
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for variant in EVOLVE2D_MODELS:
@@ -219,11 +248,38 @@ def digests() -> dict[str, str]:
     return out
 
 
-def differences(run: dict[str, str], saved: dict[str, str]) -> list[str]:
+def relative_change(new: float, old: float) -> float:
+    """|new - old| / |old|: 0 for equal values (two NaNs included), inf
+    from 0 or to or from a value that is not finite."""
+    if new == old or (math.isnan(new) and math.isnan(old)):
+        return 0.0
+    if old == 0.0 or not (math.isfinite(new) and math.isfinite(old)):
+        return math.inf
+    return abs(new - old) / abs(old)
+
+
+def _digest(entry) -> str:
+    return entry["sha256"] if isinstance(entry, dict) else entry
+
+
+def _moved(new, old) -> str:
+    """The largest relative change among the values recorded beside two
+    digests of one entry, as a suffix of its line ("" when none are)."""
+    if not (isinstance(new, dict) and isinstance(old, dict)):
+        return ""
+    keys = (new.keys() & old.keys()) - {"sha256"}
+    if not keys:
+        return ""
+    return f" (largest relative change {max(relative_change(new[k], old[k]) for k in keys):.3g})"
+
+
+def differences(run: dict, saved: dict) -> list[str]:
     """One line for each entry of ``saved`` that ``run`` gives another
-    digest or lacks, and for each entry of ``run`` that ``saved`` lacks."""
-    return ([f"differs: {name}" for name in sorted(run.keys() & saved.keys())
-             if run[name] != saved[name]]
+    digest (with ``_moved``'s suffix) or lacks, and for each entry of ``run``
+    that ``saved`` lacks."""
+    return ([f"differs: {name}{_moved(run[name], saved[name])}"
+             for name in sorted(run.keys() & saved.keys())
+             if _digest(run[name]) != _digest(saved[name])]
             + [f"missing: {name}" for name in sorted(saved.keys() - run.keys())]
             + [f"new: {name}" for name in sorted(run.keys() - saved.keys())])
 

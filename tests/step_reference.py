@@ -6,8 +6,11 @@ call.
 ``kortorus.model.tendency_hats`` and the Euler and BDF2 combinations of
 ``kortorus.timestepping`` form their sums in place, and the Stepper computes
 the factors once per dt (and per previous dt for imex_bdf2); the tests hold
-its kernels and runs equal to these, with ``==``.  The velocity's implicit
-part is mu Lap, its viscous term at its true rate mu.
+its kernels and runs equal to these, with ``==``.  The split is the
+model's: the tendencies leave out the linear diffusions (kappa/mu) Lap rho
+and mu Lap w, which act on every mode, and the 2/3 mask covers the rest;
+the velocity's implicit part is mu Lap, its viscous term at its true rate
+mu.
 """
 
 from __future__ import annotations
@@ -29,15 +32,15 @@ def reference_tendency_hats(d, forcing=()):
     g = d.grad_ln_rho
     explicit = (-np.einsum("i...,ij...->j...", d.transport, d.grad_w)
                 - params.a * params.gamma * rho ** (params.gamma - 1.0) * g)
-    div_stress_hat = params.mu * grid.rfft_minus_beta_sq * d.w_hat
     if original:
         explicit += np.einsum("i...,ij...->j...", g, params.alpha * np.swapaxes(d.grad_w, 0, 1)
                               + params.kappa * d.hess_ln_rho)
-        div_stress_hat = div_stress_hat + grad_hat(
+    (explicit_hat,) = d.fill(to_spectral_stage, extra=[explicit])
+    if original:
+        explicit_hat = explicit_hat + grad_hat(
             params.alpha * div_hat(d.w_hat, grid)
             + params.kappa * grid.rfft_minus_beta_sq * d.ln_rho_hat, grid)
-    (explicit_hat,) = d.fill(to_spectral_stage, extra=[explicit])
-    drho_hat, dw_hat = -div_hat(keep * flux_hat, grid), keep * (explicit_hat + div_stress_hat)
+    drho_hat, dw_hat = -div_hat(keep * flux_hat, grid), keep * explicit_hat
     if forcing_hats:
         drho_hat, dw_hat = drho_hat + forcing_hats[0], dw_hat + forcing_hats[1]
     return drho_hat, dw_hat
@@ -55,9 +58,7 @@ def reference_euler(level, lam_rho, ksq, mu, dt):
     mu Lap: (rho_hat, w_hat) one step of dt after ``level``."""
     z = -lam_rho * dt
     rho_hat = np.exp(z) * level.rho_hat + dt * reference_phi1(z) * level.n_rho_hat
-
-    r_hat = level.f_w_hat + mu * ksq * level.w_hat
-    w_hat = (level.w_hat + dt * r_hat) / (1.0 + mu * ksq * dt)
+    w_hat = (level.w_hat + dt * level.f_w_hat) / (1.0 + mu * ksq * dt)
     return rho_hat, w_hat
 
 
@@ -76,9 +77,6 @@ def reference_bdf2(level_n, level_p, lam_rho, ksq, mu, dt):
     e2 = np.exp(-lam_rho * (dt + level_n.dt_prev))
     rho_hat = (-a1 * e1 * level_n.rho_hat - a2 * e2 * level_p.rho_hat
                + dt * (c1 * e1 * level_n.n_rho_hat + c2 * e2 * level_p.n_rho_hat)) / a0
-
-    r_n = level_n.f_w_hat + mu * ksq * level_n.w_hat
-    r_p = level_p.f_w_hat + mu * ksq * level_p.w_hat
     w_hat = (-a1 * level_n.w_hat - a2 * level_p.w_hat
-             + dt * (c1 * r_n + c2 * r_p)) / (a0 + mu * ksq * dt)
+             + dt * (c1 * level_n.f_w_hat + c2 * level_p.f_w_hat)) / (a0 + mu * ksq * dt)
     return rho_hat, w_hat

@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import tracemalloc
@@ -12,7 +13,7 @@ from kortorus.dump import read_field_dump, write_field_dump
 from kortorus.errors import ConstraintViolationError, ParseError
 from kortorus.functionals import evaluate_reports, serrin_accumulator
 from kortorus.littlewood_paley import BesovIndex, besov_norm, block_lp_norms
-from kortorus.model import RHO_FLOOR
+from kortorus.model import RHO_FLOOR, FieldState
 from kortorus.scenarios import besov_corpus
 from kortorus.spectral import ScalarField, SpectralGrid
 from kortorus.timestepping import Trajectory
@@ -453,6 +454,22 @@ class TestMonitorCLI:
         written = float(rows[-1].split(",")[col])
         assert written > 0.0
         assert written == payload["serrin_accumulator"] == payload["verdict"]["serrin_value"]
+
+    def test_each_read_validates_a_snapshot_once(self, tmp_path, capsys, monkeypatch):
+        path = write_config(tmp_path, integrator={
+            "dt_initial": 0.01, "t_end": 0.2, "snapshot_interval": 0.05})
+        out = tmp_path / "run"
+        assert main(["simulate", str(path), "--output", str(out)]) == 0
+        validated, validate = collections.Counter(), FieldState.validate
+
+        def counted(self):
+            validated[self.time] += 1
+            return validate(self)
+        monkeypatch.setattr(FieldState, "validate", counted)
+        assert main(["monitor", str(out)]) == 0
+        entries = json.loads((out / "snapshots" / "index.json").read_text())["snapshots"]
+        # two reads: the reports' and the vacuum endpoint norm's
+        assert validated == {entry["time"]: 2 for entry in entries}
 
     def test_holds_one_report_batch_of_snapshots_at_a_time(self, tmp_path, capsys):
         # the evolve2d model at 64^2, each of 80 steps kept: reading every

@@ -23,8 +23,8 @@ from helpers import (
 #: with the columns of schema version 2 and the Serrin trapezoid over the
 #: report times; a change that moves a column moves these (known to hold on
 #: one numpy build and host)
-SQUEEZE_DIGEST = "504248f2123b412602471c13a34a42b7bed71850ba81a8dc602cccbb3783c1ce"
-MS1D_BDF2_160_DIGEST = "9af5e7e7b1357bf4811fb6580f4945b70f178ecb5d14b3e26aa066f663822081"
+SQUEEZE_DIGEST = "f64dca713b1f1138f2c942b3b647082da0368ceb9f885aa142461b5c3eb55749"
+MS1D_BDF2_160_DIGEST = "b376032d17116293d66d787693ffdec27cef417efd87d563a547936131869799"
 
 
 @pytest.fixture(scope="module")

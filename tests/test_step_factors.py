@@ -48,18 +48,16 @@ def test_cached_kernels_equal_the_reference_on_a_dt_ladder(resolution, variant, 
     ksq = -grid.rfft_minus_beta_sq
     lam_rho = (params.eps if variant != "original" else 0.0) * ksq
     stepper = Stepper(smooth_state(grid), params, config)
-    lam_w = stepper._rates[1]
     for dt in DT_LADDER:
         level_p, level_n = (None, *stepper.run_state.levels)[-2:]
         euler = reference_euler(level_n, lam_rho, ksq, params.mu, dt)
-        got = timestepping._advance_euler(level_n, stepper._factors_of(dt, None), lam_w, dt)
+        got = timestepping._advance_euler(level_n, stepper._factors_of(dt, None), dt)
         assert all(map(same_bits, got, euler))
         expected = euler
         if level_p is not None:
             bdf2 = reference_bdf2(level_n, level_p, lam_rho, ksq, params.mu, dt)
             got = timestepping._advance_bdf2(level_n, level_p,
-                                             stepper._factors_of(dt, level_n.dt_prev),
-                                             lam_w, dt)
+                                             stepper._factors_of(dt, level_n.dt_prev), dt)
             assert all(map(same_bits, got, bdf2))
             expected = bdf2 if scheme == "imex_bdf2" else euler
         stepper.advance(dt)

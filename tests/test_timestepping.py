@@ -9,7 +9,7 @@ from kortorus.config import parse_config
 from kortorus.errors import NonFinite, PositivityLoss, StepUnderflow
 from kortorus.functionals import MonitorSpec
 from kortorus.littlewood_paley import BesovIndex, besov_norm
-from kortorus.model import FieldState, ModelParams, recover_u
+from kortorus.model import FieldState, ModelParams, recover_u, rhs
 from kortorus.scenarios import initial_state, manufactured_solution
 from kortorus.spectral import (ScalarField, SpectralGrid, VectorField, forward_transform,
                                gradient)
@@ -168,6 +168,59 @@ class TestViscousRate:
         assert traj.reports[-1].time == pytest.approx(10.0)
         energy = [r.effective_energy for r in traj.reports]
         assert all(b - a <= 1e-12 * abs(a) for a, b in zip(energy, energy[1:]))
+
+
+class TestTruncationRule:
+    """The split's one truncation rule (``model.tendency_hats``): the linear
+    diffusions act on every mode and only the explicit remainder is masked,
+    so a velocity mode above the 2/3 cutoff (13 at N = 32) decays at the
+    implicit rate, and ``original``'s density, which has no diffusion,
+    carries its modes above the cutoff as they are."""
+
+    PARAMS = ModelParams(mu=0.5, alpha=0.0, kappa=0.25, a=1.0, gamma=2.0,
+                         variant="effective_v2")
+    DT, STEPS = 0.01, 50
+
+    def state(self, rho_mode=0.0):
+        grid = SpectralGrid(32)
+        x = grid.axes()[0]
+        return FieldState(grid.scalar(1.0 + rho_mode * np.cos(13 * x)),
+                          VectorField(grid, 1e-3 * (np.sin(3 * x) + np.sin(13 * x))[None]))
+
+    def stepped(self, state, variant, scheme):
+        """The coefficients (rho_hat, w_hat) after the fixed steps, and
+        those of ``state``."""
+        stepper = timestepping.Stepper(state, self.PARAMS.with_variant(variant),
+                                       base_config(scheme=scheme, adaptive=False))
+        start = stepper.derived
+        for _ in range(self.STEPS):
+            stepper.advance(self.DT)
+        return stepper.derived, start
+
+    @pytest.mark.parametrize("variant", ["effective_v2", "original"])
+    def test_velocity_mode_above_the_cutoff_decays_at_the_implicit_rate(self, variant):
+        end, start = self.stepped(self.state(), variant, "imex_euler")
+        rate = 1.0 + self.PARAMS.mu * 13 ** 2 * self.DT
+        assert end.w_hat[0, 13] / start.w_hat[0, 13] == pytest.approx(rate ** -self.STEPS,
+                                                                     rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("variant", ["effective_v2", "original"])
+    def test_bdf2_damps_the_velocity_mode_above_the_cutoff(self, variant):
+        end, start = self.stepped(self.state(), variant, "imex_bdf2")
+        assert abs(end.w_hat[0, 13] / start.w_hat[0, 13]) < 1e-15
+
+    @pytest.mark.parametrize("scheme", timestepping.SCHEMES)
+    def test_original_density_mode_above_the_cutoff_is_carried(self, scheme):
+        end, start = self.stepped(self.state(rho_mode=1e-3), "original", scheme)
+        assert end.rho_hat[13] == pytest.approx(start.rho_hat[13], rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("variant", ["effective_v2", "original"])
+    def test_rhs_returns_mu_lap_w_on_every_mode(self, variant):
+        state = self.state()
+        _, dw = rhs(state, self.PARAMS.with_variant(variant))
+        w_hat = np.fft.rfft(state.w.data[0])[13]
+        assert np.fft.rfft(dw.data[0])[13] == pytest.approx(
+            -self.PARAMS.mu * 13 ** 2 * w_hat, rel=1e-12, abs=0.0)
 
 
 class TestRun:
@@ -357,6 +410,35 @@ class TestCrossVariant:
                 max_abs(t_orig.final_state.w.data - u_eff.data)))
         assert gaps[0] < 1e-3
         assert gaps[1] < 0.65 * gaps[0]
+
+
+class TestCrossVariant2D:
+    def test_bdf2_gap_falls_at_second_order_at_32_squared(self):
+        # TestCrossVariant's oracle on a 32^2 grid with imex_bdf2: the gap
+        # between the two discretizations of one solution falls at the
+        # scheme's order, since mu Lap acts on every mode of both
+        from kortorus.model import effective_velocity
+        from kortorus.scenarios import random_trig_field, random_trig_fields
+
+        grid = SpectralGrid((32, 32))
+        params = ModelParams(mu=1.0, alpha=0.5, kappa=0.5, a=1.0, gamma=2.0,
+                             variant="effective_v1")
+        rho0 = grid.scalar(1.3 + 0.2 * random_trig_field(
+            grid, np.random.default_rng(8), kmax=3))
+        u0 = VectorField(grid, 0.3 * random_trig_fields(
+            grid, np.random.default_rng(9), 2, kmax=3))
+        v0 = effective_velocity(rho0, u0, params)
+        gaps = []
+        for dt in (1e-3, 5e-4):
+            cfg = IntegratorConfig(dt_initial=dt, dt_min=1e-12, t_end=0.2, scheme="imex_bdf2",
+                                   adaptive=False)
+            t_orig = run(FieldState(rho0, u0), params.with_variant("original"), cfg)
+            t_eff = run(FieldState(rho0, v0), params, cfg)
+            u_eff = recover_u(t_eff.final_state.rho, t_eff.final_state.w, params)
+            gaps.append(max(
+                max_abs(t_orig.final_state.rho.data - t_eff.final_state.rho.data),
+                max_abs(t_orig.final_state.w.data - u_eff.data)))
+        assert math.log2(gaps[0] / gaps[1]) >= 1.8
 
 
 class TestRouting:
