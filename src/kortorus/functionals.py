@@ -51,6 +51,7 @@ from .spectral import (
     SpectralGrid,
     VectorField,
     grad_hat,
+    grad_sq_integrals,
     hess_hat,
     integrals,
     lp_norm,
@@ -240,6 +241,11 @@ def vacuum_functional(state: State, params: ModelParams, p: float) -> VacuumFunc
         (kappa/(mu rho^p)) Lap rho
             = -(kappa/(mu (p-1))) Lap(rho^{1-p})
               + (4 p kappa/(mu (p-1)^2)) |grad(rho^{-(p-1)/2})|^2.
+
+    The derivatives of the powers of rho are taken from L = ln rho by the
+    chain rule and Lap rho from rho's coefficients, so the residual is
+    (kappa/mu) rho^{-p} |Lap rho - rho (Lap L + |grad L|^2)| up to
+    roundoff: roundoff where rho is resolved, the spatial error where not.
     """
     _P_VACUUM.enforce("vacuum exponent p", p, PExponentOutOfRange)
     rep = evaluate_report(state, params, MonitorSpec(p_vacuum=p))
@@ -493,10 +499,12 @@ def evaluate_reports(states: Iterable[State], params: ModelParams,
     batch and from ``previous`` (the report before the first state), or
     from 0.0 at the first state when ``previous`` is None.
 
-    Transform stages: sqrt(rho) and the vacuum functional's powers of rho
-    forward; everything the functionals differentiate back.  Every
-    temporary and every field a batch forms dies with it (``_report``);
-    ``states`` gain at most the coefficients ``SpectralState.stack`` reads."""
+    Transform stages: sqrt(rho) forward, for the capillary energy by
+    Parseval; back grad grad ln rho (unless the step made it) and then
+    grad rho and Lap rho, in one call of dim + 1 components.  The vacuum
+    functional's fields are formed pointwise from ln rho.  Every temporary
+    and every field a batch forms dies with it (``_report``); ``states``
+    gain at most the coefficients ``SpectralState.stack`` reads."""
     spec, states, table = spec or _DEFAULT_SPEC, iter(states), ReportTable()
     for first in states:
         batch = SpectralState.stack([spectral_state(s, params) for s in (
@@ -521,34 +529,29 @@ def _sum_of_squares(components, out: np.ndarray, square: np.ndarray) -> np.ndarr
     return out
 
 
-def _inverse_inputs(d: SpectralState, forward_hat: np.ndarray):
-    """The report's inverse-stage inputs, from the coefficients of its
-    forward stage (sqrt(rho), rho^{-(p-1)/2} and rho^{1-p}), in the order
-    ``_report`` reads their outputs: grad rho^{-(p-1)/2}, Lap rho and
-    Lap rho^{1-p}; grad sqrt(rho) and grad rho, after which the forward
-    coefficients are let go; and grad grad ln rho, unless ``d`` holds it
-    (an ``original`` step makes it).  Each is formed as the stage reads it
-    and let go when the stage asks for the next, which on a 2D grid is
-    after the report has let go of its output: no two inputs are held at
-    once.  Holding an input while its output is read adds nothing to the
-    report's peak, which the input and output of the transform set, and
-    the heap then keeps the pages of both for the next pair instead of
-    trimming and faulting them back."""
-    grid, shape = d.grid, forward_hat.shape[1:]
-    vac_hat = np.empty((grid.dim + 2,) + shape, complex)
-    grad_hat(forward_hat[1], grid, vac_hat[:grid.dim])
-    np.multiply(grid.rfft_minus_beta_sq, d.rho_hat, out=vac_hat[grid.dim])
-    np.multiply(grid.rfft_minus_beta_sq, forward_hat[2], out=vac_hat[grid.dim + 1])
-    yield vac_hat
-    del vac_hat
-    pair_hat = np.empty((grid.dim, 2) + shape, complex)
-    grad_hat(forward_hat[0], grid, pair_hat[:, 0])
-    grad_hat(d.rho_hat, grid, pair_hat[:, 1])
-    del forward_hat
-    yield pair_hat
-    del pair_hat
+def _inverse_inputs(d: SpectralState):
+    """The report's inverse-stage inputs, in the order ``_report`` reads
+    their outputs: grad grad ln rho, unless ``d`` holds it (an ``original``
+    step makes it); then grad rho and Lap rho, from rho's own coefficients,
+    as one array.  Each is formed as the stage reads it and let go when the
+    stage asks for the next, which on a 2D grid is after the report has let
+    go of its output: no two inputs are held at once.  Holding an input
+    while its output is read adds nothing to the report's peak, which the
+    input and output of the transform set, and the heap then keeps the
+    pages of both for the next pair instead of trimming and faulting them
+    back."""
     if not d.holds("hess_ln_rho"):
-        yield hess_hat(d.ln_rho_hat, grid)
+        yield hess_hat(d.ln_rho_hat, d.grid)
+    yield _grad_and_lap_hat(d.rho_hat, d.grid)
+
+
+def _grad_and_lap_hat(hat: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """The coefficients of grad u and Lap u as one array of dim + 1
+    components, from u's coefficients ``hat``."""
+    out = np.empty((grid.dim + 1,) + hat.shape, complex)
+    grad_hat(hat, grid, out[:grid.dim])
+    np.multiply(grid.rfft_minus_beta_sq, hat, out=out[grid.dim])
+    return out
 
 
 def _report(d: SpectralState, params: ModelParams, spec: MonitorSpec,
@@ -556,12 +559,24 @@ def _report(d: SpectralState, params: ModelParams, spec: MonitorSpec,
     """Every column of every member in one pass over the stack ``d``: each
     pointwise field is formed once for the batch, and each integrand is
     reduced member by member (``spectral.integrals``) as soon as it is formed.
-    Temporaries are new arrays, let go as they die (the forward stage's
-    inputs with their stage), or rows of a transform's output that the
-    report holds alone and no longer reads.  The inverse stage's outputs
-    are read one at a time, in the order ``_inverse_inputs`` forms their
-    inputs, and each is let go before the next is asked for, so that on a
-    2D grid, where the next is made only then, one is held at a time.
+    Temporaries are new arrays, let go as they die, or rows of a transform's
+    output that the report holds alone and no longer reads.
+
+    The forward stage is sqrt(rho) alone, whose coefficients give the
+    capillary energy by discrete Parseval (``spectral.grad_sq_integrals``)
+    and are let go.  The inverse stage's outputs are read one at a time, in
+    the order ``_inverse_inputs`` forms their inputs, and each is let go
+    before the next is asked for, so that on a 2D grid, where the next is
+    made only then, one is held at a time.  The vacuum functional's fields
+    come pointwise from L = ln rho by the chain rule,
+
+        |grad rho^{-(p-1)/2}|^2 = ((p-1)/2)^2 rho^{1-p} |grad L|^2,
+        Lap rho^{1-p} = (1-p) rho^{1-p} (Lap L + (1-p) |grad L|^2),
+
+    with Lap L the trace of grad grad L, while grad rho and Lap rho come
+    from rho's coefficients, so that the multiplier identity compares the
+    two (``vacuum_functional``).
+
     The columns go into one (columns x members) table in COLUMNS order,
     returned as it is, whose Serrin trapezoid is a running sum over its last
     row and the members' times, continued from ``previous``."""
@@ -575,34 +590,14 @@ def _report(d: SpectralState, params: ModelParams, spec: MonitorSpec,
     # v first, as it may bring grad ln rho back in a call of its own
     v = d.v
     v_sq = _sum_of_squares(v, np.empty(scalar), square)
-    # the forward stage: sqrt(rho) and the vacuum functional's
-    # rho^{-(p-1)/2} and rho^{1-p}, whose integral is taken first; its input
-    # is let go before the inverse stage forms its own
-    forward = np.empty((3,) + scalar)
-    np.sqrt(rho, out=forward[0])
-    np.power(rho, -(p_vac - 1.0) / 2.0, out=forward[1])
-    vac_value = integrals(np.power(rho, 1.0 - p_vac, out=forward[2]), grid) / (p_vac - 1.0)
-    inverse_inputs = _inverse_inputs(d, *d.fill(to_spectral_stage, extra=[forward]))
-    del forward
+    (sqrt_rho_hat,) = d.fill(to_spectral_stage, extra=[np.sqrt(rho, out=scratch)])
+    capillary = params.kappa * grad_sq_integrals(sqrt_rho_hat, grid)
+    del sqrt_rho_hat
     # the inverse stage: grad ln rho and grad w join unless the step made
     # them; its other outputs are read one at a time, each let go before
     # the next is asked for, which on a 2D grid is when it is made
-    outputs = d.fill(to_physical_stage, "grad_ln_rho", "grad_w", extra=inverse_inputs)
-    vac_fields = next(outputs)
-    coeff = params.kappa / params.mu
-    grad_half_sq = _sum_of_squares(vac_fields[:grid.dim], vac_fields[0], square)
-    rate_coeff = 4.0 * p_vac * coeff / (p_vac - 1.0) ** 2
-    vac_rate = rate_coeff * integrals(grad_half_sq, grid)
-    # |coeff rho^{-p} Lap rho - (-(coeff / (p - 1)) Lap rho^{1-p}
-    #  + rate_coeff |grad rho^{-(p-1)/2}|^2)|
-    lap_rho, lap_pow = vac_fields[-2], vac_fields[-1]
-    np.multiply(np.multiply(coeff, np.power(rho, -p_vac, out=square), out=square), lap_rho,
-                out=lap_rho)
-    np.multiply(-(coeff / (p_vac - 1.0)), lap_pow, out=lap_pow)
-    lap_pow += np.multiply(rate_coeff, grad_half_sq, out=grad_half_sq)
-    vac_residual = np.abs(np.subtract(lap_rho, lap_pow, out=lap_rho), out=lap_rho).reshape(
-        members, -1).max(axis=1)
-    del vac_fields, grad_half_sq, lap_rho, lap_pow
+    outputs = d.fill(to_physical_stage, "grad_ln_rho", "grad_w", extra=_inverse_inputs(d))
+    hess = d.hess_ln_rho if d.holds("hess_ln_rho") else next(outputs)
 
     def product_integrals(a, b):
         return integrals(np.multiply(a, b, out=scratch), grid)
@@ -612,21 +607,7 @@ def _report(d: SpectralState, params: ModelParams, spec: MonitorSpec,
     rho_v_sq = product_integrals(rho, v_sq)
     low_mass = integrals(_low_density_weight(rho, spec.epsilon, spec.delta_vacuum, scratch),
                          grid)
-    grad_sqrt_rho_and_rho = next(outputs)
-    capillary = params.kappa * integrals(
-        _sum_of_squares(grad_sqrt_rho_and_rho[:, 0], scratch, square), grid)
-    grad_rho_sq = _sum_of_squares(grad_sqrt_rho_and_rho[:, 1], grad_sqrt_rho_and_rho[0, 1],
-                                  square)
-    rho_pow_gamma_minus_2 = np.power(rho, gamma - 2.0, out=square)
-    bd_cross = product_integrals(rho_pow_gamma_minus_2, grad_rho_sq)
-    # P''(rho) |grad rho|^2
-    eff_pressure = product_integrals(np.multiply(params.a * gamma * (gamma - 1.0),
-                                                 rho_pow_gamma_minus_2, out=square), grad_rho_sq)
-    del grad_sqrt_rho_and_rho, grad_rho_sq, rho_pow_gamma_minus_2
 
-    hess = next(outputs, None)
-    if hess is None:  # the batch holds it
-        hess = d.hess_ln_rho
     original = params.variant == "original"
     grad_v = d.grad_w
     if original:
@@ -668,6 +649,41 @@ def _report(d: SpectralState, params: ModelParams, spec: MonitorSpec,
     del grad_u
     bd_capillary = product_integrals(_sum_of_squares(hess, scratch, square), rho)
 
+    lap_ln_rho = np.trace(hess)
+    del hess
+
+    rho_fields = next(outputs)  # grad rho and Lap rho
+    grad_rho_sq = _sum_of_squares(rho_fields[:grid.dim], rho_fields[0], square)
+    # a gamma rho^{gamma-2} |grad rho|^2, the cross rate's integrand, is
+    # P''(rho) |grad rho|^2 / (gamma - 1)
+    bd_cross = params.a * gamma * product_integrals(np.power(rho, gamma - 2.0, out=square),
+                                                    grad_rho_sq)
+    del grad_rho_sq
+    # the vacuum functional and its multiplier identity
+    #   coeff rho^{-p} Lap rho = -(coeff / (p - 1)) Lap rho^{1-p}
+    #                            + rate_coeff |grad rho^{-(p-1)/2}|^2,
+    # its right side by the chain rule from L = ln rho
+    coeff = params.kappa / params.mu
+    rate_coeff = 4.0 * p_vac * coeff / (p_vac - 1.0) ** 2
+    rho_pow = np.power(rho, 1.0 - p_vac, out=square)
+    vac_value = integrals(rho_pow, grid) / (p_vac - 1.0)
+    grad_ln_sq = _sum_of_squares(d.grad_ln_rho, rho_fields[0], scratch)
+    grad_half_sq = np.multiply(rho_pow, grad_ln_sq, out=scratch)
+    grad_half_sq *= ((p_vac - 1.0) / 2.0) ** 2
+    vac_rate = rate_coeff * integrals(grad_half_sq, grid)
+    lap_pow = np.multiply(1.0 - p_vac, grad_ln_sq, out=grad_ln_sq)
+    lap_pow += lap_ln_rho
+    lap_pow *= rho_pow
+    lap_pow *= 1.0 - p_vac
+    del lap_ln_rho
+    rhs = np.multiply(-(coeff / (p_vac - 1.0)), lap_pow, out=lap_pow)
+    rhs += np.multiply(rate_coeff, grad_half_sq, out=grad_half_sq)
+    lhs = rho_fields[grid.dim]
+    lhs *= np.multiply(coeff, np.power(rho, -p_vac, out=square), out=square)
+    vac_residual = np.abs(np.subtract(lhs, rhs, out=lhs), out=lhs).reshape(
+        members, -1).max(axis=1)
+    del rho_fields, grad_ln_sq, lap_pow, rhs, lhs
+
     inner_exp = 2.0 / (2.0 - delta)
     mv_rho = integrals(np.power(rho, (2.0 * gamma - 1.0 - delta / 2.0) * inner_exp, out=square),
                        grid)
@@ -686,9 +702,9 @@ def _report(d: SpectralState, params: ModelParams, spec: MonitorSpec,
         energy_capillary=capillary,
         effective_energy=0.5 * rho_v_sq + potential,
         eff_energy_rate_viscous=params.mu * viscous,
-        eff_energy_rate_pressure=params.eps * eff_pressure,
+        eff_energy_rate_pressure=params.eps * (gamma - 1.0) * bd_cross,
         bd_rate_viscous=(params.mu - params.alpha) * bd_grad + params.alpha * bd_sym,
-        bd_rate_cross=params.a * gamma * bd_cross,
+        bd_rate_cross=bd_cross,
         bd_rate_capillary=params.kappa * bd_capillary,
         mv_value=product_integrals(rho, np.power(speed, 2.0 + delta, out=square)) / (2.0 + delta),
         mv_rate_dissipation=0.25 * params.mu * mv_dissipation,

@@ -465,6 +465,24 @@ def lp_norms(samples: np.ndarray, p: float, grid: SpectralGrid,
     return [total ** (1.0 / p) for total in sums.tolist()]
 
 
+def _weighted_power(real: np.ndarray, imag: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """The weighted power spectra w_k sum_components |U_k|^2, one row a
+    field, of the coefficients whose parts are ``real`` and ``imag``
+    (leading rows, then the component axis), with w_k =
+    ``grid.rfft_multiplicity``."""
+    return (np.sum(real ** 2 + imag ** 2, axis=-1 - grid.dim).reshape(len(real), -1)
+            * grid.rfft_multiplicity.ravel())
+
+
+def _parseval_sums(power: np.ndarray, squared_multipliers, grid: SpectralGrid) -> np.ndarray:
+    """|T^N| / size^2 * sum_k m(k)^2 P_k for each row P of ``power``
+    (``_weighted_power``) and each of ``squared_multipliers``: a
+    (multipliers, rows) array, each sum taken on its own."""
+    sums = np.array([(power * square.ravel()).sum(axis=-1) for square in squared_multipliers])
+    sums *= grid.volume / math.prod(grid.shape) ** 2
+    return sums
+
+
 def _coefficient_l2_norms(hat: np.ndarray, squared_multipliers,
                           grid: SpectralGrid) -> list[float]:
     """Discrete L^2 norm of m(D) u for each field u whose unnormalized rfft
@@ -488,23 +506,30 @@ def _coefficient_l2_norms(hat: np.ndarray, squared_multipliers,
     is measured at 2^-e times its coefficients, its largest part then in
     [0.5, 1), and its norms scaled back by 2^e: powers of two scale exactly,
     so its squares keep their bits, and the other fields' norms are as before."""
-    def weighted_power(real, imag):
-        return (np.sum(real ** 2 + imag ** 2, axis=-1 - grid.dim).reshape(len(real), -1)
-                * grid.rfft_multiplicity.ravel())
-    power = weighted_power(hat.real, hat.imag)
+    power = _weighted_power(hat.real, hat.imag, grid)
     scale = grid.volume / math.prod(grid.shape) ** 2
     low = np.flatnonzero(power.max(axis=1) * scale < np.finfo(float).tiny)
     if low.size:
         parts = np.stack([hat[low].real, hat[low].imag])
         shifts = np.frexp(np.abs(parts).reshape(2, len(low), -1).max(axis=(0, 2)))[1]
-        power[low] = weighted_power(*np.ldexp(parts, -shifts.reshape((-1,) + (1,) * (hat.ndim - 1))))
-    sums = np.array([(power * square.ravel()).sum(axis=-1) for square in squared_multipliers])
-    sums *= scale
+        power[low] = _weighted_power(
+            *np.ldexp(parts, -shifts.reshape((-1,) + (1,) * (hat.ndim - 1))), grid)
+    sums = _parseval_sums(power, squared_multipliers, grid)
     norms = [total ** 0.5 for total in sums.T.ravel().tolist()]
     for row, shift in zip(low.tolist(), shifts.tolist() if low.size else ()):
         span = slice(row * len(sums), (row + 1) * len(sums))
         norms[span] = [math.ldexp(norm, shift) for norm in norms[span]]
     return norms
+
+
+def grad_sq_integrals(hat: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """int |grad u|^2 dx of each leading member u of real samples whose
+    unnormalized rfft coefficients ``hat`` holds, with no transform back:
+    the discrete Parseval sum of ``_coefficient_l2_norms`` with m(k)^2 =
+    |beta|^2, Nyquist zeroed as ``grad_hat`` zeroes it, which equals the
+    rectangle rule of the spectral gradient's squares to roundoff."""
+    power = _weighted_power(hat.real[:, None], hat.imag[:, None], grid)
+    return -_parseval_sums(power, (grid.rfft_minus_beta_sq,), grid)[0]
 
 
 def relative_l2_gap(a: Field, b: Field) -> float:

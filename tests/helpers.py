@@ -469,9 +469,11 @@ def reference_rhs_per_unit_mass(rho: np.ndarray, w: np.ndarray, grid,
                   + alpha (d_j div w + sum_i G_ji g_i)               (original)
                   + kappa (d_j Lap ln rho + sum_i H_ij g_i),         (original)
 
-    each operator applied to physical samples and the whole tendency
-    dealiased once by a round trip.  The density tendency is
-    ``reference_rhs``'s."""
+    each operator applied to physical samples and the whole tendency but
+    its linear diffusion mu Lap w dealiased once by a round trip: the
+    diffusion acts on every mode, as the step integrates it.  The density
+    tendency is ``reference_rhs``'s, whose (kappa/mu) Lap rho acts on every
+    mode too."""
     ops = _ComplexFFT(grid)
     deriv = ops.deriv
     d = grid.dim
@@ -487,12 +489,11 @@ def reference_rhs_per_unit_mass(rho: np.ndarray, w: np.ndarray, grid,
         lap_ln_rho = ops.laplacian(ln_rho)
     dw = []
     for j in range(d):
-        term = (params.mu * ops.laplacian(w[j])
-                - sum((u[i] - params.mu * g[i]) * G[i][j] for i in range(d)) - sound * g[j])
+        term = -sum((u[i] - params.mu * g[i]) * G[i][j] for i in range(d)) - sound * g[j]
         if original:
             term = (term + params.alpha * (deriv(div_w, j) + sum(G[j][i] * g[i] for i in range(d)))
                     + params.kappa * (deriv(lap_ln_rho, j) + sum(H[i][j] * g[i] for i in range(d))))
-        dw.append(ops.dealias(term))
+        dw.append(params.mu * ops.laplacian(w[j]) + ops.dealias(term))
     return ops.density_tendency(rho, w, params), np.stack(dw)
 
 

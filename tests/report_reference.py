@@ -53,9 +53,7 @@ class ReferenceState(SpectralState):
 
     #: coefficients of sqrt(rho)
     sqrt_rho_hat = _Transformed(to_spectral_stage, lambda d: np.sqrt(d.rho.data))
-    #: grad sqrt(rho) and grad rho as components [:, 0] and [:, 1]
-    grad_sqrt_rho_and_rho = _Transformed(to_physical_stage, lambda d: grad_hat(
-        np.stack([d.sqrt_rho_hat, d.rho_hat]), d.grid))
+    grad_rho = _Transformed(to_physical_stage, lambda d: grad_hat(d.rho_hat, d.grid))
 
     @cached_property
     def grad_u(self) -> np.ndarray:
@@ -71,11 +69,18 @@ class ReferenceState(SpectralState):
 
     @cached_property
     def grad_rho_sq(self) -> np.ndarray:
-        return np.sum(self.grad_sqrt_rho_and_rho[:, 1] ** 2, axis=0)
+        return np.sum(self.grad_rho ** 2, axis=0)
 
     @cached_property
-    def grad_sqrt_rho_sq(self) -> np.ndarray:
-        return np.sum(self.grad_sqrt_rho_and_rho[:, 0] ** 2, axis=0)
+    def grad_sqrt_rho_integral(self) -> float:
+        """int |grad sqrt(rho)|^2 by discrete Parseval: |T^N| / size^2 times
+        the sum of w_k |beta|^2 |U_k|^2 over sqrt(rho)'s rfft coefficients
+        U, with w_k 2 for a coefficient that stands for its conjugate too
+        and |beta|^2 Nyquist-zeroed."""
+        grid, hat = self.grid, self.sqrt_rho_hat
+        power = (hat.real ** 2 + hat.imag ** 2) * grid.rfft_multiplicity
+        return float(-((power * grid.rfft_minus_beta_sq).sum()
+                       * (grid.volume / self.rho.data.size ** 2)))
 
     @cached_property
     def rho_pow_gamma_minus_2(self) -> np.ndarray:
@@ -117,7 +122,7 @@ def energy(d: ReferenceState, params: ModelParams) -> EnergyParts:
     rho = d.rho.data
     kinetic = _integral(d, rho * d.u_sq)
     press = _integral(d, d.pressure_potential)
-    capillary = params.kappa * _integral(d, d.grad_sqrt_rho_sq)
+    capillary = params.kappa * d.grad_sqrt_rho_integral
     return EnergyParts(kinetic + press + capillary, kinetic, press, capillary)
 
 
@@ -129,9 +134,13 @@ def effective_energy(d: ReferenceState, params: ModelParams) -> float:
 def effective_energy_dissipation(d: ReferenceState, params: ModelParams) -> tuple[float, float]:
     rho = d.rho.data
     viscous = params.mu * _integral(d, rho * d.grad_v_sq)
-    p_second = params.a * params.gamma * (params.gamma - 1.0) * d.rho_pow_gamma_minus_2
-    pressure_part = params.eps * _integral(d, p_second * d.grad_rho_sq)
-    return viscous, pressure_part
+    # P''(rho) = (gamma - 1) a gamma rho^{gamma-2}, the cross rate's integrand
+    return viscous, params.eps * (params.gamma - 1.0) * cross_rate(d, params)
+
+
+def cross_rate(d: ReferenceState, params: ModelParams) -> float:
+    """a gamma int rho^{gamma-2} |grad rho|^2."""
+    return params.a * params.gamma * _integral(d, d.rho_pow_gamma_minus_2 * d.grad_rho_sq)
 
 
 def bd_entropy(d: ReferenceState, params: ModelParams) -> BDEntropy:
@@ -146,7 +155,7 @@ def bd_entropy(d: ReferenceState, params: ModelParams) -> BDEntropy:
     viscous = ((params.mu - params.alpha) * _integral(d, rho * grad_sq)
                + params.alpha * _integral(d, rho * sym_sq))
 
-    cross = params.a * params.gamma * _integral(d, d.rho_pow_gamma_minus_2 * d.grad_rho_sq)
+    cross = cross_rate(d, params)
 
     capillary = params.kappa * _integral(d, rho * np.sum(d.hess_ln_rho ** 2, axis=(0, 1)))
     return BDEntropy(value, viscous, cross, capillary)
@@ -181,18 +190,20 @@ def integrability_functional(d: ReferenceState, params: ModelParams, p: float) -
 
 
 def vacuum_functional(d: ReferenceState, params: ModelParams, p: float) -> VacuumFunctional:
+    """The rate and the identity's right side by the chain rule from
+    L = ln rho, each product in the report's order; Lap rho from rho's
+    coefficients."""
     rho, grid = d.rho.data, d.grid
     coeff = params.kappa / params.mu
     rho_pow = rho ** (1.0 - p)
-    ((half_hat, pow_hat),) = d.fill(to_spectral_stage, extra=[
-        np.stack([rho ** (-(p - 1.0) / 2.0), rho_pow])])
-    lap = grid.rfft_minus_beta_sq
-    (fields,) = d.fill(to_physical_stage, extra=[np.concatenate([
-        grad_hat(half_hat, grid), np.stack([lap * d.rho_hat, lap * pow_hat])])])
+    (lap_rho,) = d.fill(to_physical_stage, extra=[grid.rfft_minus_beta_sq * d.rho_hat])
 
     value = _integral(d, rho_pow) / (p - 1.0)
-    grad_half, lap_rho, lap_rho_pow = fields[:grid.dim], fields[-2], fields[-1]
-    grad_half_sq = np.sum(grad_half ** 2, axis=0)
+    grad_ln_sq = np.sum(d.grad_ln_rho ** 2, axis=0)
+    # |grad rho^{-(p-1)/2}|^2 = ((p-1)/2)^2 rho^{1-p} |grad L|^2
+    grad_half_sq = rho_pow * grad_ln_sq * ((p - 1.0) / 2.0) ** 2
+    # Lap rho^{1-p} = (1-p) rho^{1-p} (Lap L + (1-p) |grad L|^2)
+    lap_rho_pow = ((1.0 - p) * grad_ln_sq + np.trace(d.hess_ln_rho)) * rho_pow * (1.0 - p)
     rate_coeff = 4.0 * p * coeff / (p - 1.0) ** 2
     rate = rate_coeff * _integral(d, grad_half_sq)
 

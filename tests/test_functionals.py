@@ -41,6 +41,7 @@ from kortorus.spectral import (
     ScalarField,
     SpectralGrid,
     VectorField,
+    gradient,
     integrate,
     vector_gradient,
 )
@@ -310,6 +311,71 @@ class TestVacuumFunctional:
         st = state_1d(lambda x: np.ones_like(x))
         with pytest.raises(PExponentOutOfRange):
             vacuum_functional(st, P_V2, 1.5)
+
+
+def zero_padded(data: np.ndarray, n: int) -> np.ndarray:
+    """Samples on n points of the trigonometric polynomial that the 1D
+    samples ``data`` interpolate (the Nyquist mode split between +-k)."""
+    m = data.shape[-1]
+    hat = np.zeros(data.shape[:-1] + (n // 2 + 1,), complex)
+    hat[..., :m // 2 + 1] = np.fft.rfft(data)
+    hat[..., m // 2] *= 0.5
+    return np.fft.irfft(hat, n=n) * (n / m)
+
+
+@pytest.fixture(scope="module")
+def squeeze_128():
+    """The README's vacuum-squeeze state at N = 128 and t = 0.6 (dt_initial
+    scaled as 1/N), its model, and the same state zero-padded onto N = 1024,
+    where the report's forms and the direct ones agree to roundoff."""
+    (block,) = [b for b in readme_blocks("json") if "gaussian_bump" in b]
+    config = parse_config(block)
+    grid = SpectralGrid(128)
+    state = initial_state(grid, config.initial.family, config.initial.params)
+    integrator = replace(config.integrator, dt_initial=1e-3, t_end=0.6)
+    state = run(state, config.model, integrator, config.monitors).final_state
+    fine = SpectralGrid(1024)
+    padded = FieldState(ScalarField(fine, zero_padded(state.rho.data, 1024)),
+                        VectorField(fine, zero_padded(state.w.data, 1024)), state.time)
+    return state, padded, config.model
+
+
+def direct_grad_sq_integral(samples: np.ndarray, grid: SpectralGrid) -> float:
+    """int |grad f|^2 for f's samples, the gradient sent back to the grid."""
+    grad = gradient(ScalarField(grid, samples)).data
+    return integrate(ScalarField(grid, np.sum(grad ** 2, axis=0)))
+
+
+class TestReportFormsAgainstAFineGrid:
+    """The report takes energy_capillary from sqrt(rho)'s coefficients by
+    Parseval and the vacuum functional's derivatives from ln rho; on the
+    under-resolved squeeze the second is closer to the resolved value than
+    differentiating rho^{-(p-1)/2} directly."""
+
+    def test_capillary_energy_equals_the_direct_form(self, squeeze_128):
+        state, _, params = squeeze_128
+        direct = params.kappa * direct_grad_sq_integral(np.sqrt(state.rho.data), state.grid)
+        assert evaluate_report(state, params).energy_capillary == pytest.approx(direct,
+                                                                                rel=1e-15)
+
+    def test_vacuum_rate_is_closer_to_the_fine_grid_than_the_direct_form(self, squeeze_128):
+        state, padded, params = squeeze_128
+        p = 2.0
+        resolved = vacuum_functional(padded, params, p).rate
+        rate = vacuum_functional(state, params, p).rate
+        direct = (4.0 * p * params.kappa / (params.mu * (p - 1.0) ** 2)
+                  * direct_grad_sq_integral(state.rho.data ** (-(p - 1.0) / 2.0), state.grid))
+        assert abs(rate / resolved - 1.0) < 2e-2  # 1.3e-2
+        assert abs(direct / resolved - 1.0) > 5e-2  # 6.1e-2
+
+    def test_identity_residual_is_roundoff_only_where_rho_is_resolved(self, squeeze_128):
+        state, _, params = squeeze_128
+        smooth = state_1d(lambda x: 2.0 + np.sin(x), grid=state.grid)
+        assert vacuum_functional(smooth, params, 2.0).identity_residual < 1e-10
+        # Lap rho from rho's coefficients and rho (Lap L + |grad L|^2) from
+        # ln rho's differ by the spatial error, so the identity is not
+        # algebraic (about 90 here)
+        assert vacuum_functional(state, params, 2.0).identity_residual > 1e-3
 
 
 class TestSerrin:

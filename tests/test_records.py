@@ -23,8 +23,8 @@ from helpers import (
 #: with the columns of schema version 2 and the Serrin trapezoid over the
 #: report times; a change that moves a column moves these (known to hold on
 #: one numpy build and host)
-SQUEEZE_DIGEST = "f64dca713b1f1138f2c942b3b647082da0368ceb9f885aa142461b5c3eb55749"
-MS1D_BDF2_160_DIGEST = "b376032d17116293d66d787693ffdec27cef417efd87d563a547936131869799"
+SQUEEZE_DIGEST = "7fe46d9e5a3e2945903e8a932efe3113f1d5b0f65464ba53fc14c48ee38c7791"
+MS1D_BDF2_160_DIGEST = "6f47ae75c47bd8ab5645e5fd9af27dd9e162094289304c7ff01c5da682052eeb"
 
 
 @pytest.fixture(scope="module")

@@ -12,6 +12,7 @@ import scipy.fft
 from kortorus import spectral
 from kortorus.functionals import MonitorSpec, evaluate_report
 from kortorus.model import (
+    FieldState,
     ModelParams,
     SpectralState,
     inverse_density_capillarity,
@@ -70,6 +71,32 @@ def test_rhs_matches_complex_fft_reference(variant, resolution, seed):
     assert rel_linf(dw.data, ref_w) < 1e-12
 
 
+@pytest.mark.parametrize("variant", sorted(VARIANT_PARAMS))
+def test_rhs_matches_complex_fft_reference_above_the_cutoff(variant):
+    # the linear diffusions act on every mode, outside the 2/3 mask: at
+    # N = 32 (cutoff 10), mode 13 of dw/dt on w = 1e-3 (sin 3x + sin 13x) is
+    # mu Lap w's alone, 169 mu (N/2) 1e-3 i (1.352i at mu = 0.5), where a
+    # reference that dealiased mu Lap w with the rest gave 0; on
+    # rho = 1 + 1e-3 cos 13x, mode 13 of d rho/dt is (kappa/mu) Lap rho's in
+    # the effective variants and 0 in original
+    params = VARIANT_PARAMS[variant]
+    grid = SpectralGrid(32)
+    x = grid.axes()[0]
+    unit_mode = 16e-3  # the rfft coefficient of 1e-3 cos 13x, and i times sin's
+    for rho, w in ((np.ones(32), 1e-3 * (np.sin(3 * x) + np.sin(13 * x))),
+                   (1.0 + 1e-3 * np.cos(13 * x), np.zeros(32))):
+        drho, dw = rhs(FieldState(grid.scalar(rho), VectorField(grid, w[None])), params)
+        ref_rho, ref_w = reference_rhs_per_unit_mass(rho, w[None], grid, params)
+        assert rel_linf(drho.data, ref_rho) < 1e-12
+        assert rel_linf(dw.data, ref_w) < 1e-12
+    dw_13 = np.fft.rfft(reference_rhs_per_unit_mass(
+        np.ones(32), 1e-3 * (np.sin(3 * x) + np.sin(13 * x))[None], grid, params)[1][0])[13]
+    assert dw_13 == pytest.approx(169.0 * params.mu * unit_mode * 1j, rel=1e-12)
+    drho_13 = np.fft.rfft(ref_rho)[13]
+    eps = 0.0 if variant == "original" else params.kappa / params.mu
+    assert drho_13 == pytest.approx(-169.0 * eps * unit_mode, rel=1e-12, abs=1e-15)
+
+
 @pytest.mark.parametrize("variant,coarse,fine", [
     ("effective_v1", (32, 32), (64, 64)), ("effective_v2", (32, 32), (64, 64)),
     ("original", (32, 32), (64, 64)), ("original", 64, 128)])
@@ -118,7 +145,7 @@ def test_fft_budget_2d_effective_bdf2_step_and_report(fft_count):
     # rho and w back; ln rho and rho w forward; grad ln rho and grad w back;
     # the tendency forward
     assert step["calls"] == 7 and step["points"] <= 24 * size
-    assert report["calls"] == 4 and report["points"] <= REPORT_POINTS_2D * size
+    assert report["calls"] == 3 and report["points"] <= REPORT_POINTS_2D * size
     assert step["widest_2d"] == report["widest_2d"] == 4
 
 
@@ -148,12 +175,12 @@ def test_fft_budget_1d_effective_step(fft_count, variant):
         assert step["calls"] == 4 and step["points"] <= 24 * 128
 
 
-# The points a 2D 32^2 report transforms, in grid sizes: 3 forward scalars
-# (sqrt(rho) and two powers of rho) and 12 inverse components of 32 x 17
-# coefficients, 4 of them grad grad ln rho, which an original step brings
+# The points a 2D 32^2 report transforms, in grid sizes: 1 forward scalar
+# (sqrt(rho)) and 7 inverse components of 32 x 17 coefficients: grad rho
+# and Lap rho, and the 4 of grad grad ln rho, which an original step brings
 # back.  Batching the report's transforms into few calls must not add to
 # them.
-REPORT_POINTS_2D = 3 + 12 * 17 / 32
+REPORT_POINTS_2D = 1 + 7 * 17 / 32
 HESSIAN_POINTS_2D = 4 * 17 / 32
 
 
@@ -169,7 +196,7 @@ def test_fft_budget_report(fft_count, variant, resolution):
         # an original step brings grad grad ln rho back, and its report
         # takes it from there
         original = variant == "original"
-        assert report["calls"] == (3 if original else 4)
+        assert report["calls"] == (2 if original else 3)
         assert report["widest_2d"] <= 4
         assert report["points"] <= (REPORT_POINTS_2D - original * HESSIAN_POINTS_2D) \
             * stepper.state.rho.data.size
@@ -180,12 +207,13 @@ def test_fft_budget_report(fft_count, variant, resolution):
     ("original", (32, 32))])
 def test_fft_budget_report_on_bare_state(fft_count, variant, resolution):
     # a bare state (as ``kortorus monitor`` reads it) sends rho, w and ln rho
-    # forward in one call of dim + 2 <= 4 components: 11 calls became 9, and
-    # 7 once the report sent |v|^2 forward no more
+    # forward in one call of dim + 2 <= 4 components: 11 calls became 9, 7
+    # once the report sent |v|^2 forward no more, and 6 once it took the
+    # vacuum functional's fields from ln rho
     params = VARIANT_PARAMS[variant]
     state = smooth_state(resolution, 8)
     report = measure(fft_count, lambda: evaluate_report(state, params))
-    assert report["calls"] <= (4 if state.grid.dim == 1 else 7)
+    assert report["calls"] <= (4 if state.grid.dim == 1 else 6)
     assert report["widest_2d"] <= 4
 
 
